@@ -40,10 +40,8 @@ from .polyhedra import (
 from .packing import (
     CoverSet,
     KonigCertificate,
-    MengerInstance,
     alpha0,
     beta1,
-    build_menger_instance,
     chain_order,
     konig_holds,
     lp_duality_integer_check,

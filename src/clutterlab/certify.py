@@ -18,14 +18,7 @@ from typing import Any
 
 from .guards import Deadline, ResourceGuardError
 from .ideals import MonomialIdeal, edge_ideal, is_normal_up_to, is_ntf_up_to
-from .packing import (
-    chain_order,
-    konig_certificate,
-    max_matching_size,
-    menger_oracle,
-    mfmc_bounded,
-    min_cover_size,
-)
+from .packing import HasseNetwork, chain_order, menger_check, mfmc_bounded, weighted_sweep
 from .polyhedra import (
     IncidenceMatrix,
     covering_polyhedron,
@@ -308,28 +301,25 @@ def _instance_json(kind: str, obj: Any) -> dict[str, Any]:
 # Per-instance checks
 
 def comparability_mfmc_check(
-    p: Poset, wmax: int, deadline: Deadline | None = None
+    p: Poset, cl: Clutter, wmax: int, deadline: Deadline | None = None
 ) -> dict[str, Any]:
-    """One sweep over w in {0..wmax}^n for a poset's clique clutter:
-    Koenig must hold for every parallelization and the Menger oracle must
-    report the same two numbers."""
-    cl = clique_clutter(comparability_graph(p))
+    """One sweep over w in {0..wmax}^n for the clique clutter ``cl`` of a
+    poset's comparability graph: Koenig must hold for every
+    parallelization, and the vertex-capacitated max flow and min cut on
+    the Hasse diagram must report the same two numbers."""
+    net = HasseNetwork.of(p)
+    assert net.chains() == set(cl.edge_masks), "Hasse source-sink paths and maximal cliques differ"
     konig_failures: list[dict[str, Any]] = []
     menger_mismatches: list[dict[str, Any]] = []
     checked = 0
-    for w in itertools.product(range(wmax + 1), repeat=p.n):
-        if deadline is not None:
-            deadline.check()
-        masks, _, _ = parallelize_masks(cl.edge_masks, w)
-        a0 = min_cover_size(masks)
-        b1 = max_matching_size(masks)
+    for w, a0, b1 in weighted_sweep(cl, wmax, deadline):
         checked += 1
         if a0 != b1:
             konig_failures.append({"w": list(w), "alpha0": a0, "beta1": b1})
-        cert = menger_oracle(p, w)
-        if (cert.alpha0, cert.beta1) != (a0, b1):
+        cut, flow, _, _ = menger_check(net, cl.edge_masks, w)
+        if (cut, flow) != (a0, b1):
             menger_mismatches.append(
-                {"w": list(w), "konig": [a0, b1], "menger": [cert.alpha0, cert.beta1]}
+                {"w": list(w), "konig": [a0, b1], "menger": [cut, flow]}
             )
     return {
         "checked_w": checked,
@@ -340,10 +330,9 @@ def comparability_mfmc_check(
     }
 
 
-def duplication_commutes(g: Graph) -> list[int]:
-    """Vertices where clutter-level and graph-level duplication disagree
-    (expected: none, for every graph)."""
-    cl = clique_clutter(g)
+def duplication_commutes(g: Graph, cl: Clutter) -> list[int]:
+    """Vertices where clutter-level and graph-level duplication of g, whose
+    clique clutter is ``cl``, disagree (expected: none, for every graph)."""
     bad = []
     for v in range(g.n):
         if duplicate(cl, v) != clique_clutter(graph_duplicate(g, v)):
@@ -351,8 +340,9 @@ def duplication_commutes(g: Graph) -> list[int]:
     return bad
 
 
-def cliques_are_chains(p: Poset) -> bool:
-    cl = clique_clutter(comparability_graph(p))
+def cliques_are_chains(p: Poset, cl: Clutter) -> bool:
+    """Whether every edge of ``cl``, the clique clutter of p's
+    comparability graph, sorts into a chain of p."""
     try:
         for e in cl.edges:
             chain_order(p, e)
@@ -362,14 +352,15 @@ def cliques_are_chains(p: Poset) -> bool:
 
 
 def check_poset_instance(p: Poset, bounds: Bounds, deadline: Deadline | None = None) -> dict[str, Any]:
-    sweep = comparability_mfmc_check(p, bounds.wmax, deadline)
-    cl = clique_clutter(comparability_graph(p))
-    dup_bad = duplication_commutes(comparability_graph(p))
+    g = comparability_graph(p)
+    cl = clique_clutter(g)
+    sweep = comparability_mfmc_check(p, cl, bounds.wmax, deadline)
+    dup_bad = duplication_commutes(g, cl)
     checks: dict[str, Any] = {
         "mfmc_holds": sweep["mfmc_holds"],
         "menger_agrees": sweep["menger_agrees"],
         "duplication_commutes": not dup_bad,
-        "cliques_are_chains": cliques_are_chains(p),
+        "cliques_are_chains": cliques_are_chains(p, cl),
     }
     witness: dict[str, Any] = {}
     if cl.edges:
@@ -394,7 +385,7 @@ def check_poset_instance(p: Poset, bounds: Bounds, deadline: Deadline | None = N
 
 
 def check_graph_instance(g: Graph, bounds: Bounds, deadline: Deadline | None = None) -> dict[str, Any]:
-    bad = duplication_commutes(g)
+    bad = duplication_commutes(g, clique_clutter(g))
     return {
         "checks": {"duplication_commutes": not bad},
         "pass": not bad,

@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_mfmc)
 
-    sp = sub.add_parser("menger", help="disjoint-path oracle on a poset's cover digraph")
+    sp = sub.add_parser("menger", help="vertex-capacitated flow oracle on a poset's Hasse diagram")
     sp.add_argument("--w", help="comma-separated weights (default all ones)")
     _add_common(sp)
     sp.set_defaults(func=_cmd_menger)

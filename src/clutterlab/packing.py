@@ -1,19 +1,31 @@
 """Covering and packing numbers, the Koenig property, bounded MFMC
-certification over parallelizations, and a Menger-style flow oracle on the
-cover digraph of a parallelized poset.
+certification over parallelizations, and a Menger flow oracle on the Hasse
+diagram of a poset.
 
 alpha0 / beta1 are computed by exact branch-and-bound (guaranteed for
 n <= 20, <= 40 edges; far beyond what the corpora here need). Witness
 covers and matchings are tie-broken lexicographically least so golden
 files are stable.
+
+The w-sweeps never build the parallelization C^w; three standard
+identities give its numbers from weights on C:
+
+- alpha0(C^w) = min over minimal covers K of C of sum_{i in K} w_i, and
+- beta1(C^w) = max{1.y : Ay <= w, y integer >= 0}
+  (Schrijver, Combinatorial Optimization, ch. 79, parallelization), see
+  :func:`weighted_sweep`;
+- for the clique clutter of a comparability graph, both are the max flow
+  and min vertex cut of the Hasse diagram with vertex capacities w
+  (Menger's theorem with vertex capacities), see :class:`HasseNetwork`.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Iterable, Sequence
+from functools import cached_property
+from typing import Any, Iterable, Iterator, Sequence
 
 from .guards import Deadline, ResourceGuardError, check_size, MAX_COVER_SUBSETS
 from .polyhedra import (
@@ -23,7 +35,17 @@ from .polyhedra import (
     q_vertices,
     simplex_max,
 )
-from .structures import Clutter, Poset, _bits, _mask, clique_clutter, comparability_graph, parallelization, parallelize_masks
+from .structures import (
+    Clutter,
+    Poset,
+    _bits,
+    _mask,
+    clique_clutter,
+    comparability_graph,
+    parallel_origins,
+    parallelization,
+    parallelize_masks,
+)
 from .verdicts import Certificate
 
 
@@ -252,22 +274,67 @@ def konig_holds(c: Clutter) -> KonigCertificate:
 # ---------------------------------------------------------------------------
 # Bounded MFMC certification
 
+def weighted_sweep(
+    c: Clutter, wmax: int, deadline: Deadline | None = None
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Yield (w, alpha0(C^w), beta1(C^w)) for every w in {0..wmax}^n in
+    lexicographic order, without building C^w.
+
+    Both numbers come from weights on C (Schrijver, Combinatorial
+    Optimization, ch. 79, on parallelization):
+
+    - alpha0(C^w) = min over the minimal covers K of C of sum_{i in K} w_i.
+      A minimal cover of C^w holds all copies of a vertex or none, and
+      weight-0 vertices may be added to a cover for free.
+    - beta1(C^w) = max{1.y : Ay <= w, y integer >= 0}, the w-packing number
+      of C: a matching of C^w uses each vertex i at most w_i times. It is
+      tabulated over the box in lex order, nu(w) = max(0, 1 + nu(w - e))
+      over the edges e inside the support of w; w - e is lex-smaller and
+      sits at a fixed flat-index offset, so each step is one lookup.
+
+    ``deadline`` is checked once per w; the cover enumeration raises
+    :class:`ResourceGuardError` past its guard.
+    """
+    covers = [cs.vertices for cs in minimal_vertex_covers(c)]
+    base = wmax + 1
+    place = [base ** (c.n - 1 - i) for i in range(c.n)]
+    edges = [(m, sum(place[i] for i in e)) for m, e in zip(c.edge_masks, c.edges)]
+    nu = array("l")
+    for w in itertools.product(range(base), repeat=c.n):
+        if deadline is not None:
+            deadline.check()
+        zero = 0
+        for i, x in enumerate(w):
+            if not x:
+                zero |= 1 << i
+        here = len(nu)
+        best = 0
+        for m, offset in edges:
+            if not m & zero and nu[here - offset] >= best:
+                best = nu[here - offset] + 1
+        nu.append(best)
+        yield w, min(sum(w[i] for i in k) for k in covers), best
+
+
 def mfmc_bounded(c: Clutter, wmax: int, deadline: Deadline | None = None) -> Certificate:
     """Check the Koenig property of C^w for every w in {0..wmax}^n.
 
     Lexicographic w order, short-circuiting on the first failure. This is a
     bounded semidecision of the max-flow min-cut property; the verdict
     carries the bound explicitly.
+
+    C^w is built only to render the witness of a failure. Otherwise its
+    numbers come from weights on C by :func:`weighted_sweep`:
+    alpha0(C^w) = min over minimal covers K of C of sum_{i in K} w_i, and
+    beta1(C^w) = max{1.y : Ay <= w, y integer >= 0} (Schrijver,
+    Combinatorial Optimization, ch. 79).
     """
     if wmax < 1:
         raise ValueError("wmax must be >= 1")
     checked = 0
-    for w in itertools.product(range(wmax + 1), repeat=c.n):
-        if deadline is not None:
-            deadline.check()
-        masks, _, _ = parallelize_masks(c.edge_masks, w)
+    for w, a0, b1 in weighted_sweep(c, wmax, deadline):
         checked += 1
-        if min_cover_size(masks) != max_matching_size(masks):
+        if a0 != b1:
             cert = konig_certificate(parallelization(c, w))
             return Certificate(
                 prop="mfmc",
@@ -356,252 +423,191 @@ def lp_duality_integer_check(c: Clutter, w: Sequence[int]) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# Menger oracle on the cover digraph
+# Menger oracle on the Hasse diagram
 
 @dataclass(frozen=True)
-class MengerInstance:
-    """Cover digraph of a parallelized poset, restricted to the vertices of
-    positive weight, with the surviving sources and sinks."""
+class HasseNetwork:
+    """Hasse diagram of a poset as an s-t network with vertex capacities.
 
-    origins: tuple[tuple[int, int], ...]  # (original vertex, copy#) per D-vertex
-    labels: tuple[str, ...]
+    Arcs are the cover pairs x < y with nothing strictly between; the
+    source feeds the minimal elements and the maximal elements feed the
+    sink. Its source-to-sink paths are exactly the maximal chains of the
+    poset, i.e. the maximal cliques of its comparability graph. In the
+    split network vertex v is the arc v_in -> v_out (arc ids 2v, 2v+1 for
+    its reverse); every other arc is uncapacitated.
+    """
+
+    n: int
     arcs: tuple[tuple[int, int], ...]
     sources: tuple[int, ...]
     sinks: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.origins)
-        succ = {i: set() for i in range(n)}
+    @classmethod
+    def of(cls, p: Poset) -> "HasseNetwork":
+        succ = p.successors
+        arcs = [
+            (x, y)
+            for x in range(p.n)
+            for y in _bits(succ[x])
+            if not succ[x] & p.predecessors[y]
+        ]
+        return cls(
+            n=p.n,
+            arcs=tuple(sorted(arcs)),
+            sources=tuple(v for v in range(p.n) if not p.predecessors[v]),
+            sinks=tuple(v for v in range(p.n) if not succ[v]),
+        )
+
+    @cached_property
+    def _graph(self) -> tuple[list[int], list[list[int]]]:
+        """(head of each arc, arc ids leaving each node); arc a ^ 1 is the
+        reverse of arc a. Nodes: v_in = 2v, v_out = 2v + 1, s, t."""
+        s, t = 2 * self.n, 2 * self.n + 1
+        pairs = [(2 * v, 2 * v + 1) for v in range(self.n)]
+        pairs += [(2 * x + 1, 2 * y) for x, y in self.arcs]
+        pairs += [(s, 2 * a) for a in self.sources]
+        pairs += [(2 * b + 1, t) for b in self.sinks]
+        head: list[int] = []
+        out: list[list[int]] = [[] for _ in range(2 * self.n + 2)]
+        for u, v in pairs:
+            out[u].append(len(head))
+            head.append(v)
+            out[v].append(len(head))
+            head.append(u)
+        return head, out
+
+    def chains(self) -> set[int]:
+        """Vertex masks of all source-to-sink paths (exponential; meant for
+        one check per poset, not per weight)."""
+        succ: list[list[int]] = [[] for _ in range(self.n)]
         for x, y in self.arcs:
-            succ[x].add(y)
-        color = {i: 0 for i in range(n)}
+            succ[x].append(y)
+        sinks = set(self.sinks)
+        out: set[int] = set()
 
-        def visit(u: int) -> bool:
-            color[u] = 1
-            for v in succ[u]:
-                if color[v] == 1 or (color[v] == 0 and visit(v)):
-                    return True
-            color[u] = 2
-            return False
+        def walk(v: int, acc: int) -> None:
+            if v in sinks:
+                out.add(acc)
+            for nxt in succ[v]:
+                walk(nxt, acc | 1 << nxt)
 
-        if any(color[i] == 0 and visit(i) for i in range(n)):
-            raise ValueError("cover digraph must be acyclic")
+        for a in self.sources:
+            walk(a, 1 << a)
+        return out
+
+    def max_flow(self, w: Sequence[int]) -> tuple[int, list[tuple[int, int]], int]:
+        """Max s-t flow with capacity w_v through vertex v (Edmonds-Karp).
+
+        Returns (value, decomposition, cut): the flow split into chains as
+        (vertex mask, multiplicity) pairs, and the mask of the minimum
+        vertex cut read off residual reachability from the source.
+        """
+        head, out = self._graph
+        s, t = 2 * self.n, 2 * self.n + 1
+        big = sum(w) + 1
+        cap = [big if a & 1 == 0 else 0 for a in range(len(head))]
+        for v in range(self.n):
+            cap[2 * v] = w[v]
+        value = 0
+        while True:
+            via = [-1] * (t + 1)
+            via[s] = -2
+            queue = [s]
+            for u in queue:
+                for a in out[u]:
+                    v = head[a]
+                    if cap[a] and via[v] == -1:
+                        via[v] = a
+                        queue.append(v)
+                if via[t] != -1:
+                    break
+            if via[t] == -1:
+                break
+            push, v = big, t
+            while v != s:
+                push = min(push, cap[via[v]])
+                v = head[via[v] ^ 1]
+            v = t
+            while v != s:
+                cap[via[v]] -= push
+                cap[via[v] ^ 1] += push
+                v = head[via[v] ^ 1]
+            value += push
+        cut = _mask(v for v in range(self.n) if via[2 * v] != -1 and via[2 * v + 1] == -1)
+
+        # flow on forward arc a is the residual capacity of its reverse
+        flow = [cap[a ^ 1] if a & 1 == 0 else 0 for a in range(len(head))]
+        chains: list[tuple[int, int]] = []
+        while True:
+            path, u = [], s
+            while u != t:
+                a = next((a for a in out[u] if flow[a] > 0), None)
+                if a is None:
+                    break
+                path.append(a)
+                u = head[a]
+            if not path:
+                break
+            assert u == t, "flow is not conserved"
+            push = min(flow[a] for a in path)
+            for a in path:
+                flow[a] -= push
+            chains.append((_mask(head[a] // 2 for a in path[:-1]), push))
+        return value, chains, cut
 
 
-def _build_parallel_poset(p: Poset, w: Sequence[int]):
-    """All originals (including weight-0 ones) followed by duplicates of the
-    positive-weight vertices; duplicates relate exactly like their original
-    and are incomparable to it and to each other."""
-    n = p.n
-    origins: list[tuple[int, int]] = [(i, 0) for i in range(n)]
-    for i in range(n):
-        for copy in range(1, w[i]):
-            origins.append((i, copy))
-    total = len(origins)
-    by_orig: dict[int, list[int]] = {}
-    for idx, (orig, _) in enumerate(origins):
-        by_orig.setdefault(orig, []).append(idx)
-    succ = [0] * total
-    for idx, (orig, _) in enumerate(origins):
-        m = p.successors[orig]
-        acc = 0
-        while m:
-            low = m & -m
-            b = low.bit_length() - 1
-            m ^= low
-            for j in by_orig[b]:
-                acc |= 1 << j
-        succ[idx] = acc
-    pred = [0] * total
-    for x in range(total):
-        m = succ[x]
-        while m:
-            low = m & -m
-            y = low.bit_length() - 1
-            m ^= low
-            pred[y] |= 1 << x
-    return origins, succ, pred
+def menger_check(
+    net: HasseNetwork, edge_masks: Sequence[int], w: Sequence[int]
+) -> tuple[int, int, list[tuple[int, int]], int]:
+    """Max flow and min vertex cut of ``net`` at weight w, checked against
+    the clique clutter with edge masks ``edge_masks``.
+
+    Returns (cut weight, flow value, chains, cut). Asserts that the two
+    numbers agree, that every flow chain is a clutter edge avoiding the
+    weight-0 vertices, and that the cut meets every such edge.
+    """
+    value, chains, cut = net.max_flow(w)
+    cut_weight = sum(w[v] for v in _bits(cut))
+    assert value == cut_weight, f"max-flow {value} != min-cut {cut_weight}"
+    zero = _mask(v for v, x in enumerate(w) if x == 0)
+    edges = set(edge_masks)
+    for m, _ in chains:
+        assert m in edges and not m & zero, "flow chain is not a surviving clique"
+    assert all(m & cut for m in edges if not m & zero), "cut misses a surviving clique"
+    return cut_weight, value, chains, cut
 
 
-def build_menger_instance(p: Poset, w: Sequence[int]) -> MengerInstance:
-    """Cover digraph D for poset p and weights w.
+def menger_oracle(p: Poset, w: Sequence[int]) -> KonigCertificate:
+    """Koenig certificate for the parallelized clique clutter C^w of the
+    comparability graph of p, from one vertex-capacitated max flow.
 
-    D's vertices are the positive-weight originals plus their duplicates;
-    an arc (x, y) means x < y with no element of the full parallelized
-    poset strictly between (weight-0 vertices still block covers)."""
+    Menger's theorem with vertex capacities: the maximum number of
+    source-to-sink paths of the Hasse diagram through each vertex v at most
+    w_v times equals the minimum weight of a vertex set meeting every such
+    path. Those paths are the maximal chains, i.e. the edges of C, and
+    parallelization turns the capacity w_v into w_v disjoint copies of v,
+    so the flow is a maximum matching of C^w and the cut a minimum cover.
+    The cover is every copy of the cut vertices; the matching is the flow
+    decomposed into chains, each unit taking the next unused copy of its
+    vertices. Indices follow :func:`parallelization`.
+    """
     weights = tuple(int(x) for x in w)
     if len(weights) != p.n:
         raise ValueError(f"weight vector has length {len(weights)}, expected {p.n}")
     if any(x < 0 for x in weights):
         raise ValueError("weights must be nonnegative")
-    origins, succ, pred = _build_parallel_poset(p, weights)
-    keep = [idx for idx, (orig, _) in enumerate(origins) if weights[orig] >= 1]
-    pos = {old: new for new, old in enumerate(keep)}
-    arcs = []
-    for x in keep:
-        m = succ[x]
-        while m:
-            low = m & -m
-            y = low.bit_length() - 1
-            m ^= low
-            if weights[origins[y][0]] >= 1 and not (succ[x] & pred[y]):
-                arcs.append((pos[x], pos[y]))
-    sources = tuple(pos[x] for x in keep if pred[x] == 0)
-    sinks = tuple(pos[x] for x in keep if succ[x] == 0)
-    labels = []
-    for idx in keep:
-        orig, copy = origins[idx]
-        labels.append(p.labels[orig] if copy == 0 else f"{p.labels[orig]}'{copy}")
-    return MengerInstance(
-        origins=tuple(origins[idx] for idx in keep),
-        labels=tuple(labels),
-        arcs=tuple(sorted(arcs)),
-        sources=sources,
-        sinks=sinks,
-    )
-
-
-def _max_flow_unit_vertices(
-    nverts: int, arcs: Sequence[tuple[int, int]], sources: Sequence[int], sinks: Sequence[int]
-) -> tuple[int, list[list[int]], list[int]]:
-    """Max vertex-disjoint source-to-sink paths by unit-vertex-capacity
-    max flow (vertex splitting), plus the flow paths and the min vertex
-    cut read off the residual reachability."""
-    big = nverts + 1
-    size = 2 * nverts + 2
-    s, t = 2 * nverts, 2 * nverts + 1
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {i: [] for i in range(size)}
-
-    def add_arc(u: int, v: int, c: int) -> None:
-        if (u, v) not in cap:
-            cap[(u, v)] = 0
-            cap[(v, u)] = cap.get((v, u), 0)
-            adj[u].append(v)
-            adj[v].append(u)
-        cap[(u, v)] += c
-
-    for v in range(nverts):
-        add_arc(2 * v, 2 * v + 1, 1)
-    for x, y in arcs:
-        add_arc(2 * x + 1, 2 * y, big)
-    for a in sources:
-        add_arc(s, 2 * a, big)
-    for b in sinks:
-        add_arc(2 * b + 1, t, big)
-    for u in adj:
-        adj[u].sort()
-
-    flow: dict[tuple[int, int], int] = {k: 0 for k in cap}
-    value = 0
-    while True:
-        parent = {s: s}
-        queue = [s]
-        while queue and t not in parent:
-            u = queue.pop(0)
-            for v in adj[u]:
-                if v not in parent and cap[(u, v)] - flow[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if t not in parent:
-            break
-        path = [t]
-        while path[-1] != s:
-            path.append(parent[path[-1]])
-        path.reverse()
-        for u, v in zip(path, path[1:]):
-            flow[(u, v)] += 1
-            flow[(v, u)] -= 1
-        value += 1
-
-    reach = {s}
-    queue = [s]
-    while queue:
-        u = queue.pop(0)
-        for v in adj[u]:
-            if v not in reach and cap[(u, v)] - flow[(u, v)] > 0:
-                reach.add(v)
-                queue.append(v)
-    cut = [v for v in range(nverts) if 2 * v in reach and 2 * v + 1 not in reach]
-
-    paths: list[list[int]] = []
-    for a in sorted(sources):
-        if flow.get((s, 2 * a), 0) <= 0:
-            continue
-        path_vertices = [a]
-        node = 2 * a + 1
-        while True:
-            nxt = next(
-                (v for v in adj[node] if flow.get((node, v), 0) > 0 and v != t), None
-            )
-            if nxt is None:
-                break
-            flow[(node, nxt)] -= 1
-            path_vertices.append(nxt // 2)
-            node = nxt + 1
-        paths.append(path_vertices)
-    return value, paths, cut
-
-
-@lru_cache(maxsize=8192)
-def _poset_clique_clutter(p: Poset) -> Clutter:
-    return clique_clutter(comparability_graph(p))
-
-
-def menger_oracle(p: Poset, w: Sequence[int]) -> KonigCertificate:
-    """Count maximum vertex-disjoint source-to-sink paths in the cover
-    digraph and the minimum disconnecting vertex set, asserted equal; the
-    paths are asserted to be exactly the edges of the parallelized clique
-    clutter, so the numbers are a Koenig certificate for it."""
-    weights = tuple(int(x) for x in w)
-    inst = build_menger_instance(p, weights)
-    value, paths, cut = _max_flow_unit_vertices(
-        len(inst.origins), inst.arcs, inst.sources, inst.sinks
-    )
-    assert value == len(paths)
-    assert value == len(cut), f"max-flow {value} != min-cut {len(cut)}"
-
-    cl = _poset_clique_clutter(p)
-    masks, count, origins_cw = parallelize_masks(cl.edge_masks, weights)
-    key_to_cw = {key: idx for idx, key in enumerate(origins_cw)}
-    cw_edges = {
-        frozenset(origins_cw[v] for v in _bits(m)) for m in masks
-    }
-
-    all_paths = _all_source_sink_paths(inst)
-    path_keys = {frozenset(inst.origins[v] for v in path) for path in all_paths}
-    assert path_keys == cw_edges, "paths and parallelized maximal cliques differ"
-    for path in paths:
-        key = frozenset(inst.origins[v] for v in path)
-        assert key in cw_edges, "flow path is not an edge of the parallelization"
-
-    matching = tuple(
-        sorted(tuple(sorted(key_to_cw[inst.origins[v]] for v in path)) for path in paths)
-    )
-    cover = tuple(sorted(key_to_cw[inst.origins[v]] for v in cut))
-    cover_mask = _mask(cover)
-    assert all(m & cover_mask for m in masks), "cut misses a parallelized edge"
-    return KonigCertificate(len(cut), len(paths), CoverSet(cover), matching)
-
-
-def _all_source_sink_paths(inst: MengerInstance) -> list[list[int]]:
-    succ: dict[int, list[int]] = {i: [] for i in range(len(inst.origins))}
-    for x, y in inst.arcs:
-        succ[x].append(y)
-    sinks = set(inst.sinks)
-    out: list[list[int]] = []
-
-    def walk(v: int, acc: list[int]) -> None:
-        if v in sinks:
-            out.append(acc[:])
-        for nxt in succ[v]:
-            acc.append(nxt)
-            walk(nxt, acc)
-            acc.pop()
-
-    for a in inst.sources:
-        walk(a, [a])
-    return out
+    cl = clique_clutter(comparability_graph(p))
+    alpha, beta, chains, cut = menger_check(HasseNetwork.of(p), cl.edge_masks, weights)
+    index = {key: j for j, key in enumerate(parallel_origins(weights))}
+    used = [0] * p.n
+    matching = []
+    for m, mult in chains:
+        for _ in range(mult):
+            matching.append(tuple(sorted(index[(v, used[v])] for v in _bits(m))))
+            for v in _bits(m):
+                used[v] += 1
+    cover = tuple(sorted(index[(v, k)] for v in _bits(cut) for k in range(weights[v])))
+    return KonigCertificate(alpha, beta, CoverSet(cover), tuple(sorted(matching)))
 
 
 def chain_order(p: Poset, clique: Sequence[int]) -> list[int]:

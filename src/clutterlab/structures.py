@@ -440,28 +440,29 @@ def _check_weights(n: int, w: Sequence[int]) -> Weights:
     return w
 
 
+def parallel_origins(w: Sequence[int]) -> list[tuple[int, int]]:
+    """Vertex order of C^w as (original index, copy#) pairs: surviving
+    originals ascending, then duplicates grouped by original ascending."""
+    survivors = [i for i, x in enumerate(w) if x >= 1]
+    return [(i, 0) for i in survivors] + [
+        (i, copy) for i in survivors for copy in range(1, w[i])
+    ]
+
+
 def parallelize_masks(
     edge_masks: Sequence[int], w: Sequence[int]
 ) -> tuple[list[int], int, list[tuple[int, int]]]:
     """Bitmask kernel behind :func:`parallelization`.
 
     Returns (new edge masks in canonical order, new vertex count, origin
-    list). Vertex order: surviving originals ascending, then duplicates
-    grouped by original ascending; origin[j] = (original index, copy#).
+    list); the vertex order is that of :func:`parallel_origins`.
     """
-    n = len(w)
-    survivors = [i for i in range(n) if w[i] >= 1]
-    base = {i: k for k, i in enumerate(survivors)}
-    origins = [(i, 0) for i in survivors]
-    copies: dict[int, list[int]] = {i: [base[i]] for i in survivors}
-    nxt = len(survivors)
-    for i in survivors:
-        for copy in range(1, w[i]):
-            copies[i].append(nxt)
-            origins.append((i, copy))
-            nxt += 1
+    origins = parallel_origins(w)
+    copies: dict[int, list[int]] = {}
+    for j, (i, _) in enumerate(origins):
+        copies.setdefault(i, []).append(j)
 
-    dead = _mask(i for i in range(n) if w[i] == 0)
+    dead = _mask(i for i, x in enumerate(w) if x == 0)
     out = set()
     for em in edge_masks:
         if em & dead:
@@ -470,4 +471,4 @@ def parallelize_masks(
         for choice in itertools.product(*(copies[v] for v in verts)):
             out.add(_mask(choice))
     masks = sorted(out, key=lambda m: tuple(_bits(m)))
-    return masks, nxt, origins
+    return masks, len(origins), origins

@@ -5,13 +5,16 @@ import pytest
 
 from clutterlab import (
     Clutter,
+    Deadline,
+    IncidenceMatrix,
     Poset,
+    ResourceGuardError,
     alpha0,
     beta1,
-    build_menger_instance,
     chain_order,
     clique_clutter,
     comparability_graph,
+    complete_admissible_uniform_clutter,
     konig_holds,
     lp_duality_integer_check,
     menger_oracle,
@@ -19,8 +22,18 @@ from clutterlab import (
     minimal_vertex_covers,
     parallelization,
 )
-from clutterlab.certify import random_clutters, random_posets
-from clutterlab.packing import lex_min_cover, lex_min_matching, max_matching_size, min_cover_size
+from clutterlab.certify import all_posets, random_clutters, random_posets
+from clutterlab.packing import (
+    HasseNetwork,
+    lex_min_cover,
+    lex_min_matching,
+    max_matching_size,
+    menger_check,
+    min_cover_size,
+    weighted_sweep,
+)
+from clutterlab.polyhedra import ilp_max_packing
+from clutterlab.structures import _bits, parallelize_masks
 
 from oracles import brute_alpha0, brute_beta1, brute_minimal_covers
 
@@ -152,6 +165,51 @@ def test_wmax_zero_rejected(c5):
         mfmc_bounded(c5, 0)
 
 
+def test_mfmc_deadline_trips_on_cauc33():
+    with pytest.raises(ResourceGuardError):
+        mfmc_bounded(complete_admissible_uniform_clutter(3, 3), 3, Deadline(50))
+
+
+# ---------------------------------------------------------------------------
+# Weighted sweep: alpha0 / beta1 of C^w from weights on C
+
+def _small_posets():
+    return [p for n in range(1, 5) for p in all_posets(n)]
+
+
+def test_sweep_matches_parallelized_branch_and_bound_on_posets():
+    for p in _small_posets():
+        cl = clique_clutter(comparability_graph(p))
+        net = HasseNetwork.of(p)
+        sweep = list(weighted_sweep(cl, 2))
+        assert [w for w, _, _ in sweep] == list(itertools.product(range(3), repeat=p.n))
+        for w, a0, b1 in sweep:
+            masks, _, _ = parallelize_masks(cl.edge_masks, w)
+            assert (a0, b1) == (min_cover_size(masks), max_matching_size(masks))
+            cut, flow, _, _ = menger_check(net, cl.edge_masks, w)
+            assert (cut, flow) == (a0, b1)
+
+
+def test_sweep_matches_parallelized_branch_and_bound_on_clutters():
+    for c in random_clutters(5, 6, 60, seed=80):
+        for w, a0, b1 in weighted_sweep(c, 2):
+            masks, _, _ = parallelize_masks(c.edge_masks, w)
+            assert (a0, b1) == (min_cover_size(masks), max_matching_size(masks))
+
+
+def test_sweep_packing_number_is_the_integer_packing_ilp():
+    for c in random_clutters(5, 6, 20, seed=81):
+        a = IncidenceMatrix.from_clutter(c)
+        for w, _, b1 in weighted_sweep(c, 3):
+            assert b1 == ilp_max_packing(a, w)
+
+
+def test_sweep_of_edgeless_clutter_is_zero():
+    assert list(weighted_sweep(Clutter(2, []), 1)) == [
+        (w, 0, 0) for w in itertools.product(range(2), repeat=2)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # LP duality integrality
 
@@ -211,10 +269,31 @@ def test_cauc22_two_disjoint_paths():
 
 
 def test_menger_instance_structure(diamond_poset):
-    inst = build_menger_instance(diamond_poset, (1, 1, 1, 1))
+    net = HasseNetwork.of(diamond_poset)
     # cover pairs only: (0,3) is skipped because 1 and 2 sit between
-    assert inst.arcs == ((0, 1), (0, 2), (1, 3), (2, 3))
-    assert inst.sources == (0,) and inst.sinks == (3,)
+    assert net.arcs == ((0, 1), (0, 2), (1, 3), (2, 3))
+    assert net.sources == (0,) and net.sinks == (3,)
+
+
+def test_hasse_chains_expand_to_parallelized_cliques():
+    # source-sink paths of the Hasse diagram avoiding weight-0 vertices,
+    # each vertex replaced by any of its copies, are the edges of C^w
+    for p in _small_posets():
+        cl = clique_clutter(comparability_graph(p))
+        chains = HasseNetwork.of(p).chains()
+        for w in itertools.product(range(3), repeat=p.n):
+            cw = parallelization(cl, w)
+            _, _, origins = parallelize_masks(cl.edge_masks, w)
+            copies = {}
+            for j, (v, _) in enumerate(origins):
+                copies.setdefault(v, []).append(j)
+            expanded = {
+                tuple(sorted(choice))
+                for m in chains
+                if all(w[v] for v in _bits(m))
+                for choice in itertools.product(*(copies[v] for v in _bits(m)))
+            }
+            assert expanded == set(cw.edges)
 
 
 def test_menger_with_deleted_vertices(diamond_poset):
