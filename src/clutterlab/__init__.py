@@ -8,7 +8,6 @@ from .structures import (
     Clutter,
     Graph,
     Poset,
-    VertexId,
     canonical_relabel,
     cauc_poset,
     clique_clutter,
@@ -23,7 +22,6 @@ from .structures import (
 )
 from .polyhedra import (
     IncidenceMatrix,
-    Rational,
     RationalPolyhedron,
     blocking_membership,
     covering_polyhedron,
@@ -32,7 +30,6 @@ from .polyhedra import (
     integer_rounding_check,
     is_integral,
     lattice_points_scaled,
-    minimal_integer_vectors,
     minimal_lattice_points,
     simplex_max,
     vertices,
@@ -43,7 +40,7 @@ from .packing import (
     alpha0,
     beta1,
     chain_order,
-    konig_holds,
+    konig_certificate,
     lp_duality_integer_check,
     menger_oracle,
     mfmc_bounded,
@@ -66,7 +63,6 @@ from .certify import (
     Corpus,
     Report,
     all_posets,
-    poset_generator,
     random_clutters,
     random_graphs,
     random_ideals,

@@ -13,7 +13,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .guards import Deadline, ResourceGuardError
@@ -101,11 +101,6 @@ def random_posets(n: int, count: int, seed: int) -> list[Poset]:
         seen.add(rel)
         out.append(Poset(n, rel))
     return out
-
-
-def poset_generator(n: int, count: int, seed: int) -> list[Poset]:
-    """Spec-facing alias; exhaustive coverage is :func:`all_posets`."""
-    return random_posets(n, count, seed)
 
 
 def random_graphs(n: int, count: int, seed: int) -> list[Graph]:
@@ -466,16 +461,24 @@ class Report:
     bounds: dict[str, int]
     instances: list[dict[str, Any]]
     skipped: list[dict[str, Any]]
-    aggregate_pass: bool
     counterexamples: list[dict[str, Any]]
     elapsed_s: float = 0.0
+
+    @property
+    def aggregate(self) -> str:
+        """Run verdict: "pass" when at least one instance was checked and
+        none failed, "inconclusive" when no instance was checked (all
+        skipped by a guard, or an empty corpus), else "fail"."""
+        if not self.instances:
+            return "inconclusive"
+        return "pass" if all(r["pass"] for r in self.instances) else "fail"
 
     def to_doc(self) -> dict[str, Any]:
         """Deterministic JSON document (no wall-clock content)."""
         return {
             "corpus": self.corpus,
             "bounds": self.bounds,
-            "aggregate": "pass" if self.aggregate_pass else "fail",
+            "aggregate": self.aggregate,
             "counts": {
                 "instances": len(self.instances),
                 "failed": sum(1 for r in self.instances if not r["pass"]),
@@ -504,7 +507,7 @@ class Report:
             lines.append(f"[{status}] #{rec['index']} {rec['instance']['type']}: {checks}")
         for rec in self.skipped:
             lines.append(f"[skip] #{rec['index']}: {rec['reason']}")
-        lines.append(f"aggregate: {'pass' if self.aggregate_pass else 'FAIL'}")
+        lines.append(f"aggregate: {'FAIL' if self.aggregate == 'fail' else self.aggregate}")
         return "\n".join(lines)
 
 
@@ -556,7 +559,6 @@ def run_theorem_suite(
         bounds=bounds.to_json(),
         instances=records,
         skipped=skipped,
-        aggregate_pass=all(r["pass"] for r in records),
         counterexamples=gallery,
         elapsed_s=time.monotonic() - t0,
     )

@@ -8,7 +8,9 @@ edges -> graph, kind -> corpus). --json output is canonical (sorted keys,
 compact separators) so golden-file tests are byte-stable.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict, 2 usage or
-malformed input, 3 resource guard exceeded.
+malformed input, 3 resource guard exceeded. ``certify`` exits 3 also when it
+checked no instance (every instance skipped by a guard, or an empty
+corpus); its report then reads ``"aggregate": "inconclusive"``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .certify import Bounds, Corpus, Report, canonical_json, run_theorem_suite
+from .certify import Bounds, Corpus, canonical_json, run_theorem_suite
 from .guards import Deadline, ResourceGuardError
 from .ideals import (
     MonomialIdeal,
@@ -31,14 +33,13 @@ from .ideals import (
     power,
     symbolic_power,
 )
-from .packing import konig_holds, lp_duality_integer_check, menger_oracle, mfmc_bounded
+from .packing import konig_certificate, lp_duality_integer_check, menger_oracle, mfmc_bounded
 from .polyhedra import (
     IncidenceMatrix,
     covering_polyhedron,
     format_rational,
     integer_decomposition_check,
     integer_rounding_check,
-    is_integral,
     vertices,
 )
 from .structures import (
@@ -182,7 +183,7 @@ def _cmd_parallelize(args) -> int:
 
 
 def _cmd_konig(args) -> int:
-    cert = konig_holds(_as_clutter(_read_document(args.input)))
+    cert = konig_certificate(_as_clutter(_read_document(args.input)))
     _emit(args, cert.to_json())
     return 0 if cert.holds else 1
 
@@ -302,7 +303,7 @@ def _cmd_certify(args) -> int:
         print(report.to_text())
     else:
         sys.stdout.write(report.to_json())
-    return 0 if report.aggregate_pass else 1
+    return {"pass": 0, "fail": 1, "inconclusive": 3}[report.aggregate]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ GUARD_ENV_VAR = "CLUTTERLAB_GUARD_MS"
 
 # Default ceilings for combinatorial blowups (see polyhedra / packing).
 MAX_GRID_POINTS = 4_000_000
-MAX_BASIS_SUBSETS = 400_000
 MAX_DD_RAYS = 200_000
 MAX_COVER_SUBSETS = 1 << 22
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Sequence
 
-from .guards import Deadline, ResourceGuardError, check_size, MAX_COVER_SUBSETS
+from .guards import Deadline, check_size, MAX_COVER_SUBSETS
 from .polyhedra import (
     IncidenceMatrix,
     format_rational,
@@ -54,7 +54,6 @@ class CoverSet:
     """A transversal: a vertex set meeting every edge."""
 
     vertices: tuple[int, ...]
-    minimal: bool = True
 
 
 @dataclass(frozen=True)
@@ -266,11 +265,6 @@ def konig_certificate(c: Clutter) -> KonigCertificate:
     return KonigCertificate(a0, b1, CoverSet(cover), matching)
 
 
-def konig_holds(c: Clutter) -> KonigCertificate:
-    """Certificate tagged holds/fails via ``.holds``."""
-    return konig_certificate(c)
-
-
 # ---------------------------------------------------------------------------
 # Bounded MFMC certification
 
@@ -356,43 +350,12 @@ def mfmc_bounded(c: Clutter, wmax: int, deadline: Deadline | None = None) -> Cer
 # ---------------------------------------------------------------------------
 # LP duality with integrality check
 
-def _min_weighted_cover(masks: Sequence[int], weights: Sequence[int]) -> int:
-    """min{<w,x> : x 0/1 transversal}. Capping integer covers at 1 loses
-    nothing: entries are nonnegative, so min(x,1) stays feasible and never
-    costs more."""
-    free = _mask(i for i, wt in enumerate(weights) if wt == 0)
-    rem0 = [m for m in masks if not m & free]
-    if not rem0:
-        return 0
-    best = sum(w for w in weights)  # all-ones cover is feasible
-
-    def lb(rem: list[int]) -> int:
-        used, bound = 0, 0
-        for m in rem:
-            if not m & used:
-                used |= m
-                bound += min(weights[v] for v in _bits(m))
-        return bound
-
-    def rec(rem: list[int], cost: int) -> None:
-        nonlocal best
-        if not rem:
-            best = min(best, cost)
-            return
-        if cost + lb(rem) >= best:
-            return
-        edge = min(rem, key=lambda m: m.bit_count())
-        for v in sorted(_bits(edge), key=lambda u: weights[u]):
-            rec([x for x in rem if not x >> v & 1], cost + weights[v])
-
-    rec(rem0, 0)
-    return best
-
-
 def lp_duality_integer_check(c: Clutter, w: Sequence[int]) -> Certificate:
     """Evaluate both sides of the covering LP-duality equation at weight w
-    over the rationals (asserted equal), then decide by exact enumeration
-    whether each side is attained by an integer optimum."""
+    over the rationals (asserted equal), then decide whether each side is
+    attained by an integer optimum. The integer minimum is the least
+    w-weight of a minimal cover (any 0/1 cover contains one, and w >= 0);
+    the integer maximum is the w-packing number."""
     weights = tuple(int(x) for x in w)
     if len(weights) != c.n:
         raise ValueError(f"weight vector has length {len(weights)}, expected {c.n}")
@@ -404,7 +367,7 @@ def lp_duality_integer_check(c: Clutter, w: Sequence[int]) -> Certificate:
     lp_min = min(sum(wi * vi for wi, vi in zip(weights, v)) for v in q_vertices(a))
     lp_max, _ = simplex_max([1] * a.q, a.rows(), list(weights))
     assert lp_min == lp_max, f"LP duality violated: {lp_min} != {lp_max}"
-    int_min = _min_weighted_cover(c.edge_masks, weights)
+    int_min = min(sum(weights[v] for v in cs.vertices) for cs in minimal_vertex_covers(c))
     int_max = ilp_max_packing(a, weights)
     holds = int_min == lp_min and int_max == lp_max
     return Certificate(

@@ -10,29 +10,24 @@ R_+^n + conv(columns). Lattice points of k*B(Q) are enumerated over the box
 prod_i [0, k*max_j A[i][j]]; every minimal lattice point of k*B(Q) lies in
 that box, because for a >= z with z in conv of the scaled columns,
 min(a, ceil(z)) is again such a point and is componentwise <= the box cap.
+
+Each quantity has one formulation: vertices of Q(A) by double description,
+membership in k*B(Q) by the vertex inequalities of Q(A), and k-fold sums on
+a box by the shift-OR recursion of :func:`kfold_sum_grids`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .guards import (
-    MAX_BASIS_SUBSETS,
-    MAX_DD_RAYS,
-    MAX_GRID_POINTS,
-    ResourceGuardError,
-    check_size,
-)
+from .guards import MAX_DD_RAYS, MAX_GRID_POINTS, check_size
 from .verdicts import Certificate
-
-Rational = Fraction
 
 Vector = tuple[int, ...]
 
@@ -43,10 +38,6 @@ class UnboundedLPError(RuntimeError):
 
 def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str | int) -> Fraction:
-    return Fraction(s)
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +77,6 @@ class IncidenceMatrix:
     @classmethod
     def from_clutter(cls, c) -> "IncidenceMatrix":
         return cls(c.n, [[int(v in e) for v in range(c.n)] for e in c.edges])
-
-    @classmethod
-    def from_generators(cls, n: int, generators: Iterable[Sequence[int]]) -> "IncidenceMatrix":
-        return cls(n, generators)
 
     def rows(self) -> list[Vector]:
         return [tuple(col[i] for col in self.columns) for i in range(self.n)]
@@ -203,63 +190,15 @@ def _dd_extreme_rays(dim: int, cuts: list[Vector], max_rays: int = MAX_DD_RAYS) 
     return rays
 
 
-def vertices(
-    p: RationalPolyhedron,
-    method: str = "dd",
-    basis_limit: int = MAX_BASIS_SUBSETS,
-) -> list[tuple[Fraction, ...]]:
+def vertices(p: RationalPolyhedron) -> list[tuple[Fraction, ...]]:
     """All vertices of p, exact, sorted. p is pointed (it lies in x >= 0).
 
-    method "dd" (default) runs exact double description on the lifted cone;
-    method "basis" enumerates all n-subsets of the constraints (guarded by
-    ``basis_limit`` on the subset count) and is kept as an independent
-    cross-check oracle.
+    Exact double description on the lifted cone: the vertices are the
+    extreme rays with positive last coordinate, scaled to 1 there.
     """
-    if method == "dd":
-        rays = _dd_extreme_rays(p.n + 1, _int_constraints(p))
-        verts = [
-            tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1] > 0
-        ]
-        return sorted(set(verts))
-    if method == "basis":
-        return _vertices_by_basis(p, basis_limit)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _vertices_by_basis(p: RationalPolyhedron, limit: int) -> list[tuple[Fraction, ...]]:
-    n = p.n
-    constraints: list[tuple[tuple[Fraction, ...], Fraction]] = [
-        (tuple(Fraction(int(i == j)) for j in range(n)), Fraction(0)) for i in range(n)
-    ]
-    constraints += list(zip(p.rows, p.rhs))
-    total = math.comb(len(constraints), n)
-    check_size(total, limit, "basis subsystem count")
-    found: set[tuple[Fraction, ...]] = set()
-    for subset in itertools.combinations(range(len(constraints)), n):
-        mat = [list(constraints[i][0]) for i in subset]
-        rhs = [constraints[i][1] for i in subset]
-        x = _solve_square(mat, rhs)
-        if x is not None and p.contains(x):
-            found.add(tuple(x))
-    return sorted(found)
-
-
-def _solve_square(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gaussian elimination; None if the system is singular."""
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    rays = _dd_extreme_rays(p.n + 1, _int_constraints(p))
+    verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1] > 0]
+    return sorted(set(verts))
 
 
 def is_integral(p: RationalPolyhedron) -> bool:
@@ -341,25 +280,15 @@ def _vertex_inequalities(a: IncidenceMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def blocking_membership(a: IncidenceMatrix, z: Sequence, k: int = 1) -> bool:
-    """Is z in k*B(Q(A))?  Computed by two independent routes, asserted
-    equal: (1) convex feasibility -- some lambda >= 0 with sum = k and
-    z >= A lambda, decided as max{sum lambda : A lambda <= z} >= k;
-    (2) the vertex inequalities <z, ell> >= k over the vertices of Q(A).
-    """
+    """Is z in k*B(Q(A))?  Decided by the vertex inequalities
+    <z, ell> >= k over the vertices ell of Q(A), which describe B(Q)
+    inside the nonnegative orthant (blocking duality)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     zf = [Fraction(x) for x in z]
     if any(x < 0 for x in zf):
         raise ValueError("z must be nonnegative")
-    value, _ = simplex_max([1] * a.q, a.rows(), zf)
-    by_convex = value >= k
-    by_vertices = all(
-        sum(c * x for c, x in zip(v, zf)) >= k for v in q_vertices(a)
-    )
-    assert by_convex == by_vertices, (
-        f"blocking membership routes disagree on z={z}, k={k}"
-    )
-    return by_convex
+    return all(sum(c * x for c, x in zip(v, zf)) >= k for v in q_vertices(a))
 
 
 # ---------------------------------------------------------------------------
@@ -431,50 +360,55 @@ def minimal_lattice_points(a: IncidenceMatrix, k: int) -> list[Vector]:
     return list(_minimal_lattice_points_cached(a, k))
 
 
-def minimal_integer_vectors(a: IncidenceMatrix) -> list[Vector]:
-    """Minimal (under componentwise <=) integer vectors of B(Q)."""
-    return minimal_lattice_points(a, 1)
-
-
 # ---------------------------------------------------------------------------
-# Integer decomposition property
+# k-fold sums and the integer decomposition property
 
-def _shifted(grid: np.ndarray, vec: Vector) -> np.ndarray:
-    """out[a] = grid[a - vec], False where any coordinate of a < vec."""
-    out = np.zeros_like(grid)
-    src = tuple(slice(None, s - v) for s, v in zip(grid.shape, vec))
-    dst = tuple(slice(v, None) for v in vec)
-    if all(s - v > 0 for s, v in zip(grid.shape, vec)):
-        out[dst] = grid[src]
-    return out
+def kfold_sum_grids(
+    vectors: Iterable[Sequence[int]], caps: Vector, kmax: int
+) -> Iterator[np.ndarray]:
+    """Yield, for k = 1..kmax, the boolean grid over prod [0, caps_i] whose
+    cell x is True iff x dominates a sum of k of the vectors (repetition
+    allowed).
 
-
-def _membership_grid(a: IncidenceMatrix, caps: Vector, k: int) -> np.ndarray:
-    pts = _grid(caps)
+    Shift-OR recursion from the all-True level 0: level k is the OR over
+    the vectors v of level k-1 shifted up by v. Vectors that leave the box
+    contribute nothing and are skipped.
+    """
     shape = tuple(c + 1 for c in caps)
-    return _membership_flags(a, pts, k).reshape(shape)
+    usable = [v for v in vectors if all(x <= c for x, c in zip(v, caps))]
+    grid = np.ones(shape, dtype=bool)
+    for _ in range(kmax):
+        nxt = np.zeros(shape, dtype=bool)
+        for v in usable:
+            dst = tuple(slice(x, None) for x in v)
+            src = tuple(slice(None, s - x) for s, x in zip(shape, v))
+            nxt[dst] |= grid[src]
+        grid = nxt
+        yield grid
 
 
 def integer_decomposition_check(a: IncidenceMatrix, kmax: int) -> Certificate:
     """Does every lattice point of k*B(Q) in the k-box split into k lattice
     points of B(Q), for each k <= kmax?
 
-    Grid dynamic program: dec_1 = lattice points of B(Q); dec_k[x] = OR over
-    minimal lattice points m of B(Q) of dec_{k-1}[x - m]. Recursing through
-    minimal first summands is complete because B(Q) is upward closed: if
+    The points that split are the level-k grid of :func:`kfold_sum_grids`
+    over the minimal lattice points m of B(Q): level 1 is their upward
+    closure, which is every lattice point of B(Q), and level k is the OR
+    over m of level k-1 shifted by m. Recursing through minimal first
+    summands is complete because B(Q) is upward closed: if
     x = a_1 + ... + a_k and m <= a_1 is minimal, then
     x = m + ((a_1 - m) + a_2) + a_3 + ... is a decomposition through m.
+    Membership in k*B(Q) comes from the vertex inequalities on one grid.
     """
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
     caps = box_caps(a, kmax)
     minlat = minimal_lattice_points(a, 1)
-    dec = _membership_grid(a, caps, 1)
+    pts = _grid(caps)
+    shape = tuple(c + 1 for c in caps)
     checked: dict[str, int] = {}
-    for k in range(1, kmax + 1):
-        if k > 1:
-            dec = np.logical_or.reduce([_shifted(dec, m) for m in minlat])
-        memb_k = _membership_grid(a, caps, k)
+    for k, dec in enumerate(kfold_sum_grids(minlat, caps, kmax), start=1):
+        memb_k = _membership_flags(a, pts, k).reshape(shape)
         sub = tuple(slice(0, kc + 1) for kc in box_caps(a, k))
         bad = memb_k[sub] & ~dec[sub]
         checked[str(k)] = int(memb_k[sub].sum())
@@ -505,17 +439,10 @@ def decompose(a: IncidenceMatrix, point: Sequence[int], k: int) -> list[Vector] 
     argument as the grid DP. Intended for spot checks and witnesses."""
     pt = tuple(int(x) for x in point)
     minlat = minimal_lattice_points(a, 1)
-    pmat, dens = _vertex_inequalities(a)
-
-    def member(z: Vector) -> bool:
-        return all(
-            sum(int(c) * x for c, x in zip(row, z)) >= int(d)
-            for row, d in zip(pmat, dens)
-        )
 
     def rec(rest: Vector, parts: int) -> list[Vector] | None:
         if parts == 1:
-            return [rest] if member(rest) else None
+            return [rest] if blocking_membership(a, rest) else None
         for m in minlat:
             if all(x >= y for x, y in zip(rest, m)):
                 tail = rec(tuple(x - y for x, y in zip(rest, m)), parts - 1)
@@ -564,7 +491,8 @@ def ilp_max_packing(a: IncidenceMatrix, w: Sequence[int]) -> int:
 def integer_rounding_check(a: IncidenceMatrix, wset: Iterable[Sequence[int]]) -> Certificate:
     """Per-w check that max{<y,1> : Ay <= w, y integer} equals the floor of
     the rational LP maximum; aggregate verdict over the supplied finite
-    corpus (a semidecision: the property itself quantifies over all w)."""
+    corpus (a semidecision: the property itself quantifies over all w).
+    The LP is bounded: the columns are nonzero and nonnegative and w >= 0."""
     rows = a.rows()
     per_w = []
     all_hold = True
@@ -573,20 +501,10 @@ def integer_rounding_check(a: IncidenceMatrix, wset: Iterable[Sequence[int]]) ->
         wv = [int(x) for x in w]
         if any(x < 0 for x in wv):
             raise ValueError("weights must be nonnegative")
-        entry: dict[str, Any] = {"w": wv}
-        try:
-            lp, _ = simplex_max([1] * a.q, rows, wv)
-        except UnboundedLPError:
-            entry["error"] = "unbounded"
-            entry["holds"] = False
-            per_w.append(entry)
-            all_hold = False
-            if first_fail is None:
-                first_fail = entry
-            continue
+        lp, _ = simplex_max([1] * a.q, rows, wv)
         ilp = ilp_max_packing(a, wv)
         holds = ilp == math.floor(lp)
-        entry.update({"lp": format_rational(lp), "floor": math.floor(lp), "ilp": ilp, "holds": holds})
+        entry = {"w": wv, "lp": format_rational(lp), "floor": math.floor(lp), "ilp": ilp, "holds": holds}
         per_w.append(entry)
         if not holds:
             all_hold = False

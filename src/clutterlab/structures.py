@@ -29,14 +29,6 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(n))
 
 
-@dataclass(frozen=True)
-class VertexId:
-    """A vertex: 0-based index plus display label."""
-
-    index: int
-    label: str
-
-
 def _check_labels(n: int, labels: Sequence[str]) -> tuple[str, ...]:
     labels = tuple(labels)
     if len(labels) != n:
@@ -71,9 +63,6 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "labels", _check_labels(n, labels or default_labels(n)))
-
-    def vertex(self, i: int) -> VertexId:
-        return VertexId(i, self.labels[i])
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
@@ -243,9 +232,6 @@ class Clutter:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "labels", _check_labels(n, labels or default_labels(n)))
-
-    def vertex(self, i: int) -> VertexId:
-        return VertexId(i, self.labels[i])
 
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from clutterlab.certify import Bounds, Corpus, run_theorem_suite
+from clutterlab.guards import Deadline
 
 HERE = Path(__file__).parent
 
@@ -55,3 +56,12 @@ def test_failing_clutters_carry_the_first_failure():
     for m in witnesses:
         konig = m["witness"]["konig"]
         assert konig["verdict"] == "fails" and konig["alpha0"] > konig["beta1"]
+
+
+def test_run_that_checked_nothing_is_inconclusive():
+    corpus, bounds, _ = GOLDEN["posets"]
+    report = run_theorem_suite(corpus, bounds, Deadline(0))
+    assert len(report.skipped) == 4 and not report.instances
+    assert report.aggregate == "inconclusive"
+    assert report.to_doc()["aggregate"] == "inconclusive"
+    assert report.to_text().endswith("aggregate: inconclusive")

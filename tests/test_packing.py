@@ -15,7 +15,7 @@ from clutterlab import (
     clique_clutter,
     comparability_graph,
     complete_admissible_uniform_clutter,
-    konig_holds,
+    konig_certificate,
     lp_duality_integer_check,
     menger_oracle,
     mfmc_bounded,
@@ -67,20 +67,20 @@ def test_minimal_covers_against_brute_force():
 
 def test_c5_numbers(c5):
     assert alpha0(c5) == 3 and beta1(c5) == 2
-    cert = konig_holds(c5)
+    cert = konig_certificate(c5)
     assert not cert.holds
     assert cert.cover.vertices == (0, 1, 3)          # lex-least minimum cover
     assert cert.matching == ((0, 1), (2, 3))          # lex-least maximum matching
 
 
 def test_triangle_clutter_numbers(k3_clutter):
-    cert = konig_holds(k3_clutter)
+    cert = konig_certificate(k3_clutter)
     assert cert.alpha0 == cert.beta1 == 1 and cert.holds
 
 
 def test_diamond_clique_clutter_numbers():
     c = Clutter(4, [(0, 1, 3), (0, 2, 3)])
-    cert = konig_holds(c)
+    cert = konig_certificate(c)
     assert cert.alpha0 == cert.beta1 == 1
     assert cert.cover.vertices == (0,)
 
@@ -94,7 +94,7 @@ def test_numbers_against_brute_force():
 def test_witnesses_are_lex_least():
     rng = random.Random(8)
     for c in random_clutters(6, 6, 15, seed=54):
-        cert = konig_holds(c)
+        cert = konig_certificate(c)
         masks = c.edge_masks
         # all covers of optimal size, lexicographically
         best = [
@@ -115,7 +115,7 @@ def test_witnesses_are_lex_least():
 
 
 def test_konig_json_schema(c5):
-    doc = konig_holds(c5).to_json()
+    doc = konig_certificate(c5).to_json()
     assert doc == {
         "property": "konig",
         "verdict": "fails",
@@ -134,7 +134,7 @@ def test_beta1_never_exceeds_alpha0():
 def test_comparability_clique_clutters_have_konig():
     for n, count in ((2, 3), (3, 8), (4, 8), (5, 8)):
         for p in random_posets(n, count, seed=100 + n):
-            assert konig_holds(clique_clutter(comparability_graph(p))).holds
+            assert konig_certificate(clique_clutter(comparability_graph(p))).holds
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def test_menger_with_deleted_vertices(diamond_poset):
     cw = parallelization(
         clique_clutter(comparability_graph(diamond_poset)), (0, 1, 1, 1)
     )
-    ref = konig_holds(cw)
+    ref = konig_certificate(cw)
     assert (cert.alpha0, cert.beta1) == (ref.alpha0, ref.beta1)
 
 
@@ -324,7 +324,7 @@ def test_menger_agrees_with_konig_small_corpus():
         for p in random_posets(n, count, seed=300 + n):
             cl = clique_clutter(comparability_graph(p))
             for w in itertools.product(range(3), repeat=n):
-                ref = konig_holds(parallelization(cl, w))
+                ref = konig_certificate(parallelization(cl, w))
                 got = menger_oracle(p, w)
                 assert (got.alpha0, got.beta1) == (ref.alpha0, ref.beta1)
                 assert ref.holds

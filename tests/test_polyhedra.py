@@ -14,14 +14,19 @@ from clutterlab import (
     integer_rounding_check,
     is_integral,
     lattice_points_scaled,
-    minimal_integer_vectors,
     minimal_lattice_points,
     simplex_max,
     vertices,
 )
 from clutterlab.certify import random_clutters, random_ideals, random_posets
 from clutterlab.guards import ResourceGuardError
-from clutterlab.polyhedra import RationalPolyhedron, UnboundedLPError, ilp_max_packing
+from clutterlab.polyhedra import (
+    RationalPolyhedron,
+    UnboundedLPError,
+    _dd_extreme_rays,
+    _int_constraints,
+    ilp_max_packing,
+)
 from clutterlab.structures import clique_clutter, comparability_graph
 
 from oracles import brute_idp_holds, brute_q_vertices
@@ -96,12 +101,13 @@ def test_comparability_vertex_clique_matrices_are_integral():
 
 
 def test_dd_matches_basis_enumeration():
+    # brute_q_vertices solves every n-subset of the constraints
     for c in random_clutters(5, 6, 12, seed=77):
-        q = covering_polyhedron(IncidenceMatrix.from_clutter(c))
-        assert vertices(q, method="dd") == vertices(q, method="basis")
+        a = IncidenceMatrix.from_clutter(c)
+        assert vertices(covering_polyhedron(a)) == brute_q_vertices(a.columns)
     for ideal in random_ideals(3, 3, 3, 12, seed=78):
-        q = covering_polyhedron(ideal.matrix())
-        assert vertices(q, method="dd") == vertices(q, method="basis")
+        a = ideal.matrix()
+        assert vertices(covering_polyhedron(a)) == brute_q_vertices(a.columns)
 
 
 def test_dd_matches_independent_oracle():
@@ -110,12 +116,13 @@ def test_dd_matches_independent_oracle():
         assert vertices(covering_polyhedron(a)) == brute_q_vertices(a.columns)
 
 
-def test_basis_enumeration_guard():
+def test_dd_ray_guard():
     a = IncidenceMatrix.from_clutter(
         Clutter(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
     )
-    with pytest.raises(ResourceGuardError, match="basis"):
-        vertices(covering_polyhedron(a), method="basis", basis_limit=10)
+    cuts = _int_constraints(covering_polyhedron(a))
+    with pytest.raises(ResourceGuardError, match="double-description"):
+        _dd_extreme_rays(a.n + 1, cuts, max_rays=10)
 
 
 def test_general_polyhedron_with_rational_data():
@@ -180,8 +187,8 @@ def test_blocking_rejects_negative(ones_column3):
 
 
 def test_blocking_dual_routes_on_random_rationals():
-    # the convex-combination route and the vertex-inequality route are
-    # asserted equal inside blocking_membership; drive it with 1000 points
+    # the vertex-inequality route against convex feasibility: z is in B(Q)
+    # iff max{sum lambda : A lambda <= z, lambda >= 0} >= 1
     rng = random.Random(2024)
     mats = [
         _two_squares(),
@@ -192,7 +199,7 @@ def test_blocking_dual_routes_on_random_rationals():
     for _ in range(1000):
         a = rng.choice(mats)
         z = tuple(Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(a.n))
-        blocking_membership(a, z)  # raises if the routes ever disagree
+        assert blocking_membership(a, z) == (simplex_max([1] * a.q, a.rows(), z)[0] >= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +209,15 @@ def test_lattice_points_identity3(identity3):
     pts = lattice_points_scaled(identity3, 1)
     assert (1, 0, 0) in pts and (0, 1, 0) in pts and (0, 0, 1) in pts
     assert (0, 0, 0) not in pts
-    assert minimal_integer_vectors(identity3) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert minimal_lattice_points(identity3, 1) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_lattice_points_ones_column(ones_column3):
-    assert minimal_integer_vectors(ones_column3) == [(1, 1, 1)]
+    assert minimal_lattice_points(ones_column3, 1) == [(1, 1, 1)]
 
 
 def test_minimal_vectors_two_squares():
-    assert minimal_integer_vectors(_two_squares()) == [(0, 2), (1, 1), (2, 0)]
+    assert minimal_lattice_points(_two_squares(), 1) == [(0, 2), (1, 1), (2, 0)]
 
 
 def test_minimal_lattice_points_scaled_two_squares():
@@ -224,7 +231,7 @@ def test_clutter_minimal_vectors_are_the_columns():
     # B(Q) are exactly the incidence columns
     for c in random_clutters(6, 6, 15, seed=90):
         a = IncidenceMatrix.from_clutter(c)
-        assert sorted(minimal_integer_vectors(a)) == sorted(a.columns)
+        assert sorted(minimal_lattice_points(a, 1)) == sorted(a.columns)
 
 
 def test_every_column_is_a_lattice_point_of_blocker():
@@ -234,7 +241,7 @@ def test_every_column_is_a_lattice_point_of_blocker():
         pts = set(lattice_points_scaled(a, 1))
         for col in a.columns:
             assert col in pts
-        for m in minimal_integer_vectors(a):
+        for m in minimal_lattice_points(a, 1):
             assert all(x <= c for x, c in zip(m, caps))
 
 

@@ -70,8 +70,7 @@ def test_labels_must_be_unique():
 
 def test_vertex_accessor():
     c = Clutter(2, [(0, 1)])
-    assert c.vertex(1).index == 1
-    assert c.vertex(1).label == "x1"
+    assert c.labels[1] == "x1"
 
 
 # ---------------------------------------------------------------------------
