@@ -427,9 +427,7 @@ def check_ideal_instance(ideal: MonomialIdeal, bounds: Bounds, deadline: Deadlin
     routes are asserted equal) must match the integer-rounding verdict over
     w in {0..wmax}^n."""
     normal = is_normal_up_to(ideal, bounds.kmax)
-    a = ideal.matrix()
-    wset = itertools.product(range(bounds.wmax + 1), repeat=ideal.n)
-    rounding = integer_rounding_check(a, wset)
+    rounding = integer_rounding_check(ideal.matrix(), bounds.wmax)
     agree = normal.holds == rounding.holds
     return {
         "checks": {

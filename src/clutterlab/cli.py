@@ -232,11 +232,7 @@ def _cmd_idp(args) -> int:
 
 
 def _cmd_rounding(args) -> int:
-    import itertools
-
-    a = _as_matrix(_read_document(args.input))
-    wset = itertools.product(range(args.wmax + 1), repeat=a.n)
-    cert = integer_rounding_check(a, wset)
+    cert = integer_rounding_check(_as_matrix(_read_document(args.input)), args.wmax)
     _emit(args, cert.to_json())
     return 0 if cert.holds else 1
 

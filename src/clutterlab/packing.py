@@ -33,7 +33,6 @@ from .polyhedra import (
     format_rational,
     ilp_max_packing,
     q_vertices,
-    simplex_max,
 )
 from .structures import (
     Clutter,
@@ -351,11 +350,13 @@ def mfmc_bounded(c: Clutter, wmax: int, deadline: Deadline | None = None) -> Cer
 # LP duality with integrality check
 
 def lp_duality_integer_check(c: Clutter, w: Sequence[int]) -> Certificate:
-    """Evaluate both sides of the covering LP-duality equation at weight w
-    over the rationals (asserted equal), then decide whether each side is
-    attained by an integer optimum. The integer minimum is the least
-    w-weight of a minimal cover (any 0/1 cover contains one, and w >= 0);
-    the integer maximum is the w-packing number."""
+    """Decide whether the common value of the covering LP-duality equation
+    at weight w is attained by integer optima on both sides. The LP value
+    is the least <w, ell> over the vertices ell of Q(A) (Q(A) is pointed
+    with recession cone R^n_+ and w >= 0, so the minimum is at a vertex);
+    the integer minimum is the least w-weight of a minimal cover (any 0/1
+    cover contains one, and w >= 0); the integer maximum is the w-packing
+    number."""
     weights = tuple(int(x) for x in w)
     if len(weights) != c.n:
         raise ValueError(f"weight vector has length {len(weights)}, expected {c.n}")
@@ -364,21 +365,19 @@ def lp_duality_integer_check(c: Clutter, w: Sequence[int]) -> Certificate:
     if not c.edges:
         raise ValueError("clutter must have at least one edge")
     a = IncidenceMatrix.from_clutter(c)
-    lp_min = min(sum(wi * vi for wi, vi in zip(weights, v)) for v in q_vertices(a))
-    lp_max, _ = simplex_max([1] * a.q, a.rows(), list(weights))
-    assert lp_min == lp_max, f"LP duality violated: {lp_min} != {lp_max}"
+    lp = min(sum(wi * vi for wi, vi in zip(weights, v)) for v in q_vertices(a))
     int_min = min(sum(weights[v] for v in cs.vertices) for cs in minimal_vertex_covers(c))
     int_max = ilp_max_packing(a, weights)
-    holds = int_min == lp_min and int_max == lp_max
+    holds = int_min == lp and int_max == lp
     return Certificate(
         prop="lp-duality-integrality",
         verdict="holds" if holds else "fails",
         holds=holds,
         witness=None
         if holds
-        else {"w": list(weights), "lp": format_rational(lp_min), "int_min": int_min, "int_max": int_max},
+        else {"w": list(weights), "lp": format_rational(lp), "int_min": int_min, "int_max": int_max},
         details={
-            "lp": format_rational(lp_min),
+            "lp": format_rational(lp),
             "int_min": int_min,
             "int_max": int_max,
         },

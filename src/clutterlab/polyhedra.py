@@ -12,8 +12,13 @@ that box, because for a >= z with z in conv of the scaled columns,
 min(a, ceil(z)) is again such a point and is componentwise <= the box cap.
 
 Each quantity has one formulation: vertices of Q(A) by double description,
-membership in k*B(Q) by the vertex inequalities of Q(A), and k-fold sums on
-a box by the shift-OR recursion of :func:`kfold_sum_grids`.
+membership in k*B(Q) by the vertex inequalities of Q(A), k-fold sums on
+a box by the shift-OR recursion of :func:`kfold_sum_grids`, the packing LP
+value max{<y,1> : Ay <= w, y >= 0} as the least <w, ell> over the vertices
+ell of Q(A) (LP duality), and the integer packing number at w as the number
+of k-fold sum levels holding w. :func:`simplex_max` solves one LP and is
+kept as a test reference; :func:`ilp_max_packing` solves one integer
+packing, for the tests and the single-w ``lp_duality_integer_check``.
 """
 
 from __future__ import annotations
@@ -488,32 +493,50 @@ def ilp_max_packing(a: IncidenceMatrix, w: Sequence[int]) -> int:
     return best
 
 
-def integer_rounding_check(a: IncidenceMatrix, wset: Iterable[Sequence[int]]) -> Certificate:
-    """Per-w check that max{<y,1> : Ay <= w, y integer} equals the floor of
-    the rational LP maximum; aggregate verdict over the supplied finite
-    corpus (a semidecision: the property itself quantifies over all w).
-    The LP is bounded: the columns are nonzero and nonnegative and w >= 0."""
-    rows = a.rows()
+def integer_rounding_check(a: IncidenceMatrix, wmax: int) -> Certificate:
+    """Per-w check, over the box w in {0..wmax}^n in lexicographic order,
+    that max{<y,1> : Ay <= w, y integer >= 0} equals the floor of the
+    rational LP maximum: the integer rounding property of A, which
+    Baum–Trotter ("Integer rounding for polymatroid and branching
+    optimization problems", SIAM J. Alg. Disc. Meth. 2, 1981) show
+    equivalent to the integer decomposition property of B(Q). A
+    semidecision, since the property quantifies over all w.
+
+    The whole box is priced at once. LP value: by LP duality,
+    max{<y,1> : Ay <= w, y >= 0} = min{<w,x> : x in Q(A)}, and since w >= 0
+    and Q(A) is pointed with recession cone R^n_+, the minimum is attained
+    at a vertex ell_t of Q(A); one product with the vertex inequalities
+    gives it for every w. Integer value: w dominates a sum of k columns
+    exactly on level k of :func:`kfold_sum_grids`, and the levels are
+    nested, so the packing number is the number of levels holding w.
+    """
+    if wmax < 0:
+        raise ValueError("wmax must be >= 0")
+    caps = (wmax,) * a.n
+    check_size((wmax + 1) ** a.n, MAX_GRID_POINTS, "rounding box size")
+    pts = _grid(caps)
+    pmat, dens = _vertex_inequalities(a)
+    den = math.lcm(*dens.tolist())
+    lp_num = (pts @ (pmat * (den // dens)[:, None]).T).min(axis=1)
+    ilp = np.zeros(len(pts), dtype=np.int64)
+    # each column has a positive entry, so no w in the box packs more than n*wmax
+    for level in kfold_sum_grids(a.columns, caps, a.n * wmax):
+        if not level.any():
+            break
+        ilp += level.ravel()
     per_w = []
-    all_hold = True
     first_fail = None
-    for w in wset:
-        wv = [int(x) for x in w]
-        if any(x < 0 for x in wv):
-            raise ValueError("weights must be nonnegative")
-        lp, _ = simplex_max([1] * a.q, rows, wv)
-        ilp = ilp_max_packing(a, wv)
-        holds = ilp == math.floor(lp)
-        entry = {"w": wv, "lp": format_rational(lp), "floor": math.floor(lp), "ilp": ilp, "holds": holds}
+    floors = (lp_num // den).tolist()
+    for w, num, floor, nu in zip(pts.tolist(), lp_num.tolist(), floors, ilp.tolist()):
+        lp = format_rational(Fraction(num, den))
+        entry = {"w": w, "lp": lp, "floor": floor, "ilp": nu, "holds": nu == floor}
         per_w.append(entry)
-        if not holds:
-            all_hold = False
-            if first_fail is None:
-                first_fail = entry
+        if first_fail is None and nu != floor:
+            first_fail = entry
     return Certificate(
         prop="integer-rounding",
-        verdict="holds-on-corpus" if all_hold else "fails",
-        holds=all_hold,
-        witness=None if all_hold else first_fail,
+        verdict="holds-on-corpus" if first_fail is None else "fails",
+        holds=first_fail is None,
+        witness=first_fail,
         details={"tested": len(per_w), "per_w": per_w},
     )

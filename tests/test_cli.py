@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from clutterlab.cli import main
 from clutterlab.structures import complete_admissible_uniform_clutter
@@ -103,6 +106,33 @@ def test_rounding(capsys):
     code, out = _run(capsys, "rounding", "--wmax", "1", C5)
     assert code == 0
     assert json.loads(out)["details"]["tested"] == 32
+
+
+NON_SQUAREFREE = '{"n":3,"generators":[[2,1,0],[0,1,2],[1,0,1]]}'
+
+
+@pytest.mark.parametrize(
+    "doc, code, digest",
+    [
+        (TWO_SQUARES, 1, "22d411f467709a7c4335db7a5db036fbfb990f692a70a9d2b729dbd39688ddd6"),
+        (C5, 0, "d76e52ab0306adbcb6013370dfa7921c65ce3f787c2aeaa15693d684cd25d83c"),
+        (NON_SQUAREFREE, 0, "65a62462e711b946c4160343a2ad6c2ebad277e4cb82a4c611a1b9fe0d4fb33b"),
+    ],
+    ids=["two-squares", "c5", "non-squarefree"],
+)
+def test_rounding_canonical_bytes(capsys, doc, code, digest):
+    # pins every per_w entry, its order and its formatting, as the per-w
+    # simplex and integer-packing route printed them
+    got, out = _run(capsys, "rounding", "--wmax", "2", "--json", doc)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_rounding_box_over_the_guard_exits_3(capsys):
+    doc = json.dumps({"n": 12, "columns": [[1] * 12]})
+    code, out = _run(capsys, "rounding", "--wmax", "3", doc)
+    assert code == 3
+    assert out == ""
 
 
 def test_normal(capsys):

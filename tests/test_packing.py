@@ -32,7 +32,7 @@ from clutterlab.packing import (
     min_cover_size,
     weighted_sweep,
 )
-from clutterlab.polyhedra import ilp_max_packing
+from clutterlab.polyhedra import format_rational, ilp_max_packing, q_vertices, simplex_max
 from clutterlab.structures import _bits, parallelize_masks
 
 from oracles import brute_alpha0, brute_beta1, brute_minimal_covers
@@ -239,11 +239,15 @@ def test_duality_matches_konig_at_ones():
 
 
 def test_duality_strong_duality_random_weights():
-    # the min and max sides coincide over the rationals; the op asserts it
+    # LP duality: the packing LP's simplex value is the least <w, ell> over
+    # the vertices of Q(A), which is the reported LP value
     rng = random.Random(61)
     for c in random_clutters(5, 6, 20, seed=62):
         w = tuple(rng.randint(0, 3) for _ in range(c.n))
-        lp_duality_integer_check(c, w)  # assertion inside
+        a = IncidenceMatrix.from_clutter(c)
+        lp, _ = simplex_max([1] * a.q, a.rows(), w)
+        assert lp == min(sum(x * y for x, y in zip(w, v)) for v in q_vertices(a))
+        assert lp_duality_integer_check(c, w).details["lp"] == format_rational(lp)
 
 
 # ---------------------------------------------------------------------------

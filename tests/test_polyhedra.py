@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from clutterlab import (
     simplex_max,
     vertices,
 )
+from clutterlab import polyhedra
 from clutterlab.certify import random_clutters, random_ideals, random_posets
 from clutterlab.guards import ResourceGuardError
 from clutterlab.polyhedra import (
@@ -25,6 +27,7 @@ from clutterlab.polyhedra import (
     UnboundedLPError,
     _dd_extreme_rays,
     _int_constraints,
+    format_rational,
     ilp_max_packing,
 )
 from clutterlab.structures import clique_clutter, comparability_graph
@@ -306,36 +309,88 @@ def test_decompose_returns_valid_split(identity3):
 # ---------------------------------------------------------------------------
 # Integer rounding
 
+def _rounding_entry(cert, w):
+    # per_w runs over the box in lexicographic order, so w's entry is unique
+    (entry,) = [e for e in cert.details["per_w"] if e["w"] == list(w)]
+    return entry
+
+
 def test_rounding_ones_column(ones_column3):
-    cert = integer_rounding_check(ones_column3, [(1, 1, 1)])
+    cert = integer_rounding_check(ones_column3, 1)
     assert cert.holds
-    assert cert.details["per_w"][0]["lp"] == "1"
+    entry = _rounding_entry(cert, (1, 1, 1))
+    assert entry["holds"] and entry["lp"] == "1"
 
 
 def test_rounding_identity3(identity3):
-    cert = integer_rounding_check(identity3, [(1, 1, 1)])
+    cert = integer_rounding_check(identity3, 1)
     assert cert.holds
-    assert cert.details["per_w"][0]["lp"] == "3"
-    assert cert.details["per_w"][0]["ilp"] == 3
+    entry = _rounding_entry(cert, (1, 1, 1))
+    assert entry["lp"] == "3" and entry["ilp"] == 3
 
 
 def test_rounding_c5_at_ones():
-    cert = integer_rounding_check(_c5_matrix(), [(1,) * 5])
-    entry = cert.details["per_w"][0]
+    cert = integer_rounding_check(_c5_matrix(), 1)
+    entry = _rounding_entry(cert, (1,) * 5)
     assert entry["lp"] == "5/2" and entry["floor"] == 2 and entry["ilp"] == 2
     assert cert.holds
 
 
 def test_rounding_two_squares_fails():
-    cert = integer_rounding_check(_two_squares(), [(1, 1)])
+    cert = integer_rounding_check(_two_squares(), 1)
     assert not cert.holds
-    entry = cert.details["per_w"][0]
+    entry = _rounding_entry(cert, (1, 1))
     assert entry["lp"] == "1" and entry["ilp"] == 0
+    assert cert.witness == entry
 
 
 def test_rounding_full_corpus_two_squares():
-    wset = itertools.product(range(4), repeat=2)
-    assert not integer_rounding_check(_two_squares(), wset).holds
+    cert = integer_rounding_check(_two_squares(), 3)
+    assert not cert.holds
+    assert [e["w"] for e in cert.details["per_w"]] == [
+        list(w) for w in itertools.product(range(4), repeat=2)
+    ]
+
+
+def test_rounding_box_matches_simplex_and_ilp_references():
+    # every per_w entry against the per-w LP (exact simplex) and the
+    # per-w integer packing (pruned enumeration)
+    rng = random.Random(404)
+    mats = [_two_squares(), _c5_matrix()]
+    while len(mats) < 202:
+        n = rng.randint(1, 4)
+        cols = [[rng.randint(0, 3) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        cols = [c for c in cols if any(c)]
+        if cols:
+            mats.append(IncidenceMatrix(n, cols))
+    for a in mats:
+        wmax = 2 if a.n == 5 else rng.randint(0, 3)
+        cert = integer_rounding_check(a, wmax)
+        per_w = cert.details["per_w"]
+        assert [e["w"] for e in per_w] == [
+            list(w) for w in itertools.product(range(wmax + 1), repeat=a.n)
+        ]
+        assert cert.details["tested"] == len(per_w)
+        for e in per_w:
+            lp, _ = simplex_max([1] * a.q, a.rows(), e["w"])
+            ilp = ilp_max_packing(a, e["w"])
+            assert (e["lp"], e["floor"], e["ilp"]) == (format_rational(lp), math.floor(lp), ilp)
+            assert e["holds"] == (ilp == math.floor(lp))
+        fails = [e for e in per_w if not e["holds"]]
+        assert cert.holds == (not fails)
+        assert cert.witness == (fails[0] if fails else None)
+
+
+def test_rounding_box_guard_fires_before_allocating(monkeypatch):
+    # 4^12 > MAX_GRID_POINTS cells: neither the box nor Q(A) may be built
+    def unreachable(*args):
+        raise AssertionError("built before the guard")
+
+    monkeypatch.setattr(polyhedra, "_grid", unreachable)
+    monkeypatch.setattr(polyhedra, "_vertex_inequalities", unreachable)
+    big = IncidenceMatrix(12, [(1,) * 12])
+    with pytest.raises(ResourceGuardError, match="rounding box size"):
+        integer_rounding_check(big, 3)
 
 
 def test_ilp_packing_matches_brute_force():
