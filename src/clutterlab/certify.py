@@ -423,10 +423,11 @@ def check_clutter_instance(c: Clutter, bounds: Bounds, deadline: Deadline | None
 
 
 def check_ideal_instance(ideal: MonomialIdeal, bounds: Bounds, deadline: Deadline | None = None) -> dict[str, Any]:
-    """Normality criterion cross-check: the direct verdict (its two internal
-    routes are asserted equal) must match the integer-rounding verdict over
-    w in {0..wmax}^n."""
+    """Normality vs integer rounding: the bounded normality verdict must
+    match the integer-rounding verdict over w in {0..wmax}^n."""
     normal = is_normal_up_to(ideal, bounds.kmax)
+    if deadline is not None:
+        deadline.check()
     rounding = integer_rounding_check(ideal.matrix(), bounds.wmax)
     agree = normal.holds == rounding.holds
     return {

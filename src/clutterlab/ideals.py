@@ -6,6 +6,11 @@ A monomial x^a is identified with its exponent vector a. Membership tests
 reduce to componentwise domination; powers to sums of generators; symbolic
 powers to per-cover degree conditions. Everything is bounded and exact;
 verdicts always embed the bound that was checked.
+
+Both bounded verdicts ask whether a larger upward-closed set (the integral
+closure of I^k, or I^(i)) lies in a power, over a box holding all its
+minimal generators. The lex-first cell in the larger set but not in the
+power is then its first minimal generator missing from the power.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .guards import MAX_GRID_POINTS, check_size
-from .packing import minimal_vertex_covers
+from .packing import _cover_matrix
 from .polyhedra import (
     IncidenceMatrix,
     blocking_membership,
@@ -27,6 +32,7 @@ from .polyhedra import (
     kfold_sum_grids,
     minimal_lattice_points,
     _grid,
+    _membership_flags,
     _minimal_rows,
 )
 from .structures import Clutter
@@ -119,15 +125,6 @@ def power_membership(ideal: MonomialIdeal, a: Sequence[int], i: int) -> bool:
     return membership(power(ideal, i), a)
 
 
-@lru_cache(maxsize=512)
-def _cover_matrix(c: Clutter) -> np.ndarray:
-    covers = minimal_vertex_covers(c)
-    return np.array(
-        [[int(v in cov.vertices) for v in range(c.n)] for cov in covers],
-        dtype=np.int64,
-    )
-
-
 def symbolic_power_membership(c: Clutter, a: Sequence[int], i: int) -> bool:
     """x^a in I^(i): for every minimal vertex cover C, sum of a over C must
     reach i (membership in the i-th power of the cover's prime)."""
@@ -151,12 +148,15 @@ def symbolic_power(c: Clutter, i: int) -> MonomialIdeal:
         raise ValueError("symbolic power exponent must be >= 1")
     if not c.edges:
         raise ValueError("clutter must have at least one edge")
-    caps = (i,) * c.n
-    pts = _grid(caps)
-    cm = _cover_matrix(c)
-    flags = (pts @ cm.T >= i).all(axis=1)
+    pts, flags = _symbolic_flags(c, i)
     mins = _minimal_rows(pts[flags])
     return MonomialIdeal(c.n, [tuple(int(x) for x in row) for row in mins])
+
+
+def _symbolic_flags(c: Clutter, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The box [0, i]^n in lex order and, per cell, whether it lies in I^(i)."""
+    pts = _grid((i,) * c.n)
+    return pts, (pts @ _cover_matrix(c).T >= i).all(axis=1)
 
 
 def integral_closure_membership(ideal: MonomialIdeal, a: Sequence[int], k: int) -> bool:
@@ -183,55 +183,39 @@ def _power_grid(ideal: MonomialIdeal, i: int, caps: ExponentVector) -> np.ndarra
 def is_normal_up_to(ideal: MonomialIdeal, kmax: int) -> NormalityVerdict:
     """Is I^k integrally closed for every k <= kmax?
 
-    Two independent routes, asserted to agree in sign:
-      (a) direct: every minimal lattice point of k*B(Q) dominates a sum of
-          k generators (i.e. the closure of I^k sits inside I^k);
-      (b) the decomposition criterion: B(Q) has the integer decomposition
-          property up to kmax and every minimal integer vector of B(Q) is a
-          column of the exponent matrix.
-    A negative verdict carries the first failing monomial from route (a).
+    Per level k, every lattice point of k*B(Q) (the integral closure of
+    I^k) in the box of :func:`box_caps` must dominate a sum of k
+    generators; the witness is the lex-first one that does not. Only a
+    negative verdict runs the paper's criterion, for its explanation: every
+    minimal lattice point of B(Q) is a column, and B(Q) has the integer
+    decomposition property up to kmax.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     a = ideal.matrix()
-    direct_witness: tuple[int, ExponentVector] | None = None
     for k in range(1, kmax + 1):
         caps = box_caps(a, k)
         grid = _power_grid(ideal, k, caps)
-        for point in minimal_lattice_points(a, k):
-            if not grid[point]:
-                direct_witness = (k, point)
-                break
-        if direct_witness:
+        pts = _grid(caps)
+        bad = _membership_flags(a, pts, k) & ~grid.ravel()
+        if bad.any():
             break
-
-    minvec_ok = set(minimal_lattice_points(a, 1)) <= set(ideal.generators)
-    idp_ok = True
-    idp_witness = None
-    if kmax >= 2:
-        idp_cert = integer_decomposition_check(a, kmax)
-        idp_ok = idp_cert.holds
-        idp_witness = idp_cert.witness
-    criterion_ok = minvec_ok and idp_ok
-
-    assert (direct_witness is None) == criterion_ok, (
-        "normality routes disagree: "
-        f"direct witness {direct_witness}, minimal-vectors {minvec_ok}, idp {idp_ok}"
-    )
-    if direct_witness is None:
+    else:
         return NormalityVerdict("normal-up-to", kmax)
-    k, point = direct_witness
+
+    idp = integer_decomposition_check(a, kmax) if kmax >= 2 else None
     return NormalityVerdict(
         "not-normal",
         kmax,
-        witness=point,
+        witness=tuple(int(x) for x in pts[bad][0]),
         explanation={
             "level": k,
             "reason": "monomial lies in the integral closure of the k-th power "
             "but not in the power itself",
-            "minimal_vectors_are_columns": minvec_ok,
-            "integer_decomposition": idp_ok,
-            "idp_witness": idp_witness,
+            "minimal_vectors_are_columns": set(minimal_lattice_points(a, 1))
+            <= set(ideal.generators),
+            "integer_decomposition": idp is None or idp.holds,
+            "idp_witness": None if idp is None else idp.witness,
         },
     )
 
@@ -239,25 +223,24 @@ def is_normal_up_to(ideal: MonomialIdeal, kmax: int) -> NormalityVerdict:
 def is_ntf_up_to(c: Clutter, imax: int) -> NormalityVerdict:
     """Does the i-th symbolic power equal the i-th ordinary power of the
     edge ideal for every i <= imax?  The inclusion I^i <= I^(i) holds for
-    every ideal, so equality fails exactly when some minimal generator of
-    the symbolic power is missing from I^i, and the first such generator
-    is returned as the witness."""
+    every ideal, so equality fails exactly when some cell of [0, i]^n lies
+    in I^(i) but not in I^i; the lex-first such cell is the witness."""
     if imax < 1:
         raise ValueError("imax must be >= 1")
     ideal = edge_ideal(c)
     for i in range(1, imax + 1):
-        symb = symbolic_power(c, i)
-        grid = _power_grid(ideal, i, (i,) * c.n)
-        for g in symb.generators:
-            if not grid[g]:
-                return NormalityVerdict(
-                    "not-ntf",
-                    imax,
-                    witness=g,
-                    explanation={
-                        "level": i,
-                        "reason": "monomial lies in the i-th symbolic power but "
-                        "not in the i-th ordinary power",
-                    },
-                )
+        pts, flags = _symbolic_flags(c, i)
+        bad = flags & ~_power_grid(ideal, i, (i,) * c.n).ravel()
+        if bad.any():
+            return NormalityVerdict(
+                "not-ntf",
+                imax,
+                witness=tuple(int(x) for x in pts[bad][0]),
+                explanation={
+                    "level": i,
+                    "reason": "monomial lies in the i-th symbolic power but "
+                    "not in the i-th ordinary power",
+                },
+            )
     return NormalityVerdict("ntf-up-to", imax)
+

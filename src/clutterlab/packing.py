@@ -2,11 +2,6 @@
 certification over parallelizations, and a Menger flow oracle on the Hasse
 diagram of a poset.
 
-alpha0 / beta1 are computed by exact branch-and-bound (guaranteed for
-n <= 20, <= 40 edges; far beyond what the corpora here need). Witness
-covers and matchings are tie-broken lexicographically least so golden
-files are stable.
-
 The w-sweeps never build the parallelization C^w; three standard
 identities give its numbers from weights on C:
 
@@ -17,22 +12,29 @@ identities give its numbers from weights on C:
 - for the clique clutter of a comparability graph, both are the max flow
   and min vertex cut of the Hasse diagram with vertex capacities w
   (Menger's theorem with vertex capacities), see :class:`HasseNetwork`.
+
+Exact branch-and-bound for alpha0 / beta1 (n <= 20, <= 40 edges) serves
+only Koenig certificates: of one clutter, or of the witness C^w of a failed
+sweep, with lexicographically least covers and matchings.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Iterable, Iterator, Sequence
 
-from .guards import Deadline, check_size, MAX_COVER_SUBSETS
+import numpy as np
+
+from .guards import Deadline, check_size, MAX_COVER_SUBSETS, MAX_GRID_POINTS
 from .polyhedra import (
     IncidenceMatrix,
     format_rational,
     ilp_max_packing,
+    packing_numbers,
     q_vertices,
+    _grid,
 )
 from .structures import (
     Clutter,
@@ -236,6 +238,15 @@ def minimal_vertex_covers(c: Clutter) -> list[CoverSet]:
     return [CoverSet(t) for t in sorted(set(minimal))]
 
 
+@lru_cache(maxsize=512)
+def _cover_matrix(c: Clutter) -> np.ndarray:
+    """0/1 rows of the minimal vertex covers of c, in canonical order."""
+    return np.array(
+        [[int(v in cov.vertices) for v in range(c.n)] for cov in minimal_vertex_covers(c)],
+        dtype=np.int64,
+    )
+
+
 def alpha0(c: Clutter) -> int:
     """Size of a minimum vertex cover."""
     return min_cover_size(c.edge_masks)
@@ -280,33 +291,22 @@ def weighted_sweep(
       A minimal cover of C^w holds all copies of a vertex or none, and
       weight-0 vertices may be added to a cover for free.
     - beta1(C^w) = max{1.y : Ay <= w, y integer >= 0}, the w-packing number
-      of C: a matching of C^w uses each vertex i at most w_i times. It is
-      tabulated over the box in lex order, nu(w) = max(0, 1 + nu(w - e))
-      over the edges e inside the support of w; w - e is lex-smaller and
-      sits at a fixed flat-index offset, so each step is one lookup.
+      of C: a matching of C^w uses each vertex i at most w_i times.
 
-    ``deadline`` is checked once per w; the cover enumeration raises
-    :class:`ResourceGuardError` past its guard.
+    The whole box is priced before the first w: alpha0 by one product with
+    the minimal-cover matrix, beta1 by :func:`packing_numbers` of the edges.
+    The box size is guarded before anything is allocated; ``deadline`` is
+    checked once per w.
     """
-    covers = [cs.vertices for cs in minimal_vertex_covers(c)]
-    base = wmax + 1
-    place = [base ** (c.n - 1 - i) for i in range(c.n)]
-    edges = [(m, sum(place[i] for i in e)) for m, e in zip(c.edge_masks, c.edges)]
-    nu = array("l")
-    for w in itertools.product(range(base), repeat=c.n):
+    check_size((wmax + 1) ** c.n, MAX_GRID_POINTS, "sweep box size")
+    caps = (wmax,) * c.n
+    taus = (_grid(caps) @ _cover_matrix(c).T).min(axis=1)
+    nus = packing_numbers([[int(v in e) for v in range(c.n)] for e in c.edges], caps)
+    weights = itertools.product(range(wmax + 1), repeat=c.n)
+    for w, tau, nu in zip(weights, taus.tolist(), nus.tolist()):
         if deadline is not None:
             deadline.check()
-        zero = 0
-        for i, x in enumerate(w):
-            if not x:
-                zero |= 1 << i
-        here = len(nu)
-        best = 0
-        for m, offset in edges:
-            if not m & zero and nu[here - offset] >= best:
-                best = nu[here - offset] + 1
-        nu.append(best)
-        yield w, min(sum(w[i] for i in k) for k in covers), best
+        yield w, tau, nu
 
 
 def mfmc_bounded(c: Clutter, wmax: int, deadline: Deadline | None = None) -> Certificate:

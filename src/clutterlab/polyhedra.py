@@ -15,10 +15,10 @@ Each quantity has one formulation: vertices of Q(A) by double description,
 membership in k*B(Q) by the vertex inequalities of Q(A), k-fold sums on
 a box by the shift-OR recursion of :func:`kfold_sum_grids`, the packing LP
 value max{<y,1> : Ay <= w, y >= 0} as the least <w, ell> over the vertices
-ell of Q(A) (LP duality), and the integer packing number at w as the number
-of k-fold sum levels holding w. :func:`simplex_max` solves one LP and is
-kept as a test reference; :func:`ilp_max_packing` solves one integer
-packing, for the tests and the single-w ``lp_duality_integer_check``.
+ell of Q(A) (LP duality), and the integer packing numbers on a box by
+:func:`packing_numbers`. :func:`simplex_max` solves one LP and is kept as
+a test reference; :func:`ilp_max_packing` solves one integer packing, for
+the tests and the single-w ``lp_duality_integer_check``.
 """
 
 from __future__ import annotations
@@ -392,6 +392,19 @@ def kfold_sum_grids(
         yield grid
 
 
+def packing_numbers(vectors: Sequence[Sequence[int]], caps: Vector) -> np.ndarray:
+    """max{<y,1> : sum_j y_j v_j <= x, y integer >= 0} for every x of the
+    box prod [0, caps_i], flat in lexicographic order: the number of the
+    nested levels of :func:`kfold_sum_grids` holding x. The vectors are
+    nonzero, so no x packs more than sum(caps)."""
+    count = np.zeros(math.prod(c + 1 for c in caps), dtype=np.int64)
+    for level in kfold_sum_grids(vectors, caps, sum(caps)):
+        if not level.any():
+            break
+        count += level.ravel()
+    return count
+
+
 def integer_decomposition_check(a: IncidenceMatrix, kmax: int) -> Certificate:
     """Does every lattice point of k*B(Q) in the k-box split into k lattice
     points of B(Q), for each k <= kmax?
@@ -506,9 +519,8 @@ def integer_rounding_check(a: IncidenceMatrix, wmax: int) -> Certificate:
     max{<y,1> : Ay <= w, y >= 0} = min{<w,x> : x in Q(A)}, and since w >= 0
     and Q(A) is pointed with recession cone R^n_+, the minimum is attained
     at a vertex ell_t of Q(A); one product with the vertex inequalities
-    gives it for every w. Integer value: w dominates a sum of k columns
-    exactly on level k of :func:`kfold_sum_grids`, and the levels are
-    nested, so the packing number is the number of levels holding w.
+    gives it for every w. Integer value: :func:`packing_numbers` of the
+    columns over the box.
     """
     if wmax < 0:
         raise ValueError("wmax must be >= 0")
@@ -518,12 +530,7 @@ def integer_rounding_check(a: IncidenceMatrix, wmax: int) -> Certificate:
     pmat, dens = _vertex_inequalities(a)
     den = math.lcm(*dens.tolist())
     lp_num = (pts @ (pmat * (den // dens)[:, None]).T).min(axis=1)
-    ilp = np.zeros(len(pts), dtype=np.int64)
-    # each column has a positive entry, so no w in the box packs more than n*wmax
-    for level in kfold_sum_grids(a.columns, caps, a.n * wmax):
-        if not level.any():
-            break
-        ilp += level.ravel()
+    ilp = packing_numbers(a.columns, caps)
     per_w = []
     first_fail = None
     floors = (lp_num // den).tolist()

@@ -65,3 +65,20 @@ def test_run_that_checked_nothing_is_inconclusive():
     assert report.aggregate == "inconclusive"
     assert report.to_doc()["aggregate"] == "inconclusive"
     assert report.to_text().endswith("aggregate: inconclusive")
+
+
+@pytest.mark.parametrize("name", ["posets", "cauc"])
+def test_positive_verdicts_need_no_generator_lists(name, monkeypatch):
+    # on positive NTF and normality verdicts no minimal generator is
+    # listed and the decomposition criterion is not run
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached on a positive verdict")
+
+    for module in ("clutterlab.ideals", "clutterlab.polyhedra"):
+        for fn in ("_minimal_rows", "minimal_lattice_points", "integer_decomposition_check"):
+            monkeypatch.setattr(f"{module}.{fn}", unreachable)
+    monkeypatch.setattr("clutterlab.ideals.symbolic_power", unreachable)
+    corpus, bounds, digest = GOLDEN[name]
+    monkeypatch.chdir(HERE)
+    report = run_theorem_suite(corpus, bounds)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

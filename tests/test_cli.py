@@ -128,6 +128,19 @@ def test_rounding_canonical_bytes(capsys, doc, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_mfmc_sweep_box_over_the_guard_exits_3(capsys, monkeypatch):
+    # 4^12 weights exceed the grid guard, which fires before the box is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep box was allocated")
+
+    monkeypatch.setattr("clutterlab.packing._grid", unreachable)
+    monkeypatch.setattr("clutterlab.packing._cover_matrix", unreachable)
+    doc = json.dumps({"n": 12, "labels": [f"x{i}" for i in range(12)], "edges": [list(range(12))]})
+    code, out = _run(capsys, "mfmc", "--wmax", "3", doc)
+    assert code == 3
+    assert out == ""
+
+
 def test_rounding_box_over_the_guard_exits_3(capsys):
     doc = json.dumps({"n": 12, "columns": [[1] * 12]})
     code, out = _run(capsys, "rounding", "--wmax", "3", doc)
@@ -142,6 +155,52 @@ def test_normal(capsys):
     code, out = _run(capsys, "normal", "--kmax", "2", C5)
     assert code == 0
     assert out == '{"bound":2,"kind":"normal-up-to"}\n'
+
+
+RANDOM_IDEAL_A = '{"n":3,"generators":[[0,0,3],[2,1,1]]}'  # random_ideals(3, 3, 3, 10, seed=3)
+RANDOM_IDEAL_B = '{"n":3,"generators":[[2,1,3],[2,3,1],[3,2,2]]}'  # same, seed=2
+TWO_TRIANGLES = json.dumps({"n": 6, "labels": list("abcdef"),
+                            "edges": [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]]})
+# random_clutters(5, 6, 20, seed=2) and seed=3
+CLUTTER_A = '{"n":5,"labels":["x0","x1","x2","x3","x4"],"edges":[[0,1,3],[0,2,4],[1,2,4]]}'
+CLUTTER_B = ('{"n":5,"labels":["x0","x1","x2","x3","x4"],'
+             '"edges":[[0,1,3],[0,1,4],[0,3,4],[1,3,4],[2,4]]}')
+
+
+@pytest.mark.parametrize(
+    "doc, code, digest",
+    [
+        (TWO_SQUARES, 1, "fac4a080148c11adf4c9e498951cebf0ba584e1c83cd96f4ae6eae7676b15aa9"),
+        (C5, 0, "adfd56023b4c9e6401748194301af03f32d7d4c3864a4fa84eb04803a6d6650e"),
+        (NON_SQUAREFREE, 0, "adfd56023b4c9e6401748194301af03f32d7d4c3864a4fa84eb04803a6d6650e"),
+        (RANDOM_IDEAL_A, 1, "90fb4d26bbd1953908232dacdb65a38963fb4a30e6b9b255d664cf7f042f7bb5"),
+        (RANDOM_IDEAL_B, 1, "ff497013a6868a0a12dafa72ff8d69bde7aac67d02b5ac146edac94db5ad5df5"),
+        (TWO_TRIANGLES, 1, "553c84a7dbab34071c3dfe154d36cac43a743ca5053589c4f48ea2e29dcbe3ce"),
+    ],
+    ids=["two-squares", "c5", "non-squarefree", "random-a", "random-b", "two-triangles"],
+)
+def test_normal_canonical_bytes(capsys, doc, code, digest):
+    # pins the witness and the whole explanation of each negative verdict,
+    # level 3 and the IDP witness included for the two triangles
+    got, out = _run(capsys, "normal", "--kmax", "3", "--json", doc)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "doc, digest",
+    [
+        (C5, "0c74a9fc02b50e24081eea26abfd8db5a87bc84b288f55a9cade6e3b16067309"),
+        (TWO_TRIANGLES, "81d9fdebe180b67fc39fadd22d1d117e4d021381c5897a35fa15cbac03864029"),
+        (CLUTTER_A, "9284629dd809dba6cde5a96cc010ce4bf81fb17bdaf3460720cdf74b4582db53"),
+        (CLUTTER_B, "091878e9755ac8d553ab1c1b19a3ea30ecc71940341e9f0c24743fe6d99fc4e4"),
+    ],
+    ids=["c5", "two-triangles", "clutter-a", "clutter-b"],
+)
+def test_ntf_canonical_bytes(capsys, doc, digest):
+    got, out = _run(capsys, "ntf", "--imax", "3", "--json", doc)
+    assert got == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_ntf(capsys):
@@ -174,3 +233,14 @@ def test_certify_with_every_instance_skipped_is_inconclusive(capsys, monkeypatch
     code, out = _run(capsys, "certify", "--text", corpus)
     assert code == 3
     assert out.rstrip().endswith("aggregate: inconclusive")
+
+
+def test_certify_ideals_honour_the_deadline(capsys, monkeypatch):
+    # the zero budget is spent by the normality check, before rounding
+    monkeypatch.setenv("CLUTTERLAB_GUARD_MS", "0")
+    corpus = '{"kind":"random-ideals","n":3,"q":3,"maxexp":3,"count":4,"seed":1}'
+    code, out = _run(capsys, "certify", corpus)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["aggregate"] == "inconclusive"
+    assert doc["counts"] == {"instances": 0, "failed": 0, "skipped": 4}

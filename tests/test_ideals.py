@@ -3,8 +3,11 @@ import itertools
 import pytest
 
 from clutterlab import (
+    Clutter,
+    MonomialIdeal,
     complete_admissible_uniform_clutter,
     edge_ideal,
+    is_normal_up_to,
     is_ntf_up_to,
     membership,
     power,
@@ -13,10 +16,25 @@ from clutterlab import (
     symbolic_power_membership,
 )
 from clutterlab.certify import random_clutters, random_ideals
+from clutterlab.guards import ResourceGuardError
 from clutterlab.ideals import _power_grid
-from clutterlab.polyhedra import box_caps
+from clutterlab.polyhedra import (
+    box_caps,
+    integer_decomposition_check,
+    minimal_lattice_points,
+)
 
-from oracles import brute_minimal_covers, brute_power_generators, brute_symbolic_power
+from oracles import (
+    brute_lattice_points_of_scaled_blocker,
+    brute_minimal_covers,
+    brute_power_generators,
+    brute_symbolic_power,
+)
+
+C5 = Clutter(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+# two vertex-disjoint triangles: neither normal (x0...x5 lies in the
+# integral closure of I^3 only) nor NTF
+TWO_TRIANGLES = Clutter(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 
 
 def _box(caps):
@@ -88,3 +106,93 @@ def test_ntf_witness_is_symbolic_but_not_ordinary(c5):
     assert verdict.witness == (1, 1, 1, 1, 1)
     assert symbolic_power_membership(c5, verdict.witness, 3)
     assert not power_membership(edge_ideal(c5), verdict.witness, 3)
+
+
+def _normality_corpus():
+    # (x^3, y^3) misses three cells of its closure, (1,2) first
+    ideals = random_ideals(3, 3, 3, 12, seed=21) + random_ideals(3, 4, 2, 8, seed=3)
+    ideals.append(MonomialIdeal(2, [(3, 0), (0, 3)]))
+    clutters = random_clutters(5, 6, 10, seed=22) + [C5]
+    return ideals + [edge_ideal(c) for c in clutters]
+
+
+def _first_non_normal_point(generators, kmax):
+    """(level, lex-first lattice point of k*B(Q) in the box outside I^k)."""
+    n = len(generators[0])
+    for k in range(1, kmax + 1):
+        caps = tuple(k * max(g[i] for g in generators) for i in range(n))
+        power_gens = brute_power_generators(generators, k)
+        for a in brute_lattice_points_of_scaled_blocker(generators, k, caps):
+            if not any(all(x >= y for x, y in zip(a, g)) for g in power_gens):
+                return k, a
+    return None
+
+
+def test_is_normal_up_to_matches_brute_force():
+    outcomes = set()
+    for ideal in _normality_corpus():
+        expected = _first_non_normal_point(list(ideal.generators), 3)
+        verdict = is_normal_up_to(ideal, 3)
+        outcomes.add(verdict.holds)
+        assert verdict.holds == (expected is None), ideal
+        if expected is not None:
+            assert (verdict.explanation["level"], verdict.witness) == expected, ideal
+    assert outcomes == {True, False}
+
+
+def test_normality_is_the_decomposition_criterion():
+    # the paper's criterion: I is normal up to kmax iff every minimal
+    # lattice point of B(Q) is a column and B(Q) has the integer
+    # decomposition property up to kmax
+    levels = set()
+    for ideal in _normality_corpus() + [edge_ideal(TWO_TRIANGLES)]:
+        a = ideal.matrix()
+        for kmax in (1, 2, 3):
+            criterion = set(minimal_lattice_points(a, 1)) <= set(ideal.generators)
+            if kmax >= 2:
+                criterion = criterion and integer_decomposition_check(a, kmax).holds
+            verdict = is_normal_up_to(ideal, kmax)
+            assert verdict.holds == criterion, (ideal, kmax)
+            if not verdict.holds:
+                levels.add(verdict.explanation["level"])
+    assert {1, 3} <= levels
+
+
+def _first_missing_symbolic_generator(c, imax):
+    """(level, lex-first minimal generator of I^(i) not among those of I^i)."""
+    covers = brute_minimal_covers(c.n, c.edges)
+    edges = [tuple(int(v in e) for v in range(c.n)) for e in c.edges]
+    for i in range(1, imax + 1):
+        ordinary = set(brute_power_generators(edges, i))
+        missing = [g for g in brute_symbolic_power(c.n, covers, i) if g not in ordinary]
+        if missing:
+            return i, missing[0]
+    return None
+
+
+def test_ntf_witness_is_the_first_missing_symbolic_generator():
+    corpus = random_clutters(5, 6, 15, seed=23) + [
+        C5,
+        TWO_TRIANGLES,
+        complete_admissible_uniform_clutter(2, 2),
+        complete_admissible_uniform_clutter(2, 3),
+        complete_admissible_uniform_clutter(3, 2),
+    ]
+    outcomes = set()
+    for c in corpus:
+        expected = _first_missing_symbolic_generator(c, 3)
+        verdict = is_ntf_up_to(c, 3)
+        outcomes.add(verdict.holds)
+        assert verdict.holds == (expected is None), c
+        if expected is not None:
+            assert (verdict.explanation["level"], verdict.witness) == expected, c
+    assert outcomes == {True, False}
+
+
+def test_guard_messages_name_the_box_built_first():
+    # a guard's message is the skip reason in a certify report
+    wide = Clutter(22, [range(22)])
+    with pytest.raises(ResourceGuardError, match="lattice box size = 4194304"):
+        is_ntf_up_to(wide, 1)
+    with pytest.raises(ResourceGuardError, match="power grid size = 4194304"):
+        is_normal_up_to(edge_ideal(wide), 1)
