@@ -16,9 +16,9 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from .guards import Deadline, ResourceGuardError
+from .guards import ConsistencyError, Deadline, ResourceGuardError
 from .ideals import MonomialIdeal, edge_ideal, is_normal_up_to, is_ntf_up_to
-from .packing import HasseNetwork, chain_order, menger_check, mfmc_bounded, weighted_sweep
+from .packing import HasseNetwork, chain_order, menger_walk, mfmc_bounded, sweep_numbers
 from .polyhedra import (
     IncidenceMatrix,
     covering_polyhedron,
@@ -29,6 +29,7 @@ from .structures import (
     Clutter,
     Graph,
     Poset,
+    _bits,
     clique_clutter,
     comparability_graph,
     duplicate,
@@ -298,31 +299,49 @@ def _instance_json(kind: str, obj: Any) -> dict[str, Any]:
 def comparability_mfmc_check(
     p: Poset, cl: Clutter, wmax: int, deadline: Deadline | None = None
 ) -> dict[str, Any]:
-    """One sweep over w in {0..wmax}^n for the clique clutter ``cl`` of a
+    """One pass over w in {0..wmax}^n for the clique clutter ``cl`` of a
     poset's comparability graph: Koenig must hold for every
     parallelization, and the vertex-capacitated max flow and min cut on
-    the Hasse diagram must report the same two numbers."""
+    the Hasse diagram must report the same two numbers.
+
+    alpha0 and beta1 of every C^w are priced first by
+    :func:`sweep_numbers`, so the box-size guard fires before the network
+    is built. The flow side walks the box in Gray order
+    (:func:`menger_walk`) and reads both numbers by lexicographic index.
+    Failures are sorted by lexicographic w, so the first ones listed are
+    the lex-first ones. ``menger_agrees`` is false also when the Hasse
+    source-sink paths are not the maximal cliques (``hasse_chains``) or a
+    check of the flow fails at some w (the mismatch's ``invariant``).
+    """
+    taus, nus = sweep_numbers(cl, wmax)
     net = HasseNetwork.of(p)
-    assert net.chains() == set(cl.edge_masks), "Hasse source-sink paths and maximal cliques differ"
-    konig_failures: list[dict[str, Any]] = []
-    menger_mismatches: list[dict[str, Any]] = []
+    konig_failures: dict[int, dict[str, Any]] = {}
+    menger_mismatches: dict[int, dict[str, Any]] = {}
     checked = 0
-    for w, a0, b1 in weighted_sweep(cl, wmax, deadline):
+    for idx, w, _, cut, flow, failure in menger_walk(net, cl.edge_masks, wmax, deadline):
         checked += 1
+        a0, b1 = taus[idx], nus[idx]
         if a0 != b1:
-            konig_failures.append({"w": list(w), "alpha0": a0, "beta1": b1})
-        cut, flow, _, _ = menger_check(net, cl.edge_masks, w)
-        if (cut, flow) != (a0, b1):
-            menger_mismatches.append(
-                {"w": list(w), "konig": [a0, b1], "menger": [cut, flow]}
-            )
-    return {
+            konig_failures[idx] = {"w": list(w), "alpha0": a0, "beta1": b1}
+        if (cut, flow) != (a0, b1) or failure is not None:
+            entry = {"w": list(w), "konig": [a0, b1], "menger": [cut, flow]}
+            if failure is not None:
+                entry["invariant"] = failure.to_json()
+            menger_mismatches[idx] = entry
+    result: dict[str, Any] = {
         "checked_w": checked,
-        "konig_failures": konig_failures,
-        "menger_mismatches": menger_mismatches,
+        "konig_failures": [konig_failures[i] for i in sorted(konig_failures)],
+        "menger_mismatches": [menger_mismatches[i] for i in sorted(menger_mismatches)],
         "mfmc_holds": not konig_failures,
-        "menger_agrees": not menger_mismatches,
     }
+    chains = net.chains()
+    if chains != set(cl.edge_masks):
+        result["hasse_chains"] = ConsistencyError(
+            "Hasse source-sink paths = maximal cliques",
+            sorted(_bits(m) for m in chains), [list(e) for e in cl.edges],
+        ).to_json()
+    result["menger_agrees"] = not menger_mismatches and "hasse_chains" not in result
+    return result
 
 
 def duplication_commutes(g: Graph, cl: Clutter) -> list[int]:
@@ -374,6 +393,8 @@ def check_poset_instance(p: Poset, bounds: Bounds, deadline: Deadline | None = N
         witness["konig_failures"] = sweep["konig_failures"][:3]
     if sweep["menger_mismatches"]:
         witness["menger_mismatches"] = sweep["menger_mismatches"][:3]
+    if "hasse_chains" in sweep:
+        witness["hasse_chains"] = sweep["hasse_chains"]
     if dup_bad:
         witness["duplication_vertices"] = dup_bad
     return {"checks": checks, "pass": ok, "witness": witness or None}

@@ -8,7 +8,10 @@ edges -> graph, kind -> corpus). --json output is canonical (sorted keys,
 compact separators) so golden-file tests are byte-stable.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict, 2 usage or
-malformed input, 3 resource guard exceeded. ``certify`` exits 3 also when it
+malformed input, 3 resource guard exceeded, 4 two internal routes
+disagree (a :class:`~clutterlab.guards.ConsistencyError`, e.g. ``menger``
+finding a max flow that differs from its min cut; ``certify`` records such
+a disagreement in its report instead). ``certify`` exits 3 also when it
 checked no instance (every instance skipped by a guard, or an empty
 corpus); its report then reads ``"aggregate": "inconclusive"``.
 """
@@ -23,7 +26,7 @@ from typing import Any
 
 from . import __version__
 from .certify import Bounds, Corpus, canonical_json, run_theorem_suite
-from .guards import Deadline, ResourceGuardError
+from .guards import ConsistencyError, Deadline, ResourceGuardError
 from .ideals import (
     MonomialIdeal,
     edge_ideal,
@@ -439,6 +442,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceGuardError as exc:
         print(f"error: resource guard: {exc}", file=sys.stderr)
         return 3
+    except ConsistencyError as exc:
+        print(f"error: internal consistency check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -4,6 +4,10 @@ Long-running loops (the w-sweep in MFMC certification, grid scans, the
 certify instance loop) call ``Deadline.check()`` at iteration boundaries.
 Exceeding a guard raises :class:`ResourceGuardError`, which the CLI maps to
 exit code 3 and the certify engine maps to skip-with-log.
+
+Two internal routes that disagree raise :class:`ConsistencyError`, which the
+CLI maps to exit code 4; the certify engine records such a disagreement in
+the instance's witness instead of raising.
 """
 
 from __future__ import annotations
@@ -21,6 +25,20 @@ MAX_COVER_SUBSETS = 1 << 22
 
 class ResourceGuardError(RuntimeError):
     """A configured resource ceiling was exceeded."""
+
+
+class ConsistencyError(RuntimeError):
+    """A cross-route check failed: ``check`` names it, ``left`` and
+    ``right`` are the two values it compared."""
+
+    def __init__(self, check: str, left, right):
+        super().__init__(f"{check}: {left!r} vs {right!r}")
+        self.check = check
+        self.left = left
+        self.right = right
+
+    def to_json(self) -> dict:
+        return {"check": self.check, "values": [self.left, self.right]}
 
 
 class Deadline:

@@ -13,6 +13,13 @@ identities give its numbers from weights on C:
   and min vertex cut of the Hasse diagram with vertex capacities w
   (Menger's theorem with vertex capacities), see :class:`HasseNetwork`.
 
+The flows of a whole w-box come from one residual network: the box is
+walked in reflected mixed-radix Gray order (Knuth, TAOCP 4A, section
+7.2.1.1), so consecutive w differ by +-1 in one vertex capacity, the max
+flow moves by at most one unit and one augmenting path restores it (the
+unit-step case of parametric flow; Gallo, Grigoriadis and Tarjan, SIAM J.
+Comput. 18, 1989), see :func:`menger_walk`.
+
 Exact branch-and-bound for alpha0 / beta1 (n <= 20, <= 40 edges) serves
 only Koenig certificates: of one clutter, or of the witness C^w of a failed
 sweep, with lexicographically least covers and matchings.
@@ -27,7 +34,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .guards import Deadline, check_size, MAX_COVER_SUBSETS, MAX_GRID_POINTS
+from .guards import ConsistencyError, Deadline, check_size, MAX_COVER_SUBSETS, MAX_GRID_POINTS
 from .polyhedra import (
     IncidenceMatrix,
     format_rational,
@@ -278,11 +285,9 @@ def konig_certificate(c: Clutter) -> KonigCertificate:
 # ---------------------------------------------------------------------------
 # Bounded MFMC certification
 
-def weighted_sweep(
-    c: Clutter, wmax: int, deadline: Deadline | None = None
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Yield (w, alpha0(C^w), beta1(C^w)) for every w in {0..wmax}^n in
-    lexicographic order, without building C^w.
+def sweep_numbers(c: Clutter, wmax: int) -> tuple[list[int], list[int]]:
+    """alpha0(C^w) and beta1(C^w) for every w in {0..wmax}^n, as two lists
+    in lexicographic w order, without building C^w.
 
     Both numbers come from weights on C (Schrijver, Combinatorial
     Optimization, ch. 79, on parallelization):
@@ -293,17 +298,26 @@ def weighted_sweep(
     - beta1(C^w) = max{1.y : Ay <= w, y integer >= 0}, the w-packing number
       of C: a matching of C^w uses each vertex i at most w_i times.
 
-    The whole box is priced before the first w: alpha0 by one product with
-    the minimal-cover matrix, beta1 by :func:`packing_numbers` of the edges.
-    The box size is guarded before anything is allocated; ``deadline`` is
-    checked once per w.
+    alpha0 is one product of the box with the minimal-cover matrix, beta1
+    is :func:`packing_numbers` of the edges. The box size is guarded before
+    anything is allocated.
     """
     check_size((wmax + 1) ** c.n, MAX_GRID_POINTS, "sweep box size")
     caps = (wmax,) * c.n
     taus = (_grid(caps) @ _cover_matrix(c).T).min(axis=1)
     nus = packing_numbers([[int(v in e) for v in range(c.n)] for e in c.edges], caps)
+    return taus.tolist(), nus.tolist()
+
+
+def weighted_sweep(
+    c: Clutter, wmax: int, deadline: Deadline | None = None
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Yield (w, alpha0(C^w), beta1(C^w)) for every w in {0..wmax}^n in
+    lexicographic order, as priced by :func:`sweep_numbers` before the
+    first w; ``deadline`` is checked once per w."""
+    taus, nus = sweep_numbers(c, wmax)
     weights = itertools.product(range(wmax + 1), repeat=c.n)
-    for w, tau, nu in zip(weights, taus.tolist(), nus.tolist()):
+    for w, tau, nu in zip(weights, taus, nus):
         if deadline is not None:
             deadline.check()
         yield w, tau, nu
@@ -387,6 +401,27 @@ def lp_duality_integer_check(c: Clutter, w: Sequence[int]) -> Certificate:
 # ---------------------------------------------------------------------------
 # Menger oracle on the Hasse diagram
 
+def gray_steps(n: int, wmax: int) -> Iterator[tuple[int, int]]:
+    """Steps (coordinate v, +1 or -1) of the reflected mixed-radix Gray walk
+    of {0..wmax}^n from 0^n (Knuth, TAOCP 4A, section 7.2.1.1).
+
+    Every w of the box is visited exactly once and consecutive w differ by
+    one in one coordinate. The last coordinate moves fastest; a coordinate
+    that cannot move on reverses its direction and passes the step on.
+    """
+    w = [0] * n
+    d = [1] * n
+    while True:
+        v = n - 1
+        while v >= 0 and not 0 <= w[v] + d[v] <= wmax:
+            d[v] = -d[v]
+            v -= 1
+        if v < 0:
+            return
+        w[v] += d[v]
+        yield v, d[v]
+
+
 @dataclass(frozen=True)
 class HasseNetwork:
     """Hasse diagram of a poset as an s-t network with vertex capacities.
@@ -397,6 +432,16 @@ class HasseNetwork:
     poset, i.e. the maximal cliques of its comparability graph. In the
     split network vertex v is the arc v_in -> v_out (arc ids 2v, 2v+1 for
     its reverse); every other arc is uncapacitated.
+
+    One flow kernel serves a single weight and a whole w-box: residual
+    capacities ``cap`` (the flow on a forward arc a is ``cap[a ^ 1]``), an
+    Edmonds-Karp :meth:`_augment`, the min cut read off its last search,
+    and :meth:`_decompose` into chains. :meth:`max_flow` runs it from the
+    zero flow. :func:`menger_walk` keeps one residual network for the whole
+    box, walked in reflected Gray order (Knuth, TAOCP 4A, section
+    7.2.1.1): a +-1 change of one vertex capacity moves the max flow by at
+    most one unit, so :meth:`_cancel_unit` and one augmenting path restore
+    it (Gallo, Grigoriadis and Tarjan, SIAM J. Comput. 18, 1989).
     """
 
     n: int
@@ -457,20 +502,24 @@ class HasseNetwork:
             walk(a, 1 << a)
         return out
 
-    def max_flow(self, w: Sequence[int]) -> tuple[int, list[tuple[int, int]], int]:
-        """Max s-t flow with capacity w_v through vertex v (Edmonds-Karp).
-
-        Returns (value, decomposition, cut): the flow split into chains as
-        (vertex mask, multiplicity) pairs, and the mask of the minimum
-        vertex cut read off residual reachability from the source.
-        """
-        head, out = self._graph
-        s, t = 2 * self.n, 2 * self.n + 1
-        big = sum(w) + 1
+    def _residual(self, w: Sequence[int], big: int) -> list[int]:
+        """Residual capacities of the zero flow: w_v on vertex arc 2v,
+        ``big`` (above any flow value) on the other forward arcs, 0 on the
+        reverse arcs."""
+        head, _ = self._graph
         cap = [big if a & 1 == 0 else 0 for a in range(len(head))]
         for v in range(self.n):
             cap[2 * v] = w[v]
-        value = 0
+        return cap
+
+    def _augment(self, cap: list[int]) -> tuple[int, list[int]]:
+        """Edmonds-Karp: push along shortest residual s-t paths until none
+        is left. Returns the flow added and the search tree of the last
+        (failed) breadth-first search, whose reached nodes are the source
+        side of a minimum cut."""
+        head, out = self._graph
+        s, t = 2 * self.n, 2 * self.n + 1
+        added = 0
         while True:
             via = [-1] * (t + 1)
             via[s] = -2
@@ -484,8 +533,8 @@ class HasseNetwork:
                 if via[t] != -1:
                     break
             if via[t] == -1:
-                break
-            push, v = big, t
+                return added, via
+            push, v = cap[via[t]], t
             while v != s:
                 push = min(push, cap[via[v]])
                 v = head[via[v] ^ 1]
@@ -494,28 +543,105 @@ class HasseNetwork:
                 cap[via[v]] -= push
                 cap[via[v] ^ 1] += push
                 v = head[via[v] ^ 1]
-            value += push
-        cut = _mask(v for v in range(self.n) if via[2 * v] != -1 and via[2 * v + 1] == -1)
+            added += push
 
-        # flow on forward arc a is the residual capacity of its reverse
-        flow = [cap[a ^ 1] if a & 1 == 0 else 0 for a in range(len(head))]
+    def _cut(self, via: list[int]) -> int:
+        """Mask of the vertices whose arc leaves the reached side."""
+        cut = 0
+        for v in range(self.n):
+            if via[2 * v] != -1 and via[2 * v + 1] == -1:
+                cut |= 1 << v
+        return cut
+
+    def _balance(self, cap: list[int], u: int) -> tuple[int, int]:
+        """(flow into node u, flow out of u)."""
+        _, out = self._graph
+        inflow = sum(cap[b] for b in out[u] if b & 1)
+        outflow = sum(cap[a ^ 1] for a in out[u] if not a & 1)
+        return inflow, outflow
+
+    def _decompose(self, cap: list[int]) -> list[tuple[int, int]]:
+        """The flow split into source-to-sink chains, as (vertex mask,
+        multiplicity) pairs; raises :class:`ConsistencyError` if a chain
+        stops short of the sink, i.e. the flow is not conserved."""
+        head, out = self._graph
+        s, t = 2 * self.n, 2 * self.n + 1
+        rest = cap[:]  # rest[a ^ 1] is the flow on forward arc a not yet split off
         chains: list[tuple[int, int]] = []
         while True:
-            path, u = [], s
+            path, u, m, push = [], s, 0, 0
             while u != t:
-                a = next((a for a in out[u] if flow[a] > 0), None)
-                if a is None:
+                for a in out[u]:
+                    if not a & 1 and rest[a ^ 1]:
+                        break
+                else:
                     break
                 path.append(a)
+                if not push or rest[a ^ 1] < push:
+                    push = rest[a ^ 1]
                 u = head[a]
+                m |= 1 << (u >> 1)  # bit n is t's
             if not path:
-                break
-            assert u == t, "flow is not conserved"
-            push = min(flow[a] for a in path)
+                return chains
+            if u != t:
+                raise ConsistencyError("flow is conserved", *self._balance(rest, u))
             for a in path:
-                flow[a] -= push
-            chains.append((_mask(head[a] // 2 for a in path[:-1]), push))
-        return value, chains, cut
+                rest[a ^ 1] -= push
+            chains.append((m & ~(1 << self.n), push))
+
+    def _cancel_unit(self, cap: list[int], v: int) -> None:
+        """Cancel one unit of the flow through vertex v: follow flow-carrying
+        arcs back from v_in to the source and on from v_out to the sink.
+        The network is acyclic, so both walks end."""
+        head, out = self._graph
+        s, t = 2 * self.n, 2 * self.n + 1
+        path, u = [2 * v], 2 * v
+        while u != s:
+            b = next((b for b in out[u] if b & 1 and cap[b]), None)
+            if b is None:
+                raise ConsistencyError("flow is conserved", *self._balance(cap, u))
+            path.append(b ^ 1)
+            u = head[b]
+        u = 2 * v + 1
+        while u != t:
+            a = next((a for a in out[u] if not a & 1 and cap[a ^ 1]), None)
+            if a is None:
+                raise ConsistencyError("flow is conserved", *self._balance(cap, u))
+            path.append(a)
+            u = head[a]
+        for a in path:
+            cap[a] += 1
+            cap[a ^ 1] -= 1
+
+    def max_flow(self, w: Sequence[int]) -> tuple[int, list[tuple[int, int]], int]:
+        """Max s-t flow with capacity w_v through vertex v: the kernel of
+        :func:`menger_walk` run once, by Edmonds-Karp from the zero flow.
+
+        Returns (value, decomposition, cut): the flow split into chains as
+        (vertex mask, multiplicity) pairs, and the mask of the minimum
+        vertex cut read off residual reachability from the source.
+        """
+        cap = self._residual(w, sum(w) + 1)
+        value, via = self._augment(cap)
+        return value, self._decompose(cap), self._cut(via)
+
+
+def _menger_invariants(
+    edge_masks: Sequence[int], zero: int, value: int,
+    chains: list[tuple[int, int]], cut: int, cut_weight: int,
+) -> None:
+    """Raise :class:`ConsistencyError` unless the flow value is the cut
+    weight, every flow chain is a clutter edge avoiding the weight-0
+    vertices ``zero``, and the cut meets every such edge."""
+    if value != cut_weight:
+        raise ConsistencyError("max-flow = min-cut", value, cut_weight)
+    for m, _ in chains:
+        if m not in edge_masks or m & zero:
+            surviving = [_bits(e) for e in edge_masks if not e & zero]
+            raise ConsistencyError("flow chain is a surviving clique", _bits(m), surviving)
+    missed = next((e for e in edge_masks if not e & zero and not e & cut), None)
+    if missed is not None:
+        raise ConsistencyError("cut meets every surviving clique", _bits(cut), _bits(missed))
 
 
 def menger_check(
@@ -524,19 +650,87 @@ def menger_check(
     """Max flow and min vertex cut of ``net`` at weight w, checked against
     the clique clutter with edge masks ``edge_masks``.
 
-    Returns (cut weight, flow value, chains, cut). Asserts that the two
-    numbers agree, that every flow chain is a clutter edge avoiding the
-    weight-0 vertices, and that the cut meets every such edge.
+    Returns (cut weight, flow value, chains, cut). Raises
+    :class:`ConsistencyError` unless the two numbers agree, every flow chain
+    is a clutter edge avoiding the weight-0 vertices, and the cut meets
+    every such edge.
     """
     value, chains, cut = net.max_flow(w)
     cut_weight = sum(w[v] for v in _bits(cut))
-    assert value == cut_weight, f"max-flow {value} != min-cut {cut_weight}"
     zero = _mask(v for v, x in enumerate(w) if x == 0)
-    edges = set(edge_masks)
-    for m, _ in chains:
-        assert m in edges and not m & zero, "flow chain is not a surviving clique"
-    assert all(m & cut for m in edges if not m & zero), "cut misses a surviving clique"
+    _menger_invariants(edge_masks, zero, value, chains, cut, cut_weight)
     return cut_weight, value, chains, cut
+
+
+def menger_walk(
+    net: HasseNetwork, edge_masks: Sequence[int], wmax: int,
+    deadline: Deadline | None = None,
+) -> Iterator[tuple[int, list[int], int, int, int, ConsistencyError | None]]:
+    """The checks of :func:`menger_check` at every w of {0..wmax}^n, on one
+    residual network walked in the order of :func:`gray_steps`.
+
+    Yields (lexicographic index of w, w, cut, cut weight, flow value,
+    failure or None); w is the walk's own list, valid until the next step.
+    Each step moves one vertex capacity by one, and the maximum flow by
+    at most one unit, so it is restored with at most one augmenting path
+    (the unit-step case of parametric flow; Gallo, Grigoriadis and Tarjan,
+    SIAM J. Comput. 18, 1989):
+
+    - +1 on v: re-augment.
+    - -1 on v, v not saturated: the flow stays maximum.
+    - -1 on v, v saturated: cancel one unit of flow through v, then
+      re-augment.
+
+    The cut is read off the last search. A step searches again only if it
+    cancelled flow or could change what the search reaches: v_in was
+    reached and v's arc entered the residual graph towards an unreached
+    v_out, or left it. Any other step changes neither the flow nor the cut.
+    The chain decomposition depends only on the flow, so it is redone only
+    after a step that changed the flow. ``deadline`` is checked once per w.
+    """
+    n = net.n
+    w = [0] * n
+    zero = (1 << n) - 1
+    cap = net._residual(w, n * wmax + 1)
+    value, via = net._augment(cap)
+    cut = net._cut(via)
+    stride = [(wmax + 1) ** (n - 1 - v) for v in range(n)]
+    idx, changed = 0, True
+    steps = gray_steps(n, wmax)
+    while True:
+        if deadline is not None:
+            deadline.check()
+        cut_weight = sum(w[u] for u in _bits(cut))
+        failure = None
+        try:
+            if changed:
+                chains = net._decompose(cap)
+                changed = False
+            _menger_invariants(edge_masks, zero, value, chains, cut, cut_weight)
+        except ConsistencyError as exc:
+            failure = exc
+        yield idx, w, cut, cut_weight, value, failure
+        step = next(steps, None)
+        if step is None:
+            return
+        v, d = step
+        idx += d * stride[v]
+        w[v] += d
+        if w[v] == 0 or (w[v] == 1 and d == 1):
+            zero ^= 1 << v
+        cancel = d < 0 and cap[2 * v] == 0
+        if cancel:
+            net._cancel_unit(cap, v)
+            value -= 1
+            changed = True
+        cap[2 * v] += d
+        # the last search stays valid unless v_in was reached and v's arc
+        # entered the residual graph towards an unreached v_out, or left it
+        if cancel or via[2 * v] != -1 and (via[2 * v + 1] == -1 if d > 0 else cap[2 * v] == 0):
+            added, via = net._augment(cap)
+            value += added
+            changed = changed or added > 0
+            cut = net._cut(via)
 
 
 def menger_oracle(p: Poset, w: Sequence[int]) -> KonigCertificate:
@@ -551,7 +745,8 @@ def menger_oracle(p: Poset, w: Sequence[int]) -> KonigCertificate:
     so the flow is a maximum matching of C^w and the cut a minimum cover.
     The cover is every copy of the cut vertices; the matching is the flow
     decomposed into chains, each unit taking the next unused copy of its
-    vertices. Indices follow :func:`parallelization`.
+    vertices. Indices follow :func:`parallelization`. A failed check of
+    :func:`menger_check` raises :class:`ConsistencyError`.
     """
     weights = tuple(int(x) for x in w)
     if len(weights) != p.n:

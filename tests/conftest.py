@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from clutterlab import Clutter, IncidenceMatrix, MonomialIdeal, Poset
+from clutterlab.packing import HasseNetwork
 
 
 @pytest.fixture
@@ -46,3 +48,15 @@ def identity3() -> IncidenceMatrix:
 def ones_column3() -> IncidenceMatrix:
     """Incidence matrix of the triangle clique clutter: one all-ones column."""
     return IncidenceMatrix(3, [(1, 1, 1)])
+
+
+@pytest.fixture
+def broken_hasse_network(monkeypatch):
+    """HasseNetwork.of drops the first Hasse arc of every poset."""
+    honest = HasseNetwork.of.__func__
+
+    def broken(cls, p):
+        net = honest(cls, p)
+        return dataclasses.replace(net, arcs=net.arcs[1:])
+
+    monkeypatch.setattr(HasseNetwork, "of", classmethod(broken))

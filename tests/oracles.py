@@ -8,7 +8,9 @@ tests do not share a code path with what they check.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 
 def brute_maximal_cliques(n: int, edges) -> list[tuple[int, ...]]:
@@ -98,17 +100,25 @@ def brute_symbolic_power(n: int, covers, i: int) -> list[tuple[int, ...]]:
 
 
 def brute_lattice_points_of_scaled_blocker(columns, k: int, caps) -> list[tuple[int, ...]]:
-    """Integer points a of k*B(Q) in the box, decided by exhaustive search
-    for a rational convex combination with small denominators is NOT
-    possible; instead use the halfspace description derived from brute
-    vertex enumeration over constraint subsets."""
-    n = len(columns[0])
-    verts = brute_q_vertices(columns)
-    out = []
-    for a in itertools.product(*(range(c + 1) for c in caps)):
-        if all(sum(Fraction(x) * y for x, y in zip(v, a)) >= k for v in verts):
-            out.append(a)
-    return out
+    """Integer points a of k*B(Q) in the box: <v, a> >= k for every vertex
+    v of Q, from brute vertex enumeration over constraint subsets (a
+    rational convex combination cannot be searched for exhaustively)."""
+    rows = _integer_vertex_rows(tuple(tuple(col) for col in columns))
+    return [
+        a
+        for a in itertools.product(*(range(c + 1) for c in caps))
+        if all(sum(x * y for x, y in zip(row, a)) >= k * den for row, den in rows)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _integer_vertex_rows(columns) -> list[tuple[tuple[int, ...], int]]:
+    """Each vertex of Q as (integer row, common denominator)."""
+    rows = []
+    for v in brute_q_vertices(columns):
+        den = math.lcm(*(x.denominator for x in v))
+        rows.append((tuple(int(x * den) for x in v), den))
+    return rows
 
 
 def brute_q_vertices(columns) -> list[tuple[Fraction, ...]]:

@@ -1,4 +1,5 @@
-"""Golden bytes of the certify report.
+"""Golden bytes of the certify report, and its failures and guards on the
+Menger route.
 
 The sha256 values pin ``run_theorem_suite(...).to_json()`` as it was before
 the w-sweeps stopped building C^w, so any change in verdicts, witnesses or
@@ -6,12 +7,24 @@ the w-sweeps stopped building C^w, so any change in verdicts, witnesses or
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from clutterlab.certify import Bounds, Corpus, run_theorem_suite
-from clutterlab.guards import Deadline
+import clutterlab
+from clutterlab.certify import (
+    Bounds,
+    Corpus,
+    comparability_mfmc_check,
+    random_posets,
+    run_theorem_suite,
+)
+from clutterlab.guards import ConsistencyError, Deadline, ResourceGuardError
+from clutterlab.packing import HasseNetwork, menger_check, weighted_sweep
+from clutterlab.structures import Poset, clique_clutter, comparability_graph
 
 HERE = Path(__file__).parent
 
@@ -82,3 +95,101 @@ def test_positive_verdicts_need_no_generator_lists(name, monkeypatch):
     monkeypatch.chdir(HERE)
     report = run_theorem_suite(corpus, bounds)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# A Hasse network with one arc dropped: recorded failures, not exceptions
+
+# the broken_hasse_network fixture, for a subprocess
+BROKEN_NETWORK = """
+import dataclasses
+from clutterlab.packing import HasseNetwork
+
+honest = HasseNetwork.of.__func__
+
+
+def broken(cls, p):
+    net = honest(cls, p)
+    return dataclasses.replace(net, arcs=net.arcs[1:])
+
+
+HasseNetwork.of = classmethod(broken)
+"""
+
+
+def _first_menger_failure(p, wmax):
+    """Lex-first w where a fresh flow on the (patched) network fails a
+    check or differs from the Koenig numbers."""
+    cl = clique_clutter(comparability_graph(p))
+    net = HasseNetwork.of(p)
+    for w, a0, b1 in weighted_sweep(cl, wmax):
+        try:
+            cut, flow, _, _ = menger_check(net, cl.edge_masks, w)
+        except ConsistencyError:
+            return list(w)
+        if (cut, flow) != (a0, b1):
+            return list(w)
+    return None
+
+
+def test_broken_hasse_network_is_recorded_at_the_lex_first_w(broken_hasse_network):
+    corpus, bounds, _ = GOLDEN["posets"]
+    report = run_theorem_suite(corpus, bounds)
+    assert report.aggregate == "fail" and report.counterexamples
+    for ex in report.counterexamples:
+        p = Poset.from_json(ex["instance"]["data"])
+        witness = ex["witness"]
+        assert witness["hasse_chains"]["check"] == "Hasse source-sink paths = maximal cliques"
+        first = [m["w"] for m in witness["menger_mismatches"]]
+        assert first[0] == _first_menger_failure(p, bounds.wmax)
+        assert first == sorted(first)
+    for rec in report.instances:
+        if rec["index"] in {ex["index"] for ex in report.counterexamples}:
+            assert rec["checks"]["menger_agrees"] is False
+            assert rec["checks"]["mfmc_holds"] is True
+
+
+def test_broken_hasse_network_report_is_the_same_under_python_O(broken_hasse_network):
+    # the checks are not asserts, so -O strips none of them
+    corpus, bounds, _ = GOLDEN["posets"]
+    script = BROKEN_NETWORK + f"""
+import sys
+from clutterlab.certify import Bounds, Corpus, run_theorem_suite
+assert False, "asserts run"
+sys.stdout.write(run_theorem_suite(Corpus(**{corpus.to_json()!r}), Bounds(**{bounds.to_json()!r})).to_json())
+"""
+    src = str(Path(clutterlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert '"menger_agrees":false' in proc.stdout
+    assert proc.stdout == run_theorem_suite(corpus, bounds).to_json()
+
+
+# ---------------------------------------------------------------------------
+# Guards on the Menger walk
+
+def test_sweep_box_guard_fires_before_the_walk_builds_anything(monkeypatch):
+    chain = Poset(12, [(a, b) for a in range(12) for b in range(a + 1, 12)])
+    cl = clique_clutter(comparability_graph(chain))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the walk was reached")
+
+    monkeypatch.setattr(HasseNetwork, "of", classmethod(unreachable))
+    monkeypatch.setattr(HasseNetwork, "_graph", property(unreachable))
+    monkeypatch.setattr("clutterlab.certify.menger_walk", unreachable)
+    monkeypatch.setattr("clutterlab.packing._grid", unreachable)
+    with pytest.raises(ResourceGuardError, match="sweep box size = 16777216"):
+        comparability_mfmc_check(chain, cl, 3)
+
+
+def test_deadline_stops_the_walk_and_certify_skips_the_poset():
+    p = random_posets(8, 1, seed=1)[0]
+    cl = clique_clutter(comparability_graph(p))
+    with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
+        comparability_mfmc_check(p, cl, 3, Deadline(50))
+    report = run_theorem_suite(Corpus("random-posets", n=8, count=1, seed=1), Bounds(), Deadline(50))
+    assert not report.instances and len(report.skipped) == 1
+    assert "per-instance compute exceeded 50 ms" in report.skipped[0]["reason"]

@@ -45,6 +45,37 @@ def test_menger_diamond_canonical_json(capsys):
     )
 
 
+CAUC23_POSET = '{"n":6,"relation":[[0,3],[0,4],[0,5],[1,4],[1,5],[2,5]]}'
+# random_posets(6, 3, seed=1)[2]
+RANDOM_POSET = ('{"n":6,"relation":[[0,5],[1,0],[1,2],[1,4],[1,5],[3,0],[3,2],'
+                '[3,5],[4,0],[4,5]]}')
+
+
+@pytest.mark.parametrize(
+    "doc, w, digest",
+    [
+        (CAUC23_POSET, "2,1,3,1,2,2", "42c6b40589f235c48e1d163c30c11d3f8d2b830b7b12458778933ce796c1e346"),
+        (RANDOM_POSET, "3,0,2,3,1,2", "25860a389ddd8335308be10dcce07179e437e887b5812d8b71cbee3d8917911e"),
+    ],
+    ids=["cauc23-poset", "random-poset"],
+)
+def test_menger_canonical_bytes(capsys, doc, w, digest):
+    # pins the flow decomposition behind the matching, not only its size
+    code, out = _run(capsys, "menger", "--json", "--w", w, doc)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_menger_on_a_broken_network_exits_4(capsys, broken_hasse_network):
+    # with the Hasse arc 0 -> 1 dropped from the diamond, the min cut {2}
+    # misses the surviving clique {0, 1, 3}
+    doc = '{"n":4,"relation":[[0,1],[0,2],[0,3],[1,3],[2,3]]}'
+    code = main(["menger", "--w", "2,1,1,1", doc])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "cut meets every surviving clique: [2] vs [0, 1, 3]" in captured.err
+
+
 C5 = json.dumps({"n": 5, "labels": [f"x{i}" for i in range(5)],
                  "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]})
 TRIANGLE = '{"n":3,"edges":[[0,1],[1,2],[0,2]]}'

@@ -129,8 +129,9 @@ def _first_non_normal_point(generators, kmax):
 
 
 def test_is_normal_up_to_matches_brute_force():
+    # the two triangles are the level-3 non-normal instance
     outcomes = set()
-    for ideal in _normality_corpus():
+    for ideal in _normality_corpus() + [edge_ideal(TWO_TRIANGLES)]:
         expected = _first_non_normal_point(list(ideal.generators), 3)
         verdict = is_normal_up_to(ideal, 3)
         outcomes.add(verdict.holds)

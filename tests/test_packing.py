@@ -25,10 +25,12 @@ from clutterlab import (
 from clutterlab.certify import all_posets, random_clutters, random_posets
 from clutterlab.packing import (
     HasseNetwork,
+    gray_steps,
     lex_min_cover,
     lex_min_matching,
     max_matching_size,
     menger_check,
+    menger_walk,
     min_cover_size,
     weighted_sweep,
 )
@@ -332,6 +334,64 @@ def test_menger_agrees_with_konig_small_corpus():
                 got = menger_oracle(p, w)
                 assert (got.alpha0, got.beta1) == (ref.alpha0, ref.beta1)
                 assert ref.holds
+
+
+# ---------------------------------------------------------------------------
+# Gray-code walk of the w-box
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("wmax", [1, 2, 3])
+def test_gray_steps_visit_every_w_once(n, wmax):
+    w = [0] * n
+    visited = [tuple(w)]
+    for v, d in gray_steps(n, wmax):
+        assert d in (1, -1)
+        w[v] += d
+        assert 0 <= w[v] <= wmax
+        visited.append(tuple(w))
+    assert len(set(visited)) == len(visited)
+    assert sorted(visited) == list(itertools.product(range(wmax + 1), repeat=n))
+
+
+def _assert_walk_matches_fresh_flows(p, wmax):
+    cl = clique_clutter(comparability_graph(p))
+    net = HasseNetwork.of(p)
+    lex = {w: i for i, w in enumerate(itertools.product(range(wmax + 1), repeat=p.n))}
+    seen = []
+    for idx, w, cut, cut_weight, value, failure in menger_walk(net, cl.edge_masks, wmax):
+        assert failure is None
+        assert idx == lex[tuple(w)]
+        ref_value, _, ref_cut = net.max_flow(w)
+        assert (cut_weight, value, cut) == (sum(w[v] for v in _bits(ref_cut)), ref_value, ref_cut)
+        seen.append(idx)
+    assert sorted(seen) == list(range(len(lex)))
+
+
+def test_walk_matches_fresh_max_flow_on_small_posets():
+    for p in _small_posets():
+        _assert_walk_matches_fresh_flows(p, 2)
+
+
+def test_walk_matches_fresh_max_flow_on_random_posets():
+    for p in random_posets(6, 2, seed=1):
+        _assert_walk_matches_fresh_flows(p, 3)
+
+
+def test_walk_cancels_flow_through_saturated_vertices(monkeypatch):
+    # a -1 step on a saturated vertex cancels one unit path through it;
+    # count those steps and check the walk against fresh flows meanwhile
+    honest = HasseNetwork._cancel_unit
+    cancelled = []
+
+    def counting(self, cap, v):
+        cancelled.append(v)
+        honest(self, cap, v)
+
+    monkeypatch.setattr(HasseNetwork, "_cancel_unit", counting)
+    from clutterlab import cauc_poset
+
+    _assert_walk_matches_fresh_flows(cauc_poset(2, 2), 2)
+    assert cancelled, "no -1 step met a saturated vertex"
 
 
 # ---------------------------------------------------------------------------
