@@ -25,11 +25,9 @@ from .polyhedra import (
     RationalPolyhedron,
     blocking_membership,
     covering_polyhedron,
-    decompose,
     integer_decomposition_check,
     integer_rounding_check,
     is_integral,
-    lattice_points_scaled,
     minimal_lattice_points,
     simplex_max,
     vertices,
@@ -54,9 +52,7 @@ from .ideals import (
     is_ntf_up_to,
     membership,
     power,
-    power_membership,
     symbolic_power,
-    symbolic_power_membership,
 )
 from .certify import (
     Bounds,

@@ -1,7 +1,9 @@
 """Resource guards: cooperative deadlines and size limits.
 
-Long-running loops (the w-sweep in MFMC certification, grid scans, the
-certify instance loop) call ``Deadline.check()`` at iteration boundaries.
+Long-running work calls ``Deadline.check()`` between steps: once per w in
+the Menger walk, once after the w-box of MFMC certification is priced, and
+between the normality and rounding checks of an ideal; the certify
+instance loop restarts the budget per instance.
 Exceeding a guard raises :class:`ResourceGuardError`, which the CLI maps to
 exit code 3 and the certify engine maps to skip-with-log.
 

@@ -9,8 +9,12 @@ verdicts always embed the bound that was checked.
 
 Both bounded verdicts ask whether a larger upward-closed set (the integral
 closure of I^k, or I^(i)) lies in a power, over a box holding all its
-minimal generators. The lex-first cell in the larger set but not in the
-power is then its first minimal generator missing from the power.
+minimal generators. The larger set is one comparison of the box value
+kernel of ``polyhedra`` (the least vertex inequality of Q(A) against k*D,
+or the least minimal-cover sum against i); the power is a level of
+:func:`~clutterlab.polyhedra.kfold_sum_grids`. The lex-first cell in the
+larger set but not in the power is then its first minimal generator
+missing from the power.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .guards import MAX_GRID_POINTS, check_size
 from .packing import _cover_matrix
 from .polyhedra import (
     IncidenceMatrix,
@@ -31,9 +34,12 @@ from .polyhedra import (
     integer_decomposition_check,
     kfold_sum_grids,
     minimal_lattice_points,
-    _grid,
-    _membership_flags,
+    _box_min,
+    _check_box,
+    _first_cell,
+    _minimal_cells,
     _minimal_rows,
+    _vertex_inequalities,
 )
 from .structures import Clutter
 from .verdicts import NormalityVerdict
@@ -120,23 +126,6 @@ def membership(ideal: MonomialIdeal, a: Sequence[int]) -> bool:
     return any(dominates(av, g) for g in ideal.generators)
 
 
-def power_membership(ideal: MonomialIdeal, a: Sequence[int], i: int) -> bool:
-    """x^a in I^i: a dominates a minimal generator of the i-th power."""
-    return membership(power(ideal, i), a)
-
-
-def symbolic_power_membership(c: Clutter, a: Sequence[int], i: int) -> bool:
-    """x^a in I^(i): for every minimal vertex cover C, sum of a over C must
-    reach i (membership in the i-th power of the cover's prime)."""
-    if i < 1:
-        raise ValueError("symbolic power exponent must be >= 1")
-    if not c.edges:
-        raise ValueError("clutter must have at least one edge")
-    av = np.array([int(x) for x in a], dtype=np.int64)
-    cm = _cover_matrix(c)
-    return bool((cm @ av >= i).all())
-
-
 def symbolic_power(c: Clutter, i: int) -> MonomialIdeal:
     """Minimal generators of the i-th symbolic power.
 
@@ -148,15 +137,15 @@ def symbolic_power(c: Clutter, i: int) -> MonomialIdeal:
         raise ValueError("symbolic power exponent must be >= 1")
     if not c.edges:
         raise ValueError("clutter must have at least one edge")
-    pts, flags = _symbolic_flags(c, i)
-    mins = _minimal_rows(pts[flags])
-    return MonomialIdeal(c.n, [tuple(int(x) for x in row) for row in mins])
+    return MonomialIdeal(c.n, _minimal_cells(_symbolic_flags(c, i)))
 
 
-def _symbolic_flags(c: Clutter, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """The box [0, i]^n in lex order and, per cell, whether it lies in I^(i)."""
-    pts = _grid((i,) * c.n)
-    return pts, (pts @ _cover_matrix(c).T >= i).all(axis=1)
+def _symbolic_flags(c: Clutter, i: int) -> np.ndarray:
+    """Per cell of the box [0, i]^n, as an n-D array in lex order, whether
+    it lies in I^(i): the least minimal-cover sum reaches i."""
+    caps = (i,) * c.n
+    _check_box(caps)
+    return _box_min(caps, _cover_matrix(c)) >= i
 
 
 def integral_closure_membership(ideal: MonomialIdeal, a: Sequence[int], k: int) -> bool:
@@ -172,7 +161,7 @@ def _power_grid(ideal: MonomialIdeal, i: int, caps: ExponentVector) -> np.ndarra
     """Boolean grid over prod [0, caps]: cell a is True iff x^a in I^i,
     i.e. a dominates a sum of i generators (level i of
     :func:`kfold_sum_grids`)."""
-    check_size(int(np.prod([c + 1 for c in caps])), MAX_GRID_POINTS, "power grid size")
+    _check_box(caps, "power grid size")
     *_, grid = kfold_sum_grids(ideal.generators, caps, i)
     return grid
 
@@ -196,8 +185,8 @@ def is_normal_up_to(ideal: MonomialIdeal, kmax: int) -> NormalityVerdict:
     for k in range(1, kmax + 1):
         caps = box_caps(a, k)
         grid = _power_grid(ideal, k, caps)
-        pts = _grid(caps)
-        bad = _membership_flags(a, pts, k) & ~grid.ravel()
+        rows, den = _vertex_inequalities(a)
+        bad = (_box_min(caps, rows) >= k * den) & ~grid
         if bad.any():
             break
     else:
@@ -207,7 +196,7 @@ def is_normal_up_to(ideal: MonomialIdeal, kmax: int) -> NormalityVerdict:
     return NormalityVerdict(
         "not-normal",
         kmax,
-        witness=tuple(int(x) for x in pts[bad][0]),
+        witness=_first_cell(bad),
         explanation={
             "level": k,
             "reason": "monomial lies in the integral closure of the k-th power "
@@ -229,13 +218,12 @@ def is_ntf_up_to(c: Clutter, imax: int) -> NormalityVerdict:
         raise ValueError("imax must be >= 1")
     ideal = edge_ideal(c)
     for i in range(1, imax + 1):
-        pts, flags = _symbolic_flags(c, i)
-        bad = flags & ~_power_grid(ideal, i, (i,) * c.n).ravel()
+        bad = _symbolic_flags(c, i) & ~_power_grid(ideal, i, (i,) * c.n)
         if bad.any():
             return NormalityVerdict(
                 "not-ntf",
                 imax,
-                witness=tuple(int(x) for x in pts[bad][0]),
+                witness=_first_cell(bad),
                 explanation={
                     "level": i,
                     "reason": "monomial lies in the i-th symbolic power but "

@@ -7,8 +7,10 @@ identities give its numbers from weights on C:
 
 - alpha0(C^w) = min over minimal covers K of C of sum_{i in K} w_i, and
 - beta1(C^w) = max{1.y : Ay <= w, y integer >= 0}
-  (Schrijver, Combinatorial Optimization, ch. 79, parallelization), see
-  :func:`weighted_sweep`;
+  (Schrijver, Combinatorial Optimization, ch. 79, parallelization), both
+  priced for the whole box at once by :func:`sweep_numbers` (the box
+  value kernel of ``polyhedra`` and the packing numbers), which
+  :func:`mfmc_bounded` scans for the first w where they differ;
 - for the clique clutter of a comparability graph, both are the max flow
   and min vertex cut of the Hasse diagram with vertex capacities w
   (Menger's theorem with vertex capacities), see :class:`HasseNetwork`.
@@ -27,26 +29,27 @@ sweep, with lexicographically least covers and matchings.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .guards import ConsistencyError, Deadline, check_size, MAX_COVER_SUBSETS, MAX_GRID_POINTS
+from .guards import ConsistencyError, Deadline, check_size, MAX_COVER_SUBSETS
 from .polyhedra import (
     IncidenceMatrix,
     format_rational,
     ilp_max_packing,
     packing_numbers,
     q_vertices,
-    _grid,
+    _box_min,
+    _check_box,
 )
 from .structures import (
     Clutter,
     Poset,
     _bits,
+    _check_weights,
     _mask,
     clique_clutter,
     comparability_graph,
@@ -163,7 +166,8 @@ def lex_min_cover(masks: Sequence[int], n: int, size: int) -> tuple[int, ...]:
         rec(v + 1, chosen, rem, budget)
 
     rec(0, [], list(masks), size)
-    assert result is not None, "no cover of the optimal size found"
+    if result is None:
+        raise ConsistencyError("a cover of the given size exists", size, min_cover_size(masks))
     return tuple(result)
 
 
@@ -208,7 +212,8 @@ def lex_min_matching(masks: Sequence[int], size: int) -> list[int]:
                 return
 
     rec(0, 0, [])
-    assert result is not None, "no matching of the optimal size found"
+    if result is None:
+        raise ConsistencyError("a matching of the given size exists", size, max_matching_size(masks))
     return result
 
 
@@ -272,13 +277,6 @@ def konig_certificate(c: Clutter) -> KonigCertificate:
     cover = lex_min_cover(masks, c.n, a0)
     match_idx = lex_min_matching(masks, b1)
     matching = tuple(c.edges[j] for j in match_idx)
-    cover_mask = _mask(cover)
-    assert all(m & cover_mask for m in masks), "cover fails to meet an edge"
-    used = 0
-    for j in match_idx:
-        assert not masks[j] & used, "matching edges overlap"
-        used |= masks[j]
-    assert b1 <= a0
     return KonigCertificate(a0, b1, CoverSet(cover), matching)
 
 
@@ -298,65 +296,53 @@ def sweep_numbers(c: Clutter, wmax: int) -> tuple[list[int], list[int]]:
     - beta1(C^w) = max{1.y : Ay <= w, y integer >= 0}, the w-packing number
       of C: a matching of C^w uses each vertex i at most w_i times.
 
-    alpha0 is one product of the box with the minimal-cover matrix, beta1
-    is :func:`packing_numbers` of the edges. The box size is guarded before
+    alpha0 is the :func:`_box_min` of the minimal-cover rows, beta1 is
+    :func:`packing_numbers` of the edges. The box size is guarded before
     anything is allocated.
     """
-    check_size((wmax + 1) ** c.n, MAX_GRID_POINTS, "sweep box size")
     caps = (wmax,) * c.n
-    taus = (_grid(caps) @ _cover_matrix(c).T).min(axis=1)
+    _check_box(caps, "sweep box size")
+    taus = _box_min(caps, _cover_matrix(c))
     nus = packing_numbers([[int(v in e) for v in range(c.n)] for e in c.edges], caps)
-    return taus.tolist(), nus.tolist()
-
-
-def weighted_sweep(
-    c: Clutter, wmax: int, deadline: Deadline | None = None
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Yield (w, alpha0(C^w), beta1(C^w)) for every w in {0..wmax}^n in
-    lexicographic order, as priced by :func:`sweep_numbers` before the
-    first w; ``deadline`` is checked once per w."""
-    taus, nus = sweep_numbers(c, wmax)
-    weights = itertools.product(range(wmax + 1), repeat=c.n)
-    for w, tau, nu in zip(weights, taus, nus):
-        if deadline is not None:
-            deadline.check()
-        yield w, tau, nu
+    return taus.ravel().tolist(), nus.ravel().tolist()
 
 
 def mfmc_bounded(c: Clutter, wmax: int, deadline: Deadline | None = None) -> Certificate:
     """Check the Koenig property of C^w for every w in {0..wmax}^n.
 
-    Lexicographic w order, short-circuiting on the first failure. This is a
-    bounded semidecision of the max-flow min-cut property; the verdict
-    carries the bound explicitly.
+    The witness is the lexicographically first failing w, and ``checked``
+    counts the w up to it. This is a bounded semidecision of the max-flow
+    min-cut property; the verdict carries the bound explicitly.
 
     C^w is built only to render the witness of a failure. Otherwise its
-    numbers come from weights on C by :func:`weighted_sweep`:
+    numbers come from weights on C by :func:`sweep_numbers`:
     alpha0(C^w) = min over minimal covers K of C of sum_{i in K} w_i, and
     beta1(C^w) = max{1.y : Ay <= w, y integer >= 0} (Schrijver,
-    Combinatorial Optimization, ch. 79).
+    Combinatorial Optimization, ch. 79). ``deadline`` is checked once the
+    box is priced.
     """
     if wmax < 1:
         raise ValueError("wmax must be >= 1")
-    checked = 0
-    for w, a0, b1 in weighted_sweep(c, wmax, deadline):
-        checked += 1
-        if a0 != b1:
-            cert = konig_certificate(parallelization(c, w))
-            return Certificate(
-                prop="mfmc",
-                verdict="fails",
-                holds=False,
-                bound=wmax,
-                witness={"w": list(w), "konig": cert.to_json()},
-                details={"checked": checked},
-            )
+    taus, nus = sweep_numbers(c, wmax)
+    if deadline is not None:
+        deadline.check()
+    first = next((i for i, (a0, b1) in enumerate(zip(taus, nus)) if a0 != b1), None)
+    if first is None:
+        return Certificate(
+            prop="mfmc",
+            verdict="holds-up-to-bound",
+            holds=True,
+            bound=wmax,
+            details={"checked": len(taus)},
+        )
+    w = [int(x) for x in np.unravel_index(first, (wmax + 1,) * c.n)]
     return Certificate(
         prop="mfmc",
-        verdict="holds-up-to-bound",
-        holds=True,
+        verdict="fails",
+        holds=False,
         bound=wmax,
-        details={"checked": checked},
+        witness={"w": w, "konig": konig_certificate(parallelization(c, w)).to_json()},
+        details={"checked": first + 1},
     )
 
 
@@ -371,11 +357,7 @@ def lp_duality_integer_check(c: Clutter, w: Sequence[int]) -> Certificate:
     the integer minimum is the least w-weight of a minimal cover (any 0/1
     cover contains one, and w >= 0); the integer maximum is the w-packing
     number."""
-    weights = tuple(int(x) for x in w)
-    if len(weights) != c.n:
-        raise ValueError(f"weight vector has length {len(weights)}, expected {c.n}")
-    if any(x < 0 for x in weights):
-        raise ValueError("weights must be nonnegative")
+    weights = _check_weights(c.n, w)
     if not c.edges:
         raise ValueError("clutter must have at least one edge")
     a = IncidenceMatrix.from_clutter(c)
@@ -748,11 +730,7 @@ def menger_oracle(p: Poset, w: Sequence[int]) -> KonigCertificate:
     vertices. Indices follow :func:`parallelization`. A failed check of
     :func:`menger_check` raises :class:`ConsistencyError`.
     """
-    weights = tuple(int(x) for x in w)
-    if len(weights) != p.n:
-        raise ValueError(f"weight vector has length {len(weights)}, expected {p.n}")
-    if any(x < 0 for x in weights):
-        raise ValueError("weights must be nonnegative")
+    weights = _check_weights(p.n, w)
     cl = clique_clutter(comparability_graph(p))
     alpha, beta, chains, cut = menger_check(HasseNetwork.of(p), cl.edge_masks, weights)
     index = {key: j for j, key in enumerate(parallel_origins(weights))}

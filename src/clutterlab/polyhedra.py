@@ -12,17 +12,25 @@ that box, because for a >= z with z in conv of the scaled columns,
 min(a, ceil(z)) is again such a point and is componentwise <= the box cap.
 
 Each quantity has one formulation: vertices of Q(A) by double description,
-membership in k*B(Q) by the vertex inequalities of Q(A), k-fold sums on
-a box by the shift-OR recursion of :func:`kfold_sum_grids`, the packing LP
-value max{<y,1> : Ay <= w, y >= 0} as the least <w, ell> over the vertices
-ell of Q(A) (LP duality), and the integer packing numbers on a box by
-:func:`packing_numbers`. :func:`simplex_max` solves one LP and is kept as
-a test reference; :func:`ilp_max_packing` solves one integer packing, for
-the tests and the single-w ``lp_duality_integer_check``.
+k-fold sums on a box by the shift-OR recursion of :func:`kfold_sum_grids`,
+and the integer packing numbers on a box by :func:`packing_numbers`.
+
+Every fractional value on a box is one kernel, :func:`_box_min`: the
+least of some linear forms <r_t, x> at every cell x, built from 1-D axes
+without a point array. With r_t the vertices of Q(A) over a common
+denominator D (:func:`_vertex_inequalities`), x lies in k*B(Q) iff the
+value is >= k*D, and value / D is the packing LP value
+max{<y,1> : Ay <= w, y >= 0} at w = x (LP duality). With r_t the minimal
+vertex covers of a clutter, the same kernel gives the symbolic powers and
+alpha0 of the parallelizations (``ideals``, ``packing``).
+:func:`simplex_max` solves one LP and is kept as a test reference;
+:func:`ilp_max_packing` solves one integer packing, for the tests and the
+single-w ``lp_duality_integer_check``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -273,15 +281,15 @@ def q_vertices(a: IncidenceMatrix) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=1024)
-def _vertex_inequalities(a: IncidenceMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Integerized vertex inequalities for B(Q): z in k*B(Q) iff z >= 0 and
-    P @ z >= k * dens, where row t of P is d_t * (vertex ell_t of Q(A))."""
-    pmat, dens = [], []
-    for v in q_vertices(a):
-        den = math.lcm(*(x.denominator for x in v)) if v else 1
-        pmat.append([int(x * den) for x in v])
-        dens.append(den)
-    return np.array(pmat, dtype=np.int64), np.array(dens, dtype=np.int64)
+def _vertex_inequalities(a: IncidenceMatrix) -> tuple[np.ndarray, int]:
+    """The vertices ell_t of Q(A) over one common denominator D, as
+    (rows, D) with rows[t] = D * ell_t: z >= 0 lies in k*B(Q) iff
+    <rows[t], z> >= k*D for every t (blocking duality), and the packing LP
+    value at w >= 0 is min_t <rows[t], w> / D (LP duality). Q(A) of a
+    matrix with nonzero columns always has a vertex, so rows is nonempty."""
+    verts = q_vertices(a)
+    den = math.lcm(*(x.denominator for v in verts for x in v))
+    return np.array([[int(x * den) for x in v] for v in verts], dtype=np.int64), den
 
 
 def blocking_membership(a: IncidenceMatrix, z: Sequence, k: int = 1) -> bool:
@@ -303,21 +311,53 @@ def box_caps(a: IncidenceMatrix, k: int) -> Vector:
     return tuple(k * max(col[i] for col in a.columns) for i in range(a.n))
 
 
-def _grid(caps: Vector, limit: int = MAX_GRID_POINTS) -> np.ndarray:
-    """All integer points of prod [0, caps_i] as an (m, n) int64 array in
-    lexicographic order."""
-    size = math.prod(c + 1 for c in caps)
-    check_size(size, limit, "lattice box size")
-    axes = [np.arange(c + 1, dtype=np.int64) for c in caps]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+def _check_box(caps: Vector, what: str = "lattice box size") -> None:
+    """Guard the cell count of the box prod [0, caps_i] before anything is
+    built on it."""
+    check_size(math.prod(c + 1 for c in caps), MAX_GRID_POINTS, what)
 
 
-def _membership_flags(a: IncidenceMatrix, pts: np.ndarray, k: int) -> np.ndarray:
-    pmat, dens = _vertex_inequalities(a)
-    if len(pmat) == 0:
-        return np.ones(len(pts), dtype=bool)
-    return (pts @ pmat.T >= k * dens).all(axis=1)
+def _box_min(caps: Vector, rows: Iterable[Sequence[int]]) -> np.ndarray:
+    """min_t <rows[t], x> for every cell x of the box prod [0, caps_i], as
+    an n-D int64 array in C order, which is lexicographic order; rows is
+    nonempty.
+
+    No point array is built: each linear form is an outer sum of n 1-D
+    ``arange * coef`` axes, folded into the running minimum in place, so
+    about two box-sized arrays are alive at once.
+    """
+    n = len(caps)
+    axes = [
+        np.arange(c + 1, dtype=np.int64).reshape((-1,) + (1,) * (n - 1 - i))
+        for i, c in enumerate(caps)
+    ]
+    low = None
+    for row in rows:
+        form = np.zeros((), dtype=np.int64)
+        for ax, coef in zip(axes, row):
+            form = form + ax * coef
+        if low is None:
+            low = form
+        else:
+            np.minimum(low, form, out=low)
+    return low
+
+
+def _first_cell(mask: np.ndarray) -> Vector:
+    """The lex-first True cell of an n-D boolean box array."""
+    return tuple(int(x) for x in np.unravel_index(int(mask.argmax()), mask.shape))
+
+
+def _minimal_cells(upset: np.ndarray) -> list[Vector]:
+    """Componentwise-minimal True cells, in lex order, of a boolean box
+    array that is upward closed inside its box. A True cell x is minimal
+    iff no x - e_i is True: a True y < x lies below some x - e_i, which is
+    then True by upward closure."""
+    minimal = upset.copy()
+    for i in range(upset.ndim):
+        lead = (slice(None),) * i
+        minimal[lead + (slice(1, None),)] &= ~upset[lead + (slice(None, -1),)]
+    return [tuple(int(x) for x in p) for p in np.argwhere(minimal)]
 
 
 def _minimal_rows(pts: np.ndarray) -> np.ndarray:
@@ -339,27 +379,18 @@ def _minimal_rows(pts: np.ndarray) -> np.ndarray:
     return np.concatenate(kept) if kept else pts[:0]
 
 
-def lattice_points_scaled(a: IncidenceMatrix, k: int) -> list[Vector]:
-    """All lattice points of k*B(Q) inside the box prod [0, k*max_j A_ij],
-    in lexicographic order. The box is guaranteed to contain every minimal
-    lattice point of k*B(Q) (see module docstring)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pts = _grid(box_caps(a, k))
-    flags = _membership_flags(a, pts, k)
-    return [tuple(int(x) for x in row) for row in pts[flags]]
-
-
 @lru_cache(maxsize=4096)
 def _minimal_lattice_points_cached(a: IncidenceMatrix, k: int) -> tuple[Vector, ...]:
-    pts = _grid(box_caps(a, k))
-    flags = _membership_flags(a, pts, k)
-    mins = _minimal_rows(pts[flags])
-    return tuple(sorted(tuple(int(x) for x in row) for row in mins))
+    caps = box_caps(a, k)
+    _check_box(caps)
+    rows, den = _vertex_inequalities(a)
+    return tuple(_minimal_cells(_box_min(caps, rows) >= k * den))
 
 
 def minimal_lattice_points(a: IncidenceMatrix, k: int) -> list[Vector]:
-    """Componentwise-minimal lattice points of k*B(Q), sorted."""
+    """Componentwise-minimal lattice points of k*B(Q), sorted. They lie in
+    the box of :func:`box_caps` (see module docstring), where the lattice
+    points of k*B(Q) form an upward-closed set."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return list(_minimal_lattice_points_cached(a, k))
@@ -394,14 +425,14 @@ def kfold_sum_grids(
 
 def packing_numbers(vectors: Sequence[Sequence[int]], caps: Vector) -> np.ndarray:
     """max{<y,1> : sum_j y_j v_j <= x, y integer >= 0} for every x of the
-    box prod [0, caps_i], flat in lexicographic order: the number of the
-    nested levels of :func:`kfold_sum_grids` holding x. The vectors are
-    nonzero, so no x packs more than sum(caps)."""
-    count = np.zeros(math.prod(c + 1 for c in caps), dtype=np.int64)
+    box prod [0, caps_i], as an n-D int64 array in C (lexicographic) order:
+    the number of the nested levels of :func:`kfold_sum_grids` holding x.
+    The vectors are nonzero, so no x packs more than sum(caps)."""
+    count = np.zeros(tuple(c + 1 for c in caps), dtype=np.int64)
     for level in kfold_sum_grids(vectors, caps, sum(caps)):
         if not level.any():
             break
-        count += level.ravel()
+        count += level
     return count
 
 
@@ -416,28 +447,29 @@ def integer_decomposition_check(a: IncidenceMatrix, kmax: int) -> Certificate:
     summands is complete because B(Q) is upward closed: if
     x = a_1 + ... + a_k and m <= a_1 is minimal, then
     x = m + ((a_1 - m) + a_2) + a_3 + ... is a decomposition through m.
-    Membership in k*B(Q) comes from the vertex inequalities on one grid.
+    Membership in k*B(Q) compares one :func:`_box_min` of the vertex
+    inequalities over the kmax-box with k*D.
     """
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
     caps = box_caps(a, kmax)
+    _check_box(caps)
+    rows, den = _vertex_inequalities(a)
+    value = _box_min(caps, rows)
     minlat = minimal_lattice_points(a, 1)
-    pts = _grid(caps)
-    shape = tuple(c + 1 for c in caps)
     checked: dict[str, int] = {}
     for k, dec in enumerate(kfold_sum_grids(minlat, caps, kmax), start=1):
-        memb_k = _membership_flags(a, pts, k).reshape(shape)
         sub = tuple(slice(0, kc + 1) for kc in box_caps(a, k))
-        bad = memb_k[sub] & ~dec[sub]
-        checked[str(k)] = int(memb_k[sub].sum())
+        memb_k = value[sub] >= k * den
+        bad = memb_k & ~dec[sub]
+        checked[str(k)] = int(memb_k.sum())
         if bad.any():
-            witness_pt = tuple(int(x) for x in np.argwhere(bad)[0])
             return Certificate(
                 prop="integer-decomposition",
                 verdict="fails",
                 holds=False,
                 bound=kmax,
-                witness={"k": k, "point": list(witness_pt)},
+                witness={"k": k, "point": list(_first_cell(bad))},
                 details={"checked": checked},
             )
     return Certificate(
@@ -447,28 +479,6 @@ def integer_decomposition_check(a: IncidenceMatrix, kmax: int) -> Certificate:
         bound=kmax,
         details={"checked": checked},
     )
-
-
-def decompose(a: IncidenceMatrix, point: Sequence[int], k: int) -> list[Vector] | None:
-    """An explicit split of point into k lattice points of B(Q), or None.
-
-    Depth-first over minimal lattice points for the first k-1 summands,
-    membership test for the remainder; complete by the same upward-closure
-    argument as the grid DP. Intended for spot checks and witnesses."""
-    pt = tuple(int(x) for x in point)
-    minlat = minimal_lattice_points(a, 1)
-
-    def rec(rest: Vector, parts: int) -> list[Vector] | None:
-        if parts == 1:
-            return [rest] if blocking_membership(a, rest) else None
-        for m in minlat:
-            if all(x >= y for x, y in zip(rest, m)):
-                tail = rec(tuple(x - y for x, y in zip(rest, m)), parts - 1)
-                if tail is not None:
-                    return [m] + tail
-        return None
-
-    return rec(pt, k)
 
 
 # ---------------------------------------------------------------------------
@@ -518,25 +528,24 @@ def integer_rounding_check(a: IncidenceMatrix, wmax: int) -> Certificate:
     The whole box is priced at once. LP value: by LP duality,
     max{<y,1> : Ay <= w, y >= 0} = min{<w,x> : x in Q(A)}, and since w >= 0
     and Q(A) is pointed with recession cone R^n_+, the minimum is attained
-    at a vertex ell_t of Q(A); one product with the vertex inequalities
-    gives it for every w. Integer value: :func:`packing_numbers` of the
-    columns over the box.
+    at a vertex ell_t of Q(A); one :func:`_box_min` of the vertex
+    inequalities gives it for every w. Integer value: :func:`packing_numbers`
+    of the columns over the box.
     """
     if wmax < 0:
         raise ValueError("wmax must be >= 0")
     caps = (wmax,) * a.n
-    check_size((wmax + 1) ** a.n, MAX_GRID_POINTS, "rounding box size")
-    pts = _grid(caps)
-    pmat, dens = _vertex_inequalities(a)
-    den = math.lcm(*dens.tolist())
-    lp_num = (pts @ (pmat * (den // dens)[:, None]).T).min(axis=1)
-    ilp = packing_numbers(a.columns, caps)
+    _check_box(caps, "rounding box size")
+    rows, den = _vertex_inequalities(a)
+    lp_num = _box_min(caps, rows).ravel().tolist()
+    ilp = packing_numbers(a.columns, caps).ravel().tolist()
+    weights = itertools.product(range(wmax + 1), repeat=a.n)
     per_w = []
     first_fail = None
-    floors = (lp_num // den).tolist()
-    for w, num, floor, nu in zip(pts.tolist(), lp_num.tolist(), floors, ilp.tolist()):
+    for w, num, nu in zip(weights, lp_num, ilp):
+        floor = num // den
         lp = format_rational(Fraction(num, den))
-        entry = {"w": w, "lp": lp, "floor": floor, "ilp": nu, "holds": nu == floor}
+        entry = {"w": list(w), "lp": lp, "floor": floor, "ilp": nu, "holds": nu == floor}
         per_w.append(entry)
         if first_fail is None and nu != floor:
             first_fail = entry

@@ -163,21 +163,35 @@ def _solve(mat, rhs):
     return [a[i][n] for i in range(n)]
 
 
+def brute_symbolic_power_membership(covers, a, i: int) -> bool:
+    """x^a in I^(i): a sums to at least i over every minimal cover."""
+    return all(sum(a[v] for v in cover) >= i for cover in covers)
+
+
+def brute_decompose(columns, point, k: int):
+    """A split of point into k lattice points of B(Q), or None: exhaustive
+    search over the lattice points of B(Q) below point."""
+    parts = brute_lattice_points_of_scaled_blocker(columns, 1, point)
+    members = set(parts)
+
+    def rec(rest, count):
+        if count == 1:
+            return [rest] if rest in members else None
+        for part in parts:
+            if all(x <= y for x, y in zip(part, rest)):
+                tail = rec(tuple(y - x for x, y in zip(part, rest)), count - 1)
+                if tail is not None:
+                    return [part] + tail
+        return None
+
+    return rec(tuple(point), k)
+
+
 def brute_idp_holds(columns, kmax: int, caps) -> bool:
-    """Direct recursive decomposition search over the box."""
-    b1 = set(brute_lattice_points_of_scaled_blocker(columns, 1, caps))
-
-    def decomposes(a, k) -> bool:
-        if k == 1:
-            return a in b1
-        for part in b1:
-            if all(x <= y for x, y in zip(part, a)):
-                if decomposes(tuple(y - x for x, y in zip(part, a)), k - 1):
-                    return True
-        return False
-
-    for k in range(1, kmax + 1):
-        for a in brute_lattice_points_of_scaled_blocker(columns, k, caps):
-            if not decomposes(a, k):
-                return False
-    return True
+    """Every lattice point of k*B(Q) in the box splits into k lattice
+    points of B(Q), for each k <= kmax."""
+    return all(
+        brute_decompose(columns, a, k) is not None
+        for k in range(1, kmax + 1)
+        for a in brute_lattice_points_of_scaled_blocker(columns, k, caps)
+    )

@@ -7,6 +7,7 @@ the w-sweeps stopped building C^w, so any change in verdicts, witnesses or
 """
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from clutterlab.certify import (
     run_theorem_suite,
 )
 from clutterlab.guards import ConsistencyError, Deadline, ResourceGuardError
-from clutterlab.packing import HasseNetwork, menger_check, weighted_sweep
+from clutterlab.packing import HasseNetwork, menger_check, sweep_numbers
 from clutterlab.structures import Poset, clique_clutter, comparability_graph
 
 HERE = Path(__file__).parent
@@ -122,7 +123,8 @@ def _first_menger_failure(p, wmax):
     check or differs from the Koenig numbers."""
     cl = clique_clutter(comparability_graph(p))
     net = HasseNetwork.of(p)
-    for w, a0, b1 in weighted_sweep(cl, wmax):
+    taus, nus = sweep_numbers(cl, wmax)
+    for w, a0, b1 in zip(itertools.product(range(wmax + 1), repeat=p.n), taus, nus):
         try:
             cut, flow, _, _ = menger_check(net, cl.edge_masks, w)
         except ConsistencyError:
@@ -180,7 +182,7 @@ def test_sweep_box_guard_fires_before_the_walk_builds_anything(monkeypatch):
     monkeypatch.setattr(HasseNetwork, "of", classmethod(unreachable))
     monkeypatch.setattr(HasseNetwork, "_graph", property(unreachable))
     monkeypatch.setattr("clutterlab.certify.menger_walk", unreachable)
-    monkeypatch.setattr("clutterlab.packing._grid", unreachable)
+    monkeypatch.setattr("clutterlab.packing._box_min", unreachable)
     with pytest.raises(ResourceGuardError, match="sweep box size = 16777216"):
         comparability_mfmc_check(chain, cl, 3)
 

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clutterlab
 from clutterlab.cli import main
 from clutterlab.structures import complete_admissible_uniform_clutter
 
@@ -109,6 +114,44 @@ def test_duality_c5(capsys):
     assert json.loads(out)["details"] == {"int_max": 0, "int_min": 0, "lp": "0"}
 
 
+DIAMOND = '{"n":4,"relation":[[0,1],[0,2],[0,3],[1,3],[2,3]]}'
+
+
+@pytest.mark.parametrize(
+    "command, doc, w",
+    [
+        ("duality", C5, "1,0,-1,0,0"),
+        ("duality", C5, "1,1"),
+        ("menger", DIAMOND, "1,-2,1,1"),
+        ("menger", DIAMOND, "1,1,1,1,1"),
+    ],
+    ids=["duality-negative", "duality-length", "menger-negative", "menger-length"],
+)
+def test_bad_weights_exit_2(capsys, command, doc, w):
+    code = main([command, "--w", w, doc])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: weight")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["konig", C5], 1), (["mfmc", "--wmax", "1", C5], 1)],
+    ids=["konig", "mfmc"],
+)
+def test_verdicts_are_the_same_under_python_O(argv, code):
+    # no verdict rests on an assert, which -O strips
+    src = str(Path(clutterlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = [
+        subprocess.run([sys.executable, *flags, "-m", "clutterlab.cli", *argv], env=env,
+                       capture_output=True, text=True, timeout=120)
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [code, code]
+    assert runs[0].stdout == runs[1].stdout != ""
+
+
 def test_polyhedron_c5_is_not_integral(capsys):
     code, out = _run(capsys, "polyhedron", C5)
     assert code == 1
@@ -164,7 +207,7 @@ def test_mfmc_sweep_box_over_the_guard_exits_3(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the sweep box was allocated")
 
-    monkeypatch.setattr("clutterlab.packing._grid", unreachable)
+    monkeypatch.setattr("clutterlab.packing._box_min", unreachable)
     monkeypatch.setattr("clutterlab.packing._cover_matrix", unreachable)
     doc = json.dumps({"n": 12, "labels": [f"x{i}" for i in range(12)], "edges": [list(range(12))]})
     code, out = _run(capsys, "mfmc", "--wmax", "3", doc)

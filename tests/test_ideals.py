@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -11,9 +12,7 @@ from clutterlab import (
     is_ntf_up_to,
     membership,
     power,
-    power_membership,
     symbolic_power,
-    symbolic_power_membership,
 )
 from clutterlab.certify import random_clutters, random_ideals
 from clutterlab.guards import ResourceGuardError
@@ -29,6 +28,7 @@ from oracles import (
     brute_minimal_covers,
     brute_power_generators,
     brute_symbolic_power,
+    brute_symbolic_power_membership,
 )
 
 C5 = Clutter(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -53,12 +53,12 @@ def test_power_membership_matches_brute_force():
             gens = brute_power_generators(ideal.generators, i)
             for a in _box(box_caps(ideal.matrix(), i)):
                 expected = any(all(x >= y for x, y in zip(a, g)) for g in gens)
-                assert power_membership(ideal, a, i) == expected
+                assert membership(power(ideal, i), a) == expected
 
 
 def test_power_rejects_exponent_zero(two_squares):
     with pytest.raises(ValueError, match="exponent"):
-        power_membership(two_squares, (2, 0), 0)
+        power(two_squares, 0)
 
 
 def test_symbolic_power_matches_brute_force():
@@ -81,9 +81,10 @@ def test_ordinary_power_lies_in_symbolic_power():
     # checks only the reverse inclusion
     for c in _inclusion_corpus():
         ideal = edge_ideal(c)
+        covers = brute_minimal_covers(c.n, c.edges)
         for i in (1, 2, 3):
             for g in power(ideal, i).generators:
-                assert symbolic_power_membership(c, g, i)
+                assert brute_symbolic_power_membership(covers, g, i)
 
 
 def test_power_grid_cells_match_membership():
@@ -104,8 +105,8 @@ def test_ntf_witness_is_symbolic_but_not_ordinary(c5):
     verdict = is_ntf_up_to(c5, 3)
     assert not verdict.holds
     assert verdict.witness == (1, 1, 1, 1, 1)
-    assert symbolic_power_membership(c5, verdict.witness, 3)
-    assert not power_membership(edge_ideal(c5), verdict.witness, 3)
+    assert brute_symbolic_power_membership(brute_minimal_covers(5, c5.edges), verdict.witness, 3)
+    assert not membership(power(edge_ideal(c5), 3), verdict.witness)
 
 
 def _normality_corpus():
@@ -188,6 +189,19 @@ def test_ntf_witness_is_the_first_missing_symbolic_generator():
         if expected is not None:
             assert (verdict.explanation["level"], verdict.witness) == expected, c
     assert outcomes == {True, False}
+
+
+def test_ntf_peak_memory_is_a_few_box_arrays():
+    # cauc(5, 2) at level 3: 4^10 cells, 8 MB per int64 box array; a
+    # (cells x n) point array alone would take 80 MB
+    c = complete_admissible_uniform_clutter(5, 2)
+    tracemalloc.start()
+    try:
+        assert is_ntf_up_to(c, 3).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * 4 ** 10
 
 
 def test_guard_messages_name_the_box_built_first():

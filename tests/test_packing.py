@@ -23,6 +23,7 @@ from clutterlab import (
     parallelization,
 )
 from clutterlab.certify import all_posets, random_clutters, random_posets
+from clutterlab.guards import ConsistencyError
 from clutterlab.packing import (
     HasseNetwork,
     gray_steps,
@@ -32,7 +33,7 @@ from clutterlab.packing import (
     menger_check,
     menger_walk,
     min_cover_size,
-    weighted_sweep,
+    sweep_numbers,
 )
 from clutterlab.polyhedra import format_rational, ilp_max_packing, q_vertices, simplex_max
 from clutterlab.structures import _bits, parallelize_masks
@@ -128,6 +129,17 @@ def test_konig_json_schema(c5):
     }
 
 
+def test_konig_certificate_identities_against_brute_force():
+    for c in random_clutters(6, 7, 30, seed=56):
+        cert = konig_certificate(c)
+        assert (cert.alpha0, cert.beta1) == (brute_alpha0(c.n, c.edges), brute_beta1(c.edges))
+        assert len(cert.cover.vertices) == cert.alpha0
+        assert all(set(e) & set(cert.cover.vertices) for e in c.edges)
+        assert len(cert.matching) == cert.beta1 and set(cert.matching) <= set(c.edges)
+        assert all(not set(e) & set(f) for e, f in itertools.combinations(cert.matching, 2))
+        assert cert.beta1 <= cert.alpha0
+
+
 def test_beta1_never_exceeds_alpha0():
     for c in random_clutters(6, 8, 40, seed=55):
         assert beta1(c) <= alpha0(c)
@@ -179,11 +191,17 @@ def _small_posets():
     return [p for n in range(1, 5) for p in all_posets(n)]
 
 
+def _sweep(c, wmax):
+    """(w, alpha0(C^w), beta1(C^w)) in lexicographic w order."""
+    taus, nus = sweep_numbers(c, wmax)
+    return list(zip(itertools.product(range(wmax + 1), repeat=c.n), taus, nus))
+
+
 def test_sweep_matches_parallelized_branch_and_bound_on_posets():
     for p in _small_posets():
         cl = clique_clutter(comparability_graph(p))
         net = HasseNetwork.of(p)
-        sweep = list(weighted_sweep(cl, 2))
+        sweep = _sweep(cl, 2)
         assert [w for w, _, _ in sweep] == list(itertools.product(range(3), repeat=p.n))
         for w, a0, b1 in sweep:
             masks, _, _ = parallelize_masks(cl.edge_masks, w)
@@ -194,7 +212,7 @@ def test_sweep_matches_parallelized_branch_and_bound_on_posets():
 
 def test_sweep_matches_parallelized_branch_and_bound_on_clutters():
     for c in random_clutters(5, 6, 60, seed=80):
-        for w, a0, b1 in weighted_sweep(c, 2):
+        for w, a0, b1 in _sweep(c, 2):
             masks, _, _ = parallelize_masks(c.edge_masks, w)
             assert (a0, b1) == (min_cover_size(masks), max_matching_size(masks))
 
@@ -202,12 +220,12 @@ def test_sweep_matches_parallelized_branch_and_bound_on_clutters():
 def test_sweep_packing_number_is_the_integer_packing_ilp():
     for c in random_clutters(5, 6, 20, seed=81):
         a = IncidenceMatrix.from_clutter(c)
-        for w, _, b1 in weighted_sweep(c, 3):
+        for w, _, b1 in _sweep(c, 3):
             assert b1 == ilp_max_packing(a, w)
 
 
 def test_sweep_of_edgeless_clutter_is_zero():
-    assert list(weighted_sweep(Clutter(2, []), 1)) == [
+    assert _sweep(Clutter(2, []), 1) == [
         (w, 0, 0) for w in itertools.product(range(2), repeat=2)
     ]
 
@@ -425,3 +443,16 @@ def test_lex_kernels_consistency():
         assert len(cover) == a0
         matching = lex_min_matching(masks, b1)
         assert len(matching) == b1
+
+
+def test_lex_kernels_raise_on_a_size_past_the_optimum(c5):
+    # no cover below alpha0 and no matching above beta1 exists
+    masks = c5.edge_masks
+    with pytest.raises(ConsistencyError) as exc:
+        lex_min_cover(masks, c5.n, 2)
+    assert (exc.value.check, exc.value.left, exc.value.right) == (
+        "a cover of the given size exists", 2, 3)
+    with pytest.raises(ConsistencyError) as exc:
+        lex_min_matching(masks, 3)
+    assert (exc.value.check, exc.value.left, exc.value.right) == (
+        "a matching of the given size exists", 3, 2)

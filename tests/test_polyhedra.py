@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from clutterlab import (
@@ -10,11 +11,9 @@ from clutterlab import (
     IncidenceMatrix,
     blocking_membership,
     covering_polyhedron,
-    decompose,
     integer_decomposition_check,
     integer_rounding_check,
     is_integral,
-    lattice_points_scaled,
     minimal_lattice_points,
     simplex_max,
     vertices,
@@ -27,12 +26,19 @@ from clutterlab.polyhedra import (
     UnboundedLPError,
     _dd_extreme_rays,
     _int_constraints,
+    box_caps,
     format_rational,
     ilp_max_packing,
 )
 from clutterlab.structures import clique_clutter, comparability_graph
 
-from oracles import brute_idp_holds, brute_q_vertices
+from oracles import (
+    brute_decompose,
+    brute_idp_holds,
+    brute_lattice_points_of_scaled_blocker,
+    brute_q_vertices,
+    minimalize,
+)
 
 
 def _c5_matrix():
@@ -206,10 +212,33 @@ def test_blocking_dual_routes_on_random_rationals():
 
 
 # ---------------------------------------------------------------------------
+# The box value kernel
+
+def test_box_min_matches_brute_minimum():
+    rng = random.Random(21)
+    cases = [((2, 0, 3), [(1, 2, 0), (0, 0, 0)]), ((0,), [(4,)]), ((3, 1), [(0, 0)])]
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        caps = [rng.randint(0, 3) for _ in range(n)]
+        caps[rng.randrange(n)] *= rng.randint(0, 1)
+        rows = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            rows.append((0,) * n)
+        cases.append((tuple(caps), rows))
+    for caps, rows in cases:
+        got = polyhedra._box_min(caps, rows)
+        assert got.shape == tuple(c + 1 for c in caps) and got.dtype == np.int64
+        box = itertools.product(*(range(c + 1) for c in caps))
+        assert got.ravel().tolist() == [
+            min(sum(r * x for r, x in zip(row, pt)) for row in rows) for pt in box
+        ]
+
+
+# ---------------------------------------------------------------------------
 # Lattice points and minimal vectors
 
 def test_lattice_points_identity3(identity3):
-    pts = lattice_points_scaled(identity3, 1)
+    pts = brute_lattice_points_of_scaled_blocker(identity3.columns, 1, box_caps(identity3, 1))
     assert (1, 0, 0) in pts and (0, 1, 0) in pts and (0, 0, 1) in pts
     assert (0, 0, 0) not in pts
     assert minimal_lattice_points(identity3, 1) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
@@ -241,9 +270,10 @@ def test_every_column_is_a_lattice_point_of_blocker():
     for ideal in random_ideals(3, 4, 3, 10, seed=91):
         a = ideal.matrix()
         caps = [3 * max(col[i] for col in a.columns) for i in range(a.n)]
-        pts = set(lattice_points_scaled(a, 1))
+        pts = brute_lattice_points_of_scaled_blocker(a.columns, 1, box_caps(a, 1))
         for col in a.columns:
             assert col in pts
+        assert minimal_lattice_points(a, 1) == minimalize(pts)
         for m in minimal_lattice_points(a, 1):
             assert all(x <= c for x, c in zip(m, caps))
 
@@ -292,13 +322,13 @@ def test_idp_failure_has_checkable_witness():
     assert not cert.holds
     assert cert.witness == {"k": 2, "point": [3, 4, 2]}
     assert blocking_membership(a, (3, 4, 2), 2)
-    assert decompose(a, (3, 4, 2), 2) is None
+    assert brute_decompose(a.columns, (3, 4, 2), 2) is None
     caps = tuple(2 * max(col[i] for col in a.columns) for i in range(3))
     assert not brute_idp_holds(a.columns, 2, caps)
 
 
 def test_decompose_returns_valid_split(identity3):
-    parts = decompose(identity3, (2, 1, 0), 3)
+    parts = brute_decompose(identity3.columns, (2, 1, 0), 3)
     assert parts is not None and len(parts) == 3
     total = tuple(sum(xs) for xs in zip(*parts))
     assert total <= (2, 1, 0) or total == (2, 1, 0)
@@ -386,7 +416,7 @@ def test_rounding_box_guard_fires_before_allocating(monkeypatch):
     def unreachable(*args):
         raise AssertionError("built before the guard")
 
-    monkeypatch.setattr(polyhedra, "_grid", unreachable)
+    monkeypatch.setattr(polyhedra, "_box_min", unreachable)
     monkeypatch.setattr(polyhedra, "_vertex_inequalities", unreachable)
     big = IncidenceMatrix(12, [(1,) * 12])
     with pytest.raises(ResourceGuardError, match="rounding box size"):
@@ -418,7 +448,20 @@ def test_ilp_packing_matches_brute_force():
 def test_grid_guard_fires():
     big = IncidenceMatrix(8, [(9,) * 8])
     with pytest.raises(ResourceGuardError, match="box"):
-        lattice_points_scaled(big, 3)
+        minimal_lattice_points(big, 3)
+
+
+def test_lattice_box_guard_fires_before_double_description(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("built before the guard")
+
+    monkeypatch.setattr(polyhedra, "_box_min", unreachable)
+    monkeypatch.setattr(polyhedra, "_vertex_inequalities", unreachable)
+    big = IncidenceMatrix(8, [(9,) * 8])
+    with pytest.raises(ResourceGuardError, match="lattice box size = 100000000 "):
+        minimal_lattice_points(big, 1)
+    with pytest.raises(ResourceGuardError, match="lattice box size = 16983563041 "):
+        integer_decomposition_check(big, 2)
 
 
 def test_matrix_json_round_trip(identity3):
