@@ -19,12 +19,7 @@ from typing import Any
 from .guards import ConsistencyError, Deadline, ResourceGuardError
 from .ideals import MonomialIdeal, edge_ideal, is_normal_up_to, is_ntf_up_to
 from .packing import HasseNetwork, chain_order, menger_walk, mfmc_bounded, sweep_numbers
-from .polyhedra import (
-    IncidenceMatrix,
-    covering_polyhedron,
-    integer_rounding_check,
-    is_integral,
-)
+from .polyhedra import integer_rounding_check, is_integral
 from .structures import (
     Clutter,
     Graph,
@@ -379,8 +374,9 @@ def check_poset_instance(p: Poset, bounds: Bounds, deadline: Deadline | None = N
     witness: dict[str, Any] = {}
     if cl.edges:
         ntf = is_ntf_up_to(cl, bounds.imax)
-        normal = is_normal_up_to(edge_ideal(cl), bounds.kmax)
-        integral = is_integral(covering_polyhedron(IncidenceMatrix.from_clutter(cl)))
+        ideal = edge_ideal(cl)
+        normal = is_normal_up_to(ideal, bounds.kmax)
+        integral = is_integral(ideal.matrix())  # normality cached its Q(A) vertices
         checks["ntf"] = ntf.holds
         checks["normal"] = normal.holds
         checks["q_integral"] = integral
@@ -413,8 +409,9 @@ def check_clutter_instance(c: Clutter, bounds: Bounds, deadline: Deadline | None
     """Three-way consistency: bounded NTF, bounded normality AND exact
     integrality of Q(A), bounded MFMC; the three signs must agree."""
     ntf = is_ntf_up_to(c, bounds.imax)
-    normal = is_normal_up_to(edge_ideal(c), bounds.kmax)
-    integral = is_integral(covering_polyhedron(IncidenceMatrix.from_clutter(c)))
+    ideal = edge_ideal(c)
+    normal = is_normal_up_to(ideal, bounds.kmax)
+    integral = is_integral(ideal.matrix())  # normality cached its Q(A) vertices
     mfmc = mfmc_bounded(c, bounds.wmax, deadline)
     signs = {
         "ntf": ntf.holds,
@@ -542,8 +539,10 @@ def run_theorem_suite(
 
     Instances exceeding a resource guard are skipped with a logged reason
     and counted in the report header, never silently dropped. A failed
-    consistency assertion localizes the disagreeing pair in the instance
-    record and the counterexample gallery.
+    consistency check localizes the disagreeing pair in the instance
+    record and the counterexample gallery; one raised as
+    :class:`ConsistencyError` fails its instance, with the error as the
+    witness's ``invariant``.
     """
     t0 = time.monotonic()
     records: list[dict[str, Any]] = []
@@ -559,6 +558,9 @@ def run_theorem_suite(
                 {"index": index, "instance": _instance_json(kind, obj), "reason": str(exc)}
             )
             continue
+        except ConsistencyError as exc:
+            result = {"checks": {"consistent": False}, "pass": False,
+                      "witness": {"invariant": exc.to_json()}}
         record = {
             "index": index,
             "instance": _instance_json(kind, obj),

@@ -9,9 +9,12 @@ compact separators) so golden-file tests are byte-stable.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict, 2 usage or
 malformed input, 3 resource guard exceeded, 4 two internal routes
-disagree (a :class:`~clutterlab.guards.ConsistencyError`, e.g. ``menger``
-finding a max flow that differs from its min cut; ``certify`` records such
-a disagreement in its report instead). ``certify`` exits 3 also when it
+disagree (a :class:`~clutterlab.guards.ConsistencyError`: ``menger``
+finding a max flow that differs from its min cut, or ``mfmc`` finding
+alpha0 / beta1 of its witness C^w by the Koenig search that differ from
+the numbers priced from weights on C; ``certify`` records such a
+disagreement as a failed instance in its report instead, so a run with
+one exits 1). ``certify`` exits 3 also when it
 checked no instance (every instance skipped by a guard, or an empty
 corpus); its report then reads ``"aggregate": "inconclusive"``.
 """
@@ -39,11 +42,11 @@ from .ideals import (
 from .packing import konig_certificate, lp_duality_integer_check, menger_oracle, mfmc_bounded
 from .polyhedra import (
     IncidenceMatrix,
-    covering_polyhedron,
     format_rational,
     integer_decomposition_check,
     integer_rounding_check,
-    vertices,
+    is_integral,
+    q_vertices,
 )
 from .structures import (
     Clutter,
@@ -186,7 +189,7 @@ def _cmd_parallelize(args) -> int:
 
 
 def _cmd_konig(args) -> int:
-    cert = konig_certificate(_as_clutter(_read_document(args.input)))
+    cert = konig_certificate(_as_clutter(_read_document(args.input)), args.deadline)
     _emit(args, cert.to_json())
     return 0 if cert.holds else 1
 
@@ -215,8 +218,8 @@ def _cmd_duality(args) -> int:
 
 def _cmd_polyhedron(args) -> int:
     a = _as_matrix(_read_document(args.input))
-    verts = vertices(covering_polyhedron(a))
-    integral = all(x.denominator == 1 for v in verts for x in v)
+    verts = q_vertices(a)
+    integral = is_integral(a)
     doc = {
         "property": "covering-polyhedron",
         "n": a.n,

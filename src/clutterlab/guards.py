@@ -1,15 +1,17 @@
 """Resource guards: cooperative deadlines and size limits.
 
 Long-running work calls ``Deadline.check()`` between steps: once per w in
-the Menger walk, once after the w-box of MFMC certification is priced, and
-between the normality and rounding checks of an ideal; the certify
-instance loop restarts the budget per instance.
+the Menger walk, once after the w-box of MFMC certification is priced, at
+every node of the two Koenig searches (minimum cover and maximum
+matching), and between the normality and rounding checks of an ideal; the
+certify instance loop restarts the budget per instance.
 Exceeding a guard raises :class:`ResourceGuardError`, which the CLI maps to
 exit code 3 and the certify engine maps to skip-with-log.
 
 Two internal routes that disagree raise :class:`ConsistencyError`, which the
-CLI maps to exit code 4; the certify engine records such a disagreement in
-the instance's witness instead of raising.
+CLI maps to exit code 4; the certify engine records such a disagreement as
+a failure of its instance, with the error in the witness, instead of
+raising.
 """
 
 from __future__ import annotations

@@ -22,9 +22,11 @@ flow moves by at most one unit and one augmenting path restores it (the
 unit-step case of parametric flow; Gallo, Grigoriadis and Tarjan, SIAM J.
 Comput. 18, 1989), see :func:`menger_walk`.
 
-Exact branch-and-bound for alpha0 / beta1 (n <= 20, <= 40 edges) serves
-only Koenig certificates: of one clutter, or of the witness C^w of a failed
-sweep, with lexicographically least covers and matchings.
+Each Koenig number has one exact search, which returns its
+lexicographically least optimal witness: :func:`lex_min_cover` for alpha0
+and :func:`lex_min_matching` for beta1; the number is the witness's length.
+They serve only Koenig certificates, of one clutter or of the witness C^w
+of a failed sweep, and check the deadline at every node.
 """
 
 from __future__ import annotations
@@ -117,104 +119,78 @@ def _disjoint_lower_bound(masks: Iterable[int]) -> int:
     return count
 
 
-def min_cover_size(masks: Sequence[int]) -> int:
-    """Minimum transversal size by branch-and-bound on the smallest
-    uncovered edge, with a greedy-matching lower bound."""
-    if not masks:
-        return 0
-    best = _greedy_cover_size(masks)
+def lex_min_cover(masks: Sequence[int], deadline: Deadline | None = None) -> tuple[int, ...]:
+    """Lexicographically least minimum transversal.
 
-    def rec(rem: list[int], size: int) -> None:
-        nonlocal best
+    One branch-and-bound over the vertices in ascending order, taking a
+    vertex before leaving it out, so covers of one size are reached in
+    lexicographic order. It starts from the greedy bound plus one and cuts
+    a branch whose size plus a disjoint-edge lower bound cannot beat the
+    best cover so far, so the first cover of the final best size is the
+    lex-least minimum cover. ``deadline`` is checked at every node.
+    """
+    best: list[int] = []
+    bound = _greedy_cover_size(masks) + 1
+
+    def rec(v: int, chosen: list[int], rem: list[int]) -> None:
+        nonlocal best, bound
+        if deadline is not None:
+            deadline.check()
         if not rem:
-            best = min(best, size)
+            best, bound = chosen[:], len(chosen)
             return
-        if size + _disjoint_lower_bound(rem) >= best:
+        if len(chosen) + _disjoint_lower_bound(rem) >= bound:
             return
-        edge = min(rem, key=lambda m: m.bit_count())
-        m = edge
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            rec([x for x in rem if not x >> v & 1], size + 1)
-
-    rec(list(masks), 0)
-    return best
-
-
-def lex_min_cover(masks: Sequence[int], n: int, size: int) -> tuple[int, ...]:
-    """Lexicographically least transversal of the given (minimum) size."""
-    result: list[int] | None = None
-
-    def rec(v: int, chosen: list[int], rem: list[int], budget: int) -> None:
-        nonlocal result
-        if result is not None:
-            return
-        if not rem:
-            result = chosen[:]
-            return
-        if budget == 0 or v == n:
-            return
-        tail = ~((1 << v) - 1)
-        if any(not m & tail for m in rem):
-            return
-        if _disjoint_lower_bound(rem) > budget:
+        if any(not m >> v for m in rem):  # an edge no vertex >= v meets
             return
         if any(m >> v & 1 for m in rem):
-            rec(v + 1, chosen + [v], [m for m in rem if not m >> v & 1], budget - 1)
-        rec(v + 1, chosen, rem, budget)
+            chosen.append(v)
+            rec(v + 1, chosen, [m for m in rem if not m >> v & 1])
+            chosen.pop()
+        rec(v + 1, chosen, rem)
 
-    rec(0, [], list(masks), size)
-    if result is None:
-        raise ConsistencyError("a cover of the given size exists", size, min_cover_size(masks))
-    return tuple(result)
-
-
-def max_matching_size(masks: Sequence[int]) -> int:
-    """Maximum number of pairwise-disjoint edges, DFS with pruning."""
-    best = 0
-
-    def rec(start: int, used: int, count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        avail = [(j, m) for j, m in enumerate(masks[start:], start) if not m & used]
-        if count + len(avail) <= best:
-            return
-        for j, m in avail:
-            rec(j + 1, used | m, count + 1)
-
-    rec(0, 0, 0)
-    return best
+    rec(0, [], list(masks))
+    return tuple(best)
 
 
-def lex_min_matching(masks: Sequence[int], size: int) -> list[int]:
-    """First (in edge-index lexicographic order) disjoint edge set of the
-    given (maximum) size; returns edge indices."""
-    result: list[int] | None = None
+def lex_min_matching(masks: Sequence[int], deadline: Deadline | None = None) -> list[int]:
+    """First maximum set of pairwise-disjoint edges, in edge-index
+    lexicographic order; returns edge indices.
+
+    A depth-first search over the edges in index order keeps the first
+    disjoint set of each new size and cuts a branch that cannot beat it,
+    so the first set of the final size is the lex-first maximum matching.
+    ``deadline`` is checked at every node.
+    """
+    best: list[int] = []
 
     def rec(start: int, used: int, chosen: list[int]) -> None:
-        nonlocal result
-        if result is not None:
-            return
-        if len(chosen) == size:
-            result = chosen[:]
-            return
+        nonlocal best
+        if deadline is not None:
+            deadline.check()
+        if len(chosen) > len(best):
+            best = chosen[:]
         avail = [(j, m) for j, m in enumerate(masks[start:], start) if not m & used]
-        if len(chosen) + len(avail) < size:
+        if len(chosen) + len(avail) <= len(best):
             return
         for j, m in avail:
             chosen.append(j)
             rec(j + 1, used | m, chosen)
             chosen.pop()
-            if result is not None:
-                return
 
     rec(0, 0, [])
-    if result is None:
-        raise ConsistencyError("a matching of the given size exists", size, max_matching_size(masks))
-    return result
+    return best
+
+
+def min_cover_size(masks: Sequence[int]) -> int:
+    """Minimum transversal size: the length of :func:`lex_min_cover`."""
+    return len(lex_min_cover(masks))
+
+
+def max_matching_size(masks: Sequence[int]) -> int:
+    """Maximum number of pairwise-disjoint edges: the length of
+    :func:`lex_min_matching`."""
+    return len(lex_min_matching(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +245,12 @@ def beta1(c: Clutter) -> int:
     return max_matching_size(c.edge_masks)
 
 
-def konig_certificate(c: Clutter) -> KonigCertificate:
-    """Exact alpha0/beta1 with lexicographically-least witnesses."""
-    masks = c.edge_masks
-    a0 = min_cover_size(masks)
-    b1 = max_matching_size(masks)
-    cover = lex_min_cover(masks, c.n, a0)
-    match_idx = lex_min_matching(masks, b1)
-    matching = tuple(c.edges[j] for j in match_idx)
-    return KonigCertificate(a0, b1, CoverSet(cover), matching)
+def konig_certificate(c: Clutter, deadline: Deadline | None = None) -> KonigCertificate:
+    """Exact alpha0/beta1 with lexicographically-least witnesses, one
+    search each; ``deadline`` is checked at every node of both."""
+    cover = lex_min_cover(c.edge_masks, deadline)
+    matching = tuple(c.edges[j] for j in lex_min_matching(c.edge_masks, deadline))
+    return KonigCertificate(len(cover), len(matching), CoverSet(cover), matching)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +291,10 @@ def mfmc_bounded(c: Clutter, wmax: int, deadline: Deadline | None = None) -> Cer
     numbers come from weights on C by :func:`sweep_numbers`:
     alpha0(C^w) = min over minimal covers K of C of sum_{i in K} w_i, and
     beta1(C^w) = max{1.y : Ay <= w, y integer >= 0} (Schrijver,
-    Combinatorial Optimization, ch. 79). ``deadline`` is checked once the
-    box is priced.
+    Combinatorial Optimization, ch. 79). The Koenig search on the witness
+    C^w must find the same two numbers, or :class:`ConsistencyError` is
+    raised. ``deadline`` is checked once the box is priced and at every
+    node of that search.
     """
     if wmax < 1:
         raise ValueError("wmax must be >= 1")
@@ -336,12 +311,18 @@ def mfmc_bounded(c: Clutter, wmax: int, deadline: Deadline | None = None) -> Cer
             details={"checked": len(taus)},
         )
     w = [int(x) for x in np.unravel_index(first, (wmax + 1,) * c.n)]
+    konig = konig_certificate(parallelization(c, w), deadline)
+    if (konig.alpha0, konig.beta1) != (taus[first], nus[first]):
+        raise ConsistencyError(
+            "alpha0/beta1 of C^w from weights on C = Koenig search on C^w",
+            [taus[first], nus[first]], [konig.alpha0, konig.beta1],
+        )
     return Certificate(
         prop="mfmc",
         verdict="fails",
         holds=False,
         bound=wmax,
-        witness={"w": w, "konig": konig_certificate(parallelization(c, w)).to_json()},
+        witness={"w": w, "konig": konig.to_json()},
         details={"checked": first + 1},
     )
 

@@ -214,11 +214,6 @@ def vertices(p: RationalPolyhedron) -> list[tuple[Fraction, ...]]:
     return sorted(set(verts))
 
 
-def is_integral(p: RationalPolyhedron) -> bool:
-    """True iff every vertex of p has integer coordinates."""
-    return all(x.denominator == 1 for v in vertices(p) for x in v)
-
-
 # ---------------------------------------------------------------------------
 # Exact simplex (maximize c.y subject to Ay <= b, y >= 0, with b >= 0)
 
@@ -278,6 +273,12 @@ def simplex_max(
 def q_vertices(a: IncidenceMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """Vertices of Q(A), cached per matrix."""
     return tuple(vertices(covering_polyhedron(a)))
+
+
+def is_integral(a: IncidenceMatrix) -> bool:
+    """True iff every vertex of Q(A) has integer coordinates (read off the
+    cached :func:`q_vertices`, so one double description per matrix)."""
+    return all(x.denominator == 1 for v in q_vertices(a) for x in v)
 
 
 @lru_cache(maxsize=1024)

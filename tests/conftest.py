@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import sys
 from pathlib import Path
 
@@ -6,8 +7,24 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from clutterlab import Clutter, IncidenceMatrix, MonomialIdeal, Poset
+from clutterlab import Clutter, IncidenceMatrix, MonomialIdeal, Poset, guards, packing
 from clutterlab.packing import HasseNetwork
+
+
+class FakeClock:
+    def __init__(self) -> None:
+        self.now = 100.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch) -> FakeClock:
+    """The clock of every :class:`Deadline`, advanced by hand."""
+    fake = FakeClock()
+    monkeypatch.setattr(guards, "time", fake)
+    return fake
 
 
 @pytest.fixture
@@ -60,3 +77,15 @@ def broken_hasse_network(monkeypatch):
         return dataclasses.replace(net, arcs=net.arcs[1:])
 
     monkeypatch.setattr(HasseNetwork, "of", classmethod(broken))
+
+
+@pytest.fixture
+def padded_cover_search(monkeypatch):
+    """packing.lex_min_cover adds one vertex to every cover it finds."""
+    honest = packing.lex_min_cover
+
+    def padded(masks, deadline=None):
+        cover = honest(masks, deadline)
+        return cover + (next(v for v in itertools.count() if v not in cover),)
+
+    monkeypatch.setattr(packing, "lex_min_cover", padded)

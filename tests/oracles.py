@@ -64,6 +64,33 @@ def brute_beta1(edges) -> int:
     return best
 
 
+def brute_lex_min_cover(n: int, edges) -> tuple[int, ...]:
+    """Smallest cover, and among those the lexicographically least: the
+    first cover met over all vertex subsets by size, then in lex order."""
+    esets = [set(e) for e in edges]
+    for k in range(n + 1):
+        for s in itertools.combinations(range(n), k):
+            if all(e & set(s) for e in esets):
+                return s
+    raise AssertionError("no cover found")
+
+
+def brute_lex_min_matching(edges) -> tuple[int, ...]:
+    """Edge indices of the largest pairwise-disjoint edge set, and among
+    those the lexicographically least, over all index subsets by size.
+    Sizes above (vertices met by an edge) // (smallest edge size) hold no
+    disjoint set and are skipped."""
+    esets = [set(e) for e in edges]
+    if not esets:
+        return ()
+    top = min(len(esets), len(set().union(*esets)) // min(map(len, esets)))
+    for k in range(top, -1, -1):
+        for s in itertools.combinations(range(len(esets)), k):
+            if all(not (esets[i] & esets[j]) for i, j in itertools.combinations(s, 2)):
+                return s
+    raise AssertionError("the empty set is a matching")
+
+
 def minimalize(vecs) -> list[tuple[int, ...]]:
     vs = set(tuple(v) for v in vecs)
     return sorted(

@@ -9,7 +9,9 @@ import pytest
 
 import clutterlab
 from clutterlab.cli import main
-from clutterlab.structures import complete_admissible_uniform_clutter
+from clutterlab.guards import ConsistencyError
+from clutterlab.packing import HasseNetwork
+from clutterlab.structures import cauc_poset, complete_admissible_uniform_clutter
 
 
 def _run(capsys, *argv):
@@ -103,6 +105,48 @@ def test_konig_triangle_holds(capsys):
         '{"alpha0":1,"beta1":1,"cover":[0],"matching":[[0,1,2]],'
         '"property":"konig","verdict":"holds"}\n'
     )
+
+
+def test_konig_honours_the_deadline(capsys, monkeypatch):
+    # the zero budget is spent before the first node of the cover search
+    monkeypatch.setenv("CLUTTERLAB_GUARD_MS", "0")
+    code = main(["konig", C5])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "per-instance compute exceeded 0 ms" in captured.err
+
+
+def test_mfmc_witness_disagreeing_with_the_sweep_exits_4(capsys, padded_cover_search):
+    code = main(["mfmc", "--wmax", "1", C5])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert ("alpha0/beta1 of C^w from weights on C = Koenig search on C^w: "
+            "[3, 2] vs [4, 2]") in captured.err
+
+
+def test_certify_records_a_raised_consistency_error(capsys, monkeypatch, tmp_path):
+    # the walk of the cauc(2,2) poset at wmax 2 cancels flow; a cancel that
+    # finds the flow unconserved fails that instance, and the run goes on
+    def unconserved(self, cap, v):
+        raise ConsistencyError("flow is conserved", 1, 0)
+
+    monkeypatch.setattr(HasseNetwork, "_cancel_unit", unconserved)
+    path = tmp_path / "cauc22.json"
+    path.write_text(json.dumps({"instances": [
+        {"type": "poset", "data": cauc_poset(2, 2).to_json()},
+        {"type": "clutter", "data": complete_admissible_uniform_clutter(2, 2).to_json()},
+    ]}))
+    code, out = _run(capsys, "certify", "--wmax", "2", json.dumps({"kind": "explicit", "path": str(path)}))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["counts"] == {"instances": 2, "failed": 1, "skipped": 0}
+    assert doc["instances"][0]["checks"] == {"consistent": False}
+    assert doc["instances"][1]["pass"] is True
+    assert doc["counterexamples"] == [{
+        "index": 0,
+        "instance": doc["instances"][0]["instance"],
+        "witness": {"invariant": {"check": "flow is conserved", "values": [1, 0]}},
+    }]
 
 
 def test_duality_c5(capsys):

@@ -1,22 +1,6 @@
 import pytest
 
-from clutterlab import guards
 from clutterlab.guards import GUARD_ENV_VAR, Deadline, ResourceGuardError, check_size
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 100.0
-
-    def monotonic(self) -> float:
-        return self.now
-
-
-@pytest.fixture
-def clock(monkeypatch) -> FakeClock:
-    fake = FakeClock()
-    monkeypatch.setattr(guards, "time", fake)
-    return fake
 
 
 def test_from_env_unset_is_a_no_op(monkeypatch, clock):

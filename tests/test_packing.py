@@ -38,7 +38,13 @@ from clutterlab.packing import (
 from clutterlab.polyhedra import format_rational, ilp_max_packing, q_vertices, simplex_max
 from clutterlab.structures import _bits, parallelize_masks
 
-from oracles import brute_alpha0, brute_beta1, brute_minimal_covers
+from oracles import (
+    brute_alpha0,
+    brute_beta1,
+    brute_lex_min_cover,
+    brute_lex_min_matching,
+    brute_minimal_covers,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -94,27 +100,41 @@ def test_numbers_against_brute_force():
         assert beta1(c) == brute_beta1(c.edges)
 
 
+# the triangles of K4, on its six edges 01, 02, 03, 12, 13, 23
+Q6 = Clutter(6, [(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)])
+
+
+def _witnesses_are_lex_least(c):
+    cert = konig_certificate(c)
+    assert cert.cover.vertices == brute_lex_min_cover(c.n, c.edges)
+    assert cert.matching == tuple(c.edges[j] for j in brute_lex_min_matching(c.edges))
+    assert (cert.alpha0, cert.beta1) == (len(cert.cover.vertices), len(cert.matching))
+
+
 def test_witnesses_are_lex_least():
-    rng = random.Random(8)
-    for c in random_clutters(6, 6, 15, seed=54):
-        cert = konig_certificate(c)
-        masks = c.edge_masks
-        # all covers of optimal size, lexicographically
-        best = [
-            s
-            for s in itertools.combinations(range(c.n), cert.alpha0)
-            if all(any(v in e for v in s) for e in c.edges)
-        ]
-        assert cert.cover.vertices == min(best)
-        sets = [
-            idxs
-            for idxs in itertools.combinations(range(len(c.edges)), cert.beta1)
-            if all(
-                not set(c.edges[i]) & set(c.edges[j])
-                for i, j in itertools.combinations(idxs, 2)
-            )
-        ]
-        assert cert.matching == tuple(c.edges[i] for i in min(sets))
+    for c in random_clutters(6, 8, 60, seed=54):
+        _witnesses_are_lex_least(c)
+
+
+def test_konig_witnesses_are_lex_least_on_parallelizations(c5):
+    rng = random.Random(58)
+    for c, wmax in ((c5, 2), (Q6, 2)):
+        for w in [(1,) * c.n] + [tuple(rng.randint(0, wmax) for _ in range(c.n)) for _ in range(8)]:
+            _witnesses_are_lex_least(parallelization(c, w))
+
+
+def test_konig_witnesses_break_ties_lexicographically():
+    # the 4-cycle: covers {0, 2} and {1, 3}, matchings {01, 23} and {12, 03}
+    c4 = Clutter(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    _witnesses_are_lex_least(c4)
+    cert = konig_certificate(c4)
+    assert cert.cover.vertices == (0, 2)
+    assert cert.matching == ((0, 1), (2, 3))
+    # Q6 at w = 1: three minimum covers of size 2, four maximum matchings
+    assert konig_certificate(Q6).to_json() == {
+        "property": "konig", "verdict": "fails", "alpha0": 2, "beta1": 1,
+        "cover": [0, 5], "matching": [[0, 1, 3]],
+    }
 
 
 def test_konig_json_schema(c5):
@@ -138,6 +158,41 @@ def test_konig_certificate_identities_against_brute_force():
         assert len(cert.matching) == cert.beta1 and set(cert.matching) <= set(c.edges)
         assert all(not set(e) & set(f) for e, f in itertools.combinations(cert.matching, 2))
         assert cert.beta1 <= cert.alpha0
+
+
+def test_konig_searches_honour_the_deadline(c5, clock):
+    deadline = Deadline(50)
+    clock.now += 0.060
+    with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
+        lex_min_cover(c5.edge_masks, deadline)
+    with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
+        lex_min_matching(c5.edge_masks, deadline)
+    with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
+        konig_certificate(c5, deadline)
+
+
+class CountingDeadline:
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def check(self) -> None:
+        self.calls += 1
+
+
+def test_mfmc_witness_search_checks_the_deadline(c5):
+    # one check once the box is priced, the rest in the Koenig search on C^w
+    deadline = CountingDeadline()
+    assert not mfmc_bounded(c5, 1, deadline).holds
+    assert deadline.calls > 1
+
+
+def test_mfmc_witness_search_disagreeing_with_the_sweep_raises(c5, padded_cover_search):
+    with pytest.raises(ConsistencyError) as exc:
+        mfmc_bounded(c5, 1)
+    assert exc.value.to_json() == {
+        "check": "alpha0/beta1 of C^w from weights on C = Koenig search on C^w",
+        "values": [[3, 2], [4, 2]],
+    }
 
 
 def test_beta1_never_exceeds_alpha0():
@@ -434,25 +489,10 @@ def test_chain_order_rejects_antichain():
 # Kernel helpers
 
 def test_lex_kernels_consistency():
-    rng = random.Random(9)
     for c in random_clutters(6, 6, 10, seed=71):
         masks = c.edge_masks
-        a0 = min_cover_size(masks)
-        b1 = max_matching_size(masks)
-        cover = lex_min_cover(masks, c.n, a0)
-        assert len(cover) == a0
-        matching = lex_min_matching(masks, b1)
-        assert len(matching) == b1
-
-
-def test_lex_kernels_raise_on_a_size_past_the_optimum(c5):
-    # no cover below alpha0 and no matching above beta1 exists
-    masks = c5.edge_masks
-    with pytest.raises(ConsistencyError) as exc:
-        lex_min_cover(masks, c5.n, 2)
-    assert (exc.value.check, exc.value.left, exc.value.right) == (
-        "a cover of the given size exists", 2, 3)
-    with pytest.raises(ConsistencyError) as exc:
-        lex_min_matching(masks, 3)
-    assert (exc.value.check, exc.value.left, exc.value.right) == (
-        "a matching of the given size exists", 3, 2)
+        cover = lex_min_cover(masks)
+        assert len(cover) == min_cover_size(masks) == brute_alpha0(c.n, c.edges)
+        matching = lex_min_matching(masks)
+        assert len(matching) == max_matching_size(masks) == brute_beta1(c.edges)
+    assert lex_min_cover([]) == () and lex_min_matching([]) == []

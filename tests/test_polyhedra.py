@@ -94,19 +94,19 @@ def test_vertices_of_triangle_blocker(ones_column3):
 def test_c5_has_half_vertex():
     verts = vertices(covering_polyhedron(_c5_matrix()))
     assert (Fraction(1, 2),) * 5 in verts
-    assert not is_integral(covering_polyhedron(_c5_matrix()))
+    assert not is_integral(_c5_matrix())
 
 
 def test_integrality_examples(ones_column3):
-    assert is_integral(covering_polyhedron(ones_column3))
+    assert is_integral(ones_column3)
     diamond = IncidenceMatrix.from_clutter(Clutter(4, [(0, 1, 3), (0, 2, 3)]))
-    assert is_integral(covering_polyhedron(diamond))
+    assert is_integral(diamond)
 
 
 def test_comparability_vertex_clique_matrices_are_integral():
     for p in random_posets(5, 12, seed=31):
         a = IncidenceMatrix.from_clutter(clique_clutter(comparability_graph(p)))
-        assert is_integral(covering_polyhedron(a))
+        assert is_integral(a)
 
 
 def test_dd_matches_basis_enumeration():
