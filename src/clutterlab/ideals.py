@@ -15,6 +15,11 @@ or the least minimal-cover sum against i); the power is a level of
 :func:`~clutterlab.polyhedra.kfold_sum_grids`. The lex-first cell in the
 larger set but not in the power is then its first minimal generator
 missing from the power.
+
+The power grids are cached per (ideal, level, box) and read-only, so the
+two verdicts share them: on an edge ideal with no isolated vertex the
+normality box at level k is the NTF box [0, k]^n, and a clutter instance
+builds each level once.
 """
 
 from __future__ import annotations
@@ -157,12 +162,20 @@ def integral_closure_membership(ideal: MonomialIdeal, a: Sequence[int], k: int) 
 # ---------------------------------------------------------------------------
 # Power-membership grids (vectorized domination DP)
 
+@lru_cache(maxsize=8)
 def _power_grid(ideal: MonomialIdeal, i: int, caps: ExponentVector) -> np.ndarray:
     """Boolean grid over prod [0, caps]: cell a is True iff x^a in I^i,
     i.e. a dominates a sum of i generators (level i of
-    :func:`kfold_sum_grids`)."""
+    :func:`kfold_sum_grids`).
+
+    Cached and read-only: on an edge ideal with no isolated vertex the box
+    of :func:`is_normal_up_to` at level k is the [0, k]^n of
+    :func:`is_ntf_up_to`, so normality reads the grids NTF built. The box is
+    guarded before anything is built, and a guard that raises caches
+    nothing."""
     _check_box(caps, "power grid size")
     *_, grid = kfold_sum_grids(ideal.generators, caps, i)
+    grid.setflags(write=False)
     return grid
 
 

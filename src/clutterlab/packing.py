@@ -160,6 +160,8 @@ def lex_min_matching(masks: Sequence[int], deadline: Deadline | None = None) -> 
     A depth-first search over the edges in index order keeps the first
     disjoint set of each new size and cuts a branch that cannot beat it,
     so the first set of the final size is the lex-first maximum matching.
+    A branch adds at most min(#available edges, |union of them| // the
+    smallest of them) edges, since disjoint edges use distinct vertices.
     ``deadline`` is checked at every node.
     """
     best: list[int] = []
@@ -171,7 +173,11 @@ def lex_min_matching(masks: Sequence[int], deadline: Deadline | None = None) -> 
         if len(chosen) > len(best):
             best = chosen[:]
         avail = [(j, m) for j, m in enumerate(masks[start:], start) if not m & used]
-        if len(chosen) + len(avail) <= len(best):
+        union = 0
+        for _, m in avail:
+            union |= m
+        smallest = min((m.bit_count() for _, m in avail), default=1)
+        if len(chosen) + min(len(avail), union.bit_count() // smallest) <= len(best):
             return
         for j, m in avail:
             chosen.append(j)

@@ -17,8 +17,10 @@ and the integer packing numbers on a box by :func:`packing_numbers`.
 
 Every fractional value on a box is one kernel, :func:`_box_min`: the
 least of some linear forms <r_t, x> at every cell x, built from 1-D axes
-without a point array. With r_t the vertices of Q(A) over a common
-denominator D (:func:`_vertex_inequalities`), x lies in k*B(Q) iff the
+without a point array. Each form spans only the axes of its nonzero
+coefficients and costs one broadcast pass over the box. With r_t the
+vertices of Q(A) over a common denominator D
+(:func:`_vertex_inequalities`), x lies in k*B(Q) iff the
 value is >= k*D, and value / D is the packing LP value
 max{<y,1> : Ay <= w, y >= 0} at w = x (LP duality). With r_t the minimal
 vertex covers of a clutter, the same kernel gives the symbolic powers and
@@ -323,22 +325,28 @@ def _box_min(caps: Vector, rows: Iterable[Sequence[int]]) -> np.ndarray:
     an n-D int64 array in C order, which is lexicographic order; rows is
     nonempty.
 
-    No point array is built: each linear form is an outer sum of n 1-D
-    ``arange * coef`` axes, folded into the running minimum in place, so
-    about two box-sized arrays are alive at once.
+    No point array is built: each linear form is an outer sum of 1-D
+    ``arange * coef`` axes over only the axes where its coefficient is
+    nonzero, so it spans just the sub-box of those axes, and it is folded
+    into the running minimum by one broadcast pass over the box. A form
+    with a zero coefficient allocates no box-sized temporary. The result
+    owns its data and is writable and C-contiguous.
     """
     n = len(caps)
+    shape = tuple(c + 1 for c in caps)
     axes = [
         np.arange(c + 1, dtype=np.int64).reshape((-1,) + (1,) * (n - 1 - i))
         for i, c in enumerate(caps)
     ]
     low = None
     for row in rows:
-        form = np.zeros((), dtype=np.int64)
+        form = np.zeros((1,) * n, dtype=np.int64)
         for ax, coef in zip(axes, row):
-            form = form + ax * coef
+            if coef:
+                form = form + ax * coef
         if low is None:
-            low = form
+            low = np.empty(shape, dtype=np.int64)
+            low[...] = form
         else:
             np.minimum(low, form, out=low)
     return low

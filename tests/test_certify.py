@@ -48,6 +48,20 @@ GOLDEN = {
         Bounds(kmax=1, imax=1, wmax=2),
         "d9b5c6a74edd7c1c506a2bf43408abc4b515f002388089d864c02bc0ca3ed582",
     ),
+    # cauc(2,4), cauc(4,2), cauc(3,3): n = 8 and 9, the largest boxes of
+    # the box value kernel and the power grids
+    "cauc-large": (
+        Corpus("explicit", path="corpora/cauc-large.json"),
+        Bounds(wmax=2),
+        "1864d438c4d07c14932e2ec2291bc4e020160d03189221a7e7490b79d8bfb677",
+    ),
+    # the "clutters" corpus at kmax = imax = 3: the two clutters without MFMC
+    # now fail NTF and normality too, and the three signs agree
+    "clutters-level-3": (
+        Corpus("random-clutters", n=6, maxedges=10, count=8, seed=1),
+        Bounds(wmax=2),
+        "c1e9f360734ed1e6d664e27b8dbbf03da2926dd1a44acb108e63c23b30a66b54",
+    ),
 }
 
 

@@ -14,7 +14,7 @@ from clutterlab import (
     power,
     symbolic_power,
 )
-from clutterlab.certify import random_clutters, random_ideals
+from clutterlab.certify import Bounds, check_clutter_instance, random_clutters, random_ideals
 from clutterlab.guards import ResourceGuardError
 from clutterlab.ideals import _power_grid
 from clutterlab.polyhedra import (
@@ -96,6 +96,28 @@ def test_power_grid_cells_match_membership():
             expanded = power(ideal, i)
             for a in _box(caps):
                 assert bool(grid[a]) == membership(expanded, a)
+
+
+def test_power_grid_is_read_only(two_squares):
+    grid = _power_grid(two_squares, 2, (4, 4))
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = True
+
+
+def test_a_clutter_instance_builds_each_power_grid_once():
+    # normality at level k reads the [0, k]^n grid NTF built
+    _power_grid.cache_clear()
+    check_clutter_instance(complete_admissible_uniform_clutter(2, 3), Bounds())
+    info = _power_grid.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+
+
+def test_a_tripped_guard_caches_no_power_grid():
+    _power_grid.cache_clear()
+    with pytest.raises(ResourceGuardError, match="power grid size"):
+        is_normal_up_to(edge_ideal(Clutter(22, [range(22)])), 1)
+    assert _power_grid.cache_info().currsize == 0
 
 
 def test_ntf_witness_is_symbolic_but_not_ordinary(c5):

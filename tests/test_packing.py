@@ -22,6 +22,7 @@ from clutterlab import (
     minimal_vertex_covers,
     parallelization,
 )
+from clutterlab import packing
 from clutterlab.certify import all_posets, random_clutters, random_posets
 from clutterlab.guards import ConsistencyError
 from clutterlab.packing import (
@@ -234,8 +235,22 @@ def test_wmax_zero_rejected(c5):
         mfmc_bounded(c5, 0)
 
 
-def test_mfmc_deadline_trips_on_cauc33():
-    with pytest.raises(ResourceGuardError):
+def test_mfmc_deadline_trips_on_cauc33(clock, monkeypatch):
+    # pricing the box outlasts the budget: the deadline is checked once the
+    # box is priced, before any Koenig search
+    honest = packing.sweep_numbers
+
+    def slow_pricing(c, wmax):
+        clock.now += 0.060
+        return honest(c, wmax)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a Koenig search ran past the deadline")
+
+    monkeypatch.setattr(packing, "sweep_numbers", slow_pricing)
+    for search in ("lex_min_cover", "lex_min_matching"):
+        monkeypatch.setattr(packing, search, unreachable)
+    with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
         mfmc_bounded(complete_admissible_uniform_clutter(3, 3), 3, Deadline(50))
 
 
@@ -496,3 +511,13 @@ def test_lex_kernels_consistency():
         matching = lex_min_matching(masks)
         assert len(matching) == max_matching_size(masks) == brute_beta1(c.edges)
     assert lex_min_cover([]) == () and lex_min_matching([]) == []
+
+
+def test_matching_search_on_a_large_parallelization_ends():
+    # 270 edges on 27 vertices; the deadline turns a slow search into an error
+    c = complete_admissible_uniform_clutter(3, 3)
+    _, nus = sweep_numbers(c, 3)
+    cw = parallelization(c, (3,) * c.n)
+    matching = lex_min_matching(cw.edge_masks, Deadline(10_000))
+    assert len(matching) == nus[-1] == 9
+    assert all(not a & b for a, b in itertools.combinations([cw.edge_masks[j] for j in matching], 2))

@@ -216,7 +216,20 @@ def test_blocking_dual_routes_on_random_rationals():
 
 def test_box_min_matches_brute_minimum():
     rng = random.Random(21)
-    cases = [((2, 0, 3), [(1, 2, 0), (0, 0, 0)]), ((0,), [(4,)]), ((3, 1), [(0, 0)])]
+    cases = [
+        ((2, 0, 3), [(1, 2, 0), (0, 0, 0)]),
+        ((0,), [(4,)]),
+        ((3, 1), [(0, 0)]),
+        # a single row
+        ((2, 3, 1), [(0, 2, 0)]),
+        # a zero first row, then forms over one axis, two axes and all axes
+        ((3, 2, 2), [(0, 0, 0), (1, 0, 0), (0, 2, 1), (3, 1, 1)]),
+        # only zero rows
+        ((1, 2), [(0, 0), (0, 0)]),
+        # zero caps: a one-cell box
+        ((0, 0, 0), [(1, 2, 3), (0, 1, 0)]),
+        ((0, 3, 0), [(5, 0, 7), (0, 1, 0)]),
+    ]
     for _ in range(80):
         n = rng.randint(1, 4)
         caps = [rng.randint(0, 3) for _ in range(n)]
@@ -228,6 +241,8 @@ def test_box_min_matches_brute_minimum():
     for caps, rows in cases:
         got = polyhedra._box_min(caps, rows)
         assert got.shape == tuple(c + 1 for c in caps) and got.dtype == np.int64
+        # an owned box array, never a broadcast view of one form
+        assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
         box = itertools.product(*(range(c + 1) for c in caps))
         assert got.ravel().tolist() == [
             min(sum(r * x for r, x in zip(row, pt)) for row in rows) for pt in box
