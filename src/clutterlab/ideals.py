@@ -7,19 +7,23 @@ reduce to componentwise domination; powers to sums of generators; symbolic
 powers to per-cover degree conditions. Everything is bounded and exact;
 verdicts always embed the bound that was checked.
 
-Both bounded verdicts ask whether a larger upward-closed set (the integral
-closure of I^k, or I^(i)) lies in a power, over a box holding all its
-minimal generators. The larger set is one comparison of the box value
-kernel of ``polyhedra`` (the least vertex inequality of Q(A) against k*D,
-or the least minimal-cover sum against i); the power is a level of
-:func:`~clutterlab.polyhedra.kfold_sum_grids`. The lex-first cell in the
-larger set but not in the power is then its first minimal generator
-missing from the power.
+Both bounded verdicts ask, level by level, whether a larger upward-closed
+set (the integral closure of I^k, or I^(i)) lies in the power I^k, over a
+box holding all its minimal generators. The boxes grow with the level, so
+each verdict builds two arrays over its last box and reads every level
+off a prefix slice of them: one value of the box kernel of ``polyhedra``
+(the least vertex inequality of Q(A), compared with k*D, or the least
+minimal-cover sum, compared with i), and one chain of power levels from a
+single :func:`~clutterlab.polyhedra.kfold_sum_grids` pass. The lex-first
+cell in the larger set but not in the power is then its first minimal
+generator missing from the power.
 
-The power grids are cached per (ideal, level, box) and read-only, so the
-two verdicts share them: on an edge ideal with no isolated vertex the
-normality box at level k is the NTF box [0, k]^n, and a clutter instance
-builds each level once.
+The power levels are cached per (ideal, boxes), each level copied to its
+own box and read-only, so the two verdicts share them: on an edge ideal
+with no isolated vertex the normality boxes are the NTF boxes [0, k]^n,
+and a clutter instance builds its chain once. The size guard runs on every
+box before anything is built; a level past the guard raises only when no
+earlier level already decided the verdict.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from .guards import ResourceGuardError
 from .packing import _cover_matrix
 from .polyhedra import (
     IncidenceMatrix,
@@ -40,6 +45,7 @@ from .polyhedra import (
     kfold_sum_grids,
     minimal_lattice_points,
     _box_min,
+    _box_slice,
     _check_box,
     _first_cell,
     _minimal_cells,
@@ -142,15 +148,9 @@ def symbolic_power(c: Clutter, i: int) -> MonomialIdeal:
         raise ValueError("symbolic power exponent must be >= 1")
     if not c.edges:
         raise ValueError("clutter must have at least one edge")
-    return MonomialIdeal(c.n, _minimal_cells(_symbolic_flags(c, i)))
-
-
-def _symbolic_flags(c: Clutter, i: int) -> np.ndarray:
-    """Per cell of the box [0, i]^n, as an n-D array in lex order, whether
-    it lies in I^(i): the least minimal-cover sum reaches i."""
     caps = (i,) * c.n
     _check_box(caps)
-    return _box_min(caps, _cover_matrix(c)) >= i
+    return MonomialIdeal(c.n, _minimal_cells(_box_min(caps, _cover_matrix(c)) >= i))
 
 
 def integral_closure_membership(ideal: MonomialIdeal, a: Sequence[int], k: int) -> bool:
@@ -160,23 +160,56 @@ def integral_closure_membership(ideal: MonomialIdeal, a: Sequence[int], k: int) 
 
 
 # ---------------------------------------------------------------------------
-# Power-membership grids (vectorized domination DP)
+# Power levels: one k-fold-sum chain per ideal
 
-@lru_cache(maxsize=8)
-def _power_grid(ideal: MonomialIdeal, i: int, caps: ExponentVector) -> np.ndarray:
-    """Boolean grid over prod [0, caps]: cell a is True iff x^a in I^i,
-    i.e. a dominates a sum of i generators (level i of
-    :func:`kfold_sum_grids`).
+@lru_cache(maxsize=2)
+def _power_grids(ideal: MonomialIdeal, boxes: tuple[ExponentVector, ...]) -> tuple[np.ndarray, ...]:
+    """For k = 1..len(boxes), the boolean grid over prod [0, boxes[k-1]]
+    whose cell a is True iff x^a in I^k, i.e. a dominates a sum of k
+    generators. The boxes grow with k.
 
-    Cached and read-only: on an edge ideal with no isolated vertex the box
-    of :func:`is_normal_up_to` at level k is the [0, k]^n of
-    :func:`is_ntf_up_to`, so normality reads the grids NTF built. The box is
-    guarded before anything is built, and a guard that raises caches
-    nothing."""
-    _check_box(caps, "power grid size")
-    *_, grid = kfold_sum_grids(ideal.generators, caps, i)
-    grid.setflags(write=False)
-    return grid
+    One :func:`kfold_sum_grids` pass over the last box gives every level:
+    whether a cell dominates a sum of k generators does not depend on the
+    box holding it, since every summand lies below the cell, so level k is
+    the prefix slice of its level to boxes[k-1]. Each level is copied to
+    its own box, so the cache holds no more than the levels themselves.
+
+    Cached and read-only, so :func:`is_normal_up_to` reads the chain
+    :func:`is_ntf_up_to` built when their boxes agree. The caller guards
+    the boxes (:func:`_guarded_boxes`) before anything is built."""
+    levels = kfold_sum_grids(ideal.generators, boxes[-1], len(boxes))
+    grids = tuple(level[_box_slice(caps)].copy() for caps, level in zip(boxes, levels))
+    for grid in grids:
+        grid.setflags(write=False)
+    return grids
+
+
+def _guarded_boxes(
+    boxes: Sequence[ExponentVector], what: str
+) -> tuple[tuple[ExponentVector, ...], ResourceGuardError | None]:
+    """The leading boxes within the cell guard, and the error the first box
+    over it raises (None when all pass). Boxes grow with the level, so the
+    levels below the first oversize box are exactly those a level-by-level
+    check reaches before the guard fires."""
+    for k, caps in enumerate(boxes):
+        try:
+            _check_box(caps, what)
+        except ResourceGuardError as err:
+            return tuple(boxes[:k]), err
+    return tuple(boxes), None
+
+
+def _first_gap(
+    ideal: MonomialIdeal, boxes: tuple[ExponentVector, ...], value: np.ndarray, unit: int
+) -> tuple[int, ExponentVector] | None:
+    """The first level k with a cell of prod [0, boxes[k-1]] whose value
+    reaches k*unit but which lies outside I^k, and the lex-first such cell;
+    None if no level has one. ``value`` is an array over the last box."""
+    for k, (caps, grid) in enumerate(zip(boxes, _power_grids(ideal, boxes)), start=1):
+        bad = (value[_box_slice(caps)] >= k * unit) & ~grid
+        if bad.any():
+            return k, _first_cell(bad)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +228,24 @@ def is_normal_up_to(ideal: MonomialIdeal, kmax: int) -> NormalityVerdict:
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     a = ideal.matrix()
-    for k in range(1, kmax + 1):
-        caps = box_caps(a, k)
-        grid = _power_grid(ideal, k, caps)
+    boxes, tripped = _guarded_boxes(
+        [box_caps(a, k) for k in range(1, kmax + 1)], "power grid size"
+    )
+    gap = None
+    if boxes:
         rows, den = _vertex_inequalities(a)
-        bad = (_box_min(caps, rows) >= k * den) & ~grid
-        if bad.any():
-            break
-    else:
+        gap = _first_gap(ideal, boxes, _box_min(boxes[-1], rows), den)
+    if gap is None:
+        if tripped is not None:
+            raise tripped
         return NormalityVerdict("normal-up-to", kmax)
 
+    k, witness = gap
     idp = integer_decomposition_check(a, kmax) if kmax >= 2 else None
     return NormalityVerdict(
         "not-normal",
         kmax,
-        witness=_first_cell(bad),
+        witness=witness,
         explanation={
             "level": k,
             "reason": "monomial lies in the integral closure of the k-th power "
@@ -226,22 +262,30 @@ def is_ntf_up_to(c: Clutter, imax: int) -> NormalityVerdict:
     """Does the i-th symbolic power equal the i-th ordinary power of the
     edge ideal for every i <= imax?  The inclusion I^i <= I^(i) holds for
     every ideal, so equality fails exactly when some cell of [0, i]^n lies
-    in I^(i) but not in I^i; the lex-first such cell is the witness."""
+    in I^(i) (its least minimal-cover sum reaches i) but not in I^i; the
+    lex-first such cell is the witness."""
     if imax < 1:
         raise ValueError("imax must be >= 1")
     ideal = edge_ideal(c)
-    for i in range(1, imax + 1):
-        bad = _symbolic_flags(c, i) & ~_power_grid(ideal, i, (i,) * c.n)
-        if bad.any():
-            return NormalityVerdict(
-                "not-ntf",
-                imax,
-                witness=_first_cell(bad),
-                explanation={
-                    "level": i,
-                    "reason": "monomial lies in the i-th symbolic power but "
-                    "not in the i-th ordinary power",
-                },
-            )
-    return NormalityVerdict("ntf-up-to", imax)
+    boxes, tripped = _guarded_boxes(
+        [(i,) * c.n for i in range(1, imax + 1)], "lattice box size"
+    )
+    gap = None
+    if boxes:
+        gap = _first_gap(ideal, boxes, _box_min(boxes[-1], _cover_matrix(c)), 1)
+    if gap is None:
+        if tripped is not None:
+            raise tripped
+        return NormalityVerdict("ntf-up-to", imax)
 
+    i, witness = gap
+    return NormalityVerdict(
+        "not-ntf",
+        imax,
+        witness=witness,
+        explanation={
+            "level": i,
+            "reason": "monomial lies in the i-th symbolic power but "
+            "not in the i-th ordinary power",
+        },
+    )

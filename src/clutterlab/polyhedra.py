@@ -11,9 +11,10 @@ prod_i [0, k*max_j A[i][j]]; every minimal lattice point of k*B(Q) lies in
 that box, because for a >= z with z in conv of the scaled columns,
 min(a, ceil(z)) is again such a point and is componentwise <= the box cap.
 
-Each quantity has one formulation: vertices of Q(A) by double description,
-k-fold sums on a box by the shift-OR recursion of :func:`kfold_sum_grids`,
-and the integer packing numbers on a box by :func:`packing_numbers`.
+Each quantity has one formulation: vertices of Q(A) by one integer double
+description per matrix (section "Exact vertex enumeration"), k-fold sums
+on a box by the shift-OR recursion of :func:`kfold_sum_grids`, and the
+integer packing numbers on a box by :func:`packing_numbers`.
 
 Every fractional value on a box is one kernel, :func:`_box_min`: the
 least of some linear forms <r_t, x> at every cell x, built from 1-D axes
@@ -139,6 +140,15 @@ def covering_polyhedron(a: IncidenceMatrix) -> RationalPolyhedron:
 
 # ---------------------------------------------------------------------------
 # Exact vertex enumeration
+#
+# A vertex v of a pointed H-polyhedron {x >= 0, Mx >= b} is an extreme ray
+# (D*v, D), D > 0, of the lifted cone {(x, t) >= 0 : Mx - bt >= 0}, found
+# by double description in integer arithmetic. For Q(A) the cuts are the
+# integer columns with a -1 appended, so no rational number is formed on
+# the way: the rays are gcd-reduced, D is their last coordinate, and the
+# vertex is integral iff D = 1. The rays of Q(A) are cached per matrix and
+# read by integrality, by the vertex inequalities over one common
+# denominator, and by the Fraction view :func:`q_vertices`.
 
 def _int_constraints(p: RationalPolyhedron) -> list[Vector]:
     """Each constraint row.x >= b as an integer homogeneous cut
@@ -216,6 +226,40 @@ def vertices(p: RationalPolyhedron) -> list[tuple[Fraction, ...]]:
     return sorted(set(verts))
 
 
+@lru_cache(maxsize=1024)
+def _q_rays(a: IncidenceMatrix) -> tuple[Vector, ...]:
+    """The vertices of Q(A) as gcd-reduced integer rays (D * ell, D) of the
+    lifted cone, D > 0: one double description per matrix, on the cuts
+    <col_j, x> - t >= 0 (the integer form of <col_j, x> >= 1)."""
+    rays = _dd_extreme_rays(a.n + 1, [(*col, -1) for col in a.columns])
+    return tuple(sorted({r for r in rays if r[-1] > 0}))
+
+
+@lru_cache(maxsize=1024)
+def q_vertices(a: IncidenceMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """Vertices of Q(A), exact and sorted, cached per matrix."""
+    return tuple(sorted(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in _q_rays(a)))
+
+
+def is_integral(a: IncidenceMatrix) -> bool:
+    """True iff every vertex of Q(A) has integer coordinates. A ray is
+    gcd-reduced, so its vertex is integral iff its last coordinate is 1."""
+    return all(r[-1] == 1 for r in _q_rays(a))
+
+
+@lru_cache(maxsize=1024)
+def _vertex_inequalities(a: IncidenceMatrix) -> tuple[np.ndarray, int]:
+    """The vertices ell_t of Q(A) over one common denominator D, as
+    (rows, D) with rows[t] = D * ell_t: z >= 0 lies in k*B(Q) iff
+    <rows[t], z> >= k*D for every t (blocking duality), and the packing LP
+    value at w >= 0 is min_t <rows[t], w> / D (LP duality). Q(A) of a
+    matrix with nonzero columns always has a vertex, so rows is nonempty."""
+    rays = _q_rays(a)
+    den = math.lcm(*(r[-1] for r in rays))
+    rows = [[x * (den // r[-1]) for x in r[:-1]] for r in rays]
+    return np.array(rows, dtype=np.int64), den
+
+
 # ---------------------------------------------------------------------------
 # Exact simplex (maximize c.y subject to Ay <= b, y >= 0, with b >= 0)
 
@@ -270,30 +314,6 @@ def simplex_max(
 
 # ---------------------------------------------------------------------------
 # Blocking polyhedron membership
-
-@lru_cache(maxsize=1024)
-def q_vertices(a: IncidenceMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Vertices of Q(A), cached per matrix."""
-    return tuple(vertices(covering_polyhedron(a)))
-
-
-def is_integral(a: IncidenceMatrix) -> bool:
-    """True iff every vertex of Q(A) has integer coordinates (read off the
-    cached :func:`q_vertices`, so one double description per matrix)."""
-    return all(x.denominator == 1 for v in q_vertices(a) for x in v)
-
-
-@lru_cache(maxsize=1024)
-def _vertex_inequalities(a: IncidenceMatrix) -> tuple[np.ndarray, int]:
-    """The vertices ell_t of Q(A) over one common denominator D, as
-    (rows, D) with rows[t] = D * ell_t: z >= 0 lies in k*B(Q) iff
-    <rows[t], z> >= k*D for every t (blocking duality), and the packing LP
-    value at w >= 0 is min_t <rows[t], w> / D (LP duality). Q(A) of a
-    matrix with nonzero columns always has a vertex, so rows is nonempty."""
-    verts = q_vertices(a)
-    den = math.lcm(*(x.denominator for v in verts for x in v))
-    return np.array([[int(x * den) for x in v] for v in verts], dtype=np.int64), den
-
 
 def blocking_membership(a: IncidenceMatrix, z: Sequence, k: int = 1) -> bool:
     """Is z in k*B(Q(A))?  Decided by the vertex inequalities
@@ -350,6 +370,12 @@ def _box_min(caps: Vector, rows: Iterable[Sequence[int]]) -> np.ndarray:
         else:
             np.minimum(low, form, out=low)
     return low
+
+
+def _box_slice(caps: Vector) -> tuple[slice, ...]:
+    """Index of the sub-box prod [0, caps_i] in an array over a larger box
+    with the same origin."""
+    return tuple(slice(0, c + 1) for c in caps)
 
 
 def _first_cell(mask: np.ndarray) -> Vector:
@@ -468,7 +494,7 @@ def integer_decomposition_check(a: IncidenceMatrix, kmax: int) -> Certificate:
     minlat = minimal_lattice_points(a, 1)
     checked: dict[str, int] = {}
     for k, dec in enumerate(kfold_sum_grids(minlat, caps, kmax), start=1):
-        sub = tuple(slice(0, kc + 1) for kc in box_caps(a, k))
+        sub = _box_slice(box_caps(a, k))
         memb_k = value[sub] >= k * den
         bad = memb_k & ~dec[sub]
         checked[str(k)] = int(memb_k.sum())
@@ -525,6 +551,27 @@ def ilp_max_packing(a: IncidenceMatrix, w: Sequence[int]) -> int:
     return best
 
 
+def _rounding_grids(a: IncidenceMatrix, wmax: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """The two sides of integer rounding at every w of the box
+    {0..wmax}^n, as n-D int64 arrays in C (lexicographic) order:
+    (lp, D, nu) with lp / D the packing LP value max{<y,1> : Ay <= w,
+    y >= 0} and nu the integer packing number. The box is guarded before
+    anything is built.
+
+    LP value: by LP duality, max{<y,1> : Ay <= w, y >= 0} = min{<w,x> : x
+    in Q(A)}, and since w >= 0 and Q(A) is pointed with recession cone
+    R^n_+, the minimum is attained at a vertex ell_t of Q(A); one
+    :func:`_box_min` of the vertex inequalities gives it for every w.
+    Integer value: :func:`packing_numbers` of the columns over the box.
+    """
+    if wmax < 0:
+        raise ValueError("wmax must be >= 0")
+    caps = (wmax,) * a.n
+    _check_box(caps, "rounding box size")
+    rows, den = _vertex_inequalities(a)
+    return _box_min(caps, rows), den, packing_numbers(a.columns, caps)
+
+
 def integer_rounding_check(a: IncidenceMatrix, wmax: int) -> Certificate:
     """Per-w check, over the box w in {0..wmax}^n in lexicographic order,
     that max{<y,1> : Ay <= w, y integer >= 0} equals the floor of the
@@ -534,20 +581,12 @@ def integer_rounding_check(a: IncidenceMatrix, wmax: int) -> Certificate:
     equivalent to the integer decomposition property of B(Q). A
     semidecision, since the property quantifies over all w.
 
-    The whole box is priced at once. LP value: by LP duality,
-    max{<y,1> : Ay <= w, y >= 0} = min{<w,x> : x in Q(A)}, and since w >= 0
-    and Q(A) is pointed with recession cone R^n_+, the minimum is attained
-    at a vertex ell_t of Q(A); one :func:`_box_min` of the vertex
-    inequalities gives it for every w. Integer value: :func:`packing_numbers`
-    of the columns over the box.
+    The whole box is priced at once by :func:`_rounding_grids`; this
+    renders it as one entry per w.
     """
-    if wmax < 0:
-        raise ValueError("wmax must be >= 0")
-    caps = (wmax,) * a.n
-    _check_box(caps, "rounding box size")
-    rows, den = _vertex_inequalities(a)
-    lp_num = _box_min(caps, rows).ravel().tolist()
-    ilp = packing_numbers(a.columns, caps).ravel().tolist()
+    lp_grid, den, nu_grid = _rounding_grids(a, wmax)
+    lp_num = lp_grid.ravel().tolist()
+    ilp = nu_grid.ravel().tolist()
     weights = itertools.product(range(wmax + 1), repeat=a.n)
     per_w = []
     first_fail = None

@@ -61,3 +61,13 @@ def test_summary_keeps_every_report_hash_and_failure():
     assert s["change"]["failed"] == 2 and not s["change"]["all_correct"]
     assert s["change_wins"] == {"certify_s": 0, "peak_rss_mb": 0}
     assert set(s["parent"]["metrics"]) == {"certify_s", "peak_rss_mb"}
+
+
+def test_each_workload_records_the_bounds_it_runs_at():
+    bench = json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text())
+    for workload in bench["workloads"]:
+        bounds = ab_bench.workload_bounds(workload["name"])
+        assert set(bounds) == {"kmax", "imax", "wmax"}
+        assert all(isinstance(v, int) and v >= 1 for v in bounds.values())
+    with pytest.raises(KeyError):
+        ab_bench.workload_bounds("no-such-workload")

@@ -8,6 +8,15 @@ from pathlib import Path
 import pytest
 
 import clutterlab
+from clutterlab import (
+    Clutter,
+    MonomialIdeal,
+    NormalityVerdict,
+    certify,
+    edge_ideal,
+    integer_rounding_check,
+    is_normal_up_to,
+)
 from clutterlab.cli import main
 from clutterlab.guards import ConsistencyError
 from clutterlab.packing import HasseNetwork
@@ -229,7 +238,7 @@ def test_rounding(capsys):
 NON_SQUAREFREE = '{"n":3,"generators":[[2,1,0],[0,1,2],[1,0,1]]}'
 
 
-@pytest.mark.parametrize(
+ROUNDING_BYTES = pytest.mark.parametrize(
     "doc, code, digest",
     [
         (TWO_SQUARES, 1, "22d411f467709a7c4335db7a5db036fbfb990f692a70a9d2b729dbd39688ddd6"),
@@ -238,12 +247,37 @@ NON_SQUAREFREE = '{"n":3,"generators":[[2,1,0],[0,1,2],[1,0,1]]}'
     ],
     ids=["two-squares", "c5", "non-squarefree"],
 )
+
+
+@ROUNDING_BYTES
 def test_rounding_canonical_bytes(capsys, doc, code, digest):
     # pins every per_w entry, its order and its formatting, as the per-w
     # simplex and integer-packing route printed them
     got, out = _run(capsys, "rounding", "--wmax", "2", "--json", doc)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@ROUNDING_BYTES
+def test_a_disagreement_witness_is_the_rounding_certificate(monkeypatch, doc, code, digest):
+    # certify reads the rounding verdict off the box arrays and renders the
+    # per-w certificate only for a disagreement; flipping the normality
+    # verdict forces one, and its witness must be the pinned CLI document
+    def flipped(ideal, kmax):
+        if is_normal_up_to(ideal, kmax).holds:
+            return NormalityVerdict("not-normal", kmax, witness=(0,) * ideal.n)
+        return NormalityVerdict("normal-up-to", kmax)
+
+    monkeypatch.setattr(certify, "is_normal_up_to", flipped)
+    parsed = json.loads(doc)
+    ideal = (MonomialIdeal.from_json(parsed) if "generators" in parsed
+             else edge_ideal(Clutter.from_json(parsed)))
+    rec = certify.check_ideal_instance(ideal, certify.Bounds(wmax=2))
+    assert rec["checks"]["rounding"] == (code == 0)
+    assert not rec["pass"] and not rec["checks"]["normal_equals_rounding"]
+    rounding = rec["witness"]["rounding"]
+    assert rounding == integer_rounding_check(ideal.matrix(), 2).to_json()
+    assert hashlib.sha256(certify.canonical_json(rounding).encode()).hexdigest() == digest
 
 
 def test_mfmc_sweep_box_over_the_guard_exits_3(capsys, monkeypatch):

@@ -16,7 +16,9 @@ from clutterlab import (
 )
 from clutterlab.certify import Bounds, check_clutter_instance, random_clutters, random_ideals
 from clutterlab.guards import ResourceGuardError
-from clutterlab.ideals import _power_grid
+from clutterlab.verdicts import Certificate
+from clutterlab import ideals, polyhedra
+from clutterlab.ideals import _power_grids
 from clutterlab.polyhedra import (
     box_caps,
     integer_decomposition_check,
@@ -89,9 +91,8 @@ def test_ordinary_power_lies_in_symbolic_power():
 
 def test_power_grid_cells_match_membership():
     for ideal in random_ideals(3, 3, 2, 10, seed=15):
-        for i in (1, 2, 3):
-            caps = box_caps(ideal.matrix(), i)
-            grid = _power_grid(ideal, i, caps)
+        boxes = tuple(box_caps(ideal.matrix(), i) for i in (1, 2, 3))
+        for i, (caps, grid) in enumerate(zip(boxes, _power_grids(ideal, boxes)), start=1):
             assert grid.shape == tuple(c + 1 for c in caps)
             expanded = power(ideal, i)
             for a in _box(caps):
@@ -99,25 +100,59 @@ def test_power_grid_cells_match_membership():
 
 
 def test_power_grid_is_read_only(two_squares):
-    grid = _power_grid(two_squares, 2, (4, 4))
-    assert not grid.flags.writeable
-    with pytest.raises(ValueError):
-        grid[0, 0] = True
+    for grid in _power_grids(two_squares, ((2, 2), (4, 4))):
+        assert not grid.flags.writeable
+        assert grid.base is None  # each level owns its box, no view of a larger one
+        with pytest.raises(ValueError):
+            grid[0, 0] = True
 
 
 def test_a_clutter_instance_builds_each_power_grid_once():
-    # normality at level k reads the [0, k]^n grid NTF built
-    _power_grid.cache_clear()
+    # one chain of levels 1..3, built by NTF and read by normality
+    _power_grids.cache_clear()
     check_clutter_instance(complete_admissible_uniform_clutter(2, 3), Bounds())
-    info = _power_grid.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+    info = _power_grids.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_a_tripped_guard_caches_no_power_grid():
-    _power_grid.cache_clear()
+    _power_grids.cache_clear()
     with pytest.raises(ResourceGuardError, match="power grid size"):
         is_normal_up_to(edge_ideal(Clutter(22, [range(22)])), 1)
-    assert _power_grid.cache_info().currsize == 0
+    assert _power_grids.cache_info().currsize == 0
+
+
+def test_a_level_below_the_guard_still_decides_normality(monkeypatch):
+    # <x^2, y^2>: the level-1 box [0,2]^2 (9 cells) is admitted, the
+    # level-2 box [0,4]^2 (25 cells) is not; (1, 1) lies in the integral
+    # closure of I but not in I, so the verdict needs no larger level
+    monkeypatch.setattr(polyhedra, "MAX_GRID_POINTS", 9)
+    squares = MonomialIdeal(2, [(2, 0), (0, 2)])
+    # the level-2 power grid guard does not fire; the explanation's
+    # integer-decomposition check over the kmax box [0,6]^2 does
+    with pytest.raises(ResourceGuardError, match="lattice box size = 49 exceeds guard limit 9"):
+        is_normal_up_to(squares, 3)
+    monkeypatch.setattr(ideals, "integer_decomposition_check",
+                        lambda a, kmax: Certificate("integer-decomposition", "holds-up-to-bound", True))
+    verdict = is_normal_up_to(squares, 3)
+    assert verdict.kind == "not-normal"
+    assert verdict.explanation["level"] == 1 and verdict.witness == (1, 1)
+    # a normal ideal is checked up to the guard, which then fires at the
+    # first oversize level: [0,3]^2 for <x, y>
+    with pytest.raises(ResourceGuardError, match="power grid size = 16 exceeds guard limit 9"):
+        is_normal_up_to(MonomialIdeal(2, [(1, 0), (0, 1)]), 3)
+
+
+def test_a_level_below_the_guard_still_decides_ntf(monkeypatch):
+    # the 5-cycle first fails NTF at level 3, whose box [0,3]^5 has 1024
+    # cells; the level-4 box is over the guard but not needed
+    monkeypatch.setattr(polyhedra, "MAX_GRID_POINTS", 4 ** 5)
+    verdict = is_ntf_up_to(C5, 4)
+    assert verdict.kind == "not-ntf" and verdict.witness == (1, 1, 1, 1, 1)
+    # NTF holds at levels 1 and 2, so the level-3 guard fires
+    monkeypatch.setattr(polyhedra, "MAX_GRID_POINTS", 3 ** 5)
+    with pytest.raises(ResourceGuardError, match="lattice box size = 1024 exceeds guard limit 243"):
+        is_ntf_up_to(C5, 3)
 
 
 def test_ntf_witness_is_symbolic_but_not_ordinary(c5):

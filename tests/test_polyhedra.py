@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +28,11 @@ from clutterlab.polyhedra import (
     UnboundedLPError,
     _dd_extreme_rays,
     _int_constraints,
+    _vertex_inequalities,
     box_caps,
     format_rational,
     ilp_max_packing,
+    q_vertices,
 )
 from clutterlab.structures import clique_clutter, comparability_graph
 
@@ -123,6 +127,39 @@ def test_dd_matches_independent_oracle():
     for c in random_clutters(5, 5, 8, seed=79):
         a = IncidenceMatrix.from_clutter(c)
         assert vertices(covering_polyhedron(a)) == brute_q_vertices(a.columns)
+
+
+def _integer_route_corpus():
+    rng = random.Random(505)
+    mats = []
+    while len(mats) < 80:
+        n = rng.randint(1, 5)
+        cols = [[rng.randint(0, 3) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        cols = [c for c in cols if any(c)]
+        if cols:
+            mats.append(IncidenceMatrix(n, cols))
+    doc = json.loads((Path(__file__).parent / "corpora" / "cauc-small.json").read_text())
+    mats += [IncidenceMatrix.from_clutter(Clutter.from_json(item["data"]))
+             for item in doc["instances"]]
+    # Q6, the triangles of K4 on its six edges: Q(A) is integral, though Q6
+    # has no MFMC; C5: Q(A) has the vertex (1/2, ..., 1/2)
+    q6 = IncidenceMatrix.from_clutter(Clutter(6, [(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)]))
+    return mats + [q6, _c5_matrix()]
+
+
+def test_integer_vertex_route_matches_oracle():
+    mats = _integer_route_corpus()
+    integral = []
+    for a in mats:
+        expected = brute_q_vertices(a.columns)
+        assert list(q_vertices(a)) == expected
+        integral.append(all(x.denominator == 1 for v in expected for x in v))
+        assert is_integral(a) == integral[-1]
+        rows, den = _vertex_inequalities(a)
+        assert rows.dtype == np.int64 and den == math.lcm(*(x.denominator for v in expected for x in v))
+        assert sorted(tuple(Fraction(int(x), den) for x in row) for row in rows) == expected
+    assert integral[-2:] == [True, False]  # Q6, C5
+    assert False in integral[:-2]
 
 
 def test_dd_ray_guard():

@@ -11,10 +11,11 @@ at a time; even pairs start with the parent, odd pairs with this checkout.
 The runs read the end-to-end metrics and their directions from
 ``BENCHMARK.json``. Every workload and seed given is run in turn, and the
 file gets one entry per (workload, seed), or the entry is replaced when
-the file already has one: the Python version, the run length, per side
-the median and quartiles of each metric over the runs with their report
-sha256 and failed counts, and per metric the pairs this checkout won (ties
-count for neither side).
+the file already has one: the Python version, the run length, the bounds
+the workload runs at (``certbench/workloads.py``), per side the median and
+quartiles of each metric over the runs with their report sha256 and failed
+counts, and per metric the pairs this checkout won (ties count for neither
+side).
 
 The runs of a pair are compared on their medians, so a claim reads: the
 change wins at least nine tenths of the pairs and its median beats the
@@ -27,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import runpy
 import statistics
 import subprocess
 import sys
@@ -77,6 +79,12 @@ def summarize(pairs: list[tuple[str, str]], better: dict[str, str]) -> dict:
     return {"pairs": len(runs), **sides, "change_wins": wins}
 
 
+def workload_bounds(workload: str) -> dict[str, int]:
+    """The bounds ``certbench/run.py`` checks ``workload`` at."""
+    bounds_for = runpy.run_path(str(ROOT / "certbench" / "workloads.py"))["bounds_for"]
+    return dict(bounds_for(workload))
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> str:
     cmd = [sys.executable, "certbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -113,7 +121,7 @@ def main() -> int:
                 pairs.append((out[parent], out[ROOT]))
                 print(f"{workload} seed {seed}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
             entry = {"workload": workload, "seed": seed, "seconds": args.seconds,
-                     **summarize(pairs, better)}
+                     "bounds": workload_bounds(workload), **summarize(pairs, better)}
             entries[:] = [e for e in entries if (e["workload"], e["seed"]) != (workload, seed)]
             entries.append(entry)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
