@@ -16,6 +16,8 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .guards import ConsistencyError, Deadline, ResourceGuardError
 from .ideals import MonomialIdeal, edge_ideal, is_normal_up_to, is_ntf_up_to
 from .packing import HasseNetwork, chain_order, menger_walk, mfmc_bounded, sweep_numbers
@@ -29,7 +31,7 @@ from .structures import (
     comparability_graph,
     duplicate,
     graph_duplicate,
-    parallelize_masks,
+    parallelize_masks,  # unused; certbench's tracer test still reads this holder
     transitive_closure,
 )
 
@@ -302,31 +304,36 @@ def comparability_mfmc_check(
     alpha0 and beta1 of every C^w are priced first by
     :func:`sweep_numbers`, so the box-size guard fires before the network
     is built. The flow side walks the box in Gray order
-    (:func:`menger_walk`) and reads both numbers by lexicographic index.
-    Failures are sorted by lexicographic w, so the first ones listed are
-    the lex-first ones. ``menger_agrees`` is false also when the Hasse
-    source-sink paths are not the maximal cliques (``hasse_chains``) or a
-    check of the flow fails at some w (the mismatch's ``invariant``).
+    (:func:`menger_walk`), searching only where its flow and cut stop
+    certifying w; both sides come back as arrays indexed by lexicographic
+    w and are compared in one vectorized pass. Failures are sorted by
+    lexicographic w, so the first ones listed are the lex-first ones.
+    ``menger_agrees`` is false also when the Hasse source-sink paths are
+    not the maximal cliques (``hasse_chains``) or a check of the flow
+    fails at some w (the mismatch's ``invariant``).
     """
     taus, nus = sweep_numbers(cl, wmax)
     net = HasseNetwork.of(p)
-    konig_failures: dict[int, dict[str, Any]] = {}
-    menger_mismatches: dict[int, dict[str, Any]] = {}
-    checked = 0
-    for idx, w, _, cut, flow, failure in menger_walk(net, cl.edge_masks, wmax, deadline):
-        checked += 1
-        a0, b1 = taus[idx], nus[idx]
-        if a0 != b1:
-            konig_failures[idx] = {"w": list(w), "alpha0": a0, "beta1": b1}
-        if (cut, flow) != (a0, b1) or failure is not None:
-            entry = {"w": list(w), "konig": [a0, b1], "menger": [cut, flow]}
-            if failure is not None:
-                entry["invariant"] = failure.to_json()
-            menger_mismatches[idx] = entry
+    cut_weights, flows, _, failures = menger_walk(net, cl.edge_masks, wmax, deadline)
+    konig = np.flatnonzero(taus != nus)
+    mismatched = (cut_weights != taus) | (flows != nus)
+    mismatched[list(failures)] = True
+    mismatches = np.flatnonzero(mismatched)
+    konig_failures = [
+        {"w": w, "alpha0": a0, "beta1": b1}
+        for w, a0, b1 in zip(_lex_weights(konig, p.n, wmax), taus[konig].tolist(), nus[konig].tolist())
+    ]
+    menger_mismatches = []
+    for i, w in zip(mismatches.tolist(), _lex_weights(mismatches, p.n, wmax)):
+        entry = {"w": w, "konig": [int(taus[i]), int(nus[i])],
+                 "menger": [int(cut_weights[i]), int(flows[i])]}
+        if i in failures:
+            entry["invariant"] = failures[i].to_json()
+        menger_mismatches.append(entry)
     result: dict[str, Any] = {
-        "checked_w": checked,
-        "konig_failures": [konig_failures[i] for i in sorted(konig_failures)],
-        "menger_mismatches": [menger_mismatches[i] for i in sorted(menger_mismatches)],
+        "checked_w": cut_weights.size,
+        "konig_failures": konig_failures,
+        "menger_mismatches": menger_mismatches,
         "mfmc_holds": not konig_failures,
     }
     chains = net.chains()
@@ -337,6 +344,12 @@ def comparability_mfmc_check(
         ).to_json()
     result["menger_agrees"] = not menger_mismatches and "hasse_chains" not in result
     return result
+
+
+def _lex_weights(indices: np.ndarray, n: int, wmax: int) -> list[list[int]]:
+    """The weight vectors at lexicographic ``indices`` of {0..wmax}^n."""
+    base = wmax + 1
+    return [[i // base ** (n - 1 - v) % base for v in range(n)] for i in indices.tolist()]
 
 
 def duplication_commutes(g: Graph, cl: Clutter) -> list[int]:

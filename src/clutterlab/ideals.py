@@ -223,7 +223,10 @@ def is_normal_up_to(ideal: MonomialIdeal, kmax: int) -> NormalityVerdict:
     generators; the witness is the lex-first one that does not. Only a
     negative verdict runs the paper's criterion, for its explanation: every
     minimal lattice point of B(Q) is a column, and B(Q) has the integer
-    decomposition property up to kmax.
+    decomposition property up to kmax. When the kmax box of the latter is
+    over a size guard, the decided verdict stands: the explanation gets
+    ``"integer_decomposition": None`` and the guard message under
+    ``"idp_skipped"``.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -241,21 +244,24 @@ def is_normal_up_to(ideal: MonomialIdeal, kmax: int) -> NormalityVerdict:
         return NormalityVerdict("normal-up-to", kmax)
 
     k, witness = gap
-    idp = integer_decomposition_check(a, kmax) if kmax >= 2 else None
-    return NormalityVerdict(
-        "not-normal",
-        kmax,
-        witness=witness,
-        explanation={
-            "level": k,
-            "reason": "monomial lies in the integral closure of the k-th power "
-            "but not in the power itself",
-            "minimal_vectors_are_columns": set(minimal_lattice_points(a, 1))
-            <= set(ideal.generators),
-            "integer_decomposition": idp is None or idp.holds,
-            "idp_witness": None if idp is None else idp.witness,
-        },
-    )
+    explanation = {
+        "level": k,
+        "reason": "monomial lies in the integral closure of the k-th power "
+        "but not in the power itself",
+        "minimal_vectors_are_columns": set(minimal_lattice_points(a, 1))
+        <= set(ideal.generators),
+        "integer_decomposition": True,
+        "idp_witness": None,
+    }
+    if kmax >= 2:
+        try:
+            idp = integer_decomposition_check(a, kmax)
+        except ResourceGuardError as exc:
+            # the verdict is decided; only its explanation is cut short
+            explanation.update(integer_decomposition=None, idp_skipped=str(exc))
+        else:
+            explanation.update(integer_decomposition=idp.holds, idp_witness=idp.witness)
+    return NormalityVerdict("not-normal", kmax, witness=witness, explanation=explanation)
 
 
 def is_ntf_up_to(c: Clutter, imax: int) -> NormalityVerdict:

@@ -17,10 +17,12 @@ identities give its numbers from weights on C:
 
 The flows of a whole w-box come from one residual network: the box is
 walked in reflected mixed-radix Gray order (Knuth, TAOCP 4A, section
-7.2.1.1), so consecutive w differ by +-1 in one vertex capacity, the max
-flow moves by at most one unit and one augmenting path restores it (the
-unit-step case of parametric flow; Gallo, Grigoriadis and Tarjan, SIAM J.
-Comput. 18, 1989), see :func:`menger_walk`.
+7.2.1.1), so consecutive w differ by +-1 in one vertex capacity and the
+max flow moves by at most one unit (the unit-step case of parametric flow;
+Gallo, Grigoriadis and Tarjan, SIAM J. Comput. 18, 1989). The walk keeps
+its (flow, cut) pair while the pair still certifies the new w by weak
+duality and searches for an augmenting path only when it stops doing so,
+see :func:`menger_walk`.
 
 Each Koenig number has one exact search, which returns its
 lexicographically least optimal witness: :func:`lex_min_cover` for alpha0
@@ -31,9 +33,10 @@ of a failed sweep, and check the deadline at every node.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,7 +60,7 @@ from .structures import (
     comparability_graph,
     parallel_origins,
     parallelization,
-    parallelize_masks,
+    parallelize_masks,  # unused; certbench's tracer test still reads this holder
 )
 from .verdicts import Certificate
 
@@ -262,9 +265,9 @@ def konig_certificate(c: Clutter, deadline: Deadline | None = None) -> KonigCert
 # ---------------------------------------------------------------------------
 # Bounded MFMC certification
 
-def sweep_numbers(c: Clutter, wmax: int) -> tuple[list[int], list[int]]:
-    """alpha0(C^w) and beta1(C^w) for every w in {0..wmax}^n, as two lists
-    in lexicographic w order, without building C^w.
+def sweep_numbers(c: Clutter, wmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """alpha0(C^w) and beta1(C^w) for every w in {0..wmax}^n, as two flat
+    int64 arrays indexed by lexicographic w, without building C^w.
 
     Both numbers come from weights on C (Schrijver, Combinatorial
     Optimization, ch. 79, on parallelization):
@@ -283,7 +286,7 @@ def sweep_numbers(c: Clutter, wmax: int) -> tuple[list[int], list[int]]:
     _check_box(caps, "sweep box size")
     taus = _box_min(caps, _cover_matrix(c))
     nus = packing_numbers([[int(v in e) for v in range(c.n)] for e in c.edges], caps)
-    return taus.ravel().tolist(), nus.ravel().tolist()
+    return taus.ravel(), nus.ravel()
 
 
 def mfmc_bounded(c: Clutter, wmax: int, deadline: Deadline | None = None) -> Certificate:
@@ -307,21 +310,23 @@ def mfmc_bounded(c: Clutter, wmax: int, deadline: Deadline | None = None) -> Cer
     taus, nus = sweep_numbers(c, wmax)
     if deadline is not None:
         deadline.check()
-    first = next((i for i, (a0, b1) in enumerate(zip(taus, nus)) if a0 != b1), None)
-    if first is None:
+    failing = np.flatnonzero(taus != nus)
+    if not failing.size:
         return Certificate(
             prop="mfmc",
             verdict="holds-up-to-bound",
             holds=True,
             bound=wmax,
-            details={"checked": len(taus)},
+            details={"checked": taus.size},
         )
+    first = int(failing[0])
     w = [int(x) for x in np.unravel_index(first, (wmax + 1,) * c.n)]
     konig = konig_certificate(parallelization(c, w), deadline)
-    if (konig.alpha0, konig.beta1) != (taus[first], nus[first]):
+    numbers = [int(taus[first]), int(nus[first])]
+    if [konig.alpha0, konig.beta1] != numbers:
         raise ConsistencyError(
             "alpha0/beta1 of C^w from weights on C = Koenig search on C^w",
-            [taus[first], nus[first]], [konig.alpha0, konig.beta1],
+            numbers, [konig.alpha0, konig.beta1],
         )
     return Certificate(
         prop="mfmc",
@@ -403,14 +408,17 @@ class HasseNetwork:
     its reverse); every other arc is uncapacitated.
 
     One flow kernel serves a single weight and a whole w-box: residual
-    capacities ``cap`` (the flow on a forward arc a is ``cap[a ^ 1]``), an
-    Edmonds-Karp :meth:`_augment`, the min cut read off its last search,
-    and :meth:`_decompose` into chains. :meth:`max_flow` runs it from the
+    capacities ``cap`` (the flow on a forward arc a is ``cap[a ^ 1]``),
+    Edmonds-Karp steps (:meth:`_augment`, one shortest augmenting path
+    each), the min cut read off a search that found no path, and
+    :meth:`_decompose` into chains. :meth:`max_flow` runs it from the
     zero flow. :func:`menger_walk` keeps one residual network for the whole
     box, walked in reflected Gray order (Knuth, TAOCP 4A, section
     7.2.1.1): a +-1 change of one vertex capacity moves the max flow by at
-    most one unit, so :meth:`_cancel_unit` and one augmenting path restore
-    it (Gallo, Grigoriadis and Tarjan, SIAM J. Comput. 18, 1989).
+    most one unit, so :meth:`_cancel_unit` and at most one augmenting path
+    restore it (Gallo, Grigoriadis and Tarjan, SIAM J. Comput. 18, 1989),
+    and the walk searches only when its (flow, cut) pair no longer
+    certifies the new w.
     """
 
     n: int
@@ -482,37 +490,35 @@ class HasseNetwork:
         return cap
 
     def _augment(self, cap: list[int]) -> tuple[int, list[int]]:
-        """Edmonds-Karp: push along shortest residual s-t paths until none
-        is left. Returns the flow added and the search tree of the last
-        (failed) breadth-first search, whose reached nodes are the source
-        side of a minimum cut."""
+        """One Edmonds-Karp step: a breadth-first search of the residual
+        network from the source, and a push of the bottleneck along the
+        shortest s-t path it found. Returns the flow pushed and the search
+        tree; when nothing was pushed, the tree's reached nodes are the
+        source side of a minimum cut."""
         head, out = self._graph
         s, t = 2 * self.n, 2 * self.n + 1
-        added = 0
-        while True:
-            via = [-1] * (t + 1)
-            via[s] = -2
-            queue = [s]
-            for u in queue:
-                for a in out[u]:
-                    v = head[a]
-                    if cap[a] and via[v] == -1:
-                        via[v] = a
-                        queue.append(v)
-                if via[t] != -1:
-                    break
-            if via[t] == -1:
-                return added, via
-            push, v = cap[via[t]], t
-            while v != s:
-                push = min(push, cap[via[v]])
-                v = head[via[v] ^ 1]
-            v = t
-            while v != s:
-                cap[via[v]] -= push
-                cap[via[v] ^ 1] += push
-                v = head[via[v] ^ 1]
-            added += push
+        via = [-1] * (t + 1)
+        via[s] = -2
+        queue = [s]
+        for u in queue:
+            for a in out[u]:
+                if cap[a] > 0 and via[head[a]] == -1:
+                    via[head[a]] = a
+                    queue.append(head[a])
+            if via[t] != -1:
+                break
+        else:
+            return 0, via
+        push, v = cap[via[t]], t
+        while v != s:
+            push = min(push, cap[via[v]])
+            v = head[via[v] ^ 1]
+        v = t
+        while v != s:
+            cap[via[v]] -= push
+            cap[via[v] ^ 1] += push
+            v = head[via[v] ^ 1]
+        return push, via
 
     def _cut(self, via: list[int]) -> int:
         """Mask of the vertices whose arc leaves the reached side."""
@@ -566,15 +572,19 @@ class HasseNetwork:
         s, t = 2 * self.n, 2 * self.n + 1
         path, u = [2 * v], 2 * v
         while u != s:
-            b = next((b for b in out[u] if b & 1 and cap[b]), None)
-            if b is None:
+            for b in out[u]:
+                if b & 1 and cap[b]:
+                    break
+            else:
                 raise ConsistencyError("flow is conserved", *self._balance(cap, u))
             path.append(b ^ 1)
             u = head[b]
         u = 2 * v + 1
         while u != t:
-            a = next((a for a in out[u] if not a & 1 and cap[a ^ 1]), None)
-            if a is None:
+            for a in out[u]:
+                if not a & 1 and cap[a ^ 1]:
+                    break
+            else:
                 raise ConsistencyError("flow is conserved", *self._balance(cap, u))
             path.append(a)
             u = head[a]
@@ -582,35 +592,109 @@ class HasseNetwork:
             cap[a] += 1
             cap[a ^ 1] -= 1
 
-    def max_flow(self, w: Sequence[int]) -> tuple[int, list[tuple[int, int]], int]:
+    def max_flow(self, w: Sequence[int]) -> tuple[int, list[int], int]:
         """Max s-t flow with capacity w_v through vertex v: the kernel of
         :func:`menger_walk` run once, by Edmonds-Karp from the zero flow.
 
-        Returns (value, decomposition, cut): the flow split into chains as
-        (vertex mask, multiplicity) pairs, and the mask of the minimum
-        vertex cut read off residual reachability from the source.
+        Returns (value, residual capacities, cut): the cut is the mask of
+        the minimum vertex cut read off residual reachability from the
+        source.
         """
         cap = self._residual(w, sum(w) + 1)
-        value, via = self._augment(cap)
-        return value, self._decompose(cap), self._cut(via)
+        value = 0
+        while True:
+            added, via = self._augment(cap)
+            if not added:
+                return value, cap, self._cut(via)
+            value += added
 
 
-def _menger_invariants(
-    edge_masks: Sequence[int], zero: int, value: int,
-    chains: list[tuple[int, int]], cut: int, cut_weight: int,
-) -> None:
-    """Raise :class:`ConsistencyError` unless the flow value is the cut
-    weight, every flow chain is a clutter edge avoiding the weight-0
-    vertices ``zero``, and the cut meets every such edge."""
-    if value != cut_weight:
-        raise ConsistencyError("max-flow = min-cut", value, cut_weight)
-    for m, _ in chains:
-        if m not in edge_masks or m & zero:
-            surviving = [_bits(e) for e in edge_masks if not e & zero]
-            raise ConsistencyError("flow chain is a surviving clique", _bits(m), surviving)
-    missed = next((e for e in edge_masks if not e & zero and not e & cut), None)
-    if missed is not None:
-        raise ConsistencyError("cut meets every surviving clique", _bits(cut), _bits(missed))
+class _Decomposition(NamedTuple):
+    """A flow split into chains once, with what every w asks of it."""
+
+    chains: list[tuple[int, int]]  # (vertex mask, multiplicity)
+    total: int  # sum of the multiplicities
+    support: int  # union of the chain masks
+    cliques: bool  # every chain is a clutter edge
+
+
+class _Certificate:
+    """The checks that make a flow and a vertex cut of a Hasse network a
+    certificate of tau(C^w) = nu(C^w) = flow value for the clique clutter
+    with edge masks ``edge_masks``, memoized for one network.
+
+    The pair certifies w when no vertex carries more flow than w_v, the
+    flow is conserved and splits into chains whose multiplicities sum to
+    its value, every chain is a clique avoiding the weight-0 vertices,
+    the cut weight equals the value, and the cut meets every such clique.
+    The chains are then a w-packing of C of that size and the cut a
+    w-cover of that weight, so value <= nu <= tau <= value, the middle
+    step by weak duality.
+
+    The decomposition is memoized on the flow vector, and the edges a cut
+    misses on the cut, so each w scans only those for one that survives;
+    a memo hit is the result computed for the same inputs.
+    """
+
+    def __init__(self, net: HasseNetwork, edge_masks: Sequence[int]):
+        self.net = net
+        self.edge_masks = edge_masks
+        self.edges = frozenset(edge_masks)
+        self._vertex_arcs = slice(0, 2 * net.n, 2)
+        self._flows: dict[tuple[int, ...], _Decomposition | ConsistencyError] = {}
+        self._missed: dict[int, list[int]] = {}
+
+    def decompose(self, cap: list[int]) -> _Decomposition | ConsistencyError:
+        """:meth:`HasseNetwork._decompose` of the flow, or the error it
+        raised."""
+        key = tuple(cap[1::2])
+        found = self._flows.get(key)
+        if found is None:
+            try:
+                chains = self.net._decompose(cap)
+            except ConsistencyError as exc:
+                found = exc
+            else:
+                support = 0
+                for m, _ in chains:
+                    support |= m
+                found = _Decomposition(
+                    chains, sum(mult for _, mult in chains), support,
+                    all(m in self.edges for m, _ in chains),
+                )
+            self._flows[key] = found
+        return found
+
+    def failure(
+        self, cap: list[int], zero: int, value: int,
+        flow: _Decomposition | ConsistencyError, cut: int, cut_weight: int,
+    ) -> tuple[str, Any, Any] | None:
+        """The first check the pair fails, as the (check, left, right)
+        arguments of its :class:`ConsistencyError`, or None when the pair
+        certifies the weight whose weight-0 vertices are ``zero``."""
+        if min(cap[self._vertex_arcs] or (0,)) < 0:
+            n = self.net.n
+            return ("flow through each vertex is at most w_v",
+                    cap[1 : 2 * n : 2], [cap[2 * v] + cap[2 * v + 1] for v in range(n)])
+        if isinstance(flow, ConsistencyError):
+            return flow.check, flow.left, flow.right
+        chains, total, support, cliques = flow
+        if total != value:
+            return "chain multiplicities sum to the flow value", total, value
+        if value != cut_weight:
+            return "max-flow = min-cut", value, cut_weight
+        if support & zero or not cliques:
+            m = next(m for m, _ in chains if m not in self.edges or m & zero)
+            surviving = [_bits(e) for e in self.edge_masks if not e & zero]
+            return "flow chain is a surviving clique", _bits(m), surviving
+        try:
+            missed = self._missed[cut]
+        except KeyError:
+            missed = self._missed[cut] = [e for e in self.edge_masks if not e & cut]
+        for e in missed:
+            if not e & zero:
+                return "cut meets every surviving clique", _bits(cut), _bits(e)
+        return None
 
 
 def menger_check(
@@ -620,86 +704,98 @@ def menger_check(
     the clique clutter with edge masks ``edge_masks``.
 
     Returns (cut weight, flow value, chains, cut). Raises
-    :class:`ConsistencyError` unless the two numbers agree, every flow chain
-    is a clutter edge avoiding the weight-0 vertices, and the cut meets
-    every such edge.
+    :class:`ConsistencyError` unless the pair is a certificate of
+    tau(C^w) = nu(C^w) in the sense of :class:`_Certificate`, the same
+    checks :func:`menger_walk` makes at every w.
     """
-    value, chains, cut = net.max_flow(w)
+    value, cap, cut = net.max_flow(w)
     cut_weight = sum(w[v] for v in _bits(cut))
     zero = _mask(v for v, x in enumerate(w) if x == 0)
-    _menger_invariants(edge_masks, zero, value, chains, cut, cut_weight)
-    return cut_weight, value, chains, cut
+    cert = _Certificate(net, edge_masks)
+    flow = cert.decompose(cap)
+    failure = cert.failure(cap, zero, value, flow, cut, cut_weight)
+    if failure is not None:
+        raise ConsistencyError(*failure)
+    return cut_weight, value, flow.chains, cut
 
 
 def menger_walk(
     net: HasseNetwork, edge_masks: Sequence[int], wmax: int,
     deadline: Deadline | None = None,
-) -> Iterator[tuple[int, list[int], int, int, int, ConsistencyError | None]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, ConsistencyError]]:
     """The checks of :func:`menger_check` at every w of {0..wmax}^n, on one
     residual network walked in the order of :func:`gray_steps`.
 
-    Yields (lexicographic index of w, w, cut, cut weight, flow value,
-    failure or None); w is the walk's own list, valid until the next step.
-    Each step moves one vertex capacity by one, and the maximum flow by
-    at most one unit, so it is restored with at most one augmenting path
-    (the unit-step case of parametric flow; Gallo, Grigoriadis and Tarjan,
-    SIAM J. Comput. 18, 1989):
+    Returns (cut weights, flow values, cut masks, failures): three flat
+    int64 arrays indexed by lexicographic w, and the failed check by
+    lexicographic index for every w whose pair is not a certificate.
 
-    - +1 on v: re-augment.
-    - -1 on v, v not saturated: the flow stays maximum.
-    - -1 on v, v saturated: cancel one unit of flow through v, then
-      re-augment.
+    The walk starts from the zero flow and the empty cut, which certify
+    w = 0. Each step moves one vertex capacity by one and keeps the pair:
 
-    The cut is read off the last search. A step searches again only if it
-    cancelled flow or could change what the search reaches: v_in was
-    reached and v's arc entered the residual graph towards an unreached
-    v_out, or left it. Any other step changes neither the flow nor the cut.
-    The chain decomposition depends only on the flow, so it is redone only
-    after a step that changed the flow. ``deadline`` is checked once per w.
+    - +1 on v: the flow stays feasible.
+    - -1 on v, v not saturated: the flow stays feasible.
+    - -1 on v, v saturated: one unit of flow through v is cancelled.
+
+    The cut weight moves with w_v when v is in the cut. The pair is then
+    checked by :class:`_Certificate` at the new w, and only if it fails
+    does the walk search: it pushes one augmenting path at a time, checking
+    again after each, until the pair certifies w or a search finds no path,
+    whose search tree gives a minimum cut for one last check. A step moves
+    the maximum flow by at most one unit (Gallo, Grigoriadis and Tarjan,
+    SIAM J. Comput. 18, 1989), so one path or one failed search restores
+    the pair. Every check is decided at every w; ``deadline`` is checked
+    once per w.
     """
     n = net.n
+    size = (wmax + 1) ** n
+    # int64 buffers: list-speed stores, read by numpy without a copy
+    cut_weights, flows, cuts = (array("q", bytes(8 * size)) for _ in range(3))
+    failures: dict[int, ConsistencyError] = {}
+    cert = _Certificate(net, edge_masks)
+    check = cert.failure
     w = [0] * n
     zero = (1 << n) - 1
     cap = net._residual(w, n * wmax + 1)
-    value, via = net._augment(cap)
-    cut = net._cut(via)
+    value, flow, cut, cut_weight = 0, cert.decompose(cap), 0, 0
     stride = [(wmax + 1) ** (n - 1 - v) for v in range(n)]
-    idx, changed = 0, True
+    idx = 0
     steps = gray_steps(n, wmax)
     while True:
         if deadline is not None:
             deadline.check()
-        cut_weight = sum(w[u] for u in _bits(cut))
-        failure = None
-        try:
-            if changed:
-                chains = net._decompose(cap)
-                changed = False
-            _menger_invariants(edge_masks, zero, value, chains, cut, cut_weight)
-        except ConsistencyError as exc:
-            failure = exc
-        yield idx, w, cut, cut_weight, value, failure
+        failure = check(cap, zero, value, flow, cut, cut_weight)
+        while failure is not None:
+            added, via = net._augment(cap)
+            if not added:
+                searched = net._cut(via)
+                if searched != cut:
+                    cut = searched
+                    cut_weight = sum(w[u] for u in _bits(cut))
+                failure = check(cap, zero, value, flow, cut, cut_weight)
+                if failure is not None:
+                    failures[idx] = ConsistencyError(*failure)
+                break
+            value += added
+            flow = cert.decompose(cap)
+            failure = check(cap, zero, value, flow, cut, cut_weight)
+        cut_weights[idx], flows[idx], cuts[idx] = cut_weight, value, cut
         step = next(steps, None)
         if step is None:
-            return
+            return (np.frombuffer(cut_weights, dtype=np.int64), np.frombuffer(flows, dtype=np.int64),
+                    np.frombuffer(cuts, dtype=np.int64), failures)
         v, d = step
         idx += d * stride[v]
         w[v] += d
         if w[v] == 0 or (w[v] == 1 and d == 1):
             zero ^= 1 << v
-        cancel = d < 0 and cap[2 * v] == 0
-        if cancel:
+        if d < 0 and cap[2 * v] == 0:
             net._cancel_unit(cap, v)
             value -= 1
-            changed = True
+            flow = cert.decompose(cap)
         cap[2 * v] += d
-        # the last search stays valid unless v_in was reached and v's arc
-        # entered the residual graph towards an unreached v_out, or left it
-        if cancel or via[2 * v] != -1 and (via[2 * v + 1] == -1 if d > 0 else cap[2 * v] == 0):
-            added, via = net._augment(cap)
-            value += added
-            changed = changed or added > 0
-            cut = net._cut(via)
+        if cut >> v & 1:
+            cut_weight += d
 
 
 def menger_oracle(p: Poset, w: Sequence[int]) -> KonigCertificate:

@@ -29,6 +29,14 @@ def brute_maximal_cliques(n: int, edges) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(c)) for c in maximal)
 
 
+def brute_cut_meets_surviving_chains(n: int, relation, w, cut) -> bool:
+    """Whether the vertex set ``cut`` meets every maximal chain of the poset
+    on n points with strict order ``relation`` whose vertices all have
+    positive weight in w."""
+    chains = brute_maximal_cliques(n, relation)
+    return all(set(c) & set(cut) for c in chains if all(w[v] for v in c))
+
+
 def brute_minimal_covers(n: int, edges) -> list[tuple[int, ...]]:
     esets = [set(e) for e in edges]
     if not esets:

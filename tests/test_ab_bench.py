@@ -11,6 +11,7 @@ ab_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_bench)
 
 BETTER = {"certify_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower"}
+BOUND = {"certify_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.1}
 
 
 def _stdout(certify_s, setup_s, rss, sha="02718bc3", failed=0):
@@ -37,7 +38,7 @@ def test_summary_of_canned_pairs():
         (_stdout(0.18, 0.11, 41.0), _stdout(0.07, 0.12, 38.0)),
         (_stdout(0.10, 0.10, 40.0), _stdout(0.06, 0.10, 38.0)),
     ]
-    s = ab_bench.summarize(pairs, BETTER)
+    s = ab_bench.summarize(pairs, BETTER, BOUND)
     assert s["pairs"] == 5
     parent = s["parent"]["metrics"]["certify_s"]
     assert parent["runs"] == [0.16, 0.12, 0.14, 0.18, 0.10]
@@ -56,11 +57,51 @@ def test_summary_keeps_every_report_hash_and_failure():
         (_stdout(0.1, 0.1, 40.0), _stdout(0.2, 0.1, 40.0, sha="ffff", failed=2)),
         (_stdout(0.1, 0.1, 40.0), _stdout(0.2, 0.1, 40.0)),
     ]
-    s = ab_bench.summarize(pairs, {"certify_s": "lower", "peak_rss_mb": "higher"})
+    s = ab_bench.summarize(pairs, {"certify_s": "lower", "peak_rss_mb": "higher"},
+                           {"certify_s": 0.25, "peak_rss_mb": 0.1})
     assert s["change"]["sha256"] == ["02718bc3", "ffff"]
     assert s["change"]["failed"] == 2 and not s["change"]["all_correct"]
     assert s["change_wins"] == {"certify_s": 0, "peak_rss_mb": 0}
     assert set(s["parent"]["metrics"]) == {"certify_s", "peak_rss_mb"}
+
+
+def _pairs(parent_runs, change_runs):
+    """Canned pairs that differ only in certify_s."""
+    return [(_stdout(p, 0.1, 40.0), _stdout(c, 0.1, 40.0)) for p, c in zip(parent_runs, change_runs)]
+
+
+PARENT = [0.100, 0.104, 0.096, 0.102, 0.098, 0.101, 0.099, 0.103, 0.097, 0.100]
+
+
+def test_verdict_gain_needs_nine_tenths_of_the_pairs_and_the_parents_iqr():
+    # the parent's quartiles are about 0.098 and 0.102; a median of 0.08
+    # beats its median 0.1 by far more than that
+    s = ab_bench.summarize(_pairs(PARENT, [0.08] * 9 + [0.2]), BETTER, BOUND)
+    assert s["change_wins"]["certify_s"] == 9
+    assert s["verdict"]["certify_s"] == "gain"
+    # eight wins of ten are not enough, however large the gain
+    s = ab_bench.summarize(_pairs(PARENT, [0.08] * 8 + [0.2] * 2), BETTER, BOUND)
+    assert s["verdict"]["certify_s"] == "within-bound"
+    # every pair won, but by less than the parent's spread
+    s = ab_bench.summarize(_pairs(PARENT, [p - 0.001 for p in PARENT]), BETTER, BOUND)
+    assert s["change_wins"]["certify_s"] == 10
+    assert s["verdict"]["certify_s"] == "within-bound"
+    # a flat metric neither gains nor worsens
+    assert s["verdict"]["setup_s"] == s["verdict"]["peak_rss_mb"] == "within-bound"
+
+
+def test_verdict_worse_is_measured_against_the_bound():
+    # bound 0.25 of the parent's median 0.1: 0.124 is inside, 0.126 is not
+    s = ab_bench.summarize(_pairs(PARENT, [0.124] * 10), BETTER, BOUND)
+    assert s["verdict"]["certify_s"] == "within-bound"
+    s = ab_bench.summarize(_pairs(PARENT, [0.126] * 10), BETTER, BOUND)
+    assert s["verdict"]["certify_s"] == "worse"
+    # for a higher-is-better metric a drop is the worse direction
+    higher = {"certify_s": "higher"}
+    s = ab_bench.summarize(_pairs(PARENT, [0.07] * 10), higher, {"certify_s": 0.25})
+    assert s["verdict"]["certify_s"] == "worse"
+    s = ab_bench.summarize(_pairs(PARENT, [0.13] * 10), higher, {"certify_s": 0.25})
+    assert s["verdict"]["certify_s"] == "gain"
 
 
 def test_each_workload_records_the_bounds_it_runs_at():

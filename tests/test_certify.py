@@ -184,6 +184,78 @@ sys.stdout.write(run_theorem_suite(Corpus(**{corpus.to_json()!r}), Bounds(**{bou
 
 
 # ---------------------------------------------------------------------------
+# Broken flow kernels: the certificate's own checks, recorded per w
+
+DIAMOND = Poset(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
+
+
+def _diamond_check(w):
+    cl = clique_clutter(comparability_graph(DIAMOND))
+    return menger_check(HasseNetwork.of(DIAMOND), cl.edge_masks, w)
+
+
+def _recorded_invariants(report):
+    """The check names of every invariant in the report's Menger mismatches."""
+    return {m["invariant"]["check"]
+            for ex in report.counterexamples
+            for m in ex["witness"].get("menger_mismatches", [])
+            if "invariant" in m}
+
+
+def test_a_dropped_flow_chain_is_recorded_at_every_w(monkeypatch):
+    honest = HasseNetwork._decompose
+    monkeypatch.setattr(HasseNetwork, "_decompose", lambda self, cap: honest(self, cap)[1:])
+    with pytest.raises(ConsistencyError, match="chain multiplicities sum to the flow value: 1 vs 2"):
+        _diamond_check((2, 1, 1, 2))
+    corpus, bounds, _ = GOLDEN["posets"]
+    report = run_theorem_suite(corpus, bounds)
+    assert not report.skipped and report.counterexamples
+    assert report.to_doc()["counts"]["failed"] == len(report.instances)
+    assert _recorded_invariants(report) == {"chain multiplicities sum to the flow value"}
+    assert all(r["checks"]["menger_agrees"] is False for r in report.instances)
+
+
+def test_a_cancel_that_moves_no_flow_is_recorded_not_raised(monkeypatch):
+    # the walk of the cauc(2,2) poset at wmax 2 cancels flow; a cancel
+    # that moves none leaves a vertex carrying more flow than its weight
+    from clutterlab import cauc_poset
+
+    monkeypatch.setattr(HasseNetwork, "_cancel_unit", lambda self, cap, v: None)
+    p = cauc_poset(2, 2)
+    sweep = comparability_mfmc_check(p, clique_clutter(comparability_graph(p)), 2)
+    checks = {m["invariant"]["check"] for m in sweep["menger_mismatches"] if "invariant" in m}
+    assert "flow through each vertex is at most w_v" in checks
+    assert sweep["mfmc_holds"] and not sweep["menger_agrees"]
+    report = run_theorem_suite(Corpus("random-posets", n=5, count=3, seed=2), Bounds(wmax=2))
+    assert not report.skipped and len(report.instances) == 3
+    assert "flow through each vertex is at most w_v" in _recorded_invariants(report)
+
+
+def test_a_single_weight_check_rejects_an_overloaded_vertex(monkeypatch):
+    honest = HasseNetwork._augment
+
+    def overpushing(self, cap):
+        added, via = honest(self, cap)
+        if not added:  # the last search: one more unit through vertex 0
+            cap[0] -= 1
+            cap[1] += 1
+        return added, via
+
+    monkeypatch.setattr(HasseNetwork, "_augment", overpushing)
+    # the flow is the chain 0 < 1 < 3
+    with pytest.raises(ConsistencyError,
+                       match=r"flow through each vertex is at most w_v: \[2, 1, 0, 1\] vs \[1, 1, 1, 1\]"):
+        _diamond_check((1, 1, 1, 1))
+
+
+def test_the_empty_poset_checks_its_one_weight():
+    p = Poset(0, [])
+    sweep = comparability_mfmc_check(p, clique_clutter(comparability_graph(p)), 2)
+    assert sweep == {"checked_w": 1, "konig_failures": [], "menger_mismatches": [],
+                     "mfmc_holds": True, "menger_agrees": True}
+
+
+# ---------------------------------------------------------------------------
 # Guards on the Menger walk
 
 def test_sweep_box_guard_fires_before_the_walk_builds_anything(monkeypatch):

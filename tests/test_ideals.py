@@ -16,8 +16,7 @@ from clutterlab import (
 )
 from clutterlab.certify import Bounds, check_clutter_instance, random_clutters, random_ideals
 from clutterlab.guards import ResourceGuardError
-from clutterlab.verdicts import Certificate
-from clutterlab import ideals, polyhedra
+from clutterlab import polyhedra
 from clutterlab.ideals import _power_grids
 from clutterlab.polyhedra import (
     box_caps,
@@ -129,14 +128,14 @@ def test_a_level_below_the_guard_still_decides_normality(monkeypatch):
     monkeypatch.setattr(polyhedra, "MAX_GRID_POINTS", 9)
     squares = MonomialIdeal(2, [(2, 0), (0, 2)])
     # the level-2 power grid guard does not fire; the explanation's
-    # integer-decomposition check over the kmax box [0,6]^2 does
-    with pytest.raises(ResourceGuardError, match="lattice box size = 49 exceeds guard limit 9"):
-        is_normal_up_to(squares, 3)
-    monkeypatch.setattr(ideals, "integer_decomposition_check",
-                        lambda a, kmax: Certificate("integer-decomposition", "holds-up-to-bound", True))
+    # integer-decomposition check over the kmax box [0,6]^2 does, and the
+    # verdict is kept with that check marked as skipped
     verdict = is_normal_up_to(squares, 3)
     assert verdict.kind == "not-normal"
     assert verdict.explanation["level"] == 1 and verdict.witness == (1, 1)
+    assert verdict.explanation["integer_decomposition"] is None
+    assert verdict.explanation["idp_skipped"] == "lattice box size = 49 exceeds guard limit 9"
+    assert verdict.explanation["idp_witness"] is None
     # a normal ideal is checked up to the guard, which then fires at the
     # first oversize level: [0,3]^2 for <x, y>
     with pytest.raises(ResourceGuardError, match="power grid size = 16 exceeds guard limit 9"):

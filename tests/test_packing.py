@@ -42,6 +42,7 @@ from clutterlab.structures import _bits, parallelize_masks
 from oracles import (
     brute_alpha0,
     brute_beta1,
+    brute_cut_meets_surviving_chains,
     brute_lex_min_cover,
     brute_lex_min_matching,
     brute_minimal_covers,
@@ -442,17 +443,20 @@ def test_gray_steps_visit_every_w_once(n, wmax):
 
 
 def _assert_walk_matches_fresh_flows(p, wmax):
+    # the walk may keep an older minimum cut than a fresh search finds, so
+    # its cut is checked by weight and by brute force, not by mask
     cl = clique_clutter(comparability_graph(p))
     net = HasseNetwork.of(p)
-    lex = {w: i for i, w in enumerate(itertools.product(range(wmax + 1), repeat=p.n))}
-    seen = []
-    for idx, w, cut, cut_weight, value, failure in menger_walk(net, cl.edge_masks, wmax):
-        assert failure is None
-        assert idx == lex[tuple(w)]
+    cut_weights, flows, cuts, failures = menger_walk(net, cl.edge_masks, wmax)
+    assert failures == {}
+    box = list(itertools.product(range(wmax + 1), repeat=p.n))
+    assert cut_weights.shape == flows.shape == cuts.shape == (len(box),)
+    for idx, w in enumerate(box):
         ref_value, _, ref_cut = net.max_flow(w)
-        assert (cut_weight, value, cut) == (sum(w[v] for v in _bits(ref_cut)), ref_value, ref_cut)
-        seen.append(idx)
-    assert sorted(seen) == list(range(len(lex)))
+        cut = _bits(int(cuts[idx]))
+        assert flows[idx] == ref_value
+        assert cut_weights[idx] == sum(w[v] for v in cut) == sum(w[v] for v in _bits(ref_cut))
+        assert brute_cut_meets_surviving_chains(p.n, p.relation, w, cut)
 
 
 def test_walk_matches_fresh_max_flow_on_small_posets():
@@ -480,6 +484,40 @@ def test_walk_cancels_flow_through_saturated_vertices(monkeypatch):
 
     _assert_walk_matches_fresh_flows(cauc_poset(2, 2), 2)
     assert cancelled, "no -1 step met a saturated vertex"
+
+
+def test_walk_searches_only_where_its_pair_stops_certifying(monkeypatch):
+    # at wmax 3, the walk that re-ran Edmonds-Karp whenever its last search
+    # tree might be stale made 3,578 breadth-first searches and 1,690
+    # decompositions; each _augment call is now one search
+    honest_augment, honest_decompose = HasseNetwork._augment, HasseNetwork._decompose
+    searches, decomposed, certified = [], [], []
+
+    def counting(self, cap):
+        searches.append(1)
+        return honest_augment(self, cap)
+
+    def recording(self, cap):
+        decomposed[-1].append(tuple(cap[1::2]))
+        return honest_decompose(self, cap)
+
+    honest_failure = packing._Certificate.failure
+
+    def checked(self, cap, *args):
+        certified[-1].add(tuple(cap[1::2]))
+        return honest_failure(self, cap, *args)
+
+    monkeypatch.setattr(HasseNetwork, "_augment", counting)
+    monkeypatch.setattr(HasseNetwork, "_decompose", recording)
+    monkeypatch.setattr(packing._Certificate, "failure", checked)
+    for p in random_posets(6, 2, seed=1):
+        decomposed.append([])
+        certified.append(set())
+        menger_walk(HasseNetwork.of(p), clique_clutter(comparability_graph(p)).edge_masks, 3)
+        # one decomposition per distinct flow the checks saw
+        assert sorted(decomposed[-1]) == sorted(certified[-1])
+    assert sum(map(len, decomposed)) == 84
+    assert len(searches) <= 1810
 
 
 # ---------------------------------------------------------------------------

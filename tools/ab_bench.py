@@ -15,11 +15,14 @@ the file already has one: the Python version, the run length, the bounds
 the workload runs at (``certbench/workloads.py``), per side the median and
 quartiles of each metric over the runs with their report sha256 and failed
 counts, and per metric the pairs this checkout won (ties count for neither
-side).
+side) and a verdict:
 
-The runs of a pair are compared on their medians, so a claim reads: the
-change wins at least nine tenths of the pairs and its median beats the
-parent's by more than the parent's interquartile range.
+- ``gain``: the change wins at least nine tenths of the pairs and its
+  median beats the parent's by more than the parent's interquartile range;
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound`` in ``BENCHMARK.json``, a share of the parent's
+  median;
+- ``within-bound``: neither.
 """
 
 from __future__ import annotations
@@ -56,9 +59,22 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def summarize(pairs: list[tuple[str, str]], better: dict[str, str]) -> dict:
-    """Per-side spread and pair wins from (parent stdout, change stdout)
-    pairs; ``better`` maps each metric to "lower" or "higher"."""
+def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str, bound: float) -> str:
+    """The verdict on one metric, "gain", "worse" or "within-bound", from
+    the two sides' spreads, the pairs the change won, and the metric's
+    direction and bound (a share of the parent's median)."""
+    gained = (parent["median"] - change["median"]) * (1 if better == "lower" else -1)
+    if 10 * wins >= 9 * pairs and gained > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -gained > bound * parent["median"]:
+        return "worse"
+    return "within-bound"
+
+
+def summarize(pairs: list[tuple[str, str]], better: dict[str, str], bound: dict[str, float]) -> dict:
+    """Per-side spread, pair wins and verdicts from (parent stdout, change
+    stdout) pairs; ``better`` maps each metric to "lower" or "higher" and
+    ``bound`` to its bound."""
     runs = [(parse_run(p), parse_run(c)) for p, c in pairs]
     sides = {}
     for i, side in enumerate(("parent", "change")):
@@ -76,7 +92,12 @@ def summarize(pairs: list[tuple[str, str]], better: dict[str, str]) -> dict:
         wins[m] = sum(
             sign * (p["metrics"][m] - c["metrics"][m]) > 0 for p, c in runs
         )
-    return {"pairs": len(runs), **sides, "change_wins": wins}
+    verdicts = {
+        m: verdict(sides["parent"]["metrics"][m], sides["change"]["metrics"][m],
+                   wins[m], len(runs), better[m], bound[m])
+        for m in better
+    }
+    return {"pairs": len(runs), **sides, "change_wins": wins, "verdict": verdicts}
 
 
 def workload_bounds(workload: str) -> dict[str, int]:
@@ -108,6 +129,7 @@ def main() -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update(python=platform.python_version(), machine=platform.machine(),
                cpus=os.cpu_count())
@@ -121,7 +143,7 @@ def main() -> int:
                 pairs.append((out[parent], out[ROOT]))
                 print(f"{workload} seed {seed}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
             entry = {"workload": workload, "seed": seed, "seconds": args.seconds,
-                     "bounds": workload_bounds(workload), **summarize(pairs, better)}
+                     "bounds": workload_bounds(workload), **summarize(pairs, better, bound)}
             entries[:] = [e for e in entries if (e["workload"], e["seed"]) != (workload, seed)]
             entries.append(entry)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
