@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .guards import ConsistencyError, Deadline, ResourceGuardError
+from .guards import ConsistencyError, ResourceGuardError, check_deadline, restart_deadline
 from .ideals import MonomialIdeal, edge_ideal, is_normal_up_to, is_ntf_up_to
 from .packing import HasseNetwork, chain_order, menger_walk, mfmc_bounded, sweep_numbers
 from .polyhedra import _rounding_grids, integer_rounding_check, is_integral
@@ -293,9 +293,7 @@ def _instance_json(kind: str, obj: Any) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 # Per-instance checks
 
-def comparability_mfmc_check(
-    p: Poset, cl: Clutter, wmax: int, deadline: Deadline | None = None
-) -> dict[str, Any]:
+def comparability_mfmc_check(p: Poset, cl: Clutter, wmax: int) -> dict[str, Any]:
     """One pass over w in {0..wmax}^n for the clique clutter ``cl`` of a
     poset's comparability graph: Koenig must hold for every
     parallelization, and the vertex-capacitated max flow and min cut on
@@ -314,7 +312,7 @@ def comparability_mfmc_check(
     """
     taus, nus = sweep_numbers(cl, wmax)
     net = HasseNetwork.of(p)
-    cut_weights, flows, _, failures = menger_walk(net, cl.edge_masks, wmax, deadline)
+    cut_weights, flows, _, failures = menger_walk(net, cl.edge_masks, wmax)
     konig = np.flatnonzero(taus != nus)
     mismatched = (cut_weights != taus) | (flows != nus)
     mismatched[list(failures)] = True
@@ -373,10 +371,10 @@ def cliques_are_chains(p: Poset, cl: Clutter) -> bool:
     return True
 
 
-def check_poset_instance(p: Poset, bounds: Bounds, deadline: Deadline | None = None) -> dict[str, Any]:
+def check_poset_instance(p: Poset, bounds: Bounds) -> dict[str, Any]:
     g = comparability_graph(p)
     cl = clique_clutter(g)
-    sweep = comparability_mfmc_check(p, cl, bounds.wmax, deadline)
+    sweep = comparability_mfmc_check(p, cl, bounds.wmax)
     dup_bad = duplication_commutes(g, cl)
     checks: dict[str, Any] = {
         "mfmc_holds": sweep["mfmc_holds"],
@@ -409,7 +407,7 @@ def check_poset_instance(p: Poset, bounds: Bounds, deadline: Deadline | None = N
     return {"checks": checks, "pass": ok, "witness": witness or None}
 
 
-def check_graph_instance(g: Graph, bounds: Bounds, deadline: Deadline | None = None) -> dict[str, Any]:
+def check_graph_instance(g: Graph, bounds: Bounds) -> dict[str, Any]:
     bad = duplication_commutes(g, clique_clutter(g))
     return {
         "checks": {"duplication_commutes": not bad},
@@ -418,14 +416,14 @@ def check_graph_instance(g: Graph, bounds: Bounds, deadline: Deadline | None = N
     }
 
 
-def check_clutter_instance(c: Clutter, bounds: Bounds, deadline: Deadline | None = None) -> dict[str, Any]:
+def check_clutter_instance(c: Clutter, bounds: Bounds) -> dict[str, Any]:
     """Three-way consistency: bounded NTF, bounded normality AND exact
     integrality of Q(A), bounded MFMC; the three signs must agree."""
     ntf = is_ntf_up_to(c, bounds.imax)
     ideal = edge_ideal(c)
     normal = is_normal_up_to(ideal, bounds.kmax)
     integral = is_integral(ideal.matrix())  # normality cached its Q(A) vertices
-    mfmc = mfmc_bounded(c, bounds.wmax, deadline)
+    mfmc = mfmc_bounded(c, bounds.wmax)
     signs = {
         "ntf": ntf.holds,
         "normal_and_integral": normal.holds and integral,
@@ -453,14 +451,13 @@ def check_clutter_instance(c: Clutter, bounds: Bounds, deadline: Deadline | None
     }
 
 
-def check_ideal_instance(ideal: MonomialIdeal, bounds: Bounds, deadline: Deadline | None = None) -> dict[str, Any]:
+def check_ideal_instance(ideal: MonomialIdeal, bounds: Bounds) -> dict[str, Any]:
     """Normality vs integer rounding: the bounded normality verdict must
     match the integer-rounding verdict over w in {0..wmax}^n. Rounding is
     read off the box arrays; its per-w certificate is rendered only as the
     witness of a disagreement."""
     normal = is_normal_up_to(ideal, bounds.kmax)
-    if deadline is not None:
-        deadline.check()
+    check_deadline()
     lp, den, nu = _rounding_grids(ideal.matrix(), bounds.wmax)
     rounds = bool((lp // den == nu).all())
     agree = normal.holds == rounds
@@ -551,12 +548,12 @@ def canonical_json(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def run_theorem_suite(
-    corpus: Corpus, bounds: Bounds, deadline: Deadline | None = None
-) -> Report:
+def run_theorem_suite(corpus: Corpus, bounds: Bounds) -> Report:
     """Run every applicable consistency check on every corpus instance.
 
-    Instances exceeding a resource guard are skipped with a logged reason
+    The installed deadline (see :mod:`clutterlab.guards`) is restarted
+    before each instance, so it is a per-instance budget. Instances
+    exceeding it or another resource guard are skipped with a logged reason
     and counted in the report header, never silently dropped. A failed
     consistency check localizes the disagreeing pair in the instance
     record and the counterexample gallery; one raised as
@@ -568,10 +565,9 @@ def run_theorem_suite(
     skipped: list[dict[str, Any]] = []
     gallery: list[dict[str, Any]] = []
     for index, (kind, obj) in enumerate(corpus.instances()):
-        if deadline is not None:
-            deadline.restart()
+        restart_deadline()
         try:
-            result = _CHECKERS[kind](obj, bounds, deadline)
+            result = _CHECKERS[kind](obj, bounds)
         except ResourceGuardError as exc:
             skipped.append(
                 {"index": index, "instance": _instance_json(kind, obj), "reason": str(exc)}

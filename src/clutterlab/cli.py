@@ -17,6 +17,13 @@ disagreement as a failed instance in its report instead, so a run with
 one exits 1). ``certify`` exits 3 also when it
 checked no instance (every instance skipped by a guard, or an empty
 corpus); its report then reads ``"aggregate": "inconclusive"``.
+
+The environment variable ``CLUTTERLAB_GUARD_MS`` sets a wall-clock budget
+in milliseconds, read once per command and installed for the whole
+command (see :mod:`clutterlab.guards`); unset or empty means no budget.
+A command that outruns it exits 3, except ``certify``, which restarts it
+per instance and skips an instance that outruns it. A value that is not
+a number >= 0 is malformed input: exit 2.
 """
 
 from __future__ import annotations
@@ -189,13 +196,13 @@ def _cmd_parallelize(args) -> int:
 
 
 def _cmd_konig(args) -> int:
-    cert = konig_certificate(_as_clutter(_read_document(args.input)), args.deadline)
+    cert = konig_certificate(_as_clutter(_read_document(args.input)))
     _emit(args, cert.to_json())
     return 0 if cert.holds else 1
 
 
 def _cmd_mfmc(args) -> int:
-    cert = mfmc_bounded(_as_clutter(_read_document(args.input)), args.wmax, args.deadline)
+    cert = mfmc_bounded(_as_clutter(_read_document(args.input)), args.wmax)
     _emit(args, cert.to_json())
     return 0 if cert.holds else 1
 
@@ -300,7 +307,7 @@ def _cmd_certify(args) -> int:
         doc = {**doc, "seed": args.seed}
     corpus = Corpus.from_json(doc)
     bounds = Bounds(kmax=args.kmax, imax=args.imax, wmax=args.wmax)
-    report = run_theorem_suite(corpus, bounds, args.deadline)
+    report = run_theorem_suite(corpus, bounds)
     if args.text:
         print(report.to_text())
     else:
@@ -433,9 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.deadline = Deadline.from_env()
     try:
-        return args.func(args)
+        with Deadline.from_env():
+            return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2

@@ -1,10 +1,22 @@
-"""Resource guards: cooperative deadlines and size limits.
+"""Resource guards: one ambient deadline and size limits.
 
-Long-running work calls ``Deadline.check()`` between steps: once per w in
-the Menger walk, once after the w-box of MFMC certification is priced, at
-every node of the two Koenig searches (minimum cover and maximum
-matching), and between the normality and rounding checks of an ideal; the
-certify instance loop restarts the budget per instance.
+The wall-clock budget is not a parameter. A :class:`Deadline` used as a
+context manager (``with Deadline(ms): ...``) installs itself as the
+budget of the current context, in one ``contextvars.ContextVar``; outside
+every ``with`` block the budget is unlimited. ``cli.main`` installs
+``Deadline.from_env()`` once per command, and ``certify.run_theorem_suite``
+restarts the installed budget once per instance (:func:`restart_deadline`).
+
+Every exponential kernel calls :func:`check_deadline` at its loop head:
+
+- ``packing``: every node of the two Koenig searches (minimum cover and
+  maximum matching), every node of the minimal-cover enumeration, once
+  per w of the Menger walk, and once after the w-box of MFMC certification
+  is priced;
+- ``polyhedra``: once per positive ray of each double-description step,
+  and once per shifted vector of the k-fold sum grids;
+- ``certify``: between the normality and rounding checks of an ideal.
+
 Exceeding a guard raises :class:`ResourceGuardError`, which the CLI maps to
 exit code 3 and the certify engine maps to skip-with-log.
 
@@ -16,8 +28,10 @@ raising.
 
 from __future__ import annotations
 
+import math
 import os
 import time
+from contextvars import ContextVar
 
 GUARD_ENV_VAR = "CLUTTERLAB_GUARD_MS"
 
@@ -46,7 +60,12 @@ class ConsistencyError(RuntimeError):
 
 
 class Deadline:
-    """Wall-clock budget checked cooperatively between work items."""
+    """Wall-clock budget of ``millis`` ms (None: unlimited), counted from
+    construction or the last :meth:`restart`.
+
+    ``with Deadline(ms):`` makes it the budget that :func:`check_deadline`
+    checks until the block ends.
+    """
 
     def __init__(self, millis: float | None):
         self.millis = millis
@@ -54,14 +73,26 @@ class Deadline:
 
     @classmethod
     def from_env(cls) -> "Deadline":
+        """The budget named by ``CLUTTERLAB_GUARD_MS``, unlimited when it is
+        unset or empty. A value that is not a number >= 0 raises
+        ``ValueError``."""
         raw = os.environ.get(GUARD_ENV_VAR)
         if not raw:
             return cls(None)
         try:
             millis = float(raw)
-        except ValueError as exc:
-            raise ResourceGuardError(f"{GUARD_ENV_VAR} must be numeric, got {raw!r}") from exc
+        except ValueError:
+            millis = math.nan
+        if not millis >= 0:  # also rejects NaN
+            raise ValueError(f"{GUARD_ENV_VAR} must be a number of milliseconds >= 0, got {raw!r}")
         return cls(millis)
+
+    def __enter__(self) -> "Deadline":
+        self._token = _BUDGET.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _BUDGET.reset(self._token)
 
     def restart(self) -> None:
         self._t0 = time.monotonic()
@@ -74,6 +105,20 @@ class Deadline:
             raise ResourceGuardError(
                 f"per-instance compute exceeded {self.millis:g} ms ({GUARD_ENV_VAR})"
             )
+
+
+_BUDGET: ContextVar[Deadline] = ContextVar("clutterlab_budget", default=Deadline(None))
+
+
+def check_deadline() -> None:
+    """Raise :class:`ResourceGuardError` once the installed budget is spent;
+    a no-op when none is installed."""
+    _BUDGET.get().check()
+
+
+def restart_deadline() -> None:
+    """Start the installed budget afresh (once per certify instance)."""
+    _BUDGET.get().restart()
 
 
 def check_size(value: int, limit: int, what: str) -> None:

@@ -28,7 +28,8 @@ Each Koenig number has one exact search, which returns its
 lexicographically least optimal witness: :func:`lex_min_cover` for alpha0
 and :func:`lex_min_matching` for beta1; the number is the witness's length.
 They serve only Koenig certificates, of one clutter or of the witness C^w
-of a failed sweep, and check the deadline at every node.
+of a failed sweep, and check the ambient deadline
+(:func:`~clutterlab.guards.check_deadline`) at every node.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .guards import ConsistencyError, Deadline, check_size, MAX_COVER_SUBSETS
+from .guards import ConsistencyError, check_deadline, check_size, MAX_COVER_SUBSETS
 from .polyhedra import (
     IncidenceMatrix,
     format_rational,
@@ -122,7 +123,7 @@ def _disjoint_lower_bound(masks: Iterable[int]) -> int:
     return count
 
 
-def lex_min_cover(masks: Sequence[int], deadline: Deadline | None = None) -> tuple[int, ...]:
+def lex_min_cover(masks: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically least minimum transversal.
 
     One branch-and-bound over the vertices in ascending order, taking a
@@ -130,15 +131,14 @@ def lex_min_cover(masks: Sequence[int], deadline: Deadline | None = None) -> tup
     lexicographic order. It starts from the greedy bound plus one and cuts
     a branch whose size plus a disjoint-edge lower bound cannot beat the
     best cover so far, so the first cover of the final best size is the
-    lex-least minimum cover. ``deadline`` is checked at every node.
+    lex-least minimum cover. The deadline is checked at every node.
     """
     best: list[int] = []
     bound = _greedy_cover_size(masks) + 1
 
     def rec(v: int, chosen: list[int], rem: list[int]) -> None:
         nonlocal best, bound
-        if deadline is not None:
-            deadline.check()
+        check_deadline()
         if not rem:
             best, bound = chosen[:], len(chosen)
             return
@@ -156,7 +156,7 @@ def lex_min_cover(masks: Sequence[int], deadline: Deadline | None = None) -> tup
     return tuple(best)
 
 
-def lex_min_matching(masks: Sequence[int], deadline: Deadline | None = None) -> list[int]:
+def lex_min_matching(masks: Sequence[int]) -> list[int]:
     """First maximum set of pairwise-disjoint edges, in edge-index
     lexicographic order; returns edge indices.
 
@@ -165,14 +165,13 @@ def lex_min_matching(masks: Sequence[int], deadline: Deadline | None = None) -> 
     so the first set of the final size is the lex-first maximum matching.
     A branch adds at most min(#available edges, |union of them| // the
     smallest of them) edges, since disjoint edges use distinct vertices.
-    ``deadline`` is checked at every node.
+    The deadline is checked at every node.
     """
     best: list[int] = []
 
     def rec(start: int, used: int, chosen: list[int]) -> None:
         nonlocal best
-        if deadline is not None:
-            deadline.check()
+        check_deadline()
         if len(chosen) > len(best):
             best = chosen[:]
         avail = [(j, m) for j, m in enumerate(masks[start:], start) if not m & used]
@@ -206,7 +205,8 @@ def max_matching_size(masks: Sequence[int]) -> int:
 # Covers, alpha0, beta1, Koenig
 
 def minimal_vertex_covers(c: Clutter) -> list[CoverSet]:
-    """All inclusion-minimal transversals, canonical order."""
+    """All inclusion-minimal transversals, canonical order. The node guard
+    and the deadline are checked at every node of the enumeration."""
     masks = c.edge_masks
     if not masks:
         return [CoverSet(())]
@@ -217,6 +217,7 @@ def minimal_vertex_covers(c: Clutter) -> list[CoverSet]:
         nonlocal nodes
         nodes += 1
         check_size(nodes, MAX_COVER_SUBSETS, "cover enumeration nodes")
+        check_deadline()
         uncovered = next((m for m in masks if not m & cover), None)
         if uncovered is None:
             found.add(cover)
@@ -254,11 +255,11 @@ def beta1(c: Clutter) -> int:
     return max_matching_size(c.edge_masks)
 
 
-def konig_certificate(c: Clutter, deadline: Deadline | None = None) -> KonigCertificate:
+def konig_certificate(c: Clutter) -> KonigCertificate:
     """Exact alpha0/beta1 with lexicographically-least witnesses, one
-    search each; ``deadline`` is checked at every node of both."""
-    cover = lex_min_cover(c.edge_masks, deadline)
-    matching = tuple(c.edges[j] for j in lex_min_matching(c.edge_masks, deadline))
+    search each; the deadline is checked at every node of both."""
+    cover = lex_min_cover(c.edge_masks)
+    matching = tuple(c.edges[j] for j in lex_min_matching(c.edge_masks))
     return KonigCertificate(len(cover), len(matching), CoverSet(cover), matching)
 
 
@@ -289,7 +290,7 @@ def sweep_numbers(c: Clutter, wmax: int) -> tuple[np.ndarray, np.ndarray]:
     return taus.ravel(), nus.ravel()
 
 
-def mfmc_bounded(c: Clutter, wmax: int, deadline: Deadline | None = None) -> Certificate:
+def mfmc_bounded(c: Clutter, wmax: int) -> Certificate:
     """Check the Koenig property of C^w for every w in {0..wmax}^n.
 
     The witness is the lexicographically first failing w, and ``checked``
@@ -302,14 +303,13 @@ def mfmc_bounded(c: Clutter, wmax: int, deadline: Deadline | None = None) -> Cer
     beta1(C^w) = max{1.y : Ay <= w, y integer >= 0} (Schrijver,
     Combinatorial Optimization, ch. 79). The Koenig search on the witness
     C^w must find the same two numbers, or :class:`ConsistencyError` is
-    raised. ``deadline`` is checked once the box is priced and at every
+    raised. The deadline is checked once the box is priced and at every
     node of that search.
     """
     if wmax < 1:
         raise ValueError("wmax must be >= 1")
     taus, nus = sweep_numbers(c, wmax)
-    if deadline is not None:
-        deadline.check()
+    check_deadline()
     failing = np.flatnonzero(taus != nus)
     if not failing.size:
         return Certificate(
@@ -321,7 +321,7 @@ def mfmc_bounded(c: Clutter, wmax: int, deadline: Deadline | None = None) -> Cer
         )
     first = int(failing[0])
     w = [int(x) for x in np.unravel_index(first, (wmax + 1,) * c.n)]
-    konig = konig_certificate(parallelization(c, w), deadline)
+    konig = konig_certificate(parallelization(c, w))
     numbers = [int(taus[first]), int(nus[first])]
     if [konig.alpha0, konig.beta1] != numbers:
         raise ConsistencyError(
@@ -720,8 +720,7 @@ def menger_check(
 
 
 def menger_walk(
-    net: HasseNetwork, edge_masks: Sequence[int], wmax: int,
-    deadline: Deadline | None = None,
+    net: HasseNetwork, edge_masks: Sequence[int], wmax: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, ConsistencyError]]:
     """The checks of :func:`menger_check` at every w of {0..wmax}^n, on one
     residual network walked in the order of :func:`gray_steps`.
@@ -744,7 +743,7 @@ def menger_walk(
     whose search tree gives a minimum cut for one last check. A step moves
     the maximum flow by at most one unit (Gallo, Grigoriadis and Tarjan,
     SIAM J. Comput. 18, 1989), so one path or one failed search restores
-    the pair. Every check is decided at every w; ``deadline`` is checked
+    the pair. Every check is decided at every w; the deadline is checked
     once per w.
     """
     n = net.n
@@ -762,8 +761,7 @@ def menger_walk(
     idx = 0
     steps = gray_steps(n, wmax)
     while True:
-        if deadline is not None:
-            deadline.check()
+        check_deadline()
         failure = check(cap, zero, value, flow, cut, cut_weight)
         while failure is not None:
             added, via = net._augment(cap)

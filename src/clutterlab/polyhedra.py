@@ -42,7 +42,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .guards import MAX_DD_RAYS, MAX_GRID_POINTS, check_size
+from .guards import MAX_DD_RAYS, MAX_GRID_POINTS, check_deadline, check_size
 from .verdicts import Certificate
 
 Vector = tuple[int, ...]
@@ -170,7 +170,8 @@ def _dd_extreme_rays(dim: int, cuts: list[Vector], max_rays: int = MAX_DD_RAYS) 
 
     Double description with the combinatorial adjacency test; exact integer
     arithmetic, rays gcd-reduced. Valid for pointed cones, which holds here
-    since the cone sits inside the nonnegative orthant.
+    since the cone sits inside the nonnegative orthant. The deadline is
+    checked once per positive ray of each step, the ray count after it.
     """
     rays: list[Vector] = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     inserted: list[Vector] = []
@@ -196,6 +197,7 @@ def _dd_extreme_rays(dim: int, cuts: list[Vector], max_rays: int = MAX_DD_RAYS) 
         zmasks = [zero_mask(r) for r in rays]
         fresh: set[Vector] = set()
         for ip in pos:
+            check_deadline()
             for im in neg:
                 common = zmasks[ip] & zmasks[im]
                 adjacent = True
@@ -443,7 +445,8 @@ def kfold_sum_grids(
 
     Shift-OR recursion from the all-True level 0: level k is the OR over
     the vectors v of level k-1 shifted up by v. Vectors that leave the box
-    contribute nothing and are skipped.
+    contribute nothing and are skipped. The deadline is checked once per
+    shifted vector.
     """
     shape = tuple(c + 1 for c in caps)
     usable = [v for v in vectors if all(x <= c for x, c in zip(v, caps))]
@@ -451,6 +454,7 @@ def kfold_sum_grids(
     for _ in range(kmax):
         nxt = np.zeros(shape, dtype=bool)
         for v in usable:
+            check_deadline()
             dst = tuple(slice(x, None) for x in v)
             src = tuple(slice(None, s - x) for s, x in zip(shape, v))
             nxt[dst] |= grid[src]

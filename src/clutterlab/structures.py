@@ -157,12 +157,16 @@ class Poset:
         for a, b in rel:
             if (b, a) in rel:
                 raise ValueError(f"relation is not antisymmetric: {(a, b)} and {(b, a)}")
+        succ = [0] * n
         for a, b in rel:
-            for c, d in rel:
-                if b == c and (a, d) not in rel:
-                    raise ValueError(
-                        f"relation is not transitively closed: {(a, b)},{(b, d)} without {(a, d)}"
-                    )
+            succ[a] |= 1 << b
+        for a, b in rel:
+            missing = succ[b] & ~succ[a]  # every d with b < d but not a < d
+            if missing:
+                d = _bits(missing)[0]
+                raise ValueError(
+                    f"relation is not transitively closed: {(a, b)},{(b, d)} without {(a, d)}"
+                )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "relation", frozenset(rel))
         object.__setattr__(self, "labels", _check_labels(n, labels or default_labels(n)))

@@ -84,8 +84,8 @@ def padded_cover_search(monkeypatch):
     """packing.lex_min_cover adds one vertex to every cover it finds."""
     honest = packing.lex_min_cover
 
-    def padded(masks, deadline=None):
-        cover = honest(masks, deadline)
+    def padded(masks):
+        cover = honest(masks)
         return cover + (next(v for v in itertools.count() if v not in cover),)
 
     monkeypatch.setattr(packing, "lex_min_cover", padded)

@@ -73,6 +73,21 @@ def test_report_bytes_are_pinned(name, monkeypatch):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "corpus, bounds",
+    [
+        GOLDEN["posets"][:2],
+        GOLDEN["clutters-level-3"][:2],
+        (Corpus("random-ideals", n=3, q=3, maxexp=3, count=4, seed=1), Bounds()),
+    ],
+    ids=["posets", "clutters-level-3", "ideals"],
+)
+def test_a_generous_budget_leaves_the_report_bytes(corpus, bounds):
+    with Deadline(600_000):
+        budgeted = run_theorem_suite(corpus, bounds).to_json()
+    assert budgeted == run_theorem_suite(corpus, bounds).to_json()
+
+
 def test_failing_clutters_carry_the_first_failure():
     corpus, bounds, _ = GOLDEN["clutters"]
     report = run_theorem_suite(corpus, bounds)
@@ -88,7 +103,8 @@ def test_failing_clutters_carry_the_first_failure():
 
 def test_run_that_checked_nothing_is_inconclusive():
     corpus, bounds, _ = GOLDEN["posets"]
-    report = run_theorem_suite(corpus, bounds, Deadline(0))
+    with Deadline(0):
+        report = run_theorem_suite(corpus, bounds)
     assert len(report.skipped) == 4 and not report.instances
     assert report.aggregate == "inconclusive"
     assert report.to_doc()["aggregate"] == "inconclusive"
@@ -276,8 +292,9 @@ def test_sweep_box_guard_fires_before_the_walk_builds_anything(monkeypatch):
 def test_deadline_stops_the_walk_and_certify_skips_the_poset():
     p = random_posets(8, 1, seed=1)[0]
     cl = clique_clutter(comparability_graph(p))
-    with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
-        comparability_mfmc_check(p, cl, 3, Deadline(50))
-    report = run_theorem_suite(Corpus("random-posets", n=8, count=1, seed=1), Bounds(), Deadline(50))
+    with pytest.raises(ResourceGuardError, match="exceeded 50 ms"), Deadline(50):
+        comparability_mfmc_check(p, cl, 3)
+    with Deadline(50):
+        report = run_theorem_suite(Corpus("random-posets", n=8, count=1, seed=1), Bounds())
     assert not report.instances and len(report.skipped) == 1
     assert "per-instance compute exceeded 50 ms" in report.skipped[0]["reason"]

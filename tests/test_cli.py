@@ -125,6 +125,17 @@ def test_konig_honours_the_deadline(capsys, monkeypatch):
     assert "per-instance compute exceeded 0 ms" in captured.err
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5", "nan"])
+def test_malformed_budget_exits_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("CLUTTERLAB_GUARD_MS", raw)
+    code = main(["cauc", "--d", "2", "--g", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: CLUTTERLAB_GUARD_MS must be a number of milliseconds >= 0, got {raw!r}\n"
+    )
+
+
 def test_mfmc_witness_disagreeing_with_the_sweep_exits_4(capsys, padded_cover_search):
     code = main(["mfmc", "--wmax", "1", C5])
     captured = capsys.readouterr()

@@ -1,6 +1,16 @@
 import pytest
 
-from clutterlab.guards import GUARD_ENV_VAR, Deadline, ResourceGuardError, check_size
+from clutterlab import Clutter
+from clutterlab.guards import (
+    GUARD_ENV_VAR,
+    Deadline,
+    ResourceGuardError,
+    check_deadline,
+    check_size,
+    restart_deadline,
+)
+from clutterlab.packing import minimal_vertex_covers
+from clutterlab.polyhedra import _dd_extreme_rays, kfold_sum_grids
 
 
 def test_from_env_unset_is_a_no_op(monkeypatch, clock):
@@ -18,7 +28,7 @@ def test_from_env_reads_milliseconds(monkeypatch):
 
 def test_from_env_rejects_non_numeric(monkeypatch):
     monkeypatch.setenv(GUARD_ENV_VAR, "soon")
-    with pytest.raises(ResourceGuardError, match="must be numeric"):
+    with pytest.raises(ValueError, match="must be a number of milliseconds >= 0, got 'soon'"):
         Deadline.from_env()
 
 
@@ -39,3 +49,37 @@ def test_check_size_names_the_quantity():
     check_size(10, 10, "widget count")
     with pytest.raises(ResourceGuardError, match="^widget count = 11 exceeds guard limit 10$"):
         check_size(11, 10, "widget count")
+
+
+def test_with_installs_the_budget_until_the_block_ends(clock):
+    check_deadline()
+    with Deadline(50):
+        clock.now += 0.060
+        with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
+            check_deadline()
+        restart_deadline()
+        check_deadline()
+        with Deadline(None):
+            clock.now += 0.060
+            check_deadline()
+        with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
+            check_deadline()
+    clock.now += 1e6
+    check_deadline()
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda: _dd_extreme_rays(3, [(1, 1, -1)]),
+        lambda: minimal_vertex_covers(Clutter(2, [(0, 1)])),
+        lambda: next(kfold_sum_grids([(1, 0)], (2, 2), 1)),
+    ],
+    ids=["_dd_extreme_rays", "minimal_vertex_covers", "kfold_sum_grids"],
+)
+def test_exponential_kernels_check_the_installed_budget(clock, kernel):
+    with Deadline(50):
+        clock.now += 0.060
+        with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
+            kernel()
+    kernel()

@@ -163,18 +163,19 @@ def test_konig_certificate_identities_against_brute_force():
 
 
 def test_konig_searches_honour_the_deadline(c5, clock):
-    deadline = Deadline(50)
-    clock.now += 0.060
-    with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
-        lex_min_cover(c5.edge_masks, deadline)
-    with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
-        lex_min_matching(c5.edge_masks, deadline)
-    with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
-        konig_certificate(c5, deadline)
+    with Deadline(50):
+        clock.now += 0.060
+        with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
+            lex_min_cover(c5.edge_masks)
+        with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
+            lex_min_matching(c5.edge_masks)
+        with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
+            konig_certificate(c5)
 
 
-class CountingDeadline:
+class CountingDeadline(Deadline):
     def __init__(self) -> None:
+        super().__init__(None)
         self.calls = 0
 
     def check(self) -> None:
@@ -183,8 +184,8 @@ class CountingDeadline:
 
 def test_mfmc_witness_search_checks_the_deadline(c5):
     # one check once the box is priced, the rest in the Koenig search on C^w
-    deadline = CountingDeadline()
-    assert not mfmc_bounded(c5, 1, deadline).holds
+    with CountingDeadline() as deadline:
+        assert not mfmc_bounded(c5, 1).holds
     assert deadline.calls > 1
 
 
@@ -242,8 +243,9 @@ def test_mfmc_deadline_trips_on_cauc33(clock, monkeypatch):
     honest = packing.sweep_numbers
 
     def slow_pricing(c, wmax):
+        priced = honest(c, wmax)
         clock.now += 0.060
-        return honest(c, wmax)
+        return priced
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a Koenig search ran past the deadline")
@@ -252,7 +254,8 @@ def test_mfmc_deadline_trips_on_cauc33(clock, monkeypatch):
     for search in ("lex_min_cover", "lex_min_matching"):
         monkeypatch.setattr(packing, search, unreachable)
     with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
-        mfmc_bounded(complete_admissible_uniform_clutter(3, 3), 3, Deadline(50))
+        with Deadline(50):
+            mfmc_bounded(complete_admissible_uniform_clutter(3, 3), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +559,7 @@ def test_matching_search_on_a_large_parallelization_ends():
     c = complete_admissible_uniform_clutter(3, 3)
     _, nus = sweep_numbers(c, 3)
     cw = parallelization(c, (3,) * c.n)
-    matching = lex_min_matching(cw.edge_masks, Deadline(10_000))
+    with Deadline(10_000):
+        matching = lex_min_matching(cw.edge_masks)
     assert len(matching) == nus[-1] == 9
     assert all(not a & b for a, b in itertools.combinations([cw.edge_masks[j] for j in matching], 2))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -40,6 +41,26 @@ def test_poset_rejects_two_cycle():
 def test_poset_rejects_non_transitive():
     with pytest.raises(ValueError, match="transitively closed"):
         Poset(3, [(0, 1), (1, 2)])
+
+
+def test_poset_transitivity_check_matches_the_pairwise_definition():
+    # every irreflexive, antisymmetric relation on 4 points: accepted iff
+    # no (a, b), (b, d) lacks (a, d), else the error names such a triple
+    pairs = [(a, b) for a in range(4) for b in range(4) if a < b]
+    for signs in itertools.product((0, 1, -1), repeat=len(pairs)):
+        rel = {(a, b) if s > 0 else (b, a) for (a, b), s in zip(pairs, signs) if s}
+        missing = {
+            ((a, b), (b, d), (a, d)) for a, b in rel for c, d in rel if b == c and (a, d) not in rel
+        }
+        if not missing:
+            assert Poset(4, rel).relation == rel
+            continue
+        with pytest.raises(ValueError) as exc:
+            Poset(4, rel)
+        assert any(
+            str(exc.value) == f"relation is not transitively closed: {ab},{bd} without {ad}"
+            for ab, bd, ad in missing
+        )
 
 
 def test_transitive_closure_helper():
