@@ -21,9 +21,24 @@ generator missing from the power.
 The power levels are cached per (ideal, boxes), each level copied to its
 own box and read-only, so the two verdicts share them: on an edge ideal
 with no isolated vertex the normality boxes are the NTF boxes [0, k]^n,
-and a clutter instance builds its chain once. The size guard runs on every
-box before anything is built; a level past the guard raises only when no
-earlier level already decided the verdict.
+and a clutter instance builds its chain once.
+
+The values are read through ``polyhedra._box_values``, which holds the
+latest read-only array with the rows it was built for and answers every
+box inside it by a prefix slice. The rows are the key, not the caller, so
+these reads share one array:
+
+- a clutter instance: NTF (minimal covers on [0, imax]^n), normality
+  (the vertex rows of Q(A), which are the minimal covers, in the same
+  order, when Q(A) is integral) and the MFMC sweep of ``packing`` (minimal
+  covers on [0, wmax]^n);
+- an ideal instance: normality, the explanation of a ``not-normal``
+  verdict (minimal lattice points of B(Q) and the integer decomposition
+  check) and the integer rounding grids of ``polyhedra``, all on the
+  vertex rows of Q(A).
+
+The size guard runs on every box before anything is built; a level past
+the guard raises only when no earlier level already decided the verdict.
 """
 
 from __future__ import annotations
@@ -44,8 +59,8 @@ from .polyhedra import (
     integer_decomposition_check,
     kfold_sum_grids,
     minimal_lattice_points,
-    _box_min,
     _box_slice,
+    _box_values,
     _check_box,
     _first_cell,
     _minimal_cells,
@@ -150,7 +165,7 @@ def symbolic_power(c: Clutter, i: int) -> MonomialIdeal:
         raise ValueError("clutter must have at least one edge")
     caps = (i,) * c.n
     _check_box(caps)
-    return MonomialIdeal(c.n, _minimal_cells(_box_min(caps, _cover_matrix(c)) >= i))
+    return MonomialIdeal(c.n, _minimal_cells(_box_values(caps, _cover_matrix(c)) >= i))
 
 
 def integral_closure_membership(ideal: MonomialIdeal, a: Sequence[int], k: int) -> bool:
@@ -237,7 +252,7 @@ def is_normal_up_to(ideal: MonomialIdeal, kmax: int) -> NormalityVerdict:
     gap = None
     if boxes:
         rows, den = _vertex_inequalities(a)
-        gap = _first_gap(ideal, boxes, _box_min(boxes[-1], rows), den)
+        gap = _first_gap(ideal, boxes, _box_values(boxes[-1], rows), den)
     if gap is None:
         if tripped is not None:
             raise tripped
@@ -278,7 +293,7 @@ def is_ntf_up_to(c: Clutter, imax: int) -> NormalityVerdict:
     )
     gap = None
     if boxes:
-        gap = _first_gap(ideal, boxes, _box_min(boxes[-1], _cover_matrix(c)), 1)
+        gap = _first_gap(ideal, boxes, _box_values(boxes[-1], _cover_matrix(c)), 1)
     if gap is None:
         if tripped is not None:
             raise tripped

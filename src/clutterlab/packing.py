@@ -48,7 +48,7 @@ from .polyhedra import (
     ilp_max_packing,
     packing_numbers,
     q_vertices,
-    _box_min,
+    _box_values,
     _check_box,
 )
 from .structures import (
@@ -238,9 +238,12 @@ def minimal_vertex_covers(c: Clutter) -> list[CoverSet]:
 
 @lru_cache(maxsize=512)
 def _cover_matrix(c: Clutter) -> np.ndarray:
-    """0/1 rows of the minimal vertex covers of c, in canonical order."""
+    """0/1 rows of the minimal vertex covers of c, in lexicographic order:
+    the order of the vertex rows of an integral Q(A)
+    (:func:`~clutterlab.polyhedra._vertex_inequalities`), which are these
+    covers, so both row sets key one box value array."""
     return np.array(
-        [[int(v in cov.vertices) for v in range(c.n)] for cov in minimal_vertex_covers(c)],
+        sorted([int(v in cov.vertices) for v in range(c.n)] for cov in minimal_vertex_covers(c)),
         dtype=np.int64,
     )
 
@@ -279,13 +282,14 @@ def sweep_numbers(c: Clutter, wmax: int) -> tuple[np.ndarray, np.ndarray]:
     - beta1(C^w) = max{1.y : Ay <= w, y integer >= 0}, the w-packing number
       of C: a matching of C^w uses each vertex i at most w_i times.
 
-    alpha0 is the :func:`_box_min` of the minimal-cover rows, beta1 is
-    :func:`packing_numbers` of the edges. The box size is guarded before
-    anything is allocated.
+    alpha0 is read off the shared box values of the minimal-cover rows
+    (``polyhedra._box_values``, so ``taus`` may be a read-only view),
+    beta1 is :func:`packing_numbers` of the edges. The box size is guarded
+    before anything is allocated.
     """
     caps = (wmax,) * c.n
     _check_box(caps, "sweep box size")
-    taus = _box_min(caps, _cover_matrix(c))
+    taus = _box_values(caps, _cover_matrix(c))
     nus = packing_numbers([[int(v in e) for v in range(c.n)] for e in c.edges], caps)
     return taus.ravel(), nus.ravel()
 
@@ -743,8 +747,10 @@ def menger_walk(
     whose search tree gives a minimum cut for one last check. A step moves
     the maximum flow by at most one unit (Gallo, Grigoriadis and Tarjan,
     SIAM J. Comput. 18, 1989), so one path or one failed search restores
-    the pair. Every check is decided at every w; the deadline is checked
-    once per w.
+    the pair. A cancel that finds the flow unconserved is recorded as the
+    failure of its w, and the walk goes on from the zero flow and the
+    empty cut at that w, which the searches restore. Every check is
+    decided at every w; the deadline is checked once per w.
     """
     n = net.n
     size = (wmax + 1) ** n
@@ -755,7 +761,8 @@ def menger_walk(
     check = cert.failure
     w = [0] * n
     zero = (1 << n) - 1
-    cap = net._residual(w, n * wmax + 1)
+    big = n * wmax + 1
+    cap = net._residual(w, big)
     value, flow, cut, cut_weight = 0, cert.decompose(cap), 0, 0
     stride = [(wmax + 1) ** (n - 1 - v) for v in range(n)]
     idx = 0
@@ -772,7 +779,7 @@ def menger_walk(
                     cut_weight = sum(w[u] for u in _bits(cut))
                 failure = check(cap, zero, value, flow, cut, cut_weight)
                 if failure is not None:
-                    failures[idx] = ConsistencyError(*failure)
+                    failures.setdefault(idx, ConsistencyError(*failure))
                 break
             value += added
             flow = cert.decompose(cap)
@@ -788,7 +795,16 @@ def menger_walk(
         if w[v] == 0 or (w[v] == 1 and d == 1):
             zero ^= 1 << v
         if d < 0 and cap[2 * v] == 0:
-            net._cancel_unit(cap, v)
+            try:
+                net._cancel_unit(cap, v)
+            except ConsistencyError as exc:
+                # the flow is broken here: record it and restart from the
+                # zero flow and the empty cut at the new w, which the
+                # search at the top of the loop restores to a maximum
+                failures[idx] = exc
+                cap = net._residual(w, big)
+                value, flow, cut, cut_weight = 0, cert.decompose(cap), 0, 0
+                continue
             value -= 1
             flow = cert.decompose(cap)
         cap[2 * v] += d

@@ -16,6 +16,14 @@ description per matrix (section "Exact vertex enumeration"), k-fold sums
 on a box by the shift-OR recursion of :func:`kfold_sum_grids`, and the
 integer packing numbers on a box by :func:`packing_numbers`.
 
+The shift-OR recursion runs on the flat C-order buffer of the box. The
+flat index idx(x) = <x, strides> is linear, so shifting a level up by a
+vector v is one contiguous copy at the offset idx(v), after which the
+slabs x_i < v_i (one per nonzero v_i) are cleared. Those slabs are the
+cells not dominating v, and they hold every cell below the offset, where
+the copy leaves stale data: flat order is lexicographic, so x >= v implies
+idx(x) >= idx(v). No per-vector mask is stored.
+
 Every fractional value on a box is one kernel, :func:`_box_min`: the
 least of some linear forms <r_t, x> at every cell x, built from 1-D axes
 without a point array. Each form spans only the axes of its nonzero
@@ -25,7 +33,12 @@ vertices of Q(A) over a common denominator D
 value is >= k*D, and value / D is the packing LP value
 max{<y,1> : Ay <= w, y >= 0} at w = x (LP duality). With r_t the minimal
 vertex covers of a clutter, the same kernel gives the symbolic powers and
-alpha0 of the parallelizations (``ideals``, ``packing``).
+alpha0 of the parallelizations (``ideals``, ``packing``). A cell's value
+does not depend on the box, so the checks read it through
+:data:`_box_values`, which holds the latest read-only array and answers
+any box inside it with a prefix slice: the checks of one instance that
+ask for the same rows build one array.
+
 :func:`simplex_max` solves one LP and is kept as a test reference;
 :func:`ilp_max_packing` solves one integer packing, for the tests and the
 single-w ``lp_duality_integer_check``.
@@ -374,6 +387,40 @@ def _box_min(caps: Vector, rows: Iterable[Sequence[int]]) -> np.ndarray:
     return low
 
 
+class _BoxValues:
+    """Read-only :func:`_box_min` arrays over the latest box built, shared
+    by every check that asks for the same rows.
+
+    A cell's value does not depend on the box holding it, so a box inside
+    the held box of the same rows is answered by a prefix slice of it
+    (:func:`_box_slice`). Any other request drops the held array and
+    builds its own box, so at most one array is held and it never stays
+    alive while the next one is built. ``rows`` is an int64 array keyed by
+    its shape and bytes: equal row sets share the array whatever object
+    holds them, and the key costs no per-entry conversion. The caller
+    guards the box before asking.
+    """
+
+    def __init__(self):
+        self.cache_clear()
+
+    def __call__(self, caps: Vector, rows: np.ndarray) -> np.ndarray:
+        key = rows.shape, rows.tobytes()
+        if key != self._key or any(c >= s for c, s in zip(caps, self._held.shape)):
+            self.cache_clear()
+            held = _box_min(caps, rows)
+            held.setflags(write=False)
+            self._key, self._held = key, held
+        return self._held[_box_slice(caps)]
+
+    def cache_clear(self) -> None:
+        self._key: tuple[tuple[int, ...], bytes] | None = None
+        self._held: np.ndarray | None = None
+
+
+_box_values = _BoxValues()
+
+
 def _box_slice(caps: Vector) -> tuple[slice, ...]:
     """Index of the sub-box prod [0, caps_i] in an array over a larger box
     with the same origin."""
@@ -421,7 +468,7 @@ def _minimal_lattice_points_cached(a: IncidenceMatrix, k: int) -> tuple[Vector, 
     caps = box_caps(a, k)
     _check_box(caps)
     rows, den = _vertex_inequalities(a)
-    return tuple(_minimal_cells(_box_min(caps, rows) >= k * den))
+    return tuple(_minimal_cells(_box_values(caps, rows) >= k * den))
 
 
 def minimal_lattice_points(a: IncidenceMatrix, k: int) -> list[Vector]:
@@ -445,28 +492,50 @@ def kfold_sum_grids(
 
     Shift-OR recursion from the all-True level 0: level k is the OR over
     the vectors v of level k-1 shifted up by v. Vectors that leave the box
-    contribute nothing and are skipped. The deadline is checked once per
-    shifted vector.
+    contribute nothing and are skipped.
+
+    The shift works on the flat C-order buffer, where the cell index
+    idx(x) = <x, strides> is linear in x. So idx(x) - idx(v) = idx(x - v)
+    for every x >= v, and shifting by v is one contiguous copy
+    ``buf[off:] = grid[:size - off]`` with off = idx(v), followed by
+    clearing the slabs x_i < v_i of the box view of ``buf`` for each i
+    with v_i > 0: those are exactly the cells not dominating v. They
+    include every cell of flat index below off, where the copy left stale
+    data, because idx is lexicographic order and x >= v implies
+    idx(x) >= idx(v). The shifted level is then ORed into the next one by
+    one contiguous pass. Each level is a fresh array; the deadline is
+    checked once per shifted vector.
     """
     shape = tuple(c + 1 for c in caps)
-    usable = [v for v in vectors if all(x <= c for x, c in zip(v, caps))]
-    grid = np.ones(shape, dtype=bool)
+    size = math.prod(shape)
+    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+    shifts = [
+        (sum(x * s for x, s in zip(v, strides)),
+         [(slice(None),) * i + (slice(0, x),) for i, x in enumerate(v) if x])
+        for v in vectors
+        if all(x <= c for x, c in zip(v, caps))
+    ]
+    grid = np.ones(size, dtype=bool)
+    buf = np.empty(size, dtype=bool)
+    box = buf.reshape(shape)
     for _ in range(kmax):
-        nxt = np.zeros(shape, dtype=bool)
-        for v in usable:
+        nxt = np.zeros(size, dtype=bool)
+        for off, slabs in shifts:
             check_deadline()
-            dst = tuple(slice(x, None) for x in v)
-            src = tuple(slice(None, s - x) for s, x in zip(shape, v))
-            nxt[dst] |= grid[src]
+            buf[off:] = grid[:size - off]
+            for slab in slabs:
+                box[slab] = False
+            nxt |= buf
         grid = nxt
-        yield grid
+        yield grid.reshape(shape)
 
 
 def packing_numbers(vectors: Sequence[Sequence[int]], caps: Vector) -> np.ndarray:
     """max{<y,1> : sum_j y_j v_j <= x, y integer >= 0} for every x of the
     box prod [0, caps_i], as an n-D int64 array in C (lexicographic) order:
-    the number of the nested levels of :func:`kfold_sum_grids` holding x.
-    The vectors are nonzero, so no x packs more than sum(caps)."""
+    the number of the nested levels of :func:`kfold_sum_grids` holding x,
+    each level built by the flat-offset shifts described there. The
+    vectors are nonzero, so no x packs more than sum(caps)."""
     count = np.zeros(tuple(c + 1 for c in caps), dtype=np.int64)
     for level in kfold_sum_grids(vectors, caps, sum(caps)):
         if not level.any():
@@ -486,15 +555,16 @@ def integer_decomposition_check(a: IncidenceMatrix, kmax: int) -> Certificate:
     summands is complete because B(Q) is upward closed: if
     x = a_1 + ... + a_k and m <= a_1 is minimal, then
     x = m + ((a_1 - m) + a_2) + a_3 + ... is a decomposition through m.
-    Membership in k*B(Q) compares one :func:`_box_min` of the vertex
-    inequalities over the kmax-box with k*D.
+    Membership in k*B(Q) compares the box values of the vertex
+    inequalities over the kmax-box (:data:`_box_values`, the array the
+    normality verdict already read) with k*D.
     """
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
     caps = box_caps(a, kmax)
     _check_box(caps)
     rows, den = _vertex_inequalities(a)
-    value = _box_min(caps, rows)
+    value = _box_values(caps, rows)
     minlat = minimal_lattice_points(a, 1)
     checked: dict[str, int] = {}
     for k, dec in enumerate(kfold_sum_grids(minlat, caps, kmax), start=1):
@@ -564,8 +634,9 @@ def _rounding_grids(a: IncidenceMatrix, wmax: int) -> tuple[np.ndarray, int, np.
 
     LP value: by LP duality, max{<y,1> : Ay <= w, y >= 0} = min{<w,x> : x
     in Q(A)}, and since w >= 0 and Q(A) is pointed with recession cone
-    R^n_+, the minimum is attained at a vertex ell_t of Q(A); one
-    :func:`_box_min` of the vertex inequalities gives it for every w.
+    R^n_+, the minimum is attained at a vertex ell_t of Q(A); the box
+    values of the vertex inequalities (:data:`_box_values`, read-only)
+    give it for every w.
     Integer value: :func:`packing_numbers` of the columns over the box.
     """
     if wmax < 0:
@@ -573,7 +644,7 @@ def _rounding_grids(a: IncidenceMatrix, wmax: int) -> tuple[np.ndarray, int, np.
     caps = (wmax,) * a.n
     _check_box(caps, "rounding box size")
     rows, den = _vertex_inequalities(a)
-    return _box_min(caps, rows), den, packing_numbers(a.columns, caps)
+    return _box_values(caps, rows), den, packing_numbers(a.columns, caps)
 
 
 def integer_rounding_check(a: IncidenceMatrix, wmax: int) -> Certificate:

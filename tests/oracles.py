@@ -230,3 +230,30 @@ def brute_idp_holds(columns, kmax: int, caps) -> bool:
         for k in range(1, kmax + 1)
         for a in brute_lattice_points_of_scaled_blocker(columns, k, caps)
     )
+
+
+def brute_kfold_sums(vectors, caps, k: int) -> set[tuple[int, ...]]:
+    """Cells of the box prod [0, caps_i] dominating a sum of k of the
+    vectors (repetition allowed), by listing every k-multiset of them."""
+    sums = {
+        tuple(sum(col) for col in zip(*combo))
+        for combo in itertools.combinations_with_replacement([tuple(v) for v in vectors], k)
+    }
+    return {
+        x
+        for x in itertools.product(*(range(c + 1) for c in caps))
+        if any(all(a >= b for a, b in zip(x, s)) for s in sums)
+    }
+
+
+def brute_packing_numbers(vectors, caps) -> dict[tuple[int, ...], int]:
+    """The largest k with x dominating a sum of k of the nonzero vectors,
+    for every cell x of the box: :func:`brute_kfold_sums` level by level
+    until a level is empty."""
+    best = dict.fromkeys(itertools.product(*(range(c + 1) for c in caps)), 0)
+    k = 1
+    while level := brute_kfold_sums(vectors, caps, k):
+        for x in level:
+            best[x] = k
+        k += 1
+    return best

@@ -8,6 +8,7 @@ the w-sweeps stopped building C^w, so any change in verdicts, witnesses or
 
 import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -16,15 +17,17 @@ from pathlib import Path
 import pytest
 
 import clutterlab
+from clutterlab import complete_admissible_uniform_clutter, ideals, polyhedra
 from clutterlab.certify import (
     Bounds,
     Corpus,
+    check_clutter_instance,
     comparability_mfmc_check,
     random_posets,
     run_theorem_suite,
 )
 from clutterlab.guards import ConsistencyError, Deadline, ResourceGuardError
-from clutterlab.packing import HasseNetwork, menger_check, sweep_numbers
+from clutterlab.packing import HasseNetwork, _cover_matrix, menger_check, sweep_numbers
 from clutterlab.structures import Poset, clique_clutter, comparability_graph
 
 HERE = Path(__file__).parent
@@ -126,6 +129,68 @@ def test_positive_verdicts_need_no_generator_lists(name, monkeypatch):
     monkeypatch.chdir(HERE)
     report = run_theorem_suite(corpus, bounds)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# One box value array per row set, shared by the checks of an instance
+
+SHARED = {
+    "cauc": GOLDEN["cauc"][:2],
+    "clutters-level-3": GOLDEN["clutters-level-3"][:2],
+    # three of the twelve are not normal, so the explanation reads the
+    # normality values too
+    "ideals": (Corpus("random-ideals", n=3, q=4, maxexp=3, count=12, seed=1), Bounds()),
+}
+
+
+def _records(report):
+    """Instance records and counterexamples without their corpus index."""
+    doc = report.to_doc()
+    return tuple(
+        [{k: v for k, v in r.items() if k != "index"} for r in doc[part]]
+        for part in ("instances", "counterexamples")
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_shared_box_values_leave_the_report_bytes(name, monkeypatch, tmp_path):
+    corpus, bounds = SHARED[name]
+    monkeypatch.chdir(HERE)
+    polyhedra._box_values.cache_clear()
+    ideals._power_grids.cache_clear()
+    cold = run_theorem_suite(corpus, bounds).to_json()
+    assert run_theorem_suite(corpus, bounds).to_json() == cold  # warm caches
+    polyhedra._box_values.cache_clear()
+    ideals._power_grids.cache_clear()
+    assert run_theorem_suite(corpus, bounds).to_json() == cold
+    # the same instances in reversed order: each record is unchanged
+    forward = run_theorem_suite(corpus, bounds)
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps({"instances": [
+        rec["instance"] for rec in reversed(forward.to_doc()["instances"])
+    ]}))
+    backward = run_theorem_suite(Corpus("explicit", path=str(path)), bounds)
+    recs, gallery = _records(backward)
+    assert (recs[::-1], gallery[::-1]) == _records(forward)
+
+
+def test_a_cauc33_instance_builds_the_cover_values_once(monkeypatch):
+    # NTF on [0,3]^9, normality on the same box (the vertex rows of the
+    # integral Q(A) are the minimal covers) and the MFMC sweep on the
+    # prefix [0,2]^9 read one array
+    c = complete_admissible_uniform_clutter(3, 3)
+    built = []
+    honest = polyhedra._box_min
+
+    def counting(caps, rows):
+        built.append((caps, rows.tobytes()))
+        return honest(caps, rows)
+
+    monkeypatch.setattr(polyhedra, "_box_min", counting)
+    polyhedra._box_values.cache_clear()
+    record = check_clutter_instance(c, Bounds(wmax=2))
+    assert record["pass"]
+    assert built == [((3,) * 9, _cover_matrix(c).tobytes())]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +349,7 @@ def test_sweep_box_guard_fires_before_the_walk_builds_anything(monkeypatch):
     monkeypatch.setattr(HasseNetwork, "of", classmethod(unreachable))
     monkeypatch.setattr(HasseNetwork, "_graph", property(unreachable))
     monkeypatch.setattr("clutterlab.certify.menger_walk", unreachable)
-    monkeypatch.setattr("clutterlab.packing._box_min", unreachable)
+    monkeypatch.setattr("clutterlab.polyhedra._box_min", unreachable)
     with pytest.raises(ResourceGuardError, match="sweep box size = 16777216"):
         comparability_mfmc_check(chain, cl, 3)
 

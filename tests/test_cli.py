@@ -146,7 +146,8 @@ def test_mfmc_witness_disagreeing_with_the_sweep_exits_4(capsys, padded_cover_se
 
 def test_certify_records_a_raised_consistency_error(capsys, monkeypatch, tmp_path):
     # the walk of the cauc(2,2) poset at wmax 2 cancels flow; a cancel that
-    # finds the flow unconserved fails that instance, and the run goes on
+    # finds the flow unconserved is recorded at its w, the walk restarts
+    # from the zero flow there and goes on, and so does the run
     def unconserved(self, cap, v):
         raise ConsistencyError("flow is conserved", 1, 0)
 
@@ -160,13 +161,18 @@ def test_certify_records_a_raised_consistency_error(capsys, monkeypatch, tmp_pat
     assert code == 1
     doc = json.loads(out)
     assert doc["counts"] == {"instances": 2, "failed": 1, "skipped": 0}
-    assert doc["instances"][0]["checks"] == {"consistent": False}
+    checks = doc["instances"][0]["checks"]
+    assert checks.pop("menger_agrees") is False
+    assert checks and all(checks.values())  # every other check still decided
     assert doc["instances"][1]["pass"] is True
-    assert doc["counterexamples"] == [{
-        "index": 0,
-        "instance": doc["instances"][0]["instance"],
-        "witness": {"invariant": {"check": "flow is conserved", "values": [1, 0]}},
-    }]
+    [example] = doc["counterexamples"]
+    assert example["index"] == 0
+    mismatches = example["witness"]["menger_mismatches"]
+    assert mismatches and set(example["witness"]) == {"menger_mismatches"}
+    for entry in mismatches:
+        # the restarted flow is restored, so only the invariant is off
+        assert entry["konig"] == entry["menger"]
+        assert entry["invariant"] == {"check": "flow is conserved", "values": [1, 0]}
 
 
 def test_duality_c5(capsys):
@@ -296,7 +302,7 @@ def test_mfmc_sweep_box_over_the_guard_exits_3(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the sweep box was allocated")
 
-    monkeypatch.setattr("clutterlab.packing._box_min", unreachable)
+    monkeypatch.setattr("clutterlab.polyhedra._box_min", unreachable)
     monkeypatch.setattr("clutterlab.packing._cover_matrix", unreachable)
     doc = json.dumps({"n": 12, "labels": [f"x{i}" for i in range(12)], "edges": [list(range(12))]})
     code, out = _run(capsys, "mfmc", "--wmax", "3", doc)

@@ -489,6 +489,36 @@ def test_walk_cancels_flow_through_saturated_vertices(monkeypatch):
     assert cancelled, "no -1 step met a saturated vertex"
 
 
+def test_walk_restarts_after_a_failed_cancel(monkeypatch):
+    # the first cancel finds the flow unconserved: that w records the error,
+    # the walk restarts from the zero flow there, and every w, that one
+    # included, still gets the maximum flow and a minimum cut
+    honest = HasseNetwork._cancel_unit
+    broken = []
+
+    def first_fails(self, cap, v):
+        if not broken:
+            broken.append(v)
+            raise ConsistencyError("flow is conserved", 1, 0)
+        honest(self, cap, v)
+
+    monkeypatch.setattr(HasseNetwork, "_cancel_unit", first_fails)
+    from clutterlab import cauc_poset
+
+    p = cauc_poset(2, 2)
+    net = HasseNetwork.of(p)
+    cut_weights, flows, _, failures = menger_walk(
+        net, clique_clutter(comparability_graph(p)).edge_masks, 2
+    )
+    assert broken and len(failures) == 1
+    [(idx, error)] = failures.items()
+    assert error.to_json() == {"check": "flow is conserved", "values": [1, 0]}
+    box = list(itertools.product(range(3), repeat=p.n))
+    assert box[idx][broken[0]] < 2  # recorded at the w after the -1 step
+    for i, w in enumerate(box):
+        assert flows[i] == cut_weights[i] == net.max_flow(w)[0]
+
+
 def test_walk_searches_only_where_its_pair_stops_certifying(monkeypatch):
     # at wmax 3, the walk that re-ran Edmonds-Karp whenever its last search
     # tree might be stale made 3,578 breadth-first searches and 1,690

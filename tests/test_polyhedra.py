@@ -32,6 +32,8 @@ from clutterlab.polyhedra import (
     box_caps,
     format_rational,
     ilp_max_packing,
+    kfold_sum_grids,
+    packing_numbers,
     q_vertices,
 )
 from clutterlab.structures import clique_clutter, comparability_graph
@@ -39,7 +41,9 @@ from clutterlab.structures import clique_clutter, comparability_graph
 from oracles import (
     brute_decompose,
     brute_idp_holds,
+    brute_kfold_sums,
     brute_lattice_points_of_scaled_blocker,
+    brute_packing_numbers,
     brute_q_vertices,
     minimalize,
 )
@@ -284,6 +288,87 @@ def test_box_min_matches_brute_minimum():
         assert got.ravel().tolist() == [
             min(sum(r * x for r, x in zip(row, pt)) for row in rows) for pt in box
         ]
+
+
+def test_box_values_are_read_only_prefix_slices_of_one_build(monkeypatch):
+    built = []
+    honest = polyhedra._box_min
+
+    def counting(caps, rows):
+        built.append(caps)
+        return honest(caps, rows)
+
+    monkeypatch.setattr(polyhedra, "_box_min", counting)
+    polyhedra._box_values.cache_clear()
+    rows = np.array([(1, 1, 0), (0, 1, 2)], dtype=np.int64)
+    same = rows.copy()  # another object with the same rows
+    for caps in [(2, 3, 1), (1, 3, 0), (2, 3, 1), (0, 0, 0)]:
+        got = polyhedra._box_values(caps, same if caps[0] == 1 else rows)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[(0,) * 3] = 7
+        assert got.shape == tuple(c + 1 for c in caps)
+        assert (got == honest(caps, rows)).all()
+    assert built == [(2, 3, 1)]
+    # a box outside the held one, or other rows, builds anew
+    polyhedra._box_values((3, 0, 0), rows)
+    polyhedra._box_values((3, 0, 0), rows[::-1].copy())
+    polyhedra._box_values((3, 0, 0), rows[:1].copy())
+    assert built == [(2, 3, 1), (3, 0, 0), (3, 0, 0), (3, 0, 0)]
+    polyhedra._box_values.cache_clear()
+    polyhedra._box_values((0, 0, 0), rows[:1].copy())
+    assert len(built) == 5
+
+
+# ---------------------------------------------------------------------------
+# k-fold sums and packing numbers against explicit k-sums
+
+def _kfold_cases():
+    rng = random.Random(13)
+    cases = [
+        # unequal caps, entries 0..3
+        ([(1, 0, 2), (0, 3, 1), (2, 1, 0)], (3, 4, 2), 4),
+        # a vector equal to the caps: its offset is the last cell
+        ([(2, 1, 3), (1, 0, 0)], (2, 1, 3), 3),
+        # vectors over the caps are skipped, in one or several coordinates
+        ([(4, 0), (0, 3), (1, 1), (5, 5)], (3, 2), 4),
+        # duplicate vectors
+        ([(1, 2), (1, 2), (0, 1)], (3, 3), 4),
+        # a zero cap and a one-cell box
+        ([(0, 1, 0), (1, 0, 0)], (2, 2, 0), 2),
+        ([(1,)], (0,), 2),
+        # nothing fits
+        ([(2, 2)], (1, 1), 2),
+    ]
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        caps = tuple(rng.randint(0, 3) for _ in range(n))
+        vectors = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        vectors = [v for v in vectors if any(v)] or [(1,) * n]
+        if rng.random() < 0.3:
+            vectors.append(vectors[0])
+        cases.append((vectors, caps, rng.randint(1, 4)))
+    return cases
+
+
+@pytest.mark.parametrize("vectors, caps, kmax", _kfold_cases())
+def test_kfold_sum_grids_match_explicit_k_sums(vectors, caps, kmax):
+    box = list(itertools.product(*(range(c + 1) for c in caps)))
+    levels = list(kfold_sum_grids(vectors, caps, kmax))
+    assert len(levels) == kmax
+    for k, grid in enumerate(levels, start=1):
+        assert grid.shape == tuple(c + 1 for c in caps) and grid.dtype == bool
+        sums = brute_kfold_sums(vectors, caps, k)
+        assert [x for x in box if grid[x]] == [x for x in box if x in sums]
+    # every level is its own array, so a caller may keep them all
+    assert all(not np.shares_memory(a, b) for a, b in itertools.combinations(levels, 2))
+
+
+@pytest.mark.parametrize("vectors, caps", [case[:2] for case in _kfold_cases()])
+def test_packing_numbers_match_explicit_k_sums(vectors, caps):
+    got = packing_numbers(vectors, caps)
+    assert got.shape == tuple(c + 1 for c in caps) and got.dtype == np.int64
+    assert {x: int(got[x]) for x in np.ndindex(got.shape)} == brute_packing_numbers(vectors, caps)
 
 
 # ---------------------------------------------------------------------------
