@@ -301,10 +301,10 @@ def comparability_mfmc_check(p: Poset, cl: Clutter, wmax: int) -> dict[str, Any]
 
     alpha0 and beta1 of every C^w are priced first by
     :func:`sweep_numbers`, so the box-size guard fires before the network
-    is built. The flow side walks the box in Gray order
-    (:func:`menger_walk`), searching only where its flow and cut stop
-    certifying w; both sides come back as arrays indexed by lexicographic
-    w and are compared in one vectorized pass. Failures are sorted by
+    is built. The flow side (:func:`menger_walk`) runs one max flow per
+    box of w that its flow and cut certify, on each component of the Hasse
+    diagram; both sides come back as arrays indexed by lexicographic w and
+    are compared in one vectorized pass. Failures are sorted by
     lexicographic w, so the first ones listed are the lex-first ones.
     ``menger_agrees`` is false also when the Hasse source-sink paths are
     not the maximal cliques (``hasse_chains``) or a check of the flow

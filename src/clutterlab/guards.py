@@ -11,8 +11,8 @@ Every exponential kernel calls :func:`check_deadline` at its loop head:
 
 - ``packing``: every node of the two Koenig searches (minimum cover and
   maximum matching), every node of the minimal-cover enumeration, once
-  per w of the Menger walk, and once after the w-box of MFMC certification
-  is priced;
+  per box seed of the Menger walk, and once after the w-box of MFMC
+  certification is priced;
 - ``polyhedra``: once per positive ray of each double-description step,
   and once per shifted vector of the k-fold sum grids;
 - ``certify``: between the normality and rounding checks of an ideal.

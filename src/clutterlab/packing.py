@@ -15,14 +15,13 @@ identities give its numbers from weights on C:
   and min vertex cut of the Hasse diagram with vertex capacities w
   (Menger's theorem with vertex capacities), see :class:`HasseNetwork`.
 
-The flows of a whole w-box come from one residual network: the box is
-walked in reflected mixed-radix Gray order (Knuth, TAOCP 4A, section
-7.2.1.1), so consecutive w differ by +-1 in one vertex capacity and the
-max flow moves by at most one unit (the unit-step case of parametric flow;
-Gallo, Grigoriadis and Tarjan, SIAM J. Comput. 18, 1989). The walk keeps
-its (flow, cut) pair while the pair still certifies the new w by weak
-duality and searches for an augmenting path only when it stops doing so,
-see :func:`menger_walk`.
+The flows of a whole w-box come from few max flows. A flow f and a
+vertex cut K that certify tau(C^w) = nu(C^w) at one w, with K meeting
+every edge of C, certify it on the whole box w'_v = w_v on K, w'_u in
+[f_u, wmax] off K: f stays feasible with the same chains, and the cut
+weight stays the flow value. Each connected component of the Hasse
+diagram is walked on its own box, since every maximal chain lies in one
+and tau and nu of C^w add over them; see :func:`menger_walk`.
 
 Each Koenig number has one exact search, which returns its
 lexicographically least optimal witness: :func:`lex_min_cover` for alpha0
@@ -34,10 +33,9 @@ of a failed sweep, and check the ambient deadline
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -379,27 +377,6 @@ def lp_duality_integer_check(c: Clutter, w: Sequence[int]) -> Certificate:
 # ---------------------------------------------------------------------------
 # Menger oracle on the Hasse diagram
 
-def gray_steps(n: int, wmax: int) -> Iterator[tuple[int, int]]:
-    """Steps (coordinate v, +1 or -1) of the reflected mixed-radix Gray walk
-    of {0..wmax}^n from 0^n (Knuth, TAOCP 4A, section 7.2.1.1).
-
-    Every w of the box is visited exactly once and consecutive w differ by
-    one in one coordinate. The last coordinate moves fastest; a coordinate
-    that cannot move on reverses its direction and passes the step on.
-    """
-    w = [0] * n
-    d = [1] * n
-    while True:
-        v = n - 1
-        while v >= 0 and not 0 <= w[v] + d[v] <= wmax:
-            d[v] = -d[v]
-            v -= 1
-        if v < 0:
-            return
-        w[v] += d[v]
-        yield v, d[v]
-
-
 @dataclass(frozen=True)
 class HasseNetwork:
     """Hasse diagram of a poset as an s-t network with vertex capacities.
@@ -416,13 +393,8 @@ class HasseNetwork:
     Edmonds-Karp steps (:meth:`_augment`, one shortest augmenting path
     each), the min cut read off a search that found no path, and
     :meth:`_decompose` into chains. :meth:`max_flow` runs it from the
-    zero flow. :func:`menger_walk` keeps one residual network for the whole
-    box, walked in reflected Gray order (Knuth, TAOCP 4A, section
-    7.2.1.1): a +-1 change of one vertex capacity moves the max flow by at
-    most one unit, so :meth:`_cancel_unit` and at most one augmenting path
-    restore it (Gallo, Grigoriadis and Tarjan, SIAM J. Comput. 18, 1989),
-    and the walk searches only when its (flow, cut) pair no longer
-    certifies the new w.
+    zero flow; :func:`menger_walk` runs it once per box of weights that
+    one (flow, cut) pair certifies.
     """
 
     n: int
@@ -568,37 +540,9 @@ class HasseNetwork:
                 rest[a ^ 1] -= push
             chains.append((m & ~(1 << self.n), push))
 
-    def _cancel_unit(self, cap: list[int], v: int) -> None:
-        """Cancel one unit of the flow through vertex v: follow flow-carrying
-        arcs back from v_in to the source and on from v_out to the sink.
-        The network is acyclic, so both walks end."""
-        head, out = self._graph
-        s, t = 2 * self.n, 2 * self.n + 1
-        path, u = [2 * v], 2 * v
-        while u != s:
-            for b in out[u]:
-                if b & 1 and cap[b]:
-                    break
-            else:
-                raise ConsistencyError("flow is conserved", *self._balance(cap, u))
-            path.append(b ^ 1)
-            u = head[b]
-        u = 2 * v + 1
-        while u != t:
-            for a in out[u]:
-                if not a & 1 and cap[a ^ 1]:
-                    break
-            else:
-                raise ConsistencyError("flow is conserved", *self._balance(cap, u))
-            path.append(a)
-            u = head[a]
-        for a in path:
-            cap[a] += 1
-            cap[a ^ 1] -= 1
-
     def max_flow(self, w: Sequence[int]) -> tuple[int, list[int], int]:
-        """Max s-t flow with capacity w_v through vertex v: the kernel of
-        :func:`menger_walk` run once, by Edmonds-Karp from the zero flow.
+        """Max s-t flow with capacity w_v through vertex v, by Edmonds-Karp
+        from the zero flow.
 
         Returns (value, residual capacities, cut): the cut is the mask of
         the minimum vertex cut read off residual reachability from the
@@ -710,7 +654,7 @@ def menger_check(
     Returns (cut weight, flow value, chains, cut). Raises
     :class:`ConsistencyError` unless the pair is a certificate of
     tau(C^w) = nu(C^w) in the sense of :class:`_Certificate`, the same
-    checks :func:`menger_walk` makes at every w.
+    checks :func:`menger_walk` makes at every box seed.
     """
     value, cap, cut = net.max_flow(w)
     cut_weight = sum(w[v] for v in _bits(cut))
@@ -723,93 +667,113 @@ def menger_check(
     return cut_weight, value, flow.chains, cut
 
 
+def _components(net: HasseNetwork, edge_masks: Sequence[int]) -> list[int]:
+    """Vertex masks of the connected components of the Hasse diagram, in
+    order of their least vertex, with the vertices of each edge of the
+    clutter joined as well, so every edge lies in one component (as every
+    maximal chain does when the edges are the Hasse chains)."""
+    parts: list[int] = []
+    links = [1 << v for v in range(net.n)] + [1 << x | 1 << y for x, y in net.arcs]
+    for link in links + [e for e in edge_masks if e]:
+        rest = [m for m in parts if not m & link]
+        for m in parts:
+            if m & link:
+                link |= m
+        parts = rest + [link]
+    return sorted(parts, key=lambda m: m & -m)
+
+
+def _box_of(
+    cert: _Certificate, part: int, w: list[int], value: int, cap: list[int], cut: int
+) -> tuple[tuple[slice, ...], int, tuple[str, Any, Any] | None]:
+    """The weights that the max flow ``(value, cap, cut)`` at w certifies,
+    as slices of the box of the vertices in ``part``, the cut weight, and
+    the first check the pair fails at w (None if it certifies w).
+
+    When the pair certifies w (:meth:`_Certificate.failure` is None), it
+    certifies every w' with w'_v = w_v on the cut and w'_u in [f_u, wmax]
+    off it, f_u the flow through u, provided the cut meets every edge:
+    f stays feasible with the same chains, every chain vertex keeps
+    w'_u >= f_u >= 1, and the cut weight stays the flow value. A cut read
+    off a search meets every source-sink path, so only a pair that fails
+    at w, or a network whose paths are not the edges, covers w alone.
+    """
+    cut_weight = sum(w[v] for v in _bits(cut))
+    zero = _mask(v for v, x in enumerate(w) if x == 0)
+    failure = cert.failure(cap, zero, value, cert.decompose(cap), cut, cut_weight)
+    meets = failure is None and all(e & cut for e in cert.edge_masks)
+    fixed = cut if meets else part
+    box = tuple(
+        slice(w[v], w[v] + 1) if fixed >> v & 1 else slice(cap[2 * v + 1], None)
+        for v in _bits(part)
+    )
+    return box, cut_weight, failure
+
+
 def menger_walk(
     net: HasseNetwork, edge_masks: Sequence[int], wmax: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, ConsistencyError]]:
-    """The checks of :func:`menger_check` at every w of {0..wmax}^n, on one
-    residual network walked in the order of :func:`gray_steps`.
+    """The checks of :func:`menger_check` at every w of {0..wmax}^n, from
+    one max flow per box of weights that its flow and cut certify.
 
     Returns (cut weights, flow values, cut masks, failures): three flat
     int64 arrays indexed by lexicographic w, and the failed check by
     lexicographic index for every w whose pair is not a certificate.
 
-    The walk starts from the zero flow and the empty cut, which certify
-    w = 0. Each step moves one vertex capacity by one and keeps the pair:
-
-    - +1 on v: the flow stays feasible.
-    - -1 on v, v not saturated: the flow stays feasible.
-    - -1 on v, v saturated: one unit of flow through v is cancelled.
-
-    The cut weight moves with w_v when v is in the cut. The pair is then
-    checked by :class:`_Certificate` at the new w, and only if it fails
-    does the walk search: it pushes one augmenting path at a time, checking
-    again after each, until the pair certifies w or a search finds no path,
-    whose search tree gives a minimum cut for one last check. A step moves
-    the maximum flow by at most one unit (Gallo, Grigoriadis and Tarjan,
-    SIAM J. Comput. 18, 1989), so one path or one failed search restores
-    the pair. A cancel that finds the flow unconserved is recorded as the
-    failure of its w, and the walk goes on from the zero flow and the
-    empty cut at that w, which the searches restore. Every check is
-    decided at every w; the deadline is checked once per w.
+    Each component of the Hasse diagram (:func:`_components`) is walked
+    on the box of its own vertices, as a network that keeps only its arcs
+    (the other vertices get weight 0 and no path): the lexicographically
+    first w that no box covers yet is the next seed, its max flow is
+    checked by :class:`_Certificate`, and the whole box the pair certifies
+    (:func:`_box_of`) is filled by slice assignment; a pair that fails is
+    recorded at its seed and covers the seed alone. Since every maximal
+    chain lies in one component, tau and nu of C^w add over them: the
+    component arrays (and their disjoint cut masks) are added into the
+    full box by broadcasting, and a w fails when one of its components
+    fails (the first such component's check is recorded). Every check is
+    decided at every w; the deadline is checked once per seed.
     """
-    n = net.n
-    size = (wmax + 1) ** n
-    # int64 buffers: list-speed stores, read by numpy without a copy
-    cut_weights, flows, cuts = (array("q", bytes(8 * size)) for _ in range(3))
+    n, side = net.n, wmax + 1
+    full = (side,) * n
+    cut_weights, flows, cuts = (np.zeros(full, dtype=np.int64) for _ in range(3))
+    index = np.arange(side ** n).reshape(full)
     failures: dict[int, ConsistencyError] = {}
-    cert = _Certificate(net, edge_masks)
-    check = cert.failure
-    w = [0] * n
-    zero = (1 << n) - 1
-    big = n * wmax + 1
-    cap = net._residual(w, big)
-    value, flow, cut, cut_weight = 0, cert.decompose(cap), 0, 0
-    stride = [(wmax + 1) ** (n - 1 - v) for v in range(n)]
-    idx = 0
-    steps = gray_steps(n, wmax)
-    while True:
-        check_deadline()
-        failure = check(cap, zero, value, flow, cut, cut_weight)
-        while failure is not None:
-            added, via = net._augment(cap)
-            if not added:
-                searched = net._cut(via)
-                if searched != cut:
-                    cut = searched
-                    cut_weight = sum(w[u] for u in _bits(cut))
-                failure = check(cap, zero, value, flow, cut, cut_weight)
-                if failure is not None:
-                    failures.setdefault(idx, ConsistencyError(*failure))
+    for part in _components(net, edge_masks):
+        verts = _bits(part)
+        sub = HasseNetwork(
+            n=n,
+            arcs=tuple((x, y) for x, y in net.arcs if part >> x & 1),
+            sources=tuple(v for v in net.sources if part >> v & 1),
+            sinks=tuple(v for v in net.sinks if part >> v & 1),
+        )
+        cert = _Certificate(sub, [e for e in edge_masks if e & part])
+        shape = (side,) * len(verts)
+        weights, values, masks = (np.zeros(shape, dtype=np.int64) for _ in range(3))
+        covered = np.zeros(shape, dtype=bool)
+        flat = covered.reshape(-1)
+        seed = 0
+        while True:
+            seed += int(np.argmin(flat[seed:]))
+            if flat[seed]:
                 break
-            value += added
-            flow = cert.decompose(cap)
-            failure = check(cap, zero, value, flow, cut, cut_weight)
-        cut_weights[idx], flows[idx], cuts[idx] = cut_weight, value, cut
-        step = next(steps, None)
-        if step is None:
-            return (np.frombuffer(cut_weights, dtype=np.int64), np.frombuffer(flows, dtype=np.int64),
-                    np.frombuffer(cuts, dtype=np.int64), failures)
-        v, d = step
-        idx += d * stride[v]
-        w[v] += d
-        if w[v] == 0 or (w[v] == 1 and d == 1):
-            zero ^= 1 << v
-        if d < 0 and cap[2 * v] == 0:
-            try:
-                net._cancel_unit(cap, v)
-            except ConsistencyError as exc:
-                # the flow is broken here: record it and restart from the
-                # zero flow and the empty cut at the new w, which the
-                # search at the top of the loop restores to a maximum
-                failures[idx] = exc
-                cap = net._residual(w, big)
-                value, flow, cut, cut_weight = 0, cert.decompose(cap), 0, 0
-                continue
-            value -= 1
-            flow = cert.decompose(cap)
-        cap[2 * v] += d
-        if cut >> v & 1:
-            cut_weight += d
+            check_deadline()
+            w = [0] * n
+            for v, x in zip(verts, np.unravel_index(seed, shape)):
+                w[v] = int(x)
+            value, cap, cut = sub.max_flow(w)
+            box, cut_weight, failure = _box_of(cert, part, w, value, cap, cut)
+            weights[box], values[box], masks[box], covered[box] = cut_weight, value, cut, True
+            if failure is not None:
+                exc = ConsistencyError(*failure)
+                # every w whose restriction to this component is the seed
+                at = tuple(w[v] if part >> v & 1 else slice(None) for v in range(n))
+                for i in index[at].ravel().tolist():
+                    failures.setdefault(i, exc)
+        spread = [side if part >> v & 1 else 1 for v in range(n)]
+        cut_weights += weights.reshape(spread)
+        flows += values.reshape(spread)
+        cuts += masks.reshape(spread)
+    return cut_weights.ravel(), flows.ravel(), cuts.ravel(), failures
 
 
 def menger_oracle(p: Poset, w: Sequence[int]) -> KonigCertificate:

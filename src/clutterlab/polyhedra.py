@@ -36,8 +36,9 @@ vertex covers of a clutter, the same kernel gives the symbolic powers and
 alpha0 of the parallelizations (``ideals``, ``packing``). A cell's value
 does not depend on the box, so the checks read it through
 :data:`_box_values`, which holds the latest read-only array and answers
-any box inside it with a prefix slice: the checks of one instance that
-ask for the same rows build one array.
+any box inside it with a prefix slice, broadcast along the axes where no
+form has a nonzero coefficient: the checks of one instance that ask for
+the same rows build one array.
 
 :func:`simplex_max` solves one LP and is kept as a test reference;
 :func:`ilp_max_packing` solves one integer packing, for the tests and the
@@ -393,12 +394,15 @@ class _BoxValues:
 
     A cell's value does not depend on the box holding it, so a box inside
     the held box of the same rows is answered by a prefix slice of it
-    (:func:`_box_slice`). Any other request drops the held array and
-    builds its own box, so at most one array is held and it never stays
-    alive while the next one is built. ``rows`` is an int64 array keyed by
-    its shape and bytes: equal row sets share the array whatever object
-    holds them, and the key costs no per-entry conversion. The caller
-    guards the box before asking.
+    (:func:`_box_slice`). Along an axis where every row's coefficient is 0
+    the values are constant, so a box larger than the held one only on
+    such axes is answered by a read-only broadcast view and builds
+    nothing. Any other request drops the held array and builds its own
+    box, so at most one array is held and it never stays alive while the
+    next one is built. ``rows`` is an int64 array keyed by its shape and
+    bytes: equal row sets share the array whatever object holds them, and
+    the key costs no per-entry conversion. The caller guards the box
+    before asking.
     """
 
     def __init__(self):
@@ -406,12 +410,17 @@ class _BoxValues:
 
     def __call__(self, caps: Vector, rows: np.ndarray) -> np.ndarray:
         key = rows.shape, rows.tobytes()
-        if key != self._key or any(c >= s for c, s in zip(caps, self._held.shape)):
-            self.cache_clear()
-            held = _box_min(caps, rows)
-            held.setflags(write=False)
-            self._key, self._held = key, held
-        return self._held[_box_slice(caps)]
+        if key == self._key:
+            if all(c < s for c, s in zip(caps, self._held.shape)):
+                return self._held[_box_slice(caps)]
+            span = tuple(c if used else 0 for c, used in zip(caps, rows.any(axis=0)))
+            if all(c < s for c, s in zip(span, self._held.shape)):
+                return np.broadcast_to(self._held[_box_slice(span)], tuple(c + 1 for c in caps))
+        self.cache_clear()
+        held = _box_min(caps, rows)
+        held.setflags(write=False)
+        self._key, self._held = key, held
+        return held[_box_slice(caps)]
 
     def cache_clear(self) -> None:
         self._key: tuple[tuple[int, ...], bytes] | None = None

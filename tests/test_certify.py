@@ -22,6 +22,7 @@ from clutterlab.certify import (
     Bounds,
     Corpus,
     check_clutter_instance,
+    check_ideal_instance,
     comparability_mfmc_check,
     random_posets,
     run_theorem_suite,
@@ -193,6 +194,31 @@ def test_a_cauc33_instance_builds_the_cover_values_once(monkeypatch):
     assert built == [((3,) * 9, _cover_matrix(c).tobytes())]
 
 
+@pytest.mark.parametrize("gens, normal", [
+    ([(2, 0, 0), (1, 1, 0), (0, 2, 0)], True),
+    ([(2, 0, 0, 1), (0, 2, 0, 1)], False),
+], ids=["normal", "not-normal"])
+def test_an_ideal_with_an_unused_variable_builds_its_values_once(monkeypatch, gens, normal):
+    # box_caps gives the unused variable cap 0, the rounding box [0, 3]^n
+    # does not; every vertex row of Q(A) has coefficient 0 there, so
+    # rounding reads the normality array broadcast along that axis
+    from clutterlab import MonomialIdeal
+
+    built = []
+    honest = polyhedra._box_min
+
+    def counting(caps, rows):
+        built.append(caps)
+        return honest(caps, rows)
+
+    monkeypatch.setattr(polyhedra, "_box_min", counting)
+    polyhedra._box_values.cache_clear()
+    record = check_ideal_instance(MonomialIdeal(len(gens[0]), gens), Bounds())
+    assert record["checks"] == {"normal": normal, "rounding": normal, "normal_equals_rounding": True}
+    [caps] = built
+    assert caps[2] == 0
+
+
 # ---------------------------------------------------------------------------
 # A Hasse network with one arc dropped: recorded failures, not exceptions
 
@@ -296,12 +322,27 @@ def test_a_dropped_flow_chain_is_recorded_at_every_w(monkeypatch):
     assert all(r["checks"]["menger_agrees"] is False for r in report.instances)
 
 
-def test_a_cancel_that_moves_no_flow_is_recorded_not_raised(monkeypatch):
-    # the walk of the cauc(2,2) poset at wmax 2 cancels flow; a cancel
-    # that moves none leaves a vertex carrying more flow than its weight
+def _overpush_after_the_last_search(monkeypatch):
+    """HasseNetwork._augment pushes one more unit through vertex 0 once its
+    search finds no path."""
+    honest = HasseNetwork._augment
+
+    def overpushing(self, cap):
+        added, via = honest(self, cap)
+        if not added:
+            cap[0] -= 1
+            cap[1] += 1
+        return added, via
+
+    monkeypatch.setattr(HasseNetwork, "_augment", overpushing)
+
+
+def test_an_overloaded_vertex_is_recorded_not_raised(monkeypatch):
+    # at every w where vertex 0 is saturated the over-pushed unit overloads
+    # it: each such w records the failed check, and the run goes on
     from clutterlab import cauc_poset
 
-    monkeypatch.setattr(HasseNetwork, "_cancel_unit", lambda self, cap, v: None)
+    _overpush_after_the_last_search(monkeypatch)
     p = cauc_poset(2, 2)
     sweep = comparability_mfmc_check(p, clique_clutter(comparability_graph(p)), 2)
     checks = {m["invariant"]["check"] for m in sweep["menger_mismatches"] if "invariant" in m}
@@ -310,19 +351,14 @@ def test_a_cancel_that_moves_no_flow_is_recorded_not_raised(monkeypatch):
     report = run_theorem_suite(Corpus("random-posets", n=5, count=3, seed=2), Bounds(wmax=2))
     assert not report.skipped and len(report.instances) == 3
     assert "flow through each vertex is at most w_v" in _recorded_invariants(report)
+    for rec in report.instances:
+        checks = dict(rec["checks"])
+        assert checks.pop("menger_agrees") is False
+        assert checks and all(checks.values())  # every other check still decided
 
 
 def test_a_single_weight_check_rejects_an_overloaded_vertex(monkeypatch):
-    honest = HasseNetwork._augment
-
-    def overpushing(self, cap):
-        added, via = honest(self, cap)
-        if not added:  # the last search: one more unit through vertex 0
-            cap[0] -= 1
-            cap[1] += 1
-        return added, via
-
-    monkeypatch.setattr(HasseNetwork, "_augment", overpushing)
+    _overpush_after_the_last_search(monkeypatch)
     # the flow is the chain 0 < 1 < 3
     with pytest.raises(ConsistencyError,
                        match=r"flow through each vertex is at most w_v: \[2, 1, 0, 1\] vs \[1, 1, 1, 1\]"):
@@ -354,11 +390,23 @@ def test_sweep_box_guard_fires_before_the_walk_builds_anything(monkeypatch):
         comparability_mfmc_check(chain, cl, 3)
 
 
-def test_deadline_stops_the_walk_and_certify_skips_the_poset():
+def test_deadline_stops_the_walk_and_certify_skips_the_poset(monkeypatch, clock):
+    # every max flow of the walk takes 11 ms of the fake clock, so the
+    # budget is spent inside the walk whatever the machine's speed
+    honest = HasseNetwork.max_flow
+    flows = []
+
+    def slow(self, w):
+        flows.append(1)
+        clock.now += 0.011
+        return honest(self, w)
+
+    monkeypatch.setattr(HasseNetwork, "max_flow", slow)
     p = random_posets(8, 1, seed=1)[0]
     cl = clique_clutter(comparability_graph(p))
     with pytest.raises(ResourceGuardError, match="exceeded 50 ms"), Deadline(50):
         comparability_mfmc_check(p, cl, 3)
+    assert len(flows) == 5  # checked once per box seed, before its flow
     with Deadline(50):
         report = run_theorem_suite(Corpus("random-posets", n=8, count=1, seed=1), Bounds())
     assert not report.instances and len(report.skipped) == 1

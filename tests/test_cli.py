@@ -145,13 +145,13 @@ def test_mfmc_witness_disagreeing_with_the_sweep_exits_4(capsys, padded_cover_se
 
 
 def test_certify_records_a_raised_consistency_error(capsys, monkeypatch, tmp_path):
-    # the walk of the cauc(2,2) poset at wmax 2 cancels flow; a cancel that
-    # finds the flow unconserved is recorded at its w, the walk restarts
-    # from the zero flow there and goes on, and so does the run
-    def unconserved(self, cap, v):
+    # a decomposition that finds the flow unconserved raises; the error is
+    # recorded at every w of the cauc(2,2) poset, each w keeps its max flow
+    # and min cut, and the run goes on
+    def unconserved(self, cap):
         raise ConsistencyError("flow is conserved", 1, 0)
 
-    monkeypatch.setattr(HasseNetwork, "_cancel_unit", unconserved)
+    monkeypatch.setattr(HasseNetwork, "_decompose", unconserved)
     path = tmp_path / "cauc22.json"
     path.write_text(json.dumps({"instances": [
         {"type": "poset", "data": cauc_poset(2, 2).to_json()},
@@ -170,7 +170,7 @@ def test_certify_records_a_raised_consistency_error(capsys, monkeypatch, tmp_pat
     mismatches = example["witness"]["menger_mismatches"]
     assert mismatches and set(example["witness"]) == {"menger_mismatches"}
     for entry in mismatches:
-        # the restarted flow is restored, so only the invariant is off
+        # the flow is a maximum, so only the invariant is off
         assert entry["konig"] == entry["menger"]
         assert entry["invariant"] == {"check": "flow is conserved", "values": [1, 0]}
 

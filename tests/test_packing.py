@@ -27,7 +27,6 @@ from clutterlab.certify import all_posets, random_clutters, random_posets
 from clutterlab.guards import ConsistencyError
 from clutterlab.packing import (
     HasseNetwork,
-    gray_steps,
     lex_min_cover,
     lex_min_matching,
     max_matching_size,
@@ -37,7 +36,7 @@ from clutterlab.packing import (
     sweep_numbers,
 )
 from clutterlab.polyhedra import format_rational, ilp_max_packing, q_vertices, simplex_max
-from clutterlab.structures import _bits, parallelize_masks
+from clutterlab.structures import _bits, _mask, parallelize_masks
 
 from oracles import (
     brute_alpha0,
@@ -429,21 +428,8 @@ def test_menger_agrees_with_konig_small_corpus():
 
 
 # ---------------------------------------------------------------------------
-# Gray-code walk of the w-box
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("wmax", [1, 2, 3])
-def test_gray_steps_visit_every_w_once(n, wmax):
-    w = [0] * n
-    visited = [tuple(w)]
-    for v, d in gray_steps(n, wmax):
-        assert d in (1, -1)
-        w[v] += d
-        assert 0 <= w[v] <= wmax
-        visited.append(tuple(w))
-    assert len(set(visited)) == len(visited)
-    assert sorted(visited) == list(itertools.product(range(wmax + 1), repeat=n))
-
+# Box-certified Menger walk: a (flow, cut) pair certifies the box w'_v = w_v
+# on the cut, w'_u in [f_u, wmax] off it, one Hasse component at a time
 
 def _assert_walk_matches_fresh_flows(p, wmax):
     # the walk may keep an older minimum cut than a fresh search finds, so
@@ -472,85 +458,96 @@ def test_walk_matches_fresh_max_flow_on_random_posets():
         _assert_walk_matches_fresh_flows(p, 3)
 
 
-def test_walk_cancels_flow_through_saturated_vertices(monkeypatch):
-    # a -1 step on a saturated vertex cancels one unit path through it;
-    # count those steps and check the walk against fresh flows meanwhile
-    honest = HasseNetwork._cancel_unit
-    cancelled = []
-
-    def counting(self, cap, v):
-        cancelled.append(v)
-        honest(self, cap, v)
-
-    monkeypatch.setattr(HasseNetwork, "_cancel_unit", counting)
-    from clutterlab import cauc_poset
-
-    _assert_walk_matches_fresh_flows(cauc_poset(2, 2), 2)
-    assert cancelled, "no -1 step met a saturated vertex"
+def test_walk_matches_fresh_max_flow_on_more_random_posets():
+    for p in random_posets(5, 10, seed=4):
+        _assert_walk_matches_fresh_flows(p, 3)
 
 
-def test_walk_restarts_after_a_failed_cancel(monkeypatch):
-    # the first cancel finds the flow unconserved: that w records the error,
-    # the walk restarts from the zero flow there, and every w, that one
-    # included, still gets the maximum flow and a minimum cut
-    honest = HasseNetwork._cancel_unit
-    broken = []
+def _disconnected_poset():
+    p = random_posets(8, 3, seed=1)[1]
+    assert sorted(m.bit_count() for m in packing._components(
+        HasseNetwork.of(p), clique_clutter(comparability_graph(p)).edge_masks)) == [1, 1, 1, 1, 1, 3]
+    return p
 
-    def first_fails(self, cap, v):
-        if not broken:
-            broken.append(v)
-            raise ConsistencyError("flow is conserved", 1, 0)
-        honest(self, cap, v)
 
-    monkeypatch.setattr(HasseNetwork, "_cancel_unit", first_fails)
-    from clutterlab import cauc_poset
+def test_walk_matches_fresh_max_flow_on_a_disconnected_poset():
+    # the component arrays add up to the whole poset's; its boxes are
+    # checked at wmax 3 below
+    _assert_walk_matches_fresh_flows(_disconnected_poset(), 1)
 
-    p = cauc_poset(2, 2)
-    net = HasseNetwork.of(p)
-    cut_weights, flows, _, failures = menger_walk(
-        net, clique_clutter(comparability_graph(p)).edge_masks, 2
-    )
-    assert broken and len(failures) == 1
-    [(idx, error)] = failures.items()
-    assert error.to_json() == {"check": "flow is conserved", "values": [1, 0]}
-    box = list(itertools.product(range(3), repeat=p.n))
-    assert box[idx][broken[0]] < 2  # recorded at the w after the -1 step
-    for i, w in enumerate(box):
-        assert flows[i] == cut_weights[i] == net.max_flow(w)[0]
+
+def test_components_join_the_vertices_of_an_edge():
+    # with the arc 0 < 1 dropped, the edge {0, 1} still joins 0 and 1
+    net = HasseNetwork(n=3, arcs=(), sources=(0, 1, 2), sinks=(0, 1, 2))
+    assert packing._components(net, [0b011, 0b100]) == [0b011, 0b100]
+    assert packing._components(net, []) == [0b001, 0b010, 0b100]
+
+
+def _box_points(box, wmax):
+    return itertools.product(*(range(*b.indices(wmax + 1)) for b in box))
+
+
+@pytest.mark.parametrize("posets, wmax", [
+    ([Poset(0, [])] + _small_posets(), 2),
+    (random_posets(5, 4, seed=3) + random_posets(6, 2, seed=1), 3),
+    ([_disconnected_poset()], 3),
+], ids=["n<=4", "n=5,6", "components-1,1,1,1,1,3"])
+def test_every_box_the_walk_fills_is_certified_at_each_point(monkeypatch, posets, wmax):
+    # brute force over each box: the unchanged certificate check holds at
+    # every w' the pair was used for, with the flow held and w' in place of w
+    honest = packing._box_of
+    seeds = []
+
+    def recording(cert, part, w, value, cap, cut):
+        out = honest(cert, part, w, value, cap, cut)
+        seeds.append((cert, part, value, cap, cut, out))
+        return out
+
+    monkeypatch.setattr(packing, "_box_of", recording)
+    for p in posets:
+        cl = clique_clutter(comparability_graph(p))
+        seeds.clear()
+        _, _, _, failures = menger_walk(HasseNetwork.of(p), cl.edge_masks, wmax)
+        assert failures == {}
+        covered = set()
+        for cert, part, value, cap, cut, (box, _, failure) in seeds:
+            assert failure is None
+            verts = _bits(part)
+            for point in _box_points(box, wmax):
+                moved = cap[:]
+                for v, x in zip(verts, point):
+                    moved[2 * v] = x - cap[2 * v + 1]
+                zero = _mask(v for v, x in zip(verts, point) if x == 0) | ~part & (1 << p.n) - 1
+                cut_weight = sum(x for v, x in zip(verts, point) if cut >> v & 1)
+                assert cert.failure(moved, zero, value, cert.decompose(moved), cut, cut_weight) is None
+                covered.add((part, point))
+        # together the boxes cover the box of every component
+        parts = packing._components(HasseNetwork.of(p), cl.edge_masks)
+        assert len(covered) == sum((wmax + 1) ** m.bit_count() for m in parts)
+        assert bool(seeds) == (p.n > 0)  # the empty poset's one w needs no flow
 
 
 def test_walk_searches_only_where_its_pair_stops_certifying(monkeypatch):
-    # at wmax 3, the walk that re-ran Edmonds-Karp whenever its last search
-    # tree might be stale made 3,578 breadth-first searches and 1,690
-    # decompositions; each _augment call is now one search
-    honest_augment, honest_decompose = HasseNetwork._augment, HasseNetwork._decompose
-    searches, decomposed, certified = [], [], []
+    # one max flow per box seed, a w that no certified box covers yet; at
+    # wmax 3 the Gray-code walk this replaced made 2,487 breadth-first
+    # searches on these two posets
+    honest_flow, honest_augment = HasseNetwork.max_flow, HasseNetwork._augment
+    flows, searches = [], []
+
+    def flowing(self, w):
+        flows.append(1)
+        return honest_flow(self, w)
 
     def counting(self, cap):
         searches.append(1)
         return honest_augment(self, cap)
 
-    def recording(self, cap):
-        decomposed[-1].append(tuple(cap[1::2]))
-        return honest_decompose(self, cap)
-
-    honest_failure = packing._Certificate.failure
-
-    def checked(self, cap, *args):
-        certified[-1].add(tuple(cap[1::2]))
-        return honest_failure(self, cap, *args)
-
+    monkeypatch.setattr(HasseNetwork, "max_flow", flowing)
     monkeypatch.setattr(HasseNetwork, "_augment", counting)
-    monkeypatch.setattr(HasseNetwork, "_decompose", recording)
-    monkeypatch.setattr(packing._Certificate, "failure", checked)
     for p in random_posets(6, 2, seed=1):
-        decomposed.append([])
-        certified.append(set())
         menger_walk(HasseNetwork.of(p), clique_clutter(comparability_graph(p)).edge_masks, 3)
-        # one decomposition per distinct flow the checks saw
-        assert sorted(decomposed[-1]) == sorted(certified[-1])
-    assert sum(map(len, decomposed)) == 84
-    assert len(searches) <= 1810
+    assert len(flows) <= 101
+    assert len(searches) <= 213
 
 
 # ---------------------------------------------------------------------------

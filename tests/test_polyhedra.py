@@ -320,6 +320,27 @@ def test_box_values_are_read_only_prefix_slices_of_one_build(monkeypatch):
     assert len(built) == 5
 
 
+def test_box_values_broadcast_along_axes_no_row_uses(monkeypatch):
+    built = []
+    honest = polyhedra._box_min
+
+    def counting(caps, rows):
+        built.append(caps)
+        return honest(caps, rows)
+
+    monkeypatch.setattr(polyhedra, "_box_min", counting)
+    polyhedra._box_values.cache_clear()
+    rows = np.array([(1, 0, 2, 0), (0, 0, 1, 3)], dtype=np.int64)  # axis 1 unused
+    for caps in [(2, 0, 2, 1), (2, 3, 2, 1), (1, 5, 0, 1)]:
+        got = polyhedra._box_values(caps, rows)
+        assert not got.flags.writeable
+        assert got.shape == tuple(c + 1 for c in caps)
+        assert got.tolist() == honest(caps, rows).tolist()
+    assert built == [(2, 0, 2, 1)]
+    polyhedra._box_values((3, 0, 2, 1), rows)  # larger on a used axis
+    assert built == [(2, 0, 2, 1), (3, 0, 2, 1)]
+
+
 # ---------------------------------------------------------------------------
 # k-fold sums and packing numbers against explicit k-sums
 
