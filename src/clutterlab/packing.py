@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -376,6 +376,29 @@ def lp_duality_integer_check(c: Clutter, w: Sequence[int]) -> Certificate:
 
 # ---------------------------------------------------------------------------
 # Menger oracle on the Hasse diagram
+
+def gray_steps(n: int, wmax: int) -> Iterator[tuple[int, int]]:
+    """Steps (coordinate v, +1 or -1) of the reflected mixed-radix Gray walk
+    of {0..wmax}^n from 0^n (Knuth, TAOCP 4A, section 7.2.1.1).
+
+    Every w of the box is visited exactly once and consecutive w differ by
+    one in one coordinate. The last coordinate moves fastest; a coordinate
+    that cannot move on reverses its direction and passes the step on.
+    :func:`menger_walk` covers the box by certified boxes instead; this
+    order serves a caller that moves one vertex capacity at a time.
+    """
+    w = [0] * n
+    d = [1] * n
+    while True:
+        v = n - 1
+        while v >= 0 and not 0 <= w[v] + d[v] <= wmax:
+            d[v] = -d[v]
+            v -= 1
+        if v < 0:
+            return
+        w[v] += d[v]
+        yield v, d[v]
+
 
 @dataclass(frozen=True)
 class HasseNetwork:

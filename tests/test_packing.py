@@ -27,6 +27,7 @@ from clutterlab.certify import all_posets, random_clutters, random_posets
 from clutterlab.guards import ConsistencyError
 from clutterlab.packing import (
     HasseNetwork,
+    gray_steps,
     lex_min_cover,
     lex_min_matching,
     max_matching_size,
@@ -425,6 +426,23 @@ def test_menger_agrees_with_konig_small_corpus():
                 got = menger_oracle(p, w)
                 assert (got.alpha0, got.beta1) == (ref.alpha0, ref.beta1)
                 assert ref.holds
+
+
+# ---------------------------------------------------------------------------
+# Gray-code walk of the w-box
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("wmax", [1, 2, 3])
+def test_gray_steps_visit_every_w_once(n, wmax):
+    w = [0] * n
+    visited = [tuple(w)]
+    for v, d in gray_steps(n, wmax):
+        assert d in (1, -1)
+        w[v] += d
+        assert 0 <= w[v] <= wmax
+        visited.append(tuple(w))
+    assert len(set(visited)) == len(visited)
+    assert sorted(visited) == list(itertools.product(range(wmax + 1), repeat=n))
 
 
 # ---------------------------------------------------------------------------
