@@ -16,12 +16,13 @@ identities give its numbers from weights on C:
   (Menger's theorem with vertex capacities), see :class:`HasseNetwork`.
 
 The flows of a whole w-box come from few max flows. A flow f and a
-vertex cut K that certify tau(C^w) = nu(C^w) at one w, with K meeting
-every edge of C, certify it on the whole box w'_v = w_v on K, w'_u in
-[f_u, wmax] off K: f stays feasible with the same chains, and the cut
-weight stays the flow value. Each connected component of the Hasse
-diagram is walked on its own box, since every maximal chain lies in one
-and tau and nu of C^w add over them; see :func:`menger_walk`.
+vertex cut K that certify tau(C^w) = nu(C^w) at one w (the checks of
+:func:`_pair_failure`), with K meeting every edge of C, certify it on
+the whole box w'_v = w_v on K, w'_u in [f_u, wmax] off K: f stays
+feasible with the same chains, and the cut weight stays the flow value.
+Each connected component of the Hasse diagram is walked on its own box,
+since every maximal chain lies in one and tau and nu of C^w add over
+them; see :func:`menger_walk`.
 
 Each Koenig number has one exact search, which returns its
 lexicographically least optimal witness: :func:`lex_min_cover` for alpha0
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -417,7 +418,8 @@ class HasseNetwork:
     each), the min cut read off a search that found no path, and
     :meth:`_decompose` into chains. :meth:`max_flow` runs it from the
     zero flow; :func:`menger_walk` runs it once per box of weights that
-    one (flow, cut) pair certifies.
+    one (flow, cut) pair certifies, and :func:`_pair_failure` checks each
+    pair it uses.
     """
 
     n: int
@@ -580,92 +582,50 @@ class HasseNetwork:
             value += added
 
 
-class _Decomposition(NamedTuple):
-    """A flow split into chains once, with what every w asks of it."""
+def _pair_failure(
+    net: HasseNetwork, edge_masks: Sequence[int], w: Sequence[int],
+    value: int, cap: list[int], cut: int,
+) -> tuple[str, Any, Any] | None:
+    """The first check that the flow of value ``value`` with residual
+    capacities ``cap`` and the vertex cut ``cut`` of ``net`` fail at
+    weight w, as the (check, left, right) arguments of its
+    :class:`ConsistencyError`, or None when the pair certifies
+    tau(C^w) = nu(C^w) = value for the clique clutter with edge masks
+    ``edge_masks``.
 
-    chains: list[tuple[int, int]]  # (vertex mask, multiplicity)
-    total: int  # sum of the multiplicities
-    support: int  # union of the chain masks
-    cliques: bool  # every chain is a clutter edge
-
-
-class _Certificate:
-    """The checks that make a flow and a vertex cut of a Hasse network a
-    certificate of tau(C^w) = nu(C^w) = flow value for the clique clutter
-    with edge masks ``edge_masks``, memoized for one network.
-
-    The pair certifies w when no vertex carries more flow than w_v, the
-    flow is conserved and splits into chains whose multiplicities sum to
-    its value, every chain is a clique avoiding the weight-0 vertices,
-    the cut weight equals the value, and the cut meets every such clique.
-    The chains are then a w-packing of C of that size and the cut a
-    w-cover of that weight, so value <= nu <= tau <= value, the middle
-    step by weak duality.
-
-    The decomposition is memoized on the flow vector, and the edges a cut
-    misses on the cut, so each w scans only those for one that survives;
-    a memo hit is the result computed for the same inputs.
+    The checks, in order: no vertex carries more flow than w_v, the flow
+    is conserved (:meth:`HasseNetwork._decompose`), its chains'
+    multiplicities sum to its value, the cut weight equals the value,
+    every chain is a clique avoiding the weight-0 vertices, and the cut
+    meets every such clique. The chains are then a w-packing of C of that
+    size and the cut a w-cover of that weight, so value <= nu <= tau <=
+    value, the middle step by weak duality. Edges are scanned in the
+    order of ``edge_masks``, which fixes the witnesses.
     """
-
-    def __init__(self, net: HasseNetwork, edge_masks: Sequence[int]):
-        self.net = net
-        self.edge_masks = edge_masks
-        self.edges = frozenset(edge_masks)
-        self._vertex_arcs = slice(0, 2 * net.n, 2)
-        self._flows: dict[tuple[int, ...], _Decomposition | ConsistencyError] = {}
-        self._missed: dict[int, list[int]] = {}
-
-    def decompose(self, cap: list[int]) -> _Decomposition | ConsistencyError:
-        """:meth:`HasseNetwork._decompose` of the flow, or the error it
-        raised."""
-        key = tuple(cap[1::2])
-        found = self._flows.get(key)
-        if found is None:
-            try:
-                chains = self.net._decompose(cap)
-            except ConsistencyError as exc:
-                found = exc
-            else:
-                support = 0
-                for m, _ in chains:
-                    support |= m
-                found = _Decomposition(
-                    chains, sum(mult for _, mult in chains), support,
-                    all(m in self.edges for m, _ in chains),
-                )
-            self._flows[key] = found
-        return found
-
-    def failure(
-        self, cap: list[int], zero: int, value: int,
-        flow: _Decomposition | ConsistencyError, cut: int, cut_weight: int,
-    ) -> tuple[str, Any, Any] | None:
-        """The first check the pair fails, as the (check, left, right)
-        arguments of its :class:`ConsistencyError`, or None when the pair
-        certifies the weight whose weight-0 vertices are ``zero``."""
-        if min(cap[self._vertex_arcs] or (0,)) < 0:
-            n = self.net.n
-            return ("flow through each vertex is at most w_v",
-                    cap[1 : 2 * n : 2], [cap[2 * v] + cap[2 * v + 1] for v in range(n)])
-        if isinstance(flow, ConsistencyError):
-            return flow.check, flow.left, flow.right
-        chains, total, support, cliques = flow
-        if total != value:
-            return "chain multiplicities sum to the flow value", total, value
-        if value != cut_weight:
-            return "max-flow = min-cut", value, cut_weight
-        if support & zero or not cliques:
-            m = next(m for m, _ in chains if m not in self.edges or m & zero)
-            surviving = [_bits(e) for e in self.edge_masks if not e & zero]
+    n = net.n
+    if min(cap[0 : 2 * n : 2], default=0) < 0:
+        return ("flow through each vertex is at most w_v",
+                cap[1 : 2 * n : 2], [cap[2 * v] + cap[2 * v + 1] for v in range(n)])
+    try:
+        chains = net._decompose(cap)
+    except ConsistencyError as exc:
+        return exc.check, exc.left, exc.right
+    total = sum(mult for _, mult in chains)
+    if total != value:
+        return "chain multiplicities sum to the flow value", total, value
+    cut_weight = sum(w[v] for v in _bits(cut))
+    if value != cut_weight:
+        return "max-flow = min-cut", value, cut_weight
+    zero = _mask(v for v, x in enumerate(w) if x == 0)
+    edges = set(edge_masks)
+    for m, _ in chains:
+        if m & zero or m not in edges:
+            surviving = [_bits(e) for e in edge_masks if not e & zero]
             return "flow chain is a surviving clique", _bits(m), surviving
-        try:
-            missed = self._missed[cut]
-        except KeyError:
-            missed = self._missed[cut] = [e for e in self.edge_masks if not e & cut]
-        for e in missed:
-            if not e & zero:
-                return "cut meets every surviving clique", _bits(cut), _bits(e)
-        return None
+    for e in edge_masks:
+        if not e & (cut | zero):
+            return "cut meets every surviving clique", _bits(cut), _bits(e)
+    return None
 
 
 def menger_check(
@@ -675,19 +635,15 @@ def menger_check(
     the clique clutter with edge masks ``edge_masks``.
 
     Returns (cut weight, flow value, chains, cut). Raises
-    :class:`ConsistencyError` unless the pair is a certificate of
-    tau(C^w) = nu(C^w) in the sense of :class:`_Certificate`, the same
-    checks :func:`menger_walk` makes at every box seed.
+    :class:`ConsistencyError` with the first check of
+    :func:`_pair_failure` the pair fails, the same checks
+    :func:`menger_walk` makes at every box seed.
     """
     value, cap, cut = net.max_flow(w)
-    cut_weight = sum(w[v] for v in _bits(cut))
-    zero = _mask(v for v, x in enumerate(w) if x == 0)
-    cert = _Certificate(net, edge_masks)
-    flow = cert.decompose(cap)
-    failure = cert.failure(cap, zero, value, flow, cut, cut_weight)
+    failure = _pair_failure(net, edge_masks, w, value, cap, cut)
     if failure is not None:
         raise ConsistencyError(*failure)
-    return cut_weight, value, flow.chains, cut
+    return sum(w[v] for v in _bits(cut)), value, net._decompose(cap), cut
 
 
 def _components(net: HasseNetwork, edge_masks: Sequence[int]) -> list[int]:
@@ -707,13 +663,15 @@ def _components(net: HasseNetwork, edge_masks: Sequence[int]) -> list[int]:
 
 
 def _box_of(
-    cert: _Certificate, part: int, w: list[int], value: int, cap: list[int], cut: int
+    net: HasseNetwork, edge_masks: Sequence[int], part: int,
+    w: list[int], value: int, cap: list[int], cut: int,
 ) -> tuple[tuple[slice, ...], int, tuple[str, Any, Any] | None]:
-    """The weights that the max flow ``(value, cap, cut)`` at w certifies,
-    as slices of the box of the vertices in ``part``, the cut weight, and
-    the first check the pair fails at w (None if it certifies w).
+    """The weights that the max flow ``(value, cap, cut)`` of ``net`` at w
+    certifies, as slices of the box of the vertices in ``part``, the cut
+    weight, and the first check the pair fails at w (None if it certifies
+    w).
 
-    When the pair certifies w (:meth:`_Certificate.failure` is None), it
+    When the pair certifies w (:func:`_pair_failure` is None), it
     certifies every w' with w'_v = w_v on the cut and w'_u in [f_u, wmax]
     off it, f_u the flow through u, provided the cut meets every edge:
     f stays feasible with the same chains, every chain vertex keeps
@@ -721,16 +679,14 @@ def _box_of(
     off a search meets every source-sink path, so only a pair that fails
     at w, or a network whose paths are not the edges, covers w alone.
     """
-    cut_weight = sum(w[v] for v in _bits(cut))
-    zero = _mask(v for v, x in enumerate(w) if x == 0)
-    failure = cert.failure(cap, zero, value, cert.decompose(cap), cut, cut_weight)
-    meets = failure is None and all(e & cut for e in cert.edge_masks)
+    failure = _pair_failure(net, edge_masks, w, value, cap, cut)
+    meets = failure is None and all(e & cut for e in edge_masks)
     fixed = cut if meets else part
     box = tuple(
         slice(w[v], w[v] + 1) if fixed >> v & 1 else slice(cap[2 * v + 1], None)
         for v in _bits(part)
     )
-    return box, cut_weight, failure
+    return box, sum(w[v] for v in _bits(cut)), failure
 
 
 def menger_walk(
@@ -747,7 +703,7 @@ def menger_walk(
     on the box of its own vertices, as a network that keeps only its arcs
     (the other vertices get weight 0 and no path): the lexicographically
     first w that no box covers yet is the next seed, its max flow is
-    checked by :class:`_Certificate`, and the whole box the pair certifies
+    checked by :func:`_pair_failure`, and the whole box the pair certifies
     (:func:`_box_of`) is filled by slice assignment; a pair that fails is
     recorded at its seed and covers the seed alone. Since every maximal
     chain lies in one component, tau and nu of C^w add over them: the
@@ -759,7 +715,6 @@ def menger_walk(
     n, side = net.n, wmax + 1
     full = (side,) * n
     cut_weights, flows, cuts = (np.zeros(full, dtype=np.int64) for _ in range(3))
-    index = np.arange(side ** n).reshape(full)
     failures: dict[int, ConsistencyError] = {}
     for part in _components(net, edge_masks):
         verts = _bits(part)
@@ -769,7 +724,7 @@ def menger_walk(
             sources=tuple(v for v in net.sources if part >> v & 1),
             sinks=tuple(v for v in net.sinks if part >> v & 1),
         )
-        cert = _Certificate(sub, [e for e in edge_masks if e & part])
+        edges = [e for e in edge_masks if e & part]
         shape = (side,) * len(verts)
         weights, values, masks = (np.zeros(shape, dtype=np.int64) for _ in range(3))
         covered = np.zeros(shape, dtype=bool)
@@ -784,13 +739,14 @@ def menger_walk(
             for v, x in zip(verts, np.unravel_index(seed, shape)):
                 w[v] = int(x)
             value, cap, cut = sub.max_flow(w)
-            box, cut_weight, failure = _box_of(cert, part, w, value, cap, cut)
+            box, cut_weight, failure = _box_of(sub, edges, part, w, value, cap, cut)
             weights[box], values[box], masks[box], covered[box] = cut_weight, value, cut, True
             if failure is not None:
                 exc = ConsistencyError(*failure)
                 # every w whose restriction to this component is the seed
-                at = tuple(w[v] if part >> v & 1 else slice(None) for v in range(n))
-                for i in index[at].ravel().tolist():
+                free = [1 if part >> v & 1 else side for v in range(n)]
+                at = np.indices(free).reshape(n, -1) + np.array(w)[:, None]
+                for i in np.ravel_multi_index(at, full).tolist():
                     failures.setdefault(i, exc)
         spread = [side if part >> v & 1 else 1 for v in range(n)]
         cut_weights += weights.reshape(spread)

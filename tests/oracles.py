@@ -29,11 +29,11 @@ def brute_maximal_cliques(n: int, edges) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(c)) for c in maximal)
 
 
-def brute_cut_meets_surviving_chains(n: int, relation, w, cut) -> bool:
-    """Whether the vertex set ``cut`` meets every maximal chain of the poset
-    on n points with strict order ``relation`` whose vertices all have
-    positive weight in w."""
-    chains = brute_maximal_cliques(n, relation)
+def brute_cut_meets_surviving_chains(chains, w, cut) -> bool:
+    """Whether the vertex set ``cut`` meets every chain in ``chains`` whose
+    vertices all have positive weight in w; pass the maximal chains of a
+    poset on n points with strict order ``relation`` as
+    ``brute_maximal_cliques(n, relation)``, enumerated once per poset."""
     return all(set(c) & set(cut) for c in chains if all(w[v] for v in c))
 
 

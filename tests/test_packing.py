@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -37,7 +38,7 @@ from clutterlab.packing import (
     sweep_numbers,
 )
 from clutterlab.polyhedra import format_rational, ilp_max_packing, q_vertices, simplex_max
-from clutterlab.structures import _bits, _mask, parallelize_masks
+from clutterlab.structures import _bits, parallelize_masks
 
 from oracles import (
     brute_alpha0,
@@ -45,6 +46,7 @@ from oracles import (
     brute_cut_meets_surviving_chains,
     brute_lex_min_cover,
     brute_lex_min_matching,
+    brute_maximal_cliques,
     brute_minimal_covers,
 )
 
@@ -456,6 +458,7 @@ def _assert_walk_matches_fresh_flows(p, wmax):
     net = HasseNetwork.of(p)
     cut_weights, flows, cuts, failures = menger_walk(net, cl.edge_masks, wmax)
     assert failures == {}
+    chains = brute_maximal_cliques(p.n, p.relation)
     box = list(itertools.product(range(wmax + 1), repeat=p.n))
     assert cut_weights.shape == flows.shape == cuts.shape == (len(box),)
     for idx, w in enumerate(box):
@@ -463,7 +466,7 @@ def _assert_walk_matches_fresh_flows(p, wmax):
         cut = _bits(int(cuts[idx]))
         assert flows[idx] == ref_value
         assert cut_weights[idx] == sum(w[v] for v in cut) == sum(w[v] for v in _bits(ref_cut))
-        assert brute_cut_meets_surviving_chains(p.n, p.relation, w, cut)
+        assert brute_cut_meets_surviving_chains(chains, w, cut)
 
 
 def test_walk_matches_fresh_max_flow_on_small_posets():
@@ -491,7 +494,7 @@ def _disconnected_poset():
 def test_walk_matches_fresh_max_flow_on_a_disconnected_poset():
     # the component arrays add up to the whole poset's; its boxes are
     # checked at wmax 3 below
-    _assert_walk_matches_fresh_flows(_disconnected_poset(), 1)
+    _assert_walk_matches_fresh_flows(_disconnected_poset(), 2)
 
 
 def test_components_join_the_vertices_of_an_edge():
@@ -499,6 +502,51 @@ def test_components_join_the_vertices_of_an_edge():
     net = HasseNetwork(n=3, arcs=(), sources=(0, 1, 2), sinks=(0, 1, 2))
     assert packing._components(net, [0b011, 0b100]) == [0b011, 0b100]
     assert packing._components(net, []) == [0b001, 0b010, 0b100]
+
+
+def _walk_and_fresh_failures(net, edges, wmax):
+    """The failed checks that menger_walk records and those that
+    menger_check raises from a fresh max flow, by lexicographic w."""
+    _, _, _, failures = menger_walk(net, edges, wmax)
+    fresh = {}
+    for i, w in enumerate(itertools.product(range(wmax + 1), repeat=net.n)):
+        try:
+            menger_check(net, edges, w)
+        except ConsistencyError as exc:
+            fresh[i] = exc.to_json()
+    return {i: exc.to_json() for i, exc in failures.items()}, fresh
+
+
+def test_a_cut_lighter_than_the_flow_fails_max_flow_min_cut(monkeypatch, diamond_poset):
+    # _cut drops its least vertex, so the diamond's unit flow at w = 1
+    # meets a cut of weight 0
+    honest = HasseNetwork._cut
+    monkeypatch.setattr(HasseNetwork, "_cut", lambda self, via: (cut := honest(self, via)) & (cut - 1))
+    net = HasseNetwork.of(diamond_poset)
+    edges = clique_clutter(comparability_graph(diamond_poset)).edge_masks
+    with pytest.raises(ConsistencyError, match="max-flow = min-cut: 1 vs 0"):
+        menger_check(net, edges, (1, 1, 1, 1))
+    walked, fresh = _walk_and_fresh_failures(net, edges, 2)
+    assert walked and {e["check"] for e in walked.values()} == {"max-flow = min-cut"}
+    # a pair that passes at its seed certifies its box even where a fresh
+    # cut would fail, so the walk records a part of the fresh failures
+    assert walked.items() <= fresh.items()
+
+
+def test_a_flow_chain_that_is_no_edge_fails_the_clique_check():
+    # the one source-sink path 0 < 1 < 2 is no edge of {0,1}, {1,2}, and
+    # every w with no weight 0 sends flow along it
+    net = HasseNetwork(n=3, arcs=((0, 1), (1, 2)), sources=(0,), sinks=(2,))
+    edges = [0b011, 0b110]
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "flow chain is a surviving clique: [0, 1, 2] vs [[0, 1], [1, 2]]")):
+        menger_check(net, edges, (1, 1, 1))
+    walked, fresh = _walk_and_fresh_failures(net, edges, 2)
+    assert walked == fresh
+    box = list(itertools.product(range(3), repeat=3))
+    chain_failures = [box[i] for i, e in sorted(walked.items())
+                      if e["check"] == "flow chain is a surviving clique"]
+    assert chain_failures == [w for w in box if all(w)]
 
 
 def _box_points(box, wmax):
@@ -511,14 +559,14 @@ def _box_points(box, wmax):
     ([_disconnected_poset()], 3),
 ], ids=["n<=4", "n=5,6", "components-1,1,1,1,1,3"])
 def test_every_box_the_walk_fills_is_certified_at_each_point(monkeypatch, posets, wmax):
-    # brute force over each box: the unchanged certificate check holds at
-    # every w' the pair was used for, with the flow held and w' in place of w
+    # brute force over each box: the pair check holds at every w' the pair
+    # was used for, with the flow held and w' (0 off the component) in place of w
     honest = packing._box_of
     seeds = []
 
-    def recording(cert, part, w, value, cap, cut):
-        out = honest(cert, part, w, value, cap, cut)
-        seeds.append((cert, part, value, cap, cut, out))
+    def recording(sub, edges, part, w, value, cap, cut):
+        out = honest(sub, edges, part, w, value, cap, cut)
+        seeds.append((sub, edges, part, value, cap, cut, out))
         return out
 
     monkeypatch.setattr(packing, "_box_of", recording)
@@ -528,16 +576,15 @@ def test_every_box_the_walk_fills_is_certified_at_each_point(monkeypatch, posets
         _, _, _, failures = menger_walk(HasseNetwork.of(p), cl.edge_masks, wmax)
         assert failures == {}
         covered = set()
-        for cert, part, value, cap, cut, (box, _, failure) in seeds:
+        for sub, edges, part, value, cap, cut, (box, _, failure) in seeds:
             assert failure is None
             verts = _bits(part)
             for point in _box_points(box, wmax):
-                moved = cap[:]
+                moved, w = cap[:], [0] * p.n
                 for v, x in zip(verts, point):
                     moved[2 * v] = x - cap[2 * v + 1]
-                zero = _mask(v for v, x in zip(verts, point) if x == 0) | ~part & (1 << p.n) - 1
-                cut_weight = sum(x for v, x in zip(verts, point) if cut >> v & 1)
-                assert cert.failure(moved, zero, value, cert.decompose(moved), cut, cut_weight) is None
+                    w[v] = x
+                assert packing._pair_failure(sub, edges, w, value, moved, cut) is None
                 covered.add((part, point))
         # together the boxes cover the box of every component
         parts = packing._components(HasseNetwork.of(p), cl.edge_masks)
