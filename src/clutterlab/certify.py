@@ -302,9 +302,11 @@ def comparability_mfmc_check(p: Poset, cl: Clutter, wmax: int) -> dict[str, Any]
     alpha0 and beta1 of every C^w are priced first by
     :func:`sweep_numbers`, so the box-size guard fires before the network
     is built. The flow side (:func:`menger_walk`) runs one max flow per
-    box of w that its flow and cut certify, on each component of the Hasse
-    diagram; both sides come back as arrays indexed by lexicographic w and
-    are compared in one vectorized pass. Failures are sorted by
+    two boxes of w that its flow and its minimum cuts nearest the source
+    and the sink certify, on each component of the Hasse diagram, and
+    returns the cut weights, the flow values and the failed checks by w;
+    both sides come back as arrays indexed by lexicographic w and are
+    compared in one vectorized pass. Failures are sorted by
     lexicographic w, so the first ones listed are the lex-first ones.
     ``menger_agrees`` is false also when the Hasse source-sink paths are
     not the maximal cliques (``hasse_chains``) or a check of the flow
@@ -312,7 +314,7 @@ def comparability_mfmc_check(p: Poset, cl: Clutter, wmax: int) -> dict[str, Any]
     """
     taus, nus = sweep_numbers(cl, wmax)
     net = HasseNetwork.of(p)
-    cut_weights, flows, _, failures = menger_walk(net, cl.edge_masks, wmax)
+    cut_weights, flows, failures = menger_walk(net, cl.edge_masks, wmax)
     konig = np.flatnonzero(taus != nus)
     mismatched = (cut_weights != taus) | (flows != nus)
     mismatched[list(failures)] = True

@@ -20,9 +20,11 @@ vertex cut K that certify tau(C^w) = nu(C^w) at one w (the checks of
 :func:`_pair_failure`), with K meeting every edge of C, certify it on
 the whole box w'_v = w_v on K, w'_u in [f_u, wmax] off K: f stays
 feasible with the same chains, and the cut weight stays the flow value.
-Each connected component of the Hasse diagram is walked on its own box,
-since every maximal chain lies in one and tau and nu of C^w add over
-them; see :func:`menger_walk`.
+One max flow has two such cuts, the minimum cuts nearest the source and
+nearest the sink (:meth:`HasseNetwork._sink_cut`), so it certifies two
+boxes. Each connected component of the Hasse diagram is walked on its
+own box, since every maximal chain lies in one and tau and nu of C^w
+add over them; see :func:`menger_walk`.
 
 Each Koenig number has one exact search, which returns its
 lexicographically least optimal witness: :func:`lex_min_cover` for alpha0
@@ -415,11 +417,11 @@ class HasseNetwork:
     One flow kernel serves a single weight and a whole w-box: residual
     capacities ``cap`` (the flow on a forward arc a is ``cap[a ^ 1]``),
     Edmonds-Karp steps (:meth:`_augment`, one shortest augmenting path
-    each), the min cut read off a search that found no path, and
-    :meth:`_decompose` into chains. :meth:`max_flow` runs it from the
-    zero flow; :func:`menger_walk` runs it once per box of weights that
-    one (flow, cut) pair certifies, and :func:`_pair_failure` checks each
-    pair it uses.
+    each), the min cut read off a search that found no path, the min cut
+    nearest the sink (:meth:`_sink_cut`), and :meth:`_decompose` into
+    chains. :meth:`max_flow` runs it from the zero flow; :func:`menger_walk`
+    runs it once per two boxes of weights that one flow and its two cuts
+    certify, and :func:`_pair_failure` checks each flow it uses.
     """
 
     n: int
@@ -485,7 +487,7 @@ class HasseNetwork:
         ``big`` (above any flow value) on the other forward arcs, 0 on the
         reverse arcs."""
         head, _ = self._graph
-        cap = [big if a & 1 == 0 else 0 for a in range(len(head))]
+        cap = [big, 0] * (len(head) // 2)
         for v in range(self.n):
             cap[2 * v] = w[v]
         return cap
@@ -526,6 +528,27 @@ class HasseNetwork:
         cut = 0
         for v in range(self.n):
             if via[2 * v] != -1 and via[2 * v + 1] == -1:
+                cut |= 1 << v
+        return cut
+
+    def _sink_cut(self, cap: list[int]) -> int:
+        """Mask of the vertices whose v_out reaches the sink in the
+        residual network and whose v_in does not, from one breadth-first
+        search backwards from the sink. For a max flow this is the minimum
+        cut nearest the sink, the same for every max flow."""
+        head, out = self._graph
+        t = 2 * self.n + 1
+        reached = [False] * (t + 1)
+        reached[t] = True
+        queue = [t]
+        for x in queue:
+            for b in out[x]:  # arc b ^ 1 runs from head[b] into x
+                if cap[b ^ 1] > 0 and not reached[head[b]]:
+                    reached[head[b]] = True
+                    queue.append(head[b])
+        cut = 0
+        for v in range(self.n):
+            if reached[2 * v + 1] and not reached[2 * v]:
                 cut |= 1 << v
         return cut
 
@@ -582,6 +605,12 @@ class HasseNetwork:
             value += added
 
 
+def _overload(w: Sequence[int], cap: list[int]) -> tuple[str, Any, Any]:
+    """The failed check of a flow with residual capacities ``cap`` that
+    carries more than w_v through some vertex v: the flows against w."""
+    return "flow through each vertex is at most w_v", cap[1 : 2 * len(w) : 2], list(w)
+
+
 def _pair_failure(
     net: HasseNetwork, edge_masks: Sequence[int], w: Sequence[int],
     value: int, cap: list[int], cut: int,
@@ -602,10 +631,8 @@ def _pair_failure(
     value, the middle step by weak duality. Edges are scanned in the
     order of ``edge_masks``, which fixes the witnesses.
     """
-    n = net.n
-    if min(cap[0 : 2 * n : 2], default=0) < 0:
-        return ("flow through each vertex is at most w_v",
-                cap[1 : 2 * n : 2], [cap[2 * v] + cap[2 * v + 1] for v in range(n)])
+    if min(cap[0 : 2 * net.n : 2], default=0) < 0:
+        return _overload(w, cap)
     try:
         chains = net._decompose(cap)
     except ConsistencyError as exc:
@@ -665,56 +692,76 @@ def _components(net: HasseNetwork, edge_masks: Sequence[int]) -> list[int]:
 def _box_of(
     net: HasseNetwork, edge_masks: Sequence[int], part: int,
     w: list[int], value: int, cap: list[int], cut: int,
-) -> tuple[tuple[slice, ...], int, tuple[str, Any, Any] | None]:
-    """The weights that the max flow ``(value, cap, cut)`` of ``net`` at w
-    certifies, as slices of the box of the vertices in ``part``, the cut
-    weight, and the first check the pair fails at w (None if it certifies
-    w).
+) -> tuple[dict[int, tuple[slice, ...]], tuple[str, Any, Any] | None]:
+    """The boxes of weights that the max flow ``(value, cap, cut)`` of
+    ``net`` at w certifies, by the cut that certifies each, as slices of
+    the box of the vertices in ``part``; and the first check the flow
+    fails at w (None if it certifies w).
 
-    When the pair certifies w (:func:`_pair_failure` is None), it
-    certifies every w' with w'_v = w_v on the cut and w'_u in [f_u, wmax]
-    off it, f_u the flow through u, provided the cut meets every edge:
-    f stays feasible with the same chains, every chain vertex keeps
-    w'_u >= f_u >= 1, and the cut weight stays the flow value. A cut read
-    off a search meets every source-sink path, so only a pair that fails
-    at w, or a network whose paths are not the edges, covers w alone.
+    When the pair certifies w (:func:`_pair_failure` is None), a minimum
+    cut K of its flow certifies every w' with w'_v = w_v on K and
+    w'_u in [f_u, wmax] off K, f_u the flow through u, provided K weighs
+    the flow value and meets every edge: f stays feasible with the same
+    chains, every chain vertex keeps w'_u >= f_u >= 1, and the cut weight
+    stays the flow value. Both the pair's cut and the cut nearest the sink
+    (:meth:`HasseNetwork._sink_cut`) are tried; the flow's checks hold for
+    both, so the second cut checks only its weight and the edges it meets.
+    A cut read off a search meets every source-sink path, so only a flow
+    that fails at w, or a network whose paths are not the edges, certifies
+    no box. A box that misses w (a flow above w_u off its cut) certifies
+    nothing: w gets the overload check as its failure.
     """
     failure = _pair_failure(net, edge_masks, w, value, cap, cut)
-    meets = failure is None and all(e & cut for e in edge_masks)
-    fixed = cut if meets else part
-    box = tuple(
-        slice(w[v], w[v] + 1) if fixed >> v & 1 else slice(cap[2 * v + 1], None)
-        for v in _bits(part)
-    )
-    return box, sum(w[v] for v in _bits(cut)), failure
+    if failure is not None:
+        return {}, failure
+    verts = _bits(part)
+    boxes: dict[int, tuple[slice, ...]] = {}
+    for k in (cut, net._sink_cut(cap)):
+        weight = sum(w[v] for v in verts if k >> v & 1)
+        if k in boxes or weight != value or not all(e & k for e in edge_masks):
+            continue
+        box = tuple(
+            slice(w[v], w[v] + 1) if k >> v & 1 else slice(cap[2 * v + 1], None)
+            for v in verts
+        )
+        if any(b.start > w[v] for b, v in zip(box, verts)):
+            return {}, _overload(w, cap)
+        boxes[k] = box
+    return boxes, None
 
 
 def menger_walk(
     net: HasseNetwork, edge_masks: Sequence[int], wmax: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, ConsistencyError]]:
+) -> tuple[np.ndarray, np.ndarray, dict[int, ConsistencyError]]:
     """The checks of :func:`menger_check` at every w of {0..wmax}^n, from
-    one max flow per box of weights that its flow and cut certify.
+    one max flow per two boxes of weights that its flow and its two
+    minimum cuts certify.
 
-    Returns (cut weights, flow values, cut masks, failures): three flat
-    int64 arrays indexed by lexicographic w, and the failed check by
-    lexicographic index for every w whose pair is not a certificate.
+    Returns (cut weights, flow values, failures): two flat int64 arrays
+    indexed by lexicographic w, and the failed check by lexicographic
+    index for every w whose pair is not a certificate.
 
     Each component of the Hasse diagram (:func:`_components`) is walked
     on the box of its own vertices, as a network that keeps only its arcs
     (the other vertices get weight 0 and no path): the lexicographically
     first w that no box covers yet is the next seed, its max flow is
-    checked by :func:`_pair_failure`, and the whole box the pair certifies
-    (:func:`_box_of`) is filled by slice assignment; a pair that fails is
-    recorded at its seed and covers the seed alone. Since every maximal
-    chain lies in one component, tau and nu of C^w add over them: the
-    component arrays (and their disjoint cut masks) are added into the
-    full box by broadcasting, and a w fails when one of its components
-    fails (the first such component's check is recorded). Every check is
-    decided at every w; the deadline is checked once per seed.
+    checked by :func:`_pair_failure`, and the boxes that its flow and its
+    cuts nearest the source and the sink certify (:func:`_box_of`) are
+    filled with the flow value by slice assignment. On a certified box the
+    cut weight is the flow value, so one value array per component (-1
+    where no box has reached yet) is all the walk keeps; a seed whose flow
+    fails, or that no box certifies, covers itself alone, and a failing
+    seed also keeps its cut weight. Since every maximal chain lies in one
+    component, tau and nu of C^w add over them: the component arrays are
+    added into the full box by broadcasting, and a w fails when one of its
+    components fails (the first such component's check is recorded).
+    Every seed is decided when it is seeded, so no w is seeded twice; the
+    deadline is checked once per seed.
     """
     n, side = net.n, wmax + 1
     full = (side,) * n
-    cut_weights, flows, cuts = (np.zeros(full, dtype=np.int64) for _ in range(3))
+    flows = np.zeros(full, dtype=np.int64)
+    gaps: list[tuple[np.ndarray, int]] = []  # (indices, cut weight - flow value) per failing seed
     failures: dict[int, ConsistencyError] = {}
     for part in _components(net, edge_masks):
         verts = _bits(part)
@@ -725,34 +772,38 @@ def menger_walk(
             sinks=tuple(v for v in net.sinks if part >> v & 1),
         )
         edges = [e for e in edge_masks if e & part]
-        shape = (side,) * len(verts)
-        weights, values, masks = (np.zeros(shape, dtype=np.int64) for _ in range(3))
-        covered = np.zeros(shape, dtype=bool)
-        flat = covered.reshape(-1)
+        values = np.full((side,) * len(verts), -1, dtype=np.int64)
+        flat = values.reshape(-1)
         seed = 0
         while True:
             seed += int(np.argmin(flat[seed:]))
-            if flat[seed]:
+            if flat[seed] >= 0:
                 break
             check_deadline()
-            w = [0] * n
-            for v, x in zip(verts, np.unravel_index(seed, shape)):
-                w[v] = int(x)
+            w, rest = [0] * n, seed
+            for v in reversed(verts):
+                rest, w[v] = divmod(rest, side)
             value, cap, cut = sub.max_flow(w)
-            box, cut_weight, failure = _box_of(sub, edges, part, w, value, cap, cut)
-            weights[box], values[box], masks[box], covered[box] = cut_weight, value, cut, True
+            boxes, failure = _box_of(sub, edges, part, w, value, cap, cut)
+            for box in boxes.values():
+                values[box] = value
+            if not boxes:
+                flat[seed] = value
             if failure is not None:
                 exc = ConsistencyError(*failure)
                 # every w whose restriction to this component is the seed
                 free = [1 if part >> v & 1 else side for v in range(n)]
                 at = np.indices(free).reshape(n, -1) + np.array(w)[:, None]
-                for i in np.ravel_multi_index(at, full).tolist():
+                indices = np.ravel_multi_index(at, full)
+                for i in indices.tolist():
                     failures.setdefault(i, exc)
-        spread = [side if part >> v & 1 else 1 for v in range(n)]
-        cut_weights += weights.reshape(spread)
-        flows += values.reshape(spread)
-        cuts += masks.reshape(spread)
-    return cut_weights.ravel(), flows.ravel(), cuts.ravel(), failures
+                gaps.append((indices, sum(w[v] for v in _bits(cut)) - value))
+        flows += values.reshape([side if part >> v & 1 else 1 for v in range(n)])
+    flows = flows.ravel()
+    cut_weights = flows.copy()
+    for indices, gap in gaps:
+        cut_weights[indices] += gap
+    return cut_weights, flows, failures
 
 
 def menger_oracle(p: Poset, w: Sequence[int]) -> KonigCertificate:

@@ -112,3 +112,40 @@ def test_each_workload_records_the_bounds_it_runs_at():
         assert all(isinstance(v, int) and v >= 1 for v in bounds.values())
     with pytest.raises(KeyError):
         ab_bench.workload_bounds("no-such-workload")
+
+
+def test_same_report_needs_one_hash_on_both_sides():
+    same = ab_bench.summarize(_pairs(PARENT[:2], [0.1, 0.1]), BETTER, BOUND)
+    assert same["same_report"]
+    changed = [(_stdout(0.1, 0.1, 40.0), _stdout(0.1, 0.1, 40.0, sha="ffff"))] * 2
+    assert not ab_bench.summarize(changed, BETTER, BOUND)["same_report"]
+    # both sides drift alike from one run to the next: not one report
+    drifting = [(_stdout(0.1, 0.1, 40.0, sha=h), _stdout(0.1, 0.1, 40.0, sha=h)) for h in ("aa", "bb")]
+    assert not ab_bench.summarize(drifting, BETTER, BOUND)["same_report"]
+
+
+def _main(monkeypatch, tmp_path, change_stdout):
+    """Exit code and written file of ab_bench's main, with every run of
+    this checkout printing ``change_stdout`` and every parent run the
+    canned passing output."""
+    parent = tmp_path / "parent"
+
+    def run_once(checkout, workload, seed, seconds):
+        return _stdout(0.1, 0.1, 40.0) if checkout == parent.resolve() else change_stdout
+
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    monkeypatch.setattr("sys.argv", ["ab_bench.py", str(parent), "--workload", "cauc",
+                                     "--pairs", "2", "--out", str(out)])
+    return ab_bench.main(), json.loads(out.read_text())
+
+
+def test_main_exits_nonzero_on_a_changed_report_or_a_failure(monkeypatch, tmp_path, capsys):
+    code, doc = _main(monkeypatch, tmp_path, _stdout(0.09, 0.1, 40.0))
+    assert code == 0 and doc["runs"][0]["same_report"]
+    code, doc = _main(monkeypatch, tmp_path, _stdout(0.09, 0.1, 40.0, sha="ffff"))
+    assert code == 1 and not doc["runs"][0]["same_report"]
+    assert "cauc seed 1: report sha256 ['02718bc3'] (parent) vs ['ffff'] (change)" in capsys.readouterr().err
+    code, doc = _main(monkeypatch, tmp_path, _stdout(0.09, 0.1, 40.0, failed=1))
+    assert code == 1 and doc["runs"][0]["same_report"] and doc["runs"][0]["change"]["failed"] == 2
+    assert "cauc seed 1: 2 failed instances (change)" in capsys.readouterr().err

@@ -357,6 +357,34 @@ def test_an_overloaded_vertex_is_recorded_not_raised(monkeypatch):
         assert checks and all(checks.values())  # every other check still decided
 
 
+def test_a_box_that_misses_its_seed_is_recorded_not_reseeded(monkeypatch):
+    # with the overload check passed over as well, the over-pushed flow
+    # certifies boxes that leave out their own seed; the walk records the
+    # overload at such a seed instead of seeding it again until the
+    # deadline trips
+    from clutterlab import cauc_poset, packing
+
+    _overpush_after_the_last_search(monkeypatch)
+    honest = packing._pair_failure
+
+    def overlooking(net, edge_masks, w, value, cap, cut):
+        clamped = cap[:]  # only the overload check reads the vertex arcs' residuals
+        for v in range(net.n):
+            clamped[2 * v] = max(clamped[2 * v], 0)
+        return honest(net, edge_masks, w, value, clamped, cut)
+
+    monkeypatch.setattr(packing, "_pair_failure", overlooking)
+    p = cauc_poset(2, 2)
+    with Deadline(3000):
+        sweep = comparability_mfmc_check(p, clique_clutter(comparability_graph(p)), 2)
+    overloads = [m for m in sweep["menger_mismatches"]
+                 if m.get("invariant", {}).get("check") == "flow through each vertex is at most w_v"]
+    assert overloads and not sweep["menger_agrees"]
+    for m in overloads:
+        flows, w = m["invariant"]["values"]
+        assert w == m["w"] and flows[0] > w[0]
+
+
 def test_a_single_weight_check_rejects_an_overloaded_vertex(monkeypatch):
     _overpush_after_the_last_search(monkeypatch)
     # the flow is the chain 0 < 1 < 3

@@ -452,21 +452,18 @@ def test_gray_steps_visit_every_w_once(n, wmax):
 # on the cut, w'_u in [f_u, wmax] off it, one Hasse component at a time
 
 def _assert_walk_matches_fresh_flows(p, wmax):
-    # the walk may keep an older minimum cut than a fresh search finds, so
-    # its cut is checked by weight and by brute force, not by mask
+    # the walk keeps the cut weight, which a certified box holds at the flow
+    # value; the cuts themselves are checked box by box below
     cl = clique_clutter(comparability_graph(p))
     net = HasseNetwork.of(p)
-    cut_weights, flows, cuts, failures = menger_walk(net, cl.edge_masks, wmax)
+    cut_weights, flows, failures = menger_walk(net, cl.edge_masks, wmax)
     assert failures == {}
-    chains = brute_maximal_cliques(p.n, p.relation)
     box = list(itertools.product(range(wmax + 1), repeat=p.n))
-    assert cut_weights.shape == flows.shape == cuts.shape == (len(box),)
+    assert cut_weights.shape == flows.shape == (len(box),)
     for idx, w in enumerate(box):
         ref_value, _, ref_cut = net.max_flow(w)
-        cut = _bits(int(cuts[idx]))
         assert flows[idx] == ref_value
-        assert cut_weights[idx] == sum(w[v] for v in cut) == sum(w[v] for v in _bits(ref_cut))
-        assert brute_cut_meets_surviving_chains(chains, w, cut)
+        assert cut_weights[idx] == sum(w[v] for v in _bits(ref_cut))
 
 
 def test_walk_matches_fresh_max_flow_on_small_posets():
@@ -507,7 +504,7 @@ def test_components_join_the_vertices_of_an_edge():
 def _walk_and_fresh_failures(net, edges, wmax):
     """The failed checks that menger_walk records and those that
     menger_check raises from a fresh max flow, by lexicographic w."""
-    _, _, _, failures = menger_walk(net, edges, wmax)
+    _, _, failures = menger_walk(net, edges, wmax)
     fresh = {}
     for i, w in enumerate(itertools.product(range(wmax + 1), repeat=net.n)):
         try:
@@ -559,8 +556,10 @@ def _box_points(box, wmax):
     ([_disconnected_poset()], 3),
 ], ids=["n<=4", "n=5,6", "components-1,1,1,1,1,3"])
 def test_every_box_the_walk_fills_is_certified_at_each_point(monkeypatch, posets, wmax):
-    # brute force over each box: the pair check holds at every w' the pair
-    # was used for, with the flow held and w' (0 off the component) in place of w
+    # brute force over each box: the pair check holds at every w' the flow
+    # and the box's cut were used for, with the flow held and w' (0 off the
+    # component) in place of w; every seed certifies the boxes of both its
+    # cuts, nearest the source and nearest the sink
     honest = packing._box_of
     seeds = []
 
@@ -573,29 +572,30 @@ def test_every_box_the_walk_fills_is_certified_at_each_point(monkeypatch, posets
     for p in posets:
         cl = clique_clutter(comparability_graph(p))
         seeds.clear()
-        _, _, _, failures = menger_walk(HasseNetwork.of(p), cl.edge_masks, wmax)
+        _, _, failures = menger_walk(HasseNetwork.of(p), cl.edge_masks, wmax)
         assert failures == {}
         covered = set()
-        for sub, edges, part, value, cap, cut, (box, _, failure) in seeds:
+        for sub, edges, part, value, cap, cut, (boxes, failure) in seeds:
             assert failure is None
+            assert set(boxes) == {cut, sub._sink_cut(cap)}
             verts = _bits(part)
-            for point in _box_points(box, wmax):
-                moved, w = cap[:], [0] * p.n
-                for v, x in zip(verts, point):
-                    moved[2 * v] = x - cap[2 * v + 1]
-                    w[v] = x
-                assert packing._pair_failure(sub, edges, w, value, moved, cut) is None
-                covered.add((part, point))
+            for k, box in boxes.items():
+                for point in _box_points(box, wmax):
+                    moved, w = cap[:], [0] * p.n
+                    for v, x in zip(verts, point):
+                        moved[2 * v] = x - cap[2 * v + 1]
+                        w[v] = x
+                    assert packing._pair_failure(sub, edges, w, value, moved, k) is None
+                    covered.add((part, point))
         # together the boxes cover the box of every component
         parts = packing._components(HasseNetwork.of(p), cl.edge_masks)
         assert len(covered) == sum((wmax + 1) ** m.bit_count() for m in parts)
         assert bool(seeds) == (p.n > 0)  # the empty poset's one w needs no flow
 
 
-def test_walk_searches_only_where_its_pair_stops_certifying(monkeypatch):
-    # one max flow per box seed, a w that no certified box covers yet; at
-    # wmax 3 the Gray-code walk this replaced made 2,487 breadth-first
-    # searches on these two posets
+def _walk_work(monkeypatch, posets, wmax):
+    """The max flows and breadth-first searches the walk makes on
+    ``posets`` at ``wmax``."""
     honest_flow, honest_augment = HasseNetwork.max_flow, HasseNetwork._augment
     flows, searches = [], []
 
@@ -609,10 +609,40 @@ def test_walk_searches_only_where_its_pair_stops_certifying(monkeypatch):
 
     monkeypatch.setattr(HasseNetwork, "max_flow", flowing)
     monkeypatch.setattr(HasseNetwork, "_augment", counting)
-    for p in random_posets(6, 2, seed=1):
-        menger_walk(HasseNetwork.of(p), clique_clutter(comparability_graph(p)).edge_masks, 3)
-    assert len(flows) <= 101
-    assert len(searches) <= 213
+    for p in posets:
+        menger_walk(HasseNetwork.of(p), clique_clutter(comparability_graph(p)).edge_masks, wmax)
+    return len(flows), len(searches)
+
+
+def test_walk_searches_only_where_its_pair_stops_certifying(monkeypatch):
+    # one max flow per box seed, a w that no certified box covers yet; at
+    # wmax 3 the Gray-code walk this replaced made 2,487 breadth-first
+    # searches on these two posets, and one box per flow took 101 flows
+    flows, searches = _walk_work(monkeypatch, random_posets(6, 2, seed=1), 3)
+    assert flows <= 51
+    assert searches <= 111
+    # K3,3, three points below three: the source-side cut fixes a whole
+    # side of every box, and one box per flow took 907 flows
+    k33 = Poset(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    flows, _ = _walk_work(monkeypatch, [k33], 3)
+    assert flows <= 580
+
+
+@pytest.mark.parametrize("posets", [_small_posets(), random_posets(5, 4, seed=3)], ids=["n<=4", "n=5"])
+def test_sink_cut_is_the_source_cut_of_the_reversed_network(posets):
+    # the minimum cut nearest the sink is the one nearest the source of the
+    # dual poset's Hasse network, whichever max flow it is read off
+    for p in posets:
+        net = HasseNetwork.of(p)
+        dual = HasseNetwork.of(Poset(p.n, [(b, a) for a, b in p.relation]))
+        chains = brute_maximal_cliques(p.n, p.relation)
+        for w in itertools.product(range(3), repeat=p.n):
+            value, cap, _ = net.max_flow(w)
+            _, _, nearest_sink = dual.max_flow(w)
+            cut = net._sink_cut(cap)
+            assert cut == nearest_sink
+            assert sum(w[v] for v in _bits(cut)) == value
+            assert brute_cut_meets_surviving_chains(chains, w, _bits(cut))
 
 
 # ---------------------------------------------------------------------------

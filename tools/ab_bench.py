@@ -14,8 +14,9 @@ file gets one entry per (workload, seed), or the entry is replaced when
 the file already has one: the Python version, the run length, the bounds
 the workload runs at (``certbench/workloads.py``), per side the median and
 quartiles of each metric over the runs with their report sha256 and failed
-counts, and per metric the pairs this checkout won (ties count for neither
-side) and a verdict:
+counts, ``same_report`` (true when every run of both sides printed one and
+the same report sha256), and per metric the pairs this checkout won (ties
+count for neither side) and a verdict:
 
 - ``gain``: the change wins at least nine tenths of the pairs and its
   median beats the parent's by more than the parent's interquartile range;
@@ -23,6 +24,10 @@ side) and a verdict:
   the metric's ``bound`` in ``BENCHMARK.json``, a share of the parent's
   median;
 - ``within-bound``: neither.
+
+The script exits with code 1, after writing the file, when an entry it ran
+has ``same_report`` false or a failed count above 0 on either side: such a
+run does not compare the same work.
 """
 
 from __future__ import annotations
@@ -97,7 +102,22 @@ def summarize(pairs: list[tuple[str, str]], better: dict[str, str], bound: dict[
                    wins[m], len(runs), better[m], bound[m])
         for m in better
     }
-    return {"pairs": len(runs), **sides, "change_wins": wins, "verdict": verdicts}
+    same = sides["parent"]["sha256"] == sides["change"]["sha256"] and len(sides["parent"]["sha256"]) == 1
+    return {"pairs": len(runs), **sides, "same_report": same, "change_wins": wins, "verdict": verdicts}
+
+
+def problems(entry: dict) -> list[str]:
+    """Why an entry compares no like work: its report sha256 differs
+    between or within the sides, or a side failed instances."""
+    name = f"{entry['workload']} seed {entry['seed']}"
+    out = []
+    if not entry["same_report"]:
+        out.append(f"{name}: report sha256 {entry['parent']['sha256']} (parent) "
+                   f"vs {entry['change']['sha256']} (change)")
+    for side in ("parent", "change"):
+        if entry[side]["failed"]:
+            out.append(f"{name}: {entry[side]['failed']} failed instances ({side})")
+    return out
 
 
 def workload_bounds(workload: str) -> dict[str, int]:
@@ -134,6 +154,7 @@ def main() -> int:
     doc.update(python=platform.python_version(), machine=platform.machine(),
                cpus=os.cpu_count())
     entries = doc.setdefault("runs", [])
+    found = []
     for workload in args.workload:
         for seed in args.seed or [1]:
             pairs = []
@@ -147,7 +168,10 @@ def main() -> int:
             entries[:] = [e for e in entries if (e["workload"], e["seed"]) != (workload, seed)]
             entries.append(entry)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+            found += problems(entry)
+    for line in found:
+        print(line, file=sys.stderr)
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
