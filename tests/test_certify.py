@@ -66,6 +66,23 @@ GOLDEN = {
         Bounds(wmax=2),
         "c1e9f360734ed1e6d664e27b8dbbf03da2926dd1a44acb108e63c23b30a66b54",
     ),
+    # one corpus per remaining generated kind, so a change to a generator's
+    # draw loop or to the corpus table shows here
+    "graphs": (
+        Corpus("random-graphs", n=5, count=6, seed=3),
+        Bounds(),
+        "5e794cfdea1ec6be278d74ddec1a5a30cf867dd6598da2b842a3ba676d8d9a61",
+    ),
+    "ideals": (
+        Corpus("random-ideals", n=4, q=5, maxexp=3, count=20, seed=1),
+        Bounds(),
+        "0a180b5b5d713f15633436a484aa82d6f20205ef355d9f5dcdab0792cca96b82",
+    ),
+    "all-posets": (
+        Corpus("all-posets", n=3),
+        Bounds(wmax=2),
+        "88c1cbe79c529783ccbdd37c7bf1139c86eb0c667b9f920be27eb015c63915b7",
+    ),
 }
 
 
