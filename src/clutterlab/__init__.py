@@ -33,7 +33,6 @@ from .polyhedra import (
     vertices,
 )
 from .packing import (
-    CoverSet,
     KonigCertificate,
     alpha0,
     beta1,
@@ -47,7 +46,6 @@ from .packing import (
 from .ideals import (
     MonomialIdeal,
     edge_ideal,
-    integral_closure_membership,
     is_normal_up_to,
     is_ntf_up_to,
     membership,

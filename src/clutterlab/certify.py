@@ -13,8 +13,8 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, fields
+from typing import Any, Callable
 
 import numpy as np
 
@@ -69,21 +69,31 @@ def all_posets(n: int) -> list[Poset]:
     return out
 
 
+def _distinct(count: int, attempts: int, draw: Callable[[], tuple | None], what: str) -> list:
+    """The first ``count`` distinct objects of repeated ``draw()`` calls,
+    in draw order. A draw returns (key, object), or None when rejected;
+    objects with a key already seen are dropped. Raises ``ValueError``
+    when ``attempts`` draws do not find ``count`` of them."""
+    found: dict = {}
+    for _ in range(attempts):
+        if len(found) == count:
+            break
+        drawn = draw()
+        if drawn is not None:
+            found.setdefault(*drawn)
+    if len(found) < count:
+        raise ValueError(f"could not generate {count} distinct {what}")
+    return list(found.values())
+
+
 def random_posets(n: int, count: int, seed: int) -> list[Poset]:
     """Distinct random posets: random DAG arcs, transitively closed,
     deduplicated by relation set. Reproducible bit-for-bit from the seed."""
     if n > 8:
         raise ValueError("random poset generation is limited to n <= 8")
     rng = random.Random(seed)
-    seen: set[frozenset] = set()
-    out: list[Poset] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 200 * count + 1000:
-            raise ValueError(
-                f"could not generate {count} distinct posets on {n} vertices"
-            )
+
+    def draw() -> tuple[frozenset, Poset]:
         perm = list(range(n))
         rng.shuffle(perm)
         density = rng.choice((0.15, 0.25, 0.35, 0.5))
@@ -94,22 +104,15 @@ def random_posets(n: int, count: int, seed: int) -> list[Poset]:
             if rng.random() < density
         ]
         rel = transitive_closure(n, arcs)
-        if rel in seen:
-            continue
-        seen.add(rel)
-        out.append(Poset(n, rel))
-    return out
+        return rel, Poset(n, rel)
+
+    return _distinct(count, 200 * count + 1000, draw, f"posets on {n} vertices")
 
 
 def random_graphs(n: int, count: int, seed: int) -> list[Graph]:
     rng = random.Random(seed)
-    seen: set[frozenset] = set()
-    out: list[Graph] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 200 * count + 1000:
-            raise ValueError(f"could not generate {count} distinct graphs on {n} vertices")
+
+    def draw() -> tuple[frozenset, Graph]:
         density = rng.choice((0.2, 0.35, 0.5, 0.7))
         edges = [
             (i, j)
@@ -117,25 +120,17 @@ def random_graphs(n: int, count: int, seed: int) -> list[Graph]:
             for j in range(i + 1, n)
             if rng.random() < density
         ]
-        key = frozenset(edges)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(Graph(n, edges))
-    return out
+        return frozenset(edges), Graph(n, edges)
+
+    return _distinct(count, 200 * count + 1000, draw, f"graphs on {n} vertices")
 
 
 def random_ideals(n: int, q: int, maxexp: int, count: int, seed: int) -> list[MonomialIdeal]:
     """Random minimal generating sets; n and q are upper bounds, exponents
     uniform in [0, maxexp] with zero vectors rejected."""
     rng = random.Random(seed)
-    seen: set[tuple] = set()
-    out: list[MonomialIdeal] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 500 * count + 1000:
-            raise ValueError("could not generate enough distinct ideals")
+
+    def draw() -> tuple[tuple, MonomialIdeal] | None:
         nn = rng.randint(1, n)
         gens = []
         for _ in range(rng.randint(1, q)):
@@ -143,27 +138,19 @@ def random_ideals(n: int, q: int, maxexp: int, count: int, seed: int) -> list[Mo
             if any(v):
                 gens.append(v)
         if not gens:
-            continue
+            return None
         ideal = MonomialIdeal(nn, gens)
-        key = (nn, ideal.generators)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(ideal)
-    return out
+        return (nn, ideal.generators), ideal
+
+    return _distinct(count, 500 * count + 1000, draw, "ideals")
 
 
 def random_clutters(n: int, maxedges: int, count: int, seed: int) -> list[Clutter]:
     """Random antichains of nonempty vertex subsets; n and the edge count
     are upper bounds."""
     rng = random.Random(seed)
-    seen: set[tuple] = set()
-    out: list[Clutter] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 500 * count + 1000:
-            raise ValueError("could not generate enough distinct clutters")
+
+    def draw() -> tuple[tuple, Clutter] | None:
         nn = rng.randint(2, n)
         subsets: set[tuple] = set()
         for _ in range(rng.randint(1, maxedges)):
@@ -171,38 +158,38 @@ def random_clutters(n: int, maxedges: int, count: int, seed: int) -> list[Clutte
             if e:
                 subsets.add(e)
         if not subsets:
-            continue
+            return None
         minimal = [
             e for e in subsets
             if not any(f != e and set(f) <= set(e) for f in subsets)
         ]
         c = Clutter(nn, minimal)
-        key = (nn, c.edges)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(c)
-    return out
+        return (nn, c.edges), c
+
+    return _distinct(count, 500 * count + 1000, draw, "clutters")
 
 
 # ---------------------------------------------------------------------------
 # Corpus
 
-_KINDS = (
-    "all-posets",
-    "random-posets",
-    "random-graphs",
-    "random-ideals",
-    "random-clutters",
-    "explicit",
-)
+# Generated kinds: instance type, generator, and the generator's parameters
+# in call order.
+_GENERATED = {
+    "all-posets": ("poset", all_posets, ("n",)),
+    "random-posets": ("poset", random_posets, ("n", "count", "seed")),
+    "random-graphs": ("graph", random_graphs, ("n", "count", "seed")),
+    "random-ideals": ("ideal", random_ideals, ("n", "q", "maxexp", "count", "seed")),
+    "random-clutters": ("clutter", random_clutters, ("n", "maxedges", "count", "seed")),
+}
+_KINDS = (*_GENERATED, "explicit")
 
 
 @dataclass(frozen=True)
 class Corpus:
-    """Instance source for the theorem suite; generation is seeded and
-    reproducible. ``n``/``q``/``maxedges`` act as upper bounds for the
-    random kinds."""
+    """Instance source for the theorem suite: a generated kind of
+    :data:`_GENERATED`, seeded and reproducible, or ``explicit`` instances
+    read from the JSON file at ``path``. ``n``/``q``/``maxedges`` act as
+    upper bounds for the random kinds; ``to_json`` writes the set fields."""
 
     kind: str
     n: int | None = None
@@ -218,50 +205,18 @@ class Corpus:
             raise ValueError(f"unknown corpus kind {self.kind!r}; expected one of {_KINDS}")
 
     def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"kind": self.kind}
-        for key in ("n", "count", "seed", "q", "maxexp", "maxedges", "path"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
+        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "Corpus":
-        known = {k: doc[k] for k in ("n", "count", "seed", "q", "maxexp", "maxedges", "path") if k in doc}
-        return cls(kind=doc["kind"], **known)
+        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
 
     def instances(self) -> list[tuple[str, Any]]:
-        if self.kind == "all-posets":
-            return [("poset", p) for p in all_posets(self._req("n"))]
-        if self.kind == "random-posets":
-            return [
-                ("poset", p)
-                for p in random_posets(self._req("n"), self._req("count"), self._req("seed"))
-            ]
-        if self.kind == "random-graphs":
-            return [
-                ("graph", g)
-                for g in random_graphs(self._req("n"), self._req("count"), self._req("seed"))
-            ]
-        if self.kind == "random-ideals":
-            return [
-                ("ideal", i)
-                for i in random_ideals(
-                    self._req("n"), self._req("q"), self._req("maxexp"),
-                    self._req("count"), self._req("seed"),
-                )
-            ]
-        if self.kind == "random-clutters":
-            return [
-                ("clutter", c)
-                for c in random_clutters(
-                    self._req("n"), self._req("maxedges"),
-                    self._req("count"), self._req("seed"),
-                )
-            ]
-        with open(self._req("path"), encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return load_explicit_instances(doc)
+        if self.kind == "explicit":
+            with open(self._req("path"), encoding="utf-8") as fh:
+                return load_explicit_instances(json.load(fh))
+        kind, generate, params = _GENERATED[self.kind]
+        return [(kind, obj) for obj in generate(*map(self._req, params))]
 
     def _req(self, key: str):
         val = getattr(self, key)

@@ -40,7 +40,6 @@ from .guards import ConsistencyError, Deadline, ResourceGuardError
 from .ideals import (
     MonomialIdeal,
     edge_ideal,
-    integral_closure_membership,
     is_normal_up_to,
     is_ntf_up_to,
     power,
@@ -49,6 +48,7 @@ from .ideals import (
 from .packing import konig_certificate, lp_duality_integer_check, menger_oracle, mfmc_bounded
 from .polyhedra import (
     IncidenceMatrix,
+    blocking_membership,
     format_rational,
     integer_decomposition_check,
     integer_rounding_check,
@@ -271,7 +271,7 @@ def _cmd_symbolic(args) -> int:
 def _cmd_closure(args) -> int:
     ideal = _as_ideal(_read_document(args.input))
     a = _parse_vector(args.a, "--a")
-    member = integral_closure_membership(ideal, a, args.k)
+    member = blocking_membership(ideal.matrix(), a, args.k)
     _emit(
         args,
         {

@@ -9,12 +9,16 @@ restarts the installed budget once per instance (:func:`restart_deadline`).
 
 Every exponential kernel calls :func:`check_deadline` at its loop head:
 
+- ``structures``: every node of the maximal-clique search, and once per
+  edge of C^w that ``parallelize_masks`` builds;
 - ``packing``: every node of the two Koenig searches (minimum cover and
-  maximum matching), every node of the minimal-cover enumeration, once
-  per box seed of the Menger walk, and once after the w-box of MFMC
-  certification is priced;
+  maximum matching), every node of the minimal-cover enumeration and of
+  the Hasse chain walk (``HasseNetwork.chains``), once per box seed of the
+  Menger walk, and once after the w-box of MFMC certification is priced;
 - ``polyhedra``: once per positive ray of each double-description step,
-  and once per shifted vector of the k-fold sum grids;
+  once per shifted vector of the k-fold sum grids, and at every node of
+  the integer packing search (``ilp_max_packing``);
+- ``ideals``: once per sum of generators in ``power``;
 - ``certify``: between the normality and rounding checks of an ideal.
 
 Exceeding a guard raises :class:`ResourceGuardError`, which the CLI maps to

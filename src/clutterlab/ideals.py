@@ -50,11 +50,10 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .guards import ResourceGuardError
+from .guards import ResourceGuardError, check_deadline
 from .packing import _cover_matrix
 from .polyhedra import (
     IncidenceMatrix,
-    blocking_membership,
     box_caps,
     integer_decomposition_check,
     kfold_sum_grids,
@@ -134,13 +133,15 @@ def edge_ideal(c: Clutter) -> MonomialIdeal:
 
 @lru_cache(maxsize=512)
 def power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
-    """Minimal generators of the i-th ordinary power."""
+    """Minimal generators of the i-th ordinary power, from every sum of i
+    generators; the deadline is checked once per sum."""
     if i < 1:
         raise ValueError("power exponent must be >= 1")
     if i == 1:
         return ideal
     sums = set()
     for combo in itertools.combinations_with_replacement(ideal.generators, i):
+        check_deadline()
         sums.add(tuple(sum(col) for col in zip(*combo)))
     arr = np.array(sorted(sums), dtype=np.int64)
     return MonomialIdeal(ideal.n, [tuple(int(x) for x in row) for row in _minimal_rows(arr)])
@@ -166,12 +167,6 @@ def symbolic_power(c: Clutter, i: int) -> MonomialIdeal:
     caps = (i,) * c.n
     _check_box(caps)
     return MonomialIdeal(c.n, _minimal_cells(_box_values(caps, _cover_matrix(c)) >= i))
-
-
-def integral_closure_membership(ideal: MonomialIdeal, a: Sequence[int], k: int) -> bool:
-    """x^a in the integral closure of I^k, via lattice membership of a in
-    k*B(Q) for the exponent matrix of I."""
-    return blocking_membership(ideal.matrix(), a, k)
 
 
 # ---------------------------------------------------------------------------

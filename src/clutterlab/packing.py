@@ -68,19 +68,13 @@ from .verdicts import Certificate
 
 
 @dataclass(frozen=True)
-class CoverSet:
-    """A transversal: a vertex set meeting every edge."""
-
-    vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class KonigCertificate:
-    """Optimal cover and matching with their sizes; holds iff they agree."""
+    """Optimal cover and matching with their sizes; holds iff they agree.
+    The cover is a sorted vertex tuple, the matching a tuple of edges."""
 
     alpha0: int
     beta1: int
-    cover: CoverSet
+    cover: tuple[int, ...]
     matching: tuple[tuple[int, ...], ...]
 
     @property
@@ -93,7 +87,7 @@ class KonigCertificate:
             "verdict": "holds" if self.holds else "fails",
             "alpha0": self.alpha0,
             "beta1": self.beta1,
-            "cover": list(self.cover.vertices),
+            "cover": list(self.cover),
             "matching": [list(e) for e in self.matching],
         }
 
@@ -205,12 +199,13 @@ def max_matching_size(masks: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # Covers, alpha0, beta1, Koenig
 
-def minimal_vertex_covers(c: Clutter) -> list[CoverSet]:
-    """All inclusion-minimal transversals, canonical order. The node guard
-    and the deadline are checked at every node of the enumeration."""
+def minimal_vertex_covers(c: Clutter) -> list[tuple[int, ...]]:
+    """All inclusion-minimal transversals, as sorted vertex tuples in
+    lexicographic order. The node guard and the deadline are checked at
+    every node of the enumeration."""
     masks = c.edge_masks
     if not masks:
-        return [CoverSet(())]
+        return [()]
     found: set[int] = set()
     nodes = 0
 
@@ -230,11 +225,10 @@ def minimal_vertex_covers(c: Clutter) -> list[CoverSet]:
             rec(cover | low)
 
     rec(0)
-    minimal = []
-    for cov in found:
-        if all(any(m & cov == 1 << v for m in masks) for v in _bits(cov)):
-            minimal.append(tuple(_bits(cov)))
-    return [CoverSet(t) for t in sorted(set(minimal))]
+    return sorted(
+        tuple(_bits(cov)) for cov in found
+        if all(any(m & cov == 1 << v for m in masks) for v in _bits(cov))
+    )
 
 
 @lru_cache(maxsize=512)
@@ -244,7 +238,7 @@ def _cover_matrix(c: Clutter) -> np.ndarray:
     (:func:`~clutterlab.polyhedra._vertex_inequalities`), which are these
     covers, so both row sets key one box value array."""
     return np.array(
-        sorted([int(v in cov.vertices) for v in range(c.n)] for cov in minimal_vertex_covers(c)),
+        sorted([int(v in cov) for v in range(c.n)] for cov in minimal_vertex_covers(c)),
         dtype=np.int64,
     )
 
@@ -264,7 +258,7 @@ def konig_certificate(c: Clutter) -> KonigCertificate:
     search each; the deadline is checked at every node of both."""
     cover = lex_min_cover(c.edge_masks)
     matching = tuple(c.edges[j] for j in lex_min_matching(c.edge_masks))
-    return KonigCertificate(len(cover), len(matching), CoverSet(cover), matching)
+    return KonigCertificate(len(cover), len(matching), cover, matching)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +353,7 @@ def lp_duality_integer_check(c: Clutter, w: Sequence[int]) -> Certificate:
         raise ValueError("clutter must have at least one edge")
     a = IncidenceMatrix.from_clutter(c)
     lp = min(sum(wi * vi for wi, vi in zip(weights, v)) for v in q_vertices(a))
-    int_min = min(sum(weights[v] for v in cs.vertices) for cs in minimal_vertex_covers(c))
+    int_min = min(sum(weights[v] for v in cov) for cov in minimal_vertex_covers(c))
     int_max = ilp_max_packing(a, weights)
     holds = int_min == lp and int_max == lp
     return Certificate(
@@ -465,7 +459,8 @@ class HasseNetwork:
 
     def chains(self) -> set[int]:
         """Vertex masks of all source-to-sink paths (exponential; meant for
-        one check per poset, not per weight)."""
+        one check per poset, not per weight); the deadline is checked at
+        every node of the walk."""
         succ: list[list[int]] = [[] for _ in range(self.n)]
         for x, y in self.arcs:
             succ[x].append(y)
@@ -473,6 +468,7 @@ class HasseNetwork:
         out: set[int] = set()
 
         def walk(v: int, acc: int) -> None:
+            check_deadline()
             if v in sinks:
                 out.add(acc)
             for nxt in succ[v]:
@@ -833,7 +829,7 @@ def menger_oracle(p: Poset, w: Sequence[int]) -> KonigCertificate:
             for v in _bits(m):
                 used[v] += 1
     cover = tuple(sorted(index[(v, k)] for v in _bits(cut) for k in range(weights[v])))
-    return KonigCertificate(alpha, beta, CoverSet(cover), tuple(sorted(matching)))
+    return KonigCertificate(alpha, beta, cover, tuple(sorted(matching)))
 
 
 def chain_order(p: Poset, clique: Sequence[int]) -> list[int]:

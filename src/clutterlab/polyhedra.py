@@ -160,9 +160,9 @@ def covering_polyhedron(a: IncidenceMatrix) -> RationalPolyhedron:
 # by double description in integer arithmetic. For Q(A) the cuts are the
 # integer columns with a -1 appended, so no rational number is formed on
 # the way: the rays are gcd-reduced, D is their last coordinate, and the
-# vertex is integral iff D = 1. The rays of Q(A) are cached per matrix and
-# read by integrality, by the vertex inequalities over one common
-# denominator, and by the Fraction view :func:`q_vertices`.
+# vertex is integral iff D = 1. Q(A) has one memo, its vertex inequalities
+# over one common denominator (:func:`_vertex_inequalities`); integrality
+# and the Fraction view :func:`q_vertices` are read off it.
 
 def _int_constraints(p: RationalPolyhedron) -> list[Vector]:
     """Each constraint row.x >= b as an integer homogeneous cut
@@ -243,37 +243,34 @@ def vertices(p: RationalPolyhedron) -> list[tuple[Fraction, ...]]:
 
 
 @lru_cache(maxsize=1024)
-def _q_rays(a: IncidenceMatrix) -> tuple[Vector, ...]:
-    """The vertices of Q(A) as gcd-reduced integer rays (D * ell, D) of the
-    lifted cone, D > 0: one double description per matrix, on the cuts
-    <col_j, x> - t >= 0 (the integer form of <col_j, x> >= 1)."""
+def _vertex_inequalities(a: IncidenceMatrix) -> tuple[np.ndarray, int]:
+    """The vertices ell_t of Q(A) over one common denominator D, the lcm
+    of the last coordinates of their rays, as (rows, D) with
+    rows[t] = D * ell_t in the order of the rays: one double description
+    per matrix, on the cuts <col_j, x> - t >= 0 (the integer form of
+    <col_j, x> >= 1). z >= 0 lies in k*B(Q) iff <rows[t], z> >= k*D for
+    every t (blocking duality), and the packing LP value at w >= 0 is
+    min_t <rows[t], w> / D (LP duality). Q(A) of a matrix with nonzero
+    columns always has a vertex, so rows is nonempty."""
     rays = _dd_extreme_rays(a.n + 1, [(*col, -1) for col in a.columns])
-    return tuple(sorted({r for r in rays if r[-1] > 0}))
+    rays = sorted({r for r in rays if r[-1] > 0})
+    den = math.lcm(*(r[-1] for r in rays))
+    rows = [[x * (den // r[-1]) for x in r[:-1]] for r in rays]
+    return np.array(rows, dtype=np.int64), den
 
 
 @lru_cache(maxsize=1024)
 def q_vertices(a: IncidenceMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Vertices of Q(A), exact and sorted, cached per matrix."""
-    return tuple(sorted(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in _q_rays(a)))
+    """Vertices of Q(A), exact and sorted, cached per matrix: the Fraction
+    view rows[t] / D of :func:`_vertex_inequalities`."""
+    rows, den = _vertex_inequalities(a)
+    return tuple(sorted(tuple(Fraction(x, den) for x in row) for row in rows.tolist()))
 
 
 def is_integral(a: IncidenceMatrix) -> bool:
-    """True iff every vertex of Q(A) has integer coordinates. A ray is
-    gcd-reduced, so its vertex is integral iff its last coordinate is 1."""
-    return all(r[-1] == 1 for r in _q_rays(a))
-
-
-@lru_cache(maxsize=1024)
-def _vertex_inequalities(a: IncidenceMatrix) -> tuple[np.ndarray, int]:
-    """The vertices ell_t of Q(A) over one common denominator D, as
-    (rows, D) with rows[t] = D * ell_t: z >= 0 lies in k*B(Q) iff
-    <rows[t], z> >= k*D for every t (blocking duality), and the packing LP
-    value at w >= 0 is min_t <rows[t], w> / D (LP duality). Q(A) of a
-    matrix with nonzero columns always has a vertex, so rows is nonempty."""
-    rays = _q_rays(a)
-    den = math.lcm(*(r[-1] for r in rays))
-    rows = [[x * (den // r[-1]) for x in r[:-1]] for r in rays]
-    return np.array(rows, dtype=np.int64), den
+    """True iff every vertex of Q(A) has integer coordinates: the rays are
+    gcd-reduced, so D is 1 iff every ray's last coordinate is 1."""
+    return _vertex_inequalities(a)[1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +330,15 @@ def simplex_max(
 
 def blocking_membership(a: IncidenceMatrix, z: Sequence, k: int = 1) -> bool:
     """Is z in k*B(Q(A))?  Decided by the vertex inequalities
-    <z, ell> >= k over the vertices ell of Q(A), which describe B(Q)
-    inside the nonnegative orthant (blocking duality)."""
+    <rows[t], z> >= k*D of :func:`_vertex_inequalities`, which describe
+    B(Q) inside the nonnegative orthant (blocking duality)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     zf = [Fraction(x) for x in z]
     if any(x < 0 for x in zf):
         raise ValueError("z must be nonnegative")
-    return all(sum(c * x for c, x in zip(v, zf)) >= k for v in q_vertices(a))
+    rows, den = _vertex_inequalities(a)
+    return all(sum(c * x for c, x in zip(row, zf)) >= k * den for row in rows.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -472,21 +470,16 @@ def _minimal_rows(pts: np.ndarray) -> np.ndarray:
     return np.concatenate(kept) if kept else pts[:0]
 
 
-@lru_cache(maxsize=4096)
-def _minimal_lattice_points_cached(a: IncidenceMatrix, k: int) -> tuple[Vector, ...]:
-    caps = box_caps(a, k)
-    _check_box(caps)
-    rows, den = _vertex_inequalities(a)
-    return tuple(_minimal_cells(_box_values(caps, rows) >= k * den))
-
-
 def minimal_lattice_points(a: IncidenceMatrix, k: int) -> list[Vector]:
     """Componentwise-minimal lattice points of k*B(Q), sorted. They lie in
     the box of :func:`box_caps` (see module docstring), where the lattice
     points of k*B(Q) form an upward-closed set."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return list(_minimal_lattice_points_cached(a, k))
+    caps = box_caps(a, k)
+    _check_box(caps)
+    rows, den = _vertex_inequalities(a)
+    return _minimal_cells(_box_values(caps, rows) >= k * den)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +599,8 @@ def ilp_max_packing(a: IncidenceMatrix, w: Sequence[int]) -> int:
     """max{ <y,1> : y >= 0 integer, A y <= w } by pruned enumeration.
 
     Column multiplicities are bounded by min_i floor(w_i / A_ij) over the
-    support of each column, which is finite because columns are nonzero."""
+    support of each column, which is finite because columns are nonzero.
+    The deadline is checked at every node."""
     wv = tuple(int(x) for x in w)
     cols = a.columns
     q = len(cols)
@@ -618,6 +612,7 @@ def ilp_max_packing(a: IncidenceMatrix, w: Sequence[int]) -> int:
 
     def rec(j: int, rest: Vector, count: int) -> None:
         nonlocal best
+        check_deadline()
         if count > best:
             best = count
         if j == q:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Sequence
 
+from .guards import check_deadline
+
 Weights = tuple[int, ...]
 
 
@@ -313,11 +315,13 @@ def clique_clutter(g: Graph) -> Clutter:
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """All maximal cliques as sorted vertex tuples, in canonical order."""
+    """All maximal cliques as sorted vertex tuples, in canonical order, by
+    Bron-Kerbosch with pivoting; the deadline is checked at every node."""
     adj = g.adjacency
     out: list[tuple[int, ...]] = []
 
     def expand(r: int, p: int, x: int) -> None:
+        check_deadline()
         if p == 0 and x == 0:
             out.append(tuple(_bits(r)))
             return
@@ -444,7 +448,8 @@ def parallelize_masks(
     """Bitmask kernel behind :func:`parallelization`.
 
     Returns (new edge masks in canonical order, new vertex count, origin
-    list); the vertex order is that of :func:`parallel_origins`.
+    list); the vertex order is that of :func:`parallel_origins`. The
+    deadline is checked once per edge of C^w built.
     """
     origins = parallel_origins(w)
     copies: dict[int, list[int]] = {}
@@ -458,6 +463,7 @@ def parallelize_masks(
             continue
         verts = _bits(em)
         for choice in itertools.product(*(copies[v] for v in verts)):
+            check_deadline()
             out.add(_mask(choice))
     masks = sorted(out, key=lambda m: tuple(_bits(m)))
     return masks, len(origins), origins

@@ -124,6 +124,19 @@ def test_same_report_needs_one_hash_on_both_sides():
     assert not ab_bench.summarize(drifting, BETTER, BOUND)["same_report"]
 
 
+def test_src_lines_counts_the_package_modules_of_each_tree(tmp_path):
+    for name, modules in {"parent": ["a\nb\nc\n", "d\n"], "change": ["a\nb\n", "no newline"]}.items():
+        pkg = tmp_path / name / "src" / "clutterlab"
+        pkg.mkdir(parents=True)
+        for i, text in enumerate(modules):
+            (pkg / f"m{i}.py").write_text(text)
+        (pkg / "notes.txt").write_text("not\ncounted\n")
+        (pkg / "sub").mkdir()
+        (pkg / "sub" / "deep.py").write_text("not\ncounted\n")
+    assert ab_bench.src_lines(tmp_path / "parent") == 4
+    assert ab_bench.src_lines(tmp_path / "change") == 2
+
+
 def _main(monkeypatch, tmp_path, change_stdout):
     """Exit code and written file of ab_bench's main, with every run of
     this checkout printing ``change_stdout`` and every parent run the
@@ -143,6 +156,7 @@ def _main(monkeypatch, tmp_path, change_stdout):
 def test_main_exits_nonzero_on_a_changed_report_or_a_failure(monkeypatch, tmp_path, capsys):
     code, doc = _main(monkeypatch, tmp_path, _stdout(0.09, 0.1, 40.0))
     assert code == 0 and doc["runs"][0]["same_report"]
+    assert doc["runs"][0]["src_lines"] == {"parent": 0, "change": ab_bench.src_lines(ab_bench.ROOT)}
     code, doc = _main(monkeypatch, tmp_path, _stdout(0.09, 0.1, 40.0, sha="ffff"))
     assert code == 1 and not doc["runs"][0]["same_report"]
     assert "cauc seed 1: report sha256 ['02718bc3'] (parent) vs ['ffff'] (change)" in capsys.readouterr().err

@@ -19,11 +19,15 @@ import pytest
 import clutterlab
 from clutterlab import complete_admissible_uniform_clutter, ideals, polyhedra
 from clutterlab.certify import (
+    _KINDS,
     Bounds,
     Corpus,
     check_clutter_instance,
     check_ideal_instance,
     comparability_mfmc_check,
+    random_clutters,
+    random_graphs,
+    random_ideals,
     random_posets,
     run_theorem_suite,
 )
@@ -92,6 +96,52 @@ def test_report_bytes_are_pinned(name, monkeypatch):
     monkeypatch.chdir(HERE)  # the explicit corpus path enters the report
     report = run_theorem_suite(corpus, bounds)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+CORPORA = {corpus.kind: corpus for corpus, _, _ in GOLDEN.values()}
+
+
+def test_every_corpus_kind_round_trips_through_json():
+    assert sorted(CORPORA) == sorted(_KINDS)
+    for corpus in CORPORA.values():
+        assert Corpus.from_json(corpus.to_json()) == corpus
+
+
+@pytest.mark.parametrize(
+    "corpus, missing",
+    [
+        (Corpus("all-posets"), "n"),
+        (Corpus("random-posets", n=4, seed=1), "count"),
+        (Corpus("random-graphs", count=2), "n"),
+        (Corpus("random-ideals", n=4, count=3), "q"),
+        (Corpus("random-clutters", n=4, seed=1), "maxedges"),
+        (Corpus("explicit"), "path"),
+    ],
+    ids=lambda x: x.kind if isinstance(x, Corpus) else x,
+)
+def test_a_missing_parameter_is_named_in_call_order(corpus, missing):
+    with pytest.raises(ValueError, match=f"^corpus kind '{corpus.kind}' requires parameter '{missing}'$"):
+        corpus.instances()
+
+
+def test_an_unknown_corpus_kind_is_refused():
+    with pytest.raises(ValueError, match="^unknown corpus kind 'random-matroids'"):
+        Corpus("random-matroids", n=3)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda: random_posets(1, 2, 0),
+        lambda: random_graphs(1, 2, 0),
+        lambda: random_ideals(1, 1, 1, 2, 0),
+        lambda: random_clutters(2, 1, 4, 0),
+    ],
+    ids=["posets", "graphs", "ideals", "clutters"],
+)
+def test_a_generator_gives_up_when_too_few_distinct_objects_exist(generate):
+    with pytest.raises(ValueError, match="^could not generate [24] distinct "):
+        generate()
 
 
 @pytest.mark.parametrize(

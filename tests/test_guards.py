@@ -1,6 +1,6 @@
 import pytest
 
-from clutterlab import Clutter
+from clutterlab import Clutter, Graph, MonomialIdeal, Poset
 from clutterlab.guards import (
     GUARD_ENV_VAR,
     Deadline,
@@ -9,8 +9,10 @@ from clutterlab.guards import (
     check_size,
     restart_deadline,
 )
-from clutterlab.packing import minimal_vertex_covers
-from clutterlab.polyhedra import _dd_extreme_rays, kfold_sum_grids
+from clutterlab.ideals import power
+from clutterlab.packing import HasseNetwork, minimal_vertex_covers
+from clutterlab.polyhedra import IncidenceMatrix, _dd_extreme_rays, ilp_max_packing, kfold_sum_grids
+from clutterlab.structures import maximal_cliques, parallelize_masks
 
 
 def test_from_env_unset_is_a_no_op(monkeypatch, clock):
@@ -74,8 +76,16 @@ def test_with_installs_the_budget_until_the_block_ends(clock):
         lambda: _dd_extreme_rays(3, [(1, 1, -1)]),
         lambda: minimal_vertex_covers(Clutter(2, [(0, 1)])),
         lambda: next(kfold_sum_grids([(1, 0)], (2, 2), 1)),
+        lambda: maximal_cliques(Graph(2, [(0, 1)])),
+        lambda: HasseNetwork.of(Poset(2, [(0, 1)])).chains(),
+        lambda: parallelize_masks([0b11], (1, 2)),
+        lambda: power.__wrapped__(MonomialIdeal(2, [(1, 0), (0, 1)]), 2),
+        lambda: ilp_max_packing(IncidenceMatrix(2, [(1, 1)]), (1, 1)),
     ],
-    ids=["_dd_extreme_rays", "minimal_vertex_covers", "kfold_sum_grids"],
+    ids=[
+        "_dd_extreme_rays", "minimal_vertex_covers", "kfold_sum_grids", "maximal_cliques",
+        "HasseNetwork.chains", "parallelize_masks", "power", "ilp_max_packing",
+    ],
 )
 def test_exponential_kernels_check_the_installed_budget(clock, kernel):
     with Deadline(50):

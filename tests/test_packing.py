@@ -55,23 +55,23 @@ from oracles import (
 # Minimal vertex covers
 
 def test_single_edge_covers(k3_clutter):
-    assert [cs.vertices for cs in minimal_vertex_covers(k3_clutter)] == [(0,), (1,), (2,)]
+    assert minimal_vertex_covers(k3_clutter) == [(0,), (1,), (2,)]
 
 
 def test_c5_has_five_covers_of_size_three(c5):
-    covers = [cs.vertices for cs in minimal_vertex_covers(c5)]
+    covers = minimal_vertex_covers(c5)
     assert len(covers) == 5
     assert all(len(c) == 3 for c in covers)
 
 
 def test_empty_edge_set_has_empty_cover():
     c = Clutter(3, [])
-    assert [cs.vertices for cs in minimal_vertex_covers(c)] == [()]
+    assert minimal_vertex_covers(c) == [()]
 
 
 def test_minimal_covers_against_brute_force():
     for c in random_clutters(6, 7, 25, seed=52):
-        got = [cs.vertices for cs in minimal_vertex_covers(c)]
+        got = minimal_vertex_covers(c)
         assert got == brute_minimal_covers(c.n, c.edges)
 
 
@@ -82,7 +82,7 @@ def test_c5_numbers(c5):
     assert alpha0(c5) == 3 and beta1(c5) == 2
     cert = konig_certificate(c5)
     assert not cert.holds
-    assert cert.cover.vertices == (0, 1, 3)          # lex-least minimum cover
+    assert cert.cover == (0, 1, 3)          # lex-least minimum cover
     assert cert.matching == ((0, 1), (2, 3))          # lex-least maximum matching
 
 
@@ -95,7 +95,7 @@ def test_diamond_clique_clutter_numbers():
     c = Clutter(4, [(0, 1, 3), (0, 2, 3)])
     cert = konig_certificate(c)
     assert cert.alpha0 == cert.beta1 == 1
-    assert cert.cover.vertices == (0,)
+    assert cert.cover == (0,)
 
 
 def test_numbers_against_brute_force():
@@ -110,9 +110,9 @@ Q6 = Clutter(6, [(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)])
 
 def _witnesses_are_lex_least(c):
     cert = konig_certificate(c)
-    assert cert.cover.vertices == brute_lex_min_cover(c.n, c.edges)
+    assert cert.cover == brute_lex_min_cover(c.n, c.edges)
     assert cert.matching == tuple(c.edges[j] for j in brute_lex_min_matching(c.edges))
-    assert (cert.alpha0, cert.beta1) == (len(cert.cover.vertices), len(cert.matching))
+    assert (cert.alpha0, cert.beta1) == (len(cert.cover), len(cert.matching))
 
 
 def test_witnesses_are_lex_least():
@@ -132,7 +132,7 @@ def test_konig_witnesses_break_ties_lexicographically():
     c4 = Clutter(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     _witnesses_are_lex_least(c4)
     cert = konig_certificate(c4)
-    assert cert.cover.vertices == (0, 2)
+    assert cert.cover == (0, 2)
     assert cert.matching == ((0, 1), (2, 3))
     # Q6 at w = 1: three minimum covers of size 2, four maximum matchings
     assert konig_certificate(Q6).to_json() == {
@@ -157,8 +157,8 @@ def test_konig_certificate_identities_against_brute_force():
     for c in random_clutters(6, 7, 30, seed=56):
         cert = konig_certificate(c)
         assert (cert.alpha0, cert.beta1) == (brute_alpha0(c.n, c.edges), brute_beta1(c.edges))
-        assert len(cert.cover.vertices) == cert.alpha0
-        assert all(set(e) & set(cert.cover.vertices) for e in c.edges)
+        assert len(cert.cover) == cert.alpha0
+        assert all(set(e) & set(cert.cover) for e in c.edges)
         assert len(cert.matching) == cert.beta1 and set(cert.matching) <= set(c.edges)
         assert all(not set(e) & set(f) for e, f in itertools.combinations(cert.matching, 2))
         assert cert.beta1 <= cert.alpha0
@@ -358,7 +358,7 @@ def test_chain_single_path(chain3):
 def test_diamond_flow(diamond_poset):
     cert = menger_oracle(diamond_poset, (1, 1, 1, 1))
     assert cert.alpha0 == cert.beta1 == 1
-    assert cert.cover.vertices == (0,)
+    assert cert.cover == (0,)
 
 
 def test_cauc22_two_disjoint_paths():
@@ -410,7 +410,7 @@ def test_menger_with_deleted_vertices(diamond_poset):
 def test_menger_empty_when_all_cliques_die(chain3):
     cert = menger_oracle(chain3, (1, 0, 1))
     assert cert.alpha0 == cert.beta1 == 0
-    assert cert.matching == () and cert.cover.vertices == ()
+    assert cert.matching == () and cert.cover == ()
 
 
 def test_menger_isolated_vertices_are_trivial_paths():

@@ -15,8 +15,10 @@ the file already has one: the Python version, the run length, the bounds
 the workload runs at (``certbench/workloads.py``), per side the median and
 quartiles of each metric over the runs with their report sha256 and failed
 counts, ``same_report`` (true when every run of both sides printed one and
-the same report sha256), and per metric the pairs this checkout won (ties
-count for neither side) and a verdict:
+the same report sha256), ``src_lines`` (the line count of
+``src/clutterlab/*.py`` in each checkout, so a change's size shows next to
+its runs), and per metric the pairs this checkout won (ties count for
+neither side) and a verdict:
 
 - ``gain``: the change wins at least nine tenths of the pairs and its
   median beats the parent's by more than the parent's interquartile range;
@@ -126,6 +128,12 @@ def workload_bounds(workload: str) -> dict[str, int]:
     return dict(bounds_for(workload))
 
 
+def src_lines(checkout: Path) -> int:
+    """Line count of ``src/clutterlab/*.py`` in ``checkout``, as ``wc -l``
+    counts it."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "clutterlab").glob("*.py"))
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> str:
     cmd = [sys.executable, "certbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -164,7 +172,9 @@ def main() -> int:
                 pairs.append((out[parent], out[ROOT]))
                 print(f"{workload} seed {seed}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
             entry = {"workload": workload, "seed": seed, "seconds": args.seconds,
-                     "bounds": workload_bounds(workload), **summarize(pairs, better, bound)}
+                     "bounds": workload_bounds(workload),
+                     "src_lines": {"parent": src_lines(parent), "change": src_lines(ROOT)},
+                     **summarize(pairs, better, bound)}
             entries[:] = [e for e in entries if (e["workload"], e["seed"]) != (workload, seed)]
             entries.append(entry)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
