@@ -120,7 +120,8 @@ def test_every_corpus_kind_round_trips_through_json():
     ids=lambda x: x.kind if isinstance(x, Corpus) else x,
 )
 def test_a_missing_parameter_is_named_in_call_order(corpus, missing):
-    with pytest.raises(ValueError, match=f"^corpus kind '{corpus.kind}' requires parameter '{missing}'$"):
+    message = f"^corpus kind '{corpus.kind}' requires parameter '{missing}'$"
+    with pytest.raises(ValueError, match=message):
         corpus.instances()
 
 
