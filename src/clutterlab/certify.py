@@ -189,7 +189,8 @@ class Corpus:
     """Instance source for the theorem suite: a generated kind of
     :data:`_GENERATED`, seeded and reproducible, or ``explicit`` instances
     read from the JSON file at ``path``. ``n``/``q``/``maxedges`` act as
-    upper bounds for the random kinds; ``to_json`` writes the set fields."""
+    upper bounds for the random kinds; ``to_json`` writes the set fields.
+    Every parameter but ``path``, a string, is an integer."""
 
     kind: str
     n: int | None = None
@@ -203,6 +204,11 @@ class Corpus:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown corpus kind {self.kind!r}; expected one of {_KINDS}")
+        for f in fields(self):
+            val = getattr(self, f.name)
+            want = str if f.name in ("kind", "path") else int
+            if val is not None and (isinstance(val, bool) or not isinstance(val, want)):
+                raise ValueError(f"corpus parameter {f.name!r} must be {want.__name__}, got {val!r}")
 
     def to_json(self) -> dict[str, Any]:
         return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}

@@ -7,9 +7,15 @@ poset, generators -> ideal, columns -> matrix, labels+edges -> clutter,
 edges -> graph, kind -> corpus). --json output is canonical (sorted keys,
 compact separators) so golden-file tests are byte-stable.
 
-Exit codes: 0 success / positive verdict, 1 negative verdict, 2 usage or
-malformed input, 3 resource guard exceeded, 4 two internal routes
-disagree (a :class:`~clutterlab.guards.ConsistencyError`: ``menger``
+Every subcommand is one row of :data:`COMMANDS`: its help text, the
+reader that coerces the input document, the library operation and its
+options. One run path (:func:`_run`) reads, calls, writes and derives the
+exit code for all of them.
+
+Exit codes: 0 success / positive verdict, 1 negative verdict, 2 usage
+error or malformed input document (one that cannot be read, or that
+lacks the shape its reader expects), 3 resource guard exceeded, 4 two
+internal routes disagree (a :class:`~clutterlab.guards.ConsistencyError`: ``menger``
 finding a max flow that differs from its min cut, or ``mfmc`` finding
 alpha0 / beta1 of its witness C^w by the Koenig search that differ from
 the numbers priced from weights on C; ``certify`` records such a
@@ -29,13 +35,14 @@ a number >= 0 is malformed input: exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
-from .certify import Bounds, Corpus, canonical_json, run_theorem_suite
+from .certify import Bounds, Corpus, Report, canonical_json, run_theorem_suite
 from .guards import ConsistencyError, Deadline, ResourceGuardError
 from .ideals import (
     MonomialIdeal,
@@ -158,176 +165,139 @@ def _render_text(doc: Any, indent: int = 0) -> str:
     return f"{pad}{json.dumps(doc)}"
 
 
-def _emit(args, doc: dict[str, Any]) -> None:
-    if args.text:
-        print(_render_text(doc))
-    else:
-        sys.stdout.write(canonical_json(doc))
+def _read(arg: str | None, reader: Callable[[dict[str, Any]], Any]) -> Any:
+    """The one reader step: the input document coerced by ``reader``. A
+    document that cannot be read, or that lacks the shape the reader
+    expects, is malformed input (exit 2), not a negative verdict."""
+    try:
+        return reader(_read_document(arg))
+    except (OSError, TypeError, KeyError) as exc:
+        raise UsageError(f"malformed input document: {type(exc).__name__}: {exc}") from exc
+
+
+def _as_corpus(doc: dict[str, Any]) -> Corpus:
+    if _detect(doc) != "corpus":
+        raise UsageError("certify expects a corpus document with a 'kind' key")
+    return Corpus.from_json(doc)
+
+
+def _weights(text: str | None, n: int) -> tuple[int, ...]:
+    return _parse_vector(text, "--w") if text else (1,) * n
 
 
 # ---------------------------------------------------------------------------
-# Handlers (return process exit code)
+# The four operations that are more than one library call. An operation
+# takes the coerced input (None for cauc and certify, which read none or
+# their own) and the parsed arguments; it returns a library result, or a
+# (document, verdict) pair.
 
-def _cmd_comparability(args) -> int:
-    p = Poset.from_json(_read_document(args.input))
-    _emit(args, comparability_graph(p).to_json())
-    return 0
-
-
-def _cmd_clique_clutter(args) -> int:
-    g = Graph.from_json(_read_document(args.input))
-    _emit(args, clique_clutter(g).to_json())
-    return 0
+def _cauc(_, args):
+    make = cauc_poset if args.poset else complete_admissible_uniform_clutter
+    return make(args.d, args.g)
 
 
-def _cmd_cauc(args) -> int:
-    if args.poset:
-        _emit(args, cauc_poset(args.d, args.g).to_json())
-    else:
-        _emit(args, complete_admissible_uniform_clutter(args.d, args.g).to_json())
-    return 0
-
-
-def _cmd_parallelize(args) -> int:
-    c = _as_clutter(_read_document(args.input))
-    w = _parse_vector(args.w, "--w")
-    _emit(args, parallelization(c, w).to_json())
-    return 0
-
-
-def _cmd_konig(args) -> int:
-    cert = konig_certificate(_as_clutter(_read_document(args.input)))
-    _emit(args, cert.to_json())
-    return 0 if cert.holds else 1
-
-
-def _cmd_mfmc(args) -> int:
-    cert = mfmc_bounded(_as_clutter(_read_document(args.input)), args.wmax)
-    _emit(args, cert.to_json())
-    return 0 if cert.holds else 1
-
-
-def _cmd_menger(args) -> int:
-    p = Poset.from_json(_read_document(args.input))
-    w = _parse_vector(args.w, "--w") if args.w else (1,) * p.n
-    cert = menger_oracle(p, w)
-    _emit(args, cert.to_json())
-    return 0 if cert.holds else 1
-
-
-def _cmd_duality(args) -> int:
-    c = _as_clutter(_read_document(args.input))
-    w = _parse_vector(args.w, "--w") if args.w else (1,) * c.n
-    cert = lp_duality_integer_check(c, w)
-    _emit(args, cert.to_json())
-    return 0 if cert.holds else 1
-
-
-def _cmd_polyhedron(args) -> int:
-    a = _as_matrix(_read_document(args.input))
-    verts = q_vertices(a)
-    integral = is_integral(a)
+def _polyhedron(a: IncidenceMatrix, args) -> tuple[dict[str, Any], bool]:
     doc = {
         "property": "covering-polyhedron",
         "n": a.n,
         "q": a.q,
-        "vertices": [[format_rational(x) for x in v] for v in verts],
-        "integral": integral,
+        "vertices": [[format_rational(x) for x in v] for v in q_vertices(a)],
+        "integral": is_integral(a),
     }
-    _emit(args, doc)
-    return 0 if integral else 1
+    return doc, doc["integral"]
 
 
-def _cmd_idp(args) -> int:
-    cert = integer_decomposition_check(_as_matrix(_read_document(args.input)), args.kmax)
-    _emit(args, cert.to_json())
-    return 0 if cert.holds else 1
-
-
-def _cmd_rounding(args) -> int:
-    cert = integer_rounding_check(_as_matrix(_read_document(args.input)), args.wmax)
-    _emit(args, cert.to_json())
-    return 0 if cert.holds else 1
-
-
-def _cmd_edge_ideal(args) -> int:
-    c = _as_clutter(_read_document(args.input))
-    _emit(args, edge_ideal(c).to_json())
-    return 0
-
-
-def _cmd_power(args) -> int:
-    ideal = _as_ideal(_read_document(args.input))
-    _emit(args, power(ideal, args.i).to_json())
-    return 0
-
-
-def _cmd_symbolic(args) -> int:
-    c = _as_clutter(_read_document(args.input))
-    _emit(args, symbolic_power(c, args.i).to_json())
-    return 0
-
-
-def _cmd_closure(args) -> int:
-    ideal = _as_ideal(_read_document(args.input))
+def _closure(ideal: MonomialIdeal, args) -> tuple[dict[str, Any], bool]:
     a = _parse_vector(args.a, "--a")
     member = blocking_membership(ideal.matrix(), a, args.k)
-    _emit(
-        args,
-        {
-            "property": "integral-closure-membership",
-            "k": args.k,
-            "point": list(a),
-            "member": member,
-        },
-    )
-    return 0 if member else 1
+    doc = {"property": "integral-closure-membership", "k": args.k, "point": list(a), "member": member}
+    return doc, member
 
 
-def _cmd_normal(args) -> int:
-    verdict = is_normal_up_to(_as_ideal(_read_document(args.input)), args.kmax)
-    _emit(args, verdict.to_json())
-    return 0 if verdict.holds else 1
-
-
-def _cmd_ntf(args) -> int:
-    verdict = is_ntf_up_to(_as_clutter(_read_document(args.input)), args.imax)
-    _emit(args, verdict.to_json())
-    return 0 if verdict.holds else 1
-
-
-def _cmd_certify(args) -> int:
+def _certify(_, args) -> Report:
+    """With no input on a terminal, the corpus of every poset on 3 points."""
     if args.input is None and sys.stdin.isatty():
-        doc = {"kind": "all-posets", "n": 3}
+        corpus = Corpus("all-posets", n=3)
     else:
-        doc = _read_document(args.input)
-    if _detect(doc) != "corpus":
-        raise UsageError("certify expects a corpus document with a 'kind' key")
+        corpus = _read(args.input, _as_corpus)
     if args.seed is not None:
-        doc = {**doc, "seed": args.seed}
-    corpus = Corpus.from_json(doc)
-    bounds = Bounds(kmax=args.kmax, imax=args.imax, wmax=args.wmax)
-    report = run_theorem_suite(corpus, bounds)
-    if args.text:
-        print(report.to_text())
-    else:
-        sys.stdout.write(report.to_json())
-    return {"pass": 0, "fail": 1, "inconclusive": 3}[report.aggregate]
+        corpus = dataclasses.replace(corpus, seed=args.seed)
+    return run_theorem_suite(corpus, Bounds(kmax=args.kmax, imax=args.imax, wmax=args.wmax))
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command table: name -> (help, reader, operation, options). Every
+# subcommand but cauc also takes the input document and --json / --text.
 
-def _add_common(sp, input_arg: bool = True) -> None:
-    if input_arg:
-        sp.add_argument(
-            "input",
-            nargs="?",
-            help="path to a JSON document, an inline JSON object, or '-' for stdin (default)",
-        )
-    fmt = sp.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True, help="canonical JSON output (default)")
-    fmt.add_argument("--text", action="store_true", help="human-readable output")
+_KMAX = ("--kmax", {"type": int, "default": 3})
+_IMAX = ("--imax", {"type": int, "default": 3})
+_WMAX = ("--wmax", {"type": int, "default": 3})
+_I = ("--i", {"type": int, "required": True})
+_W = ("--w", {"help": "comma-separated weights (default all ones)"})
+
+COMMANDS: dict[str, tuple[str, Callable | None, Callable, tuple]] = {
+    "comparability": ("poset -> comparability graph", Poset.from_json,
+                      lambda p, args: comparability_graph(p), ()),
+    "clique-clutter": ("graph -> clutter of maximal cliques", Graph.from_json,
+                       lambda g, args: clique_clutter(g), ()),
+    "cauc": ("complete admissible uniform clutter (or its poset)", None, _cauc, (
+        ("--d", {"type": int, "required": True}),
+        ("--g", {"type": int, "required": True}),
+        ("--poset", {"action": "store_true", "help": "emit the defining poset instead"}),
+    )),
+    "parallelize": ("clutter + weights -> C^w", _as_clutter,
+                    lambda c, args: parallelization(c, _parse_vector(args.w, "--w")),
+                    (("--w", {"required": True, "help": "comma-separated natural weights"}),)),
+    "konig": ("alpha0/beta1 certificate for a clutter", _as_clutter,
+              lambda c, args: konig_certificate(c), ()),
+    "mfmc": ("Koenig property of C^w for all w <= wmax", _as_clutter,
+             lambda c, args: mfmc_bounded(c, args.wmax), (_WMAX,)),
+    "menger": ("vertex-capacitated flow oracle on a poset's Hasse diagram", Poset.from_json,
+               lambda p, args: menger_oracle(p, _weights(args.w, p.n)), (_W,)),
+    "duality": ("LP duality equation with integrality check", _as_clutter,
+                lambda c, args: lp_duality_integer_check(c, _weights(args.w, c.n)), (_W,)),
+    "polyhedron": ("vertices and integrality of Q(A)", _as_matrix, _polyhedron, ()),
+    "idp": ("integer decomposition property up to kmax", _as_matrix,
+            lambda a, args: integer_decomposition_check(a, args.kmax), (_KMAX,)),
+    "rounding": ("integer rounding over w in {0..wmax}^n", _as_matrix,
+                 lambda a, args: integer_rounding_check(a, args.wmax), (_WMAX,)),
+    "edge-ideal": ("clutter -> edge ideal", _as_clutter, lambda c, args: edge_ideal(c), ()),
+    "power": ("minimal generators of I^i", _as_ideal,
+              lambda ideal, args: power(ideal, args.i), (_I,)),
+    "symbolic": ("minimal generators of the i-th symbolic power", _as_clutter,
+                 lambda c, args: symbolic_power(c, args.i), (_I,)),
+    "closure": ("membership of x^a in the closure of I^k", _as_ideal, _closure, (
+        ("--a", {"required": True, "help": "comma-separated exponent vector"}),
+        ("--k", {"type": int, "default": 1}),
+    )),
+    "normal": ("bounded normality verdict for an ideal", _as_ideal,
+               lambda ideal, args: is_normal_up_to(ideal, args.kmax), (_KMAX,)),
+    "ntf": ("bounded normal torsion-freeness for a clutter", _as_clutter,
+            lambda c, args: is_ntf_up_to(c, args.imax), (_IMAX,)),
+    "certify": ("run the theorem cross-validation suite", None, _certify, (
+        _KMAX, _IMAX, _WMAX, ("--seed", {"type": int, "help": "override the corpus seed"}),
+    )),
+}
+
+
+def _run(args) -> int:
+    """Read and coerce the input, call the operation, write canonical JSON
+    or --text, and return 0, or 1 on a negative verdict. certify writes
+    its report and keeps its own codes: 0 pass, 1 fail, 3 inconclusive."""
+    _, read, operate, _ = COMMANDS[args.command]
+    result = operate(None if read is None else _read(args.input, read), args)
+    if isinstance(result, Report):
+        if args.text:
+            print(result.to_text())
+        else:
+            sys.stdout.write(result.to_json())
+        return {"pass": 0, "fail": 1, "inconclusive": 3}[result.aggregate]
+    doc, holds = result if isinstance(result, tuple) else (result.to_json(), getattr(result, "holds", True))
+    if args.text:
+        print(_render_text(doc))
+    else:
+        sys.stdout.write(canonical_json(doc))
+    return 0 if holds else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,107 +312,27 @@ def build_parser() -> argparse.ArgumentParser:
         version=f"clutterlab {__version__} (schema {SCHEMA_VERSION})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("comparability", help="poset -> comparability graph")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_comparability)
-
-    sp = sub.add_parser("clique-clutter", help="graph -> clutter of maximal cliques")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_clique_clutter)
-
-    sp = sub.add_parser("cauc", help="complete admissible uniform clutter (or its poset)")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--g", type=int, required=True)
-    sp.add_argument("--poset", action="store_true", help="emit the defining poset instead")
-    _add_common(sp, input_arg=False)
-    sp.set_defaults(func=_cmd_cauc)
-
-    sp = sub.add_parser("parallelize", help="clutter + weights -> C^w")
-    sp.add_argument("--w", required=True, help="comma-separated natural weights")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_parallelize)
-
-    sp = sub.add_parser("konig", help="alpha0/beta1 certificate for a clutter")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_konig)
-
-    sp = sub.add_parser("mfmc", help="Koenig property of C^w for all w <= wmax")
-    sp.add_argument("--wmax", type=int, default=3)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_mfmc)
-
-    sp = sub.add_parser("menger", help="vertex-capacitated flow oracle on a poset's Hasse diagram")
-    sp.add_argument("--w", help="comma-separated weights (default all ones)")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_menger)
-
-    sp = sub.add_parser("duality", help="LP duality equation with integrality check")
-    sp.add_argument("--w", help="comma-separated weights (default all ones)")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_duality)
-
-    sp = sub.add_parser("polyhedron", help="vertices and integrality of Q(A)")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_polyhedron)
-
-    sp = sub.add_parser("idp", help="integer decomposition property up to kmax")
-    sp.add_argument("--kmax", type=int, default=3)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_idp)
-
-    sp = sub.add_parser("rounding", help="integer rounding over w in {0..wmax}^n")
-    sp.add_argument("--wmax", type=int, default=3)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_rounding)
-
-    sp = sub.add_parser("edge-ideal", help="clutter -> edge ideal")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_edge_ideal)
-
-    sp = sub.add_parser("power", help="minimal generators of I^i")
-    sp.add_argument("--i", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_power)
-
-    sp = sub.add_parser("symbolic", help="minimal generators of the i-th symbolic power")
-    sp.add_argument("--i", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_symbolic)
-
-    sp = sub.add_parser("closure", help="membership of x^a in the closure of I^k")
-    sp.add_argument("--a", required=True, help="comma-separated exponent vector")
-    sp.add_argument("--k", type=int, default=1)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_closure)
-
-    sp = sub.add_parser("normal", help="bounded normality verdict for an ideal")
-    sp.add_argument("--kmax", type=int, default=3)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_normal)
-
-    sp = sub.add_parser("ntf", help="bounded normal torsion-freeness for a clutter")
-    sp.add_argument("--imax", type=int, default=3)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_ntf)
-
-    sp = sub.add_parser("certify", help="run the theorem cross-validation suite")
-    sp.add_argument("--kmax", type=int, default=3)
-    sp.add_argument("--imax", type=int, default=3)
-    sp.add_argument("--wmax", type=int, default=3)
-    sp.add_argument("--seed", type=int, help="override the corpus seed")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_certify)
-
+    for name, (help_text, _, _, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
+        if name != "cauc":
+            sp.add_argument(
+                "input",
+                nargs="?",
+                help="path to a JSON document, an inline JSON object, or '-' for stdin (default)",
+            )
+        fmt = sp.add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_true", default=True, help="canonical JSON output (default)")
+        fmt.add_argument("--text", action="store_true", help="human-readable output")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with Deadline.from_env():
-            return args.func(args)
+            return _run(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2

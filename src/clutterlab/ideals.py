@@ -149,6 +149,8 @@ def power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
 
 def membership(ideal: MonomialIdeal, a: Sequence[int]) -> bool:
     """x^a in I iff a dominates some generator."""
+    if len(a) != ideal.n:
+        raise ValueError(f"exponent vector has length {len(a)}, expected {ideal.n}")
     av = tuple(int(x) for x in a)
     return any(dominates(av, g) for g in ideal.generators)
 

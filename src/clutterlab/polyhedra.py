@@ -179,7 +179,7 @@ def _reduce_ray(r: Sequence[int]) -> Vector:
     return tuple(x // (g or 1) for x in r)
 
 
-def _dd_extreme_rays(dim: int, cuts: list[Vector], max_rays: int = MAX_DD_RAYS) -> list[Vector]:
+def _dd_extreme_rays(dim: int, cuts: list[Vector]) -> list[Vector]:
     """Extreme rays of {y >= 0} cut by {c.y >= 0 : c in cuts}.
 
     Double description with the combinatorial adjacency test; exact integer
@@ -227,7 +227,7 @@ def _dd_extreme_rays(dim: int, cuts: list[Vector], max_rays: int = MAX_DD_RAYS) 
                 fresh.add(_reduce_ray(combo))
         rays = [rays[i] for i in pos] + [rays[i] for i in zero] + sorted(fresh)
         inserted.append(cut)
-        check_size(len(rays), max_rays, "double-description ray count")
+        check_size(len(rays), MAX_DD_RAYS, "double-description ray count")
     return rays
 
 
@@ -331,9 +331,11 @@ def simplex_max(
 def blocking_membership(a: IncidenceMatrix, z: Sequence, k: int = 1) -> bool:
     """Is z in k*B(Q(A))?  Decided by the vertex inequalities
     <rows[t], z> >= k*D of :func:`_vertex_inequalities`, which describe
-    B(Q) inside the nonnegative orthant (blocking duality)."""
+    B(Q) inside the nonnegative orthant (blocking duality). z has length n."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if len(z) != a.n:
+        raise ValueError(f"point has length {len(z)}, expected {a.n}")
     zf = [Fraction(x) for x in z]
     if any(x < 0 for x in zf):
         raise ValueError("z must be nonnegative")

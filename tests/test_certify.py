@@ -125,6 +125,15 @@ def test_a_missing_parameter_is_named_in_call_order(corpus, missing):
         corpus.instances()
 
 
+@pytest.mark.parametrize(
+    "field, value, want",
+    [("n", "4", "int"), ("count", 2.0, "int"), ("seed", True, "int"), ("q", [3], "int"), ("path", 5, "str")],
+)
+def test_a_corpus_parameter_of_the_wrong_type_is_refused(field, value, want):
+    with pytest.raises(ValueError, match=f"^corpus parameter '{field}' must be {want}, got "):
+        Corpus("random-ideals", **{field: value})
+
+
 def test_an_unknown_corpus_kind_is_refused():
     with pytest.raises(ValueError, match="^unknown corpus kind 'random-matroids'"):
         Corpus("random-matroids", n=3)

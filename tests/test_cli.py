@@ -413,3 +413,37 @@ def test_certify_ideals_honour_the_deadline(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["aggregate"] == "inconclusive"
     assert doc["counts"] == {"instances": 0, "failed": 0, "skipped": 4}
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["normal", '{"n":2,"generators":5}'],
+         "malformed input document: TypeError: 'int' object is not iterable"),
+        (["konig", '{"labels":["a"],"edges":[]}'], "malformed input document: KeyError: 'n'"),
+        (["comparability", '{"n":2,"relation":[5]}'],
+         "malformed input document: TypeError: cannot unpack non-iterable int object"),
+        (["certify", '{"kind":"random-posets","n":"4","count":2,"seed":1}'],
+         "corpus parameter 'n' must be int, got '4'"),
+        (["certify", '{"kind":"explicit","path":["x"]}'], "corpus parameter 'path' must be str, got ['x']"),
+    ],
+    ids=["generators-not-a-list", "no-n", "pair-not-a-list", "corpus-n-a-string", "corpus-path-a-list"],
+)
+def test_a_malformed_document_exits_2_with_one_error_line(capsys, argv, err):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
+
+def test_a_directory_as_input_exits_2(capsys, tmp_path):
+    code = main(["konig", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: malformed input document: IsADirectoryError: ")
+
+
+@pytest.mark.parametrize("a, n", [("2", 1), ("1,1,1", 3)])
+def test_closure_of_a_point_of_the_wrong_length_exits_2(capsys, a, n):
+    code = main(["closure", "--a", a, TWO_SQUARES])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: point has length {n}, expected 2\n")

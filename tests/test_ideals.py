@@ -57,6 +57,13 @@ def test_power_membership_matches_brute_force():
                 assert membership(power(ideal, i), a) == expected
 
 
+@pytest.mark.parametrize("a", [(2,), (0, 2, 5)])
+def test_membership_rejects_a_vector_of_the_wrong_length(two_squares, a):
+    # zipped against the generators, (2,) would dominate x^2
+    with pytest.raises(ValueError, match=f"^exponent vector has length {len(a)}, expected 2$"):
+        membership(two_squares, a)
+
+
 def test_power_rejects_exponent_zero(two_squares):
     with pytest.raises(ValueError, match="exponent"):
         power(two_squares, 0)

@@ -166,13 +166,14 @@ def test_integer_vertex_route_matches_oracle():
     assert False in integral[:-2]
 
 
-def test_dd_ray_guard():
+def test_dd_ray_guard(monkeypatch):
     a = IncidenceMatrix.from_clutter(
         Clutter(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
     )
     cuts = _int_constraints(covering_polyhedron(a))
+    monkeypatch.setattr(polyhedra, "MAX_DD_RAYS", 10)
     with pytest.raises(ResourceGuardError, match="double-description"):
-        _dd_extreme_rays(a.n + 1, cuts, max_rays=10)
+        _dd_extreme_rays(a.n + 1, cuts)
 
 
 def test_general_polyhedron_with_rational_data():
@@ -234,6 +235,13 @@ def test_blocking_columns_are_members():
 def test_blocking_rejects_negative(ones_column3):
     with pytest.raises(ValueError):
         blocking_membership(ones_column3, (-1, 0, 0))
+
+
+@pytest.mark.parametrize("z", [(2,), (1, 1, 1)])
+def test_blocking_rejects_a_point_of_the_wrong_length(z):
+    # zipped against the rows, (2,) would read as (2, 0), a member
+    with pytest.raises(ValueError, match=f"^point has length {len(z)}, expected 2$"):
+        blocking_membership(_two_squares(), z)
 
 
 def test_blocking_dual_routes_on_random_rationals():
