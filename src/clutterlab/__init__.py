@@ -49,6 +49,7 @@ from .ideals import (
     is_normal_up_to,
     is_ntf_up_to,
     membership,
+    normality_gap,
     power,
     symbolic_power,
 )

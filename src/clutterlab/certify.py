@@ -19,7 +19,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .guards import ConsistencyError, ResourceGuardError, check_deadline, restart_deadline
-from .ideals import MonomialIdeal, edge_ideal, is_normal_up_to, is_ntf_up_to
+from .ideals import MonomialIdeal, edge_ideal, is_normal_up_to, is_ntf_up_to, normality_gap
 from .packing import HasseNetwork, chain_order, menger_walk, mfmc_bounded, sweep_numbers
 from .polyhedra import _rounding_grids, integer_rounding_check, is_integral
 from .structures import (
@@ -218,9 +218,18 @@ class Corpus:
         return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
 
     def instances(self) -> list[tuple[str, Any]]:
+        """The instances in corpus order. An explicit file that cannot be
+        opened, decoded or read as instances raises ValueError naming the
+        path."""
         if self.kind == "explicit":
-            with open(self._req("path"), encoding="utf-8") as fh:
-                return load_explicit_instances(json.load(fh))
+            path = self._req("path")
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    return load_explicit_instances(json.load(fh))
+            except (OSError, ValueError, TypeError, KeyError) as exc:
+                raise ValueError(
+                    f"cannot read explicit corpus {path!r}: {type(exc).__name__}: {exc}"
+                ) from exc
         kind, generate, params = _GENERATED[self.kind]
         return [(kind, obj) for obj in generate(*map(self._req, params))]
 
@@ -349,15 +358,15 @@ def check_poset_instance(p: Poset, bounds: Bounds) -> dict[str, Any]:
     if cl.edges:
         ntf = is_ntf_up_to(cl, bounds.imax)
         ideal = edge_ideal(cl)
-        normal = is_normal_up_to(ideal, bounds.kmax)
+        normal = normality_gap(ideal, bounds.kmax) is None
         integral = is_integral(ideal.matrix())  # normality cached its Q(A) vertices
         checks["ntf"] = ntf.holds
-        checks["normal"] = normal.holds
+        checks["normal"] = normal
         checks["q_integral"] = integral
         if not ntf.holds:
             witness["ntf"] = ntf.to_json()
-        if not normal.holds:
-            witness["normal"] = normal.to_json()
+        if not normal:
+            witness["normal"] = is_normal_up_to(ideal, bounds.kmax).to_json()
     ok = all(checks.values())
     if sweep["konig_failures"]:
         witness["konig_failures"] = sweep["konig_failures"][:3]
@@ -381,15 +390,17 @@ def check_graph_instance(g: Graph, bounds: Bounds) -> dict[str, Any]:
 
 def check_clutter_instance(c: Clutter, bounds: Bounds) -> dict[str, Any]:
     """Three-way consistency: bounded NTF, bounded normality AND exact
-    integrality of Q(A), bounded MFMC; the three signs must agree."""
+    integrality of Q(A), bounded MFMC; the three signs must agree. The
+    normality verdict's explanation is built only for the witness of a
+    disagreement."""
     ntf = is_ntf_up_to(c, bounds.imax)
     ideal = edge_ideal(c)
-    normal = is_normal_up_to(ideal, bounds.kmax)
+    normal = normality_gap(ideal, bounds.kmax) is None
     integral = is_integral(ideal.matrix())  # normality cached its Q(A) vertices
     mfmc = mfmc_bounded(c, bounds.wmax)
     signs = {
         "ntf": ntf.holds,
-        "normal_and_integral": normal.holds and integral,
+        "normal_and_integral": normal and integral,
         "mfmc": mfmc.holds,
     }
     disagreements = [
@@ -403,7 +414,7 @@ def check_clutter_instance(c: Clutter, bounds: Bounds) -> dict[str, Any]:
             "signs": signs,
             "disagreements": disagreements,
             "ntf": ntf.to_json(),
-            "normal": normal.to_json(),
+            "normal": is_normal_up_to(ideal, bounds.kmax).to_json(),
             "q_integral": integral,
             "mfmc": mfmc.to_json(),
         }
@@ -416,17 +427,19 @@ def check_clutter_instance(c: Clutter, bounds: Bounds) -> dict[str, Any]:
 
 def check_ideal_instance(ideal: MonomialIdeal, bounds: Bounds) -> dict[str, Any]:
     """Normality vs integer rounding: the bounded normality verdict must
-    match the integer-rounding verdict over w in {0..wmax}^n. Rounding is
-    read off the box arrays; its per-w certificate is rendered only as the
-    witness of a disagreement."""
-    normal = is_normal_up_to(ideal, bounds.kmax)
+    match the integer-rounding verdict over w in {0..wmax}^n. Both are
+    decided on the box arrays; the normality explanation and the per-w
+    rounding certificate are rendered only as the witness of a
+    disagreement."""
+    normal = normality_gap(ideal, bounds.kmax) is None
     check_deadline()
     lp, den, nu = _rounding_grids(ideal.matrix(), bounds.wmax)
-    rounds = bool((lp // den == nu).all())
-    agree = normal.holds == rounds
+    # D need not fit lp's narrow dtype: divide in int64
+    rounds = bool((lp // np.int64(den) == nu).all())
+    agree = normal == rounds
     return {
         "checks": {
-            "normal": normal.holds,
+            "normal": normal,
             "rounding": rounds,
             "normal_equals_rounding": agree,
         },
@@ -434,7 +447,7 @@ def check_ideal_instance(ideal: MonomialIdeal, bounds: Bounds) -> dict[str, Any]
         "witness": None
         if agree
         else {
-            "normal": normal.to_json(),
+            "normal": is_normal_up_to(ideal, bounds.kmax).to_json(),
             "rounding": integer_rounding_check(ideal.matrix(), bounds.wmax).to_json(),
         },
     }

@@ -33,9 +33,9 @@ these reads share one array:
   order, when Q(A) is integral) and the MFMC sweep of ``packing`` (minimal
   covers on [0, wmax]^n);
 - an ideal instance: normality, the explanation of a ``not-normal``
-  verdict (minimal lattice points of B(Q) and the integer decomposition
-  check) and the integer rounding grids of ``polyhedra``, all on the
-  vertex rows of Q(A).
+  verdict when one is rendered (minimal lattice points of B(Q) and the
+  integer decomposition check) and the integer rounding grids of
+  ``polyhedra``, all on the vertex rows of Q(A).
 
 The size guard runs on every box before anything is built; a level past
 the guard raises only when no earlier level already decided the verdict.
@@ -66,7 +66,7 @@ from .polyhedra import (
     _minimal_rows,
     _vertex_inequalities,
 )
-from .structures import Clutter
+from .structures import Clutter, json_int
 from .verdicts import NormalityVerdict
 
 ExponentVector = tuple[int, ...]
@@ -116,7 +116,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "MonomialIdeal":
-        return cls(int(doc["n"]), doc["generators"])
+        return cls(json_int(doc["n"]), [[json_int(x) for x in g] for g in doc["generators"]])
 
 
 def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -216,7 +216,9 @@ def _first_gap(
 ) -> tuple[int, ExponentVector] | None:
     """The first level k with a cell of prod [0, boxes[k-1]] whose value
     reaches k*unit but which lies outside I^k, and the lex-first such cell;
-    None if no level has one. ``value`` is an array over the last box."""
+    None if no level has one. ``value`` is an array over the last box, in
+    the narrow dtype of its kernel. k*unit may lie past that dtype, which
+    a comparison with a Python int allows and arithmetic would not."""
     for k, (caps, grid) in enumerate(zip(boxes, _power_grids(ideal, boxes)), start=1):
         bad = (value[_box_slice(caps)] >= k * unit) & ~grid
         if bad.any():
@@ -227,19 +229,13 @@ def _first_gap(
 # ---------------------------------------------------------------------------
 # Bounded normality / torsion-freeness
 
-def is_normal_up_to(ideal: MonomialIdeal, kmax: int) -> NormalityVerdict:
-    """Is I^k integrally closed for every k <= kmax?
-
-    Per level k, every lattice point of k*B(Q) (the integral closure of
-    I^k) in the box of :func:`box_caps` must dominate a sum of k
-    generators; the witness is the lex-first one that does not. Only a
-    negative verdict runs the paper's criterion, for its explanation: every
-    minimal lattice point of B(Q) is a column, and B(Q) has the integer
-    decomposition property up to kmax. When the kmax box of the latter is
-    over a size guard, the decided verdict stands: the explanation gets
-    ``"integer_decomposition": None`` and the guard message under
-    ``"idp_skipped"``.
-    """
+def normality_gap(ideal: MonomialIdeal, kmax: int) -> tuple[int, ExponentVector] | None:
+    """The decision of :func:`is_normal_up_to`: the first level k <= kmax
+    at which a lattice point of k*B(Q) (the integral closure of I^k) in
+    the box of :func:`box_caps` dominates no sum of k generators, with the
+    lex-first such point; None when I^k is integrally closed for every
+    k <= kmax. A level past the size guard raises only when no earlier
+    level decided."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     a = ideal.matrix()
@@ -250,12 +246,30 @@ def is_normal_up_to(ideal: MonomialIdeal, kmax: int) -> NormalityVerdict:
     if boxes:
         rows, den = _vertex_inequalities(a)
         gap = _first_gap(ideal, boxes, _box_values(boxes[-1], rows), den)
+    if gap is None and tripped is not None:
+        raise tripped
+    return gap
+
+
+def is_normal_up_to(ideal: MonomialIdeal, kmax: int) -> NormalityVerdict:
+    """Is I^k integrally closed for every k <= kmax?
+
+    The verdict is :func:`normality_gap`; its witness is the lex-first
+    point of the first failing level. Only a negative verdict runs the
+    paper's criterion, for its explanation: every minimal lattice point
+    of B(Q) is a column, and B(Q) has the integer decomposition property
+    up to kmax. When the kmax box of the latter is over a size guard, the
+    decided verdict stands: the explanation gets
+    ``"integer_decomposition": None`` and the guard message under
+    ``"idp_skipped"``. A caller that needs only the verdict calls
+    :func:`normality_gap`, which skips the explanation.
+    """
+    gap = normality_gap(ideal, kmax)
     if gap is None:
-        if tripped is not None:
-            raise tripped
         return NormalityVerdict("normal-up-to", kmax)
 
     k, witness = gap
+    a = ideal.matrix()
     explanation = {
         "level": k,
         "reason": "monomial lies in the integral closure of the k-th power "

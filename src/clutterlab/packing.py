@@ -266,7 +266,10 @@ def konig_certificate(c: Clutter) -> KonigCertificate:
 
 def sweep_numbers(c: Clutter, wmax: int) -> tuple[np.ndarray, np.ndarray]:
     """alpha0(C^w) and beta1(C^w) for every w in {0..wmax}^n, as two flat
-    int64 arrays indexed by lexicographic w, without building C^w.
+    arrays indexed by lexicographic w, without building C^w. Each has the
+    narrowest signed dtype holding its own values (``polyhedra._box_min``,
+    :func:`packing_numbers`), so the two may differ: compare them with
+    each other or with Python ints, and do arithmetic in a wider dtype.
 
     Both numbers come from weights on C (Schrijver, Combinatorial
     Optimization, ch. 79, on parallelization):

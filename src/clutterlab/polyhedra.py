@@ -57,6 +57,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from .guards import MAX_DD_RAYS, MAX_GRID_POINTS, check_deadline, check_size
+from .structures import json_int
 from .verdicts import Certificate
 
 Vector = tuple[int, ...]
@@ -116,7 +117,7 @@ class IncidenceMatrix:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "IncidenceMatrix":
-        return cls(int(doc["n"]), doc["columns"])
+        return cls(json_int(doc["n"]), [[json_int(x) for x in col] for col in doc["columns"]])
 
 
 @dataclass(frozen=True)
@@ -356,10 +357,24 @@ def _check_box(caps: Vector, what: str = "lattice box size") -> None:
     check_size(math.prod(c + 1 for c in caps), MAX_GRID_POINTS, what)
 
 
-def _box_min(caps: Vector, rows: Iterable[Sequence[int]]) -> np.ndarray:
+_INT_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def _narrowest_int(bound: int) -> type:
+    """The narrowest signed integer dtype holding every value in
+    [-bound, bound]. Signed only: a kernel that mixes signed and unsigned
+    arrays pays for one more ufunc loop per dtype pair."""
+    return next((t for t in _INT_DTYPES[:-1] if bound <= np.iinfo(t).max), np.int64)
+
+
+def _box_min(caps: Vector, rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """min_t <rows[t], x> for every cell x of the box prod [0, caps_i], as
-    an n-D int64 array in C order, which is lexicographic order; rows is
-    nonempty.
+    an n-D array in C order, which is lexicographic order; rows is
+    nonempty. The dtype is the narrowest signed one (:func:`_narrowest_int`)
+    holding, for every row, both sum_i caps_i * |rows[t][i]| and every
+    |rows[t][i]|: the first bounds every partial sum of a form and so
+    every value, the second lets each coefficient be cast to the dtype,
+    also on an axis of cap 0. Every step then computes in that dtype.
 
     No point array is built: each linear form is an outer sum of 1-D
     ``arange * coef`` axes over only the axes where its coefficient is
@@ -370,18 +385,22 @@ def _box_min(caps: Vector, rows: Iterable[Sequence[int]]) -> np.ndarray:
     """
     n = len(caps)
     shape = tuple(c + 1 for c in caps)
+    wide = np.asarray(rows, dtype=np.int64)
+    mag = np.abs(wide)
+    sums = mag @ np.array(caps, dtype=np.int64)
+    dtype = _narrowest_int(max(int(sums.max()), int(mag.max(initial=0))))
     axes = [
-        np.arange(c + 1, dtype=np.int64).reshape((-1,) + (1,) * (n - 1 - i))
-        for i, c in enumerate(caps)
+        np.arange(c + 1, dtype=dtype).reshape((-1,) + (1,) * (n - 1 - i)) if used else None
+        for i, (c, used) in enumerate(zip(caps, mag.any(axis=0)))
     ]
     low = None
-    for row in rows:
-        form = np.zeros((1,) * n, dtype=np.int64)
+    for row in wide.astype(dtype):
+        form = np.zeros((1,) * n, dtype=dtype)
         for ax, coef in zip(axes, row):
             if coef:
                 form = form + ax * coef
         if low is None:
-            low = np.empty(shape, dtype=np.int64)
+            low = np.empty(shape, dtype=dtype)
             low[...] = form
         else:
             np.minimum(low, form, out=low)
@@ -536,11 +555,13 @@ def kfold_sum_grids(
 
 def packing_numbers(vectors: Sequence[Sequence[int]], caps: Vector) -> np.ndarray:
     """max{<y,1> : sum_j y_j v_j <= x, y integer >= 0} for every x of the
-    box prod [0, caps_i], as an n-D int64 array in C (lexicographic) order:
+    box prod [0, caps_i], as an n-D array in C (lexicographic) order:
     the number of the nested levels of :func:`kfold_sum_grids` holding x,
     each level built by the flat-offset shifts described there. The
-    vectors are nonzero, so no x packs more than sum(caps)."""
-    count = np.zeros(tuple(c + 1 for c in caps), dtype=np.int64)
+    vectors are nonzero, so no x packs more than sum(caps), and the counts
+    are held in the narrowest signed dtype holding it
+    (:func:`_narrowest_int`)."""
+    count = np.zeros(tuple(c + 1 for c in caps), dtype=_narrowest_int(sum(caps)))
     for level in kfold_sum_grids(vectors, caps, sum(caps)):
         if not level.any():
             break
@@ -633,10 +654,12 @@ def ilp_max_packing(a: IncidenceMatrix, w: Sequence[int]) -> int:
 
 def _rounding_grids(a: IncidenceMatrix, wmax: int) -> tuple[np.ndarray, int, np.ndarray]:
     """The two sides of integer rounding at every w of the box
-    {0..wmax}^n, as n-D int64 arrays in C (lexicographic) order:
-    (lp, D, nu) with lp / D the packing LP value max{<y,1> : Ay <= w,
-    y >= 0} and nu the integer packing number. The box is guarded before
-    anything is built.
+    {0..wmax}^n, as n-D arrays in C (lexicographic) order: (lp, D, nu)
+    with lp / D the packing LP value max{<y,1> : Ay <= w, y >= 0} and nu
+    the integer packing number. Each array has the narrowest signed dtype
+    that holds its own values (:func:`_box_min`, :func:`packing_numbers`),
+    which need not hold D: divide lp by D in a wider dtype. The box is
+    guarded before anything is built.
 
     LP value: by LP duality, max{<y,1> : Ay <= w, y >= 0} = min{<w,x> : x
     in Q(A)}, and since w >= 0 and Q(A) is pointed with recession cone

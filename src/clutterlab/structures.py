@@ -27,6 +27,16 @@ from .guards import check_deadline
 Weights = tuple[int, ...]
 
 
+def json_int(value: Any) -> int:
+    """``value`` if it is an integer of a JSON document, else ValueError.
+    The ``from_json`` readers refuse a float, a string or a bool where an
+    integer belongs instead of truncating or parsing it; the constructors
+    themselves also take numpy integers."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(n))
 
@@ -83,7 +93,7 @@ class Graph:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "Graph":
-        return cls(int(doc["n"]), doc.get("edges", []))
+        return cls(json_int(doc["n"]), [(json_int(i), json_int(j)) for i, j in doc.get("edges", [])])
 
 
 def graph_duplicate(g: Graph, i: int) -> Graph:
@@ -198,7 +208,7 @@ class Poset:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "Poset":
-        return cls(int(doc["n"]), doc.get("relation", []))
+        return cls(json_int(doc["n"]), [(json_int(a), json_int(b)) for a, b in doc.get("relation", [])])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +262,8 @@ class Clutter:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "Clutter":
-        return cls(int(doc["n"]), doc.get("edges", []), doc.get("labels") or None)
+        n, edges = json_int(doc["n"]), doc.get("edges", [])
+        return cls(n, [[json_int(v) for v in e] for e in edges], doc.get("labels") or None)
 
 
 def _mask(vertices: Iterable[int]) -> int:

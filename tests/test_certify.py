@@ -14,10 +14,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import clutterlab
-from clutterlab import complete_admissible_uniform_clutter, ideals, polyhedra
+from clutterlab import MonomialIdeal, certify, complete_admissible_uniform_clutter, ideals, polyhedra
 from clutterlab.certify import (
     _KINDS,
     Bounds,
@@ -96,6 +97,37 @@ def test_report_bytes_are_pinned(name, monkeypatch):
     monkeypatch.chdir(HERE)  # the explicit corpus path enters the report
     report = run_theorem_suite(corpus, bounds)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def test_certify_builds_no_normality_explanation_it_does_not_render(monkeypatch, two_squares):
+    # the explanation of a not-normal verdict runs the integer decomposition
+    # check; certify decides on the verdict alone and renders it only in
+    # the witness of a disagreement
+    honest, calls = ideals.integer_decomposition_check, []
+    monkeypatch.setattr(ideals, "integer_decomposition_check",
+                        lambda a, kmax: calls.append(kmax) or honest(a, kmax))
+    corpus, bounds, digest = GOLDEN["ideals"]
+    report = run_theorem_suite(corpus, bounds)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+    assert any(not rec["checks"]["normal"] for rec in report.instances)
+    assert calls == []
+    # a forced disagreement renders the full verdict, explanation included
+    monkeypatch.setattr(certify, "normality_gap", lambda ideal, kmax: None)
+    rec = check_ideal_instance(two_squares, Bounds())
+    assert not rec["pass"] and calls == [3]
+    assert rec["witness"]["normal"] == ideals.is_normal_up_to(two_squares, 3).to_json()
+
+
+def test_rounding_divides_a_cold_narrow_box_by_a_wider_denominator(monkeypatch):
+    # (x^200) has D = 200, but the values of its rounding box [0, 3] fit
+    # int8; with no wider box built first, certify must still divide
+    ideal = MonomialIdeal(1, [[200]])
+    monkeypatch.setattr(certify, "normality_gap", lambda ideal, kmax: None)
+    polyhedra._box_values.cache_clear()
+    lp, den, nu = polyhedra._rounding_grids(ideal.matrix(), 3)
+    assert (lp.dtype, den, lp.tolist(), nu.tolist()) == (np.int8, 200, [0, 1, 2, 3], [0, 0, 0, 0])
+    rec = check_ideal_instance(ideal, Bounds())
+    assert rec["checks"] == {"normal": True, "rounding": True, "normal_equals_rounding": True}
 
 
 CORPORA = {corpus.kind: corpus for corpus, _, _ in GOLDEN.values()}

@@ -11,11 +11,10 @@ import clutterlab
 from clutterlab import (
     Clutter,
     MonomialIdeal,
-    NormalityVerdict,
     certify,
     edge_ideal,
     integer_rounding_check,
-    is_normal_up_to,
+    normality_gap,
 )
 from clutterlab.cli import main
 from clutterlab.guards import ConsistencyError
@@ -281,11 +280,9 @@ def test_a_disagreement_witness_is_the_rounding_certificate(monkeypatch, doc, co
     # per-w certificate only for a disagreement; flipping the normality
     # verdict forces one, and its witness must be the pinned CLI document
     def flipped(ideal, kmax):
-        if is_normal_up_to(ideal, kmax).holds:
-            return NormalityVerdict("not-normal", kmax, witness=(0,) * ideal.n)
-        return NormalityVerdict("normal-up-to", kmax)
+        return (1, (0,) * ideal.n) if normality_gap(ideal, kmax) is None else None
 
-    monkeypatch.setattr(certify, "is_normal_up_to", flipped)
+    monkeypatch.setattr(certify, "normality_gap", flipped)
     parsed = json.loads(doc)
     ideal = (MonomialIdeal.from_json(parsed) if "generators" in parsed
              else edge_ideal(Clutter.from_json(parsed)))
@@ -433,6 +430,48 @@ def test_a_malformed_document_exits_2_with_one_error_line(capsys, argv, err):
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["normal", '{"n":2,"generators":[[1.5,1]]}'], "expected an integer, got 1.5"),
+        (["normal", '{"n":"2","generators":[[1,1]]}'], "expected an integer, got '2'"),
+        (["polyhedron", '{"n":1,"columns":[[true]]}'], "expected an integer, got True"),
+        (["comparability", '{"n":2,"relation":[[0,1.0]]}'], "expected an integer, got 1.0"),
+        (["konig", '{"n":2,"labels":["a","b"],"edges":[[0,"1"]]}'], "expected an integer, got '1'"),
+        (["clique-clutter", '{"n":2.5,"edges":[]}'], "expected an integer, got 2.5"),
+    ],
+    ids=["ideal-entry", "ideal-n", "matrix-entry", "poset-pair", "clutter-edge", "graph-n"],
+)
+def test_a_non_integer_in_a_document_exits_2(capsys, argv, err):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "content, err",
+    [
+        (None, "IsADirectoryError: "),
+        ("absent", "FileNotFoundError: "),
+        ('{"instances": [', "JSONDecodeError: "),
+        ('{"instances": [{"type": "poset"}]}', "KeyError: 'data'"),
+        ('[1]', "TypeError: "),
+        ('{"instances": [{"type": "ideal", "data": {"n": 1, "generators": [[0.5]]}}]}',
+         "ValueError: expected an integer, got 0.5"),
+    ],
+    ids=["directory", "missing", "bad-json", "no-data", "not-an-object", "non-integer"],
+)
+def test_an_unreadable_explicit_corpus_exits_2_with_one_error_line(capsys, tmp_path, content, err):
+    path = tmp_path if content is None else tmp_path / "corpus.json"
+    if content not in (None, "absent"):
+        path.write_text(content)
+    code = main(["certify", json.dumps({"kind": "explicit", "path": str(path)})])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot read explicit corpus {str(path)!r}: {err}")
+    assert captured.err.count("\n") == 1
 
 
 def test_a_directory_as_input_exits_2(capsys, tmp_path):

@@ -9,10 +9,12 @@ from one Python version to the next.
 import hashlib
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
 import clutterlab
+from clutterlab import certify
 from clutterlab.cli import build_parser, main
 
 C5 = json.dumps({"n": 5, "labels": [f"x{i}" for i in range(5)],
@@ -176,6 +178,8 @@ class _Stdin(io.StringIO):
 
 def _invoke(capsys, monkeypatch, argv, stdin, tty=False):
     monkeypatch.setattr("sys.stdin", _Stdin(stdin or "", tty))
+    # certify --text prints its wall time: hold it at the pinned 0.00 s
+    monkeypatch.setattr(certify, "time", SimpleNamespace(monotonic=lambda: 0.0))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err

@@ -255,8 +255,9 @@ def test_ntf_witness_is_the_first_missing_symbolic_generator():
 
 
 def test_ntf_peak_memory_is_a_few_box_arrays():
-    # cauc(5, 2) at level 3: 4^10 cells, 8 MB per int64 box array; a
-    # (cells x n) point array alone would take 80 MB
+    # cauc(5, 2) at level 3: 4^10 cells, 1 MB per int8 box array (the
+    # minimal-cover sums reach 3 * 5 = 15); a (cells x n) point array
+    # alone would take 80 MB in int64
     c = complete_admissible_uniform_clutter(5, 2)
     tracemalloc.start()
     try:
@@ -264,7 +265,7 @@ def test_ntf_peak_memory_is_a_few_box_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * 4 ** 10
+    assert peak < 6 * 4 ** 10
 
 
 def test_guard_messages_name_the_box_built_first():

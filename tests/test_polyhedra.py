@@ -263,6 +263,48 @@ def test_blocking_dual_routes_on_random_rationals():
 # ---------------------------------------------------------------------------
 # The box value kernel
 
+def _narrowest_signed(bound):
+    """The narrowest signed integer dtype holding [-bound, bound]."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
+@pytest.mark.parametrize(
+    "caps, rows, dtype",
+    [
+        # the largest value is the dtype's maximum, or one past it
+        ((127,), [(1,)], np.int8),
+        ((128,), [(1,)], np.int16),
+        ((1, 1), [(64, 63)], np.int8),
+        ((1, 1), [(64, 64), (127, 1)], np.int16),
+        # a row's own bound counts even when another row has the least values
+        ((1, 1), [(0, 1), (100, 100)], np.int16),
+        # a coefficient on a cap-0 axis is cast too, so it must fit
+        ((0, 3), [(1155, 1)], np.int16),
+        ((0, 3), [(127, 1)], np.int8),
+        # negative coefficients are bounded by their magnitude
+        ((2, 3), [(-30, 20), (5, -1)], np.int8),
+        ((2, 3), [(-40, 20), (50, -1)], np.int16),
+        ((5000, 1), [(10, 1)], np.int32),
+    ],
+)
+def test_box_min_dtype_is_the_narrowest_holding_the_bound(caps, rows, dtype):
+    got = polyhedra._box_min(caps, rows)
+    assert got.dtype == dtype
+    box = itertools.product(*(range(c + 1) for c in caps))
+    assert got.ravel().tolist() == [
+        min(sum(r * x for r, x in zip(row, pt)) for row in rows) for pt in box
+    ]
+
+
+@pytest.mark.parametrize("cap, dtype", [(127, np.int8), (128, np.int16)])
+def test_packing_numbers_dtype_holds_the_sum_of_caps(cap, dtype):
+    # the unit vector packs x_0 times at x, so the last cell reaches sum(caps)
+    got = packing_numbers([(1,)], (cap,))
+    assert got.dtype == dtype and got.tolist() == list(range(cap + 1))
+    split = packing_numbers([(1, 0), (0, 1)], (cap - 60, 60))
+    assert split.dtype == dtype and int(split[-1, -1]) == cap
+
+
 def test_box_min_matches_brute_minimum():
     rng = random.Random(21)
     cases = [
@@ -289,7 +331,8 @@ def test_box_min_matches_brute_minimum():
         cases.append((tuple(caps), rows))
     for caps, rows in cases:
         got = polyhedra._box_min(caps, rows)
-        assert got.shape == tuple(c + 1 for c in caps) and got.dtype == np.int64
+        bound = max(max(sum(c * abs(r) for c, r in zip(caps, row)), *map(abs, row)) for row in rows)
+        assert got.shape == tuple(c + 1 for c in caps) and got.dtype == _narrowest_signed(bound)
         # an owned box array, never a broadcast view of one form
         assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
         box = itertools.product(*(range(c + 1) for c in caps))
@@ -396,7 +439,7 @@ def test_kfold_sum_grids_match_explicit_k_sums(vectors, caps, kmax):
 @pytest.mark.parametrize("vectors, caps", [case[:2] for case in _kfold_cases()])
 def test_packing_numbers_match_explicit_k_sums(vectors, caps):
     got = packing_numbers(vectors, caps)
-    assert got.shape == tuple(c + 1 for c in caps) and got.dtype == np.int64
+    assert got.shape == tuple(c + 1 for c in caps) and got.dtype == _narrowest_signed(sum(caps))
     assert {x: int(got[x]) for x in np.ndindex(got.shape)} == brute_packing_numbers(vectors, caps)
 
 

@@ -2,11 +2,14 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from clutterlab import (
     Clutter,
     Graph,
+    IncidenceMatrix,
+    MonomialIdeal,
     Poset,
     canonical_relabel,
     cauc_poset,
@@ -337,3 +340,34 @@ def test_json_arrays_sorted(c5):
     doc = parallelization(c5, (2, 1, 1, 1, 1)).to_json()
     assert doc["edges"] == sorted(doc["edges"])
     assert all(e == sorted(e) for e in doc["edges"])
+
+
+READERS = {
+    "poset": (Poset, {"n": 3, "relation": [[0, 1]]}, ("relation", 0, 1)),
+    "graph": (Graph, {"n": 3, "edges": [[0, 2]]}, ("edges", 0, 1)),
+    "clutter": (Clutter, {"n": 3, "edges": [[0, 1], [2]]}, ("edges", 1, 0)),
+    "ideal": (MonomialIdeal, {"n": 2, "generators": [[1, 2]]}, ("generators", 0, 0)),
+    "matrix": (IncidenceMatrix, {"n": 2, "columns": [[1, 0], [1, 1]]}, ("columns", 1, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", True, None])
+def test_a_json_reader_refuses_a_non_integer(kind, bad):
+    cls, doc, (key, row, col) = READERS[kind]
+    assert cls.from_json(doc).to_json()["n"] == doc["n"]
+    with pytest.raises(ValueError, match="^expected an integer, got "):
+        cls.from_json({**doc, "n": bad})
+    rows = [list(r) for r in doc[key]]
+    rows[row][col] = bad
+    with pytest.raises(ValueError, match="^expected an integer, got "):
+        cls.from_json({**doc, key: rows})
+
+
+def test_the_constructors_still_take_numpy_integers():
+    three, one = np.int64(3), np.int8(1)
+    assert Poset(three, [(np.int64(0), one)]).relation == {(0, 1)}
+    assert Graph(three, [np.array([0, 2])]).edges == {(0, 2)}
+    assert Clutter(three, [np.array([0, 1]), [np.int16(2)]]).edges == ((0, 1), (2,))
+    assert MonomialIdeal(2, np.array([[1, 2]])).generators == ((1, 2),)
+    assert IncidenceMatrix(2, np.array([[1, 0], [1, 1]])).columns == ((1, 0), (1, 1))
