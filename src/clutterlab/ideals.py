@@ -14,9 +14,9 @@ each verdict builds two arrays over its last box and reads every level
 off a prefix slice of them: one value of the box kernel of ``polyhedra``
 (the least vertex inequality of Q(A), compared with k*D, or the least
 minimal-cover sum, compared with i), and one chain of power levels from a
-single :func:`~clutterlab.polyhedra.kfold_sum_grids` pass. The lex-first
-cell in the larger set but not in the power is then its first minimal
-generator missing from the power.
+single bitset :func:`~clutterlab.polyhedra.kfold_sum_grids` pass. The
+lex-first cell in the larger set but not in the power is then its first
+minimal generator missing from the power.
 
 The power levels are cached per (ideal, boxes), each level copied to its
 own box and read-only, so the two verdicts share them: on an edge ideal
@@ -184,13 +184,14 @@ def _power_grids(ideal: MonomialIdeal, boxes: tuple[ExponentVector, ...]) -> tup
     whether a cell dominates a sum of k generators does not depend on the
     box holding it, since every summand lies below the cell, so level k is
     the prefix slice of its level to boxes[k-1]. Each level is copied to
-    its own box, so the cache holds no more than the levels themselves.
+    its own box and the full one dropped before the next is built, so the
+    cache holds no more than the levels themselves.
 
     Cached and read-only, so :func:`is_normal_up_to` reads the chain
     :func:`is_ntf_up_to` built when their boxes agree. The caller guards
     the boxes (:func:`_guarded_boxes`) before anything is built."""
     levels = kfold_sum_grids(ideal.generators, boxes[-1], len(boxes))
-    grids = tuple(level[_box_slice(caps)].copy() for caps, level in zip(boxes, levels))
+    grids = tuple(next(levels)[_box_slice(caps)].copy() for caps in boxes)
     for grid in grids:
         grid.setflags(write=False)
     return grids
@@ -220,7 +221,8 @@ def _first_gap(
     the narrow dtype of its kernel. k*unit may lie past that dtype, which
     a comparison with a Python int allows and arithmetic would not."""
     for k, (caps, grid) in enumerate(zip(boxes, _power_grids(ideal, boxes)), start=1):
-        bad = (value[_box_slice(caps)] >= k * unit) & ~grid
+        bad = value[_box_slice(caps)] >= k * unit
+        np.greater(bad, grid, out=bad)  # bad & ~grid, with no box temporary
         if bad.any():
             return k, _first_cell(bad)
     return None

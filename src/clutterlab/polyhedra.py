@@ -16,13 +16,13 @@ description per matrix (section "Exact vertex enumeration"), k-fold sums
 on a box by the shift-OR recursion of :func:`kfold_sum_grids`, and the
 integer packing numbers on a box by :func:`packing_numbers`.
 
-The shift-OR recursion runs on the flat C-order buffer of the box. The
-flat index idx(x) = <x, strides> is linear, so shifting a level up by a
-vector v is one contiguous copy at the offset idx(v), after which the
-slabs x_i < v_i (one per nonzero v_i) are cleared. Those slabs are the
-cells not dominating v, and they hold every cell below the offset, where
-the copy leaves stale data: flat order is lexicographic, so x >= v implies
-idx(x) >= idx(v). No per-vector mask is stored.
+The shift-OR recursion holds each level as one Python int with bit
+idx(x) = <x, strides> for cell x, the flat C-order index. idx is linear,
+so shifting a level up by v is a left shift by idx(v), which sets no bit
+below idx(v), then one AND per nonzero v_i with the periodic mask of the
+cells x_i >= v_i, which keeps exactly the cells dominating v. The masks
+are built once per call, per axis and threshold: no per-vector mask is
+stored. A level is unpacked into a bool box array when it is yielded.
 
 Every fractional value on a box is one kernel, :func:`_box_min`: the
 least of some linear forms <r_t, x> at every cell x, built from 1-D axes
@@ -187,34 +187,32 @@ def _dd_extreme_rays(dim: int, cuts: list[Vector]) -> list[Vector]:
     arithmetic, rays gcd-reduced. Valid for pointed cones, which holds here
     since the cone sits inside the nonnegative orthant. The deadline is
     checked once per positive ray of each step, the ray count after it.
+
+    Each ray carries its zero set as a bitmask (bit j: y_j = 0, bit dim+t:
+    cut t tight), updated per cut: a ray at 0 on the cut gains its bit, and
+    a new ray, a positive combination of two, is zero where both are plus
+    on the cut. A pair with fewer than dim - 2 common zeros is skipped
+    before the scan: the tight constraints of a 2-face of a pointed cone in
+    R^dim have rank dim - 2, so such a pair is not adjacent.
     """
     rays: list[Vector] = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    inserted: list[Vector] = []
-
-    def zero_mask(r: Vector) -> int:
-        z = 0
-        for j in range(dim):
-            if r[j] == 0:
-                z |= 1 << j
-        for t, c in enumerate(inserted):
-            if sum(a * b for a, b in zip(c, r)) == 0:
-                z |= 1 << (dim + t)
-        return z
-
-    for cut in cuts:
+    zmasks = [((1 << dim) - 1) ^ (1 << i) for i in range(dim)]
+    for t, cut in enumerate(cuts):
+        bit = 1 << (dim + t)
         vals = [sum(a * b for a, b in zip(cut, r)) for r in rays]
+        zmasks = [z | bit if v == 0 else z for z, v in zip(zmasks, vals)]
         neg = [i for i, v in enumerate(vals) if v < 0]
         if not neg:
-            inserted.append(cut)
             continue
         pos = [i for i, v in enumerate(vals) if v > 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
-        zmasks = [zero_mask(r) for r in rays]
-        fresh: set[Vector] = set()
+        fresh: dict[Vector, int] = {}
         for ip in pos:
             check_deadline()
             for im in neg:
                 common = zmasks[ip] & zmasks[im]
+                if common.bit_count() < dim - 2:
+                    continue
                 adjacent = True
                 for k in range(len(rays)):
                     if k != ip and k != im and (common & zmasks[k]) == common:
@@ -225,9 +223,10 @@ def _dd_extreme_rays(dim: int, cuts: list[Vector]) -> list[Vector]:
                 combo = tuple(
                     vals[ip] * rays[im][j] - vals[im] * rays[ip][j] for j in range(dim)
                 )
-                fresh.add(_reduce_ray(combo))
-        rays = [rays[i] for i in pos] + [rays[i] for i in zero] + sorted(fresh)
-        inserted.append(cut)
+                fresh[_reduce_ray(combo)] = common | bit
+        new = sorted(fresh)
+        rays = [rays[i] for i in pos + zero] + new
+        zmasks = [zmasks[i] for i in pos + zero] + [fresh[r] for r in new]
         check_size(len(rays), MAX_DD_RAYS, "double-description ray count")
     return rays
 
@@ -517,47 +516,60 @@ def kfold_sum_grids(
     the vectors v of level k-1 shifted up by v. Vectors that leave the box
     contribute nothing and are skipped.
 
-    The shift works on the flat C-order buffer, where the cell index
-    idx(x) = <x, strides> is linear in x. So idx(x) - idx(v) = idx(x - v)
-    for every x >= v, and shifting by v is one contiguous copy
-    ``buf[off:] = grid[:size - off]`` with off = idx(v), followed by
-    clearing the slabs x_i < v_i of the box view of ``buf`` for each i
-    with v_i > 0: those are exactly the cells not dominating v. They
-    include every cell of flat index below off, where the copy left stale
-    data, because idx is lexicographic order and x >= v implies
-    idx(x) >= idx(v). The shifted level is then ORed into the next one by
-    one contiguous pass. Each level is a fresh array; the deadline is
-    checked once per shifted vector.
+    Each level is one Python int whose bit idx(x) is set iff x is in the
+    level, idx(x) = <x, strides> being the flat C-order index. idx is
+    linear, so idx(x) - idx(v) = idx(x - v) for every x >= v, and the
+    shift by v is ``(level << idx(v)) & G(i, v_i) & ...`` over the i with
+    v_i > 0, where G(i, t) is the bitmask of the cells with x_i >= t: the
+    ANDs keep exactly the cells dominating v, and the shift sets no bit
+    below idx(v). Each G is built once per call, never one per vector.
+    Each level is unpacked once into a fresh, writable, C-contiguous bool
+    array that no later level reads; the masks are dropped before the last
+    one. The deadline is checked once per shifted vector.
     """
     shape = tuple(c + 1 for c in caps)
     size = math.prod(shape)
     strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
     shifts = [
-        (sum(x * s for x, s in zip(v, strides)),
-         [(slice(None),) * i + (slice(0, x),) for i, x in enumerate(v) if x])
+        (sum(x * s for x, s in zip(v, strides)), [(i, x) for i, x in enumerate(v) if x])
         for v in vectors
         if all(x <= c for x, c in zip(v, caps))
     ]
-    grid = np.ones(size, dtype=bool)
-    buf = np.empty(size, dtype=bool)
-    box = buf.reshape(shape)
-    for _ in range(kmax):
-        nxt = np.zeros(size, dtype=bool)
-        for off, slabs in shifts:
+    grid = (1 << size) - 1
+    at_least = {
+        (i, t): _at_least(t, strides[i], strides[i] * shape[i], grid)
+        for i, t in {key for _, axes in shifts for key in axes}
+    }
+    for k in range(kmax):
+        nxt = 0
+        for off, axes in shifts:
             check_deadline()
-            buf[off:] = grid[:size - off]
-            for slab in slabs:
-                box[slab] = False
-            nxt |= buf
+            shifted = grid << off
+            for key in axes:
+                shifted &= at_least[key]
+            nxt |= shifted
         grid = nxt
-        yield grid.reshape(shape)
+        if k == kmax - 1:
+            at_least.clear()
+        packed = np.frombuffer(grid.to_bytes((size + 7) // 8, "little"), np.uint8)
+        yield np.unpackbits(packed, count=size, bitorder="little").view(bool).reshape(shape)
+
+
+def _at_least(t: int, stride: int, period: int, full: int) -> int:
+    """The cells x_i >= t of a flat box, as the bits of the all-ones mask
+    full, on an axis of the given stride whose pattern has the given
+    period: one period, doubled until it spans the box, cut to full."""
+    mask = (1 << period) - (1 << t * stride)
+    while period < full.bit_length():
+        mask, period = mask | mask << period, 2 * period
+    return mask & full
 
 
 def packing_numbers(vectors: Sequence[Sequence[int]], caps: Vector) -> np.ndarray:
     """max{<y,1> : sum_j y_j v_j <= x, y integer >= 0} for every x of the
     box prod [0, caps_i], as an n-D array in C (lexicographic) order:
     the number of the nested levels of :func:`kfold_sum_grids` holding x,
-    each level built by the flat-offset shifts described there. The
+    up to the first empty one, each a bitset unpacked once. The
     vectors are nonzero, so no x packs more than sum(caps), and the counts
     are held in the narrowest signed dtype holding it
     (:func:`_narrowest_int`)."""

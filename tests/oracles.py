@@ -159,11 +159,18 @@ def _integer_vertex_rows(columns) -> list[tuple[tuple[int, ...], int]]:
 def brute_q_vertices(columns) -> list[tuple[Fraction, ...]]:
     """Vertices of {x >= 0 : <col, x> >= 1} by brute subset enumeration
     and rational elimination (independent of the library's solvers)."""
-    n = len(columns[0])
+    return brute_vertices(columns, [1] * len(columns))
+
+
+def brute_vertices(rows, b) -> list[tuple[Fraction, ...]]:
+    """Vertices of {x >= 0 : <row, x> >= b_row}, sorted: every solution of
+    n of the constraints taken as equations that is unique and feasible,
+    found by brute subset enumeration and rational elimination."""
+    n = len(rows[0])
     constraints = [
         tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-    ] + [tuple(Fraction(c) for c in col) for col in columns]
-    rhs = [Fraction(0)] * n + [Fraction(1)] * len(columns)
+    ] + [tuple(Fraction(c) for c in row) for row in rows]
+    rhs = [Fraction(0)] * n + [Fraction(x) for x in b]
     verts = set()
     for subset in itertools.combinations(range(len(constraints)), n):
         sol = _solve(

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from oracles import (
     brute_lattice_points_of_scaled_blocker,
     brute_packing_numbers,
     brute_q_vertices,
+    brute_vertices,
     minimalize,
 )
 
@@ -118,19 +120,68 @@ def test_comparability_vertex_clique_matrices_are_integral():
 
 
 def test_dd_matches_basis_enumeration():
-    # brute_q_vertices solves every n-subset of the constraints
-    for c in random_clutters(5, 6, 12, seed=77):
-        a = IncidenceMatrix.from_clutter(c)
-        assert vertices(covering_polyhedron(a)) == brute_q_vertices(a.columns)
-    for ideal in random_ideals(3, 3, 3, 12, seed=78):
-        a = ideal.matrix()
-        assert vertices(covering_polyhedron(a)) == brute_q_vertices(a.columns)
+    # brute_q_vertices solves every n-subset of the constraints. The
+    # corpus includes 2- and 3-uniform clutters on exactly 6 vertices
+    # (most with a fractional vertex) and ideals in 4 or 5 variables with
+    # exponents up to 3.
+    rng = random.Random(606)
+    mats = [IncidenceMatrix.from_clutter(c) for c in random_clutters(5, 6, 12, seed=77)]
+    mats += [ideal.matrix() for ideal in random_ideals(3, 3, 3, 12, seed=78)]
+    wide = [
+        IncidenceMatrix.from_clutter(Clutter(6, rng.sample(list(itertools.combinations(range(6), s)), q)))
+        for s, q in [(rng.choice((2, 3)), rng.randint(4, 6)) for _ in range(8)]
+    ]
+    wide += [ideal.matrix() for ideal in random_ideals(5, 5, 3, 40, seed=607) if ideal.n >= 4]
+    for a in mats + wide:
+        expected = brute_q_vertices(a.columns)
+        assert vertices(covering_polyhedron(a)) == expected
+        assert list(q_vertices(a)) == expected
+    assert len(wide) > 20 and sum(not is_integral(a) for a in wide) > 5
 
 
 def test_dd_matches_independent_oracle():
     for c in random_clutters(5, 5, 8, seed=79):
         a = IncidenceMatrix.from_clutter(c)
         assert vertices(covering_polyhedron(a)) == brute_q_vertices(a.columns)
+
+
+def _lower_dimensional_polyhedra():
+    # equality pairs row.x >= b, -row.x >= -b make the lifted cone lower
+    # dimensional: fewer free directions than coordinates
+    cases = [
+        (2, [(1, 0), (-1, 0), (0, 1)], [1, -1, 1]),  # the point (1, 1)
+        (2, [(1, 1), (-1, -1)], [2, -2]),  # a segment
+        (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1)], [1, -1, 1]),
+        (3, [(1, -1, 0), (-1, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1)], [0, 0, 2, 3, -3]),
+        (3, [(1, 0, 0), (-1, 0, 0)], [2, -2]),  # unbounded in x2, x3
+        (2, [(1, 0), (-1, 0)], [1, -2]),  # empty
+    ]
+    rng = random.Random(808)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        rows, rhs = [], []
+        for _ in range(rng.randint(1, 2)):
+            row, b = [rng.randint(-1, 2) for _ in range(n)], rng.randint(0, 3)
+            rows += [row, [-x for x in row]]
+            rhs += [b, -b]
+        for _ in range(rng.randint(0, 3)):
+            rows.append([rng.randint(-1, 2) for _ in range(n)])
+            rhs.append(rng.randint(-1, 2))
+        cases.append((n, rows, rhs))
+    return cases
+
+
+def test_dd_on_lower_dimensional_lifted_cones():
+    # an adjacent pair of rays shares at least dim - 2 zeros also when
+    # the cone is not full-dimensional, so skipping the pairs with fewer
+    # loses no vertex here
+    assert sorted(_dd_extreme_rays(3, [(1, 0, -1), (-1, 0, 1), (0, 1, -1)])) == [(0, 1, 0), (1, 1, 1)]
+    nonempty = 0
+    for n, rows, rhs in _lower_dimensional_polyhedra():
+        expected = brute_vertices(rows, rhs)
+        assert vertices(RationalPolyhedron(n, rows, rhs)) == expected, (rows, rhs)
+        nonempty += bool(expected)
+    assert nonempty > 20
 
 
 def _integer_route_corpus():
@@ -420,6 +471,25 @@ def _kfold_cases():
         if rng.random() < 0.3:
             vectors.append(vectors[0])
         cases.append((vectors, caps, rng.randint(1, 4)))
+    cases += [
+        # boxes of 9, 30 and 243 cells: the last byte of a level is partial
+        ([(1, 1), (2, 0)], (2, 2), 3),
+        ([(1, 2, 1), (3, 0, 0), (0, 1, 1)], (4, 2, 1), 4),
+        ([(1, 0, 2, 0, 1), (0, 2, 0, 1, 0), (1, 1, 1, 1, 1)], (2, 2, 2, 2, 2), 3),
+        # a cap-0 axis between others: no vector using it fits
+        ([(1, 0, 2), (2, 0, 1), (0, 1, 0)], (2, 0, 3), 3),
+        # n = 6; entries > 1 on several axes, a duplicate, and a vector
+        # over the caps on one axis only
+        ([(2, 0, 1, 0, 2, 0), (0, 1, 0, 1, 0, 1), (2, 0, 1, 0, 2, 0), (1, 1, 1, 1, 1, 2)],
+         (2, 2, 1, 2, 2, 1), 3),
+        ([(2, 3, 0, 2), (1, 0, 2, 1), (0, 4, 0, 0)], (4, 3, 2, 2), 3),
+    ]
+    for _ in range(8):
+        n = rng.randint(5, 6)
+        caps = tuple(rng.randint(0, 2) for _ in range(n))
+        vectors = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(2, 5))]
+        vectors = [v for v in vectors if any(v)] or [(1,) * n]
+        cases.append((vectors, caps, rng.randint(1, 3)))
     return cases
 
 
@@ -432,8 +502,32 @@ def test_kfold_sum_grids_match_explicit_k_sums(vectors, caps, kmax):
         assert grid.shape == tuple(c + 1 for c in caps) and grid.dtype == bool
         sums = brute_kfold_sums(vectors, caps, k)
         assert [x for x in box if grid[x]] == [x for x in box if x in sums]
+        # owned: its buffer is a numpy array of its own, not a kernel buffer
+        root = grid
+        while root.base is not None:
+            root = root.base
+        assert isinstance(root, np.ndarray) and root.flags.owndata
+        assert grid.flags.writeable and grid.flags.c_contiguous
     # every level is its own array, so a caller may keep them all
     assert all(not np.shares_memory(a, b) for a, b in itertools.combinations(levels, 2))
+
+
+def test_kfold_memory_does_not_grow_with_the_vector_count():
+    # the masks are per axis and threshold: the 255 nonzero 0/1 vectors
+    # of [0,3]^8 need the same eight as its unit vectors; a mask per
+    # vector would hold 255 bitsets of 8 KiB, about 2 MiB
+    caps = (3,) * 8
+    vectors = [v for v in itertools.product((0, 1), repeat=8) if any(v)]
+    peaks = []
+    for vs in (np.eye(8, dtype=int).tolist(), vectors):
+        tracemalloc.start()
+        try:
+            for _ in kfold_sum_grids(vs, caps, 2):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 512 * 1024
 
 
 @pytest.mark.parametrize("vectors, caps", [case[:2] for case in _kfold_cases()])
