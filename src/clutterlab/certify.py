@@ -21,7 +21,7 @@ import numpy as np
 from .guards import ConsistencyError, ResourceGuardError, check_deadline, restart_deadline
 from .ideals import MonomialIdeal, edge_ideal, is_normal_up_to, is_ntf_up_to, normality_gap
 from .packing import HasseNetwork, chain_order, menger_walk, mfmc_bounded, sweep_numbers
-from .polyhedra import _rounding_grids, integer_rounding_check, is_integral
+from .polyhedra import integer_rounding_check, integer_rounding_holds, is_integral
 from .structures import (
     Clutter,
     Graph,
@@ -428,14 +428,13 @@ def check_clutter_instance(c: Clutter, bounds: Bounds) -> dict[str, Any]:
 def check_ideal_instance(ideal: MonomialIdeal, bounds: Bounds) -> dict[str, Any]:
     """Normality vs integer rounding: the bounded normality verdict must
     match the integer-rounding verdict over w in {0..wmax}^n. Both are
-    decided on the box arrays; the normality explanation and the per-w
-    rounding certificate are rendered only as the witness of a
-    disagreement."""
+    decided on packed k-fold levels (:func:`normality_gap`,
+    :func:`integer_rounding_holds`), with no level unpacked; the
+    normality explanation and the per-w rounding certificate are rendered
+    only as the witness of a disagreement."""
     normal = normality_gap(ideal, bounds.kmax) is None
     check_deadline()
-    lp, den, nu = _rounding_grids(ideal.matrix(), bounds.wmax)
-    # D need not fit lp's narrow dtype: divide in int64
-    rounds = bool((lp // np.int64(den) == nu).all())
+    rounds = integer_rounding_holds(ideal.matrix(), bounds.wmax)
     agree = normal == rounds
     return {
         "checks": {

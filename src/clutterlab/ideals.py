@@ -10,18 +10,21 @@ verdicts always embed the bound that was checked.
 Both bounded verdicts ask, level by level, whether a larger upward-closed
 set (the integral closure of I^k, or I^(i)) lies in the power I^k, over a
 box holding all its minimal generators. The boxes grow with the level, so
-each verdict builds two arrays over its last box and reads every level
-off a prefix slice of them: one value of the box kernel of ``polyhedra``
-(the least vertex inequality of Q(A), compared with k*D, or the least
+each verdict builds two things over its last box and compares every
+level there: one value array of the box kernel of ``polyhedra`` (the
+least vertex inequality of Q(A), compared with k*D, or the least
 minimal-cover sum, compared with i), and one chain of power levels from a
-single bitset :func:`~clutterlab.polyhedra.kfold_sum_grids` pass. The
-lex-first cell in the larger set but not in the power is then its first
-minimal generator missing from the power.
+single bitset k-fold pass (:func:`~clutterlab.polyhedra._kfold_bits`),
+each level one Python int over the last box. A level's comparison is one
+AND-NOT of two such ints, and the lowest bit left is the lex-first cell
+in the larger set but not in the power: its first minimal generator
+missing from the power, which lies in the level's own box
+(:func:`_first_gap`). No level is unpacked into an array and no
+sub-box is sliced.
 
-The power levels are cached per (ideal, boxes), each level copied to its
-own box and read-only, so the two verdicts share them: on an edge ideal
-with no isolated vertex the normality boxes are the NTF boxes [0, k]^n,
-and a clutter instance builds its chain once.
+The power levels are cached per (ideal, boxes), so the two verdicts share
+them: on an edge ideal with no isolated vertex the normality boxes are the
+NTF boxes [0, k]^n, and a clutter instance builds its chain once.
 
 The values are read through ``polyhedra._box_values``, which holds the
 latest read-only array with the rows it was built for and answers every
@@ -34,7 +37,7 @@ these reads share one array:
   covers on [0, wmax]^n);
 - an ideal instance: normality, the explanation of a ``not-normal``
   verdict when one is rendered (minimal lattice points of B(Q) and the
-  integer decomposition check) and the integer rounding grids of
+  integer decomposition check) and the integer rounding decision of
   ``polyhedra``, all on the vertex rows of Q(A).
 
 The size guard runs on every box before anything is built; a level past
@@ -56,14 +59,13 @@ from .polyhedra import (
     IncidenceMatrix,
     box_caps,
     integer_decomposition_check,
-    kfold_sum_grids,
     minimal_lattice_points,
-    _box_slice,
     _box_values,
     _check_box,
-    _first_cell,
+    _kfold_bits,
     _minimal_cells,
     _minimal_rows,
+    _pack_cells,
     _vertex_inequalities,
 )
 from .structures import Clutter, json_int
@@ -175,26 +177,23 @@ def symbolic_power(c: Clutter, i: int) -> MonomialIdeal:
 # Power levels: one k-fold-sum chain per ideal
 
 @lru_cache(maxsize=2)
-def _power_grids(ideal: MonomialIdeal, boxes: tuple[ExponentVector, ...]) -> tuple[np.ndarray, ...]:
-    """For k = 1..len(boxes), the boolean grid over prod [0, boxes[k-1]]
-    whose cell a is True iff x^a in I^k, i.e. a dominates a sum of k
-    generators. The boxes grow with k.
+def _power_grids(ideal: MonomialIdeal, boxes: tuple[ExponentVector, ...]) -> tuple[int, ...]:
+    """For k = 1..len(boxes), the cells a of the last box boxes[-1] with
+    x^a in I^k, i.e. a dominating a sum of k generators, as the packed
+    level ints of :func:`~clutterlab.polyhedra._kfold_bits` (bit idx(a),
+    the flat C-order index of a in the last box). The boxes grow with k.
 
-    One :func:`kfold_sum_grids` pass over the last box gives every level:
-    whether a cell dominates a sum of k generators does not depend on the
-    box holding it, since every summand lies below the cell, so level k is
-    the prefix slice of its level to boxes[k-1]. Each level is copied to
-    its own box and the full one dropped before the next is built, so the
-    cache holds no more than the levels themselves.
+    One k-fold pass over the last box gives every level: whether a cell
+    dominates a sum of k generators does not depend on the box holding
+    it, since every summand lies below the cell. The levels are kept over
+    the last box, with no per-level sub-box: :func:`_first_gap` reads them
+    there. Python ints are immutable, so the cached chain cannot be
+    written to by a reader.
 
-    Cached and read-only, so :func:`is_normal_up_to` reads the chain
-    :func:`is_ntf_up_to` built when their boxes agree. The caller guards
-    the boxes (:func:`_guarded_boxes`) before anything is built."""
-    levels = kfold_sum_grids(ideal.generators, boxes[-1], len(boxes))
-    grids = tuple(next(levels)[_box_slice(caps)].copy() for caps in boxes)
-    for grid in grids:
-        grid.setflags(write=False)
-    return grids
+    Cached, so :func:`is_normal_up_to` reads the chain :func:`is_ntf_up_to`
+    built when their boxes agree. The caller guards the boxes
+    (:func:`_guarded_boxes`) before anything is built."""
+    return tuple(_kfold_bits(ideal.generators, boxes[-1], len(boxes)))
 
 
 def _guarded_boxes(
@@ -213,18 +212,38 @@ def _guarded_boxes(
 
 
 def _first_gap(
-    ideal: MonomialIdeal, boxes: tuple[ExponentVector, ...], value: np.ndarray, unit: int
+    ideal: MonomialIdeal, boxes: tuple[ExponentVector, ...], rows: np.ndarray, unit: int
 ) -> tuple[int, ExponentVector] | None:
     """The first level k with a cell of prod [0, boxes[k-1]] whose value
     reaches k*unit but which lies outside I^k, and the lex-first such cell;
-    None if no level has one. ``value`` is an array over the last box, in
-    the narrow dtype of its kernel. k*unit may lie past that dtype, which
-    a comparison with a Python int allows and arithmetic would not."""
-    for k, (caps, grid) in enumerate(zip(boxes, _power_grids(ideal, boxes)), start=1):
-        bad = value[_box_slice(caps)] >= k * unit
-        np.greater(bad, grid, out=bad)  # bad & ~grid, with no box temporary
-        if bad.any():
-            return k, _first_cell(bad)
+    None if no level has one. The values are the box values of ``rows``
+    over the last box (``polyhedra._box_values``), in the narrow dtype of
+    their kernel. k*unit may lie past that dtype, which a comparison with
+    a Python int allows and arithmetic would not. The power chain is built
+    before the value array, so the k-fold masks are freed by the time it is.
+
+    Each level is one set comparison on packed ints over the last box:
+    the cells with value >= k*unit (:func:`~clutterlab.polyhedra._pack_cells`)
+    and not in the power level, ``bad = reached & ~level``; the lowest set
+    bit of bad, ``(bad & -bad).bit_length() - 1``, is its lex-first cell
+    in C order. Scanning the last box instead of the level's own box
+    gives the same answer. The set S_k of cells whose value reaches k*unit
+    is upward closed (it is the integral closure of I^k, or I^(i)), and so
+    is I^k. The lex-first gap x has no gap below it, since a cell y <= x,
+    y != x, comes first in lex order; and no cell of S_k below it either,
+    since such a y lies outside I^k (else x, above y, would lie in I^k)
+    and so is a gap. So x is a minimal cell of S_k, a minimal generator of
+    the closure of I^k (or of I^(i)), and those lie in the level's own box
+    boxes[k-1]. A level has a gap in its own box iff it has one in the
+    last box, and the lex-first ones are the same cell.
+    """
+    levels = _power_grids(ideal, boxes)
+    value = _box_values(boxes[-1], rows)
+    for k, level in enumerate(levels, start=1):
+        bad = _pack_cells(value >= k * unit) & ~level
+        if bad:
+            cell = np.unravel_index((bad & -bad).bit_length() - 1, value.shape)
+            return k, tuple(int(x) for x in cell)
     return None
 
 
@@ -247,7 +266,7 @@ def normality_gap(ideal: MonomialIdeal, kmax: int) -> tuple[int, ExponentVector]
     gap = None
     if boxes:
         rows, den = _vertex_inequalities(a)
-        gap = _first_gap(ideal, boxes, _box_values(boxes[-1], rows), den)
+        gap = _first_gap(ideal, boxes, rows, den)
     if gap is None and tripped is not None:
         raise tripped
     return gap
@@ -306,7 +325,7 @@ def is_ntf_up_to(c: Clutter, imax: int) -> NormalityVerdict:
     )
     gap = None
     if boxes:
-        gap = _first_gap(ideal, boxes, _box_values(boxes[-1], _cover_matrix(c)), 1)
+        gap = _first_gap(ideal, boxes, _cover_matrix(c), 1)
     if gap is None:
         if tripped is not None:
             raise tripped

@@ -51,6 +51,7 @@ from .polyhedra import (
     q_vertices,
     _box_values,
     _check_box,
+    _narrowest_int,
 )
 from .structures import (
     Clutter,
@@ -736,9 +737,12 @@ def menger_walk(
     one max flow per two boxes of weights that its flow and its two
     minimum cuts certify.
 
-    Returns (cut weights, flow values, failures): two flat int64 arrays
-    indexed by lexicographic w, and the failed check by lexicographic
-    index for every w whose pair is not a certificate.
+    Returns (cut weights, flow values, failures): two flat arrays indexed
+    by lexicographic w, in the narrowest signed dtype holding n*wmax
+    (``polyhedra._narrowest_int``), which bounds every cut weight and flow
+    value and is the dtype of the packing numbers of :func:`sweep_numbers`,
+    and the failed check by lexicographic index for every w whose pair is
+    not a certificate.
 
     Each component of the Hasse diagram (:func:`_components`) is walked
     on the box of its own vertices, as a network that keeps only its arcs
@@ -759,7 +763,8 @@ def menger_walk(
     """
     n, side = net.n, wmax + 1
     full = (side,) * n
-    flows = np.zeros(full, dtype=np.int64)
+    dtype = _narrowest_int(n * wmax)  # signed: the -1 of an unreached w fits
+    flows = np.zeros(full, dtype=dtype)
     gaps: list[tuple[np.ndarray, int]] = []  # (indices, cut weight - flow value) per failing seed
     failures: dict[int, ConsistencyError] = {}
     for part in _components(net, edge_masks):
@@ -771,7 +776,7 @@ def menger_walk(
             sinks=tuple(v for v in net.sinks if part >> v & 1),
         )
         edges = [e for e in edge_masks if e & part]
-        values = np.full((side,) * len(verts), -1, dtype=np.int64)
+        values = np.full((side,) * len(verts), -1, dtype=dtype)
         flat = values.reshape(-1)
         seed = 0
         while True:

@@ -19,10 +19,14 @@ integer packing numbers on a box by :func:`packing_numbers`.
 The shift-OR recursion holds each level as one Python int with bit
 idx(x) = <x, strides> for cell x, the flat C-order index. idx is linear,
 so shifting a level up by v is a left shift by idx(v), which sets no bit
-below idx(v), then one AND per nonzero v_i with the periodic mask of the
-cells x_i >= v_i, which keeps exactly the cells dominating v. The masks
-are built once per call, per axis and threshold: no per-vector mask is
-stored. A level is unpacked into a bool box array when it is yielded.
+below idx(v), then one AND per nonzero v_i, i > 0, with the periodic mask
+of the cells x_i >= v_i, which keeps exactly the cells dominating v. The
+masks are built once per call, per axis and threshold: no per-vector mask
+is stored. A question that compares sets of cells, such as "does every
+cell of this level lie in that one", is answered on the ints themselves
+(:func:`_pack_cells` turns a bool box array into one); a level is
+unpacked into a bool box array (:func:`_unpack_cells`) only for a caller
+that needs the array.
 
 Every fractional value on a box is one kernel, :func:`_box_min`: the
 least of some linear forms <r_t, x> at every cell x, built from 1-D axes
@@ -356,14 +360,15 @@ def _check_box(caps: Vector, what: str = "lattice box size") -> None:
     check_size(math.prod(c + 1 for c in caps), MAX_GRID_POINTS, what)
 
 
-_INT_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+# (largest value, dtype) of the signed integer dtypes narrower than int64
+_INT_MAXES = tuple((int(np.iinfo(t).max), t) for t in (np.int8, np.int16, np.int32))
 
 
 def _narrowest_int(bound: int) -> type:
     """The narrowest signed integer dtype holding every value in
     [-bound, bound]. Signed only: a kernel that mixes signed and unsigned
     arrays pays for one more ufunc loop per dtype pair."""
-    return next((t for t in _INT_DTYPES[:-1] if bound <= np.iinfo(t).max), np.int64)
+    return next((t for top, t in _INT_MAXES if bound <= top), np.int64)
 
 
 def _box_min(caps: Vector, rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -373,31 +378,31 @@ def _box_min(caps: Vector, rows: Sequence[Sequence[int]] | np.ndarray) -> np.nda
     holding, for every row, both sum_i caps_i * |rows[t][i]| and every
     |rows[t][i]|: the first bounds every partial sum of a form and so
     every value, the second lets each coefficient be cast to the dtype,
-    also on an axis of cap 0. Every step then computes in that dtype.
+    also on an axis of cap 0. Every step then computes in that dtype. The
+    bound is summed in Python ints, so it cannot overflow.
 
     No point array is built: each linear form is an outer sum of 1-D
     ``arange * coef`` axes over only the axes where its coefficient is
-    nonzero, so it spans just the sub-box of those axes, and it is folded
-    into the running minimum by one broadcast pass over the box. A form
-    with a zero coefficient allocates no box-sized temporary. The result
-    owns its data and is writable and C-contiguous.
+    nonzero, starting from its first such axis, so it spans just the
+    sub-box of those axes, and it is folded into the running minimum by
+    one broadcast pass over the box. A form with a zero coefficient
+    allocates no box-sized temporary, and a zero row is the scalar 0. The
+    result owns its data and is writable and C-contiguous.
     """
     n = len(caps)
     shape = tuple(c + 1 for c in caps)
-    wide = np.asarray(rows, dtype=np.int64)
-    mag = np.abs(wide)
-    sums = mag @ np.array(caps, dtype=np.int64)
-    dtype = _narrowest_int(max(int(sums.max()), int(mag.max(initial=0))))
+    rows = np.asarray(rows, dtype=np.int64).tolist()
+    dtype = _narrowest_int(max(
+        max(0, sum(c * abs(x) for c, x in zip(caps, row)), *map(abs, row)) for row in rows
+    ))
     axes = [
-        np.arange(c + 1, dtype=dtype).reshape((-1,) + (1,) * (n - 1 - i)) if used else None
-        for i, (c, used) in enumerate(zip(caps, mag.any(axis=0)))
+        np.arange(c + 1, dtype=dtype).reshape((-1,) + (1,) * (n - 1 - i)) if any(col) else None
+        for i, (c, col) in enumerate(zip(caps, zip(*rows)))
     ]
     low = None
-    for row in wide.astype(dtype):
-        form = np.zeros((1,) * n, dtype=dtype)
-        for ax, coef in zip(axes, row):
-            if coef:
-                form = form + ax * coef
+    for row in rows:
+        terms = [ax * coef for ax, coef in zip(axes, row) if coef]
+        form = sum(terms[1:], terms[0]) if terms else 0
         if low is None:
             low = np.empty(shape, dtype=dtype)
             low[...] = form
@@ -505,54 +510,52 @@ def minimal_lattice_points(a: IncidenceMatrix, k: int) -> list[Vector]:
 # ---------------------------------------------------------------------------
 # k-fold sums and the integer decomposition property
 
-def kfold_sum_grids(
-    vectors: Iterable[Sequence[int]], caps: Vector, kmax: int
-) -> Iterator[np.ndarray]:
-    """Yield, for k = 1..kmax, the boolean grid over prod [0, caps_i] whose
-    cell x is True iff x dominates a sum of k of the vectors (repetition
-    allowed).
+def _kfold_bits(vectors: Iterable[Sequence[int]], caps: Vector, kmax: int) -> Iterator[int]:
+    """Yield, for k = 1..kmax, the cells of the box prod [0, caps_i] that
+    dominate a sum of k of the vectors (repetition allowed), as one Python
+    int whose bit idx(x) is set iff cell x is in the level, idx(x) =
+    <x, strides> being the flat C-order index. A level's int is 0 iff the
+    level is empty.
 
-    Shift-OR recursion from the all-True level 0: level k is the OR over
+    Shift-OR recursion from the all-ones level 0: level k is the OR over
     the vectors v of level k-1 shifted up by v. Vectors that leave the box
-    contribute nothing and are skipped.
-
-    Each level is one Python int whose bit idx(x) is set iff x is in the
-    level, idx(x) = <x, strides> being the flat C-order index. idx is
-    linear, so idx(x) - idx(v) = idx(x - v) for every x >= v, and the
-    shift by v is ``(level << idx(v)) & G(i, v_i) & ...`` over the i with
-    v_i > 0, where G(i, t) is the bitmask of the cells with x_i >= t: the
-    ANDs keep exactly the cells dominating v, and the shift sets no bit
-    below idx(v). Each G is built once per call, never one per vector.
-    Each level is unpacked once into a fresh, writable, C-contiguous bool
-    array that no later level reads; the masks are dropped before the last
-    one. The deadline is checked once per shifted vector.
+    contribute nothing and are skipped. idx is linear, so
+    idx(x) - idx(v) = idx(x - v) for every x >= v, and the shift by v is
+    ``(level << idx(v)) & G(i, v_i) & ...`` over the i > 0 with v_i > 0,
+    where G(i, t) is the bitmask of the cells with x_i >= t. The shift
+    sets no bit below idx(v) >= v_0 * strides[0], so every bit it sets
+    inside the box has x_0 >= v_0 and axis 0 needs no mask: one AND of the
+    OR with the all-ones mask per level drops the bits past the box. Each
+    G is built once per call, never one per vector, and all are dropped
+    before the last level is yielded. The deadline is checked once per
+    shifted vector.
     """
     shape = tuple(c + 1 for c in caps)
     size = math.prod(shape)
     strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
     shifts = [
-        (sum(x * s for x, s in zip(v, strides)), [(i, x) for i, x in enumerate(v) if x])
+        (sum(x * s for x, s in zip(v, strides)), [(i, x) for i, x in enumerate(v) if x and i])
         for v in vectors
         if all(x <= c for x, c in zip(v, caps))
     ]
-    grid = (1 << size) - 1
+    full = (1 << size) - 1
     at_least = {
-        (i, t): _at_least(t, strides[i], strides[i] * shape[i], grid)
+        (i, t): _at_least(t, strides[i], strides[i] * shape[i], full)
         for i, t in {key for _, axes in shifts for key in axes}
     }
+    level = full
     for k in range(kmax):
         nxt = 0
         for off, axes in shifts:
             check_deadline()
-            shifted = grid << off
+            shifted = level << off
             for key in axes:
                 shifted &= at_least[key]
             nxt |= shifted
-        grid = nxt
+        level = nxt & full
         if k == kmax - 1:
             at_least.clear()
-        packed = np.frombuffer(grid.to_bytes((size + 7) // 8, "little"), np.uint8)
-        yield np.unpackbits(packed, count=size, bitorder="little").view(bool).reshape(shape)
+        yield level
 
 
 def _at_least(t: int, stride: int, period: int, full: int) -> int:
@@ -565,19 +568,49 @@ def _at_least(t: int, stride: int, period: int, full: int) -> int:
     return mask & full
 
 
+def _pack_cells(mask: np.ndarray) -> int:
+    """The True cells of a bool box array as the bits idx(x) of one Python
+    int, in the layout of :func:`_kfold_bits`. A broadcast view packs
+    like the array it stands for."""
+    return int.from_bytes(np.packbits(mask, bitorder="little"), "little")
+
+
+def _unpack_cells(bits: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The bool box array of the given shape whose cell x is True iff bit
+    idx(x) of bits is set: the inverse of :func:`_pack_cells`. The array
+    is fresh, writable and C-contiguous."""
+    size = math.prod(shape)
+    packed = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(packed, count=size, bitorder="little").view(bool).reshape(shape)
+
+
+def kfold_sum_grids(
+    vectors: Iterable[Sequence[int]], caps: Vector, kmax: int
+) -> Iterator[np.ndarray]:
+    """Yield, for k = 1..kmax, the boolean grid over prod [0, caps_i] whose
+    cell x is True iff x dominates a sum of k of the vectors (repetition
+    allowed): each level of :func:`_kfold_bits` unpacked once into a
+    fresh, writable, C-contiguous bool array that no later level reads.
+    """
+    shape = tuple(c + 1 for c in caps)
+    for level in _kfold_bits(vectors, caps, kmax):
+        yield _unpack_cells(level, shape)
+
+
 def packing_numbers(vectors: Sequence[Sequence[int]], caps: Vector) -> np.ndarray:
     """max{<y,1> : sum_j y_j v_j <= x, y integer >= 0} for every x of the
     box prod [0, caps_i], as an n-D array in C (lexicographic) order:
-    the number of the nested levels of :func:`kfold_sum_grids` holding x,
-    up to the first empty one, each a bitset unpacked once. The
+    the number of the nested levels of :func:`_kfold_bits` holding x, up
+    to the first empty one, each nonempty level unpacked once. The
     vectors are nonzero, so no x packs more than sum(caps), and the counts
     are held in the narrowest signed dtype holding it
     (:func:`_narrowest_int`)."""
-    count = np.zeros(tuple(c + 1 for c in caps), dtype=_narrowest_int(sum(caps)))
-    for level in kfold_sum_grids(vectors, caps, sum(caps)):
-        if not level.any():
+    shape = tuple(c + 1 for c in caps)
+    count = np.zeros(shape, dtype=_narrowest_int(sum(caps)))
+    for level in _kfold_bits(vectors, caps, sum(caps)):
+        if not level:
             break
-        count += level
+        count += _unpack_cells(level, shape)
     return count
 
 
@@ -664,30 +697,6 @@ def ilp_max_packing(a: IncidenceMatrix, w: Sequence[int]) -> int:
     return best
 
 
-def _rounding_grids(a: IncidenceMatrix, wmax: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """The two sides of integer rounding at every w of the box
-    {0..wmax}^n, as n-D arrays in C (lexicographic) order: (lp, D, nu)
-    with lp / D the packing LP value max{<y,1> : Ay <= w, y >= 0} and nu
-    the integer packing number. Each array has the narrowest signed dtype
-    that holds its own values (:func:`_box_min`, :func:`packing_numbers`),
-    which need not hold D: divide lp by D in a wider dtype. The box is
-    guarded before anything is built.
-
-    LP value: by LP duality, max{<y,1> : Ay <= w, y >= 0} = min{<w,x> : x
-    in Q(A)}, and since w >= 0 and Q(A) is pointed with recession cone
-    R^n_+, the minimum is attained at a vertex ell_t of Q(A); the box
-    values of the vertex inequalities (:data:`_box_values`, read-only)
-    give it for every w.
-    Integer value: :func:`packing_numbers` of the columns over the box.
-    """
-    if wmax < 0:
-        raise ValueError("wmax must be >= 0")
-    caps = (wmax,) * a.n
-    _check_box(caps, "rounding box size")
-    rows, den = _vertex_inequalities(a)
-    return _box_values(caps, rows), den, packing_numbers(a.columns, caps)
-
-
 def integer_rounding_check(a: IncidenceMatrix, wmax: int) -> Certificate:
     """Per-w check, over the box w in {0..wmax}^n in lexicographic order,
     that max{<y,1> : Ay <= w, y integer >= 0} equals the floor of the
@@ -697,12 +706,20 @@ def integer_rounding_check(a: IncidenceMatrix, wmax: int) -> Certificate:
     equivalent to the integer decomposition property of B(Q). A
     semidecision, since the property quantifies over all w.
 
-    The whole box is priced at once by :func:`_rounding_grids`; this
-    renders it as one entry per w.
+    The whole box is priced at once and rendered as one entry per w. The
+    LP value: by LP duality, max{<y,1> : Ay <= w, y >= 0} = min{<w,x> :
+    x in Q(A)}, and since w >= 0 and Q(A) is pointed with recession cone
+    R^n_+, the minimum is attained at a vertex ell_t of Q(A); the box
+    values of the vertex inequalities (:data:`_box_values`) give D times
+    it for every w. The integer value is :func:`packing_numbers` of the
+    columns over the box. :func:`integer_rounding_holds` decides the same
+    verdict without rendering it. The box is guarded before anything is
+    built.
     """
-    lp_grid, den, nu_grid = _rounding_grids(a, wmax)
-    lp_num = lp_grid.ravel().tolist()
-    ilp = nu_grid.ravel().tolist()
+    caps = _rounding_box(a, wmax)
+    rows, den = _vertex_inequalities(a)
+    lp_num = _box_values(caps, rows).ravel().tolist()
+    ilp = packing_numbers(a.columns, caps).ravel().tolist()
     weights = itertools.product(range(wmax + 1), repeat=a.n)
     per_w = []
     first_fail = None
@@ -720,3 +737,38 @@ def integer_rounding_check(a: IncidenceMatrix, wmax: int) -> Certificate:
         witness=first_fail,
         details={"tested": len(per_w), "per_w": per_w},
     )
+
+
+def integer_rounding_holds(a: IncidenceMatrix, wmax: int) -> bool:
+    """The verdict of :func:`integer_rounding_check`, decided on packed
+    levels with nothing rendered: does floor(lp(w) / D) equal the integer
+    packing number nu(w) at every w in {0..wmax}^n?
+
+    Both sides are compared level by level. nu(w) >= k iff w dominates a
+    sum of k columns, i.e. w lies in level k of :func:`_kfold_bits`, and
+    floor(lp / D) >= k iff lp >= k*D, a comparison of the box values with
+    a Python int that no dtype of theirs must hold. The two functions
+    agree at every w iff the two sets agree at every k >= 1. Both sets
+    shrink as k grows, so the scan stops at the first k where they differ
+    or where both are empty; by k = sum(caps) + 1 both are, since the
+    columns are nonzero and so neither side exceeds sum(w).
+    """
+    caps = _rounding_box(a, wmax)
+    rows, den = _vertex_inequalities(a)
+    lp = _box_values(caps, rows)
+    for k, level in enumerate(_kfold_bits(a.columns, caps, sum(caps)), start=1):
+        if _pack_cells(lp >= k * den) != level:
+            return False
+        if not level:
+            break
+    return True
+
+
+def _rounding_box(a: IncidenceMatrix, wmax: int) -> Vector:
+    """The caps of the box {0..wmax}^n of the integer rounding checks,
+    guarded."""
+    if wmax < 0:
+        raise ValueError("wmax must be >= 0")
+    caps = (wmax,) * a.n
+    _check_box(caps, "rounding box size")
+    return caps

@@ -118,14 +118,38 @@ def test_certify_builds_no_normality_explanation_it_does_not_render(monkeypatch,
     assert rec["witness"]["normal"] == ideals.is_normal_up_to(two_squares, 3).to_json()
 
 
-def test_rounding_divides_a_cold_narrow_box_by_a_wider_denominator(monkeypatch):
+def test_an_ideal_instance_unpacks_no_power_level(monkeypatch, two_squares):
+    # normality and rounding are decided on packed levels: on the ideals
+    # golden no level is unpacked into an array and no packing-number
+    # array is built
+    calls = []
+    for name in ("_unpack_cells", "packing_numbers"):
+        honest = getattr(polyhedra, name)
+        monkeypatch.setattr(polyhedra, name,
+                            lambda *args, name=name, honest=honest: calls.append(name) or honest(*args))
+    polyhedra._box_values.cache_clear()
+    ideals._power_grids.cache_clear()
+    corpus, bounds, digest = GOLDEN["ideals"]
+    report = run_theorem_suite(corpus, bounds)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+    assert calls == []
+    # the counters see the routes that render arrays
+    polyhedra.integer_rounding_check(two_squares.matrix(), 2)
+    assert sorted(set(calls)) == ["_unpack_cells", "packing_numbers"]
+
+
+def test_rounding_compares_a_cold_narrow_box_with_a_wider_denominator(monkeypatch):
     # (x^200) has D = 200, but the values of its rounding box [0, 3] fit
-    # int8; with no wider box built first, certify must still divide
+    # int8; with no wider box built first, the levels lp >= k*D must
+    # still compare those values with a k*D past int8
     ideal = MonomialIdeal(1, [[200]])
     monkeypatch.setattr(certify, "normality_gap", lambda ideal, kmax: None)
     polyhedra._box_values.cache_clear()
-    lp, den, nu = polyhedra._rounding_grids(ideal.matrix(), 3)
+    rows, den = polyhedra._vertex_inequalities(ideal.matrix())
+    lp = polyhedra._box_values((3,), rows)
+    nu = polyhedra.packing_numbers(ideal.matrix().columns, (3,))
     assert (lp.dtype, den, lp.tolist(), nu.tolist()) == (np.int8, 200, [0, 1, 2, 3], [0, 0, 0, 0])
+    polyhedra._box_values.cache_clear()
     rec = check_ideal_instance(ideal, Bounds())
     assert rec["checks"] == {"normal": True, "rounding": True, "normal_equals_rounding": True}
 

@@ -1,6 +1,9 @@
 import itertools
+import math
+import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from clutterlab import (
@@ -11,6 +14,7 @@ from clutterlab import (
     is_normal_up_to,
     is_ntf_up_to,
     membership,
+    normality_gap,
     power,
     symbolic_power,
 )
@@ -18,6 +22,7 @@ from clutterlab.certify import Bounds, check_clutter_instance, random_clutters, 
 from clutterlab.guards import ResourceGuardError
 from clutterlab import polyhedra
 from clutterlab.ideals import _power_grids
+from clutterlab.packing import _cover_matrix
 from clutterlab.polyhedra import (
     box_caps,
     integer_decomposition_check,
@@ -96,21 +101,30 @@ def test_ordinary_power_lies_in_symbolic_power():
 
 
 def test_power_grid_cells_match_membership():
+    # every level is packed over the last box, bit idx(a) = the flat
+    # C-order index of a: check each cell of the last box, which holds
+    # each level's own box
     for ideal in random_ideals(3, 3, 2, 10, seed=15):
         boxes = tuple(box_caps(ideal.matrix(), i) for i in (1, 2, 3))
-        for i, (caps, grid) in enumerate(zip(boxes, _power_grids(ideal, boxes)), start=1):
-            assert grid.shape == tuple(c + 1 for c in caps)
+        shape = tuple(c + 1 for c in boxes[-1])
+        levels = _power_grids(ideal, boxes)
+        assert len(levels) == 3
+        for i, level in enumerate(levels, start=1):
+            assert 0 <= level < 1 << math.prod(shape)
             expanded = power(ideal, i)
-            for a in _box(caps):
-                assert bool(grid[a]) == membership(expanded, a)
+            for a in _box(boxes[-1]):
+                assert bool(level >> int(np.ravel_multi_index(a, shape)) & 1) == membership(expanded, a)
 
 
 def test_power_grid_is_read_only(two_squares):
-    for grid in _power_grids(two_squares, ((2, 2), (4, 4))):
-        assert not grid.flags.writeable
-        assert grid.base is None  # each level owns its box, no view of a larger one
-        with pytest.raises(ValueError):
-            grid[0, 0] = True
+    # the levels are Python ints, which no reader can write to, and the
+    # cache hands every reader the one chain it built
+    boxes = ((2, 2), (4, 4))
+    levels = _power_grids(two_squares, boxes)
+    assert type(levels) is tuple and all(type(level) is int for level in levels)
+    assert _power_grids(two_squares, boxes) is levels
+    # no bit past the 25 cells of the last box
+    assert all(0 < level < 1 << 25 for level in levels)
 
 
 def test_a_clutter_instance_builds_each_power_grid_once():
@@ -252,6 +266,76 @@ def test_ntf_witness_is_the_first_missing_symbolic_generator():
         if expected is not None:
             assert (verdict.explanation["level"], verdict.witness) == expected, c
     assert outcomes == {True, False}
+
+
+def _with_unused_variable(ideal, at):
+    """The ideal with a new variable at position ``at`` in no generator."""
+    return MonomialIdeal(ideal.n + 1, [g[:at] + (0,) + g[at:] for g in ideal.generators])
+
+
+def test_normality_gap_is_the_lex_first_gap_of_each_level_box():
+    # the packed scan reads every level over the last box; the reference
+    # scans each level's own box in lex order
+    rng = random.Random(31)
+    squares = MonomialIdeal(2, [(2, 0), (0, 2)])
+    corpus = random_ideals(3, 4, 3, 14, seed=31)
+    corpus += [_with_unused_variable(ideal, rng.randint(0, ideal.n)) for ideal in corpus[:6]]
+    corpus += [
+        squares,  # not normal at level 1, witness (1, 1)
+        MonomialIdeal(2, [(3, 0), (0, 3)]),
+        _with_unused_variable(squares, 0),
+        _with_unused_variable(squares, 1),
+        _with_unused_variable(squares, 2),
+        edge_ideal(TWO_TRIANGLES),  # first not normal at level 3
+    ]
+    levels = set()
+    for ideal in corpus:
+        for kmax in (1, 2, 3):
+            expected = _first_non_normal_point(list(ideal.generators), kmax)
+            assert normality_gap(ideal, kmax) == expected, (ideal, kmax)
+            levels.add(expected and expected[0])
+    assert levels >= {None, 1, 3}
+    assert normality_gap(_with_unused_variable(squares, 1), 3) == (1, (1, 0, 1))
+
+
+def _first_ntf_gap(c, imax):
+    """(level, lex-first cell of [0, i]^n in I^(i) but not in I^i)."""
+    covers = brute_minimal_covers(c.n, c.edges)
+    edges = [tuple(int(v in e) for v in range(c.n)) for e in c.edges]
+    for i in range(1, imax + 1):
+        gens = brute_power_generators(edges, i)
+        for a in _box((i,) * c.n):
+            if brute_symbolic_power_membership(covers, a, i) and not any(
+                all(x >= y for x, y in zip(a, g)) for g in gens
+            ):
+                return i, a
+    return None
+
+
+def test_ntf_witness_is_the_lex_first_gap_of_each_level_box():
+    # a vertex in no edge has coefficient 0 in every minimal cover: with
+    # its axis built at cap 0 first, the NTF values are a broadcast view
+    corpus = random_clutters(5, 6, 14, seed=32) + [
+        C5,
+        TWO_TRIANGLES,
+        Clutter(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),  # C5 and vertex 5
+        Clutter(4, [(1, 2), (2, 3), (1, 3)]),  # a triangle and vertex 0
+        Clutter(5, [(0, 1), (0, 4), (1, 4)]),
+    ]
+    outcomes, broadcast = set(), False
+    for c in corpus:
+        cover_rows = _cover_matrix(c)
+        for imax in (1, 2, 3):
+            used = cover_rows.any(axis=0)
+            polyhedra._box_values.cache_clear()
+            polyhedra._box_values(tuple(imax if u else 0 for u in used), cover_rows)
+            broadcast |= 0 in polyhedra._box_values((imax,) * c.n, cover_rows).strides
+            expected = _first_ntf_gap(c, imax)
+            verdict = is_ntf_up_to(c, imax)
+            got = None if verdict.holds else (verdict.explanation["level"], verdict.witness)
+            assert got == expected, (c, imax)
+            outcomes.add(expected and expected[0])
+    assert outcomes >= {None, 2, 3} and broadcast
 
 
 def test_ntf_peak_memory_is_a_few_box_arrays():

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
 from clutterlab import (
@@ -464,6 +465,21 @@ def _assert_walk_matches_fresh_flows(p, wmax):
         ref_value, _, ref_cut = net.max_flow(w)
         assert flows[idx] == ref_value
         assert cut_weights[idx] == sum(w[v] for v in _bits(ref_cut))
+
+
+def test_walk_arrays_have_the_dtype_of_the_packing_numbers():
+    # n * wmax bounds every cut weight and flow value; the walk's arrays
+    # take the narrowest signed dtype holding it, as the packing numbers
+    # of the sweep do, so the two compare in one dtype
+    for p, wmax in [(random_posets(6, 1, seed=1)[0], 3), (_disconnected_poset(), 2)]:
+        cl = clique_clutter(comparability_graph(p))
+        cut_weights, flows, _ = menger_walk(HasseNetwork.of(p), cl.edge_masks, wmax)
+        _, nus = sweep_numbers(cl, wmax)
+        assert cut_weights.dtype == flows.dtype == nus.dtype == np.int8
+    p = Poset(2, [(0, 1)])
+    cut_weights, flows, _ = menger_walk(HasseNetwork.of(p), [0b11], 64)
+    assert cut_weights.dtype == flows.dtype == np.int16
+    assert flows.reshape(65, 65)[64, 63] == cut_weights.reshape(65, 65)[64, 63] == 63
 
 
 def test_walk_matches_fresh_max_flow_on_small_posets():

@@ -12,6 +12,7 @@ import pytest
 from clutterlab import (
     Clutter,
     IncidenceMatrix,
+    MonomialIdeal,
     blocking_membership,
     covering_polyhedron,
     integer_decomposition_check,
@@ -33,6 +34,7 @@ from clutterlab.polyhedra import (
     box_caps,
     format_rational,
     ilp_max_packing,
+    integer_rounding_holds,
     kfold_sum_grids,
     packing_numbers,
     q_vertices,
@@ -490,6 +492,16 @@ def _kfold_cases():
         vectors = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(2, 5))]
         vectors = [v for v in vectors if any(v)] or [(1,) * n]
         cases.append((vectors, caps, rng.randint(1, 3)))
+    cases += [
+        # vectors nonzero only on axis 0, which no mask trims: the shift
+        # alone must keep x_0 >= v_0 and the level AND drop the bits past
+        # the box, also with one over the cap on axis 0
+        ([(1, 0, 0), (2, 0, 0)], (3, 1, 2), 4),
+        ([(2, 0), (0, 1)], (3, 2), 4),
+        ([(1, 0, 0), (4, 0, 0), (0, 1, 1)], (3, 2, 1), 3),
+        ([(3,), (1,)], (3,), 4),
+        ([(2, 0, 0, 0)], (1, 2, 2, 2), 2),
+    ]
     return cases
 
 
@@ -724,6 +736,52 @@ def test_rounding_box_guard_fires_before_allocating(monkeypatch):
     big = IncidenceMatrix(12, [(1,) * 12])
     with pytest.raises(ResourceGuardError, match="rounding box size"):
         integer_rounding_check(big, 3)
+    with pytest.raises(ResourceGuardError, match="rounding box size"):
+        integer_rounding_holds(big, 3)
+
+
+def _rounding_decision_cases():
+    ideals = random_ideals(3, 4, 3, 16, seed=41) + [
+        # D = 2: not normal at level 1, and floor(lp/D) > nu at (1, 1)
+        MonomialIdeal(2, [(2, 0), (0, 2)]),
+        MonomialIdeal(3, [(2, 0, 1), (0, 2, 1)]),
+        # a variable in no generator: the rounding box has cap wmax there,
+        # the normality box cap 0, so rounding reads a broadcast view
+        MonomialIdeal(3, [(2, 0, 0), (1, 0, 1), (0, 0, 2)]),
+        MonomialIdeal(3, [(2, 0, 0), (0, 0, 2)]),
+        # the cold case: D = 200, values of [0, 3] in int8
+        MonomialIdeal(1, [(200,)]),
+    ]
+    clutters = [
+        Clutter(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),  # D = 2, rounding holds
+        Clutter(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+        # Q6, the triangles of K4 on its six edges: D = 1, and at w = 1
+        # the LP value 2 is not reached by the packing number 1
+        Clutter(6, [(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)]),
+    ] + random_clutters(5, 6, 8, seed=42)
+    return [ideal.matrix() for ideal in ideals] + [IncidenceMatrix.from_clutter(c) for c in clutters]
+
+
+def test_packed_rounding_decision_is_the_floor_comparison():
+    # integer_rounding_holds decides on packed levels; the reference is
+    # (lp // D == nu).all() on freshly built full arrays
+    seen, broadcast = set(), False
+    for a in _rounding_decision_cases():
+        rows, den = _vertex_inequalities(a)
+        for wmax in (0, 1, 2, 3):
+            caps = (wmax,) * a.n
+            lp = polyhedra._box_min(caps, rows).astype(np.int64)
+            expected = bool((lp // den == packing_numbers(a.columns, caps)).all())
+            polyhedra._box_values.cache_clear()  # cold: the rounding box is built first
+            assert integer_rounding_holds(a, wmax) == expected, (a, wmax)
+            # warm: after the normality box, as in an ideal instance
+            polyhedra._box_values(box_caps(a, 3), rows)
+            broadcast |= 0 in polyhedra._box_values(caps, rows).strides
+            assert integer_rounding_holds(a, wmax) == expected, (a, wmax)
+            assert integer_rounding_check(a, wmax).holds == expected
+            seen.add((den > 1, expected))
+    assert seen == {(False, True), (False, False), (True, True), (True, False)}
+    assert broadcast
 
 
 def test_ilp_packing_matches_brute_force():
