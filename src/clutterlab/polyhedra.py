@@ -13,7 +13,7 @@ min(a, ceil(z)) is again such a point and is componentwise <= the box cap.
 
 Each quantity has one formulation: vertices of Q(A) by one integer double
 description per matrix (section "Exact vertex enumeration"), k-fold sums
-on a box by the shift-OR recursion of :func:`kfold_sum_grids`, and the
+on a box by the shift-OR recursion of :func:`_kfold_bits`, and the
 integer packing numbers on a box by :func:`packing_numbers`.
 
 The shift-OR recursion holds each level as one Python int with bit
