@@ -190,7 +190,8 @@ class Corpus:
     :data:`_GENERATED`, seeded and reproducible, or ``explicit`` instances
     read from the JSON file at ``path``. ``n``/``q``/``maxedges`` act as
     upper bounds for the random kinds; ``to_json`` writes the set fields.
-    Every parameter but ``path``, a string, is an integer."""
+    Every parameter but ``path``, a string, is an integer; one its kind
+    does not read is refused, so a report names no unused value."""
 
     kind: str
     n: int | None = None
@@ -209,13 +210,22 @@ class Corpus:
             want = str if f.name in ("kind", "path") else int
             if val is not None and (isinstance(val, bool) or not isinstance(val, want)):
                 raise ValueError(f"corpus parameter {f.name!r} must be {want.__name__}, got {val!r}")
+        self._refuse_unread(self.to_json())
+
+    def _refuse_unread(self, keys) -> None:
+        reads = {"kind", *(("path",) if self.kind == "explicit" else _GENERATED[self.kind][2])}
+        unread = sorted(set(keys) - reads)
+        if unread:
+            raise ValueError(f"corpus kind {self.kind!r} does not read {', '.join(map(repr, unread))}")
 
     def to_json(self) -> dict[str, Any]:
         return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "Corpus":
-        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
+        corpus = cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
+        corpus._refuse_unread(doc)
+        return corpus
 
     def instances(self) -> list[tuple[str, Any]]:
         """The instances in corpus order. An explicit file that cannot be
@@ -248,11 +258,14 @@ def load_explicit_instances(doc: dict[str, Any]) -> list[tuple[str, Any]]:
         "ideal": MonomialIdeal.from_json,
     }
     out = []
-    for item in doc["instances"]:
+    for index, item in enumerate(doc["instances"]):
         kind = item["type"]
         if kind not in loaders:
             raise ValueError(f"unknown instance type {kind!r}")
-        out.append((kind, loaders[kind](item["data"])))
+        obj = loaders[kind](item["data"])
+        if kind == "clutter" and not obj.edges:
+            raise ValueError(f"instance {index}: clutter must have at least one edge")
+        out.append((kind, obj))
     return out
 
 
@@ -426,12 +439,13 @@ def check_clutter_instance(c: Clutter, bounds: Bounds) -> dict[str, Any]:
 
 
 def check_ideal_instance(ideal: MonomialIdeal, bounds: Bounds) -> dict[str, Any]:
-    """Normality vs integer rounding: the bounded normality verdict must
-    match the integer-rounding verdict over w in {0..wmax}^n. Both are
-    decided on packed k-fold levels (:func:`normality_gap`,
-    :func:`integer_rounding_holds`), with no level unpacked; the
-    normality explanation and the per-w rounding certificate are rendered
-    only as the witness of a disagreement."""
+    """Normality vs integer rounding over w in {0..wmax}^n. A
+    box-consistency check, not a cross-check: both verdicts read one
+    kernel chain (the box values of the vertex rows of Q(A) and packed
+    k-fold levels, compared by ``polyhedra._level_gap``) over two boxes,
+    so one fault there can flip both alike. The normality explanation and
+    the per-w rounding certificate are rendered only as the witness of a
+    disagreement."""
     normal = normality_gap(ideal, bounds.kmax) is None
     check_deadline()
     rounds = integer_rounding_holds(ideal.matrix(), bounds.wmax)

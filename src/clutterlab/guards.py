@@ -16,8 +16,8 @@ Every exponential kernel calls :func:`check_deadline` at its loop head:
   the Hasse chain walk (``HasseNetwork.chains``), once per box seed of the
   Menger walk, and once after the w-box of MFMC certification is priced;
 - ``polyhedra``: once per positive ray of each double-description step,
-  once per shifted vector of the k-fold sum grids, and at every node of
-  the integer packing search (``ilp_max_packing``);
+  once per shifted vector of the packed k-fold levels (``_kfold_bits``),
+  and at every node of the integer packing search (``ilp_max_packing``);
 - ``ideals``: once per sum of generators in ``power``;
 - ``certify``: between the normality and rounding checks of an ideal.
 

@@ -15,12 +15,12 @@ level there: one value array of the box kernel of ``polyhedra`` (the
 least vertex inequality of Q(A), compared with k*D, or the least
 minimal-cover sum, compared with i), and one chain of power levels from a
 single bitset k-fold pass (:func:`~clutterlab.polyhedra._kfold_bits`),
-each level one Python int over the last box. A level's comparison is one
-AND-NOT of two such ints, and the lowest bit left is the lex-first cell
-in the larger set but not in the power: its first minimal generator
-missing from the power, which lies in the level's own box
-(:func:`_first_gap`). No level is unpacked into an array and no
-sub-box is sliced.
+each level one Python int over the last box. Both verdicts run one path,
+:func:`_first_gap`: guard, chain, values and the k-fold level kernel
+:func:`~clutterlab.polyhedra._level_gap`, whose lex-first difference is
+the first minimal generator missing from the power, in the level's own
+box; a power level cell outside the larger set raises ConsistencyError.
+No level is unpacked into an array and no sub-box is sliced.
 
 The power levels are cached per (ideal, boxes), so the two verdicts share
 them: on an edge ideal with no isolated vertex the normality boxes are the
@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -63,9 +63,9 @@ from .polyhedra import (
     _box_values,
     _check_box,
     _kfold_bits,
+    _level_gap,
     _minimal_cells,
     _minimal_rows,
-    _pack_cells,
     _vertex_inequalities,
 )
 from .structures import Clutter, json_int
@@ -191,60 +191,40 @@ def _power_grids(ideal: MonomialIdeal, boxes: tuple[ExponentVector, ...]) -> tup
     written to by a reader.
 
     Cached, so :func:`is_normal_up_to` reads the chain :func:`is_ntf_up_to`
-    built when their boxes agree. The caller guards the boxes
-    (:func:`_guarded_boxes`) before anything is built."""
+    built when their boxes agree. :func:`_first_gap` guards the boxes
+    before anything is built."""
     return tuple(_kfold_bits(ideal.generators, boxes[-1], len(boxes)))
 
 
-def _guarded_boxes(
-    boxes: Sequence[ExponentVector], what: str
-) -> tuple[tuple[ExponentVector, ...], ResourceGuardError | None]:
-    """The leading boxes within the cell guard, and the error the first box
-    over it raises (None when all pass). Boxes grow with the level, so the
-    levels below the first oversize box are exactly those a level-by-level
-    check reaches before the guard fires."""
+def _first_gap(
+    ideal: MonomialIdeal,
+    boxes: Sequence[ExponentVector],
+    what: str,
+    rows_and_unit: Callable[[], tuple[np.ndarray, int]],
+) -> tuple[int, ExponentVector] | None:
+    """The first level k with a cell of prod [0, boxes[k-1]] whose value
+    reaches k*unit but which lies outside I^k, and the lex-first such cell
+    (:func:`~clutterlab.polyhedra._level_gap` over the last box); None if
+    none. Every box is guarded (``what``) first: the levels below the
+    first oversize box are decided, and its guard raises only when none
+    has a gap. Then come ``rows_and_unit()``, the power chain and the
+    values, so the k-fold masks are freed before the value array is built.
+    """
+    tripped = None
     for k, caps in enumerate(boxes):
         try:
             _check_box(caps, what)
         except ResourceGuardError as err:
-            return tuple(boxes[:k]), err
-    return tuple(boxes), None
-
-
-def _first_gap(
-    ideal: MonomialIdeal, boxes: tuple[ExponentVector, ...], rows: np.ndarray, unit: int
-) -> tuple[int, ExponentVector] | None:
-    """The first level k with a cell of prod [0, boxes[k-1]] whose value
-    reaches k*unit but which lies outside I^k, and the lex-first such cell;
-    None if no level has one. The values are the box values of ``rows``
-    over the last box (``polyhedra._box_values``), in the narrow dtype of
-    their kernel. k*unit may lie past that dtype, which a comparison with
-    a Python int allows and arithmetic would not. The power chain is built
-    before the value array, so the k-fold masks are freed by the time it is.
-
-    Each level is one set comparison on packed ints over the last box:
-    the cells with value >= k*unit (:func:`~clutterlab.polyhedra._pack_cells`)
-    and not in the power level, ``bad = reached & ~level``; the lowest set
-    bit of bad, ``(bad & -bad).bit_length() - 1``, is its lex-first cell
-    in C order. Scanning the last box instead of the level's own box
-    gives the same answer. The set S_k of cells whose value reaches k*unit
-    is upward closed (it is the integral closure of I^k, or I^(i)), and so
-    is I^k. The lex-first gap x has no gap below it, since a cell y <= x,
-    y != x, comes first in lex order; and no cell of S_k below it either,
-    since such a y lies outside I^k (else x, above y, would lie in I^k)
-    and so is a gap. So x is a minimal cell of S_k, a minimal generator of
-    the closure of I^k (or of I^(i)), and those lie in the level's own box
-    boxes[k-1]. A level has a gap in its own box iff it has one in the
-    last box, and the lex-first ones are the same cell.
-    """
-    levels = _power_grids(ideal, boxes)
-    value = _box_values(boxes[-1], rows)
-    for k, level in enumerate(levels, start=1):
-        bad = _pack_cells(value >= k * unit) & ~level
-        if bad:
-            cell = np.unravel_index((bad & -bad).bit_length() - 1, value.shape)
-            return k, tuple(int(x) for x in cell)
-    return None
+            boxes, tripped = boxes[:k], err
+            break
+    gap = None
+    if boxes:
+        rows, unit = rows_and_unit()
+        levels = _power_grids(ideal, tuple(boxes))
+        gap = _level_gap(levels, _box_values(boxes[-1], rows), unit)
+    if gap is None and tripped is not None:
+        raise tripped
+    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +240,10 @@ def normality_gap(ideal: MonomialIdeal, kmax: int) -> tuple[int, ExponentVector]
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     a = ideal.matrix()
-    boxes, tripped = _guarded_boxes(
-        [box_caps(a, k) for k in range(1, kmax + 1)], "power grid size"
+    return _first_gap(
+        ideal, [box_caps(a, k) for k in range(1, kmax + 1)], "power grid size",
+        lambda: _vertex_inequalities(a),
     )
-    gap = None
-    if boxes:
-        rows, den = _vertex_inequalities(a)
-        gap = _first_gap(ideal, boxes, rows, den)
-    if gap is None and tripped is not None:
-        raise tripped
-    return gap
 
 
 def is_normal_up_to(ideal: MonomialIdeal, kmax: int) -> NormalityVerdict:
@@ -319,16 +293,11 @@ def is_ntf_up_to(c: Clutter, imax: int) -> NormalityVerdict:
     lex-first such cell is the witness."""
     if imax < 1:
         raise ValueError("imax must be >= 1")
-    ideal = edge_ideal(c)
-    boxes, tripped = _guarded_boxes(
-        [(i,) * c.n for i in range(1, imax + 1)], "lattice box size"
+    gap = _first_gap(
+        edge_ideal(c), [(i,) * c.n for i in range(1, imax + 1)], "lattice box size",
+        lambda: (_cover_matrix(c), 1),
     )
-    gap = None
-    if boxes:
-        gap = _first_gap(ideal, boxes, _cover_matrix(c), 1)
     if gap is None:
-        if tripped is not None:
-            raise tripped
         return NormalityVerdict("ntf-up-to", imax)
 
     i, witness = gap

@@ -22,11 +22,13 @@ so shifting a level up by v is a left shift by idx(v), which sets no bit
 below idx(v), then one AND per nonzero v_i, i > 0, with the periodic mask
 of the cells x_i >= v_i, which keeps exactly the cells dominating v. The
 masks are built once per call, per axis and threshold: no per-vector mask
-is stored. A question that compares sets of cells, such as "does every
-cell of this level lie in that one", is answered on the ints themselves
-(:func:`_pack_cells` turns a bool box array into one); a level is
-unpacked into a bool box array (:func:`_unpack_cells`) only for a caller
-that needs the array.
+is stored. The four bounded verdicts (normality, NTF, integer
+decomposition, integer rounding) ask one question of the levels: does
+level k equal the cells whose box value reaches k*unit? One kernel,
+:func:`_level_gap`, answers it on the ints themselves, and it alone packs
+a bool box array into an int (:func:`_pack_cells`). A level is unpacked
+into a bool box array (:func:`_unpack_cells`) only for a caller that
+needs the array, such as :func:`packing_numbers`.
 
 Every fractional value on a box is one kernel, :func:`_box_min`: the
 least of some linear forms <r_t, x> at every cell x, built from 1-D axes
@@ -60,7 +62,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .guards import MAX_DD_RAYS, MAX_GRID_POINTS, check_deadline, check_size
+from .guards import MAX_DD_RAYS, MAX_GRID_POINTS, ConsistencyError, check_deadline, check_size
 from .structures import json_int
 from .verdicts import Certificate
 
@@ -459,11 +461,6 @@ def _box_slice(caps: Vector) -> tuple[slice, ...]:
     return tuple(slice(0, c + 1) for c in caps)
 
 
-def _first_cell(mask: np.ndarray) -> Vector:
-    """The lex-first True cell of an n-D boolean box array."""
-    return tuple(int(x) for x in np.unravel_index(int(mask.argmax()), mask.shape))
-
-
 def _minimal_cells(upset: np.ndarray) -> list[Vector]:
     """Componentwise-minimal True cells, in lex order, of a boolean box
     array that is upward closed inside its box. A True cell x is minimal
@@ -584,17 +581,44 @@ def _unpack_cells(bits: int, shape: tuple[int, ...]) -> np.ndarray:
     return np.unpackbits(packed, count=size, bitorder="little").view(bool).reshape(shape)
 
 
-def kfold_sum_grids(
-    vectors: Iterable[Sequence[int]], caps: Vector, kmax: int
-) -> Iterator[np.ndarray]:
-    """Yield, for k = 1..kmax, the boolean grid over prod [0, caps_i] whose
-    cell x is True iff x dominates a sum of k of the vectors (repetition
-    allowed): each level of :func:`_kfold_bits` unpacked once into a
-    fresh, writable, C-contiguous bool array that no later level reads.
+def _level_gap(levels: Iterable[int], value: np.ndarray, unit: int) -> tuple[int, Vector] | None:
+    """The first k at which level k of the packed ``levels`` differs from
+    S_k, the cells of the box of ``value`` whose value reaches k*unit, and
+    the lex-first cell of the difference; None if none differs. The scan
+    ends after the last level or where both sides are empty, so a lazy
+    ``levels`` is drawn no further. k*unit is a Python int, which may lie
+    past the dtype of ``value``.
+
+    The four bounded verdicts are this comparison: the closure of I^k
+    (vertex rows of Q(A), unit D) against I^k; I^(i) (minimal covers,
+    unit 1) against I^i; k*B(Q) against the sums of k points of B(Q); and
+    floor(lp / D) >= k against nu >= k. Each level lies inside its S_k, so
+    the XOR is S_k minus the level; a level cell in it is a kernel fault
+    and raises :class:`ConsistencyError`.
+
+    The lowest set bit of the XOR is its lex-first cell in C order. When
+    the boxes grow with k and both sides are held over the last box, it is
+    also the lex-first difference in the level's own box. Both sides are
+    upward closed, so the lex-first difference x has no difference below
+    it (those come first in lex order) and no cell of S_k below it (such a
+    cell lies outside the level, else x would lie in it, and so is a
+    difference): x is a minimal cell of S_k, and those lie in its own box.
     """
-    shape = tuple(c + 1 for c in caps)
-    for level in _kfold_bits(vectors, caps, kmax):
-        yield _unpack_cells(level, shape)
+    for k, level in enumerate(levels, start=1):
+        diff = _pack_cells(value >= k * unit) ^ level
+        if diff:
+            faulty = diff & level
+            low = faulty or diff
+            cell = tuple(int(x) for x in np.unravel_index((low & -low).bit_length() - 1, value.shape))
+            if faulty:
+                raise ConsistencyError(
+                    "every cell of k-fold level k has value >= k*unit",
+                    {"k": k, "cell": list(cell), "value": int(value[cell])}, k * unit,
+                )
+            return k, cell
+        if not level:
+            break
+    return None
 
 
 def packing_numbers(vectors: Sequence[Sequence[int]], caps: Vector) -> np.ndarray:
@@ -618,44 +642,36 @@ def integer_decomposition_check(a: IncidenceMatrix, kmax: int) -> Certificate:
     """Does every lattice point of k*B(Q) in the k-box split into k lattice
     points of B(Q), for each k <= kmax?
 
-    The points that split are the level-k grid of :func:`kfold_sum_grids`
-    over the minimal lattice points m of B(Q): level 1 is their upward
-    closure, which is every lattice point of B(Q), and level k is the OR
-    over m of level k-1 shifted by m. Recursing through minimal first
-    summands is complete because B(Q) is upward closed: if
-    x = a_1 + ... + a_k and m <= a_1 is minimal, then
-    x = m + ((a_1 - m) + a_2) + a_3 + ... is a decomposition through m.
-    Membership in k*B(Q) compares the box values of the vertex
-    inequalities over the kmax-box (:data:`_box_values`, the array the
-    normality verdict already read) with k*D.
+    The points that split are level k of :func:`_kfold_bits` over the
+    minimal lattice points m of B(Q): level 1 is their upward closure,
+    which is every lattice point of B(Q), and level k is the OR over m of
+    level k-1 shifted by m. Recursing through minimal first summands is
+    complete because B(Q) is upward closed: if x = a_1 + ... + a_k and
+    m <= a_1 is minimal, then x = m + ((a_1 - m) + a_2) + a_3 + ... is a
+    decomposition through m. Membership in k*B(Q) compares the box values
+    of the vertex inequalities over the kmax-box (:data:`_box_values`, the
+    array the normality verdict already read) with k*D, level by level
+    (:func:`_level_gap`). ``checked`` counts the lattice points of k*B(Q)
+    in each level's own box, up to the first failing level.
     """
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
     caps = box_caps(a, kmax)
     _check_box(caps)
     rows, den = _vertex_inequalities(a)
-    value = _box_values(caps, rows)
-    minlat = minimal_lattice_points(a, 1)
-    checked: dict[str, int] = {}
-    for k, dec in enumerate(kfold_sum_grids(minlat, caps, kmax), start=1):
-        sub = _box_slice(box_caps(a, k))
-        memb_k = value[sub] >= k * den
-        bad = memb_k & ~dec[sub]
-        checked[str(k)] = int(memb_k.sum())
-        if bad.any():
-            return Certificate(
-                prop="integer-decomposition",
-                verdict="fails",
-                holds=False,
-                bound=kmax,
-                witness={"k": k, "point": list(_first_cell(bad))},
-                details={"checked": checked},
-            )
+    value = _box_values(caps, rows)  # first: the 1-box of the minimal points is a slice of it
+    gap = _level_gap(_kfold_bits(minimal_lattice_points(a, 1), caps, kmax), value, den)
+    last = kmax if gap is None else gap[0]
+    checked = {
+        str(k): int(np.count_nonzero(value[_box_slice(box_caps(a, k))] >= k * den))
+        for k in range(1, last + 1)
+    }
     return Certificate(
         prop="integer-decomposition",
-        verdict="holds-up-to-bound",
-        holds=True,
+        verdict="holds-up-to-bound" if gap is None else "fails",
+        holds=gap is None,
         bound=kmax,
+        witness=None if gap is None else {"k": gap[0], "point": list(gap[1])},
         details={"checked": checked},
     )
 
@@ -744,24 +760,18 @@ def integer_rounding_holds(a: IncidenceMatrix, wmax: int) -> bool:
     levels with nothing rendered: does floor(lp(w) / D) equal the integer
     packing number nu(w) at every w in {0..wmax}^n?
 
-    Both sides are compared level by level. nu(w) >= k iff w dominates a
-    sum of k columns, i.e. w lies in level k of :func:`_kfold_bits`, and
-    floor(lp / D) >= k iff lp >= k*D, a comparison of the box values with
-    a Python int that no dtype of theirs must hold. The two functions
-    agree at every w iff the two sets agree at every k >= 1. Both sets
-    shrink as k grows, so the scan stops at the first k where they differ
-    or where both are empty; by k = sum(caps) + 1 both are, since the
-    columns are nonzero and so neither side exceeds sum(w).
+    Both sides are compared level by level (:func:`_level_gap`). nu(w) >= k
+    iff w dominates a sum of k columns, i.e. w lies in level k of
+    :func:`_kfold_bits`, and floor(lp / D) >= k iff lp >= k*D. The two
+    functions agree at every w iff the two sets agree at every k >= 1.
+    Both sets shrink as k grows, so the scan stops at the first k where
+    they differ or where both are empty; by k = sum(caps) + 1 both are,
+    since the columns are nonzero and so neither side exceeds sum(w).
     """
     caps = _rounding_box(a, wmax)
     rows, den = _vertex_inequalities(a)
     lp = _box_values(caps, rows)
-    for k, level in enumerate(_kfold_bits(a.columns, caps, sum(caps)), start=1):
-        if _pack_cells(lp >= k * den) != level:
-            return False
-        if not level:
-            break
-    return True
+    return _level_gap(_kfold_bits(a.columns, caps, sum(caps)), lp, den) is None
 
 
 def _rounding_box(a: IncidenceMatrix, wmax: int) -> Vector:

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from clutterlab import Clutter, IncidenceMatrix, MonomialIdeal, Poset, guards, packing
+from clutterlab import Clutter, IncidenceMatrix, MonomialIdeal, Poset, guards, ideals, packing, polyhedra
 from clutterlab.packing import HasseNetwork
 
 
@@ -89,3 +89,20 @@ def padded_cover_search(monkeypatch):
         return cover + (next(v for v in itertools.count() if v not in cover),)
 
     monkeypatch.setattr(packing, "lex_min_cover", padded)
+
+
+@pytest.fixture
+def level_with_the_origin(monkeypatch):
+    """Every level of polyhedra._kfold_bits also holds the origin, whose
+    value 0 lies below every k*unit: a level cell outside its S_k. The
+    cached power chains are dropped on both sides of the fault."""
+    honest = polyhedra._kfold_bits
+
+    def faulty(vectors, caps, kmax):
+        return (level | 1 for level in honest(vectors, caps, kmax))
+
+    monkeypatch.setattr(polyhedra, "_kfold_bits", faulty)
+    monkeypatch.setattr(ideals, "_kfold_bits", faulty)
+    ideals._power_grids.cache_clear()
+    yield
+    ideals._power_grids.cache_clear()

@@ -6,6 +6,7 @@ the w-sweeps stopped building C^w, so any change in verdicts, witnesses or
 ``checked`` counts shows here.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -99,6 +100,42 @@ def test_report_bytes_are_pinned(name, monkeypatch):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
+LEVEL_FAULT = "every cell of k-fold level k has value >= k*unit"
+
+
+@pytest.mark.parametrize(
+    "verdict, dim, unit",
+    [
+        (lambda: ideals.normality_gap(MonomialIdeal(2, [(2, 0), (0, 2)]), 2), 2, 2),
+        (lambda: ideals.is_ntf_up_to(complete_admissible_uniform_clutter(2, 2), 2), 4, 1),
+        (lambda: polyhedra.integer_decomposition_check(MonomialIdeal(2, [(2, 0), (0, 2)]).matrix(), 2), 2, 2),
+        (lambda: polyhedra.integer_rounding_holds(MonomialIdeal(2, [(2, 0), (0, 2)]).matrix(), 2), 2, 2),
+    ],
+    ids=["normal", "ntf", "idp", "rounding"],
+)
+def test_a_level_cell_outside_its_value_set_raises(level_with_the_origin, verdict, dim, unit):
+    # every level lies inside its S_k, so the kernel names the fault
+    # instead of reading the level's extra cell as agreement
+    with pytest.raises(ConsistencyError) as info:
+        verdict()
+    doc = info.value.to_json()
+    assert doc == {"check": LEVEL_FAULT, "values": [{"k": 1, "cell": [0] * dim, "value": 0}, unit]}
+    assert json.loads(json.dumps(doc)) == doc
+
+
+def test_certify_records_a_faulty_level_as_a_failed_instance(level_with_the_origin, tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"instances": [
+        {"type": "ideal", "data": {"n": 2, "generators": [[2, 0], [0, 2]]}},
+        {"type": "clutter", "data": complete_admissible_uniform_clutter(2, 2).to_json()},
+        {"type": "poset", "data": {"n": 2, "relation": [[0, 1]]}},
+    ]}))
+    doc = json.loads(run_theorem_suite(Corpus("explicit", path=str(path)), Bounds()).to_json())
+    assert doc["counts"] == {"instances": 3, "failed": 3, "skipped": 0}
+    assert [rec["checks"] for rec in doc["instances"]] == [{"consistent": False}] * 3
+    assert [ex["witness"]["invariant"]["check"] for ex in doc["counterexamples"]] == [LEVEL_FAULT] * 3
+
+
 def test_certify_builds_no_normality_explanation_it_does_not_render(monkeypatch, two_squares):
     # the explanation of a not-normal verdict runs the integer decomposition
     # check; certify decides on the verdict alone and renders it only in
@@ -179,6 +216,38 @@ def test_a_missing_parameter_is_named_in_call_order(corpus, missing):
     message = f"^corpus kind '{corpus.kind}' requires parameter '{missing}'$"
     with pytest.raises(ValueError, match=message):
         corpus.instances()
+
+
+@pytest.mark.parametrize(
+    "doc, unread",
+    [
+        ({"kind": "random-posets", "n": 4, "count": 2, "seed": 1, "sed": 3}, "'sed'"),
+        ({"kind": "all-posets", "n": 2, "seed": 7}, "'seed'"),
+        ({"kind": "random-graphs", "n": 4, "count": 2, "seed": 1, "q": 2, "maxexp": 1}, "'maxexp', 'q'"),
+        ({"kind": "explicit", "path": "x.json", "n": 3}, "'n'"),
+    ],
+    ids=["unknown", "seed", "two", "explicit"],
+)
+def test_a_corpus_refuses_keys_its_kind_does_not_read(doc, unread):
+    message = f"^corpus kind '{doc['kind']}' does not read {unread}$"
+    with pytest.raises(ValueError, match=message):
+        Corpus.from_json(doc)
+
+
+def test_a_seed_override_is_refused_where_the_kind_reads_no_seed():
+    with pytest.raises(ValueError, match="^corpus kind 'all-posets' does not read 'seed'$"):
+        dataclasses.replace(Corpus("all-posets", n=2), seed=7)
+    assert dataclasses.replace(CORPORA["random-posets"], seed=7).seed == 7
+
+
+def test_an_explicit_clutter_with_no_edges_is_refused_with_its_index():
+    doc = {"instances": [
+        {"type": "clutter", "data": complete_admissible_uniform_clutter(2, 2).to_json()},
+        {"type": "graph", "data": {"n": 2, "edges": []}},
+        {"type": "clutter", "data": {"n": 2, "edges": []}},
+    ]}
+    with pytest.raises(ValueError, match="^instance 2: clutter must have at least one edge$"):
+        certify.load_explicit_instances(doc)
 
 
 @pytest.mark.parametrize(

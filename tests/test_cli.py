@@ -474,6 +474,44 @@ def test_an_unreadable_explicit_corpus_exits_2_with_one_error_line(capsys, tmp_p
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["certify", '{"kind":"random-posets","n":4,"count":2,"seed":1,"sed":3}'],
+         "corpus kind 'random-posets' does not read 'sed'"),
+        (["certify", "--seed", "7", '{"kind":"all-posets","n":2}'],
+         "corpus kind 'all-posets' does not read 'seed'"),
+        (["certify", '{"kind":"all-posets","n":2,"q":3,"seed":7}'],
+         "corpus kind 'all-posets' does not read 'q', 'seed'"),
+        (["certify", "--seed", "7", '{"kind":"explicit","path":"corpus.json"}'],
+         "corpus kind 'explicit' does not read 'seed'"),
+    ],
+    ids=["unknown-key", "seed-override", "unread-keys", "explicit-seed"],
+)
+def test_a_corpus_key_its_kind_does_not_read_exits_2(capsys, argv, err):
+    # the report would echo the key although no value of it was used
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
+
+def test_an_explicit_clutter_with_no_edges_exits_2_before_any_instance_runs(
+    capsys, monkeypatch, tmp_path
+):
+    checked = []
+    monkeypatch.setitem(certify._CHECKERS, "clutter", lambda c, bounds: checked.append(c))
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"instances": [
+        {"type": "clutter", "data": complete_admissible_uniform_clutter(2, 2).to_json()},
+        {"type": "clutter", "data": {"n": 2, "edges": []}},
+    ]}))
+    code = main(["certify", json.dumps({"kind": "explicit", "path": str(path)})])
+    captured = capsys.readouterr()
+    assert (code, captured.out, checked) == (2, "", [])
+    assert captured.err == (f"error: cannot read explicit corpus {str(path)!r}: "
+                            "ValueError: instance 1: clutter must have at least one edge\n")
+
+
 def test_a_directory_as_input_exits_2(capsys, tmp_path):
     code = main(["konig", str(tmp_path)])
     captured = capsys.readouterr()

@@ -11,7 +11,7 @@ from clutterlab.guards import (
 )
 from clutterlab.ideals import power
 from clutterlab.packing import HasseNetwork, minimal_vertex_covers
-from clutterlab.polyhedra import IncidenceMatrix, _dd_extreme_rays, ilp_max_packing, kfold_sum_grids
+from clutterlab.polyhedra import IncidenceMatrix, _dd_extreme_rays, _kfold_bits, ilp_max_packing
 from clutterlab.structures import maximal_cliques, parallelize_masks
 
 
@@ -75,7 +75,7 @@ def test_with_installs_the_budget_until_the_block_ends(clock):
     [
         lambda: _dd_extreme_rays(3, [(1, 1, -1)]),
         lambda: minimal_vertex_covers(Clutter(2, [(0, 1)])),
-        lambda: next(kfold_sum_grids([(1, 0)], (2, 2), 1)),
+        lambda: next(_kfold_bits([(1, 0)], (2, 2), 1)),
         lambda: maximal_cliques(Graph(2, [(0, 1)])),
         lambda: HasseNetwork.of(Poset(2, [(0, 1)])).chains(),
         lambda: parallelize_masks([0b11], (1, 2)),
@@ -83,7 +83,7 @@ def test_with_installs_the_budget_until_the_block_ends(clock):
         lambda: ilp_max_packing(IncidenceMatrix(2, [(1, 1)]), (1, 1)),
     ],
     ids=[
-        "_dd_extreme_rays", "minimal_vertex_covers", "kfold_sum_grids", "maximal_cliques",
+        "_dd_extreme_rays", "minimal_vertex_covers", "_kfold_bits", "maximal_cliques",
         "HasseNetwork.chains", "parallelize_masks", "power", "ilp_max_packing",
     ],
 )

@@ -24,18 +24,19 @@ from clutterlab import (
 )
 from clutterlab import polyhedra
 from clutterlab.certify import random_clutters, random_ideals, random_posets
-from clutterlab.guards import ResourceGuardError
+from clutterlab.guards import ConsistencyError, ResourceGuardError
 from clutterlab.polyhedra import (
     RationalPolyhedron,
     UnboundedLPError,
     _dd_extreme_rays,
     _int_constraints,
+    _kfold_bits,
+    _unpack_cells,
     _vertex_inequalities,
     box_caps,
     format_rational,
     ilp_max_packing,
     integer_rounding_holds,
-    kfold_sum_grids,
     packing_numbers,
     q_vertices,
 )
@@ -508,7 +509,8 @@ def _kfold_cases():
 @pytest.mark.parametrize("vectors, caps, kmax", _kfold_cases())
 def test_kfold_sum_grids_match_explicit_k_sums(vectors, caps, kmax):
     box = list(itertools.product(*(range(c + 1) for c in caps)))
-    levels = list(kfold_sum_grids(vectors, caps, kmax))
+    shape = tuple(c + 1 for c in caps)
+    levels = [_unpack_cells(bits, shape) for bits in _kfold_bits(vectors, caps, kmax)]
     assert len(levels) == kmax
     for k, grid in enumerate(levels, start=1):
         assert grid.shape == tuple(c + 1 for c in caps) and grid.dtype == bool
@@ -534,8 +536,8 @@ def test_kfold_memory_does_not_grow_with_the_vector_count():
     for vs in (np.eye(8, dtype=int).tolist(), vectors):
         tracemalloc.start()
         try:
-            for _ in kfold_sum_grids(vs, caps, 2):
-                pass
+            for bits in _kfold_bits(vs, caps, 2):
+                _unpack_cells(bits, tuple(c + 1 for c in caps))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -782,6 +784,30 @@ def test_packed_rounding_decision_is_the_floor_comparison():
             seen.add((den > 1, expected))
     assert seen == {(False, True), (False, False), (True, True), (True, False)}
     assert broadcast
+
+
+def test_rounding_stops_drawing_levels_once_both_sides_are_empty(monkeypatch):
+    # A = (1, 1): nu(w) = floor(lp(w)) = min(w), so at wmax 2 both sides
+    # are empty at k = 3, before the sum(caps) = 4 levels asked for
+    honest, drawn = polyhedra._kfold_bits, []
+
+    def counted(vectors, caps, kmax):
+        for level in honest(vectors, caps, kmax):
+            drawn.append(level)
+            yield level
+
+    monkeypatch.setattr(polyhedra, "_kfold_bits", counted)
+    assert integer_rounding_holds(IncidenceMatrix(2, [(1, 1)]), 2)
+    assert len(drawn) == 3 and drawn[-1] == 0
+
+
+def test_the_level_gap_kernel_names_a_faulty_cell_past_an_earlier_gap():
+    # cell 0 is a gap (in S_1, not in the level); cell 3 is a level cell
+    # whose value is below the unit: the error names cell 3
+    value = np.array([1, 0, 1, 0], dtype=np.int8)
+    with pytest.raises(ConsistencyError) as info:
+        polyhedra._level_gap([0b1000], value, 1)
+    assert info.value.to_json()["values"] == [{"k": 1, "cell": [3], "value": 0}, 1]
 
 
 def test_ilp_packing_matches_brute_force():
