@@ -11,18 +11,20 @@ Every exponential kernel calls :func:`check_deadline` at its loop head:
 
 - ``structures``: every node of the maximal-clique search, and once per
   edge of C^w that ``parallelize_masks`` builds;
-- ``packing``: every node of the two Koenig searches (minimum cover and
-  maximum matching), every node of the minimal-cover enumeration and of
-  the Hasse chain walk (``HasseNetwork.chains``), once per box seed of the
-  Menger walk, and once after the w-box of MFMC certification is priced;
-- ``polyhedra``: once per positive ray of each double-description step,
-  once per shifted vector of the packed k-fold levels (``_kfold_bits``),
-  and at every node of the integer packing search (``ilp_max_packing``);
+- ``packing``: every node of the Koenig searches (minimum cover, maximum
+  matching) and of the Hasse chain walk (``HasseNetwork.chains``), every edge
+  and every grown cover of the minimal-cover multiplication, once per box seed
+  of the Menger walk, and once after the w-box of MFMC certification is priced;
+- ``polyhedra``: once per positive ray of each double-description step, once
+  per row of the box kernel (``_box_min``), once per shifted vector of the
+  packed k-fold levels (``_kfold_bits``), and at every node of the integer
+  packing search (``ilp_max_packing``);
 - ``ideals``: once per sum of generators in ``power``;
 - ``certify``: between the normality and rounding checks of an ideal.
 
 Exceeding a guard raises :class:`ResourceGuardError`, which the CLI maps to
-exit code 3 and the certify engine maps to skip-with-log.
+exit code 3 and the certify engine maps to skip-with-log. A size guard names
+what it counts: ``cover family size`` is covers times edge size, per edge.
 
 Two internal routes that disagree raise :class:`ConsistencyError`, which the
 CLI maps to exit code 4; the certify engine records such a disagreement as

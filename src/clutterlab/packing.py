@@ -202,34 +202,30 @@ def max_matching_size(masks: Sequence[int]) -> int:
 
 def minimal_vertex_covers(c: Clutter) -> list[tuple[int, ...]]:
     """All inclusion-minimal transversals, as sorted vertex tuples in
-    lexicographic order. The node guard and the deadline are checked at
-    every node of the enumeration."""
-    masks = c.edge_masks
-    if not masks:
-        return [()]
-    found: set[int] = set()
-    nodes = 0
-
-    def rec(cover: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        check_size(nodes, MAX_COVER_SUBSETS, "cover enumeration nodes")
+    lexicographic order, by Berge's multiplication (C. Berge, *Hypergraphs*,
+    1989): from {0}, each edge mask e keeps the covers t meeting e, grows
+    every other t into t | {v} for each v in e, and drops a grown set that
+    contains a kept cover. No other minimality check is needed: two grown
+    sets never nest (both t miss e, so they add the same v and t inside t'),
+    and no kept k contains a grown t | {v} (k would contain t, so k = t,
+    which misses e). The family size times |e| is guarded before each
+    edge, and the deadline is checked per edge and per grown set."""
+    covers = [0]
+    for e in c.edge_masks:
         check_deadline()
-        uncovered = next((m for m in masks if not m & cover), None)
-        if uncovered is None:
-            found.add(cover)
-            return
-        m = uncovered
-        while m:
-            low = m & -m
-            m ^= low
-            rec(cover | low)
-
-    rec(0)
-    return sorted(
-        tuple(_bits(cov)) for cov in found
-        if all(any(m & cov == 1 << v for m in masks) for v in _bits(cov))
-    )
+        check_size(len(covers) * e.bit_count(), MAX_COVER_SUBSETS, "cover family size")
+        kept = [t for t in covers if t & e]
+        grown = []
+        for t in covers:
+            if t & e:
+                continue
+            for v in _bits(e):
+                check_deadline()
+                g = t | 1 << v
+                if all(k & g != k for k in kept):
+                    grown.append(g)
+        covers = kept + grown
+    return sorted(tuple(_bits(t)) for t in covers)
 
 
 @lru_cache(maxsize=512)

@@ -389,8 +389,8 @@ def _box_min(caps: Vector, rows: Sequence[Sequence[int]] | np.ndarray) -> np.nda
     sub-box of those axes, and it is folded into the running minimum by
     one broadcast pass over the box. A form with a zero coefficient
     allocates no box-sized temporary, and a zero row is the scalar 0. The
-    result owns its data and is writable and C-contiguous.
-    """
+    result owns its data and is writable and C-contiguous; the deadline is
+    checked once per row."""
     n = len(caps)
     shape = tuple(c + 1 for c in caps)
     rows = np.asarray(rows, dtype=np.int64).tolist()
@@ -403,6 +403,7 @@ def _box_min(caps: Vector, rows: Sequence[Sequence[int]] | np.ndarray) -> np.nda
     ]
     low = None
     for row in rows:
+        check_deadline()
         terms = [ax * coef for ax, coef in zip(axes, row) if coef]
         form = sum(terms[1:], terms[0]) if terms else 0
         if low is None:

@@ -90,6 +90,23 @@ def test_verdict_gain_needs_nine_tenths_of_the_pairs_and_the_parents_iqr():
     assert s["verdict"]["setup_s"] == s["verdict"]["peak_rss_mb"] == "within-bound"
 
 
+def test_verdict_gain_needs_one_percent_of_the_parents_median():
+    # peak RSS of BENCH_23.json: every pair won, and the drops of 0.05 MB
+    # (posets) and 0.03 MB (cauc) beat the parent's IQR of 0.010 and
+    # 0.005 MB, but not 1 % of its median of about 35.3 and 35.7 MB
+    for parent, drop, iqr in [(35.3047, 0.05, 0.010), (35.7148, 0.03, 0.005)]:
+        parent_runs = [parent - iqr / 2] * 4 + [parent] * 2 + [parent + iqr / 2] * 4
+        pairs = [(_stdout(0.1, 0.1, p), _stdout(0.1, 0.1, p - drop)) for p in parent_runs]
+        s = ab_bench.summarize(pairs, BETTER, BOUND)
+        spread = s["parent"]["metrics"]["peak_rss_mb"]
+        assert spread["q3"] - spread["q1"] == pytest.approx(iqr)
+        assert s["change_wins"]["peak_rss_mb"] == 10
+        assert s["verdict"]["peak_rss_mb"] == "within-bound"
+    # a drop just over 1 % of the median is a gain
+    pairs = [(_stdout(0.1, 0.1, 35.3), _stdout(0.1, 0.1, 34.9))] * 10
+    assert ab_bench.summarize(pairs, BETTER, BOUND)["verdict"]["peak_rss_mb"] == "gain"
+
+
 def test_verdict_worse_is_measured_against_the_bound():
     # bound 0.25 of the parent's median 0.1: 0.124 is inside, 0.126 is not
     s = ab_bench.summarize(_pairs(PARENT, [0.124] * 10), BETTER, BOUND)

@@ -35,7 +35,7 @@ from clutterlab.certify import (
 )
 from clutterlab.guards import ConsistencyError, Deadline, ResourceGuardError
 from clutterlab.packing import HasseNetwork, _cover_matrix, menger_check, sweep_numbers
-from clutterlab.structures import Poset, clique_clutter, comparability_graph
+from clutterlab.structures import Clutter, Poset, clique_clutter, comparability_graph
 
 HERE = Path(__file__).parent
 
@@ -524,6 +524,34 @@ def test_a_dropped_flow_chain_is_recorded_at_every_w(monkeypatch):
     assert all(r["checks"]["menger_agrees"] is False for r in report.instances)
 
 
+def test_an_unconserved_flow_is_recorded_with_the_node_balance(monkeypatch):
+    # every max flow comes back with the flow on its first loaded arc into
+    # the sink dropped: the chain decomposition stops at that arc's tail,
+    # whose remaining inflow and outflow are the two values
+    honest = HasseNetwork.max_flow
+
+    def leaking(self, w):
+        value, cap, cut = honest(self, w)
+        head, _ = self._graph
+        into_sink = [a for a in range(0, len(head), 2) if head[a] == 2 * self.n + 1 and cap[a ^ 1]]
+        for a in into_sink[:1]:
+            cap[a], cap[a ^ 1] = cap[a] + cap[a ^ 1], 0
+        return value, cap, cut
+
+    monkeypatch.setattr(HasseNetwork, "max_flow", leaking)
+    # the flow is the chain 0 < 1 < 3; vertex 3's out-node keeps 1 unit in, 0 out
+    with pytest.raises(ConsistencyError, match=r"^flow is conserved: 1 vs 0$"):
+        _diamond_check((1, 1, 1, 1))
+    corpus, bounds, _ = GOLDEN["posets"]
+    report = run_theorem_suite(corpus, bounds)
+    assert not report.skipped and report.counterexamples
+    assert _recorded_invariants(report) == {"flow is conserved"}
+    for ex in report.counterexamples:
+        for m in ex["witness"]["menger_mismatches"]:
+            inflow, outflow = m["invariant"]["values"]
+            assert inflow > 0 == outflow
+
+
 def _overpush_after_the_last_search(monkeypatch):
     """HasseNetwork._augment pushes one more unit through vertex 0 once its
     search finds no path."""
@@ -600,6 +628,87 @@ def test_the_empty_poset_checks_its_one_weight():
     sweep = comparability_mfmc_check(p, clique_clutter(comparability_graph(p)), 2)
     assert sweep == {"checked_w": 1, "konig_failures": [], "menger_mismatches": [],
                      "mfmc_holds": True, "menger_agrees": True}
+
+
+# ---------------------------------------------------------------------------
+# The failure side of a poset instance: each check planted to fail
+
+FAULT_BOUNDS = Bounds(kmax=2, imax=3, wmax=2)
+C5 = Clutter(5, [(i, (i + 1) % 5) for i in range(5)])  # not NTF at i = 3
+NOT_NORMAL = MonomialIdeal(4, [(2, 0, 0, 1), (0, 2, 0, 1)])  # not normal at k = 1
+
+
+def _not_ntf(monkeypatch):
+    honest = certify.is_ntf_up_to
+    monkeypatch.setattr(certify, "is_ntf_up_to", lambda cl, imax: honest(C5, imax))
+    return {"ntf": honest(C5, FAULT_BOUNDS.imax).to_json()}
+
+
+def _not_normal(monkeypatch):
+    gap, verdict = certify.normality_gap, certify.is_normal_up_to
+    monkeypatch.setattr(certify, "normality_gap", lambda ideal, kmax: gap(NOT_NORMAL, kmax))
+    monkeypatch.setattr(certify, "is_normal_up_to", lambda ideal, kmax: verdict(NOT_NORMAL, kmax))
+    return {"normal": verdict(NOT_NORMAL, FAULT_BOUNDS.kmax).to_json()}
+
+
+def _one_less_packing(monkeypatch):
+    # beta1 at the last w, all weights wmax, drops by one
+    honest = certify.sweep_numbers
+
+    def short(cl, wmax):
+        taus, nus = honest(cl, wmax)
+        nus = nus.copy()
+        nus[-1] -= 1
+        return taus, nus
+
+    monkeypatch.setattr(certify, "sweep_numbers", short)
+    return {"konig_failures": None, "menger_mismatches": None}
+
+
+def _vertex_0_not_duplicated(monkeypatch):
+    honest = certify.duplicate
+    monkeypatch.setattr(certify, "duplicate", lambda cl, v: honest(cl, v) if v else cl)
+    return {"duplication_vertices": [0]}
+
+
+def _no_clique_is_a_chain(monkeypatch):
+    def refuse(p, edge):
+        raise ValueError("not a chain")
+
+    monkeypatch.setattr(certify, "chain_order", refuse)
+    return {}
+
+
+@pytest.mark.parametrize("plant, failed", [
+    (_not_ntf, {"ntf"}),
+    (_not_normal, {"normal"}),
+    (_one_less_packing, {"mfmc_holds", "menger_agrees"}),
+    (_vertex_0_not_duplicated, {"duplication_commutes"}),
+    (_no_clique_is_a_chain, {"cliques_are_chains"}),
+], ids=["ntf", "normal", "konig", "duplication", "cliques_are_chains"])
+def test_a_failed_poset_check_is_recorded_with_its_witness(monkeypatch, plant, failed):
+    witness = plant(monkeypatch)
+    record = certify.check_poset_instance(DIAMOND, FAULT_BOUNDS)
+    assert {k for k, v in record["checks"].items() if not v} == failed
+    assert not record["pass"]
+    assert set(record["witness"] or {}) == set(witness)
+    for key, value in witness.items():
+        if value is not None:
+            assert record["witness"][key] == value
+    if "konig_failures" in witness:
+        [konig] = record["witness"]["konig_failures"]
+        assert konig["w"] == [FAULT_BOUNDS.wmax] * DIAMOND.n
+        assert konig["alpha0"] == konig["beta1"] + 1
+        [mismatch] = record["witness"]["menger_mismatches"]
+        assert mismatch["w"] == konig["w"] and "invariant" not in mismatch
+    report = run_theorem_suite(Corpus("random-posets", n=4, count=3, seed=1), FAULT_BOUNDS)
+    assert not report.skipped and len(report.instances) == 3
+    assert report.aggregate == "fail"
+    assert len(report.counterexamples) == 3
+    for rec in report.instances:
+        assert {k for k, v in rec["checks"].items() if not v} == failed
+    for ex in report.counterexamples:
+        assert set(ex["witness"] or {}) == set(witness)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from clutterlab.guards import (
 )
 from clutterlab.ideals import power
 from clutterlab.packing import HasseNetwork, minimal_vertex_covers
-from clutterlab.polyhedra import IncidenceMatrix, _dd_extreme_rays, _kfold_bits, ilp_max_packing
+from clutterlab.polyhedra import IncidenceMatrix, _box_min, _dd_extreme_rays, _kfold_bits, ilp_max_packing
 from clutterlab.structures import maximal_cliques, parallelize_masks
 
 
@@ -81,10 +81,11 @@ def test_with_installs_the_budget_until_the_block_ends(clock):
         lambda: parallelize_masks([0b11], (1, 2)),
         lambda: power.__wrapped__(MonomialIdeal(2, [(1, 0), (0, 1)]), 2),
         lambda: ilp_max_packing(IncidenceMatrix(2, [(1, 1)]), (1, 1)),
+        lambda: _box_min((1, 1), [(1, 0)]),
     ],
     ids=[
         "_dd_extreme_rays", "minimal_vertex_covers", "_kfold_bits", "maximal_cliques",
-        "HasseNetwork.chains", "parallelize_masks", "power", "ilp_max_packing",
+        "HasseNetwork.chains", "parallelize_masks", "power", "ilp_max_packing", "_box_min",
     ],
 )
 def test_exponential_kernels_check_the_installed_budget(clock, kernel):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import re
 
@@ -74,6 +76,44 @@ def test_minimal_covers_against_brute_force():
     for c in random_clutters(6, 7, 25, seed=52):
         got = minimal_vertex_covers(c)
         assert got == brute_minimal_covers(c.n, c.edges)
+    cauc = [complete_admissible_uniform_clutter(d, g) for d in range(2, 5) for g in range(2, 5) if d * g <= 9]
+    cliques = [clique_clutter(comparability_graph(p)) for p in random_posets(7, 20, seed=4)]
+    # vertices in no edge are in no minimal cover
+    isolated = [Clutter(c.n + 2, c.edges) for c in random_clutters(6, 7, 10, seed=53)]
+    isolated += [Clutter(4, [(1,)]), Clutter(5, [(0, 2), (2, 4)])]
+    for c in cauc + cliques + isolated:
+        assert minimal_vertex_covers(c) == brute_minimal_covers(c.n, c.edges), c.edges
+
+
+# sha256 of the JSON lists of minimal covers that the recursive search
+# with a minimality filter (the formulation before Berge's multiplication)
+# returned on this corpus of 294 clutters
+COVER_CORPUS_SHA256 = "53660baaf9a0db4e7415dd91fe01930612dea6d9fc29c165c8a8426691ec6975"
+
+
+def test_minimal_covers_keep_the_recursive_search_lists():
+    cl = (
+        [complete_admissible_uniform_clutter(d, g) for d in (2, 3) for g in (2, 3, 4, 5)]
+        + [complete_admissible_uniform_clutter(d, g) for d, g in [(4, 2), (4, 3), (4, 4), (5, 3)]]
+        + random_clutters(6, 10, 200, seed=1)
+        + random_clutters(12, 40, 40, seed=3)
+        + [clique_clutter(comparability_graph(p)) for p in random_posets(8, 40, seed=3)]
+        + [Clutter(0, []), Clutter(3, [])]
+    )
+    assert len(cl) == 294
+    covers = json.dumps([minimal_vertex_covers(c) for c in cl]).encode()
+    assert hashlib.sha256(covers).hexdigest() == COVER_CORPUS_SHA256
+
+
+def test_the_cover_family_is_guarded_before_it_is_built(monkeypatch):
+    # before the tenth of ten disjoint pairs the family holds 2^9 covers,
+    # each growing into 2: 1024 candidates
+    pairs = Clutter(20, [(2 * i, 2 * i + 1) for i in range(10)])
+    monkeypatch.setattr(packing, "MAX_COVER_SUBSETS", 1000)
+    with pytest.raises(ResourceGuardError, match="^cover family size = 1024 exceeds guard limit 1000$"):
+        minimal_vertex_covers(pairs)
+    monkeypatch.setattr(packing, "MAX_COVER_SUBSETS", 1024)
+    assert len(minimal_vertex_covers(pairs)) == 1024
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ tree.
 - ``polyhedra._pack_cells`` is referenced only inside
   ``polyhedra._level_gap``: the four bounded verdicts compare a k-fold
   level with its value set in that one kernel, not in a copy of its loop.
+- Every ``.py`` file of ``src/clutterlab``, ``tests`` and ``tools`` parses
+  as Python 3.10, the floor ``pyproject.toml`` declares.
 """
 
 import ast
@@ -19,6 +21,10 @@ import pytest
 import clutterlab
 
 SOURCES = sorted(Path(clutterlab.__file__).resolve().parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+PYTHON_FILES = sorted(
+    p for d in (ROOT / "src" / "clutterlab", ROOT / "tests", ROOT / "tools") for p in d.rglob("*.py")
+)
 
 
 def _parameters(fn: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> list[ast.arg]:
@@ -76,3 +82,16 @@ def test_only_the_level_gap_kernel_packs_cells():
         "def fork(level, value):\n    return polyhedra._pack_cells(value) & ~level\n"
     )
     assert _pack_cells_outside_level_gap(ast.parse(forked)) == [1, 5]
+
+
+@pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_file_parses_as_python_3_10(path):
+    # grammar only: feature_version rejects newer syntax (except*, type
+    # statements, ...) but not standard-library names added after 3.10
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_3_10_rule_sees_the_three_trees_and_rejects_newer_grammar():
+    assert {p.parent.name for p in PYTHON_FILES} >= {"clutterlab", "tests", "tools"}
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -21,7 +21,10 @@ its runs), and per metric the pairs this checkout won (ties count for
 neither side) and a verdict:
 
 - ``gain``: the change wins at least nine tenths of the pairs and its
-  median beats the parent's by more than the parent's interquartile range;
+  median beats the parent's by more than the parent's interquartile range
+  and by more than 1 % of the parent's median (a floor on the effect: a
+  narrow parent spread within one build says nothing about the shift that
+  source layout alone gives between builds, about 0.3 MB of peak RSS);
 - ``worse``: the change's median is worse than the parent's by more than
   the metric's ``bound`` in ``BENCHMARK.json``, a share of the parent's
   median;
@@ -69,9 +72,11 @@ def _spread(values: list[float]) -> dict:
 def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str, bound: float) -> str:
     """The verdict on one metric, "gain", "worse" or "within-bound", from
     the two sides' spreads, the pairs the change won, and the metric's
-    direction and bound (a share of the parent's median)."""
+    direction and bound (a share of the parent's median). A gain must
+    beat both the parent's interquartile range and 1 % of its median."""
     gained = (parent["median"] - change["median"]) * (1 if better == "lower" else -1)
-    if 10 * wins >= 9 * pairs and gained > parent["q3"] - parent["q1"]:
+    floor = max(parent["q3"] - parent["q1"], 0.01 * abs(parent["median"]))
+    if 10 * wins >= 9 * pairs and gained > floor:
         return "gain"
     if -gained > bound * parent["median"]:
         return "worse"
