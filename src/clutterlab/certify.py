@@ -345,15 +345,22 @@ def duplication_commutes(g: Graph, cl: Clutter) -> list[int]:
     return bad
 
 
-def cliques_are_chains(p: Poset, cl: Clutter) -> bool:
-    """Whether every edge of ``cl``, the clique clutter of p's
-    comparability graph, sorts into a chain of p."""
-    try:
-        for e in cl.edges:
+def clique_not_a_chain(p: Poset, cl: Clutter) -> dict[str, Any] | None:
+    """The lex-first edge of ``cl``, the clique clutter of p's
+    comparability graph, that :func:`chain_order` refuses to sort into a
+    chain of p, with its lex-first pair of vertices incomparable in p;
+    None when every edge sorts. The pair is read off p itself, so it is
+    None when chain_order refused a chain."""
+    for e in cl.edges:
+        try:
             chain_order(p, e)
-    except ValueError:
-        return False
-    return True
+        except ValueError:
+            pair = next(
+                ([u, v] for u, v in itertools.combinations(e, 2) if not (p.less(u, v) or p.less(v, u))),
+                None,
+            )
+            return {"edge": list(e), "pair": pair}
+    return None
 
 
 def check_poset_instance(p: Poset, bounds: Bounds) -> dict[str, Any]:
@@ -361,11 +368,12 @@ def check_poset_instance(p: Poset, bounds: Bounds) -> dict[str, Any]:
     cl = clique_clutter(g)
     sweep = comparability_mfmc_check(p, cl, bounds.wmax)
     dup_bad = duplication_commutes(g, cl)
+    not_a_chain = clique_not_a_chain(p, cl)
     checks: dict[str, Any] = {
         "mfmc_holds": sweep["mfmc_holds"],
         "menger_agrees": sweep["menger_agrees"],
         "duplication_commutes": not dup_bad,
-        "cliques_are_chains": cliques_are_chains(p, cl),
+        "cliques_are_chains": not_a_chain is None,
     }
     witness: dict[str, Any] = {}
     if cl.edges:
@@ -389,6 +397,8 @@ def check_poset_instance(p: Poset, bounds: Bounds) -> dict[str, Any]:
         witness["hasse_chains"] = sweep["hasse_chains"]
     if dup_bad:
         witness["duplication_vertices"] = dup_bad
+    if not_a_chain is not None:
+        witness["not_a_chain"] = not_a_chain
     return {"checks": checks, "pass": ok, "witness": witness or None}
 
 

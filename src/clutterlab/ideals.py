@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -111,6 +111,13 @@ class MonomialIdeal:
         return len(self.generators)
 
     def matrix(self) -> IncidenceMatrix:
+        """The generators as the columns of an incidence matrix, built once
+        per ideal: the normality, integrality and rounding checks of one
+        instance share it."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> IncidenceMatrix:
         return IncidenceMatrix(self.n, self.generators)
 
     def to_json(self) -> dict[str, Any]:
@@ -126,8 +133,11 @@ def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x >= y for x, y in zip(a, b))
 
 
+@lru_cache(maxsize=2)
 def edge_ideal(c: Clutter) -> MonomialIdeal:
-    """Squarefree ideal generated by the edge monomials of c."""
+    """Squarefree ideal generated by the edge monomials of c. Cached, so
+    :func:`is_ntf_up_to` and the checks of the same clutter after it share
+    one ideal and its one domination filter."""
     if not c.edges:
         raise ValueError("clutter must have at least one edge")
     return MonomialIdeal(c.n, [[int(v in e) for v in range(c.n)] for e in c.edges])

@@ -26,16 +26,23 @@ is stored. The four bounded verdicts (normality, NTF, integer
 decomposition, integer rounding) ask one question of the levels: does
 level k equal the cells whose box value reaches k*unit? One kernel,
 :func:`_level_gap`, answers it on the ints themselves, and it alone packs
-a bool box array into an int (:func:`_pack_cells`). A level is unpacked
-into a bool box array (:func:`_unpack_cells`) only for a caller that
-needs the array, such as :func:`packing_numbers`.
+those cells into an int (:func:`_pack_cells`), slab by slab, so no bool
+array of the box is made. A level is unpacked into a bool box array
+(:func:`_unpack_cells`) only for a caller that needs the array, such as
+:func:`packing_numbers`.
 
 Every fractional value on a box is one kernel, :func:`_box_min`: the
 least of some linear forms <r_t, x> at every cell x, built from 1-D axes
-without a point array. Each form spans only the axes of its nonzero
-coefficients and costs one broadcast pass over the box. With r_t the
-vertices of Q(A) over a common denominator D
-(:func:`_vertex_inequalities`), x lies in k*B(Q) iff the
+without a point array. The box shape alone picks the walk
+(:func:`_box_split`). A box of at most 2^14 cells takes one broadcast
+pass per form, spanning only the axes of its nonzero coefficients; the
+boxes of ideals in four variables with exponents <= 3 are of this kind
+up to k = 3 (at most 10^4 cells). A larger box is viewed as a 2-D
+(hi x lo) array, lo the fewest trailing axes with at least 2^12 cells,
+and each form is folded in as a hi column plus a contiguous lo vector,
+block by block of about 2^18 cells: besides the result, a form
+allocates one block. With r_t the vertices of Q(A) over a common
+denominator D (:func:`_vertex_inequalities`), x lies in k*B(Q) iff the
 value is >= k*D, and value / D is the packing LP value
 max{<y,1> : Ay <= w, y >= 0} at w = x (LP duality). With r_t the minimal
 vertex covers of a clutter, the same kernel gives the symbolic powers and
@@ -55,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -181,58 +189,66 @@ def _int_constraints(p: RationalPolyhedron) -> list[Vector]:
     return cuts
 
 
-def _reduce_ray(r: Sequence[int]) -> Vector:
-    g = math.gcd(*r)
-    return tuple(x // (g or 1) for x in r)
-
-
 def _dd_extreme_rays(dim: int, cuts: list[Vector]) -> list[Vector]:
     """Extreme rays of {y >= 0} cut by {c.y >= 0 : c in cuts}.
 
-    Double description with the combinatorial adjacency test; exact integer
-    arithmetic, rays gcd-reduced. Valid for pointed cones, which holds here
-    since the cone sits inside the nonnegative orthant. The deadline is
-    checked once per positive ray of each step, the ray count after it.
+    Double description (Fukuda–Prodon, "Double description method
+    revisited", 1996) with the combinatorial adjacency test; exact
+    integer arithmetic, rays gcd-reduced. Valid for pointed cones, which
+    holds here since the cone sits inside the nonnegative orthant. The
+    deadline is checked once per positive ray of each step, the ray count
+    after it.
 
     Each ray carries its zero set as a bitmask (bit j: y_j = 0, bit dim+t:
-    cut t tight), updated per cut: a ray at 0 on the cut gains its bit, and
-    a new ray, a positive combination of two, is zero where both are plus
-    on the cut. A pair with fewer than dim - 2 common zeros is skipped
-    before the scan: the tight constraints of a 2-face of a pointed cone in
-    R^dim have rank dim - 2, so such a pair is not adjacent.
+    cut t tight). Per cut, one pass reads each ray's value once and sorts
+    the rays into plus, zero and minus, a zero ray gaining the cut's bit.
+    A new ray, the positive combination of a plus and a minus ray that is
+    zero on the cut, is zero where both are, plus the cut. A pair with
+    fewer than dim - 2 common zeros is skipped before the scan: the tight
+    constraints of a 2-face of a pointed cone in R^dim have rank dim - 2,
+    so such a pair is not adjacent. Otherwise the pair is adjacent iff no
+    third ray's zero set holds their common one, a scan of the mask list
+    of the pass. The rays come back as the plus rays, the zero rays, then
+    the new ones sorted, each group in its order.
     """
-    rays: list[Vector] = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[Vector] = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
     zmasks = [((1 << dim) - 1) ^ (1 << i) for i in range(dim)]
     for t, cut in enumerate(cuts):
         bit = 1 << (dim + t)
-        vals = [sum(a * b for a, b in zip(cut, r)) for r in rays]
-        zmasks = [z | bit if v == 0 else z for z, v in zip(zmasks, vals)]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        if not neg:
+        plus, zero, minus, masks = [], [], [], []
+        for ray, z in zip(rays, zmasks):
+            v = sum(map(operator.mul, cut, ray))
+            if v > 0:
+                plus.append((ray, z, v))
+            elif v < 0:
+                minus.append((ray, z, v))
+            else:
+                z |= bit
+                zero.append((ray, z))
+            masks.append(z)
+        if not minus:
+            zmasks = masks
             continue
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
         fresh: dict[Vector, int] = {}
-        for ip in pos:
+        for rp, zp, vp in plus:
             check_deadline()
-            for im in neg:
-                common = zmasks[ip] & zmasks[im]
+            for rm, zm, vm in minus:
+                common = zp & zm
                 if common.bit_count() < dim - 2:
                     continue
-                adjacent = True
-                for k in range(len(rays)):
-                    if k != ip and k != im and (common & zmasks[k]) == common:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                combo = tuple(
-                    vals[ip] * rays[im][j] - vals[im] * rays[ip][j] for j in range(dim)
-                )
-                fresh[_reduce_ray(combo)] = common | bit
+                holders = 0  # the pair itself, and any third ray
+                for z in masks:
+                    if common & z == common:
+                        holders += 1
+                        if holders > 2:
+                            break
+                else:
+                    combo = [vp * x - vm * y for x, y in zip(rm, rp)]
+                    g = math.gcd(*combo)
+                    fresh[tuple([x // g for x in combo])] = common | bit
         new = sorted(fresh)
-        rays = [rays[i] for i in pos + zero] + new
-        zmasks = [zmasks[i] for i in pos + zero] + [fresh[r] for r in new]
+        rays = [r for r, _, _ in plus] + [r for r, _ in zero] + new
+        zmasks = [z for _, z, _ in plus] + [z for _, z in zero] + [fresh[r] for r in new]
         check_size(len(rays), MAX_DD_RAYS, "double-description ray count")
     return rays
 
@@ -373,6 +389,24 @@ def _narrowest_int(bound: int) -> type:
     return next((t for top, t in _INT_MAXES if bound <= top), np.int64)
 
 
+def _box_split(shape: tuple[int, ...]) -> tuple[int, int]:
+    """How :func:`_box_min` walks a box of this shape: (split, block).
+
+    A box of at most 2^14 cells is not split (split 0): each form is
+    folded in by one broadcast pass, as cheap there as any loop. A larger
+    box is viewed in C order as a 2-D (hi x lo) array: lo spans the fewest
+    trailing axes shape[split:] with at least 2^12 cells, hi the axes
+    before them, and the fold runs over blocks of ``block`` hi rows, about
+    2^18 cells, so one block of a box of small caps stays in cache."""
+    if math.prod(shape) <= 1 << 14:
+        return 0, 1
+    split, lo = len(shape), 1
+    while lo < 1 << 12:
+        split -= 1
+        lo *= shape[split]
+    return split, max(1, (1 << 18) // lo)
+
+
 def _box_min(caps: Vector, rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """min_t <rows[t], x> for every cell x of the box prod [0, caps_i], as
     an n-D array in C order, which is lexicographic order; rows is
@@ -385,33 +419,77 @@ def _box_min(caps: Vector, rows: Sequence[Sequence[int]] | np.ndarray) -> np.nda
 
     No point array is built: each linear form is an outer sum of 1-D
     ``arange * coef`` axes over only the axes where its coefficient is
-    nonzero, starting from its first such axis, so it spans just the
-    sub-box of those axes, and it is folded into the running minimum by
-    one broadcast pass over the box. A form with a zero coefficient
-    allocates no box-sized temporary, and a zero row is the scalar 0. The
-    result owns its data and is writable and C-contiguous; the deadline is
-    checked once per row."""
+    nonzero, and a zero row is the scalar 0. The walk follows
+    :func:`_box_split`. On an unsplit box a form spans just the sub-box of
+    its axes and is folded into the running minimum by one broadcast pass.
+    On a split box the result is viewed as (hi x lo): per row, the form's
+    sum over the hi axes becomes a column and its sum over the lo axes one
+    contiguous vector, and ``np.add`` of the two into a one-block
+    temporary, then ``np.minimum`` into the result, run block by block.
+    Every ufunc call then has a contiguous inner loop of at least 2^12
+    cells; a broadcast form, whose stride-0 axes numpy cannot coalesce,
+    runs one inner loop per innermost axis instead, 4 cells at caps 3.
+    Besides the result, a row allocates at most one block, its column and
+    its vector; the first row and a form over one side write into the
+    result directly. The result owns its data and is writable and
+    C-contiguous; the deadline is checked once per row."""
     n = len(caps)
     shape = tuple(c + 1 for c in caps)
     rows = np.asarray(rows, dtype=np.int64).tolist()
     dtype = _narrowest_int(max(
         max(0, sum(c * abs(x) for c, x in zip(caps, row)), *map(abs, row)) for row in rows
     ))
+    split, block = _box_split(shape)
+    # each axis broadcasts over its own side: axes[:split] over the hi
+    # axes, axes[split:] over the lo axes
     axes = [
-        np.arange(c + 1, dtype=dtype).reshape((-1,) + (1,) * (n - 1 - i)) if any(col) else None
+        np.arange(c + 1, dtype=dtype).reshape((-1,) + (1,) * ((split if i < split else n) - 1 - i))
+        if any(col) else None
         for i, (c, col) in enumerate(zip(caps, zip(*rows)))
     ]
-    low = None
-    for row in rows:
+    hi_axes, lo_axes = axes[:split], axes[split:]
+    low = np.empty(shape, dtype=dtype)
+    view = low.reshape(-1, math.prod(shape[split:])) if split else low
+    scratch = None
+    for t, row in enumerate(rows):
         check_deadline()
-        terms = [ax * coef for ax, coef in zip(axes, row) if coef]
-        form = sum(terms[1:], terms[0]) if terms else 0
-        if low is None:
-            low = np.empty(shape, dtype=dtype)
-            low[...] = form
+        if split:
+            hi = _outer_sum(hi_axes, row, shape[:split])
+            hi = None if hi is None else hi[:, None]
+            lo = _outer_sum(lo_axes, row[split:], shape[split:])
         else:
-            np.minimum(low, form, out=low)
+            hi, lo = None, _outer_sum(axes, row, None)
+        if hi is None or lo is None:
+            # a form over one side, or a zero row: folded in directly
+            form = 0 if hi is None and lo is None else lo if hi is None else hi
+            if t == 0:
+                view[...] = form
+            else:
+                np.minimum(view, form, out=view)
+            continue
+        if t and scratch is None:
+            scratch = np.empty((min(block, len(view)), len(lo)), dtype=dtype)
+        for b in range(0, len(view), block):
+            part = view[b:b + block]
+            if t == 0:
+                np.add(hi[b:b + block], lo, out=part)
+            else:
+                tmp = scratch[:len(part)]
+                np.add(hi[b:b + block], lo, out=tmp)
+                np.minimum(part, tmp, out=part)
     return low
+
+
+def _outer_sum(axes: list, coefs: Sequence[int], shape: tuple[int, ...] | None) -> np.ndarray | None:
+    """sum_i axes[i] * coefs[i] over the nonzero coefficients, None if
+    there is none: broadcast, spanning only the axes it uses, or, given
+    the ``shape`` of all the axes, copied out as one C-contiguous flat
+    vector over them."""
+    terms = [ax * coef for ax, coef in zip(axes, coefs) if coef]
+    if not terms:
+        return None
+    form = sum(terms[1:], terms[0])
+    return form if shape is None else np.broadcast_to(form, shape).reshape(-1)
 
 
 class _BoxValues:
@@ -566,17 +644,23 @@ def _at_least(t: int, stride: int, period: int, full: int) -> int:
     return mask & full
 
 
-def _pack_cells(mask: np.ndarray) -> int:
-    """The True cells of a bool box array as the bits idx(x) of one Python
-    int, in the layout of :func:`_kfold_bits`. A broadcast view packs
-    like the array it stands for."""
-    return int.from_bytes(np.packbits(mask, bitorder="little"), "little")
+def _pack_cells(flat: np.ndarray, threshold: int) -> int:
+    """The cells of a box whose value reaches ``threshold``, as the bits
+    idx(x) of one Python int, in the layout of :func:`_kfold_bits`;
+    ``flat`` holds the values in C order. Compared and packed in slabs of
+    2^16 cells, a whole number of bytes each, so no bool array of the box
+    is made."""
+    packed = np.empty((flat.size + 7) // 8, dtype=np.uint8)
+    for start in range(0, flat.size, 1 << 16):
+        slab = np.packbits(flat[start:start + (1 << 16)] >= threshold, bitorder="little")
+        packed[start // 8:start // 8 + slab.size] = slab
+    return int.from_bytes(packed, "little")
 
 
 def _unpack_cells(bits: int, shape: tuple[int, ...]) -> np.ndarray:
     """The bool box array of the given shape whose cell x is True iff bit
-    idx(x) of bits is set: the inverse of :func:`_pack_cells`. The array
-    is fresh, writable and C-contiguous."""
+    idx(x) of bits is set, in the layout :func:`_pack_cells` packs. The
+    array is fresh, writable and C-contiguous."""
     size = math.prod(shape)
     packed = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), np.uint8)
     return np.unpackbits(packed, count=size, bitorder="little").view(bool).reshape(shape)
@@ -604,9 +688,15 @@ def _level_gap(levels: Iterable[int], value: np.ndarray, unit: int) -> tuple[int
     it (those come first in lex order) and no cell of S_k below it (such a
     cell lies outside the level, else x would lie in it, and so is a
     difference): x is a minimal cell of S_k, and those lie in its own box.
+
+    S_k is packed in slabs (:func:`_pack_cells`) from the flat C-order
+    view of ``value``. A C-contiguous value, such as every box an
+    instance at n = 12 reads, is viewed in place; a prefix slice or
+    broadcast view of a larger held box is copied once, for all levels.
     """
+    flat = value.reshape(-1)
     for k, level in enumerate(levels, start=1):
-        diff = _pack_cells(value >= k * unit) ^ level
+        diff = _pack_cells(flat, k * unit) ^ level
         if diff:
             faulty = diff & level
             low = faulty or diff

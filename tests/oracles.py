@@ -264,3 +264,43 @@ def brute_packing_numbers(vectors, caps) -> dict[tuple[int, ...], int]:
             best[x] = k
         k += 1
     return best
+
+
+def reference_dd_extreme_rays(dim: int, cuts) -> list[tuple[int, ...]]:
+    """``polyhedra._dd_extreme_rays`` as it stood before its one-pass-per-cut
+    rewrite, kept as the order reference: the output, order included,
+    must equal the kernel's. Only the deadline and the ray-count guard
+    are left out."""
+    rays = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    zmasks = [((1 << dim) - 1) ^ (1 << i) for i in range(dim)]
+    for t, cut in enumerate(cuts):
+        bit = 1 << (dim + t)
+        vals = [sum(a * b for a, b in zip(cut, r)) for r in rays]
+        zmasks = [z | bit if v == 0 else z for z, v in zip(zmasks, vals)]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        if not neg:
+            continue
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        fresh = {}
+        for ip in pos:
+            for im in neg:
+                common = zmasks[ip] & zmasks[im]
+                if common.bit_count() < dim - 2:
+                    continue
+                adjacent = True
+                for k in range(len(rays)):
+                    if k != ip and k != im and (common & zmasks[k]) == common:
+                        adjacent = False
+                        break
+                if not adjacent:
+                    continue
+                combo = tuple(
+                    vals[ip] * rays[im][j] - vals[im] * rays[ip][j] for j in range(dim)
+                )
+                g = math.gcd(*combo)
+                fresh[tuple(x // (g or 1) for x in combo)] = common | bit
+        new = sorted(fresh)
+        rays = [rays[i] for i in pos + zero] + new
+        zmasks = [zmasks[i] for i in pos + zero] + [fresh[r] for r in new]
+    return rays

@@ -676,7 +676,8 @@ def _no_clique_is_a_chain(monkeypatch):
         raise ValueError("not a chain")
 
     monkeypatch.setattr(certify, "chain_order", refuse)
-    return {}
+    # the lex-first clique; it is a chain of DIAMOND, so no pair is named
+    return {"not_a_chain": {"edge": [0, 1, 3], "pair": None}}
 
 
 @pytest.mark.parametrize("plant, failed", [
@@ -709,6 +710,20 @@ def test_a_failed_poset_check_is_recorded_with_its_witness(monkeypatch, plant, f
         assert {k for k, v in rec["checks"].items() if not v} == failed
     for ex in report.counterexamples:
         assert set(ex["witness"] or {}) == set(witness)
+
+
+@pytest.mark.parametrize("poset, edges, expected", [
+    # nothing comparable: the first pair of the first edge
+    (Poset(3, []), [(0, 1), (2,)], {"edge": [0, 1], "pair": [0, 1]}),
+    # 0 < 1 and 0 < 2: the lex-first edge holds the chain {0, 1}, but its
+    # first incomparable pair is (1, 2)
+    (Poset(3, [(0, 1), (0, 2)]), [(0, 1, 2)], {"edge": [0, 1, 2], "pair": [1, 2]}),
+    # the first edge is a chain, the second is not
+    (Poset(4, [(0, 1)]), [(0, 1), (2, 3)], {"edge": [2, 3], "pair": [2, 3]}),
+    (Poset(3, [(0, 1), (1, 2), (0, 2)]), [(0, 1, 2)], None),
+])
+def test_a_clique_that_is_not_a_chain_is_named_with_its_pair(poset, edges, expected):
+    assert certify.clique_not_a_chain(poset, Clutter(poset.n, edges)) == expected
 
 
 # ---------------------------------------------------------------------------

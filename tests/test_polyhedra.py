@@ -40,7 +40,11 @@ from clutterlab.polyhedra import (
     packing_numbers,
     q_vertices,
 )
-from clutterlab.structures import clique_clutter, comparability_graph
+from clutterlab.structures import (
+    clique_clutter,
+    comparability_graph,
+    complete_admissible_uniform_clutter,
+)
 
 from oracles import (
     brute_decompose,
@@ -51,6 +55,7 @@ from oracles import (
     brute_q_vertices,
     brute_vertices,
     minimalize,
+    reference_dd_extreme_rays,
 )
 
 
@@ -220,6 +225,24 @@ def test_integer_vertex_route_matches_oracle():
     assert False in integral[:-2]
 
 
+def test_dd_rays_come_back_in_the_reference_order():
+    # the rays, order included, of the double description before its
+    # one-pass-per-cut rewrite: the vertex rows of Q(A), and so every
+    # report, keep their order
+    cauc = [
+        complete_admissible_uniform_clutter(d, g)
+        for d in range(2, 7) for g in range(2, 7) if d * g <= 12
+    ]
+    mats = (
+        [ideal.matrix() for ideal in random_ideals(4, 5, 3, 120, seed=1)]
+        + [IncidenceMatrix.from_clutter(c) for c in cauc + random_clutters(6, 10, 200, seed=1)]
+    )
+    for a in mats:
+        cuts = [(*col, -1) for col in a.columns]
+        assert _dd_extreme_rays(a.n + 1, cuts) == reference_dd_extreme_rays(a.n + 1, cuts), a
+    assert max(c.n for c in cauc) == 12 and len(cauc) == 12
+
+
 def test_dd_ray_guard(monkeypatch):
     a = IncidenceMatrix.from_clutter(
         Clutter(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
@@ -384,15 +407,67 @@ def test_box_min_matches_brute_minimum():
             rows.append((0,) * n)
         cases.append((tuple(caps), rows))
     for caps, rows in cases:
+        _assert_box_min(caps, rows)
+    for caps, rows in _split_box_cases():
+        # these boxes are viewed as (hi x lo): every case takes the split path
+        assert polyhedra._box_split(tuple(c + 1 for c in caps))[0] > 0
+        _assert_box_min(caps, rows)
+
+
+def _assert_box_min(caps, rows):
+    got = polyhedra._box_min(caps, rows)
+    bound = max(max(sum(c * abs(r) for c, r in zip(caps, row)), *map(abs, row)) for row in rows)
+    assert got.shape == tuple(c + 1 for c in caps) and got.dtype == _narrowest_signed(bound)
+    # an owned box array, never a broadcast view of one form
+    assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
+    # the brute minimum over an explicit point array, in C order
+    points = np.indices(got.shape).reshape(len(caps), -1).T
+    expected = (points @ np.array(rows, dtype=np.int64).T).min(axis=1)
+    assert got.ravel().tolist() == expected.tolist()
+
+
+def _split_box_cases():
+    """Boxes of n = 8..10 at caps 2 and 3 that :func:`polyhedra._box_split`
+    splits, with rows over both sides, one side only, all axes and none."""
+    rng = random.Random(25)
+    cases = [
+        # [0,3]^9 and [0,2]^10, split after axis 3 and axis 2; a zero first
+        # row, a row on the hi axes only, one on the lo axes only, one on all
+        ((3,) * 9, [(0,) * 9, (1, 2, 0) + (0,) * 6, (0,) * 3 + (1,) * 6, (1,) * 9]),
+        ((2,) * 10, [(0, 1) + (0,) * 8, (0,) * 2 + (2, 0, 1) + (0,) * 5, (1,) * 10]),
+        # a cap-0 axis on each side of the split, with coefficients on both
+        ((3, 0, 3, 3, 3, 3, 3, 0, 3, 3), [(1, 5, 0, 2, 0, 1, 1, 7, 0, 1), (0, 1) + (1,) * 8]),
+        # negative coefficients; int16 values
+        ((3,) * 9, [(-2, 1, 0, 3, -1, 0, 2, 1, -3), (40, -40, 1, 1, 1, 1, 1, 1, -1)]),
+        # [0,3]^10: 256 hi rows in four blocks; a partial last block
+        ((3,) * 10, [(1,) * 10, (0, 1) * 5, (2, 0) * 5]),
+        ((2, 2) + (3,) * 8, [(1,) * 10, (1, 0) * 5, (0,) * 9 + (1,)]),
+        # [0,3]^8
+        ((3,) * 8, [(0, 0, 1, 1, 1, 1, 1, 1), (2, 1, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 3)]),
+    ]
+    for _ in range(6):
+        n = rng.randint(9, 10)
+        caps = [rng.choice((2, 3)) for _ in range(n)]
+        rows = [tuple(rng.choice((0, 0, 1, 2, -1)) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        cases.append((tuple(caps), rows))
+    return cases
+
+
+def test_box_min_allocates_the_result_and_one_block():
+    caps = (3,) * 10
+    shape = tuple(c + 1 for c in caps)
+    split, block = polyhedra._box_split(shape)
+    lo = math.prod(shape[split:])
+    rows = [(1,) * 10, (0, 1) * 5, (2, 1, 0, 0, 1, 1, 0, 2, 1, 1)]
+    tracemalloc.start()
+    try:
         got = polyhedra._box_min(caps, rows)
-        bound = max(max(sum(c * abs(r) for c, r in zip(caps, row)), *map(abs, row)) for row in rows)
-        assert got.shape == tuple(c + 1 for c in caps) and got.dtype == _narrowest_signed(bound)
-        # an owned box array, never a broadcast view of one form
-        assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
-        box = itertools.product(*(range(c + 1) for c in caps))
-        assert got.ravel().tolist() == [
-            min(sum(r * x for r, x in zip(row, pt)) for row in rows) for pt in box
-        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.int8 and split and block * lo < got.size
+    # the block plus the row's lo vector and hi column and their terms
+    assert peak <= got.nbytes + block * lo + 64 * 1024
 
 
 def test_box_values_are_read_only_prefix_slices_of_one_build(monkeypatch):
