@@ -224,7 +224,7 @@ def _dd_extreme_rays(dim: int, cuts: list[Vector]) -> list[Vector]:
                 minus.append((ray, z, v))
             else:
                 z |= bit
-                zero.append((ray, z))
+                zero.append((ray, z, 0))
             masks.append(z)
         if not minus:
             zmasks = masks
@@ -247,8 +247,9 @@ def _dd_extreme_rays(dim: int, cuts: list[Vector]) -> list[Vector]:
                     g = math.gcd(*combo)
                     fresh[tuple([x // g for x in combo])] = common | bit
         new = sorted(fresh)
-        rays = [r for r, _, _ in plus] + [r for r, _ in zero] + new
-        zmasks = [z for _, z, _ in plus] + [z for _, z in zero] + [fresh[r] for r in new]
+        kept = plus + zero
+        rays = [r for r, _, _ in kept] + new
+        zmasks = [z for _, z, _ in kept] + [fresh[r] for r in new]
         check_size(len(rays), MAX_DD_RAYS, "double-description ray count")
     return rays
 
