@@ -5,23 +5,30 @@ relations to hold.
 Reports are deterministic given (corpus spec, bounds, seed): canonical JSON
 carries no wall-clock data (timing appears only in the text rendering), and
 instances are processed in generation order.
+
+:data:`CHECKS` has one row per instance type: its JSON reader, its
+checker, and its checks in record order, each with the witness parts it
+renders when it fails. A check that names witness parts decides: an
+instance passes iff every deciding check holds. A check that names none
+is a sign its type compares (the clutter's three, the ideal's two).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, fields
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .guards import ConsistencyError, ResourceGuardError, check_deadline, restart_deadline
 from .ideals import MonomialIdeal, edge_ideal, is_normal_up_to, is_ntf_up_to, normality_gap
 from .packing import HasseNetwork, chain_order, menger_walk, mfmc_bounded, sweep_numbers
-from .polyhedra import integer_rounding_check, integer_rounding_holds, is_integral
+from .polyhedra import integer_rounding_check, integer_rounding_holds, is_integral, q_vertices
 from .structures import (
     Clutter,
     Graph,
@@ -251,18 +258,12 @@ class Corpus:
 
 
 def load_explicit_instances(doc: dict[str, Any]) -> list[tuple[str, Any]]:
-    loaders = {
-        "poset": Poset.from_json,
-        "graph": Graph.from_json,
-        "clutter": Clutter.from_json,
-        "ideal": MonomialIdeal.from_json,
-    }
     out = []
     for index, item in enumerate(doc["instances"]):
         kind = item["type"]
-        if kind not in loaders:
+        if kind not in CHECKS:
             raise ValueError(f"unknown instance type {kind!r}")
-        obj = loaders[kind](item["data"])
+        obj = CHECKS[kind].from_json(item["data"])
         if kind == "clutter" and not obj.edges:
             raise ValueError(f"instance {index}: clutter must have at least one edge")
         out.append((kind, obj))
@@ -314,7 +315,6 @@ def comparability_mfmc_check(p: Poset, cl: Clutter, wmax: int) -> dict[str, Any]
             entry["invariant"] = failures[i].to_json()
         menger_mismatches.append(entry)
     result: dict[str, Any] = {
-        "checked_w": cut_weights.size,
         "konig_failures": konig_failures,
         "menger_mismatches": menger_mismatches,
         "mfmc_holds": not konig_failures,
@@ -363,67 +363,68 @@ def clique_not_a_chain(p: Poset, cl: Clutter) -> dict[str, Any] | None:
     return None
 
 
+def fractional_vertex(ideal: MonomialIdeal) -> dict[str, Any]:
+    """The lex-first vertex of Q(A), A the matrix of ``ideal``, with a
+    non-integer coordinate (None when there is none) and the common
+    denominator D of the vertices, both read off :func:`q_vertices`: Q(A)
+    is integral iff D = 1."""
+    verts = q_vertices(ideal.matrix())
+    vertex = next((v for v in verts if any(x.denominator > 1 for x in v)), None)
+    return {"vertex": None if vertex is None else list(map(str, vertex)),
+            "denominator": math.lcm(*(x.denominator for v in verts for x in v))}
+
+
+def _edge_ideal_checks(c: Clutter, bounds: Bounds) -> tuple[dict[str, bool], dict[str, Any]]:
+    """NTF up to imax, normality up to kmax and integrality of Q(A) for the
+    edge ideal of ``c``, as check values and their witness parts."""
+    ntf = is_ntf_up_to(c, bounds.imax)
+    ideal = edge_ideal(c)
+    normal = normality_gap(ideal, bounds.kmax) is None
+    integral = is_integral(ideal.matrix())  # normality cached its Q(A) vertices
+    parts = {"ntf": ntf.to_json, "normal": lambda: is_normal_up_to(ideal, bounds.kmax).to_json(),
+             "q_integral": lambda: fractional_vertex(ideal)}
+    return {"ntf": ntf.holds, "normal": normal, "q_integral": integral}, parts
+
+
 def check_poset_instance(p: Poset, bounds: Bounds) -> dict[str, Any]:
     g = comparability_graph(p)
     cl = clique_clutter(g)
     sweep = comparability_mfmc_check(p, cl, bounds.wmax)
     dup_bad = duplication_commutes(g, cl)
     not_a_chain = clique_not_a_chain(p, cl)
-    checks: dict[str, Any] = {
+    values = {
         "mfmc_holds": sweep["mfmc_holds"],
         "menger_agrees": sweep["menger_agrees"],
         "duplication_commutes": not dup_bad,
         "cliques_are_chains": not_a_chain is None,
     }
-    witness: dict[str, Any] = {}
+    parts = {
+        "konig_failures": sweep["konig_failures"][:3],
+        "menger_mismatches": sweep["menger_mismatches"][:3] or None,
+        "hasse_chains": sweep.get("hasse_chains"),
+        "duplication_vertices": dup_bad,
+        "not_a_chain": not_a_chain,
+    }
     if cl.edges:
-        ntf = is_ntf_up_to(cl, bounds.imax)
-        ideal = edge_ideal(cl)
-        normal = normality_gap(ideal, bounds.kmax) is None
-        integral = is_integral(ideal.matrix())  # normality cached its Q(A) vertices
-        checks["ntf"] = ntf.holds
-        checks["normal"] = normal
-        checks["q_integral"] = integral
-        if not ntf.holds:
-            witness["ntf"] = ntf.to_json()
-        if not normal:
-            witness["normal"] = is_normal_up_to(ideal, bounds.kmax).to_json()
-    ok = all(checks.values())
-    if sweep["konig_failures"]:
-        witness["konig_failures"] = sweep["konig_failures"][:3]
-    if sweep["menger_mismatches"]:
-        witness["menger_mismatches"] = sweep["menger_mismatches"][:3]
-    if "hasse_chains" in sweep:
-        witness["hasse_chains"] = sweep["hasse_chains"]
-    if dup_bad:
-        witness["duplication_vertices"] = dup_bad
-    if not_a_chain is not None:
-        witness["not_a_chain"] = not_a_chain
-    return {"checks": checks, "pass": ok, "witness": witness or None}
+        ideal_values, ideal_parts = _edge_ideal_checks(cl, bounds)
+        values.update(ideal_values)
+        parts.update(ideal_parts)
+    return _record("poset", values, parts)
 
 
 def check_graph_instance(g: Graph, bounds: Bounds) -> dict[str, Any]:
     bad = duplication_commutes(g, clique_clutter(g))
-    return {
-        "checks": {"duplication_commutes": not bad},
-        "pass": not bad,
-        "witness": {"duplication_vertices": bad} if bad else None,
-    }
+    return _record("graph", {"duplication_commutes": not bad}, {"duplication_vertices": bad})
 
 
 def check_clutter_instance(c: Clutter, bounds: Bounds) -> dict[str, Any]:
     """Three-way consistency: bounded NTF, bounded normality AND exact
-    integrality of Q(A), bounded MFMC; the three signs must agree. The
-    normality verdict's explanation is built only for the witness of a
-    disagreement."""
-    ntf = is_ntf_up_to(c, bounds.imax)
-    ideal = edge_ideal(c)
-    normal = normality_gap(ideal, bounds.kmax) is None
-    integral = is_integral(ideal.matrix())  # normality cached its Q(A) vertices
+    integrality of Q(A), bounded MFMC; the three signs must agree."""
+    values, parts = _edge_ideal_checks(c, bounds)
     mfmc = mfmc_bounded(c, bounds.wmax)
     signs = {
-        "ntf": ntf.holds,
-        "normal_and_integral": normal and integral,
+        "ntf": values["ntf"],
+        "normal_and_integral": values["normal"] and values["q_integral"],
         "mfmc": mfmc.holds,
     }
     disagreements = [
@@ -431,21 +432,9 @@ def check_clutter_instance(c: Clutter, bounds: Bounds) -> dict[str, Any]:
         for x, y in itertools.combinations(signs, 2)
         if signs[x] != signs[y]
     ]
-    witness = None
-    if disagreements:
-        witness = {
-            "signs": signs,
-            "disagreements": disagreements,
-            "ntf": ntf.to_json(),
-            "normal": is_normal_up_to(ideal, bounds.kmax).to_json(),
-            "q_integral": integral,
-            "mfmc": mfmc.to_json(),
-        }
-    return {
-        "checks": {"three_way_signs_agree": not disagreements, **signs},
-        "pass": not disagreements,
-        "witness": witness,
-    }
+    parts.update(signs=signs, disagreements=disagreements, q_integral=values["q_integral"],
+                 mfmc=mfmc.to_json)
+    return _record("clutter", {"three_way_signs_agree": not disagreements, **signs}, parts)
 
 
 def check_ideal_instance(ideal: MonomialIdeal, bounds: Bounds) -> dict[str, Any]:
@@ -453,35 +442,67 @@ def check_ideal_instance(ideal: MonomialIdeal, bounds: Bounds) -> dict[str, Any]
     box-consistency check, not a cross-check: both verdicts read one
     kernel chain (the box values of the vertex rows of Q(A) and packed
     k-fold levels, compared by ``polyhedra._level_gap``) over two boxes,
-    so one fault there can flip both alike. The normality explanation and
-    the per-w rounding certificate are rendered only as the witness of a
-    disagreement."""
+    so one fault there can flip both alike."""
     normal = normality_gap(ideal, bounds.kmax) is None
     check_deadline()
     rounds = integer_rounding_holds(ideal.matrix(), bounds.wmax)
-    agree = normal == rounds
-    return {
-        "checks": {
-            "normal": normal,
-            "rounding": rounds,
-            "normal_equals_rounding": agree,
-        },
-        "pass": agree,
-        "witness": None
-        if agree
-        else {
-            "normal": is_normal_up_to(ideal, bounds.kmax).to_json(),
-            "rounding": integer_rounding_check(ideal.matrix(), bounds.wmax).to_json(),
-        },
-    }
+    values = {"normal": normal, "rounding": rounds, "normal_equals_rounding": normal == rounds}
+    return _record("ideal", values, {
+        "normal": lambda: is_normal_up_to(ideal, bounds.kmax).to_json(),
+        "rounding": lambda: integer_rounding_check(ideal.matrix(), bounds.wmax).to_json(),
+    })
 
 
-_CHECKERS = {
-    "poset": check_poset_instance,
-    "graph": check_graph_instance,
-    "clutter": check_clutter_instance,
-    "ideal": check_ideal_instance,
+class InstanceType(NamedTuple):
+    """A row of :data:`CHECKS`."""
+
+    from_json: Callable[[dict[str, Any]], Any]
+    check: Callable[[Any, Bounds], dict[str, Any]]
+    checks: dict[str, tuple[str, ...]]  # check key -> witness parts, in record order
+
+
+CHECKS = {
+    "poset": InstanceType(Poset.from_json, check_poset_instance, {
+        "mfmc_holds": ("konig_failures",),
+        "menger_agrees": ("menger_mismatches", "hasse_chains"),
+        "duplication_commutes": ("duplication_vertices",),
+        "cliques_are_chains": ("not_a_chain",),
+        "ntf": ("ntf",),
+        "normal": ("normal",),
+        "q_integral": ("q_integral",),
+    }),
+    "graph": InstanceType(Graph.from_json, check_graph_instance, {
+        "duplication_commutes": ("duplication_vertices",),
+    }),
+    "clutter": InstanceType(Clutter.from_json, check_clutter_instance, {
+        "three_way_signs_agree": ("signs", "disagreements", "ntf", "normal", "q_integral", "mfmc"),
+        "ntf": (),
+        "normal_and_integral": (),
+        "mfmc": (),
+    }),
+    "ideal": InstanceType(MonomialIdeal.from_json, check_ideal_instance, {
+        "normal": (),
+        "rounding": (),
+        "normal_equals_rounding": ("normal", "rounding"),
+    }),
 }
+
+
+def _record(kind: str, values: dict[str, bool], parts: dict[str, Any]) -> dict[str, Any]:
+    """The ``{checks, pass, witness}`` record of one instance of ``kind``:
+    the check values in table order, the pass rule of :data:`CHECKS`, and
+    the witness parts of each failed deciding check. A part that is None
+    is left out; a callable part is called only here."""
+    table = CHECKS[kind].checks
+    checks = {key: values[key] for key in table if key in values}
+    if len(checks) != len(values):
+        raise KeyError(f"{kind} checks without a row of CHECKS: {sorted(values.keys() - checks)}")
+    failed = [key for key, names in table.items() if names and not checks.get(key, True)]
+    witness = {}
+    for name in (name for key in failed for name in table[key]):
+        if parts[name] is not None:
+            witness[name] = parts[name]() if callable(parts[name]) else parts[name]
+    return {"checks": checks, "pass": not failed, "witness": witness or None}
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +587,7 @@ def run_theorem_suite(corpus: Corpus, bounds: Bounds) -> Report:
     for index, (kind, obj) in enumerate(corpus.instances()):
         restart_deadline()
         try:
-            result = _CHECKERS[kind](obj, bounds)
+            result = CHECKS[kind].check(obj, bounds)
         except ResourceGuardError as exc:
             skipped.append(
                 {"index": index, "instance": _instance_json(kind, obj), "reason": str(exc)}

@@ -262,8 +262,10 @@ class Clutter:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "Clutter":
-        n, edges = json_int(doc["n"]), doc.get("edges", [])
-        return cls(n, [[json_int(v) for v in e] for e in edges], doc.get("labels") or None)
+        n, edges, labels = json_int(doc["n"]), doc.get("edges", []), doc.get("labels")
+        if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise ValueError(f"expected a list of string labels, got {labels!r}")
+        return cls(n, [[json_int(v) for v in e] for e in edges], labels or None)
 
 
 def _mask(vertices: Iterable[int]) -> int:

@@ -35,7 +35,7 @@ from clutterlab.certify import (
 )
 from clutterlab.guards import ConsistencyError, Deadline, ResourceGuardError
 from clutterlab.packing import HasseNetwork, _cover_matrix, menger_check, sweep_numbers
-from clutterlab.structures import Clutter, Poset, clique_clutter, comparability_graph
+from clutterlab.structures import Clutter, Graph, Poset, clique_clutter, comparability_graph
 
 HERE = Path(__file__).parent
 
@@ -625,17 +625,22 @@ def test_a_single_weight_check_rejects_an_overloaded_vertex(monkeypatch):
 
 def test_the_empty_poset_checks_its_one_weight():
     p = Poset(0, [])
-    sweep = comparability_mfmc_check(p, clique_clutter(comparability_graph(p)), 2)
-    assert sweep == {"checked_w": 1, "konig_failures": [], "menger_mismatches": [],
-                     "mfmc_holds": True, "menger_agrees": True}
+    cl = clique_clutter(comparability_graph(p))
+    assert [a.size for a in sweep_numbers(cl, 2)] == [1, 1]
+    sweep = comparability_mfmc_check(p, cl, 2)
+    assert sweep == {"konig_failures": [], "menger_mismatches": [], "mfmc_holds": True, "menger_agrees": True}
 
 
 # ---------------------------------------------------------------------------
-# The failure side of a poset instance: each check planted to fail
+# The failure side of every deciding check: each planted to fail
 
 FAULT_BOUNDS = Bounds(kmax=2, imax=3, wmax=2)
-C5 = Clutter(5, [(i, (i + 1) % 5) for i in range(5)])  # not NTF at i = 3
+C5 = Clutter(5, [(i, (i + 1) % 5) for i in range(5)])  # not NTF at i = 3, no MFMC at w = 1
 NOT_NORMAL = MonomialIdeal(4, [(2, 0, 0, 1), (0, 2, 0, 1)])  # not normal at k = 1
+CAUC22 = complete_admissible_uniform_clutter(2, 2)  # every sign true
+TWO_SQUARES = MonomialIdeal(2, [(2, 0), (0, 2)])  # neither normal nor rounding
+# the three-way witness renders all its parts whichever sign is flipped
+THREE_WAY = dict.fromkeys(("signs", "disagreements", "ntf", "normal", "q_integral", "mfmc"))
 
 
 def _not_ntf(monkeypatch):
@@ -651,6 +656,12 @@ def _not_normal(monkeypatch):
     return {"normal": verdict(NOT_NORMAL, FAULT_BOUNDS.kmax).to_json()}
 
 
+def _not_integral(monkeypatch):
+    monkeypatch.setattr(certify, "is_integral", lambda a: False)
+    # Q(A) is integral after all: no fractional vertex, and D = 1
+    return {"q_integral": {"vertex": None, "denominator": 1}}
+
+
 def _one_less_packing(monkeypatch):
     # beta1 at the last w, all weights wmax, drops by one
     honest = certify.sweep_numbers
@@ -663,6 +674,20 @@ def _one_less_packing(monkeypatch):
 
     monkeypatch.setattr(certify, "sweep_numbers", short)
     return {"konig_failures": None, "menger_mismatches": None}
+
+
+def _one_less_flow(monkeypatch):
+    # the flow at the last w, all weights wmax, drops by one; Koenig holds
+    honest = certify.menger_walk
+
+    def short(net, edge_masks, wmax):
+        cuts, flows, failures = honest(net, edge_masks, wmax)
+        flows = flows.copy()
+        flows[-1] -= 1
+        return cuts, flows, failures
+
+    monkeypatch.setattr(certify, "menger_walk", short)
+    return {"menger_mismatches": None}
 
 
 def _vertex_0_not_duplicated(monkeypatch):
@@ -680,23 +705,85 @@ def _no_clique_is_a_chain(monkeypatch):
     return {"not_a_chain": {"edge": [0, 1, 3], "pair": None}}
 
 
-@pytest.mark.parametrize("plant, failed", [
-    (_not_ntf, {"ntf"}),
-    (_not_normal, {"normal"}),
-    (_one_less_packing, {"mfmc_holds", "menger_agrees"}),
-    (_vertex_0_not_duplicated, {"duplication_commutes"}),
-    (_no_clique_is_a_chain, {"cliques_are_chains"}),
-], ids=["ntf", "normal", "konig", "duplication", "cliques_are_chains"])
-def test_a_failed_poset_check_is_recorded_with_its_witness(monkeypatch, plant, failed):
+def _three_way_not_ntf(monkeypatch):
+    _not_ntf(monkeypatch)
+    return THREE_WAY
+
+
+def _three_way_not_integral(monkeypatch):
+    _not_integral(monkeypatch)
+    return {**THREE_WAY, "q_integral": False}
+
+
+def _no_mfmc(monkeypatch):
+    honest = certify.mfmc_bounded
+    monkeypatch.setattr(certify, "mfmc_bounded", lambda c, wmax: honest(C5, wmax))
+    return THREE_WAY
+
+
+def _rounding_holds(monkeypatch):
+    monkeypatch.setattr(certify, "integer_rounding_holds", lambda a, wmax: True)
+    return {"normal": certify.is_normal_up_to(TWO_SQUARES, FAULT_BOUNDS.kmax).to_json(), "rounding": None}
+
+
+# (instance type, instance, plant, the checks it makes false, id)
+PLANTED = [
+    ("poset", DIAMOND, _not_ntf, {"ntf"}, "ntf"),
+    ("poset", DIAMOND, _not_normal, {"normal"}, "normal"),
+    ("poset", DIAMOND, _not_integral, {"q_integral"}, "q_integral"),
+    ("poset", DIAMOND, _one_less_packing, {"mfmc_holds", "menger_agrees"}, "konig"),
+    ("poset", DIAMOND, _one_less_flow, {"menger_agrees"}, "menger"),
+    ("poset", DIAMOND, _vertex_0_not_duplicated, {"duplication_commutes"}, "duplication"),
+    ("poset", DIAMOND, _no_clique_is_a_chain, {"cliques_are_chains"}, "cliques_are_chains"),
+    ("graph", Graph(3, [(0, 1), (1, 2)]), _vertex_0_not_duplicated, {"duplication_commutes"}, "duplication"),
+    ("clutter", CAUC22, _three_way_not_ntf, {"three_way_signs_agree", "ntf"}, "ntf"),
+    ("clutter", CAUC22, _three_way_not_integral, {"three_way_signs_agree", "normal_and_integral"}, "integral"),
+    ("clutter", CAUC22, _no_mfmc, {"three_way_signs_agree", "mfmc"}, "mfmc"),
+    ("ideal", TWO_SQUARES, _rounding_holds, {"normal", "normal_equals_rounding"}, "rounding"),
+]
+POSET_PLANTS = [pytest.param(plant, failed, id=i) for kind, _, plant, failed, i in PLANTED if kind == "poset"]
+
+
+@pytest.mark.parametrize("kind, obj, plant, failed", [
+    pytest.param(*row[:4], id=f"{row[0]}-{row[4]}") for row in PLANTED
+])
+def test_a_failed_check_is_recorded_with_a_declared_witness(monkeypatch, kind, obj, plant, failed):
     witness = plant(monkeypatch)
-    record = certify.check_poset_instance(DIAMOND, FAULT_BOUNDS)
+    record = certify.CHECKS[kind].check(obj, FAULT_BOUNDS)
     assert {k for k, v in record["checks"].items() if not v} == failed
-    assert not record["pass"]
-    assert set(record["witness"] or {}) == set(witness)
+    assert not record["pass"] and record["witness"] is not None
+    declared = {part for key in failed for part in certify.CHECKS[kind].checks[key]}
+    assert set(record["witness"]) == set(witness) <= declared
     for key, value in witness.items():
         if value is not None:
             assert record["witness"][key] == value
+
+
+def test_every_deciding_check_has_a_planted_fault():
+    deciding = {(kind, key) for kind, row in certify.CHECKS.items() for key, parts in row.checks.items() if parts}
+    planted = {(kind, key) for kind, _, _, failed, _ in PLANTED for key in failed}
+    assert deciding <= planted
+
+
+@pytest.mark.parametrize("kind, obj", [
+    ("poset", DIAMOND), ("graph", Graph(3, [(0, 1)])), ("clutter", CAUC22), ("ideal", TWO_SQUARES),
+], ids=["poset", "graph", "clutter", "ideal"])
+def test_a_record_lists_its_checks_in_table_order(kind, obj):
+    # the text rendering prints the checks in record order
+    record = certify.CHECKS[kind].check(obj, FAULT_BOUNDS)
+    assert list(record["checks"]) == list(certify.CHECKS[kind].checks)
+
+
+def test_the_fractional_vertex_of_an_odd_cycle_is_all_halves():
+    assert certify.fractional_vertex(ideals.edge_ideal(C5)) == {"vertex": ["1/2"] * 5, "denominator": 2}
+    assert certify.fractional_vertex(ideals.edge_ideal(CAUC22)) == {"vertex": None, "denominator": 1}
+
+
+@pytest.mark.parametrize("plant, failed", POSET_PLANTS)
+def test_a_failed_poset_check_is_recorded_with_its_witness(monkeypatch, plant, failed):
+    witness = plant(monkeypatch)
     if "konig_failures" in witness:
+        record = certify.check_poset_instance(DIAMOND, FAULT_BOUNDS)
         [konig] = record["witness"]["konig_failures"]
         assert konig["w"] == [FAULT_BOUNDS.wmax] * DIAMOND.n
         assert konig["alpha0"] == konig["beta1"] + 1

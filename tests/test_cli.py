@@ -423,8 +423,12 @@ def test_certify_ideals_honour_the_deadline(capsys, monkeypatch):
         (["certify", '{"kind":"random-posets","n":"4","count":2,"seed":1}'],
          "corpus parameter 'n' must be int, got '4'"),
         (["certify", '{"kind":"explicit","path":["x"]}'], "corpus parameter 'path' must be str, got ['x']"),
+        (["konig", '{"n":2,"labels":"ab","edges":[[0,1]]}'], "expected a list of string labels, got 'ab'"),
+        (["parallelize", '{"n":2,"labels":[1,2],"edges":[[0,1]]}', "--w", "2,1"],
+         "expected a list of string labels, got [1, 2]"),
     ],
-    ids=["generators-not-a-list", "no-n", "pair-not-a-list", "corpus-n-a-string", "corpus-path-a-list"],
+    ids=["generators-not-a-list", "no-n", "pair-not-a-list", "corpus-n-a-string", "corpus-path-a-list",
+         "labels-a-string", "labels-not-strings"],
 )
 def test_a_malformed_document_exits_2_with_one_error_line(capsys, argv, err):
     code = main(argv)
@@ -499,7 +503,8 @@ def test_an_explicit_clutter_with_no_edges_exits_2_before_any_instance_runs(
     capsys, monkeypatch, tmp_path
 ):
     checked = []
-    monkeypatch.setitem(certify._CHECKERS, "clutter", lambda c, bounds: checked.append(c))
+    monkeypatch.setitem(certify.CHECKS, "clutter",
+                        certify.CHECKS["clutter"]._replace(check=lambda c, bounds: checked.append(c)))
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps({"instances": [
         {"type": "clutter", "data": complete_admissible_uniform_clutter(2, 2).to_json()},
