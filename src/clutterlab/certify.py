@@ -23,12 +23,17 @@ import time
 from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple
 
-import numpy as np
-
 from .guards import ConsistencyError, ResourceGuardError, check_deadline, restart_deadline
 from .ideals import MonomialIdeal, edge_ideal, is_normal_up_to, is_ntf_up_to, normality_gap
-from .packing import HasseNetwork, chain_order, menger_walk, mfmc_bounded, sweep_numbers
-from .polyhedra import integer_rounding_check, integer_rounding_holds, is_integral, q_vertices
+from .packing import HasseNetwork, chain_order, menger_walk, mfmc_bounded, sweep_levels, sweep_numbers
+from .polyhedra import (
+    _cell_list,
+    _value_sets,
+    integer_rounding_check,
+    integer_rounding_holds,
+    is_integral,
+    q_vertices,
+)
 from .structures import (
     Clutter,
     Graph,
@@ -283,37 +288,50 @@ def comparability_mfmc_check(p: Poset, cl: Clutter, wmax: int) -> dict[str, Any]
     parallelization, and the vertex-capacitated max flow and min cut on
     the Hasse diagram must report the same two numbers.
 
-    alpha0 and beta1 of every C^w are priced first by
-    :func:`sweep_numbers`, so the box-size guard fires before the network
-    is built. The flow side (:func:`menger_walk`) runs one max flow per
-    two boxes of w that its flow and its minimum cuts nearest the source
-    and the sink certify, on each component of the Hasse diagram, and
-    returns the cut weights, the flow values and the failed checks by w;
-    both sides come back as arrays indexed by lexicographic w and are
-    compared in one vectorized pass. Failures are sorted by
+    The Koenig side is decided first on packed levels
+    (:func:`sweep_levels`), so the box-size guard fires before the
+    network is built. The flow side (:func:`menger_walk`) runs one max
+    flow per two boxes of w that its flow and its minimum cuts nearest the
+    source and the sink certify, on each component of the Hasse diagram,
+    and returns the cut weights and the flow values as value sets with
+    the failed checks by w. When Koenig holds, no check failed and both
+    value sets equal those of beta1 (hence of alpha0), every w agrees and
+    nothing per w is listed. Otherwise both sides are listed per w
+    (:func:`sweep_numbers`) and compared w by w; the levels and the lists
+    must agree on whether Koenig fails anywhere, or
+    :class:`ConsistencyError` is raised. Failures are sorted by
     lexicographic w, so the first ones listed are the lex-first ones.
     ``menger_agrees`` is false also when the Hasse source-sink paths are
     not the maximal cliques (``hasse_chains``) or a check of the flow
     fails at some w (the mismatch's ``invariant``).
     """
-    taus, nus = sweep_numbers(cl, wmax)
+    levels, gap = sweep_levels(cl, wmax)
+    nu_sets = _value_sets(levels, (1 << (wmax + 1) ** p.n) - 1)
     net = HasseNetwork.of(p)
-    cut_weights, flows, failures = menger_walk(net, cl.edge_masks, wmax)
-    konig = np.flatnonzero(taus != nus)
-    mismatched = (cut_weights != taus) | (flows != nus)
-    mismatched[list(failures)] = True
-    mismatches = np.flatnonzero(mismatched)
-    konig_failures = [
-        {"w": w, "alpha0": a0, "beta1": b1}
-        for w, a0, b1 in zip(_lex_weights(konig, p.n, wmax), taus[konig].tolist(), nus[konig].tolist())
-    ]
-    menger_mismatches = []
-    for i, w in zip(mismatches.tolist(), _lex_weights(mismatches, p.n, wmax)):
-        entry = {"w": w, "konig": [int(taus[i]), int(nus[i])],
-                 "menger": [int(cut_weights[i]), int(flows[i])]}
-        if i in failures:
-            entry["invariant"] = failures[i].to_json()
-        menger_mismatches.append(entry)
+    cut_sets, flow_sets, failures = menger_walk(net, cl.edge_masks, wmax)
+    konig_failures, menger_mismatches = [], []
+    if gap is not None or failures or not cut_sets == flow_sets == nu_sets:
+        taus, nus = sweep_numbers(cl, wmax)
+        cut_weights, flows = (_cell_list(sets, len(taus)) for sets in (cut_sets, flow_sets))
+        konig = [i for i, (tau, nu) in enumerate(zip(taus, nus)) if tau != nu]
+        if bool(konig) != (gap is not None):
+            raise ConsistencyError(
+                "Koenig fails on the packed levels iff it fails on the per-w numbers",
+                gap, len(konig),
+            )
+        konig_failures = [
+            {"w": w, "alpha0": taus[i], "beta1": nus[i]}
+            for i, w in zip(konig, _lex_weights(konig, p.n, wmax))
+        ]
+        mismatches = [
+            i for i, row in enumerate(zip(cut_weights, flows, taus, nus))
+            if row[:2] != row[2:] or i in failures
+        ]
+        for i, w in zip(mismatches, _lex_weights(mismatches, p.n, wmax)):
+            entry = {"w": w, "konig": [taus[i], nus[i]], "menger": [cut_weights[i], flows[i]]}
+            if i in failures:
+                entry["invariant"] = failures[i].to_json()
+            menger_mismatches.append(entry)
     result: dict[str, Any] = {
         "konig_failures": konig_failures,
         "menger_mismatches": menger_mismatches,
@@ -329,10 +347,10 @@ def comparability_mfmc_check(p: Poset, cl: Clutter, wmax: int) -> dict[str, Any]
     return result
 
 
-def _lex_weights(indices: np.ndarray, n: int, wmax: int) -> list[list[int]]:
+def _lex_weights(indices: list[int], n: int, wmax: int) -> list[list[int]]:
     """The weight vectors at lexicographic ``indices`` of {0..wmax}^n."""
     base = wmax + 1
-    return [[i // base ** (n - 1 - v) % base for v in range(n)] for i in indices.tolist()]
+    return [[i // base ** (n - 1 - v) % base for v in range(n)] for i in indices]
 
 
 def duplication_commutes(g: Graph, cl: Clutter) -> list[int]:
@@ -440,7 +458,7 @@ def check_clutter_instance(c: Clutter, bounds: Bounds) -> dict[str, Any]:
 def check_ideal_instance(ideal: MonomialIdeal, bounds: Bounds) -> dict[str, Any]:
     """Normality vs integer rounding over w in {0..wmax}^n. A
     box-consistency check, not a cross-check: both verdicts read one
-    kernel chain (the box values of the vertex rows of Q(A) and packed
+    kernel chain (the threshold sets of the vertex rows of Q(A) and packed
     k-fold levels, compared by ``polyhedra._level_gap``) over two boxes,
     so one fault there can flip both alike."""
     normal = normality_gap(ideal, bounds.kmax) is None

@@ -18,8 +18,9 @@ lacks the shape its reader expects), 3 resource guard exceeded, 4 two
 internal routes disagree (a :class:`~clutterlab.guards.ConsistencyError`: ``menger``
 finding a max flow that differs from its min cut, ``mfmc`` finding
 alpha0 / beta1 of its witness C^w by the Koenig search that differ from
-the numbers priced from weights on C, or ``normal``, ``ntf``, ``idp`` and
-``rounding`` finding a k-fold level cell whose box value is below the
+the numbers priced from weights on C, or the packed Koenig levels
+differing where the per-w numbers agree, or ``normal``, ``ntf``, ``idp``
+and ``rounding`` finding a k-fold level cell whose value is below the
 level; ``certify`` records such a disagreement as a failed instance in
 its report instead, so a run with one exits 1). ``certify`` exits 3 also
 when it checked no instance (every instance skipped by a guard, or an

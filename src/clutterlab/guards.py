@@ -14,9 +14,12 @@ Every exponential kernel calls :func:`check_deadline` at its loop head:
 - ``packing``: every node of the Koenig searches (minimum cover, maximum
   matching) and of the Hasse chain walk (``HasseNetwork.chains``), every edge
   and every grown cover of the minimal-cover multiplication, once per box seed
-  of the Menger walk, and once after the w-box of MFMC certification is priced;
+  of the Menger walk, and once after the w-box of MFMC certification is
+  decided;
 - ``polyhedra``: once per positive ray of each double-description step, once
-  per row of the box kernel (``_box_min``), once per shifted vector of the
+  per level of the threshold kernel (``_ThresholdSets``) and per row set it
+  builds below axis 0, once per row of the per-cell values (``_cell_values``)
+  and per coordinate sum of ``_minimal_rows``, once per shifted vector of the
   packed k-fold levels (``_kfold_bits``), and at every node of the integer
   packing search (``ilp_max_packing``);
 - ``ideals``: once per sum of generators in ``power``;

@@ -11,34 +11,27 @@ Both bounded verdicts ask, level by level, whether a larger upward-closed
 set (the integral closure of I^k, or I^(i)) lies in the power I^k, over a
 box holding all its minimal generators. The boxes grow with the level, so
 each verdict builds two things over its last box and compares every
-level there: one value array of the box kernel of ``polyhedra`` (the
-least vertex inequality of Q(A), compared with k*D, or the least
-minimal-cover sum, compared with i), and one chain of power levels from a
-single bitset k-fold pass (:func:`~clutterlab.polyhedra._kfold_bits`),
-each level one Python int over the last box. Both verdicts run one path,
-:func:`_first_gap`: guard, chain, values and the k-fold level kernel
+level there: the threshold sets of ``polyhedra`` (the cells where every
+vertex inequality of Q(A) reaches k*D, or every minimal-cover sum reaches
+i), and one chain of power levels from a single bitset k-fold pass
+(:func:`~clutterlab.polyhedra._kfold_bits`), each set one Python int over
+the last box. Both verdicts run one path, :func:`_first_gap`: guard,
+chain, and the k-fold level kernel
 :func:`~clutterlab.polyhedra._level_gap`, whose lex-first difference is
 the first minimal generator missing from the power, in the level's own
 box; a power level cell outside the larger set raises ConsistencyError.
-No level is unpacked into an array and no sub-box is sliced.
+No value is listed per cell and no sub-box is sliced.
 
 The power levels are cached per (ideal, boxes), so the two verdicts share
 them: on an edge ideal with no isolated vertex the normality boxes are the
-NTF boxes [0, k]^n, and a clutter instance builds its chain once.
+NTF boxes [0, k]^n, and a clutter instance builds its chain once. The
+threshold sets are kept for the latest (box, rows, unit), whoever asks:
+on a clutter instance with integral Q(A), whose vertex rows are the
+minimal covers in the same order, NTF and normality build them once.
 
-The values are read through ``polyhedra._box_values``, which holds the
-latest read-only array with the rows it was built for and answers every
-box inside it by a prefix slice. The rows are the key, not the caller, so
-these reads share one array:
-
-- a clutter instance: NTF (minimal covers on [0, imax]^n), normality
-  (the vertex rows of Q(A), which are the minimal covers, in the same
-  order, when Q(A) is integral) and the MFMC sweep of ``packing`` (minimal
-  covers on [0, wmax]^n);
-- an ideal instance: normality, the explanation of a ``not-normal``
-  verdict when one is rendered (minimal lattice points of B(Q) and the
-  integer decomposition check) and the integer rounding decision of
-  ``polyhedra``, all on the vertex rows of Q(A).
+The symbolic powers and the minimal lattice points, which list their
+generators, read the per-cell values of the same rows
+(:func:`~clutterlab.polyhedra._cell_values`) and their minimal cells.
 
 The size guard runs on every box before anything is built; a level past
 the guard raises only when no earlier level already decided the verdict.
@@ -51,8 +44,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterable, Sequence
 
-import numpy as np
-
 from .guards import ResourceGuardError, check_deadline
 from .packing import _cover_matrix
 from .polyhedra import (
@@ -60,7 +51,7 @@ from .polyhedra import (
     box_caps,
     integer_decomposition_check,
     minimal_lattice_points,
-    _box_values,
+    _cell_values,
     _check_box,
     _kfold_bits,
     _level_gap,
@@ -155,8 +146,7 @@ def power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
     for combo in itertools.combinations_with_replacement(ideal.generators, i):
         check_deadline()
         sums.add(tuple(sum(col) for col in zip(*combo)))
-    arr = np.array(sorted(sums), dtype=np.int64)
-    return MonomialIdeal(ideal.n, [tuple(int(x) for x in row) for row in _minimal_rows(arr)])
+    return MonomialIdeal(ideal.n, _minimal_rows(sums))
 
 
 def membership(ideal: MonomialIdeal, a: Sequence[int]) -> bool:
@@ -180,7 +170,7 @@ def symbolic_power(c: Clutter, i: int) -> MonomialIdeal:
         raise ValueError("clutter must have at least one edge")
     caps = (i,) * c.n
     _check_box(caps)
-    return MonomialIdeal(c.n, _minimal_cells(_box_values(caps, _cover_matrix(c)) >= i))
+    return MonomialIdeal(c.n, _minimal_cells(caps, _cell_values(caps, _cover_matrix(c)), i))
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +200,16 @@ def _first_gap(
     ideal: MonomialIdeal,
     boxes: Sequence[ExponentVector],
     what: str,
-    rows_and_unit: Callable[[], tuple[np.ndarray, int]],
+    rows_and_unit: Callable[[], tuple[Sequence[ExponentVector], int]],
 ) -> tuple[int, ExponentVector] | None:
-    """The first level k with a cell of prod [0, boxes[k-1]] whose value
-    reaches k*unit but which lies outside I^k, and the lex-first such cell
-    (:func:`~clutterlab.polyhedra._level_gap` over the last box); None if
-    none. Every box is guarded (``what``) first: the levels below the
-    first oversize box are decided, and its guard raises only when none
-    has a gap. Then come ``rows_and_unit()``, the power chain and the
-    values, so the k-fold masks are freed before the value array is built.
+    """The first level k with a cell of prod [0, boxes[k-1]] where every
+    row of ``rows_and_unit()`` reaches k*unit but which lies outside I^k,
+    and the lex-first such cell (:func:`~clutterlab.polyhedra._level_gap`
+    over the last box); None if none. Every box is guarded (``what``)
+    first: the levels below the first oversize box are decided, and its
+    guard raises only when none has a gap. Then come the rows, the power
+    chain and the threshold sets, so the k-fold masks are freed before the
+    first threshold set is built.
     """
     tripped = None
     for k, caps in enumerate(boxes):
@@ -231,7 +222,7 @@ def _first_gap(
     if boxes:
         rows, unit = rows_and_unit()
         levels = _power_grids(ideal, tuple(boxes))
-        gap = _level_gap(levels, _box_values(boxes[-1], rows), unit)
+        gap = _level_gap(levels, boxes[-1], rows, unit)
     if gap is None and tripped is not None:
         raise tripped
     return gap

@@ -8,9 +8,12 @@ identities give its numbers from weights on C:
 - alpha0(C^w) = min over minimal covers K of C of sum_{i in K} w_i, and
 - beta1(C^w) = max{1.y : Ay <= w, y integer >= 0}
   (Schrijver, Combinatorial Optimization, ch. 79, parallelization), both
-  priced for the whole box at once by :func:`sweep_numbers` (the box
-  value kernel of ``polyhedra`` and the packing numbers), which
-  :func:`mfmc_bounded` scans for the first w where they differ;
+  decided for the whole box at once by :func:`sweep_levels`, which
+  compares the sets {w : alpha0 >= k} (threshold sets of the
+  minimal-cover rows) with {w : beta1 >= k} (k-fold levels of the edges)
+  as packed ints in the level kernel of ``polyhedra``; only a failure
+  lists both numbers per w (:func:`sweep_numbers`) to find the first w
+  where they differ;
 - for the clique clutter of a comparability graph, both are the max flow
   and min vertex cut of the Hasse diagram with vertex capacities w
   (Menger's theorem with vertex capacities), see :class:`HasseNetwork`.
@@ -24,7 +27,9 @@ One max flow has two such cuts, the minimum cuts nearest the source and
 nearest the sink (:meth:`HasseNetwork._sink_cut`), so it certifies two
 boxes. Each connected component of the Hasse diagram is walked on its
 own box, since every maximal chain lies in one and tau and nu of C^w
-add over them; see :func:`menger_walk`.
+add over them; see :func:`menger_walk`. The walk keeps the w it has
+reached and the w of each flow value as packed sets of the whole box, so
+its result compares with the sweep's as sets, w for w.
 
 Each Koenig number has one exact search, which returns its
 lexicographically least optimal witness: :func:`lex_min_cover` for alpha0
@@ -40,8 +45,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .guards import ConsistencyError, check_deadline, check_size, MAX_COVER_SUBSETS
 from .polyhedra import (
     IncidenceMatrix,
@@ -49,9 +52,11 @@ from .polyhedra import (
     ilp_max_packing,
     packing_numbers,
     q_vertices,
-    _box_values,
+    _at_least,
+    _cell_values,
     _check_box,
-    _narrowest_int,
+    _kfold_bits,
+    _level_gap,
 )
 from .structures import (
     Clutter,
@@ -229,15 +234,17 @@ def minimal_vertex_covers(c: Clutter) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=512)
-def _cover_matrix(c: Clutter) -> np.ndarray:
+def _cover_matrix(c: Clutter) -> tuple[tuple[int, ...], ...]:
     """0/1 rows of the minimal vertex covers of c, in lexicographic order:
     the order of the vertex rows of an integral Q(A)
     (:func:`~clutterlab.polyhedra._vertex_inequalities`), which are these
-    covers, so both row sets key one box value array."""
-    return np.array(
-        sorted([int(v in cov) for v in range(c.n)] for cov in minimal_vertex_covers(c)),
-        dtype=np.int64,
-    )
+    covers, so both row sets key one set of threshold sets."""
+    return tuple(sorted(tuple(int(v in cov) for v in range(c.n)) for cov in minimal_vertex_covers(c)))
+
+
+def _edge_rows(c: Clutter) -> list[tuple[int, ...]]:
+    """0/1 rows of the edges of c, in edge order."""
+    return [tuple(int(v in e) for v in range(c.n)) for e in c.edges]
 
 
 def alpha0(c: Clutter) -> int:
@@ -261,12 +268,37 @@ def konig_certificate(c: Clutter) -> KonigCertificate:
 # ---------------------------------------------------------------------------
 # Bounded MFMC certification
 
-def sweep_numbers(c: Clutter, wmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """alpha0(C^w) and beta1(C^w) for every w in {0..wmax}^n, as two flat
-    arrays indexed by lexicographic w, without building C^w. Each has the
-    narrowest signed dtype holding its own values (``polyhedra._box_min``,
-    :func:`packing_numbers`), so the two may differ: compare them with
-    each other or with Python ints, and do arithmetic in a wider dtype.
+def sweep_levels(c: Clutter, wmax: int) -> tuple[list[int], tuple[int, tuple[int, ...]] | None]:
+    """beta1(C^w) for every w in {0..wmax}^n, and where the Koenig
+    property of C^w first fails, decided on packed levels without
+    building C^w or listing any per-w number.
+
+    Returns (levels, gap). Level k holds the w with beta1(C^w) >= k, as
+    one Python int with bit idx(w), the lexicographic index of w; the
+    levels run up to and including the first empty one. The gap is the
+    first k at which {w : alpha0(C^w) >= k} and level k differ, with the
+    lex-first such w (``polyhedra._level_gap``), or None when
+    alpha0(C^w) = beta1(C^w) on the whole box. Both numbers come from
+    weights on C (see :func:`sweep_numbers`): {w : alpha0 >= k} is the
+    threshold set of the minimal-cover rows at k, and level k is the
+    k-fold sums of the edge rows (``polyhedra._kfold_bits``). The box
+    size is guarded before anything is built.
+    """
+    caps = (wmax,) * c.n
+    _check_box(caps, "sweep box size")
+    levels = []
+    for level in _kfold_bits(_edge_rows(c), caps, sum(caps)):
+        levels.append(level)
+        if not level:
+            break
+    return levels, _level_gap(levels, caps, _cover_matrix(c), 1)
+
+
+def sweep_numbers(c: Clutter, wmax: int) -> tuple[list[int], list[int]]:
+    """alpha0(C^w) and beta1(C^w) for every w in {0..wmax}^n, as two
+    lists indexed by lexicographic w, without building C^w: the per-w
+    route, for a witness or a table; :func:`sweep_levels` decides the
+    same comparison on packed levels.
 
     Both numbers come from weights on C (Schrijver, Combinatorial
     Optimization, ch. 79, on parallelization):
@@ -277,16 +309,13 @@ def sweep_numbers(c: Clutter, wmax: int) -> tuple[np.ndarray, np.ndarray]:
     - beta1(C^w) = max{1.y : Ay <= w, y integer >= 0}, the w-packing number
       of C: a matching of C^w uses each vertex i at most w_i times.
 
-    alpha0 is read off the shared box values of the minimal-cover rows
-    (``polyhedra._box_values``, so ``taus`` may be a read-only view),
-    beta1 is :func:`packing_numbers` of the edges. The box size is guarded
-    before anything is allocated.
+    alpha0 is the cell values of the minimal-cover rows
+    (``polyhedra._cell_values``), beta1 is :func:`packing_numbers` of the
+    edges. The box size is guarded before anything is built.
     """
     caps = (wmax,) * c.n
     _check_box(caps, "sweep box size")
-    taus = _box_values(caps, _cover_matrix(c))
-    nus = packing_numbers([[int(v in e) for v in range(c.n)] for e in c.edges], caps)
-    return taus.ravel(), nus.ravel()
+    return _cell_values(caps, _cover_matrix(c)), packing_numbers(_edge_rows(c), caps)
 
 
 def mfmc_bounded(c: Clutter, wmax: int) -> Certificate:
@@ -296,32 +325,46 @@ def mfmc_bounded(c: Clutter, wmax: int) -> Certificate:
     counts the w up to it. This is a bounded semidecision of the max-flow
     min-cut property; the verdict carries the bound explicitly.
 
-    C^w is built only to render the witness of a failure. Otherwise its
-    numbers come from weights on C by :func:`sweep_numbers`:
-    alpha0(C^w) = min over minimal covers K of C of sum_{i in K} w_i, and
-    beta1(C^w) = max{1.y : Ay <= w, y integer >= 0} (Schrijver,
-    Combinatorial Optimization, ch. 79). The Koenig search on the witness
-    C^w must find the same two numbers, or :class:`ConsistencyError` is
-    raised. The deadline is checked once the box is priced and at every
-    node of that search.
+    The verdict is :func:`sweep_levels`, on packed levels. On a failure
+    the lex-first failing w is the least of the lex-first differences of
+    the single levels: a w failing at any level, so that every lex-smaller
+    w agrees at every level, is the lex-first difference of each level it
+    fails at. Each level k is compared alone with the threshold set at k
+    (``polyhedra._level_gap`` on the one level, at unit k); the levels
+    past the first empty one need no comparison, since their differences
+    lie inside its own. alpha0 and beta1 of that C^w are then read off the
+    minimal covers and the levels, one w only, and must differ; C^w is
+    built to render its Koenig certificate, whose search must find the
+    same two numbers. A failed check raises :class:`ConsistencyError`.
+    The deadline is checked once the box is decided and at every node of
+    that search.
     """
     if wmax < 1:
         raise ValueError("wmax must be >= 1")
-    taus, nus = sweep_numbers(c, wmax)
+    levels, gap = sweep_levels(c, wmax)
     check_deadline()
-    failing = np.flatnonzero(taus != nus)
-    if not failing.size:
+    if gap is None:
         return Certificate(
             prop="mfmc",
             verdict="holds-up-to-bound",
             holds=True,
             bound=wmax,
-            details={"checked": taus.size},
+            details={"checked": (wmax + 1) ** c.n},
         )
-    first = int(failing[0])
-    w = [int(x) for x in np.unravel_index(first, (wmax + 1,) * c.n)]
+    caps, covers = (wmax,) * c.n, _cover_matrix(c)
+    w = list(min(
+        found[1] for k, level in enumerate(levels, start=1)
+        if (found := _level_gap([level], caps, covers, k)) is not None
+    ))
+    first = sum(x * (wmax + 1) ** (c.n - 1 - v) for v, x in enumerate(w))
+    numbers = [min(sum(r * x for r, x in zip(row, w)) for row in covers),
+               sum(level >> first & 1 for level in levels)]
+    if numbers[0] == numbers[1]:
+        raise ConsistencyError(
+            "the Koenig levels of C^w differ where alpha0/beta1 of C^w differ",
+            {"k": gap[0], "w": w}, numbers,
+        )
     konig = konig_certificate(parallelization(c, w))
-    numbers = [int(taus[first]), int(nus[first])]
     if [konig.alpha0, konig.beta1] != numbers:
         raise ConsistencyError(
             "alpha0/beta1 of C^w from weights on C = Koenig search on C^w",
@@ -728,40 +771,53 @@ def _box_of(
 
 def menger_walk(
     net: HasseNetwork, edge_masks: Sequence[int], wmax: int
-) -> tuple[np.ndarray, np.ndarray, dict[int, ConsistencyError]]:
+) -> tuple[dict[int, int], dict[int, int], dict[int, ConsistencyError]]:
     """The checks of :func:`menger_check` at every w of {0..wmax}^n, from
     one max flow per two boxes of weights that its flow and its two
     minimum cuts certify.
 
-    Returns (cut weights, flow values, failures): two flat arrays indexed
-    by lexicographic w, in the narrowest signed dtype holding n*wmax
-    (``polyhedra._narrowest_int``), which bounds every cut weight and flow
-    value and is the dtype of the packing numbers of :func:`sweep_numbers`,
-    and the failed check by lexicographic index for every w whose pair is
-    not a certificate.
+    Returns (cut weights, flow values, failures): the first two as value
+    sets, {value: the w holding it} with each set one Python int whose
+    bit idx(w), the lexicographic index of w, is set for the w it holds
+    (the layout of ``polyhedra._value_sets``), and the failed check by
+    lexicographic index for every w whose pair is not a certificate.
 
     Each component of the Hasse diagram (:func:`_components`) is walked
     on the box of its own vertices, as a network that keeps only its arcs
-    (the other vertices get weight 0 and no path): the lexicographically
-    first w that no box covers yet is the next seed, its max flow is
-    checked by :func:`_pair_failure`, and the boxes that its flow and its
-    cuts nearest the source and the sink certify (:func:`_box_of`) are
-    filled with the flow value by slice assignment. On a certified box the
-    cut weight is the flow value, so one value array per component (-1
-    where no box has reached yet) is all the walk keeps; a seed whose flow
-    fails, or that no box certifies, covers itself alone, and a failing
-    seed also keeps its cut weight. Since every maximal chain lies in one
-    component, tau and nu of C^w add over them: the component arrays are
-    added into the full box by broadcasting, and a w fails when one of its
-    components fails (the first such component's check is recorded).
-    Every seed is decided when it is seeded, so no w is seeded twice; the
-    deadline is checked once per seed.
+    (the other vertices get weight 0 and no path), with every set held
+    over the whole box: a w of the component stands for its fiber, the w
+    of the whole box that agree with it there, which is the AND of one
+    mask x_v >= t and one mask x_v < t' per vertex
+    (``polyhedra._at_least``). The lexicographically first w that no box
+    covers yet is the lowest bit outside the reached set (it is 0 off the
+    component), and is the next seed. Its max flow is checked by
+    :func:`_pair_failure`, and the boxes that its flow and its cuts
+    nearest the source and the sink certify (:func:`_box_of`) get the
+    flow value, a later box overwriting an earlier one. On a certified
+    box the cut weight is the flow value; a seed whose flow fails, or
+    that no box certifies, covers its fiber alone, and a failing seed
+    also keeps its cut weight. Since every maximal chain lies in one
+    component, tau and nu of C^w add over them: the value sets of the
+    components are added by ANDing every pair of sets, and a w fails when
+    one of its components fails (the first such component's check is
+    recorded). Every seed is decided when it is seeded, so no w is seeded
+    twice; the deadline is checked once per seed.
     """
     n, side = net.n, wmax + 1
-    full = (side,) * n
-    dtype = _narrowest_int(n * wmax)  # signed: the -1 of an unreached w fits
-    flows = np.zeros(full, dtype=dtype)
-    gaps: list[tuple[np.ndarray, int]] = []  # (indices, cut weight - flow value) per failing seed
+    strides = [side ** (n - 1 - v) for v in range(n)]
+    full = (1 << side ** n) - 1
+    at_least = [[_at_least(t, s, s * side, full) for t in range(side)] + [0] for s in strides]
+
+    def cells_of(verts: list[int], box: Iterable[slice]) -> int:
+        # the w whose weights on verts lie in the slices of box (a stop of
+        # None is the end of the box)
+        cells = full
+        for v, b in zip(verts, box):
+            cells &= at_least[v][b.start] if b.stop is None else at_least[v][b.start] ^ at_least[v][b.stop]
+        return cells
+
+    cut_weights: dict[int, int] = {0: full}
+    flows: dict[int, int] = {0: full}
     failures: dict[int, ConsistencyError] = {}
     for part in _components(net, edge_masks):
         verts = _bits(part)
@@ -772,38 +828,48 @@ def menger_walk(
             sinks=tuple(v for v in net.sinks if part >> v & 1),
         )
         edges = [e for e in edge_masks if e & part]
-        values = np.full((side,) * len(verts), -1, dtype=dtype)
-        flat = values.reshape(-1)
-        seed = 0
-        while True:
-            seed += int(np.argmin(flat[seed:]))
-            if flat[seed] >= 0:
-                break
+        values: dict[int, int] = {}
+        gaps: list[tuple[int, int]] = []  # (fiber, cut weight - flow value) per failing seed
+        reached = 0
+        while reached != full:
             check_deadline()
-            w, rest = [0] * n, seed
-            for v in reversed(verts):
-                rest, w[v] = divmod(rest, side)
+            seed = (reached ^ (reached + 1)).bit_length() - 1  # the lowest bit not reached
+            w = [seed // strides[v] % side if part >> v & 1 else 0 for v in range(n)]
             value, cap, cut = sub.max_flow(w)
             boxes, failure = _box_of(sub, edges, part, w, value, cap, cut)
-            for box in boxes.values():
-                values[box] = value
-            if not boxes:
-                flat[seed] = value
+            if failure is not None or not boxes:  # the w agreeing with the seed on the component
+                fiber = cells_of(verts, [slice(w[v], w[v] + 1) for v in verts])
+            for cells in [cells_of(verts, box) for box in boxes.values()] or [fiber]:
+                for u, held in values.items():
+                    if held & cells:
+                        values[u] = held ^ (held & cells)
+                values[value] = values.get(value, 0) | cells
+                reached |= cells
             if failure is not None:
                 exc = ConsistencyError(*failure)
-                # every w whose restriction to this component is the seed
-                free = [1 if part >> v & 1 else side for v in range(n)]
-                at = np.indices(free).reshape(n, -1) + np.array(w)[:, None]
-                indices = np.ravel_multi_index(at, full)
-                for i in indices.tolist():
+                for i in _bits(fiber):
                     failures.setdefault(i, exc)
-                gaps.append((indices, sum(w[v] for v in _bits(cut)) - value))
-        flows += values.reshape([side if part >> v & 1 else 1 for v in range(n)])
-    flows = flows.ravel()
-    cut_weights = flows.copy()
-    for indices, gap in gaps:
-        cut_weights[indices] += gap
+                gaps.append((fiber, sum(w[v] for v in _bits(cut)) - value))
+        cuts = dict(values)
+        for fiber, gap in gaps:
+            u = next(u for u, cells in cuts.items() if cells & fiber)
+            cuts[u] ^= fiber
+            cuts[u + gap] = cuts.get(u + gap, 0) | fiber
+        cut_weights = _add_values(cut_weights, cuts)
+        flows = _add_values(flows, values)
     return cut_weights, flows, failures
+
+
+def _add_values(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The value sets of the sum of two functions on one box, given by
+    their value sets (:func:`menger_walk`), over the nonempty values in
+    ascending order."""
+    out: dict[int, int] = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            if x & y:
+                out[u + v] = out.get(u + v, 0) | x & y
+    return dict(sorted(out.items()))
 
 
 def menger_oracle(p: Poset, w: Sequence[int]) -> KonigCertificate:

@@ -1,7 +1,8 @@
 """Exact rational polyhedra for covering systems.
 
-Everything here is exact: Python integers, ``fractions.Fraction``, and
-integer numpy arrays. No floating point.
+Everything here is exact: Python integers and ``fractions.Fraction``. No
+floating point, and no array library: a set of cells of a box is one
+Python int.
 
 The two central objects are the covering polyhedron Q(A) = {x >= 0, xA >= 1}
 of a nonnegative integer matrix A (columns = clutter edges or monomial
@@ -13,45 +14,36 @@ min(a, ceil(z)) is again such a point and is componentwise <= the box cap.
 
 Each quantity has one formulation: vertices of Q(A) by one integer double
 description per matrix (section "Exact vertex enumeration"), k-fold sums
-on a box by the shift-OR recursion of :func:`_kfold_bits`, and the
-integer packing numbers on a box by :func:`packing_numbers`.
+on a box by the shift-OR recursion of :func:`_kfold_bits`, the cells
+where some linear forms all reach a threshold by :class:`_ThresholdSets`,
+and the integer packing numbers on a box by :func:`packing_numbers`.
 
-The shift-OR recursion holds each level as one Python int with bit
-idx(x) = <x, strides> for cell x, the flat C-order index. idx is linear,
-so shifting a level up by v is a left shift by idx(v), which sets no bit
-below idx(v), then one AND per nonzero v_i, i > 0, with the periodic mask
-of the cells x_i >= v_i, which keeps exactly the cells dominating v. The
-masks are built once per call, per axis and threshold: no per-vector mask
-is stored. The four bounded verdicts (normality, NTF, integer
-decomposition, integer rounding) ask one question of the levels: does
-level k equal the cells whose box value reaches k*unit? One kernel,
-:func:`_level_gap`, answers it on the ints themselves, and it alone packs
-those cells into an int (:func:`_pack_cells`), slab by slab, so no bool
-array of the box is made. A level is unpacked into a bool box array
-(:func:`_unpack_cells`) only for a caller that needs the array, such as
-:func:`packing_numbers`.
+A set of cells of the box prod [0, caps_i] is one Python int with bit
+idx(x) = <x, strides> for cell x, the flat C-order index. The shift-OR
+recursion uses that idx is linear: shifting a level up by v is a left
+shift by idx(v), which sets no bit below idx(v), then one AND per nonzero
+v_i, i > 0, with the periodic mask of the cells x_i >= v_i
+(:func:`_at_least`), which keeps exactly the cells dominating v. The masks
+are built once per call, per axis and threshold: no per-vector mask is
+stored.
 
-Every fractional value on a box is one kernel, :func:`_box_min`: the
-least of some linear forms <r_t, x> at every cell x, built from 1-D axes
-without a point array. The box shape alone picks the walk
-(:func:`_box_split`). A box of at most 2^14 cells takes one broadcast
-pass per form, spanning only the axes of its nonzero coefficients; the
-boxes of ideals in four variables with exponents <= 3 are of this kind
-up to k = 3 (at most 10^4 cells). A larger box is viewed as a 2-D
-(hi x lo) array, lo the fewest trailing axes with at least 2^12 cells,
-and each form is folded in as a hi column plus a contiguous lo vector,
-block by block of about 2^18 cells: besides the result, a form
-allocates one block. With r_t the vertices of Q(A) over a common
-denominator D (:func:`_vertex_inequalities`), x lies in k*B(Q) iff the
-value is >= k*D, and value / D is the packing LP value
+With r_t the vertices of Q(A) over a common denominator D
+(:func:`_vertex_inequalities`), x lies in k*B(Q) iff <r_t, x> >= k*D for
+every t, and min_t <r_t, x> / D is the packing LP value
 max{<y,1> : Ay <= w, y >= 0} at w = x (LP duality). With r_t the minimal
-vertex covers of a clutter, the same kernel gives the symbolic powers and
-alpha0 of the parallelizations (``ideals``, ``packing``). A cell's value
-does not depend on the box, so the checks read it through
-:data:`_box_values`, which holds the latest read-only array and answers
-any box inside it with a prefix slice, broadcast along the axes where no
-form has a nonzero coefficient: the checks of one instance that ask for
-the same rows build one array.
+vertex covers of a clutter, the same rows give the symbolic powers and
+alpha0 of the parallelizations (``ideals``, ``packing``). So the bounded
+verdicts (normality, NTF, integer decomposition, integer rounding) and the
+Koenig sweep of ``packing`` ask one question of the levels: does level k
+equal S_k, the cells where every row reaches k*unit? One kernel,
+:func:`_level_gap`, answers it on the ints themselves, and it alone reads
+the threshold kernel (:func:`_threshold_sets`), whose sets are built per
+block of axis 0 from one recursion per row, never per cell. The checks of
+one instance that ask for the same rows on the same box share the sets
+(the kernel keeps the latest). A reader that renders a table or lists
+cells (a witness, the per-w rounding table, minimal points) reads the
+per-cell values of :func:`_cell_values` instead, a list per box that no
+verdict reads.
 
 :func:`simplex_max` solves one LP and is kept as a test reference;
 :func:`ilp_max_packing` solves one integer packing, for the tests and the
@@ -66,12 +58,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .guards import MAX_DD_RAYS, MAX_GRID_POINTS, ConsistencyError, check_deadline, check_size
-from .structures import json_int
+from .structures import _bits, json_int
 from .verdicts import Certificate
 
 Vector = tuple[int, ...]
@@ -266,7 +256,7 @@ def vertices(p: RationalPolyhedron) -> list[tuple[Fraction, ...]]:
 
 
 @lru_cache(maxsize=1024)
-def _vertex_inequalities(a: IncidenceMatrix) -> tuple[np.ndarray, int]:
+def _vertex_inequalities(a: IncidenceMatrix) -> tuple[tuple[Vector, ...], int]:
     """The vertices ell_t of Q(A) over one common denominator D, the lcm
     of the last coordinates of their rays, as (rows, D) with
     rows[t] = D * ell_t in the order of the rays: one double description
@@ -278,8 +268,7 @@ def _vertex_inequalities(a: IncidenceMatrix) -> tuple[np.ndarray, int]:
     rays = _dd_extreme_rays(a.n + 1, [(*col, -1) for col in a.columns])
     rays = sorted({r for r in rays if r[-1] > 0})
     den = math.lcm(*(r[-1] for r in rays))
-    rows = [[x * (den // r[-1]) for x in r[:-1]] for r in rays]
-    return np.array(rows, dtype=np.int64), den
+    return tuple(tuple(x * (den // r[-1]) for x in r[:-1]) for r in rays), den
 
 
 @lru_cache(maxsize=1024)
@@ -287,7 +276,7 @@ def q_vertices(a: IncidenceMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """Vertices of Q(A), exact and sorted, cached per matrix: the Fraction
     view rows[t] / D of :func:`_vertex_inequalities`."""
     rows, den = _vertex_inequalities(a)
-    return tuple(sorted(tuple(Fraction(x, den) for x in row) for row in rows.tolist()))
+    return tuple(sorted(tuple(Fraction(x, den) for x in row) for row in rows))
 
 
 def is_integral(a: IncidenceMatrix) -> bool:
@@ -363,7 +352,7 @@ def blocking_membership(a: IncidenceMatrix, z: Sequence, k: int = 1) -> bool:
     if any(x < 0 for x in zf):
         raise ValueError("z must be nonnegative")
     rows, den = _vertex_inequalities(a)
-    return all(sum(c * x for c, x in zip(row, zf)) >= k * den for row in rows.tolist())
+    return all(sum(c * x for c, x in zip(row, zf)) >= k * den for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -379,197 +368,184 @@ def _check_box(caps: Vector, what: str = "lattice box size") -> None:
     check_size(math.prod(c + 1 for c in caps), MAX_GRID_POINTS, what)
 
 
-# (largest value, dtype) of the signed integer dtypes narrower than int64
-_INT_MAXES = tuple((int(np.iinfo(t).max), t) for t in (np.int8, np.int16, np.int32))
+def _cell(caps: Vector, idx: int) -> Vector:
+    """The cell x of the box prod [0, caps_i] at flat C-order index idx."""
+    cell = []
+    for c in reversed(caps):
+        idx, x = divmod(idx, c + 1)
+        cell.append(x)
+    return tuple(reversed(cell))
 
 
-def _narrowest_int(bound: int) -> type:
-    """The narrowest signed integer dtype holding every value in
-    [-bound, bound]. Signed only: a kernel that mixes signed and unsigned
-    arrays pays for one more ufunc loop per dtype pair."""
-    return next((t for top, t in _INT_MAXES if bound <= top), np.int64)
+class _ThresholdSets:
+    """S_k for k = 1, 2, ...: the cells x of the box prod [0, caps_i] with
+    <r, x> >= k*unit for every row r, each one Python int in the layout
+    of :func:`_kfold_bits` (bit idx(x), the flat C-order index), built
+    when first asked for (``sets[k]``) and kept. The rows are
+    nonnegative and nonempty.
 
-
-def _box_split(shape: tuple[int, ...]) -> tuple[int, int]:
-    """How :func:`_box_min` walks a box of this shape: (split, block).
-
-    A box of at most 2^14 cells is not split (split 0): each form is
-    folded in by one broadcast pass, as cheap there as any loop. A larger
-    box is viewed in C order as a 2-D (hi x lo) array: lo spans the fewest
-    trailing axes shape[split:] with at least 2^12 cells, hi the axes
-    before them, and the fold runs over blocks of ``block`` hi rows, about
-    2^18 cells, so one block of a box of small caps stays in cache."""
-    if math.prod(shape) <= 1 << 14:
-        return 0, 1
-    split, lo = len(shape), 1
-    while lo < 1 << 12:
-        split -= 1
-        lo *= shape[split]
-    return split, max(1, (1 << 18) // lo)
-
-
-def _box_min(caps: Vector, rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """min_t <rows[t], x> for every cell x of the box prod [0, caps_i], as
-    an n-D array in C order, which is lexicographic order; rows is
-    nonempty. The dtype is the narrowest signed one (:func:`_narrowest_int`)
-    holding, for every row, both sum_i caps_i * |rows[t][i]| and every
-    |rows[t][i]|: the first bounds every partial sum of a form and so
-    every value, the second lets each coefficient be cast to the dtype,
-    also on an axis of cap 0. Every step then computes in that dtype. The
-    bound is summed in Python ints, so it cannot overflow.
-
-    No point array is built: each linear form is an outer sum of 1-D
-    ``arange * coef`` axes over only the axes where its coefficient is
-    nonzero, and a zero row is the scalar 0. The walk follows
-    :func:`_box_split`. On an unsplit box a form spans just the sub-box of
-    its axes and is folded into the running minimum by one broadcast pass.
-    On a split box the result is viewed as (hi x lo): per row, the form's
-    sum over the hi axes becomes a column and its sum over the lo axes one
-    contiguous vector, and ``np.add`` of the two into a one-block
-    temporary, then ``np.minimum`` into the result, run block by block.
-    Every ufunc call then has a contiguous inner loop of at least 2^12
-    cells; a broadcast form, whose stride-0 axes numpy cannot coalesce,
-    runs one inner loop per innermost axis instead, 4 cells at caps 3.
-    Besides the result, a row allocates at most one block, its column and
-    its vector; the first row and a form over one side write into the
-    result directly. The result owns its data and is writable and
-    C-contiguous; the deadline is checked once per row."""
-    n = len(caps)
-    shape = tuple(c + 1 for c in caps)
-    rows = np.asarray(rows, dtype=np.int64).tolist()
-    dtype = _narrowest_int(max(
-        max(0, sum(c * abs(x) for c, x in zip(caps, row)), *map(abs, row)) for row in rows
-    ))
-    split, block = _box_split(shape)
-    # each axis broadcasts over its own side: axes[:split] over the hi
-    # axes, axes[split:] over the lo axes
-    axes = [
-        np.arange(c + 1, dtype=dtype).reshape((-1,) + (1,) * ((split if i < split else n) - 1 - i))
-        if any(col) else None
-        for i, (c, col) in enumerate(zip(caps, zip(*rows)))
-    ]
-    hi_axes, lo_axes = axes[:split], axes[split:]
-    low = np.empty(shape, dtype=dtype)
-    view = low.reshape(-1, math.prod(shape[split:])) if split else low
-    scratch = None
-    for t, row in enumerate(rows):
-        check_deadline()
-        if split:
-            hi = _outer_sum(hi_axes, row, shape[:split])
-            hi = None if hi is None else hi[:, None]
-            lo = _outer_sum(lo_axes, row[split:], shape[split:])
-        else:
-            hi, lo = None, _outer_sum(axes, row, None)
-        if hi is None or lo is None:
-            # a form over one side, or a zero row: folded in directly
-            form = 0 if hi is None and lo is None else lo if hi is None else hi
-            if t == 0:
-                view[...] = form
-            else:
-                np.minimum(view, form, out=view)
-            continue
-        if t and scratch is None:
-            scratch = np.empty((min(block, len(view)), len(lo)), dtype=dtype)
-        for b in range(0, len(view), block):
-            part = view[b:b + block]
-            if t == 0:
-                np.add(hi[b:b + block], lo, out=part)
-            else:
-                tmp = scratch[:len(part)]
-                np.add(hi[b:b + block], lo, out=tmp)
-                np.minimum(part, tmp, out=part)
-    return low
-
-
-def _outer_sum(axes: list, coefs: Sequence[int], shape: tuple[int, ...] | None) -> np.ndarray | None:
-    """sum_i axes[i] * coefs[i] over the nonzero coefficients, None if
-    there is none: broadcast, spanning only the axes it uses, or, given
-    the ``shape`` of all the axes, copied out as one C-contiguous flat
-    vector over them."""
-    terms = [ax * coef for ax, coef in zip(axes, coefs) if coef]
-    if not terms:
-        return None
-    form = sum(terms[1:], terms[0])
-    return form if shape is None else np.broadcast_to(form, shape).reshape(-1)
-
-
-class _BoxValues:
-    """Read-only :func:`_box_min` arrays over the latest box built, shared
-    by every check that asks for the same rows.
-
-    A cell's value does not depend on the box holding it, so a box inside
-    the held box of the same rows is answered by a prefix slice of it
-    (:func:`_box_slice`). Along an axis where every row's coefficient is 0
-    the values are constant, so a box larger than the held one only on
-    such axes is answered by a read-only broadcast view and builds
-    nothing. Any other request drops the held array and builds its own
-    box, so at most one array is held and it never stays alive while the
-    next one is built. ``rows`` is an int64 array keyed by its shape and
-    bytes: equal row sets share the array whatever object holds them, and
-    the key costs no per-entry conversion. The caller guards the box
-    before asking.
+    In C order the cells of the sub-box of the axes i.. are the lowest
+    span_i = prod(caps_j + 1, j >= i) bits, and its cells with x_i = t are
+    the block of span_{i+1} bits at t*span_{i+1}. So T_r(i, c), the cells
+    of that sub-box whose sum <r, x> over the axes i.. reaches c, is the
+    OR over t of T_r(i+1, c - r_i*t) shifted to block t, and no mask is
+    needed. Per row, T_r(i, c) for i >= 1 is one top-down recursion over
+    the axes, memoised across the levels: the blocks with r_i*t >= c are
+    all ones, a block whose rest cannot reach its threshold is empty, so
+    only the thresholds reached are built; on an axis where r_i = 0,
+    T_r(i, c) repeats T_r(i+1, c) by doubling. The AND over the rows is
+    taken per block of axis 0, S_k's block t being the AND of
+    T_r(1, k*unit - r_0*t), and the blocks are then joined once: so no row
+    builds a set of the whole box. The deadline is checked once per level
+    and once per set a row builds on axis 1.
     """
 
-    def __init__(self):
-        self.cache_clear()
+    def __init__(self, caps: Vector, rows: Sequence[Vector], unit: int):
+        n = len(caps)
+        shape = [c + 1 for c in caps]
+        span = [1] * (n + 1)
+        for i in reversed(range(n)):
+            span[i] = span[i + 1] * shape[i]
+        ones = [(1 << s) - 1 for s in span]
+        self._unit, self._drawn = unit, []
+        # a box of no axes has one cell, of sum 0: every S_k is empty
+        self._rows = [_row_sets(row, caps, span, ones) for row in rows] if n else []
+        self._blocks, self._width, self._ones = (shape[0], span[1], ones[1]) if n else (0, 0, 0)
 
-    def __call__(self, caps: Vector, rows: np.ndarray) -> np.ndarray:
-        key = rows.shape, rows.tobytes()
-        if key == self._key:
-            if all(c < s for c, s in zip(caps, self._held.shape)):
-                return self._held[_box_slice(caps)]
-            span = tuple(c if used else 0 for c, used in zip(caps, rows.any(axis=0)))
-            if all(c < s for c, s in zip(span, self._held.shape)):
-                return np.broadcast_to(self._held[_box_slice(span)], tuple(c + 1 for c in caps))
-        self.cache_clear()
-        held = _box_min(caps, rows)
-        held.setflags(write=False)
-        self._key, self._held = key, held
-        return held[_box_slice(caps)]
+    def __getitem__(self, k: int) -> int:
+        while len(self._drawn) < k:
+            self._drawn.append(self._build((len(self._drawn) + 1) * self._unit))
+        return self._drawn[k - 1]
 
-    def cache_clear(self) -> None:
-        self._key: tuple[tuple[int, ...], bytes] | None = None
-        self._held: np.ndarray | None = None
-
-
-_box_values = _BoxValues()
-
-
-def _box_slice(caps: Vector) -> tuple[slice, ...]:
-    """Index of the sub-box prod [0, caps_i] in an array over a larger box
-    with the same origin."""
-    return tuple(slice(0, c + 1) for c in caps)
-
-
-def _minimal_cells(upset: np.ndarray) -> list[Vector]:
-    """Componentwise-minimal True cells, in lex order, of a boolean box
-    array that is upward closed inside its box. A True cell x is minimal
-    iff no x - e_i is True: a True y < x lies below some x - e_i, which is
-    then True by upward closure."""
-    minimal = upset.copy()
-    for i in range(upset.ndim):
-        lead = (slice(None),) * i
-        minimal[lead + (slice(1, None),)] &= ~upset[lead + (slice(None, -1),)]
-    return [tuple(int(x) for x in p) for p in np.argwhere(minimal)]
+    def _build(self, c: int) -> int:
+        # S at threshold c > 0: the rows with r_0 = 0 give every block one
+        # set; a row with r_0 > 0 empties the blocks below its band and lets
+        # those above it be, so it is ANDed into the blocks of its band only
+        check_deadline()
+        if not self._rows:
+            return 0
+        blocks, width = self._blocks, self._width
+        shared, low = self._ones, 0
+        for r0, rest1, known, term in self._rows:
+            if c > rest1 + r0 * (blocks - 1):
+                return 0
+            if not r0:
+                shared &= term(1, c)
+            elif c > rest1:
+                low = max(low, -(-(c - rest1) // r0))
+        parts = [shared] * (blocks - low)
+        for r0, rest1, known, term in self._rows:
+            if r0:
+                for t in range(max(low, -(-(c - rest1) // r0)), min(-(-c // r0), blocks)):
+                    got = known.get(c - r0 * t)
+                    parts[t - low] &= term(1, c - r0 * t) if got is None else got
+        level = 0
+        for part in reversed(parts):
+            level = level << width | part
+        return level << low * width
 
 
-def _minimal_rows(pts: np.ndarray) -> np.ndarray:
-    """Componentwise-minimal rows of pts. Points of equal coordinate sum
-    never dominate one another, so scanning degree levels in ascending
-    order against the kept set is exact."""
-    if len(pts) == 0:
-        return pts
-    degrees = pts.sum(axis=1)
-    kept: list[np.ndarray] = []
-    for d in np.unique(degrees):
-        level = pts[degrees == d]
-        if kept:
-            mins = np.concatenate(kept)
-            dominated = (level[:, None, :] >= mins[None, :, :]).all(axis=2).any(axis=1)
-            level = level[~dominated]
-        if len(level):
-            kept.append(level)
-    return np.concatenate(kept) if kept else pts[:0]
+def _row_sets(
+    row: Vector, caps: Vector, span: list[int], ones: list[int]
+) -> tuple[int, int, dict[int, int], Callable[[int, int], int]]:
+    """(r_0, rest_1, the memo of axis 1, T) for one row r of
+    :class:`_ThresholdSets`: rest_i is the largest sum of r over the
+    axes i.., and T(i, c) the memoised T_r(i, c) for 0 < c <= rest_i,
+    kept by threshold in one dict per axis. A row with r_0 = 0 asks axis
+    1 once per level, each time for a new c, so its sets there are not
+    kept."""
+    n = len(caps)
+    rest = [0] * (n + 1)
+    for i in reversed(range(n)):
+        rest[i] = rest[i + 1] + row[i] * caps[i]
+    memo: list[dict[int, int]] = [{} for _ in range(n + 1)]
+
+    def term(i: int, c: int) -> int:
+        got = memo[i].get(c)
+        if got is None:
+            if i == 1:
+                check_deadline()
+            r, step = row[i], span[i + 1]
+            if r:
+                top = -(-c // r)  # the least t with r*t >= c
+                got = ones[i] ^ ((1 << top * step) - 1) if top <= caps[i] else 0
+                low = c - rest[i + 1]  # below r*t = low the rest cannot reach c - r*t
+                for t in range(-(-low // r) if low > 0 else 0, min(top, caps[i] + 1)):
+                    got |= term(i + 1, c - r * t) << t * step
+            else:
+                got, width = term(i + 1, c), step
+                while width < span[i]:
+                    got |= got << width
+                    width *= 2
+                got &= ones[i]
+            if i > 1 or row[0]:  # with r_0 = 0 each level asks axis 1 for its own c once
+                memo[i][c] = got
+        return got
+
+    return row[0], rest[1], memo[1], term
+
+
+@lru_cache(maxsize=1)
+def _threshold_sets(caps: Vector, rows: tuple[Vector, ...], unit: int) -> _ThresholdSets:
+    """The threshold sets of one box, row set and unit, kept for the
+    latest key only: the checks of one instance that compare levels
+    against the same rows on the same box (NTF and normality of an
+    integral Q(A), whose vertex rows are the minimal covers; the MFMC
+    sweep of a poset at wmax = imax) build them once."""
+    return _ThresholdSets(caps, rows, unit)
+
+
+def _cell_values(caps: Vector, rows: Sequence[Vector]) -> list[int]:
+    """min_t <rows[t], x> for every cell x of the box prod [0, caps_i], as
+    a list in C (lexicographic) order; rows is nonempty. Each row's form
+    is built as a list by outer sums over the axes, then folded into the
+    running minimum. A per-cell route: it serves the readers that render
+    or list cells (witnesses, tables, minimal points), never a bounded
+    verdict, which compares packed sets (:func:`_level_gap`). The
+    deadline is checked once per row."""
+    values: list[int] | None = None
+    for row in rows:
+        check_deadline()
+        form = [0]
+        for c, r in zip(caps, row):
+            steps = [r * t for t in range(c + 1)]
+            form = [a + b for a in form for b in steps]
+        values = form if values is None else list(map(min, values, form))
+    return values
+
+
+def _minimal_cells(caps: Vector, values: Sequence[int], c: int) -> list[Vector]:
+    """Componentwise-minimal cells, in lex order, of the cells whose value
+    reaches c, given the values of the box prod [0, caps_i] in C order
+    (:func:`_cell_values`) and upward closed inside it. A cell x of the
+    set is minimal iff no x - e_i is in it: a y < x in the set lies below
+    some x - e_i, which is then in it by upward closure. On the packed
+    set that drops every bit that the set shifted up by e_i, kept where
+    x_i >= 1, reaches."""
+    shape = [cap + 1 for cap in caps]
+    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+    full = (1 << len(values)) - 1
+    cells = int("".join("1" if v >= c else "0" for v in reversed(values)) or "0", 2)
+    above = 0
+    for stride, s in zip(strides, shape):
+        above |= cells << stride & _at_least(1, stride, stride * s, full)
+    return [_cell(caps, idx) for idx in _bits(cells & ~above)]
+
+
+def _minimal_rows(pts: Iterable[Vector]) -> list[Vector]:
+    """Componentwise-minimal points of pts, in order of coordinate sum.
+    Points of equal sum never dominate one another, so scanning the sums
+    in ascending order against the kept points is exact; the deadline is
+    checked once per sum."""
+    kept: list[Vector] = []
+    for _, level in itertools.groupby(sorted(pts, key=sum), key=sum):
+        check_deadline()
+        mins = kept[:]
+        kept += [
+            p for p in dict.fromkeys(level)
+            if not any(all(map(operator.ge, p, m)) for m in mins)
+        ]
+    return kept
 
 
 def minimal_lattice_points(a: IncidenceMatrix, k: int) -> list[Vector]:
@@ -581,7 +557,7 @@ def minimal_lattice_points(a: IncidenceMatrix, k: int) -> list[Vector]:
     caps = box_caps(a, k)
     _check_box(caps)
     rows, den = _vertex_inequalities(a)
-    return _minimal_cells(_box_values(caps, rows) >= k * den)
+    return _minimal_cells(caps, _cell_values(caps, rows), k * den)
 
 
 # ---------------------------------------------------------------------------
@@ -645,42 +621,25 @@ def _at_least(t: int, stride: int, period: int, full: int) -> int:
     return mask & full
 
 
-def _pack_cells(flat: np.ndarray, threshold: int) -> int:
-    """The cells of a box whose value reaches ``threshold``, as the bits
-    idx(x) of one Python int, in the layout of :func:`_kfold_bits`;
-    ``flat`` holds the values in C order. Compared and packed in slabs of
-    2^16 cells, a whole number of bytes each, so no bool array of the box
-    is made."""
-    packed = np.empty((flat.size + 7) // 8, dtype=np.uint8)
-    for start in range(0, flat.size, 1 << 16):
-        slab = np.packbits(flat[start:start + (1 << 16)] >= threshold, bitorder="little")
-        packed[start // 8:start // 8 + slab.size] = slab
-    return int.from_bytes(packed, "little")
-
-
-def _unpack_cells(bits: int, shape: tuple[int, ...]) -> np.ndarray:
-    """The bool box array of the given shape whose cell x is True iff bit
-    idx(x) of bits is set, in the layout :func:`_pack_cells` packs. The
-    array is fresh, writable and C-contiguous."""
-    size = math.prod(shape)
-    packed = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(packed, count=size, bitorder="little").view(bool).reshape(shape)
-
-
-def _level_gap(levels: Iterable[int], value: np.ndarray, unit: int) -> tuple[int, Vector] | None:
-    """The first k at which level k of the packed ``levels`` differs from
-    S_k, the cells of the box of ``value`` whose value reaches k*unit, and
-    the lex-first cell of the difference; None if none differs. The scan
-    ends after the last level or where both sides are empty, so a lazy
-    ``levels`` is drawn no further. k*unit is a Python int, which may lie
-    past the dtype of ``value``.
+def _level_gap(
+    levels: Iterable[int], caps: Vector, rows: Sequence[Vector], unit: int
+) -> tuple[int, Vector] | None:
+    """The first k at which level k of the packed ``levels`` over the box
+    prod [0, caps_i] differs from S_k, the cells x of that box with
+    <r, x> >= k*unit for every row r (:func:`_threshold_sets`), and the
+    lex-first cell of the difference; None if none differs. The scan ends
+    after the last level or where both sides are empty, so a lazy
+    ``levels`` is drawn no further, and S_k is built only for the levels
+    drawn.
 
     The four bounded verdicts are this comparison: the closure of I^k
     (vertex rows of Q(A), unit D) against I^k; I^(i) (minimal covers,
     unit 1) against I^i; k*B(Q) against the sums of k points of B(Q); and
-    floor(lp / D) >= k against nu >= k. Each level lies inside its S_k, so
-    the XOR is S_k minus the level; a level cell in it is a kernel fault
-    and raises :class:`ConsistencyError`.
+    floor(lp / D) >= k against nu >= k. So is the Koenig property of the
+    parallelizations C^w (minimal covers against the w-packing levels).
+    Each level lies inside its S_k, so the XOR is S_k minus the level; a
+    level cell in it is a kernel fault and raises
+    :class:`ConsistencyError`.
 
     The lowest set bit of the XOR is its lex-first cell in C order. When
     the boxes grow with k and both sides are held over the last box, it is
@@ -689,23 +648,19 @@ def _level_gap(levels: Iterable[int], value: np.ndarray, unit: int) -> tuple[int
     it (those come first in lex order) and no cell of S_k below it (such a
     cell lies outside the level, else x would lie in it, and so is a
     difference): x is a minimal cell of S_k, and those lie in its own box.
-
-    S_k is packed in slabs (:func:`_pack_cells`) from the flat C-order
-    view of ``value``. A C-contiguous value, such as every box an
-    instance at n = 12 reads, is viewed in place; a prefix slice or
-    broadcast view of a larger held box is copied once, for all levels.
     """
-    flat = value.reshape(-1)
+    reaching = _threshold_sets(caps, tuple(map(tuple, rows)), unit)
     for k, level in enumerate(levels, start=1):
-        diff = _pack_cells(flat, k * unit) ^ level
+        diff = reaching[k] ^ level
         if diff:
             faulty = diff & level
             low = faulty or diff
-            cell = tuple(int(x) for x in np.unravel_index((low & -low).bit_length() - 1, value.shape))
+            cell = _cell(caps, (low & -low).bit_length() - 1)
             if faulty:
+                value = min(sum(map(operator.mul, row, cell)) for row in rows)
                 raise ConsistencyError(
                     "every cell of k-fold level k has value >= k*unit",
-                    {"k": k, "cell": list(cell), "value": int(value[cell])}, k * unit,
+                    {"k": k, "cell": list(cell), "value": value}, k * unit,
                 )
             return k, cell
         if not level:
@@ -713,21 +668,47 @@ def _level_gap(levels: Iterable[int], value: np.ndarray, unit: int) -> tuple[int
     return None
 
 
-def packing_numbers(vectors: Sequence[Sequence[int]], caps: Vector) -> np.ndarray:
-    """max{<y,1> : sum_j y_j v_j <= x, y integer >= 0} for every x of the
-    box prod [0, caps_i], as an n-D array in C (lexicographic) order:
-    the number of the nested levels of :func:`_kfold_bits` holding x, up
-    to the first empty one, each nonempty level unpacked once. The
-    vectors are nonzero, so no x packs more than sum(caps), and the counts
-    are held in the narrowest signed dtype holding it
-    (:func:`_narrowest_int`)."""
-    shape = tuple(c + 1 for c in caps)
-    count = np.zeros(shape, dtype=_narrowest_int(sum(caps)))
-    for level in _kfold_bits(vectors, caps, sum(caps)):
+def _value_sets(levels: Iterable[int], full: int) -> dict[int, int]:
+    """The cells of each value of a function on a box, as {value: cells}
+    over its values in ascending order, each set one int in the layout of
+    :func:`_kfold_bits`; the function is given by its nested levels,
+    level k holding the cells of value >= k, k = 1, 2, ..., and ``full``
+    is the set of all cells. The levels are read up to the first empty
+    one; the cells of the last level drawn, if it is not empty, take its
+    value."""
+    sets: dict[int, int] = {}
+    above, k = full, 0
+    for k, level in enumerate(levels, start=1):
+        if above & ~level:
+            sets[k - 1] = above & ~level
+        above = level
         if not level:
             break
-        count += _unpack_cells(level, shape)
-    return count
+    if above:
+        sets[k] = above
+    return sets
+
+
+def _cell_list(sets: dict[int, int], size: int) -> list[int]:
+    """The value of every cell of a box of ``size`` cells, as a list in C
+    order, from the disjoint cell sets of each value (as
+    :func:`_value_sets` gives them); a cell in no set reads 0."""
+    values = [0] * size
+    for value, cells in sets.items():
+        for idx in _bits(cells):
+            values[idx] = value
+    return values
+
+
+def packing_numbers(vectors: Sequence[Sequence[int]], caps: Vector) -> list[int]:
+    """max{<y,1> : sum_j y_j v_j <= x, y integer >= 0} for every x of the
+    box prod [0, caps_i], as a list in C (lexicographic) order: the
+    number of the nested levels of :func:`_kfold_bits` holding x, up to
+    the first empty one (:func:`_value_sets`). The vectors are nonzero,
+    so no x packs more than sum(caps). A per-cell route, for the readers
+    that render a table or a witness."""
+    size = math.prod(c + 1 for c in caps)
+    return _cell_list(_value_sets(_kfold_bits(vectors, caps, sum(caps)), (1 << size) - 1), size)
 
 
 def integer_decomposition_check(a: IncidenceMatrix, kmax: int) -> Certificate:
@@ -740,22 +721,21 @@ def integer_decomposition_check(a: IncidenceMatrix, kmax: int) -> Certificate:
     level k-1 shifted by m. Recursing through minimal first summands is
     complete because B(Q) is upward closed: if x = a_1 + ... + a_k and
     m <= a_1 is minimal, then x = m + ((a_1 - m) + a_2) + a_3 + ... is a
-    decomposition through m. Membership in k*B(Q) compares the box values
-    of the vertex inequalities over the kmax-box (:data:`_box_values`, the
-    array the normality verdict already read) with k*D, level by level
-    (:func:`_level_gap`). ``checked`` counts the lattice points of k*B(Q)
-    in each level's own box, up to the first failing level.
+    decomposition through m. Membership in k*B(Q) is the threshold set
+    of the vertex inequalities at k*D over the kmax-box, compared level by
+    level (:func:`_level_gap`). ``checked`` counts the lattice points of
+    k*B(Q) in each level's own box, up to the first failing level, from
+    the cell values of that box (:func:`_cell_values`).
     """
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
     caps = box_caps(a, kmax)
     _check_box(caps)
     rows, den = _vertex_inequalities(a)
-    value = _box_values(caps, rows)  # first: the 1-box of the minimal points is a slice of it
-    gap = _level_gap(_kfold_bits(minimal_lattice_points(a, 1), caps, kmax), value, den)
+    gap = _level_gap(_kfold_bits(minimal_lattice_points(a, 1), caps, kmax), caps, rows, den)
     last = kmax if gap is None else gap[0]
     checked = {
-        str(k): int(np.count_nonzero(value[_box_slice(box_caps(a, k))] >= k * den))
+        str(k): sum(v >= k * den for v in _cell_values(box_caps(a, k), rows))
         for k in range(1, last + 1)
     }
     return Certificate(
@@ -817,8 +797,8 @@ def integer_rounding_check(a: IncidenceMatrix, wmax: int) -> Certificate:
     The whole box is priced at once and rendered as one entry per w. The
     LP value: by LP duality, max{<y,1> : Ay <= w, y >= 0} = min{<w,x> :
     x in Q(A)}, and since w >= 0 and Q(A) is pointed with recession cone
-    R^n_+, the minimum is attained at a vertex ell_t of Q(A); the box
-    values of the vertex inequalities (:data:`_box_values`) give D times
+    R^n_+, the minimum is attained at a vertex ell_t of Q(A); the cell
+    values of the vertex inequalities (:func:`_cell_values`) give D times
     it for every w. The integer value is :func:`packing_numbers` of the
     columns over the box. :func:`integer_rounding_holds` decides the same
     verdict without rendering it. The box is guarded before anything is
@@ -826,8 +806,8 @@ def integer_rounding_check(a: IncidenceMatrix, wmax: int) -> Certificate:
     """
     caps = _rounding_box(a, wmax)
     rows, den = _vertex_inequalities(a)
-    lp_num = _box_values(caps, rows).ravel().tolist()
-    ilp = packing_numbers(a.columns, caps).ravel().tolist()
+    lp_num = _cell_values(caps, rows)
+    ilp = packing_numbers(a.columns, caps)
     weights = itertools.product(range(wmax + 1), repeat=a.n)
     per_w = []
     first_fail = None
@@ -862,8 +842,7 @@ def integer_rounding_holds(a: IncidenceMatrix, wmax: int) -> bool:
     """
     caps = _rounding_box(a, wmax)
     rows, den = _vertex_inequalities(a)
-    lp = _box_values(caps, rows)
-    return _level_gap(_kfold_bits(a.columns, caps, sum(caps)), lp, den) is None
+    return _level_gap(_kfold_bits(a.columns, caps, sum(caps)), caps, rows, den) is None
 
 
 def _rounding_box(a: IncidenceMatrix, wmax: int) -> Vector:

@@ -41,8 +41,20 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(n))
 
 
-def _check_labels(n: int, labels: Sequence[str]) -> tuple[str, ...]:
-    labels = tuple(labels)
+def json_labels(doc: dict[str, Any]) -> list[str] | None:
+    """The ``labels`` of a JSON document, None when it has none: the one
+    reader of labels of the ``from_json`` readers, which refuses anything
+    but a list of strings."""
+    labels = doc.get("labels")
+    if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise ValueError(f"expected a list of string labels, got {labels!r}")
+    return labels
+
+
+def _check_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...]:
+    """The labels as a tuple, :func:`default_labels` when they are None
+    (only None is absent: an empty list is n = 0 labels)."""
+    labels = default_labels(n) if labels is None else tuple(labels)
     if len(labels) != n:
         raise ValueError(f"expected {n} labels, got {len(labels)}")
     if len(set(labels)) != n:
@@ -74,7 +86,7 @@ class Graph:
             norm.add((min(i, j), max(i, j)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "labels", _check_labels(n, labels or default_labels(n)))
+        object.__setattr__(self, "labels", _check_labels(n, labels))
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
@@ -93,7 +105,8 @@ class Graph:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "Graph":
-        return cls(json_int(doc["n"]), [(json_int(i), json_int(j)) for i, j in doc.get("edges", [])])
+        n, labels = json_int(doc["n"]), json_labels(doc)
+        return cls(n, [(json_int(i), json_int(j)) for i, j in doc.get("edges", [])], labels)
 
 
 def graph_duplicate(g: Graph, i: int) -> Graph:
@@ -181,7 +194,7 @@ class Poset:
                 )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "relation", frozenset(rel))
-        object.__setattr__(self, "labels", _check_labels(n, labels or default_labels(n)))
+        object.__setattr__(self, "labels", _check_labels(n, labels))
 
     @cached_property
     def successors(self) -> tuple[int, ...]:
@@ -208,7 +221,8 @@ class Poset:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "Poset":
-        return cls(json_int(doc["n"]), [(json_int(a), json_int(b)) for a, b in doc.get("relation", [])])
+        n, labels = json_int(doc["n"]), json_labels(doc)
+        return cls(n, [(json_int(a), json_int(b)) for a, b in doc.get("relation", [])], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +261,7 @@ class Clutter:
                 raise ValueError(f"edges {norm[a]} and {norm[b]} violate inclusion-minimality")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "labels", _check_labels(n, labels or default_labels(n)))
+        object.__setattr__(self, "labels", _check_labels(n, labels))
 
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
@@ -262,10 +276,8 @@ class Clutter:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "Clutter":
-        n, edges, labels = json_int(doc["n"]), doc.get("edges", []), doc.get("labels")
-        if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
-            raise ValueError(f"expected a list of string labels, got {labels!r}")
-        return cls(n, [[json_int(v) for v in e] for e in edges], labels or None)
+        n, labels = json_int(doc["n"]), json_labels(doc)
+        return cls(n, [[json_int(v) for v in e] for e in doc.get("edges", [])], labels)
 
 
 def _mask(vertices: Iterable[int]) -> int:

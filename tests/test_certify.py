@@ -10,16 +10,16 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import clutterlab
-from clutterlab import MonomialIdeal, certify, complete_admissible_uniform_clutter, ideals, polyhedra
+from clutterlab import MonomialIdeal, certify, complete_admissible_uniform_clutter, ideals, packing, polyhedra
 from clutterlab.certify import (
     _KINDS,
     Bounds,
@@ -157,36 +157,34 @@ def test_certify_builds_no_normality_explanation_it_does_not_render(monkeypatch,
 
 def test_an_ideal_instance_unpacks_no_power_level(monkeypatch, two_squares):
     # normality and rounding are decided on packed levels: on the ideals
-    # golden no level is unpacked into an array and no packing-number
-    # array is built
+    # golden no value is listed per cell and no packing number is counted
     calls = []
-    for name in ("_unpack_cells", "packing_numbers"):
+    for name in ("_cell_values", "packing_numbers"):
         honest = getattr(polyhedra, name)
         monkeypatch.setattr(polyhedra, name,
                             lambda *args, name=name, honest=honest: calls.append(name) or honest(*args))
-    polyhedra._box_values.cache_clear()
+    polyhedra._threshold_sets.cache_clear()
     ideals._power_grids.cache_clear()
     corpus, bounds, digest = GOLDEN["ideals"]
     report = run_theorem_suite(corpus, bounds)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
     assert calls == []
-    # the counters see the routes that render arrays
+    # the counters see the routes that render per-cell tables
     polyhedra.integer_rounding_check(two_squares.matrix(), 2)
-    assert sorted(set(calls)) == ["_unpack_cells", "packing_numbers"]
+    assert sorted(set(calls)) == ["_cell_values", "packing_numbers"]
 
 
 def test_rounding_compares_a_cold_narrow_box_with_a_wider_denominator(monkeypatch):
-    # (x^200) has D = 200, but the values of its rounding box [0, 3] fit
-    # int8; with no wider box built first, the levels lp >= k*D must
-    # still compare those values with a k*D past int8
+    # (x^200) has D = 200, but the values of its rounding box [0, 3] are
+    # at most 3; with no wider box built first, the levels lp >= k*D must
+    # still compare those values with a k*D far past them
     ideal = MonomialIdeal(1, [[200]])
     monkeypatch.setattr(certify, "normality_gap", lambda ideal, kmax: None)
-    polyhedra._box_values.cache_clear()
+    polyhedra._threshold_sets.cache_clear()
     rows, den = polyhedra._vertex_inequalities(ideal.matrix())
-    lp = polyhedra._box_values((3,), rows)
+    lp = polyhedra._cell_values((3,), rows)
     nu = polyhedra.packing_numbers(ideal.matrix().columns, (3,))
-    assert (lp.dtype, den, lp.tolist(), nu.tolist()) == (np.int8, 200, [0, 1, 2, 3], [0, 0, 0, 0])
-    polyhedra._box_values.cache_clear()
+    assert (den, lp, nu) == (200, [0, 1, 2, 3], [0, 0, 0, 0])
     rec = check_ideal_instance(ideal, Bounds())
     assert rec["checks"] == {"normal": True, "rounding": True, "normal_equals_rounding": True}
 
@@ -335,7 +333,8 @@ def test_positive_verdicts_need_no_generator_lists(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# One box value array per row set, shared by the checks of an instance
+# One set of threshold sets per box and row set, shared by the checks of an
+# instance
 
 SHARED = {
     "cauc": GOLDEN["cauc"][:2],
@@ -359,11 +358,11 @@ def _records(report):
 def test_shared_box_values_leave_the_report_bytes(name, monkeypatch, tmp_path):
     corpus, bounds = SHARED[name]
     monkeypatch.chdir(HERE)
-    polyhedra._box_values.cache_clear()
+    polyhedra._threshold_sets.cache_clear()
     ideals._power_grids.cache_clear()
     cold = run_theorem_suite(corpus, bounds).to_json()
     assert run_theorem_suite(corpus, bounds).to_json() == cold  # warm caches
-    polyhedra._box_values.cache_clear()
+    polyhedra._threshold_sets.cache_clear()
     ideals._power_grids.cache_clear()
     assert run_theorem_suite(corpus, bounds).to_json() == cold
     # the same instances in reversed order: each record is unchanged
@@ -378,22 +377,22 @@ def test_shared_box_values_leave_the_report_bytes(name, monkeypatch, tmp_path):
 
 
 def test_a_cauc33_instance_builds_the_cover_values_once(monkeypatch):
-    # NTF on [0,3]^9, normality on the same box (the vertex rows of the
-    # integral Q(A) are the minimal covers) and the MFMC sweep on the
-    # prefix [0,2]^9 read one array
+    # NTF on [0,3]^9 and normality on the same box (the vertex rows of
+    # the integral Q(A) are the minimal covers) read one set of threshold
+    # sets; the MFMC sweep on [0,2]^9 builds its own
     c = complete_admissible_uniform_clutter(3, 3)
     built = []
-    honest = polyhedra._box_min
+    honest = polyhedra._ThresholdSets
 
-    def counting(caps, rows):
-        built.append((caps, rows.tobytes()))
-        return honest(caps, rows)
+    def counting(caps, rows, unit):
+        built.append((caps, rows, unit))
+        return honest(caps, rows, unit)
 
-    monkeypatch.setattr(polyhedra, "_box_min", counting)
-    polyhedra._box_values.cache_clear()
+    monkeypatch.setattr(polyhedra, "_ThresholdSets", counting)
+    polyhedra._threshold_sets.cache_clear()
     record = check_clutter_instance(c, Bounds(wmax=2))
     assert record["pass"]
-    assert built == [((3,) * 9, _cover_matrix(c).tobytes())]
+    assert built == [((3,) * 9, _cover_matrix(c), 1), ((2,) * 9, _cover_matrix(c), 1)]
 
 
 @pytest.mark.parametrize("gens, normal", [
@@ -402,23 +401,23 @@ def test_a_cauc33_instance_builds_the_cover_values_once(monkeypatch):
 ], ids=["normal", "not-normal"])
 def test_an_ideal_with_an_unused_variable_builds_its_values_once(monkeypatch, gens, normal):
     # box_caps gives the unused variable cap 0, the rounding box [0, 3]^n
-    # does not; every vertex row of Q(A) has coefficient 0 there, so
-    # rounding reads the normality array broadcast along that axis
+    # does not; every vertex row of Q(A) has coefficient 0 there, and each
+    # box builds its threshold sets once
     from clutterlab import MonomialIdeal
 
     built = []
-    honest = polyhedra._box_min
+    honest = polyhedra._ThresholdSets
 
-    def counting(caps, rows):
+    def counting(caps, rows, unit):
         built.append(caps)
-        return honest(caps, rows)
+        return honest(caps, rows, unit)
 
-    monkeypatch.setattr(polyhedra, "_box_min", counting)
-    polyhedra._box_values.cache_clear()
+    monkeypatch.setattr(polyhedra, "_ThresholdSets", counting)
+    polyhedra._threshold_sets.cache_clear()
     record = check_ideal_instance(MonomialIdeal(len(gens[0]), gens), Bounds())
     assert record["checks"] == {"normal": normal, "rounding": normal, "normal_equals_rounding": True}
-    [caps] = built
-    assert caps[2] == 0
+    [caps, rounding] = built
+    assert caps[2] == 0 and rounding == (3,) * len(gens[0])
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +625,7 @@ def test_a_single_weight_check_rejects_an_overloaded_vertex(monkeypatch):
 def test_the_empty_poset_checks_its_one_weight():
     p = Poset(0, [])
     cl = clique_clutter(comparability_graph(p))
-    assert [a.size for a in sweep_numbers(cl, 2)] == [1, 1]
+    assert sweep_numbers(cl, 2) == ([0], [0])
     sweep = comparability_mfmc_check(p, cl, 2)
     assert sweep == {"konig_failures": [], "menger_mismatches": [], "mfmc_holds": True, "menger_agrees": True}
 
@@ -663,16 +662,20 @@ def _not_integral(monkeypatch):
 
 
 def _one_less_packing(monkeypatch):
-    # beta1 at the last w, all weights wmax, drops by one
-    honest = certify.sweep_numbers
+    # beta1 at the last w, all weights wmax, drops by one: the k-fold
+    # levels of the sweep lose that w from the last level holding it, on
+    # the packed route and the per-w route alike
+    honest = polyhedra._kfold_bits
 
-    def short(cl, wmax):
-        taus, nus = honest(cl, wmax)
-        nus = nus.copy()
-        nus[-1] -= 1
-        return taus, nus
+    def short(vectors, caps, kmax):
+        levels = list(honest(vectors, caps, kmax))
+        last = 1 << math.prod(c + 1 for c in caps) - 1
+        top = max(k for k, level in enumerate(levels) if level & last)
+        levels[top] ^= last
+        return iter(levels)
 
-    monkeypatch.setattr(certify, "sweep_numbers", short)
+    monkeypatch.setattr(packing, "_kfold_bits", short)
+    monkeypatch.setattr(polyhedra, "_kfold_bits", short)
     return {"konig_failures": None, "menger_mismatches": None}
 
 
@@ -682,8 +685,10 @@ def _one_less_flow(monkeypatch):
 
     def short(net, edge_masks, wmax):
         cuts, flows, failures = honest(net, edge_masks, wmax)
-        flows = flows.copy()
-        flows[-1] -= 1
+        last = 1 << (wmax + 1) ** net.n - 1
+        value = next(v for v, cells in flows.items() if cells & last)
+        flows = {**flows, value: flows[value] ^ last}
+        flows[value - 1] = flows.get(value - 1, 0) | last
         return cuts, flows, failures
 
     monkeypatch.setattr(certify, "menger_walk", short)
@@ -826,7 +831,8 @@ def test_sweep_box_guard_fires_before_the_walk_builds_anything(monkeypatch):
     monkeypatch.setattr(HasseNetwork, "of", classmethod(unreachable))
     monkeypatch.setattr(HasseNetwork, "_graph", property(unreachable))
     monkeypatch.setattr("clutterlab.certify.menger_walk", unreachable)
-    monkeypatch.setattr("clutterlab.polyhedra._box_min", unreachable)
+    monkeypatch.setattr("clutterlab.packing._kfold_bits", unreachable)
+    monkeypatch.setattr("clutterlab.polyhedra._ThresholdSets", unreachable)
     with pytest.raises(ResourceGuardError, match="sweep box size = 16777216"):
         comparability_mfmc_check(chain, cl, 3)
 

@@ -299,7 +299,7 @@ def test_mfmc_sweep_box_over_the_guard_exits_3(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the sweep box was allocated")
 
-    monkeypatch.setattr("clutterlab.polyhedra._box_min", unreachable)
+    monkeypatch.setattr("clutterlab.polyhedra._ThresholdSets", unreachable)
     monkeypatch.setattr("clutterlab.packing._cover_matrix", unreachable)
     doc = json.dumps({"n": 12, "labels": [f"x{i}" for i in range(12)], "edges": [list(range(12))]})
     code, out = _run(capsys, "mfmc", "--wmax", "3", doc)
@@ -426,9 +426,15 @@ def test_certify_ideals_honour_the_deadline(capsys, monkeypatch):
         (["konig", '{"n":2,"labels":"ab","edges":[[0,1]]}'], "expected a list of string labels, got 'ab'"),
         (["parallelize", '{"n":2,"labels":[1,2],"edges":[[0,1]]}', "--w", "2,1"],
          "expected a list of string labels, got [1, 2]"),
+        (["konig", '{"n":2,"labels":[],"edges":[[0,1]]}'], "expected 2 labels, got 0"),
+        (["clique-clutter", '{"n":2,"edges":[[0,1]],"labels":["a"]}'], "expected 2 labels, got 1"),
+        (["comparability", '{"n":2,"relation":[[0,1]],"labels":"ab"}'],
+         "expected a list of string labels, got 'ab'"),
+        (["menger", '{"n":2,"relation":[[0,1]],"labels":["a","a"]}'], "labels must be unique"),
     ],
     ids=["generators-not-a-list", "no-n", "pair-not-a-list", "corpus-n-a-string", "corpus-path-a-list",
-         "labels-a-string", "labels-not-strings"],
+         "labels-a-string", "labels-not-strings", "labels-empty", "graph-labels-too-few",
+         "poset-labels-a-string", "poset-labels-repeated"],
 )
 def test_a_malformed_document_exits_2_with_one_error_line(capsys, argv, err):
     code = main(argv)

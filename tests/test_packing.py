@@ -1,10 +1,11 @@
+import functools
 import hashlib
 import itertools
 import json
+import operator
 import random
 import re
 
-import numpy as np
 import pytest
 
 from clutterlab import (
@@ -26,7 +27,7 @@ from clutterlab import (
     minimal_vertex_covers,
     parallelization,
 )
-from clutterlab import packing
+from clutterlab import packing, polyhedra
 from clutterlab.certify import all_posets, random_clutters, random_posets
 from clutterlab.guards import ConsistencyError
 from clutterlab.packing import (
@@ -38,6 +39,7 @@ from clutterlab.packing import (
     menger_check,
     menger_walk,
     min_cover_size,
+    sweep_levels,
     sweep_numbers,
 )
 from clutterlab.polyhedra import format_rational, ilp_max_packing, q_vertices, simplex_max
@@ -51,6 +53,7 @@ from oracles import (
     brute_lex_min_matching,
     brute_maximal_cliques,
     brute_minimal_covers,
+    brute_packing_numbers,
 )
 
 
@@ -281,9 +284,9 @@ def test_wmax_zero_rejected(c5):
 
 
 def test_mfmc_deadline_trips_on_cauc33(clock, monkeypatch):
-    # pricing the box outlasts the budget: the deadline is checked once the
-    # box is priced, before any Koenig search
-    honest = packing.sweep_numbers
+    # deciding the box outlasts the budget: the deadline is checked once the
+    # box is decided, before any Koenig search
+    honest = packing.sweep_levels
 
     def slow_pricing(c, wmax):
         priced = honest(c, wmax)
@@ -293,7 +296,7 @@ def test_mfmc_deadline_trips_on_cauc33(clock, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a Koenig search ran past the deadline")
 
-    monkeypatch.setattr(packing, "sweep_numbers", slow_pricing)
+    monkeypatch.setattr(packing, "sweep_levels", slow_pricing)
     for search in ("lex_min_cover", "lex_min_matching"):
         monkeypatch.setattr(packing, search, unreachable)
     with pytest.raises(ResourceGuardError, match="exceeded 50 ms"):
@@ -332,6 +335,36 @@ def test_sweep_matches_parallelized_branch_and_bound_on_clutters():
         for w, a0, b1 in _sweep(c, 2):
             masks, _, _ = parallelize_masks(c.edge_masks, w)
             assert (a0, b1) == (min_cover_size(masks), max_matching_size(masks))
+
+
+def test_sweep_numbers_match_brute_force_on_random_clutters():
+    # per w, against itertools: alpha0(C^w) is the least w-weight of any
+    # vertex set meeting every edge, beta1(C^w) the packing number by
+    # explicit k-sums of the edge rows; the packed route sees the same
+    # beta1 and fails exactly where the two differ
+    seen = set()
+    odd_cycle = Clutter(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    q6 = Clutter(6, [(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)])
+    for c in random_clutters(5, 6, 24, seed=82) + [odd_cycle, q6]:
+        wmax = 2
+        taus, nus = sweep_numbers(c, wmax)
+        rows = [tuple(int(v in e) for v in range(c.n)) for e in c.edges]
+        packing_ref = brute_packing_numbers(rows, (wmax,) * c.n)
+        covers = [s for r in range(c.n + 1) for s in itertools.combinations(range(c.n), r)
+                  if all(set(e) & set(s) for e in c.edges)]
+        box = list(itertools.product(range(wmax + 1), repeat=c.n))
+        assert taus == [min(sum(w[v] for v in s) for s in covers) for w in box]
+        assert nus == [packing_ref[w] for w in box]
+        levels, gap = sweep_levels(c, wmax)
+        assert polyhedra._cell_list(polyhedra._value_sets(levels, (1 << len(box)) - 1), len(box)) == nus
+        differ = [i for i, (tau, nu) in enumerate(zip(taus, nus)) if tau != nu]
+        assert (gap is None) == (not differ)
+        if gap is not None:
+            # the gap's w differs, at the first level where any does
+            at = box.index(gap[1])
+            assert at in differ and gap[0] == min(nus[i] + 1 for i in differ)
+        seen.add(gap is None)
+    assert seen == {True, False}
 
 
 def test_sweep_packing_number_is_the_integer_packing_ilp():
@@ -497,29 +530,35 @@ def _assert_walk_matches_fresh_flows(p, wmax):
     # value; the cuts themselves are checked box by box below
     cl = clique_clutter(comparability_graph(p))
     net = HasseNetwork.of(p)
-    cut_weights, flows, failures = menger_walk(net, cl.edge_masks, wmax)
+    cut_sets, flow_sets, failures = menger_walk(net, cl.edge_masks, wmax)
     assert failures == {}
     box = list(itertools.product(range(wmax + 1), repeat=p.n))
-    assert cut_weights.shape == flows.shape == (len(box),)
+    for sets in (cut_sets, flow_sets):  # a partition of the box
+        assert sum(cells.bit_count() for cells in sets.values()) == len(box)
+        assert functools.reduce(operator.or_, sets.values()) == (1 << len(box)) - 1
+    cut_weights, flows = (polyhedra._cell_list(sets, len(box)) for sets in (cut_sets, flow_sets))
     for idx, w in enumerate(box):
         ref_value, _, ref_cut = net.max_flow(w)
         assert flows[idx] == ref_value
         assert cut_weights[idx] == sum(w[v] for v in _bits(ref_cut))
 
 
-def test_walk_arrays_have_the_dtype_of_the_packing_numbers():
-    # n * wmax bounds every cut weight and flow value; the walk's arrays
-    # take the narrowest signed dtype holding it, as the packing numbers
-    # of the sweep do, so the two compare in one dtype
+def test_walk_value_sets_are_the_value_sets_of_the_packing_numbers():
+    # on a comparability clutter the walk's cut weights and flow values
+    # are beta1 of every C^w, in the layout of the sweep's value sets, so
+    # the two compare as dicts; the values are Python ints, also past a byte
     for p, wmax in [(random_posets(6, 1, seed=1)[0], 3), (_disconnected_poset(), 2)]:
         cl = clique_clutter(comparability_graph(p))
-        cut_weights, flows, _ = menger_walk(HasseNetwork.of(p), cl.edge_masks, wmax)
-        _, nus = sweep_numbers(cl, wmax)
-        assert cut_weights.dtype == flows.dtype == nus.dtype == np.int8
+        cut_sets, flow_sets, _ = menger_walk(HasseNetwork.of(p), cl.edge_masks, wmax)
+        levels, gap = sweep_levels(cl, wmax)
+        nu_sets = polyhedra._value_sets(levels, (1 << (wmax + 1) ** p.n) - 1)
+        assert gap is None and cut_sets == flow_sets == nu_sets
+        assert list(nu_sets) == sorted(nu_sets)
     p = Poset(2, [(0, 1)])
-    cut_weights, flows, _ = menger_walk(HasseNetwork.of(p), [0b11], 64)
-    assert cut_weights.dtype == flows.dtype == np.int16
-    assert flows.reshape(65, 65)[64, 63] == cut_weights.reshape(65, 65)[64, 63] == 63
+    cut_sets, flow_sets, _ = menger_walk(HasseNetwork.of(p), [0b11], 300)
+    at = 300 * 301 + 299  # w = (300, 299)
+    assert [v for v, cells in flow_sets.items() if cells >> at & 1] == [299]
+    assert cut_sets == flow_sets
 
 
 def test_walk_matches_fresh_max_flow_on_small_posets():

@@ -1,12 +1,12 @@
 import itertools
 import json
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from clutterlab import (
@@ -31,7 +31,6 @@ from clutterlab.polyhedra import (
     _dd_extreme_rays,
     _int_constraints,
     _kfold_bits,
-    _unpack_cells,
     _vertex_inequalities,
     box_caps,
     format_rational,
@@ -219,8 +218,9 @@ def test_integer_vertex_route_matches_oracle():
         integral.append(all(x.denominator == 1 for v in expected for x in v))
         assert is_integral(a) == integral[-1]
         rows, den = _vertex_inequalities(a)
-        assert rows.dtype == np.int64 and den == math.lcm(*(x.denominator for v in expected for x in v))
-        assert sorted(tuple(Fraction(int(x), den) for x in row) for row in rows) == expected
+        assert type(rows) is tuple and all(type(x) is int for row in rows for x in row)
+        assert den == math.lcm(*(x.denominator for v in expected for x in v))
+        assert sorted(tuple(Fraction(x, den) for x in row) for row in rows) == expected
     assert integral[-2:] == [True, False]  # Q6, C5
     assert False in integral[:-2]
 
@@ -338,187 +338,136 @@ def test_blocking_dual_routes_on_random_rationals():
 
 
 # ---------------------------------------------------------------------------
-# The box value kernel
+# The threshold kernel, the per-cell values and the masks of one axis
 
-def _narrowest_signed(bound):
-    """The narrowest signed integer dtype holding [-bound, bound]."""
-    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-
-
-@pytest.mark.parametrize(
-    "caps, rows, dtype",
-    [
-        # the largest value is the dtype's maximum, or one past it
-        ((127,), [(1,)], np.int8),
-        ((128,), [(1,)], np.int16),
-        ((1, 1), [(64, 63)], np.int8),
-        ((1, 1), [(64, 64), (127, 1)], np.int16),
-        # a row's own bound counts even when another row has the least values
-        ((1, 1), [(0, 1), (100, 100)], np.int16),
-        # a coefficient on a cap-0 axis is cast too, so it must fit
-        ((0, 3), [(1155, 1)], np.int16),
-        ((0, 3), [(127, 1)], np.int8),
-        # negative coefficients are bounded by their magnitude
-        ((2, 3), [(-30, 20), (5, -1)], np.int8),
-        ((2, 3), [(-40, 20), (50, -1)], np.int16),
-        ((5000, 1), [(10, 1)], np.int32),
-    ],
-)
-def test_box_min_dtype_is_the_narrowest_holding_the_bound(caps, rows, dtype):
-    got = polyhedra._box_min(caps, rows)
-    assert got.dtype == dtype
-    box = itertools.product(*(range(c + 1) for c in caps))
-    assert got.ravel().tolist() == [
-        min(sum(r * x for r, x in zip(row, pt)) for row in rows) for pt in box
-    ]
+def _brute_values(caps, rows):
+    """min over the rows of <row, x> for every cell x, in C order."""
+    return [min(sum(r * x for r, x in zip(row, pt)) for row in rows)
+            for pt in itertools.product(*(range(c + 1) for c in caps))]
 
 
-@pytest.mark.parametrize("cap, dtype", [(127, np.int8), (128, np.int16)])
-def test_packing_numbers_dtype_holds_the_sum_of_caps(cap, dtype):
-    # the unit vector packs x_0 times at x, so the last cell reaches sum(caps)
-    got = packing_numbers([(1,)], (cap,))
-    assert got.dtype == dtype and got.tolist() == list(range(cap + 1))
-    split = packing_numbers([(1, 0), (0, 1)], (cap - 60, 60))
-    assert split.dtype == dtype and int(split[-1, -1]) == cap
-
-
-def test_box_min_matches_brute_minimum():
+def _threshold_cases():
     rng = random.Random(21)
     cases = [
+        # a zero row among others, and only zero rows: no cell reaches c > 0
         ((2, 0, 3), [(1, 2, 0), (0, 0, 0)]),
-        ((0,), [(4,)]),
-        ((3, 1), [(0, 0)]),
-        # a single row
-        ((2, 3, 1), [(0, 2, 0)]),
-        # a zero first row, then forms over one axis, two axes and all axes
-        ((3, 2, 2), [(0, 0, 0), (1, 0, 0), (0, 2, 1), (3, 1, 1)]),
-        # only zero rows
         ((1, 2), [(0, 0), (0, 0)]),
-        # zero caps: a one-cell box
+        # caps of 0: an axis of one cell, and a box of one cell
+        ((0,), [(4,)]),
         ((0, 0, 0), [(1, 2, 3), (0, 1, 0)]),
         ((0, 3, 0), [(5, 0, 7), (0, 1, 0)]),
+        ((3, 1), [(0, 1)]),
+        # coefficients above 1, and axes no row uses (first, middle, last)
+        ((3, 2, 2), [(1, 0, 0), (0, 2, 1), (3, 1, 1)]),
+        ((2, 3, 1), [(0, 2, 0)]),
+        ((2, 2, 2, 2), [(0, 1, 0, 3), (0, 2, 0, 1)]),
+        # values far past a byte, on long axes
+        ((127,), [(1,)]),
+        ((128,), [(3,)]),
+        ((1, 1), [(64, 64), (127, 1)]),
+        ((0, 3), [(1155, 1)]),
+        ((300, 1), [(10, 1), (1, 400)]),
+        # no axes: one cell of sum 0
+        ((), [()]),
     ]
-    for _ in range(80):
-        n = rng.randint(1, 4)
+    for _ in range(40):
+        n = rng.randint(1, 6)
         caps = [rng.randint(0, 3) for _ in range(n)]
         caps[rng.randrange(n)] *= rng.randint(0, 1)
-        rows = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 4))]
-        if rng.random() < 0.3:
-            rows.append((0,) * n)
+        rows = [tuple(rng.choice((0, 0, 1, 1, 2, 5)) for _ in range(n)) for _ in range(rng.randint(1, 4))]
         cases.append((tuple(caps), rows))
-    for caps, rows in cases:
-        _assert_box_min(caps, rows)
-    for caps, rows in _split_box_cases():
-        # these boxes are viewed as (hi x lo): every case takes the split path
-        assert polyhedra._box_split(tuple(c + 1 for c in caps))[0] > 0
-        _assert_box_min(caps, rows)
-
-
-def _assert_box_min(caps, rows):
-    got = polyhedra._box_min(caps, rows)
-    bound = max(max(sum(c * abs(r) for c, r in zip(caps, row)), *map(abs, row)) for row in rows)
-    assert got.shape == tuple(c + 1 for c in caps) and got.dtype == _narrowest_signed(bound)
-    # an owned box array, never a broadcast view of one form
-    assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
-    # the brute minimum over an explicit point array, in C order
-    points = np.indices(got.shape).reshape(len(caps), -1).T
-    expected = (points @ np.array(rows, dtype=np.int64).T).min(axis=1)
-    assert got.ravel().tolist() == expected.tolist()
-
-
-def _split_box_cases():
-    """Boxes of n = 8..10 at caps 2 and 3 that :func:`polyhedra._box_split`
-    splits, with rows over both sides, one side only, all axes and none."""
-    rng = random.Random(25)
-    cases = [
-        # [0,3]^9 and [0,2]^10, split after axis 3 and axis 2; a zero first
-        # row, a row on the hi axes only, one on the lo axes only, one on all
-        ((3,) * 9, [(0,) * 9, (1, 2, 0) + (0,) * 6, (0,) * 3 + (1,) * 6, (1,) * 9]),
-        ((2,) * 10, [(0, 1) + (0,) * 8, (0,) * 2 + (2, 0, 1) + (0,) * 5, (1,) * 10]),
-        # a cap-0 axis on each side of the split, with coefficients on both
-        ((3, 0, 3, 3, 3, 3, 3, 0, 3, 3), [(1, 5, 0, 2, 0, 1, 1, 7, 0, 1), (0, 1) + (1,) * 8]),
-        # negative coefficients; int16 values
-        ((3,) * 9, [(-2, 1, 0, 3, -1, 0, 2, 1, -3), (40, -40, 1, 1, 1, 1, 1, 1, -1)]),
-        # [0,3]^10: 256 hi rows in four blocks; a partial last block
-        ((3,) * 10, [(1,) * 10, (0, 1) * 5, (2, 0) * 5]),
-        ((2, 2) + (3,) * 8, [(1,) * 10, (1, 0) * 5, (0,) * 9 + (1,)]),
-        # [0,3]^8
-        ((3,) * 8, [(0, 0, 1, 1, 1, 1, 1, 1), (2, 1, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 3)]),
-    ]
-    for _ in range(6):
-        n = rng.randint(9, 10)
-        caps = [rng.choice((2, 3)) for _ in range(n)]
-        rows = [tuple(rng.choice((0, 0, 1, 2, -1)) for _ in range(n)) for _ in range(rng.randint(1, 4))]
-        cases.append((tuple(caps), rows))
+    # the vertex rows of Q(A), over D, on the boxes of the bounded verdicts
+    for ideal in random_ideals(4, 4, 3, 6, seed=23):
+        rows, den = _vertex_inequalities(ideal.matrix())
+        cases.append((box_caps(ideal.matrix(), 2), list(rows)))
     return cases
 
 
-def test_box_min_allocates_the_result_and_one_block():
+def test_threshold_sets_match_brute_force():
+    # S_k for every k up to two past the largest value (empty there); a
+    # block whose coefficient alone reaches the threshold leaves a rest of
+    # threshold <= 0 in the recursion, all ones
+    for caps, rows in _threshold_cases():
+        values = _brute_values(caps, rows)
+        for unit in (1, 2, 7):
+            sets = polyhedra._ThresholdSets(caps, rows, unit)
+            for k in range(1, max(values) // unit + 3):
+                expected = sum(1 << i for i, v in enumerate(values) if v >= k * unit)
+                assert sets[k] == expected, (caps, rows, unit, k)
+
+
+def test_cell_values_match_brute_minimum():
+    for caps, rows in _threshold_cases():
+        assert polyhedra._cell_values(caps, rows) == _brute_values(caps, rows), (caps, rows)
+
+
+def test_minimal_cells_of_an_up_set_match_brute_force():
+    for caps, rows in _threshold_cases():
+        values = _brute_values(caps, rows)
+        box = list(itertools.product(*(range(c + 1) for c in caps)))
+        for c in sorted(set(values))[:4]:
+            upset = {x for x, v in zip(box, values) if v >= c}
+            expected = [x for x in box if x in upset
+                        and not any(y != x and y in upset and all(map(operator.le, y, x)) for y in box)]
+            assert polyhedra._minimal_cells(caps, values, c) == expected, (caps, rows, c)
+
+
+@pytest.mark.parametrize("caps", [(3,), (2, 3), (3, 0, 2), (1, 1, 1, 1), (0, 0), (4, 2, 3)])
+def test_the_masks_of_one_axis_match_brute_force(caps):
+    # the cells with x_i >= t, one period of the axis doubled over the box
+    shape = [c + 1 for c in caps]
+    box = list(itertools.product(*(range(s) for s in shape)))
+    full = (1 << len(box)) - 1
+    for i, s in enumerate(shape):
+        stride = math.prod(shape[i + 1:])
+        for t in range(s + 1):
+            expected = sum(1 << j for j, x in enumerate(box) if x[i] >= t)
+            assert polyhedra._at_least(t, stride, stride * s, full) == expected, (i, t)
+
+
+def test_threshold_sets_are_built_once_per_box_and_rows(monkeypatch):
+    built = []
+    honest = polyhedra._ThresholdSets
+
+    def counting(caps, rows, unit):
+        built.append(caps)
+        return honest(caps, rows, unit)
+
+    monkeypatch.setattr(polyhedra, "_ThresholdSets", counting)
+    polyhedra._threshold_sets.cache_clear()
+    rows = [(1, 1, 0), (0, 1, 2)]
+    # the level gap reads the rows as tuples, so equal rows in another
+    # container read the same sets, and each set is built when first read
+    for caps, given in [((2, 3, 1), rows), ((2, 3, 1), [list(r) for r in rows]), ((2, 3, 1), tuple(rows))]:
+        assert polyhedra._level_gap([0, 0], caps, given, 1) == (1, (0, 1, 0))
+    assert built == [(2, 3, 1)]
+    sets = polyhedra._threshold_sets((2, 3, 1), tuple(rows), 1)
+    assert len(sets._drawn) == 1
+    # another box, other rows or another unit build anew
+    polyhedra._level_gap([0], (3, 0, 0), rows, 1)
+    polyhedra._level_gap([0], (3, 0, 0), rows[::-1], 1)
+    polyhedra._level_gap([0], (3, 0, 0), rows[::-1], 2)
+    assert built == [(2, 3, 1)] + [(3, 0, 0)] * 3
+
+
+def test_threshold_sets_build_no_row_set_of_the_whole_box():
+    # [0,3]^10 has 2^20 cells, 128 KiB a set; the eight rows below are
+    # ANDed block by block of axis 0, so besides the sets a row keeps on
+    # the axes after axis 0 (32 KiB each, at most about 128 KiB a row with
+    # the axes after them), the three levels and a few sets in flight, no
+    # set of the whole box is held per row: those would add 8 * 3 * 128 KiB
     caps = (3,) * 10
-    shape = tuple(c + 1 for c in caps)
-    split, block = polyhedra._box_split(shape)
-    lo = math.prod(shape[split:])
-    rows = [(1,) * 10, (0, 1) * 5, (2, 1, 0, 0, 1, 1, 0, 2, 1, 1)]
+    rows = [tuple(int(i in cover) for i in range(10)) for cover in
+            [(0, 1, 2), (3, 4, 5), (6, 7, 8, 9), (0, 3, 6), (1, 4, 7), (2, 5, 8), (0, 4, 9), (1, 5, 9)]]
     tracemalloc.start()
     try:
-        got = polyhedra._box_min(caps, rows)
+        sets = polyhedra._ThresholdSets(caps, rows, 1)
+        for k in (1, 2, 3):
+            sets[k]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.dtype == np.int8 and split and block * lo < got.size
-    # the block plus the row's lo vector and hi column and their terms
-    assert peak <= got.nbytes + block * lo + 64 * 1024
-
-
-def test_box_values_are_read_only_prefix_slices_of_one_build(monkeypatch):
-    built = []
-    honest = polyhedra._box_min
-
-    def counting(caps, rows):
-        built.append(caps)
-        return honest(caps, rows)
-
-    monkeypatch.setattr(polyhedra, "_box_min", counting)
-    polyhedra._box_values.cache_clear()
-    rows = np.array([(1, 1, 0), (0, 1, 2)], dtype=np.int64)
-    same = rows.copy()  # another object with the same rows
-    for caps in [(2, 3, 1), (1, 3, 0), (2, 3, 1), (0, 0, 0)]:
-        got = polyhedra._box_values(caps, same if caps[0] == 1 else rows)
-        assert not got.flags.writeable
-        with pytest.raises(ValueError):
-            got[(0,) * 3] = 7
-        assert got.shape == tuple(c + 1 for c in caps)
-        assert (got == honest(caps, rows)).all()
-    assert built == [(2, 3, 1)]
-    # a box outside the held one, or other rows, builds anew
-    polyhedra._box_values((3, 0, 0), rows)
-    polyhedra._box_values((3, 0, 0), rows[::-1].copy())
-    polyhedra._box_values((3, 0, 0), rows[:1].copy())
-    assert built == [(2, 3, 1), (3, 0, 0), (3, 0, 0), (3, 0, 0)]
-    polyhedra._box_values.cache_clear()
-    polyhedra._box_values((0, 0, 0), rows[:1].copy())
-    assert len(built) == 5
-
-
-def test_box_values_broadcast_along_axes_no_row_uses(monkeypatch):
-    built = []
-    honest = polyhedra._box_min
-
-    def counting(caps, rows):
-        built.append(caps)
-        return honest(caps, rows)
-
-    monkeypatch.setattr(polyhedra, "_box_min", counting)
-    polyhedra._box_values.cache_clear()
-    rows = np.array([(1, 0, 2, 0), (0, 0, 1, 3)], dtype=np.int64)  # axis 1 unused
-    for caps in [(2, 0, 2, 1), (2, 3, 2, 1), (1, 5, 0, 1)]:
-        got = polyhedra._box_values(caps, rows)
-        assert not got.flags.writeable
-        assert got.shape == tuple(c + 1 for c in caps)
-        assert got.tolist() == honest(caps, rows).tolist()
-    assert built == [(2, 0, 2, 1)]
-    polyhedra._box_values((3, 0, 2, 1), rows)  # larger on a used axis
-    assert built == [(2, 0, 2, 1), (3, 0, 2, 1)]
+    assert peak < 16 * 2 ** 17
 
 
 # ---------------------------------------------------------------------------
@@ -583,22 +532,13 @@ def _kfold_cases():
 
 @pytest.mark.parametrize("vectors, caps, kmax", _kfold_cases())
 def test_kfold_sum_grids_match_explicit_k_sums(vectors, caps, kmax):
-    box = list(itertools.product(*(range(c + 1) for c in caps)))
-    shape = tuple(c + 1 for c in caps)
-    levels = [_unpack_cells(bits, shape) for bits in _kfold_bits(vectors, caps, kmax)]
+    box = list(itertools.product(*(range(c + 1) for c in caps)))  # C order
+    levels = list(_kfold_bits(vectors, caps, kmax))
     assert len(levels) == kmax
-    for k, grid in enumerate(levels, start=1):
-        assert grid.shape == tuple(c + 1 for c in caps) and grid.dtype == bool
+    for k, bits in enumerate(levels, start=1):
+        assert 0 <= bits < 1 << len(box)
         sums = brute_kfold_sums(vectors, caps, k)
-        assert [x for x in box if grid[x]] == [x for x in box if x in sums]
-        # owned: its buffer is a numpy array of its own, not a kernel buffer
-        root = grid
-        while root.base is not None:
-            root = root.base
-        assert isinstance(root, np.ndarray) and root.flags.owndata
-        assert grid.flags.writeable and grid.flags.c_contiguous
-    # every level is its own array, so a caller may keep them all
-    assert all(not np.shares_memory(a, b) for a, b in itertools.combinations(levels, 2))
+        assert [x for i, x in enumerate(box) if bits >> i & 1] == [x for x in box if x in sums]
 
 
 def test_kfold_memory_does_not_grow_with_the_vector_count():
@@ -608,11 +548,12 @@ def test_kfold_memory_does_not_grow_with_the_vector_count():
     caps = (3,) * 8
     vectors = [v for v in itertools.product((0, 1), repeat=8) if any(v)]
     peaks = []
-    for vs in (np.eye(8, dtype=int).tolist(), vectors):
+    units = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    for vs in (units, vectors):
         tracemalloc.start()
         try:
             for bits in _kfold_bits(vs, caps, 2):
-                _unpack_cells(bits, tuple(c + 1 for c in caps))
+                pass
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -622,8 +563,16 @@ def test_kfold_memory_does_not_grow_with_the_vector_count():
 @pytest.mark.parametrize("vectors, caps", [case[:2] for case in _kfold_cases()])
 def test_packing_numbers_match_explicit_k_sums(vectors, caps):
     got = packing_numbers(vectors, caps)
-    assert got.shape == tuple(c + 1 for c in caps) and got.dtype == _narrowest_signed(sum(caps))
-    assert {x: int(got[x]) for x in np.ndindex(got.shape)} == brute_packing_numbers(vectors, caps)
+    box = itertools.product(*(range(c + 1) for c in caps))  # C order
+    assert type(got) is list and dict(zip(box, got)) == brute_packing_numbers(vectors, caps)
+
+
+@pytest.mark.parametrize("caps", [(127,), (128,), (300,), (240, 60)])
+def test_packing_numbers_reach_the_sum_of_caps(caps):
+    # the unit vectors pack x_i times on axis i, so the last cell reaches
+    # sum(caps), here past a byte
+    got = packing_numbers([tuple(int(i == j) for j in range(len(caps))) for i in range(len(caps))], caps)
+    assert got[-1] == sum(caps) and got[:caps[-1] + 1] == list(range(caps[-1] + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +757,8 @@ def test_rounding_box_guard_fires_before_allocating(monkeypatch):
     def unreachable(*args):
         raise AssertionError("built before the guard")
 
-    monkeypatch.setattr(polyhedra, "_box_min", unreachable)
+    monkeypatch.setattr(polyhedra, "_ThresholdSets", unreachable)
+    monkeypatch.setattr(polyhedra, "_cell_values", unreachable)
     monkeypatch.setattr(polyhedra, "_vertex_inequalities", unreachable)
     big = IncidenceMatrix(12, [(1,) * 12])
     with pytest.raises(ResourceGuardError, match="rounding box size"):
@@ -823,10 +773,10 @@ def _rounding_decision_cases():
         MonomialIdeal(2, [(2, 0), (0, 2)]),
         MonomialIdeal(3, [(2, 0, 1), (0, 2, 1)]),
         # a variable in no generator: the rounding box has cap wmax there,
-        # the normality box cap 0, so rounding reads a broadcast view
+        # the normality box cap 0
         MonomialIdeal(3, [(2, 0, 0), (1, 0, 1), (0, 0, 2)]),
         MonomialIdeal(3, [(2, 0, 0), (0, 0, 2)]),
-        # the cold case: D = 200, values of [0, 3] in int8
+        # D = 200, far past the values of [0, 3]
         MonomialIdeal(1, [(200,)]),
     ]
     clutters = [
@@ -841,24 +791,23 @@ def _rounding_decision_cases():
 
 def test_packed_rounding_decision_is_the_floor_comparison():
     # integer_rounding_holds decides on packed levels; the reference is
-    # (lp // D == nu).all() on freshly built full arrays
-    seen, broadcast = set(), False
+    # lp // D == nu at every w, from brute-force values and the packing
+    # numbers (checked against explicit k-sums above)
+    seen = set()
     for a in _rounding_decision_cases():
         rows, den = _vertex_inequalities(a)
         for wmax in (0, 1, 2, 3):
             caps = (wmax,) * a.n
-            lp = polyhedra._box_min(caps, rows).astype(np.int64)
-            expected = bool((lp // den == packing_numbers(a.columns, caps)).all())
-            polyhedra._box_values.cache_clear()  # cold: the rounding box is built first
+            nus = packing_numbers(a.columns, caps)
+            expected = all(lp // den == nu for lp, nu in zip(_brute_values(caps, rows), nus))
+            polyhedra._threshold_sets.cache_clear()  # cold: the rounding box is built first
             assert integer_rounding_holds(a, wmax) == expected, (a, wmax)
             # warm: after the normality box, as in an ideal instance
-            polyhedra._box_values(box_caps(a, 3), rows)
-            broadcast |= 0 in polyhedra._box_values(caps, rows).strides
+            polyhedra._level_gap([0], box_caps(a, 3), rows, den)
             assert integer_rounding_holds(a, wmax) == expected, (a, wmax)
             assert integer_rounding_check(a, wmax).holds == expected
             seen.add((den > 1, expected))
     assert seen == {(False, True), (False, False), (True, True), (True, False)}
-    assert broadcast
 
 
 def test_rounding_stops_drawing_levels_once_both_sides_are_empty(monkeypatch):
@@ -877,12 +826,12 @@ def test_rounding_stops_drawing_levels_once_both_sides_are_empty(monkeypatch):
 
 
 def test_the_level_gap_kernel_names_a_faulty_cell_past_an_earlier_gap():
-    # cell 0 is a gap (in S_1, not in the level); cell 3 is a level cell
-    # whose value is below the unit: the error names cell 3
-    value = np.array([1, 0, 1, 0], dtype=np.int8)
+    # on [0,1]^2 with the row (1, 0) the cells (1, 0) and (1, 1) reach 1:
+    # (1, 0) is a gap (in S_1, not in the level); (0, 1) is a level cell
+    # whose value is below the unit: the error names (0, 1)
     with pytest.raises(ConsistencyError) as info:
-        polyhedra._level_gap([0b1000], value, 1)
-    assert info.value.to_json()["values"] == [{"k": 1, "cell": [3], "value": 0}, 1]
+        polyhedra._level_gap([0b1010], (1, 1), [(1, 0)], 1)
+    assert info.value.to_json()["values"] == [{"k": 1, "cell": [0, 1], "value": 0}, 1]
 
 
 def test_ilp_packing_matches_brute_force():
@@ -917,7 +866,8 @@ def test_lattice_box_guard_fires_before_double_description(monkeypatch):
     def unreachable(*args):
         raise AssertionError("built before the guard")
 
-    monkeypatch.setattr(polyhedra, "_box_min", unreachable)
+    monkeypatch.setattr(polyhedra, "_ThresholdSets", unreachable)
+    monkeypatch.setattr(polyhedra, "_cell_values", unreachable)
     monkeypatch.setattr(polyhedra, "_vertex_inequalities", unreachable)
     big = IncidenceMatrix(8, [(9,) * 8])
     with pytest.raises(ResourceGuardError, match="lattice box size = 100000000 "):

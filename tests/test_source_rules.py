@@ -6,14 +6,21 @@ tree.
   ``ValueError`` instead.
 - No parameter named ``deadline``: the budget is ambient, installed with
   ``with Deadline(ms):`` and read by ``guards.check_deadline()``.
-- ``polyhedra._pack_cells`` is referenced only inside
-  ``polyhedra._level_gap``: the four bounded verdicts compare a k-fold
-  level with its value set in that one kernel, not in a copy of its loop.
+- The threshold kernel has one reader: ``polyhedra._threshold_sets`` is
+  referenced only inside ``polyhedra._level_gap``, and the class it
+  caches, ``polyhedra._ThresholdSets``, only inside ``_threshold_sets``.
+  The bounded verdicts and the Koenig sweep compare a k-fold level with
+  its threshold set in that one kernel, not in a copy of its loop.
+- No module imports numpy, and importing ``clutterlab`` and
+  ``clutterlab.cli`` and running a small theorem suite leaves it unloaded.
 - Every ``.py`` file of ``src/clutterlab``, ``tests`` and ``tools`` parses
   as Python 3.10, the floor ``pyproject.toml`` declares.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,36 +59,80 @@ def test_the_rules_see_every_module():
     assert {p.name for p in SOURCES} >= {"certify.py", "guards.py", "packing.py", "polyhedra.py"}
 
 
-def _pack_cells_outside_level_gap(tree: ast.AST) -> list[int]:
-    """Lines of the references to ``_pack_cells`` (names, attributes and
-    imports) that lie outside every function named ``_level_gap``."""
-    def refs(node):
+# each name of the threshold kernel, and the one function that may refer to it
+KERNEL_READERS = {"_threshold_sets": "_level_gap", "_ThresholdSets": "_threshold_sets"}
+
+
+def _kernel_refs_outside_their_reader(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of the references to a name of :data:`KERNEL_READERS`
+    (names, attributes and imports) that lie outside every function of
+    its reader's name."""
+    def refs(node, name):
         return {
             n for n in ast.walk(node)
-            if (isinstance(n, ast.Name) and n.id == "_pack_cells")
-            or (isinstance(n, ast.Attribute) and n.attr == "_pack_cells")
-            or (isinstance(n, ast.alias) and n.name == "_pack_cells")
+            if (isinstance(n, ast.Name) and n.id == name)
+            or (isinstance(n, ast.Attribute) and n.attr == name)
+            or (isinstance(n, ast.alias) and n.name == name)
         }
 
-    inside = set().union(*(
-        refs(fn) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_level_gap"
-    ))
-    return sorted(n.lineno for n in refs(tree) - inside)
+    found = []
+    for name, reader in KERNEL_READERS.items():
+        inside = set().union(*(
+            refs(fn, name) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == reader
+        ))
+        found += [(name, n.lineno) for n in refs(tree, name) - inside]
+    return sorted(found, key=lambda ref: ref[1])
 
 
 def test_only_the_level_gap_kernel_packs_cells():
     found = [
-        f"{path.name}:{line}: _pack_cells outside _level_gap"
+        f"{path.name}:{line}: {name} outside {KERNEL_READERS[name]}"
         for path in SOURCES
-        for line in _pack_cells_outside_level_gap(ast.parse(path.read_text(encoding="utf-8")))
+        for name, line in _kernel_refs_outside_their_reader(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not found, "\n".join(found)
     forked = (
-        "from .polyhedra import _pack_cells\n"
-        "def _level_gap(levels, value, unit):\n    return _pack_cells(value)\n"
-        "def fork(level, value):\n    return polyhedra._pack_cells(value) & ~level\n"
+        "from .polyhedra import _threshold_sets\n"
+        "def _level_gap(levels, caps, rows, unit):\n    return _threshold_sets(caps, rows, unit)[1]\n"
+        "def fork(level, caps, rows):\n    return polyhedra._threshold_sets(caps, rows, 1)[1] & ~level\n"
+        "def _threshold_sets(caps, rows, unit):\n    return _ThresholdSets(caps, rows, unit)\n"
+        "def copy(caps, rows):\n    return _ThresholdSets(caps, rows, 1)[1]\n"
     )
-    assert _pack_cells_outside_level_gap(ast.parse(forked)) == [1, 5]
+    assert _kernel_refs_outside_their_reader(ast.parse(forked)) == [
+        ("_threshold_sets", 1), ("_threshold_sets", 5), ("_ThresholdSets", 9),
+    ]
+
+
+def _imports_numpy(tree: ast.AST) -> bool:
+    return any(
+        isinstance(n, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in n.names)
+        or isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "numpy"
+        for n in ast.walk(tree)
+    )
+
+
+# imports the program, runs a small suite of every instance type that
+# certify walks (posets with their Menger flow, clutters with the MFMC
+# sweep, ideals with rounding), and prints whether numpy was loaded
+NO_NUMPY = """
+import sys
+import clutterlab, clutterlab.cli
+from clutterlab.certify import Bounds, Corpus, run_theorem_suite
+for corpus in (Corpus("random-posets", n=4, count=3, seed=1),
+               Corpus("random-clutters", n=5, maxedges=6, count=3, seed=1),
+               Corpus("random-ideals", n=3, q=3, maxexp=2, count=3, seed=1)):
+    assert run_theorem_suite(corpus, Bounds(wmax=2)).instances
+print("numpy" in sys.modules)
+"""
+
+
+def test_the_program_runs_without_numpy():
+    assert [path.name for path in SOURCES if _imports_numpy(ast.parse(path.read_text(encoding="utf-8")))] == []
+    assert _imports_numpy(ast.parse("from numpy import int8")) and _imports_numpy(ast.parse("import numpy.linalg"))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 @pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda p: str(p.relative_to(ROOT)))

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
 from clutterlab import (
@@ -95,6 +94,32 @@ def test_labels_must_be_unique():
 def test_vertex_accessor():
     c = Clutter(2, [(0, 1)])
     assert c.labels[1] == "x1"
+
+
+def test_only_missing_labels_are_the_default():
+    # an empty list is n = 0 labels, not an absent field
+    for make in (lambda labels: Clutter(2, [(0, 1)], labels), lambda labels: Graph(2, [(0, 1)], labels),
+                 lambda labels: Poset(2, [(0, 1)], labels)):
+        assert make(None).labels == ("x0", "x1")
+        with pytest.raises(ValueError, match="expected 2 labels, got 0"):
+            make([])
+    assert Clutter(0, [], []).labels == Poset(0, [], []).labels == ()
+
+
+def test_every_reader_keeps_the_labels_of_its_document():
+    graph = Graph.from_json({"n": 3, "edges": [[0, 1], [1, 2]], "labels": ["a", "b", "c"]})
+    poset = Poset.from_json({"n": 3, "relation": [[0, 1]], "labels": ["p", "q", "r"]})
+    clutter = Clutter.from_json({"n": 2, "edges": [[0, 1]], "labels": ["u", "v"]})
+    assert (graph.labels, poset.labels, clutter.labels) == (("a", "b", "c"), ("p", "q", "r"), ("u", "v"))
+    # and derived objects carry them on
+    assert clique_clutter(graph).labels == ("a", "b", "c")
+    assert clique_clutter(comparability_graph(poset)).labels == ("p", "q", "r")
+    # the graph and poset documents stay as they were: no labels key
+    assert "labels" not in graph.to_json() and "labels" not in poset.to_json()
+    for read, doc in [(Graph.from_json, {"n": 1, "edges": [], "labels": "a"}),
+                      (Poset.from_json, {"n": 1, "relation": [], "labels": [1]})]:
+        with pytest.raises(ValueError, match="expected a list of string labels"):
+            read(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +390,8 @@ def test_a_json_reader_refuses_a_non_integer(kind, bad):
 
 
 def test_the_constructors_still_take_numpy_integers():
+    import numpy as np  # the one test that reads numpy (the test extra)
+
     three, one = np.int64(3), np.int8(1)
     assert Poset(three, [(np.int64(0), one)]).relation == {(0, 1)}
     assert Graph(three, [np.array([0, 2])]).edges == {(0, 2)}

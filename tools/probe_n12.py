@@ -45,7 +45,7 @@ def _measure(part: str, d: int, g: int) -> str:
         t0 = time.perf_counter()
         verdict = ideals.is_ntf_up_to(c, 3)
         took = time.perf_counter() - t0
-        for cache in (ideals._power_grids, ideals.edge_ideal, polyhedra._box_values):
+        for cache in (ideals._power_grids, ideals.edge_ideal, polyhedra._threshold_sets):
             cache.cache_clear()
         tracemalloc.start()
         ideals.is_ntf_up_to(c, 3)
