@@ -396,9 +396,56 @@ def test_threshold_sets_match_brute_force():
                 assert sets[k] == expected, (caps, rows, unit, k)
 
 
-def test_cell_values_match_brute_minimum():
-    for caps, rows in _threshold_cases():
+def test_box_min_matches_brute_minimum():
+    # the minimum over the rows at every cell of the box, negative
+    # coefficients and zero rows among the random ones
+    rng = random.Random(21)
+    cases = list(_threshold_cases())
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        caps = [rng.randint(0, 3) for _ in range(n)]
+        caps[rng.randrange(n)] *= rng.randint(0, 1)
+        rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            rows.append((0,) * n)
+        cases.append((tuple(caps), rows))
+    for caps, rows in cases:
         assert polyhedra._cell_values(caps, rows) == _brute_values(caps, rows), (caps, rows)
+
+
+def _narrowest_signed(bound):
+    """The name of the narrowest signed integer width holding [-bound, bound]."""
+    return next(f"int{w}" for w in (8, 16, 32, 64) if bound < 1 << w - 1)
+
+
+@pytest.mark.parametrize(
+    "caps, rows, dtype",
+    [
+        # the largest value is the width's maximum, or one past it
+        ((127,), [(1,)], "int8"),
+        ((128,), [(1,)], "int16"),
+        ((1, 1), [(64, 63)], "int8"),
+        ((1, 1), [(64, 64), (127, 1)], "int16"),
+        # a row's own bound counts even when another row has the least values
+        ((1, 1), [(0, 1), (100, 100)], "int16"),
+        # a coefficient on a cap-0 axis counts too
+        ((0, 3), [(1155, 1)], "int16"),
+        ((0, 3), [(127, 1)], "int8"),
+        # negative coefficients are bounded by their magnitude
+        ((2, 3), [(-30, 20), (5, -1)], "int8"),
+        ((2, 3), [(-40, 20), (50, -1)], "int16"),
+        ((5000, 1), [(10, 1)], "int32"),
+    ],
+)
+def test_box_min_dtype_is_the_narrowest_holding_the_bound(caps, rows, dtype):
+    # the per-cell values are Python ints, exact at any size; each box sits
+    # at the edge of a signed width, where a value array narrowed to the
+    # width below would wrap
+    bound = max(max(sum(c * abs(r) for c, r in zip(caps, row)), *map(abs, row)) for row in rows)
+    assert _narrowest_signed(bound) == dtype
+    got = polyhedra._cell_values(caps, rows)
+    assert all(type(v) is int for v in got)
+    assert got == _brute_values(caps, rows)
 
 
 def test_minimal_cells_of_an_up_set_match_brute_force():
