@@ -25,15 +25,8 @@ from typing import Any, Callable, NamedTuple
 
 from .guards import ConsistencyError, ResourceGuardError, check_deadline, restart_deadline
 from .ideals import MonomialIdeal, edge_ideal, is_normal_up_to, is_ntf_up_to, normality_gap
-from .packing import HasseNetwork, chain_order, menger_walk, mfmc_bounded, sweep_levels, sweep_numbers
-from .polyhedra import (
-    _cell_list,
-    _value_sets,
-    integer_rounding_check,
-    integer_rounding_holds,
-    is_integral,
-    q_vertices,
-)
+from .packing import HasseNetwork, chain_order, konig_numbers, menger_walk, mfmc_bounded, sweep_levels
+from .polyhedra import _value_sets, integer_rounding_check, integer_rounding_holds, is_integral, q_vertices
 from .structures import (
     Clutter,
     Graph,
@@ -290,47 +283,44 @@ def comparability_mfmc_check(p: Poset, cl: Clutter, wmax: int) -> dict[str, Any]
 
     The Koenig side is decided first on packed levels
     (:func:`sweep_levels`), so the box-size guard fires before the
-    network is built. The flow side (:func:`menger_walk`) runs one max
-    flow per two boxes of w that its flow and its minimum cuts nearest the
-    source and the sink certify, on each component of the Hasse diagram,
-    and returns the cut weights and the flow values as value sets with
-    the failed checks by w. When Koenig holds, no check failed and both
-    value sets equal those of beta1 (hence of alpha0), every w agrees and
-    nothing per w is listed. Otherwise both sides are listed per w
-    (:func:`sweep_numbers`) and compared w by w; the levels and the lists
-    must agree on whether Koenig fails anywhere, or
-    :class:`ConsistencyError` is raised. Failures are sorted by
-    lexicographic w, so the first ones listed are the lex-first ones.
-    ``menger_agrees`` is false also when the Hasse source-sink paths are
-    not the maximal cliques (``hasse_chains``) or a check of the flow
-    fails at some w (the mismatch's ``invariant``).
+    network is built; its failing set holds every w where Koenig fails.
+    The flow side (:func:`menger_walk`) runs one max flow per two boxes
+    of w that its flow and its minimum cuts nearest the source and the
+    sink certify, on each component of the Hasse diagram, and returns the
+    cut weights and the flow values as value sets with the fibers of its
+    failed checks. The suspects are the failing set, the w where either
+    value set differs from that of beta1, and the failed fibers; when
+    Koenig holds and the walk agrees there are none, and nothing per w is
+    read. Each suspect, in lexicographic order, has alpha0 and beta1 read
+    for it alone (:func:`konig_numbers`), which raises
+    :class:`ConsistencyError` if they differ exactly where the failing set
+    says they do not, and is listed where Koenig fails or where the cut
+    weight and flow value differ from them or a check failed (the first
+    failed check is the mismatch's ``invariant``). ``menger_agrees`` is
+    false also when the Hasse source-sink paths are not the maximal
+    cliques (``hasse_chains``).
     """
-    levels, gap = sweep_levels(cl, wmax)
+    levels, failing = sweep_levels(cl, wmax)
     nu_sets = _value_sets(levels, (1 << (wmax + 1) ** p.n) - 1)
     net = HasseNetwork.of(p)
-    cut_sets, flow_sets, failures = menger_walk(net, cl.edge_masks, wmax)
+    *walk_sets, failures = menger_walk(net, cl.edge_masks, wmax)  # cut weights, flow values
+    suspects = failing
+    for sets in walk_sets:
+        for value in sets.keys() | nu_sets.keys():
+            suspects |= sets.get(value, 0) ^ nu_sets.get(value, 0)
+    for fiber, _ in failures:
+        suspects |= fiber
     konig_failures, menger_mismatches = [], []
-    if gap is not None or failures or not cut_sets == flow_sets == nu_sets:
-        taus, nus = sweep_numbers(cl, wmax)
-        cut_weights, flows = (_cell_list(sets, len(taus)) for sets in (cut_sets, flow_sets))
-        konig = [i for i, (tau, nu) in enumerate(zip(taus, nus)) if tau != nu]
-        if bool(konig) != (gap is not None):
-            raise ConsistencyError(
-                "Koenig fails on the packed levels iff it fails on the per-w numbers",
-                gap, len(konig),
-            )
-        konig_failures = [
-            {"w": w, "alpha0": taus[i], "beta1": nus[i]}
-            for i, w in zip(konig, _lex_weights(konig, p.n, wmax))
-        ]
-        mismatches = [
-            i for i, row in enumerate(zip(cut_weights, flows, taus, nus))
-            if row[:2] != row[2:] or i in failures
-        ]
-        for i, w in zip(mismatches, _lex_weights(mismatches, p.n, wmax)):
-            entry = {"w": w, "konig": [taus[i], nus[i]], "menger": [cut_weights[i], flows[i]]}
-            if i in failures:
-                entry["invariant"] = failures[i].to_json()
+    for i in _bits(suspects):
+        w, konig = konig_numbers(cl, wmax, levels, failing, i)
+        if konig[0] != konig[1]:
+            konig_failures.append({"w": w, "alpha0": konig[0], "beta1": konig[1]})
+        menger = [next((v for v, cells in sets.items() if cells >> i & 1), 0) for sets in walk_sets]
+        invariant = next((exc for fiber, exc in failures if fiber >> i & 1), None)
+        if menger != konig or invariant is not None:
+            entry = {"w": w, "konig": konig, "menger": menger}
+            if invariant is not None:
+                entry["invariant"] = invariant.to_json()
             menger_mismatches.append(entry)
     result: dict[str, Any] = {
         "konig_failures": konig_failures,
@@ -345,12 +335,6 @@ def comparability_mfmc_check(p: Poset, cl: Clutter, wmax: int) -> dict[str, Any]
         ).to_json()
     result["menger_agrees"] = not menger_mismatches and "hasse_chains" not in result
     return result
-
-
-def _lex_weights(indices: list[int], n: int, wmax: int) -> list[list[int]]:
-    """The weight vectors at lexicographic ``indices`` of {0..wmax}^n."""
-    base = wmax + 1
-    return [[i // base ** (n - 1 - v) % base for v in range(n)] for i in indices]
 
 
 def duplication_commutes(g: Graph, cl: Clutter) -> list[int]:

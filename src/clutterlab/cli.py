@@ -18,11 +18,12 @@ lacks the shape its reader expects), 3 resource guard exceeded, 4 two
 internal routes disagree (a :class:`~clutterlab.guards.ConsistencyError`: ``menger``
 finding a max flow that differs from its min cut, ``mfmc`` finding
 alpha0 / beta1 of its witness C^w by the Koenig search that differ from
-the numbers priced from weights on C, or the packed Koenig levels
-differing where the per-w numbers agree, or ``normal``, ``ntf``, ``idp``
-and ``rounding`` finding a k-fold level cell whose value is below the
-level; ``certify`` records such a disagreement as a failed instance in
-its report instead, so a run with one exits 1). ``certify`` exits 3 also
+the numbers priced from weights on C, or those numbers, read for the
+witness w alone, agreeing where the packed Koenig levels put w in the
+failing set, or ``normal``, ``ntf``, ``idp`` and ``rounding`` finding a
+k-fold level cell whose value is below the level; ``certify`` records
+such a disagreement as a failed instance in its report instead, so a run
+with one exits 1). ``certify`` exits 3 also
 when it checked no instance (every instance skipped by a guard, or an
 empty corpus); its report then reads ``"aggregate": "inconclusive"``.
 
@@ -144,8 +145,10 @@ def _as_ideal(doc: dict[str, Any]) -> MonomialIdeal:
 
 
 def _parse_vector(text: str, what: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list; "" is the empty vector (of
+    a poset or clutter on no points), and an empty item is refused."""
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(int(tok) for tok in text.split(",")) if text else ()
     except ValueError as exc:
         raise UsageError(f"{what} must be a comma-separated integer list") from exc
 
@@ -184,7 +187,8 @@ def _as_corpus(doc: dict[str, Any]) -> Corpus:
 
 
 def _weights(text: str | None, n: int) -> tuple[int, ...]:
-    return _parse_vector(text, "--w") if text else (1,) * n
+    """--w parsed, or all ones when it is absent."""
+    return (1,) * n if text is None else _parse_vector(text, "--w")
 
 
 # ---------------------------------------------------------------------------

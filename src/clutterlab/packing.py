@@ -8,12 +8,13 @@ identities give its numbers from weights on C:
 - alpha0(C^w) = min over minimal covers K of C of sum_{i in K} w_i, and
 - beta1(C^w) = max{1.y : Ay <= w, y integer >= 0}
   (Schrijver, Combinatorial Optimization, ch. 79, parallelization), both
-  decided for the whole box at once by :func:`sweep_levels`, which
-  compares the sets {w : alpha0 >= k} (threshold sets of the
-  minimal-cover rows) with {w : beta1 >= k} (k-fold levels of the edges)
-  as packed ints in the level kernel of ``polyhedra``; only a failure
-  lists both numbers per w (:func:`sweep_numbers`) to find the first w
-  where they differ;
+  compared for the whole box at once by :func:`sweep_levels`, which
+  holds the sets {w : alpha0 >= k} (threshold sets of the minimal-cover
+  rows) against {w : beta1 >= k} (k-fold levels of the edges) as packed
+  ints in the level kernel of ``polyhedra``; the OR of their differences
+  is the failing set, every w where Koenig fails on C^w. Every witness is
+  read off that set: only at a w it names, or a w a Menger check names,
+  are the two numbers read, for that w alone (:func:`konig_numbers`);
 - for the clique clutter of a comparability graph, both are the max flow
   and min vertex cut of the Hasse diagram with vertex capacities w
   (Menger's theorem with vertex capacities), see :class:`HasseNetwork`.
@@ -50,13 +51,12 @@ from .polyhedra import (
     IncidenceMatrix,
     format_rational,
     ilp_max_packing,
-    packing_numbers,
     q_vertices,
     _at_least,
-    _cell_values,
+    _cell,
     _check_box,
     _kfold_bits,
-    _level_gap,
+    _level_diffs,
 )
 from .structures import (
     Clutter,
@@ -268,21 +268,21 @@ def konig_certificate(c: Clutter) -> KonigCertificate:
 # ---------------------------------------------------------------------------
 # Bounded MFMC certification
 
-def sweep_levels(c: Clutter, wmax: int) -> tuple[list[int], tuple[int, tuple[int, ...]] | None]:
-    """beta1(C^w) for every w in {0..wmax}^n, and where the Koenig
-    property of C^w first fails, decided on packed levels without
+def sweep_levels(c: Clutter, wmax: int) -> tuple[list[int], int]:
+    """beta1(C^w) for every w in {0..wmax}^n, and every w at which the
+    Koenig property of C^w fails, decided on packed levels without
     building C^w or listing any per-w number.
 
-    Returns (levels, gap). Level k holds the w with beta1(C^w) >= k, as
-    one Python int with bit idx(w), the lexicographic index of w; the
-    levels run up to and including the first empty one. The gap is the
-    first k at which {w : alpha0(C^w) >= k} and level k differ, with the
-    lex-first such w (``polyhedra._level_gap``), or None when
-    alpha0(C^w) = beta1(C^w) on the whole box. Both numbers come from
-    weights on C (see :func:`sweep_numbers`): {w : alpha0 >= k} is the
-    threshold set of the minimal-cover rows at k, and level k is the
-    k-fold sums of the edge rows (``polyhedra._kfold_bits``). The box
-    size is guarded before anything is built.
+    Returns (levels, failing). Level k holds the w with beta1(C^w) >= k,
+    as one Python int with bit idx(w), the lexicographic index of w; the
+    levels run up to and including the first empty one. ``failing`` is
+    one int in the same layout, the OR over k of {w : alpha0(C^w) >= k}
+    minus level k (``polyhedra._level_diffs``): since beta1 <= alpha0, a
+    w lies in it iff alpha0(C^w) > beta1(C^w), at k = beta1 + 1, a level
+    that is drawn. {w : alpha0 >= k} is the threshold set of the
+    minimal-cover rows at k, and level k is the k-fold sums of the edge
+    rows (``polyhedra._kfold_bits``). The box size is guarded before
+    anything is built.
     """
     caps = (wmax,) * c.n
     _check_box(caps, "sweep box size")
@@ -291,31 +291,35 @@ def sweep_levels(c: Clutter, wmax: int) -> tuple[list[int], tuple[int, tuple[int
         levels.append(level)
         if not level:
             break
-    return levels, _level_gap(levels, caps, _cover_matrix(c), 1)
+    failing = 0
+    for _, diff in _level_diffs(levels, caps, _cover_matrix(c), 1):
+        failing |= diff
+    return levels, failing
 
 
-def sweep_numbers(c: Clutter, wmax: int) -> tuple[list[int], list[int]]:
-    """alpha0(C^w) and beta1(C^w) for every w in {0..wmax}^n, as two
-    lists indexed by lexicographic w, without building C^w: the per-w
-    route, for a witness or a table; :func:`sweep_levels` decides the
-    same comparison on packed levels.
+def konig_numbers(
+    c: Clutter, wmax: int, levels: list[int], failing: int, idx: int
+) -> tuple[list[int], list[int]]:
+    """The w at lexicographic index idx of {0..wmax}^n and [alpha0, beta1]
+    of C^w there, read for this w alone: alpha0 is the least w-weight of
+    a minimal cover, beta1 the number of the ``levels`` of
+    :func:`sweep_levels` holding w.
 
-    Both numbers come from weights on C (Schrijver, Combinatorial
-    Optimization, ch. 79, on parallelization):
-
-    - alpha0(C^w) = min over the minimal covers K of C of sum_{i in K} w_i.
-      A minimal cover of C^w holds all copies of a vertex or none, and
-      weight-0 vertices may be added to a cover for free.
-    - beta1(C^w) = max{1.y : Ay <= w, y integer >= 0}, the w-packing number
-      of C: a matching of C^w uses each vertex i at most w_i times.
-
-    alpha0 is the cell values of the minimal-cover rows
-    (``polyhedra._cell_values``), beta1 is :func:`packing_numbers` of the
-    edges. The box size is guarded before anything is built.
+    This reads neither the threshold kernel nor any per-w list of the
+    box, so it re-checks the packed failing set at w: if alpha0 != beta1
+    disagrees with bit idx of ``failing``, :class:`ConsistencyError` is
+    raised.
     """
-    caps = (wmax,) * c.n
-    _check_box(caps, "sweep box size")
-    return _cell_values(caps, _cover_matrix(c)), packing_numbers(_edge_rows(c), caps)
+    w = list(_cell((wmax,) * c.n, idx))
+    numbers = [min(sum(r * x for r, x in zip(row, w)) for row in _cover_matrix(c)),
+               sum(level >> idx & 1 for level in levels)]
+    fails = bool(failing >> idx & 1)
+    if (numbers[0] != numbers[1]) != fails:
+        raise ConsistencyError(
+            "w is in the packed Koenig failing set iff alpha0 != beta1 of C^w at w",
+            {"w": w, "failing": fails}, numbers,
+        )
+    return w, numbers
 
 
 def mfmc_bounded(c: Clutter, wmax: int) -> Certificate:
@@ -325,25 +329,19 @@ def mfmc_bounded(c: Clutter, wmax: int) -> Certificate:
     counts the w up to it. This is a bounded semidecision of the max-flow
     min-cut property; the verdict carries the bound explicitly.
 
-    The verdict is :func:`sweep_levels`, on packed levels. On a failure
-    the lex-first failing w is the least of the lex-first differences of
-    the single levels: a w failing at any level, so that every lex-smaller
-    w agrees at every level, is the lex-first difference of each level it
-    fails at. Each level k is compared alone with the threshold set at k
-    (``polyhedra._level_gap`` on the one level, at unit k); the levels
-    past the first empty one need no comparison, since their differences
-    lie inside its own. alpha0 and beta1 of that C^w are then read off the
-    minimal covers and the levels, one w only, and must differ; C^w is
-    built to render its Koenig certificate, whose search must find the
-    same two numbers. A failed check raises :class:`ConsistencyError`.
-    The deadline is checked once the box is decided and at every node of
-    that search.
+    The verdict is the failing set of :func:`sweep_levels`, on packed
+    levels, and the witness its lowest bit. alpha0 and beta1 of that C^w
+    are then read for that w alone (:func:`konig_numbers`), and must
+    differ; C^w is built to render its Koenig certificate, whose search
+    must find the same two numbers. A failed check raises
+    :class:`ConsistencyError`. The deadline is checked once the box is
+    decided and at every node of that search.
     """
     if wmax < 1:
         raise ValueError("wmax must be >= 1")
-    levels, gap = sweep_levels(c, wmax)
+    levels, failing = sweep_levels(c, wmax)
     check_deadline()
-    if gap is None:
+    if not failing:
         return Certificate(
             prop="mfmc",
             verdict="holds-up-to-bound",
@@ -351,19 +349,8 @@ def mfmc_bounded(c: Clutter, wmax: int) -> Certificate:
             bound=wmax,
             details={"checked": (wmax + 1) ** c.n},
         )
-    caps, covers = (wmax,) * c.n, _cover_matrix(c)
-    w = list(min(
-        found[1] for k, level in enumerate(levels, start=1)
-        if (found := _level_gap([level], caps, covers, k)) is not None
-    ))
-    first = sum(x * (wmax + 1) ** (c.n - 1 - v) for v, x in enumerate(w))
-    numbers = [min(sum(r * x for r, x in zip(row, w)) for row in covers),
-               sum(level >> first & 1 for level in levels)]
-    if numbers[0] == numbers[1]:
-        raise ConsistencyError(
-            "the Koenig levels of C^w differ where alpha0/beta1 of C^w differ",
-            {"k": gap[0], "w": w}, numbers,
-        )
+    first = (failing & -failing).bit_length() - 1
+    w, numbers = konig_numbers(c, wmax, levels, failing, first)
     konig = konig_certificate(parallelization(c, w))
     if [konig.alpha0, konig.beta1] != numbers:
         raise ConsistencyError(
@@ -771,7 +758,7 @@ def _box_of(
 
 def menger_walk(
     net: HasseNetwork, edge_masks: Sequence[int], wmax: int
-) -> tuple[dict[int, int], dict[int, int], dict[int, ConsistencyError]]:
+) -> tuple[dict[int, int], dict[int, int], list[tuple[int, ConsistencyError]]]:
     """The checks of :func:`menger_check` at every w of {0..wmax}^n, from
     one max flow per two boxes of weights that its flow and its two
     minimum cuts certify.
@@ -779,8 +766,9 @@ def menger_walk(
     Returns (cut weights, flow values, failures): the first two as value
     sets, {value: the w holding it} with each set one Python int whose
     bit idx(w), the lexicographic index of w, is set for the w it holds
-    (the layout of ``polyhedra._value_sets``), and the failed check by
-    lexicographic index for every w whose pair is not a certificate.
+    (the layout of ``polyhedra._value_sets``), and the failures as
+    (fiber, failed check) pairs in walk order, one per seed whose pair is
+    not a certificate, the fiber in the same layout.
 
     Each component of the Hasse diagram (:func:`_components`) is walked
     on the box of its own vertices, as a network that keeps only its arcs
@@ -799,8 +787,8 @@ def menger_walk(
     also keeps its cut weight. Since every maximal chain lies in one
     component, tau and nu of C^w add over them: the value sets of the
     components are added by ANDing every pair of sets, and a w fails when
-    one of its components fails (the first such component's check is
-    recorded). Every seed is decided when it is seeded, so no w is seeded
+    one of its components fails, so the fibers of two components may
+    meet. Every seed is decided when it is seeded, so no w is seeded
     twice; the deadline is checked once per seed.
     """
     n, side = net.n, wmax + 1
@@ -818,7 +806,7 @@ def menger_walk(
 
     cut_weights: dict[int, int] = {0: full}
     flows: dict[int, int] = {0: full}
-    failures: dict[int, ConsistencyError] = {}
+    failures: list[tuple[int, ConsistencyError]] = []
     for part in _components(net, edge_masks):
         verts = _bits(part)
         sub = HasseNetwork(
@@ -846,9 +834,7 @@ def menger_walk(
                 values[value] = values.get(value, 0) | cells
                 reached |= cells
             if failure is not None:
-                exc = ConsistencyError(*failure)
-                for i in _bits(fiber):
-                    failures.setdefault(i, exc)
+                failures.append((fiber, ConsistencyError(*failure)))
                 gaps.append((fiber, sum(w[v] for v in _bits(cut)) - value))
         cuts = dict(values)
         for fiber, gap in gaps:

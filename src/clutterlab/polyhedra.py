@@ -36,12 +36,14 @@ alpha0 of the parallelizations (``ideals``, ``packing``). So the bounded
 verdicts (normality, NTF, integer decomposition, integer rounding) and the
 Koenig sweep of ``packing`` ask one question of the levels: does level k
 equal S_k, the cells where every row reaches k*unit? One kernel,
-:func:`_level_gap`, answers it on the ints themselves, and it alone reads
-the threshold kernel (:func:`_threshold_sets`), whose sets are built per
-block of axis 0 from one recursion per row, never per cell. The checks of
-one instance that ask for the same rows on the same box share the sets
-(the kernel keeps the latest). A reader that renders a table or lists
-cells (a witness, the per-w rounding table, minimal points) reads the
+:func:`_level_diffs`, answers it on the ints themselves, level by level,
+and it alone reads the threshold kernel (:func:`_threshold_sets`); the
+verdicts read its first difference (:func:`_level_gap`), the Koenig sweep
+all of them. The threshold sets are built per block of axis 0 from one
+recursion per row, never per cell. The checks of one instance that ask
+for the same rows on the same box share the sets (the kernel keeps the
+latest). A reader that renders a table or lists cells (the per-w
+rounding table, minimal points, the ``checked`` counts) reads the
 per-cell values of :func:`_cell_values` instead, a list per box that no
 verdict reads.
 
@@ -500,9 +502,9 @@ def _cell_values(caps: Vector, rows: Sequence[Vector]) -> list[int]:
     a list in C (lexicographic) order; rows is nonempty. Each row's form
     is built as a list by outer sums over the axes, then folded into the
     running minimum. A per-cell route: it serves the readers that render
-    or list cells (witnesses, tables, minimal points), never a bounded
-    verdict, which compares packed sets (:func:`_level_gap`). The
-    deadline is checked once per row."""
+    or list cells (tables, minimal points, counts), never a bounded
+    verdict or a Koenig witness, which read packed sets
+    (:func:`_level_diffs`). The deadline is checked once per row."""
     values: list[int] | None = None
     for row in rows:
         check_deadline()
@@ -621,50 +623,63 @@ def _at_least(t: int, stride: int, period: int, full: int) -> int:
     return mask & full
 
 
-def _level_gap(
+def _level_diffs(
     levels: Iterable[int], caps: Vector, rows: Sequence[Vector], unit: int
-) -> tuple[int, Vector] | None:
-    """The first k at which level k of the packed ``levels`` over the box
-    prod [0, caps_i] differs from S_k, the cells x of that box with
-    <r, x> >= k*unit for every row r (:func:`_threshold_sets`), and the
-    lex-first cell of the difference; None if none differs. The scan ends
-    after the last level or where both sides are empty, so a lazy
-    ``levels`` is drawn no further, and S_k is built only for the levels
-    drawn.
+) -> Iterator[tuple[int, int]]:
+    """(k, S_k minus level k) for k = 1, 2, ...: level k of the packed
+    ``levels`` over the box prod [0, caps_i] against S_k, the cells x of
+    that box with <r, x> >= k*unit for every row r
+    (:func:`_threshold_sets`), the difference in the same layout. The one
+    reader of the threshold kernel. The scan ends after the last level or
+    after the first empty one, whose difference holds those of every later
+    level, so a lazy ``levels`` is drawn no further than the caller reads,
+    and S_k is built only for the levels drawn.
 
-    The four bounded verdicts are this comparison: the closure of I^k
-    (vertex rows of Q(A), unit D) against I^k; I^(i) (minimal covers,
-    unit 1) against I^i; k*B(Q) against the sums of k points of B(Q); and
-    floor(lp / D) >= k against nu >= k. So is the Koenig property of the
-    parallelizations C^w (minimal covers against the w-packing levels).
-    Each level lies inside its S_k, so the XOR is S_k minus the level; a
-    level cell in it is a kernel fault and raises
-    :class:`ConsistencyError`.
-
-    The lowest set bit of the XOR is its lex-first cell in C order. When
-    the boxes grow with k and both sides are held over the last box, it is
-    also the lex-first difference in the level's own box. Both sides are
-    upward closed, so the lex-first difference x has no difference below
-    it (those come first in lex order) and no cell of S_k below it (such a
-    cell lies outside the level, else x would lie in it, and so is a
-    difference): x is a minimal cell of S_k, and those lie in its own box.
+    The four bounded verdicts are this comparison (:func:`_level_gap`):
+    the closure of I^k (vertex rows of Q(A), unit D) against I^k; I^(i)
+    (minimal covers, unit 1) against I^i; k*B(Q) against the sums of k
+    points of B(Q); and floor(lp / D) >= k against nu >= k. So is the
+    Koenig property of the parallelizations C^w (minimal covers against
+    the w-packing levels), whose failing set is the OR of all the
+    differences. Each level lies inside its S_k, so the XOR is S_k minus
+    the level; a level cell in it is a kernel fault and raises
+    :class:`ConsistencyError` with the lex-first such cell.
     """
     reaching = _threshold_sets(caps, tuple(map(tuple, rows)), unit)
     for k, level in enumerate(levels, start=1):
         diff = reaching[k] ^ level
-        if diff:
-            faulty = diff & level
-            low = faulty or diff
-            cell = _cell(caps, (low & -low).bit_length() - 1)
-            if faulty:
-                value = min(sum(map(operator.mul, row, cell)) for row in rows)
-                raise ConsistencyError(
-                    "every cell of k-fold level k has value >= k*unit",
-                    {"k": k, "cell": list(cell), "value": value}, k * unit,
-                )
-            return k, cell
+        faulty = diff & level
+        if faulty:
+            cell = _cell(caps, (faulty & -faulty).bit_length() - 1)
+            value = min(sum(map(operator.mul, row, cell)) for row in rows)
+            raise ConsistencyError(
+                "every cell of k-fold level k has value >= k*unit",
+                {"k": k, "cell": list(cell), "value": value}, k * unit,
+            )
+        yield k, diff
         if not level:
-            break
+            return
+
+
+def _level_gap(
+    levels: Iterable[int], caps: Vector, rows: Sequence[Vector], unit: int
+) -> tuple[int, Vector] | None:
+    """The first k at which level k differs from S_k (:func:`_level_diffs`)
+    and the lex-first cell of the difference; None if none differs. The
+    levels past the first difference are not drawn.
+
+    The lowest set bit of a difference is its lex-first cell in C order.
+    When the boxes grow with k and both sides are held over the last box,
+    it is also the lex-first difference in the level's own box. Both sides
+    are upward closed, so the lex-first difference x has no difference
+    below it (those come first in lex order) and no cell of S_k below it
+    (such a cell lies outside the level, else x would lie in it, and so is
+    a difference): x is a minimal cell of S_k, and those lie in its own
+    box.
+    """
+    for k, diff in _level_diffs(levels, caps, rows, unit):
+        if diff:
+            return k, _cell(caps, (diff & -diff).bit_length() - 1)
     return None
 
 

@@ -2,7 +2,9 @@
 
 These deliberately recompute results by exhaustive enumeration, without
 touching the library's algorithms, so frozen expected values and property
-tests do not share a code path with what they check.
+tests do not share a code path with what they check. The one exception,
+:func:`reference_sweep_numbers`, lists the Koenig numbers of a whole w-box
+from per-cell routes of the library that are themselves checked here.
 """
 
 from __future__ import annotations
@@ -264,6 +266,21 @@ def brute_packing_numbers(vectors, caps) -> dict[tuple[int, ...], int]:
             best[x] = k
         k += 1
     return best
+
+
+def reference_sweep_numbers(c, wmax: int) -> tuple[list[int], list[int]]:
+    """alpha0(C^w) and beta1(C^w) for every w in {0..wmax}^n, as two lists
+    in lexicographic w order: the per-w reference for the packed Koenig
+    sweep. alpha0 is ``polyhedra._cell_values`` of the 0/1 rows of
+    :func:`brute_minimal_covers`, beta1 ``polyhedra.packing_numbers`` of
+    the edge rows; both per-cell routes are checked against brute force
+    in ``test_polyhedra``, and neither reads the threshold kernel."""
+    from clutterlab import polyhedra
+
+    caps = (wmax,) * c.n
+    covers = [tuple(int(v in cov) for v in range(c.n)) for cov in brute_minimal_covers(c.n, c.edges)]
+    edges = [tuple(int(v in e) for v in range(c.n)) for e in c.edges]
+    return polyhedra._cell_values(caps, covers), polyhedra.packing_numbers(edges, caps)
 
 
 def reference_dd_extreme_rays(dim: int, cuts) -> list[tuple[int, ...]]:

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,8 +35,10 @@ from clutterlab.certify import (
     run_theorem_suite,
 )
 from clutterlab.guards import ConsistencyError, Deadline, ResourceGuardError
-from clutterlab.packing import HasseNetwork, _cover_matrix, menger_check, sweep_numbers
+from clutterlab.packing import HasseNetwork, _cover_matrix, menger_check
 from clutterlab.structures import Clutter, Graph, Poset, clique_clutter, comparability_graph
+
+from oracles import reference_sweep_numbers
 
 HERE = Path(__file__).parent
 
@@ -445,7 +448,7 @@ def _first_menger_failure(p, wmax):
     check or differs from the Koenig numbers."""
     cl = clique_clutter(comparability_graph(p))
     net = HasseNetwork.of(p)
-    taus, nus = sweep_numbers(cl, wmax)
+    taus, nus = reference_sweep_numbers(cl, wmax)
     for w, a0, b1 in zip(itertools.product(range(wmax + 1), repeat=p.n), taus, nus):
         try:
             cut, flow, _, _ = menger_check(net, cl.edge_masks, w)
@@ -625,7 +628,7 @@ def test_a_single_weight_check_rejects_an_overloaded_vertex(monkeypatch):
 def test_the_empty_poset_checks_its_one_weight():
     p = Poset(0, [])
     cl = clique_clutter(comparability_graph(p))
-    assert sweep_numbers(cl, 2) == ([0], [0])
+    assert reference_sweep_numbers(cl, 2) == ([0], [0])
     sweep = comparability_mfmc_check(p, cl, 2)
     assert sweep == {"konig_failures": [], "menger_mismatches": [], "mfmc_holds": True, "menger_agrees": True}
 
@@ -663,8 +666,7 @@ def _not_integral(monkeypatch):
 
 def _one_less_packing(monkeypatch):
     # beta1 at the last w, all weights wmax, drops by one: the k-fold
-    # levels of the sweep lose that w from the last level holding it, on
-    # the packed route and the per-w route alike
+    # levels of the sweep lose that w from the last level holding it
     honest = polyhedra._kfold_bits
 
     def short(vectors, caps, kmax):
@@ -675,7 +677,6 @@ def _one_less_packing(monkeypatch):
         return iter(levels)
 
     monkeypatch.setattr(packing, "_kfold_bits", short)
-    monkeypatch.setattr(polyhedra, "_kfold_bits", short)
     return {"konig_failures": None, "menger_mismatches": None}
 
 
@@ -802,6 +803,67 @@ def test_a_failed_poset_check_is_recorded_with_its_witness(monkeypatch, plant, f
         assert {k for k, v in rec["checks"].items() if not v} == failed
     for ex in report.counterexamples:
         assert set(ex["witness"] or {}) == set(witness)
+
+
+PER_CELL_ROUTES = ("_cell_values", "packing_numbers", "_cell_list")
+
+
+def _count_per_cell_calls(monkeypatch) -> list[str]:
+    """Patch every binding of the per-cell routes in the program's modules
+    to record its calls; returns the list the calls go to."""
+    calls = []
+    for module in (certify, ideals, packing, polyhedra):
+        for name in PER_CELL_ROUTES:
+            if hasattr(module, name):
+                honest = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, name=name, honest=honest:
+                                    calls.append(name) or honest(*args))
+    return calls
+
+
+@pytest.mark.parametrize("plant, poset, bounds", [
+    *(pytest.param(plant, DIAMOND, FAULT_BOUNDS, id=i)
+      for _, _, plant, _, i in PLANTED if i in ("konig", "menger")),
+    pytest.param(_one_less_flow, random_posets(8, 1, seed=3)[0], Bounds(kmax=2, imax=2, wmax=3),
+                 id="menger-65536-w"),
+])
+def test_a_failing_poset_sweep_lists_no_whole_box(monkeypatch, plant, poset, bounds):
+    # a failed Koenig or Menger check renders its witnesses from the packed
+    # failing set and value sets, reading the two numbers per suspect w only
+    witness = plant(monkeypatch)
+    calls = _count_per_cell_calls(monkeypatch)
+    record = certify.check_poset_instance(poset, bounds)
+    assert calls == []
+    assert not record["pass"] and set(record["witness"]) == set(witness)
+    last = [bounds.wmax] * poset.n
+    assert [m["w"] for m in record["witness"]["menger_mismatches"]] == [last]
+
+
+def test_a_passing_w_planted_in_the_failing_set_is_caught(monkeypatch):
+    # the kernel reader adds the last w, all weights wmax, to the first
+    # level's difference; Koenig holds there, and the numbers read for that
+    # w alone say so, so the failing set and they disagree
+    honest = polyhedra._level_diffs
+
+    def planted(levels, caps, rows, unit):
+        last = 1 << math.prod(c + 1 for c in caps) - 1
+        for k, diff in honest(levels, caps, rows, unit):
+            yield k, diff | last if k == 1 else diff
+
+    for module in (polyhedra, packing):
+        monkeypatch.setattr(module, "_level_diffs", planted)
+    last = [FAULT_BOUNDS.wmax] * DIAMOND.n
+    cl = clique_clutter(comparability_graph(DIAMOND))
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "w is in the packed Koenig failing set iff alpha0 != beta1 of C^w at w: "
+            f"{{'w': {last}, 'failing': True}} vs [2, 2]")):
+        certify.mfmc_bounded(cl, FAULT_BOUNDS.wmax)
+    report = run_theorem_suite(Corpus("random-posets", n=4, count=2, seed=1), FAULT_BOUNDS)
+    assert [rec["checks"] for rec in report.instances] == [{"consistent": False}] * 2
+    for ex in report.counterexamples:
+        invariant = ex["witness"]["invariant"]
+        assert invariant["check"] == "w is in the packed Koenig failing set iff alpha0 != beta1 of C^w at w"
+        assert invariant["values"][0] == {"w": last, "failing": True}
 
 
 @pytest.mark.parametrize("poset, edges, expected", [

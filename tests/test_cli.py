@@ -203,6 +203,11 @@ def test_bad_weights_exit_2(capsys, command, doc, w):
     assert captured.err.startswith("error: weight")
 
 
+def test_an_empty_w_is_the_weight_vector_of_no_points(capsys):
+    code, out = _run(capsys, "menger", "--w=", '{"n":0,"relation":[]}')
+    assert code == 0 and json.loads(out)["alpha0"] == 0
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [(["konig", C5], 1), (["mfmc", "--wmax", "1", C5], 1)],
@@ -431,10 +436,17 @@ def test_certify_ideals_honour_the_deadline(capsys, monkeypatch):
         (["comparability", '{"n":2,"relation":[[0,1]],"labels":"ab"}'],
          "expected a list of string labels, got 'ab'"),
         (["menger", '{"n":2,"relation":[[0,1]],"labels":["a","a"]}'], "labels must be unique"),
+        # only an absent --w means all ones; an empty one is the empty vector
+        (["duality", "--w=", C5], "weight vector has length 0, expected 5"),
+        (["menger", "--w=", DIAMOND], "weight vector has length 0, expected 4"),
+        (["duality", "--w=1,,1,1,1", C5], "--w must be a comma-separated integer list"),
+        (["menger", "--w=1,1,1,1,", DIAMOND], "--w must be a comma-separated integer list"),
+        (["closure", "--a= 1, ", TWO_SQUARES], "--a must be a comma-separated integer list"),
     ],
     ids=["generators-not-a-list", "no-n", "pair-not-a-list", "corpus-n-a-string", "corpus-path-a-list",
          "labels-a-string", "labels-not-strings", "labels-empty", "graph-labels-too-few",
-         "poset-labels-a-string", "poset-labels-repeated"],
+         "poset-labels-a-string", "poset-labels-repeated", "duality-w-empty", "menger-w-empty",
+         "w-empty-item", "w-trailing-comma", "a-blank-item"],
 )
 def test_a_malformed_document_exits_2_with_one_error_line(capsys, argv, err):
     code = main(argv)

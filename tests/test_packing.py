@@ -40,7 +40,6 @@ from clutterlab.packing import (
     menger_walk,
     min_cover_size,
     sweep_levels,
-    sweep_numbers,
 )
 from clutterlab.polyhedra import format_rational, ilp_max_packing, q_vertices, simplex_max
 from clutterlab.structures import _bits, parallelize_masks
@@ -54,6 +53,7 @@ from oracles import (
     brute_maximal_cliques,
     brute_minimal_covers,
     brute_packing_numbers,
+    reference_sweep_numbers,
 )
 
 
@@ -313,7 +313,7 @@ def _small_posets():
 
 def _sweep(c, wmax):
     """(w, alpha0(C^w), beta1(C^w)) in lexicographic w order."""
-    taus, nus = sweep_numbers(c, wmax)
+    taus, nus = reference_sweep_numbers(c, wmax)
     return list(zip(itertools.product(range(wmax + 1), repeat=c.n), taus, nus))
 
 
@@ -340,30 +340,31 @@ def test_sweep_matches_parallelized_branch_and_bound_on_clutters():
 def test_sweep_numbers_match_brute_force_on_random_clutters():
     # per w, against itertools: alpha0(C^w) is the least w-weight of any
     # vertex set meeting every edge, beta1(C^w) the packing number by
-    # explicit k-sums of the edge rows; the packed route sees the same
-    # beta1 and fails exactly where the two differ
+    # explicit k-sums of the edge rows; the packed sweep's levels hold the
+    # same beta1, its failing set is exactly the w where the two differ,
+    # and the MFMC witness is that set's lex-first w
     seen = set()
     odd_cycle = Clutter(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     q6 = Clutter(6, [(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)])
     for c in random_clutters(5, 6, 24, seed=82) + [odd_cycle, q6]:
         wmax = 2
-        taus, nus = sweep_numbers(c, wmax)
         rows = [tuple(int(v in e) for v in range(c.n)) for e in c.edges]
         packing_ref = brute_packing_numbers(rows, (wmax,) * c.n)
         covers = [s for r in range(c.n + 1) for s in itertools.combinations(range(c.n), r)
                   if all(set(e) & set(s) for e in c.edges)]
         box = list(itertools.product(range(wmax + 1), repeat=c.n))
-        assert taus == [min(sum(w[v] for v in s) for s in covers) for w in box]
-        assert nus == [packing_ref[w] for w in box]
-        levels, gap = sweep_levels(c, wmax)
+        taus = [min(sum(w[v] for v in s) for s in covers) for w in box]
+        nus = [packing_ref[w] for w in box]
+        assert reference_sweep_numbers(c, wmax) == (taus, nus)
+        levels, failing = sweep_levels(c, wmax)
         assert polyhedra._cell_list(polyhedra._value_sets(levels, (1 << len(box)) - 1), len(box)) == nus
-        differ = [i for i, (tau, nu) in enumerate(zip(taus, nus)) if tau != nu]
-        assert (gap is None) == (not differ)
-        if gap is not None:
-            # the gap's w differs, at the first level where any does
-            at = box.index(gap[1])
-            assert at in differ and gap[0] == min(nus[i] + 1 for i in differ)
-        seen.add(gap is None)
+        assert failing == sum(1 << i for i, (tau, nu) in enumerate(zip(taus, nus)) if tau != nu)
+        cert = mfmc_bounded(c, wmax)
+        if failing:
+            first = (failing & -failing).bit_length() - 1
+            assert cert.witness["w"] == list(box[first]) and cert.details["checked"] == first + 1
+        assert cert.holds == (not failing)
+        seen.add(not failing)
     assert seen == {True, False}
 
 
@@ -531,7 +532,7 @@ def _assert_walk_matches_fresh_flows(p, wmax):
     cl = clique_clutter(comparability_graph(p))
     net = HasseNetwork.of(p)
     cut_sets, flow_sets, failures = menger_walk(net, cl.edge_masks, wmax)
-    assert failures == {}
+    assert failures == []
     box = list(itertools.product(range(wmax + 1), repeat=p.n))
     for sets in (cut_sets, flow_sets):  # a partition of the box
         assert sum(cells.bit_count() for cells in sets.values()) == len(box)
@@ -550,9 +551,9 @@ def test_walk_value_sets_are_the_value_sets_of_the_packing_numbers():
     for p, wmax in [(random_posets(6, 1, seed=1)[0], 3), (_disconnected_poset(), 2)]:
         cl = clique_clutter(comparability_graph(p))
         cut_sets, flow_sets, _ = menger_walk(HasseNetwork.of(p), cl.edge_masks, wmax)
-        levels, gap = sweep_levels(cl, wmax)
+        levels, failing = sweep_levels(cl, wmax)
         nu_sets = polyhedra._value_sets(levels, (1 << (wmax + 1) ** p.n) - 1)
-        assert gap is None and cut_sets == flow_sets == nu_sets
+        assert failing == 0 and cut_sets == flow_sets == nu_sets
         assert list(nu_sets) == sorted(nu_sets)
     p = Poset(2, [(0, 1)])
     cut_sets, flow_sets, _ = menger_walk(HasseNetwork.of(p), [0b11], 300)
@@ -606,7 +607,11 @@ def _walk_and_fresh_failures(net, edges, wmax):
             menger_check(net, edges, w)
         except ConsistencyError as exc:
             fresh[i] = exc.to_json()
-    return {i: exc.to_json() for i, exc in failures.items()}, fresh
+    walked = {}
+    for fiber, exc in failures:
+        for i in _bits(fiber):
+            walked.setdefault(i, exc.to_json())
+    return walked, fresh
 
 
 def test_a_cut_lighter_than_the_flow_fails_max_flow_min_cut(monkeypatch, diamond_poset):
@@ -668,7 +673,7 @@ def test_every_box_the_walk_fills_is_certified_at_each_point(monkeypatch, posets
         cl = clique_clutter(comparability_graph(p))
         seeds.clear()
         _, _, failures = menger_walk(HasseNetwork.of(p), cl.edge_masks, wmax)
-        assert failures == {}
+        assert failures == []
         covered = set()
         for sub, edges, part, value, cap, cut, (boxes, failure) in seeds:
             assert failure is None
@@ -774,7 +779,7 @@ def test_lex_kernels_consistency():
 def test_matching_search_on_a_large_parallelization_ends():
     # 270 edges on 27 vertices; the deadline turns a slow search into an error
     c = complete_admissible_uniform_clutter(3, 3)
-    _, nus = sweep_numbers(c, 3)
+    _, nus = reference_sweep_numbers(c, 3)
     cw = parallelization(c, (3,) * c.n)
     with Deadline(10_000):
         matching = lex_min_matching(cw.edge_masks)

@@ -7,7 +7,7 @@ tree.
 - No parameter named ``deadline``: the budget is ambient, installed with
   ``with Deadline(ms):`` and read by ``guards.check_deadline()``.
 - The threshold kernel has one reader: ``polyhedra._threshold_sets`` is
-  referenced only inside ``polyhedra._level_gap``, and the class it
+  referenced only inside ``polyhedra._level_diffs``, and the class it
   caches, ``polyhedra._ThresholdSets``, only inside ``_threshold_sets``.
   The bounded verdicts and the Koenig sweep compare a k-fold level with
   its threshold set in that one kernel, not in a copy of its loop.
@@ -60,7 +60,7 @@ def test_the_rules_see_every_module():
 
 
 # each name of the threshold kernel, and the one function that may refer to it
-KERNEL_READERS = {"_threshold_sets": "_level_gap", "_ThresholdSets": "_threshold_sets"}
+KERNEL_READERS = {"_threshold_sets": "_level_diffs", "_ThresholdSets": "_threshold_sets"}
 
 
 def _kernel_refs_outside_their_reader(tree: ast.AST) -> list[tuple[str, int]]:
@@ -93,7 +93,7 @@ def test_only_the_level_gap_kernel_packs_cells():
     assert not found, "\n".join(found)
     forked = (
         "from .polyhedra import _threshold_sets\n"
-        "def _level_gap(levels, caps, rows, unit):\n    return _threshold_sets(caps, rows, unit)[1]\n"
+        "def _level_diffs(levels, caps, rows, unit):\n    return _threshold_sets(caps, rows, unit)[1]\n"
         "def fork(level, caps, rows):\n    return polyhedra._threshold_sets(caps, rows, 1)[1] & ~level\n"
         "def _threshold_sets(caps, rows, unit):\n    return _ThresholdSets(caps, rows, unit)\n"
         "def copy(caps, rows):\n    return _ThresholdSets(caps, rows, 1)[1]\n"
