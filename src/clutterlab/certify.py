@@ -26,7 +26,7 @@ from typing import Any, Callable, NamedTuple
 from .guards import ConsistencyError, ResourceGuardError, check_deadline, restart_deadline
 from .ideals import MonomialIdeal, edge_ideal, is_normal_up_to, is_ntf_up_to, normality_gap
 from .packing import HasseNetwork, chain_order, konig_numbers, menger_walk, mfmc_bounded, sweep_levels
-from .polyhedra import _value_sets, integer_rounding_check, integer_rounding_holds, is_integral, q_vertices
+from .polyhedra import integer_rounding_check, integer_rounding_holds, is_integral, q_vertices
 from .structures import (
     Clutter,
     Graph,
@@ -74,11 +74,21 @@ def all_posets(n: int) -> list[Poset]:
     return out
 
 
+def _check_least(**params: tuple[int, int]) -> None:
+    """Refuse, by its name, a generator parameter below its least value;
+    each keyword maps a name to (value, least value)."""
+    for name, (value, least) in params.items():
+        if value < least:
+            raise ValueError(f"corpus parameter {name!r} must be >= {least}, got {value}")
+
+
 def _distinct(count: int, attempts: int, draw: Callable[[], tuple | None], what: str) -> list:
     """The first ``count`` distinct objects of repeated ``draw()`` calls,
     in draw order. A draw returns (key, object), or None when rejected;
     objects with a key already seen are dropped. Raises ``ValueError``
-    when ``attempts`` draws do not find ``count`` of them."""
+    when ``count`` is negative, or when ``attempts`` draws do not find
+    ``count`` of them."""
+    _check_least(count=(count, 0))
     found: dict = {}
     for _ in range(attempts):
         if len(found) == count:
@@ -133,6 +143,7 @@ def random_graphs(n: int, count: int, seed: int) -> list[Graph]:
 def random_ideals(n: int, q: int, maxexp: int, count: int, seed: int) -> list[MonomialIdeal]:
     """Random minimal generating sets; n and q are upper bounds, exponents
     uniform in [0, maxexp] with zero vectors rejected."""
+    _check_least(n=(n, 1), q=(q, 1), maxexp=(maxexp, 0))
     rng = random.Random(seed)
 
     def draw() -> tuple[tuple, MonomialIdeal] | None:
@@ -153,6 +164,7 @@ def random_ideals(n: int, q: int, maxexp: int, count: int, seed: int) -> list[Mo
 def random_clutters(n: int, maxedges: int, count: int, seed: int) -> list[Clutter]:
     """Random antichains of nonempty vertex subsets; n and the edge count
     are upper bounds."""
+    _check_least(n=(n, 2), maxedges=(maxedges, 1))
     rng = random.Random(seed)
 
     def draw() -> tuple[tuple, Clutter] | None:
@@ -281,47 +293,44 @@ def comparability_mfmc_check(p: Poset, cl: Clutter, wmax: int) -> dict[str, Any]
     parallelization, and the vertex-capacitated max flow and min cut on
     the Hasse diagram must report the same two numbers.
 
-    The Koenig side is decided first on packed levels
-    (:func:`sweep_levels`), so the box-size guard fires before the
-    network is built; its failing set holds every w where Koenig fails.
-    The flow side (:func:`menger_walk`) runs one max flow per two boxes
-    of w that its flow and its minimum cuts nearest the source and the
-    sink certify, on each component of the Hasse diagram, and returns the
-    cut weights and the flow values as value sets with the fibers of its
-    failed checks. The suspects are the failing set, the w where either
-    value set differs from that of beta1, and the failed fibers; when
-    Koenig holds and the walk agrees there are none, and nothing per w is
-    read. Each suspect, in lexicographic order, has alpha0 and beta1 read
-    for it alone (:func:`konig_numbers`), which raises
-    :class:`ConsistencyError` if they differ exactly where the failing set
-    says they do not, and is listed where Koenig fails or where the cut
-    weight and flow value differ from them or a check failed (the first
-    failed check is the mismatch's ``invariant``). ``menger_agrees`` is
-    false also when the Hasse source-sink paths are not the maximal
-    cliques (``hasse_chains``).
+    Each side hands over one function as sets of w, one Python int per
+    set. The Koenig side is decided first (:func:`sweep_levels`), so the
+    box-size guard fires before the network is built: beta1 as value sets
+    and the failing set, every w where Koenig fails. The flow side
+    (:func:`menger_walk`) gives the flow values as value sets and its
+    failed fibers with their gaps; off those the cut weight is the flow.
+    The suspects are the failing set, the w where the flow differs from
+    beta1, and the failed fibers; when Koenig holds and the walk agrees
+    there are none. For the suspects every set is read once: alpha0 and
+    beta1 (:func:`konig_numbers`, which raises :class:`ConsistencyError`
+    where they differ exactly where the failing set says they do not),
+    the flow, the gaps and the first failed check. A suspect is listed, in
+    lexicographic order, where Koenig fails, where the cut weight and flow
+    value differ from alpha0 and beta1, or where a check failed (the
+    mismatch's ``invariant``). ``menger_agrees`` is false also when the
+    Hasse source-sink paths are not the maximal cliques (``hasse_chains``).
     """
-    levels, failing = sweep_levels(cl, wmax)
-    nu_sets = _value_sets(levels, (1 << (wmax + 1) ** p.n) - 1)
+    nu_sets, failing = sweep_levels(cl, wmax)
     net = HasseNetwork.of(p)
-    *walk_sets, failures = menger_walk(net, cl.edge_masks, wmax)  # cut weights, flow values
+    flows, failures = menger_walk(net, cl.edge_masks, wmax)
     suspects = failing
-    for sets in walk_sets:
-        for value in sets.keys() | nu_sets.keys():
-            suspects |= sets.get(value, 0) ^ nu_sets.get(value, 0)
-    for fiber, _ in failures:
+    for value in flows.keys() | nu_sets.keys():
+        suspects |= flows.get(value, 0) ^ nu_sets.get(value, 0)
+    for fiber, _, _ in failures:
         suspects |= fiber
+    flow = {i: value for value, cells in flows.items() for i in _bits(cells & suspects)}
+    cut, invariant = dict(flow), {}
+    for fiber, exc, gap in failures:
+        for i in _bits(fiber & suspects):
+            cut[i] += gap
+            invariant.setdefault(i, exc)
     konig_failures, menger_mismatches = [], []
-    for i in _bits(suspects):
-        w, konig = konig_numbers(cl, wmax, levels, failing, i)
+    for i, (w, konig) in zip(_bits(suspects), konig_numbers(cl, wmax, nu_sets, failing, suspects)):
         if konig[0] != konig[1]:
             konig_failures.append({"w": w, "alpha0": konig[0], "beta1": konig[1]})
-        menger = [next((v for v, cells in sets.items() if cells >> i & 1), 0) for sets in walk_sets]
-        invariant = next((exc for fiber, exc in failures if fiber >> i & 1), None)
-        if menger != konig or invariant is not None:
-            entry = {"w": w, "konig": konig, "menger": menger}
-            if invariant is not None:
-                entry["invariant"] = invariant.to_json()
-            menger_mismatches.append(entry)
+        failed = {"invariant": invariant[i].to_json()} if i in invariant else {}
+        if [cut[i], flow[i]] != konig or failed:
+            menger_mismatches.append({"w": w, "konig": konig, "menger": [cut[i], flow[i]], **failed})
     result: dict[str, Any] = {
         "konig_failures": konig_failures,
         "menger_mismatches": menger_mismatches,

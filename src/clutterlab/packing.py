@@ -13,8 +13,8 @@ identities give its numbers from weights on C:
   rows) against {w : beta1 >= k} (k-fold levels of the edges) as packed
   ints in the level kernel of ``polyhedra``; the OR of their differences
   is the failing set, every w where Koenig fails on C^w. Every witness is
-  read off that set: only at a w it names, or a w a Menger check names,
-  are the two numbers read, for that w alone (:func:`konig_numbers`);
+  read off that set: the two numbers are read only at the w it or a
+  Menger check names, in one pass over the sets (:func:`konig_numbers`);
 - for the clique clutter of a comparability graph, both are the max flow
   and min vertex cut of the Hasse diagram with vertex capacities w
   (Menger's theorem with vertex capacities), see :class:`HasseNetwork`.
@@ -28,9 +28,9 @@ One max flow has two such cuts, the minimum cuts nearest the source and
 nearest the sink (:meth:`HasseNetwork._sink_cut`), so it certifies two
 boxes. Each connected component of the Hasse diagram is walked on its
 own box, since every maximal chain lies in one and tau and nu of C^w
-add over them; see :func:`menger_walk`. The walk keeps the w it has
-reached and the w of each flow value as packed sets of the whole box, so
-its result compares with the sweep's as sets, w for w.
+add over them; see :func:`menger_walk`. The walk hands over the flow as
+the packed sets of the whole box holding each value, the layout of the
+sweep's beta1, so the two compare as sets, w for w.
 
 Each Koenig number has one exact search, which returns its
 lexicographically least optimal witness: :func:`lex_min_cover` for alpha0
@@ -42,8 +42,9 @@ of a failed sweep, and check the ambient deadline
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Any, Iterable, Iterator, Sequence
 
 from .guards import ConsistencyError, check_deadline, check_size, MAX_COVER_SUBSETS
@@ -57,6 +58,7 @@ from .polyhedra import (
     _check_box,
     _kfold_bits,
     _level_diffs,
+    _value_sets,
 )
 from .structures import (
     Clutter,
@@ -268,21 +270,22 @@ def konig_certificate(c: Clutter) -> KonigCertificate:
 # ---------------------------------------------------------------------------
 # Bounded MFMC certification
 
-def sweep_levels(c: Clutter, wmax: int) -> tuple[list[int], int]:
+def sweep_levels(c: Clutter, wmax: int) -> tuple[dict[int, int], int]:
     """beta1(C^w) for every w in {0..wmax}^n, and every w at which the
     Koenig property of C^w fails, decided on packed levels without
     building C^w or listing any per-w number.
 
-    Returns (levels, failing). Level k holds the w with beta1(C^w) >= k,
-    as one Python int with bit idx(w), the lexicographic index of w; the
-    levels run up to and including the first empty one. ``failing`` is
-    one int in the same layout, the OR over k of {w : alpha0(C^w) >= k}
-    minus level k (``polyhedra._level_diffs``): since beta1 <= alpha0, a
-    w lies in it iff alpha0(C^w) > beta1(C^w), at k = beta1 + 1, a level
-    that is drawn. {w : alpha0 >= k} is the threshold set of the
-    minimal-cover rows at k, and level k is the k-fold sums of the edge
-    rows (``polyhedra._kfold_bits``). The box size is guarded before
-    anything is built.
+    Returns (nu_sets, failing). A set of w is one Python int with bit
+    idx(w), the lexicographic index of w, set for the w it holds.
+    ``nu_sets`` is beta1 as value sets (``polyhedra._value_sets``, the
+    layout of :func:`menger_walk`'s flows), read off level k = 1, 2, ...,
+    the w with beta1(C^w) >= k: the k-fold sums of the edge rows
+    (``polyhedra._kfold_bits``), drawn up to the first empty one.
+    ``failing`` is the OR over k of {w : alpha0(C^w) >= k}, the threshold
+    set of the minimal-cover rows, minus level k
+    (``polyhedra._level_diffs``): since beta1 <= alpha0, a w lies in it
+    iff alpha0(C^w) > beta1(C^w), at k = beta1 + 1, a level that is
+    drawn. The box size is guarded before anything is built.
     """
     caps = (wmax,) * c.n
     _check_box(caps, "sweep box size")
@@ -294,32 +297,37 @@ def sweep_levels(c: Clutter, wmax: int) -> tuple[list[int], int]:
     failing = 0
     for _, diff in _level_diffs(levels, caps, _cover_matrix(c), 1):
         failing |= diff
-    return levels, failing
+    return _value_sets(levels, (1 << (wmax + 1) ** c.n) - 1), failing
 
 
 def konig_numbers(
-    c: Clutter, wmax: int, levels: list[int], failing: int, idx: int
-) -> tuple[list[int], list[int]]:
-    """The w at lexicographic index idx of {0..wmax}^n and [alpha0, beta1]
-    of C^w there, read for this w alone: alpha0 is the least w-weight of
-    a minimal cover, beta1 the number of the ``levels`` of
-    :func:`sweep_levels` holding w.
+    c: Clutter, wmax: int, nu_sets: dict[int, int], failing: int, cells: int
+) -> list[tuple[list[int], list[int]]]:
+    """(w, [alpha0, beta1] of C^w) for every w of the set ``cells`` of
+    {0..wmax}^n, in lexicographic order: alpha0 is the least w-weight of
+    a minimal cover, per w off the cover rows, and beta1 the value of the
+    set of ``nu_sets`` (:func:`sweep_levels`) holding w, read with
+    ``failing`` once per set for all of ``cells``.
 
     This reads neither the threshold kernel nor any per-w list of the
-    box, so it re-checks the packed failing set at w: if alpha0 != beta1
-    disagrees with bit idx of ``failing``, :class:`ConsistencyError` is
-    raised.
+    box, so it re-checks the packed failing set at each w: if
+    alpha0 != beta1 disagrees with the bit of w in ``failing``,
+    :class:`ConsistencyError` is raised for the first such w.
     """
-    w = list(_cell((wmax,) * c.n, idx))
-    numbers = [min(sum(r * x for r, x in zip(row, w)) for row in _cover_matrix(c)),
-               sum(level >> idx & 1 for level in levels)]
-    fails = bool(failing >> idx & 1)
-    if (numbers[0] != numbers[1]) != fails:
-        raise ConsistencyError(
-            "w is in the packed Koenig failing set iff alpha0 != beta1 of C^w at w",
-            {"w": w, "failing": fails}, numbers,
-        )
-    return w, numbers
+    caps, rows = (wmax,) * c.n, _cover_matrix(c)
+    beta = {i: value for value, held in nu_sets.items() for i in _bits(held & cells)}
+    fails = set(_bits(failing & cells))
+    out = []
+    for i in _bits(cells):
+        w = list(_cell(caps, i))
+        numbers = [min(sum(r * x for r, x in zip(row, w)) for row in rows), beta[i]]
+        if (numbers[0] != numbers[1]) != (i in fails):
+            raise ConsistencyError(
+                "w is in the packed Koenig failing set iff alpha0 != beta1 of C^w at w",
+                {"w": w, "failing": i in fails}, numbers,
+            )
+        out.append((w, numbers))
+    return out
 
 
 def mfmc_bounded(c: Clutter, wmax: int) -> Certificate:
@@ -339,7 +347,7 @@ def mfmc_bounded(c: Clutter, wmax: int) -> Certificate:
     """
     if wmax < 1:
         raise ValueError("wmax must be >= 1")
-    levels, failing = sweep_levels(c, wmax)
+    nu_sets, failing = sweep_levels(c, wmax)
     check_deadline()
     if not failing:
         return Certificate(
@@ -349,8 +357,8 @@ def mfmc_bounded(c: Clutter, wmax: int) -> Certificate:
             bound=wmax,
             details={"checked": (wmax + 1) ** c.n},
         )
-    first = (failing & -failing).bit_length() - 1
-    w, numbers = konig_numbers(c, wmax, levels, failing, first)
+    first = failing & -failing
+    [(w, numbers)] = konig_numbers(c, wmax, nu_sets, failing, first)
     konig = konig_certificate(parallelization(c, w))
     if [konig.alpha0, konig.beta1] != numbers:
         raise ConsistencyError(
@@ -363,7 +371,7 @@ def mfmc_bounded(c: Clutter, wmax: int) -> Certificate:
         holds=False,
         bound=wmax,
         witness={"w": w, "konig": konig.to_json()},
-        details={"checked": first + 1},
+        details={"checked": first.bit_length()},
     )
 
 
@@ -717,12 +725,13 @@ def _components(net: HasseNetwork, edge_masks: Sequence[int]) -> list[int]:
 
 def _box_of(
     net: HasseNetwork, edge_masks: Sequence[int], part: int,
-    w: list[int], value: int, cap: list[int], cut: int,
-) -> tuple[dict[int, tuple[slice, ...]], tuple[str, Any, Any] | None]:
+    w: list[int], value: int, cap: list[int], cut: int, at_least: list[list[int]],
+) -> tuple[dict[int, int], tuple[str, Any, Any] | None]:
     """The boxes of weights that the max flow ``(value, cap, cut)`` of
-    ``net`` at w certifies, by the cut that certifies each, as slices of
-    the box of the vertices in ``part``; and the first check the flow
-    fails at w (None if it certifies w).
+    ``net`` at w certifies, as {cut: the w of the whole box whose weights
+    on the vertices in ``part`` lie in it}, and the first check the flow
+    fails at w (None if it certifies w). A box is one AND of masks
+    ``at_least[v][t]``, the w with w_v >= t (none at t = wmax + 1).
 
     When the pair certifies w (:func:`_pair_failure` is None), a minimum
     cut K of its flow certifies every w' with w'_v = w_v on K and
@@ -735,80 +744,69 @@ def _box_of(
     A cut read off a search meets every source-sink path, so only a flow
     that fails at w, or a network whose paths are not the edges, certifies
     no box. A box that misses w (a flow above w_u off its cut) certifies
-    nothing: w gets the overload check as its failure.
+    nothing: w gets the overload check as its failure. Where no box is
+    certified, w covers its fiber alone, the w that agree with it on
+    ``part``: the box of the cut ``part``.
     """
+    verts = _bits(part)
+
+    def box(k: int) -> int:
+        return reduce(operator.and_, (
+            at_least[v][w[v]] ^ at_least[v][w[v] + 1] if k >> v & 1 else at_least[v][cap[2 * v + 1]]
+            for v in verts
+        ))
+
     failure = _pair_failure(net, edge_masks, w, value, cap, cut)
     if failure is not None:
-        return {}, failure
-    verts = _bits(part)
-    boxes: dict[int, tuple[slice, ...]] = {}
+        return {part: box(part)}, failure
+    boxes: dict[int, int] = {}
     for k in (cut, net._sink_cut(cap)):
         weight = sum(w[v] for v in verts if k >> v & 1)
         if k in boxes or weight != value or not all(e & k for e in edge_masks):
             continue
-        box = tuple(
-            slice(w[v], w[v] + 1) if k >> v & 1 else slice(cap[2 * v + 1], None)
-            for v in verts
-        )
-        if any(b.start > w[v] for b, v in zip(box, verts)):
-            return {}, _overload(w, cap)
-        boxes[k] = box
-    return boxes, None
+        if any(cap[2 * v + 1] > w[v] for v in verts if not k >> v & 1):
+            return {part: box(part)}, _overload(w, cap)
+        boxes[k] = box(k)
+    return boxes or {part: box(part)}, None
 
 
 def menger_walk(
     net: HasseNetwork, edge_masks: Sequence[int], wmax: int
-) -> tuple[dict[int, int], dict[int, int], list[tuple[int, ConsistencyError]]]:
+) -> tuple[dict[int, int], list[tuple[int, ConsistencyError, int]]]:
     """The checks of :func:`menger_check` at every w of {0..wmax}^n, from
     one max flow per two boxes of weights that its flow and its two
     minimum cuts certify.
 
-    Returns (cut weights, flow values, failures): the first two as value
-    sets, {value: the w holding it} with each set one Python int whose
-    bit idx(w), the lexicographic index of w, is set for the w it holds
-    (the layout of ``polyhedra._value_sets``), and the failures as
-    (fiber, failed check) pairs in walk order, one per seed whose pair is
-    not a certificate, the fiber in the same layout.
+    Returns (flows, failures). ``flows`` is {value: the w whose flow
+    value it is}, each set one Python int with bit idx(w), the
+    lexicographic index of w, set for the w it holds (the layout of
+    ``polyhedra._value_sets``). ``failures`` lists in walk order one
+    (fiber, failed check, gap) per seed whose pair is not a certificate,
+    the gap being the pair's cut weight minus its flow value at the
+    seed. A certified box holds the flow value, so the cut weight of a w
+    is its flow plus the gaps of the failed fibers that hold it.
 
     Each component of the Hasse diagram (:func:`_components`) is walked
     on the box of its own vertices, as a network that keeps only its arcs
     (the other vertices get weight 0 and no path), with every set held
     over the whole box: a w of the component stands for its fiber, the w
-    of the whole box that agree with it there, which is the AND of one
-    mask x_v >= t and one mask x_v < t' per vertex
-    (``polyhedra._at_least``). The lexicographically first w that no box
-    covers yet is the lowest bit outside the reached set (it is 0 off the
-    component), and is the next seed. Its max flow is checked by
-    :func:`_pair_failure`, and the boxes that its flow and its cuts
-    nearest the source and the sink certify (:func:`_box_of`) get the
-    flow value, a later box overwriting an earlier one. On a certified
-    box the cut weight is the flow value; a seed whose flow fails, or
-    that no box certifies, covers its fiber alone, and a failing seed
-    also keeps its cut weight. Since every maximal chain lies in one
-    component, tau and nu of C^w add over them: the value sets of the
-    components are added by ANDing every pair of sets, and a w fails when
-    one of its components fails, so the fibers of two components may
-    meet. Every seed is decided when it is seeded, so no w is seeded
-    twice; the deadline is checked once per seed.
+    of the whole box that agree with it there. The lexicographically
+    first w that no box covers yet is the lowest bit outside the reached
+    set (it is 0 off the component), and is the next seed. The boxes that
+    its max flow certifies, or else its fiber (:func:`_box_of`), get the
+    flow value, a later box overwriting an earlier one. Since every
+    maximal chain lies in one component, tau and nu of C^w add over them:
+    the value sets of the components are added by ANDing every pair of
+    sets, and the fibers of two components may meet, their gaps adding.
+    No w is seeded twice; the deadline is checked once per seed.
     """
     n, side = net.n, wmax + 1
     strides = [side ** (n - 1 - v) for v in range(n)]
     full = (1 << side ** n) - 1
     at_least = [[_at_least(t, s, s * side, full) for t in range(side)] + [0] for s in strides]
-
-    def cells_of(verts: list[int], box: Iterable[slice]) -> int:
-        # the w whose weights on verts lie in the slices of box (a stop of
-        # None is the end of the box)
-        cells = full
-        for v, b in zip(verts, box):
-            cells &= at_least[v][b.start] if b.stop is None else at_least[v][b.start] ^ at_least[v][b.stop]
-        return cells
-
-    cut_weights: dict[int, int] = {0: full}
     flows: dict[int, int] = {0: full}
-    failures: list[tuple[int, ConsistencyError]] = []
+    failures: list[tuple[int, ConsistencyError, int]] = []
     for part in _components(net, edge_masks):
-        verts = _bits(part)
         sub = HasseNetwork(
             n=n,
             arcs=tuple((x, y) for x, y in net.arcs if part >> x & 1),
@@ -817,33 +815,22 @@ def menger_walk(
         )
         edges = [e for e in edge_masks if e & part]
         values: dict[int, int] = {}
-        gaps: list[tuple[int, int]] = []  # (fiber, cut weight - flow value) per failing seed
         reached = 0
         while reached != full:
             check_deadline()
             seed = (reached ^ (reached + 1)).bit_length() - 1  # the lowest bit not reached
             w = [seed // strides[v] % side if part >> v & 1 else 0 for v in range(n)]
             value, cap, cut = sub.max_flow(w)
-            boxes, failure = _box_of(sub, edges, part, w, value, cap, cut)
-            if failure is not None or not boxes:  # the w agreeing with the seed on the component
-                fiber = cells_of(verts, [slice(w[v], w[v] + 1) for v in verts])
-            for cells in [cells_of(verts, box) for box in boxes.values()] or [fiber]:
-                for u, held in values.items():
-                    if held & cells:
-                        values[u] = held ^ (held & cells)
+            boxes, failure = _box_of(sub, edges, part, w, value, cap, cut, at_least)
+            for cells in boxes.values():
+                values = {u: held & ~cells for u, held in values.items()}
                 values[value] = values.get(value, 0) | cells
                 reached |= cells
             if failure is not None:
-                failures.append((fiber, ConsistencyError(*failure)))
-                gaps.append((fiber, sum(w[v] for v in _bits(cut)) - value))
-        cuts = dict(values)
-        for fiber, gap in gaps:
-            u = next(u for u, cells in cuts.items() if cells & fiber)
-            cuts[u] ^= fiber
-            cuts[u + gap] = cuts.get(u + gap, 0) | fiber
-        cut_weights = _add_values(cut_weights, cuts)
+                gap = sum(w[v] for v in _bits(cut)) - value
+                failures.append((boxes[part], ConsistencyError(*failure), gap))
         flows = _add_values(flows, values)
-    return cut_weights, flows, failures
+    return flows, failures
 
 
 def _add_values(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

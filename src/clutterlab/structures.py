@@ -288,11 +288,13 @@ def _mask(vertices: Iterable[int]) -> int:
 
 
 def _bits(mask: int) -> list[int]:
+    """The set bits of mask >= 0, ascending: one linear scan of its digits."""
+    digits = bin(mask)[:1:-1]
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
     return out
 
 

@@ -685,12 +685,12 @@ def _one_less_flow(monkeypatch):
     honest = certify.menger_walk
 
     def short(net, edge_masks, wmax):
-        cuts, flows, failures = honest(net, edge_masks, wmax)
+        flows, failures = honest(net, edge_masks, wmax)
         last = 1 << (wmax + 1) ** net.n - 1
         value = next(v for v, cells in flows.items() if cells & last)
         flows = {**flows, value: flows[value] ^ last}
         flows[value - 1] = flows.get(value - 1, 0) | last
-        return cuts, flows, failures
+        return flows, failures
 
     monkeypatch.setattr(certify, "menger_walk", short)
     return {"menger_mismatches": None}

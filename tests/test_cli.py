@@ -406,6 +406,14 @@ def test_certify_with_every_instance_skipped_is_inconclusive(capsys, monkeypatch
     assert out.rstrip().endswith("aggregate: inconclusive")
 
 
+def test_a_count_of_zero_is_an_empty_inconclusive_corpus(capsys):
+    code, out = _run(capsys, "certify", '{"kind":"random-posets","n":3,"count":0,"seed":1}')
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["aggregate"] == "inconclusive"
+    assert doc["counts"] == {"instances": 0, "failed": 0, "skipped": 0}
+
+
 def test_certify_ideals_honour_the_deadline(capsys, monkeypatch):
     # the zero budget is spent by the normality check, before rounding
     monkeypatch.setenv("CLUTTERLAB_GUARD_MS", "0")
@@ -442,11 +450,28 @@ def test_certify_ideals_honour_the_deadline(capsys, monkeypatch):
         (["duality", "--w=1,,1,1,1", C5], "--w must be a comma-separated integer list"),
         (["menger", "--w=1,1,1,1,", DIAMOND], "--w must be a comma-separated integer list"),
         (["closure", "--a= 1, ", TWO_SQUARES], "--a must be a comma-separated integer list"),
+        # a generator parameter below its least value is named, not passed to random
+        (["certify", '{"kind":"random-posets","n":3,"count":-1,"seed":1}'],
+         "corpus parameter 'count' must be >= 0, got -1"),
+        (["certify", '{"kind":"random-graphs","n":3,"count":-2,"seed":1}'],
+         "corpus parameter 'count' must be >= 0, got -2"),
+        (["certify", '{"kind":"random-ideals","n":0,"q":2,"maxexp":1,"count":2,"seed":1}'],
+         "corpus parameter 'n' must be >= 1, got 0"),
+        (["certify", '{"kind":"random-ideals","n":2,"q":0,"maxexp":1,"count":2,"seed":1}'],
+         "corpus parameter 'q' must be >= 1, got 0"),
+        (["certify", '{"kind":"random-ideals","n":3,"q":2,"maxexp":-1,"count":2,"seed":1}'],
+         "corpus parameter 'maxexp' must be >= 0, got -1"),
+        (["certify", '{"kind":"random-clutters","n":1,"maxedges":2,"count":2,"seed":1}'],
+         "corpus parameter 'n' must be >= 2, got 1"),
+        (["certify", '{"kind":"random-clutters","n":3,"maxedges":0,"count":2,"seed":1}'],
+         "corpus parameter 'maxedges' must be >= 1, got 0"),
     ],
     ids=["generators-not-a-list", "no-n", "pair-not-a-list", "corpus-n-a-string", "corpus-path-a-list",
          "labels-a-string", "labels-not-strings", "labels-empty", "graph-labels-too-few",
          "poset-labels-a-string", "poset-labels-repeated", "duality-w-empty", "menger-w-empty",
-         "w-empty-item", "w-trailing-comma", "a-blank-item"],
+         "w-empty-item", "w-trailing-comma", "a-blank-item", "posets-count-negative",
+         "graphs-count-negative", "ideals-n-0", "ideals-q-0", "ideals-maxexp-negative",
+         "clutters-n-1", "clutters-maxedges-0"],
 )
 def test_a_malformed_document_exits_2_with_one_error_line(capsys, argv, err):
     code = main(argv)

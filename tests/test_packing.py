@@ -28,11 +28,12 @@ from clutterlab import (
     parallelization,
 )
 from clutterlab import packing, polyhedra
-from clutterlab.certify import all_posets, random_clutters, random_posets
+from clutterlab.certify import all_posets, comparability_mfmc_check, random_clutters, random_posets
 from clutterlab.guards import ConsistencyError
 from clutterlab.packing import (
     HasseNetwork,
     gray_steps,
+    konig_numbers,
     lex_min_cover,
     lex_min_matching,
     max_matching_size,
@@ -356,9 +357,11 @@ def test_sweep_numbers_match_brute_force_on_random_clutters():
         taus = [min(sum(w[v] for v in s) for s in covers) for w in box]
         nus = [packing_ref[w] for w in box]
         assert reference_sweep_numbers(c, wmax) == (taus, nus)
-        levels, failing = sweep_levels(c, wmax)
-        assert polyhedra._cell_list(polyhedra._value_sets(levels, (1 << len(box)) - 1), len(box)) == nus
+        nu_sets, failing = sweep_levels(c, wmax)
+        assert polyhedra._cell_list(nu_sets, len(box)) == nus
         assert failing == sum(1 << i for i, (tau, nu) in enumerate(zip(taus, nus)) if tau != nu)
+        assert konig_numbers(c, wmax, nu_sets, failing, (1 << len(box)) - 1) == [
+            (list(w), [tau, nu]) for w, tau, nu in zip(box, taus, nus)]
         cert = mfmc_bounded(c, wmax)
         if failing:
             first = (failing & -failing).bit_length() - 1
@@ -527,39 +530,38 @@ def test_gray_steps_visit_every_w_once(n, wmax):
 # on the cut, w'_u in [f_u, wmax] off it, one Hasse component at a time
 
 def _assert_walk_matches_fresh_flows(p, wmax):
-    # the walk keeps the cut weight, which a certified box holds at the flow
-    # value; the cuts themselves are checked box by box below
+    # with no failure the cut weight is the flow value, which a certified
+    # box holds at its cut; the cuts themselves are checked box by box below
     cl = clique_clutter(comparability_graph(p))
     net = HasseNetwork.of(p)
-    cut_sets, flow_sets, failures = menger_walk(net, cl.edge_masks, wmax)
+    flow_sets, failures = menger_walk(net, cl.edge_masks, wmax)
     assert failures == []
     box = list(itertools.product(range(wmax + 1), repeat=p.n))
-    for sets in (cut_sets, flow_sets):  # a partition of the box
-        assert sum(cells.bit_count() for cells in sets.values()) == len(box)
-        assert functools.reduce(operator.or_, sets.values()) == (1 << len(box)) - 1
-    cut_weights, flows = (polyhedra._cell_list(sets, len(box)) for sets in (cut_sets, flow_sets))
+    # a partition of the box
+    assert sum(cells.bit_count() for cells in flow_sets.values()) == len(box)
+    assert functools.reduce(operator.or_, flow_sets.values()) == (1 << len(box)) - 1
+    flows = polyhedra._cell_list(flow_sets, len(box))
     for idx, w in enumerate(box):
         ref_value, _, ref_cut = net.max_flow(w)
-        assert flows[idx] == ref_value
-        assert cut_weights[idx] == sum(w[v] for v in _bits(ref_cut))
+        assert flows[idx] == ref_value == sum(w[v] for v in _bits(ref_cut))
 
 
 def test_walk_value_sets_are_the_value_sets_of_the_packing_numbers():
-    # on a comparability clutter the walk's cut weights and flow values
-    # are beta1 of every C^w, in the layout of the sweep's value sets, so
-    # the two compare as dicts; the values are Python ints, also past a byte
+    # on a comparability clutter the walk's flow values are beta1 of every
+    # C^w, and the walk and the sweep hand them over as value sets of one
+    # layout, so the two compare as dicts; the values are Python ints, also
+    # past a byte
     for p, wmax in [(random_posets(6, 1, seed=1)[0], 3), (_disconnected_poset(), 2)]:
         cl = clique_clutter(comparability_graph(p))
-        cut_sets, flow_sets, _ = menger_walk(HasseNetwork.of(p), cl.edge_masks, wmax)
-        levels, failing = sweep_levels(cl, wmax)
-        nu_sets = polyhedra._value_sets(levels, (1 << (wmax + 1) ** p.n) - 1)
-        assert failing == 0 and cut_sets == flow_sets == nu_sets
+        flow_sets, failures = menger_walk(HasseNetwork.of(p), cl.edge_masks, wmax)
+        nu_sets, failing = sweep_levels(cl, wmax)
+        assert failing == 0 and failures == [] and flow_sets == nu_sets
         assert list(nu_sets) == sorted(nu_sets)
     p = Poset(2, [(0, 1)])
-    cut_sets, flow_sets, _ = menger_walk(HasseNetwork.of(p), [0b11], 300)
+    flow_sets, failures = menger_walk(HasseNetwork.of(p), [0b11], 300)
     at = 300 * 301 + 299  # w = (300, 299)
     assert [v for v, cells in flow_sets.items() if cells >> at & 1] == [299]
-    assert cut_sets == flow_sets
+    assert failures == []
 
 
 def test_walk_matches_fresh_max_flow_on_small_posets():
@@ -600,7 +602,7 @@ def test_components_join_the_vertices_of_an_edge():
 def _walk_and_fresh_failures(net, edges, wmax):
     """The failed checks that menger_walk records and those that
     menger_check raises from a fresh max flow, by lexicographic w."""
-    _, _, failures = menger_walk(net, edges, wmax)
+    _, failures = menger_walk(net, edges, wmax)
     fresh = {}
     for i, w in enumerate(itertools.product(range(wmax + 1), repeat=net.n)):
         try:
@@ -608,7 +610,7 @@ def _walk_and_fresh_failures(net, edges, wmax):
         except ConsistencyError as exc:
             fresh[i] = exc.to_json()
     walked = {}
-    for fiber, exc in failures:
+    for fiber, exc, _ in failures:
         for i in _bits(fiber):
             walked.setdefault(i, exc.to_json())
     return walked, fresh
@@ -630,6 +632,30 @@ def test_a_cut_lighter_than_the_flow_fails_max_flow_min_cut(monkeypatch, diamond
     assert walked.items() <= fresh.items()
 
 
+@pytest.mark.parametrize("poset, wmax", [("diamond", 3), ("disconnected", 2)])
+def test_the_cut_weight_of_a_failed_fiber_is_its_flow_plus_its_gap(monkeypatch, request, poset, wmax):
+    # _cut drops its least vertex, so most w fail max-flow = min-cut; each
+    # mismatch reads the cut weight and flow value of fresh max flows under
+    # the same plant, one per component network, as the walk builds them
+    # (on the disconnected poset one whole-network cut would drop a single
+    # vertex, where every component's cut drops its own)
+    honest = HasseNetwork._cut
+    monkeypatch.setattr(HasseNetwork, "_cut", lambda self, via: (cut := honest(self, via)) & (cut - 1))
+    p = request.getfixturevalue("diamond_poset") if poset == "diamond" else _disconnected_poset()
+    cl = clique_clutter(comparability_graph(p))
+    net = HasseNetwork.of(p)
+    subs = [HasseNetwork(p.n, tuple((x, y) for x, y in net.arcs if part >> x & 1),
+                         tuple(v for v in net.sources if part >> v & 1),
+                         tuple(v for v in net.sinks if part >> v & 1))
+            for part in packing._components(net, cl.edge_masks)]
+    mismatches = comparability_mfmc_check(p, cl, wmax)["menger_mismatches"]
+    assert mismatches and all("invariant" in m for m in mismatches)
+    for m in mismatches:
+        fresh = [sub.max_flow(m["w"]) for sub in subs]
+        assert m["menger"] == [sum(m["w"][v] for _, _, cut in fresh for v in _bits(cut)),
+                               sum(value for value, _, _ in fresh)]
+
+
 def test_a_flow_chain_that_is_no_edge_fails_the_clique_check():
     # the one source-sink path 0 < 1 < 2 is no edge of {0,1}, {1,2}, and
     # every w with no weight 0 sends flow along it
@@ -646,8 +672,16 @@ def test_a_flow_chain_that_is_no_edge_fails_the_clique_check():
     assert chain_failures == [w for w in box if all(w)]
 
 
-def _box_points(box, wmax):
-    return itertools.product(*(range(*b.indices(wmax + 1)) for b in box))
+def _box_points(cells, part, n, wmax):
+    """The weights on the vertices in ``part`` of the w in the set
+    ``cells`` of {0..wmax}^n that are 0 off part; ``cells`` holds every w
+    that agrees with one of them on part."""
+    box = list(itertools.product(range(wmax + 1), repeat=n))
+    verts = _bits(part)
+    points = [tuple(box[i][v] for v in verts) for i in _bits(cells)
+              if not any(x for v, x in enumerate(box[i]) if not part >> v & 1)]
+    assert cells.bit_count() == len(points) * (wmax + 1) ** (n - len(verts))
+    return points
 
 
 @pytest.mark.parametrize("posets, wmax", [
@@ -663,8 +697,8 @@ def test_every_box_the_walk_fills_is_certified_at_each_point(monkeypatch, posets
     honest = packing._box_of
     seeds = []
 
-    def recording(sub, edges, part, w, value, cap, cut):
-        out = honest(sub, edges, part, w, value, cap, cut)
+    def recording(sub, edges, part, w, value, cap, cut, at_least):
+        out = honest(sub, edges, part, w, value, cap, cut, at_least)
         seeds.append((sub, edges, part, value, cap, cut, out))
         return out
 
@@ -672,15 +706,15 @@ def test_every_box_the_walk_fills_is_certified_at_each_point(monkeypatch, posets
     for p in posets:
         cl = clique_clutter(comparability_graph(p))
         seeds.clear()
-        _, _, failures = menger_walk(HasseNetwork.of(p), cl.edge_masks, wmax)
+        _, failures = menger_walk(HasseNetwork.of(p), cl.edge_masks, wmax)
         assert failures == []
         covered = set()
         for sub, edges, part, value, cap, cut, (boxes, failure) in seeds:
             assert failure is None
             assert set(boxes) == {cut, sub._sink_cut(cap)}
             verts = _bits(part)
-            for k, box in boxes.items():
-                for point in _box_points(box, wmax):
+            for k, cells in boxes.items():
+                for point in _box_points(cells, part, p.n, wmax):
                     moved, w = cap[:], [0] * p.n
                     for v, x in zip(verts, point):
                         moved[2 * v] = x - cap[2 * v + 1]
