@@ -321,14 +321,15 @@ def comparability_mfmc_check(p: Poset, cl: Clutter, wmax: int) -> dict[str, Any]
     flow = {i: value for value, cells in flows.items() for i in _bits(cells & suspects)}
     cut, invariant = dict(flow), {}
     for fiber, exc, gap in failures:
+        rendered = exc.to_json()
         for i in _bits(fiber & suspects):
             cut[i] += gap
-            invariant.setdefault(i, exc)
+            invariant.setdefault(i, rendered)
     konig_failures, menger_mismatches = [], []
     for i, (w, konig) in zip(_bits(suspects), konig_numbers(cl, wmax, nu_sets, failing, suspects)):
         if konig[0] != konig[1]:
             konig_failures.append({"w": w, "alpha0": konig[0], "beta1": konig[1]})
-        failed = {"invariant": invariant[i].to_json()} if i in invariant else {}
+        failed = {"invariant": invariant[i]} if i in invariant else {}
         if [cut[i], flow[i]] != konig or failed:
             menger_mismatches.append({"w": w, "konig": konig, "menger": [cut[i], flow[i]], **failed})
     result: dict[str, Any] = {
@@ -400,26 +401,25 @@ def _edge_ideal_checks(c: Clutter, bounds: Bounds) -> tuple[dict[str, bool], dic
 def check_poset_instance(p: Poset, bounds: Bounds) -> dict[str, Any]:
     g = comparability_graph(p)
     cl = clique_clutter(g)
+    # the edge-ideal checks guard their boxes before they build anything,
+    # so a poset past a size guard is skipped before the Menger walk runs
+    values, parts = _edge_ideal_checks(cl, bounds) if cl.edges else ({}, {})
     sweep = comparability_mfmc_check(p, cl, bounds.wmax)
     dup_bad = duplication_commutes(g, cl)
     not_a_chain = clique_not_a_chain(p, cl)
-    values = {
-        "mfmc_holds": sweep["mfmc_holds"],
-        "menger_agrees": sweep["menger_agrees"],
-        "duplication_commutes": not dup_bad,
-        "cliques_are_chains": not_a_chain is None,
-    }
-    parts = {
-        "konig_failures": sweep["konig_failures"][:3],
-        "menger_mismatches": sweep["menger_mismatches"][:3] or None,
-        "hasse_chains": sweep.get("hasse_chains"),
-        "duplication_vertices": dup_bad,
-        "not_a_chain": not_a_chain,
-    }
-    if cl.edges:
-        ideal_values, ideal_parts = _edge_ideal_checks(cl, bounds)
-        values.update(ideal_values)
-        parts.update(ideal_parts)
+    values.update(
+        mfmc_holds=sweep["mfmc_holds"],
+        menger_agrees=sweep["menger_agrees"],
+        duplication_commutes=not dup_bad,
+        cliques_are_chains=not_a_chain is None,
+    )
+    parts.update(
+        konig_failures=sweep["konig_failures"][:3],
+        menger_mismatches=sweep["menger_mismatches"][:3] or None,
+        hasse_chains=sweep.get("hasse_chains"),
+        duplication_vertices=dup_bad,
+        not_a_chain=not_a_chain,
+    )
     return _record("poset", values, parts)
 
 

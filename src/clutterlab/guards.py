@@ -17,11 +17,11 @@ Every exponential kernel calls :func:`check_deadline` at its loop head:
   of the Menger walk, and once after the w-box of MFMC certification is
   decided;
 - ``polyhedra``: once per positive ray of each double-description step, once
-  per level of the threshold kernel (``_ThresholdSets``) and per row set it
-  builds below axis 0, once per row of the per-cell values (``_cell_values``)
-  and per coordinate sum of ``_minimal_rows``, once per shifted vector of the
-  packed k-fold levels (``_kfold_bits``), and at every node of the integer
-  packing search (``ilp_max_packing``);
+  per level of the threshold kernel (``_ThresholdSets``, for the verdicts
+  and for the listing reader ``_threshold_levels``) and per row set it
+  builds below axis 0, once per coordinate sum of ``_minimal_rows``, once
+  per shifted vector of the packed k-fold levels (``_kfold_bits``), and at
+  every node of the integer packing search (``ilp_max_packing``);
 - ``ideals``: once per sum of generators in ``power``;
 - ``certify``: between the normality and rounding checks of an ideal.
 

@@ -30,8 +30,9 @@ on a clutter instance with integral Q(A), whose vertex rows are the
 minimal covers in the same order, NTF and normality build them once.
 
 The symbolic powers and the minimal lattice points, which list their
-generators, read the per-cell values of the same rows
-(:func:`~clutterlab.polyhedra._cell_values`) and their minimal cells.
+generators, read the minimal cells of one threshold set of the same rows
+(:func:`~clutterlab.polyhedra._threshold_levels`), built uncached, so
+the sets kept for the verdicts stay.
 
 The size guard runs on every box before anything is built; a level past
 the guard raises only when no earlier level already decided the verdict.
@@ -51,12 +52,12 @@ from .polyhedra import (
     box_caps,
     integer_decomposition_check,
     minimal_lattice_points,
-    _cell_values,
     _check_box,
     _kfold_bits,
     _level_gap,
     _minimal_cells,
     _minimal_rows,
+    _threshold_levels,
     _vertex_inequalities,
 )
 from .structures import Clutter, json_int
@@ -170,7 +171,7 @@ def symbolic_power(c: Clutter, i: int) -> MonomialIdeal:
         raise ValueError("clutter must have at least one edge")
     caps = (i,) * c.n
     _check_box(caps)
-    return MonomialIdeal(c.n, _minimal_cells(caps, _cell_values(caps, _cover_matrix(c)), i))
+    return MonomialIdeal(c.n, _minimal_cells(caps, next(_threshold_levels(caps, _cover_matrix(c), i))))
 
 
 # ---------------------------------------------------------------------------

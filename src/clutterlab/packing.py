@@ -793,12 +793,15 @@ def menger_walk(
     of the whole box that agree with it there. The lexicographically
     first w that no box covers yet is the lowest bit outside the reached
     set (it is 0 off the component), and is the next seed. The boxes that
-    its max flow certifies, or else its fiber (:func:`_box_of`), get the
-    flow value, a later box overwriting an earlier one. Since every
-    maximal chain lies in one component, tau and nu of C^w add over them:
-    the value sets of the components are added by ANDing every pair of
-    sets, and the fibers of two components may meet, their gaps adding.
-    No w is seeded twice; the deadline is checked once per seed.
+    its max flow certifies, or else its fiber (:func:`_box_of`), give the
+    flow value to their w that no earlier box reached: the first box that
+    reaches a w decides it, so the value sets are disjoint as built. On a
+    correct kernel every box holding a w agrees there, since the max-flow
+    value at w is unique. Since every maximal chain lies in one component,
+    tau and nu of C^w add over them: the value sets of the components are
+    added by ANDing every pair of sets, and the fibers of two components
+    may meet, their gaps adding. No w is seeded twice; the deadline is
+    checked once per seed.
     """
     n, side = net.n, wmax + 1
     strides = [side ** (n - 1 - v) for v in range(n)]
@@ -823,7 +826,7 @@ def menger_walk(
             value, cap, cut = sub.max_flow(w)
             boxes, failure = _box_of(sub, edges, part, w, value, cap, cut, at_least)
             for cells in boxes.values():
-                values = {u: held & ~cells for u, held in values.items()}
+                cells &= ~reached
                 values[value] = values.get(value, 0) | cells
                 reached |= cells
             if failure is not None:

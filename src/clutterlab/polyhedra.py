@@ -37,15 +37,14 @@ verdicts (normality, NTF, integer decomposition, integer rounding) and the
 Koenig sweep of ``packing`` ask one question of the levels: does level k
 equal S_k, the cells where every row reaches k*unit? One kernel,
 :func:`_level_diffs`, answers it on the ints themselves, level by level,
-and it alone reads the threshold kernel (:func:`_threshold_sets`); the
-verdicts read its first difference (:func:`_level_gap`), the Koenig sweep
-all of them. The threshold sets are built per block of axis 0 from one
+and it alone reads the cached threshold sets (:func:`_threshold_sets`);
+the verdicts read its first difference (:func:`_level_gap`), the Koenig
+sweep all of them. The threshold sets are built per block of axis 0 from one
 recursion per row, never per cell. The checks of one instance that ask
 for the same rows on the same box share the sets (the kernel keeps the
-latest). A reader that renders a table or lists cells (the per-w
-rounding table, minimal points, the ``checked`` counts) reads the
-per-cell values of :func:`_cell_values` instead, a list per box that no
-verdict reads.
+latest). A reader that lists, counts or tabulates cells (minimal points,
+the ``checked`` counts, the per-w rounding table) reads the same sets,
+uncached, from :func:`_threshold_levels`, and compares no level.
 
 :func:`simplex_max` solves one LP and is kept as a test reference;
 :func:`ilp_max_packing` solves one integer packing, for the tests and the
@@ -497,37 +496,30 @@ def _threshold_sets(caps: Vector, rows: tuple[Vector, ...], unit: int) -> _Thres
     return _ThresholdSets(caps, rows, unit)
 
 
-def _cell_values(caps: Vector, rows: Sequence[Vector]) -> list[int]:
-    """min_t <rows[t], x> for every cell x of the box prod [0, caps_i], as
-    a list in C (lexicographic) order; rows is nonempty. Each row's form
-    is built as a list by outer sums over the axes, then folded into the
-    running minimum. A per-cell route: it serves the readers that render
-    or list cells (tables, minimal points, counts), never a bounded
-    verdict or a Koenig witness, which read packed sets
-    (:func:`_level_diffs`). The deadline is checked once per row."""
-    values: list[int] | None = None
-    for row in rows:
-        check_deadline()
-        form = [0]
-        for c, r in zip(caps, row):
-            steps = [r * t for t in range(c + 1)]
-            form = [a + b for a in form for b in steps]
-        values = form if values is None else list(map(min, values, form))
-    return values
+def _threshold_levels(caps: Vector, rows: Sequence[Vector], unit: int) -> Iterator[int]:
+    """S_1, S_2, ...: the cells of the box prod [0, caps_i] where every row
+    reaches k*unit (:class:`_ThresholdSets`), up to and including the
+    first empty one. The listing reader of the threshold kernel, for the
+    readers that list or count cells; it compares no level, and neither
+    caches nor keeps one, so :func:`_threshold_sets` keeps its sets."""
+    sets = _ThresholdSets(caps, rows, unit)
+    for k in itertools.count(1):
+        level = sets._build(k * unit)
+        yield level
+        if not level:
+            return
 
 
-def _minimal_cells(caps: Vector, values: Sequence[int], c: int) -> list[Vector]:
-    """Componentwise-minimal cells, in lex order, of the cells whose value
-    reaches c, given the values of the box prod [0, caps_i] in C order
-    (:func:`_cell_values`) and upward closed inside it. A cell x of the
-    set is minimal iff no x - e_i is in it: a y < x in the set lies below
-    some x - e_i, which is then in it by upward closure. On the packed
-    set that drops every bit that the set shifted up by e_i, kept where
-    x_i >= 1, reaches."""
+def _minimal_cells(caps: Vector, cells: int) -> list[Vector]:
+    """Componentwise-minimal cells, in lex order, of an upward-closed set
+    of cells of the box prod [0, caps_i], packed as one int in the layout
+    of :func:`_kfold_bits`. A cell x of the set is minimal iff no x - e_i
+    is in it: a y < x in the set lies below some x - e_i, which is then
+    in it by upward closure. So drop every bit that the set shifted up by
+    e_i, kept where x_i >= 1, reaches."""
     shape = [cap + 1 for cap in caps]
     strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
-    full = (1 << len(values)) - 1
-    cells = int("".join("1" if v >= c else "0" for v in reversed(values)) or "0", 2)
+    full = (1 << math.prod(shape)) - 1
     above = 0
     for stride, s in zip(strides, shape):
         above |= cells << stride & _at_least(1, stride, stride * s, full)
@@ -559,7 +551,7 @@ def minimal_lattice_points(a: IncidenceMatrix, k: int) -> list[Vector]:
     caps = box_caps(a, k)
     _check_box(caps)
     rows, den = _vertex_inequalities(a)
-    return _minimal_cells(caps, _cell_values(caps, rows), k * den)
+    return _minimal_cells(caps, next(_threshold_levels(caps, rows, k * den)))
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +622,10 @@ def _level_diffs(
     ``levels`` over the box prod [0, caps_i] against S_k, the cells x of
     that box with <r, x> >= k*unit for every row r
     (:func:`_threshold_sets`), the difference in the same layout. The one
-    reader of the threshold kernel. The scan ends after the last level or
-    after the first empty one, whose difference holds those of every later
-    level, so a lazy ``levels`` is drawn no further than the caller reads,
-    and S_k is built only for the levels drawn.
+    comparing reader of the threshold kernel. The scan ends after the last
+    level or after the first empty one, whose difference holds those of
+    every later level, so a lazy ``levels`` is drawn no further than the
+    caller reads, and S_k is built only for the levels drawn.
 
     The four bounded verdicts are this comparison (:func:`_level_gap`):
     the closure of I^k (vertex rows of Q(A), unit D) against I^k; I^(i)
@@ -739,8 +731,8 @@ def integer_decomposition_check(a: IncidenceMatrix, kmax: int) -> Certificate:
     decomposition through m. Membership in k*B(Q) is the threshold set
     of the vertex inequalities at k*D over the kmax-box, compared level by
     level (:func:`_level_gap`). ``checked`` counts the lattice points of
-    k*B(Q) in each level's own box, up to the first failing level, from
-    the cell values of that box (:func:`_cell_values`).
+    k*B(Q) in each level's own box, up to the first failing level: the
+    bits of S_1 at unit k*D on that box (:func:`_threshold_levels`).
     """
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
@@ -750,7 +742,7 @@ def integer_decomposition_check(a: IncidenceMatrix, kmax: int) -> Certificate:
     gap = _level_gap(_kfold_bits(minimal_lattice_points(a, 1), caps, kmax), caps, rows, den)
     last = kmax if gap is None else gap[0]
     checked = {
-        str(k): sum(v >= k * den for v in _cell_values(box_caps(a, k), rows))
+        str(k): next(_threshold_levels(box_caps(a, k), rows, k * den)).bit_count()
         for k in range(1, last + 1)
     }
     return Certificate(
@@ -812,16 +804,18 @@ def integer_rounding_check(a: IncidenceMatrix, wmax: int) -> Certificate:
     The whole box is priced at once and rendered as one entry per w. The
     LP value: by LP duality, max{<y,1> : Ay <= w, y >= 0} = min{<w,x> :
     x in Q(A)}, and since w >= 0 and Q(A) is pointed with recession cone
-    R^n_+, the minimum is attained at a vertex ell_t of Q(A); the cell
-    values of the vertex inequalities (:func:`_cell_values`) give D times
-    it for every w. The integer value is :func:`packing_numbers` of the
-    columns over the box. :func:`integer_rounding_holds` decides the same
+    R^n_+, the minimum is attained at a vertex ell_t of Q(A), so D times
+    it is the largest k with w in S_k, the threshold set of the vertex
+    inequalities at unit 1 (:func:`_threshold_levels`), read for every w
+    by the decoder of :func:`packing_numbers`. The integer value is
+    :func:`packing_numbers` of the columns over the box. :func:`integer_rounding_holds` decides the same
     verdict without rendering it. The box is guarded before anything is
     built.
     """
     caps = _rounding_box(a, wmax)
     rows, den = _vertex_inequalities(a)
-    lp_num = _cell_values(caps, rows)
+    size = math.prod(c + 1 for c in caps)
+    lp_num = _cell_list(_value_sets(_threshold_levels(caps, rows, 1), (1 << size) - 1), size)
     ilp = packing_numbers(a.columns, caps)
     weights = itertools.product(range(wmax + 1), repeat=a.n)
     per_w = []

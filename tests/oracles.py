@@ -4,7 +4,8 @@ These deliberately recompute results by exhaustive enumeration, without
 touching the library's algorithms, so frozen expected values and property
 tests do not share a code path with what they check. The one exception,
 :func:`reference_sweep_numbers`, lists the Koenig numbers of a whole w-box
-from per-cell routes of the library that are themselves checked here.
+from :func:`_cell_values` and the library's ``packing_numbers``, both
+checked against brute force in ``test_polyhedra``.
 """
 
 from __future__ import annotations
@@ -268,19 +269,34 @@ def brute_packing_numbers(vectors, caps) -> dict[tuple[int, ...], int]:
     return best
 
 
+def _cell_values(caps, rows) -> list[int]:
+    """min_t <rows[t], x> for every cell x of the box prod [0, caps_i], as
+    a list in C (lexicographic) order; rows is nonempty. Each row's form
+    is built as a list by outer sums over the axes, then folded into the
+    running minimum: the per-cell reference for the threshold sets of
+    ``polyhedra``, whose S_k is the cells of value >= k*unit."""
+    values = None
+    for row in rows:
+        form = [0]
+        for c, r in zip(caps, row):
+            steps = [r * t for t in range(c + 1)]
+            form = [a + b for a in form for b in steps]
+        values = form if values is None else list(map(min, values, form))
+    return values
+
+
 def reference_sweep_numbers(c, wmax: int) -> tuple[list[int], list[int]]:
     """alpha0(C^w) and beta1(C^w) for every w in {0..wmax}^n, as two lists
     in lexicographic w order: the per-w reference for the packed Koenig
-    sweep. alpha0 is ``polyhedra._cell_values`` of the 0/1 rows of
+    sweep. alpha0 is :func:`_cell_values` of the 0/1 rows of
     :func:`brute_minimal_covers`, beta1 ``polyhedra.packing_numbers`` of
-    the edge rows; both per-cell routes are checked against brute force
-    in ``test_polyhedra``, and neither reads the threshold kernel."""
+    the edge rows; neither reads the threshold kernel."""
     from clutterlab import polyhedra
 
     caps = (wmax,) * c.n
     covers = [tuple(int(v in cov) for v in range(c.n)) for cov in brute_minimal_covers(c.n, c.edges)]
     edges = [tuple(int(v in e) for v in range(c.n)) for e in c.edges]
-    return polyhedra._cell_values(caps, covers), polyhedra.packing_numbers(edges, caps)
+    return _cell_values(caps, covers), polyhedra.packing_numbers(edges, caps)
 
 
 def reference_dd_extreme_rays(dim: int, cuts) -> list[tuple[int, ...]]:

@@ -20,7 +20,9 @@ from pathlib import Path
 import pytest
 
 import clutterlab
-from clutterlab import MonomialIdeal, certify, complete_admissible_uniform_clutter, ideals, packing, polyhedra
+from clutterlab import (
+    MonomialIdeal, cauc_poset, certify, complete_admissible_uniform_clutter, ideals, packing, polyhedra,
+)
 from clutterlab.certify import (
     _KINDS,
     Bounds,
@@ -38,7 +40,7 @@ from clutterlab.guards import ConsistencyError, Deadline, ResourceGuardError
 from clutterlab.packing import HasseNetwork, _cover_matrix, menger_check
 from clutterlab.structures import Clutter, Graph, Poset, clique_clutter, comparability_graph
 
-from oracles import reference_sweep_numbers
+from oracles import _cell_values, reference_sweep_numbers
 
 HERE = Path(__file__).parent
 
@@ -160,9 +162,9 @@ def test_certify_builds_no_normality_explanation_it_does_not_render(monkeypatch,
 
 def test_an_ideal_instance_unpacks_no_power_level(monkeypatch, two_squares):
     # normality and rounding are decided on packed levels: on the ideals
-    # golden no value is listed per cell and no packing number is counted
+    # golden no threshold set is listed and no packing number is counted
     calls = []
-    for name in ("_cell_values", "packing_numbers"):
+    for name in ("_threshold_levels", "packing_numbers"):
         honest = getattr(polyhedra, name)
         monkeypatch.setattr(polyhedra, name,
                             lambda *args, name=name, honest=honest: calls.append(name) or honest(*args))
@@ -174,7 +176,7 @@ def test_an_ideal_instance_unpacks_no_power_level(monkeypatch, two_squares):
     assert calls == []
     # the counters see the routes that render per-cell tables
     polyhedra.integer_rounding_check(two_squares.matrix(), 2)
-    assert sorted(set(calls)) == ["_cell_values", "packing_numbers"]
+    assert sorted(set(calls)) == ["_threshold_levels", "packing_numbers"]
 
 
 def test_rounding_compares_a_cold_narrow_box_with_a_wider_denominator(monkeypatch):
@@ -185,7 +187,7 @@ def test_rounding_compares_a_cold_narrow_box_with_a_wider_denominator(monkeypatc
     monkeypatch.setattr(certify, "normality_gap", lambda ideal, kmax: None)
     polyhedra._threshold_sets.cache_clear()
     rows, den = polyhedra._vertex_inequalities(ideal.matrix())
-    lp = polyhedra._cell_values((3,), rows)
+    lp = _cell_values((3,), rows)
     nu = polyhedra.packing_numbers(ideal.matrix().columns, (3,))
     assert (den, lp, nu) == (200, [0, 1, 2, 3], [0, 0, 0, 0])
     rec = check_ideal_instance(ideal, Bounds())
@@ -897,6 +899,17 @@ def test_sweep_box_guard_fires_before_the_walk_builds_anything(monkeypatch):
     monkeypatch.setattr("clutterlab.polyhedra._ThresholdSets", unreachable)
     with pytest.raises(ResourceGuardError, match="sweep box size = 16777216"):
         comparability_mfmc_check(chain, cl, 3)
+
+
+def test_a_poset_past_the_lattice_box_guard_is_skipped_before_the_walk(monkeypatch):
+    # cauc_poset(2,6) has n = 12, so its [0,3]^12 NTF box trips the guard;
+    # the edge-ideal checks run first, so the walk is never reached
+    def unreachable(*args):
+        raise AssertionError("the walk was reached")
+
+    monkeypatch.setattr(certify, "comparability_mfmc_check", unreachable)
+    with pytest.raises(ResourceGuardError, match=r"^lattice box size = 16777216 exceeds guard limit"):
+        certify.check_poset_instance(cauc_poset(2, 6), Bounds(kmax=3, imax=3, wmax=2))
 
 
 def test_deadline_stops_the_walk_and_certify_skips_the_poset(monkeypatch, clock):

@@ -13,10 +13,10 @@ from clutterlab.ideals import power
 from clutterlab.packing import HasseNetwork, minimal_vertex_covers
 from clutterlab.polyhedra import (
     IncidenceMatrix,
-    _cell_values,
     _dd_extreme_rays,
     _kfold_bits,
     _minimal_rows,
+    _threshold_levels,
     _ThresholdSets,
     ilp_max_packing,
 )
@@ -90,13 +90,13 @@ def test_with_installs_the_budget_until_the_block_ends(clock):
         lambda: power.__wrapped__(MonomialIdeal(2, [(1, 0), (0, 1)]), 2),
         lambda: ilp_max_packing(IncidenceMatrix(2, [(1, 1)]), (1, 1)),
         lambda: _ThresholdSets((1, 1), [(1, 0)], 1)[1],
-        lambda: _cell_values((1, 1), [(1, 0)]),
+        lambda: next(_threshold_levels((1, 1), [(1, 0)], 1)),
         lambda: _minimal_rows([(1, 0), (0, 1)]),
     ],
     ids=[
         "_dd_extreme_rays", "minimal_vertex_covers", "_kfold_bits", "maximal_cliques",
         "HasseNetwork.chains", "parallelize_masks", "power", "ilp_max_packing", "_threshold_sets",
-        "_cell_values", "_minimal_rows",
+        "_threshold_levels", "_minimal_rows",
     ],
 )
 def test_exponential_kernels_check_the_installed_budget(clock, kernel):

@@ -11,6 +11,7 @@ import pytest
 from clutterlab import (
     Clutter,
     Deadline,
+    cauc_poset,
     IncidenceMatrix,
     Poset,
     ResourceGuardError,
@@ -440,8 +441,6 @@ def test_diamond_flow(diamond_poset):
 
 
 def test_cauc22_two_disjoint_paths():
-    from clutterlab import cauc_poset
-
     cert = menger_oracle(cauc_poset(2, 2), (1, 1, 1, 1))
     assert cert.beta1 == 2 and cert.alpha0 == 2
 
@@ -590,6 +589,52 @@ def test_walk_matches_fresh_max_flow_on_a_disconnected_poset():
     # the component arrays add up to the whole poset's; its boxes are
     # checked at wmax 3 below
     _assert_walk_matches_fresh_flows(_disconnected_poset(), 2)
+
+
+def _cut_drops_least(monkeypatch):
+    # the pair fails max-flow = min-cut at most seeds: their fibers fail
+    honest = HasseNetwork._cut
+    monkeypatch.setattr(HasseNetwork, "_cut", lambda self, via: (cut := honest(self, via)) & (cut - 1))
+
+
+def _boxes_claim_the_top_w(monkeypatch):
+    # a box kernel fault: every certified box also claims the w with all
+    # weights wmax, so boxes of different values meet there
+    honest = packing._box_of
+
+    def claiming(net, edges, part, w, value, cap, cut, at_least):
+        boxes, failure = honest(net, edges, part, w, value, cap, cut, at_least)
+        top = functools.reduce(operator.and_, (row[-2] for row in at_least))
+        return ({k: cells | top for k, cells in boxes.items()} if failure is None else boxes), failure
+
+    monkeypatch.setattr(packing, "_box_of", claiming)
+
+
+@pytest.mark.parametrize("poset, wmax", [("cauc(2,3)", 3), ("diamond", 3), ("disconnected", 2)])
+@pytest.mark.parametrize("plant", [None, _cut_drops_least, _boxes_claim_the_top_w],
+                         ids=["honest", "cut-drops-least", "boxes-claim-the-top-w"])
+def test_each_component_walk_hands_over_a_partition_of_the_box(monkeypatch, request, poset, wmax, plant):
+    # the first box that reaches a w decides it: the value sets that each
+    # component's walk hands to _add_values are pairwise disjoint and their
+    # union is the whole box, whatever the boxes claim; so are the summed
+    # flow sets. The top w goes to the first box of each component, the
+    # box of the seed w = 0, of flow value 0.
+    if plant:
+        plant(monkeypatch)
+    honest_add, handed = packing._add_values, []
+    monkeypatch.setattr(packing, "_add_values", lambda a, b: handed.append(b) or honest_add(a, b))
+    p = {"cauc(2,3)": lambda: cauc_poset(2, 3), "diamond": lambda: request.getfixturevalue("diamond_poset"),
+         "disconnected": _disconnected_poset}[poset]()
+    cl = clique_clutter(comparability_graph(p))
+    flows, failures = menger_walk(HasseNetwork.of(p), cl.edge_masks, wmax)
+    assert bool(failures) == (plant is _cut_drops_least)
+    full = (1 << (wmax + 1) ** p.n) - 1
+    assert len(handed) == len(packing._components(HasseNetwork.of(p), cl.edge_masks))
+    for sets in handed + [flows]:
+        assert sum(cells.bit_count() for cells in sets.values()) == full.bit_count()
+        assert functools.reduce(operator.or_, sets.values()) == full
+    if plant is _boxes_claim_the_top_w:
+        assert flows[0] >> full.bit_length() - 1 == 1
 
 
 def test_components_join_the_vertices_of_an_edge():

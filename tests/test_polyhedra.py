@@ -24,6 +24,7 @@ from clutterlab import (
 )
 from clutterlab import polyhedra
 from clutterlab.certify import random_clutters, random_ideals, random_posets
+from clutterlab.ideals import symbolic_power
 from clutterlab.guards import ConsistencyError, ResourceGuardError
 from clutterlab.polyhedra import (
     RationalPolyhedron,
@@ -46,8 +47,10 @@ from clutterlab.structures import (
 )
 
 from oracles import (
+    _cell_values,
     brute_decompose,
     brute_idp_holds,
+    brute_minimal_covers,
     brute_kfold_sums,
     brute_lattice_points_of_scaled_blocker,
     brute_packing_numbers,
@@ -410,7 +413,7 @@ def test_box_min_matches_brute_minimum():
             rows.append((0,) * n)
         cases.append((tuple(caps), rows))
     for caps, rows in cases:
-        assert polyhedra._cell_values(caps, rows) == _brute_values(caps, rows), (caps, rows)
+        assert _cell_values(caps, rows) == _brute_values(caps, rows), (caps, rows)
 
 
 def _narrowest_signed(bound):
@@ -438,12 +441,12 @@ def _narrowest_signed(bound):
     ],
 )
 def test_box_min_dtype_is_the_narrowest_holding_the_bound(caps, rows, dtype):
-    # the per-cell values are Python ints, exact at any size; each box sits
-    # at the edge of a signed width, where a value array narrowed to the
-    # width below would wrap
+    # the per-cell values of the oracle are Python ints, exact at any size;
+    # each box sits at the edge of a signed width, where a value array
+    # narrowed to the width below would wrap
     bound = max(max(sum(c * abs(r) for c, r in zip(caps, row)), *map(abs, row)) for row in rows)
     assert _narrowest_signed(bound) == dtype
-    got = polyhedra._cell_values(caps, rows)
+    got = _cell_values(caps, rows)
     assert all(type(v) is int for v in got)
     assert got == _brute_values(caps, rows)
 
@@ -456,7 +459,52 @@ def test_minimal_cells_of_an_up_set_match_brute_force():
             upset = {x for x, v in zip(box, values) if v >= c}
             expected = [x for x in box if x in upset
                         and not any(y != x and y in upset and all(map(operator.le, y, x)) for y in box)]
-            assert polyhedra._minimal_cells(caps, values, c) == expected, (caps, rows, c)
+            cells = sum(1 << i for i, v in enumerate(values) if v >= c)
+            assert polyhedra._minimal_cells(caps, cells) == expected, (caps, rows, c)
+
+
+def _minimal_reaching(caps, rows, c):
+    """The minimal cells, in lex order, of the box where the oracle's value
+    reaches c. The rows are nonnegative, so that set is upward closed and
+    x in it is minimal iff no x - e_i is in it."""
+    box = itertools.product(*(range(cap + 1) for cap in caps))
+    upset = {x for x, v in zip(box, _cell_values(caps, rows)) if v >= c}
+    return sorted(x for x in upset if not any(
+        tuple(y - (j == i) for j, y in enumerate(x)) in upset for i in range(len(x))))
+
+
+def test_the_listing_readers_match_the_per_cell_oracle():
+    # every reader that lists or counts cells reads the threshold sets of
+    # _threshold_levels, S_1, S_2, ... up to the first empty one; the
+    # oracle lists min_r <r, x> for every cell. The decision cases hold
+    # D = 200 and a variable in no generator, a cap-0 axis of the box.
+    for caps, rows in _threshold_cases():
+        values = _cell_values(caps, rows)
+        for unit in (1, 2, 7):
+            levels = list(polyhedra._threshold_levels(caps, rows, unit))
+            assert levels[-1] == 0 and all(levels[:-1]), (caps, rows, unit)
+            assert levels == [sum(1 << i for i, v in enumerate(values) if v >= k * unit)
+                              for k in range(1, len(levels) + 1)], (caps, rows, unit)
+            assert polyhedra._minimal_cells(caps, levels[0]) == _minimal_reaching(caps, rows, unit)
+    for a in _rounding_decision_cases():
+        rows, den = _vertex_inequalities(a)
+        for k in (1, 2):
+            assert minimal_lattice_points(a, k) == _minimal_reaching(box_caps(a, k), rows, k * den), (a, k)
+        checked = integer_decomposition_check(a, 3).details["checked"]
+        assert checked == {
+            str(k): sum(v >= k * den for v in _cell_values(box_caps(a, k), rows))
+            for k in range(1, len(checked) + 1)
+        }, a
+        for wmax in (1, 2, 3) if a.n <= 4 else (1, 2):
+            per_w = integer_rounding_check(a, wmax).details["per_w"]
+            assert [(e["lp"], e["floor"]) for e in per_w] == [
+                (format_rational(Fraction(v, den)), v // den) for v in _cell_values((wmax,) * a.n, rows)
+            ], (a, wmax)
+        if all(x <= 1 for col in a.columns for x in col):
+            c = Clutter(a.n, [[i for i, x in enumerate(col) if x] for col in a.columns])
+            covers = [tuple(int(v in cov) for v in range(c.n)) for cov in brute_minimal_covers(c.n, c.edges)]
+            for i in (1, 2, 3):
+                assert list(symbolic_power(c, i).generators) == _minimal_reaching((i,) * c.n, covers, i)
 
 
 @pytest.mark.parametrize("caps", [(3,), (2, 3), (3, 0, 2), (1, 1, 1, 1), (0, 0), (4, 2, 3)])
@@ -805,7 +853,7 @@ def test_rounding_box_guard_fires_before_allocating(monkeypatch):
         raise AssertionError("built before the guard")
 
     monkeypatch.setattr(polyhedra, "_ThresholdSets", unreachable)
-    monkeypatch.setattr(polyhedra, "_cell_values", unreachable)
+    monkeypatch.setattr(polyhedra, "_threshold_levels", unreachable)
     monkeypatch.setattr(polyhedra, "_vertex_inequalities", unreachable)
     big = IncidenceMatrix(12, [(1,) * 12])
     with pytest.raises(ResourceGuardError, match="rounding box size"):
@@ -914,7 +962,7 @@ def test_lattice_box_guard_fires_before_double_description(monkeypatch):
         raise AssertionError("built before the guard")
 
     monkeypatch.setattr(polyhedra, "_ThresholdSets", unreachable)
-    monkeypatch.setattr(polyhedra, "_cell_values", unreachable)
+    monkeypatch.setattr(polyhedra, "_threshold_levels", unreachable)
     monkeypatch.setattr(polyhedra, "_vertex_inequalities", unreachable)
     big = IncidenceMatrix(8, [(9,) * 8])
     with pytest.raises(ResourceGuardError, match="lattice box size = 100000000 "):
