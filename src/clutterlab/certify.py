@@ -20,10 +20,9 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple
 
-from .guards import ConsistencyError, ResourceGuardError, check_deadline, restart_deadline
+from .guards import ConsistencyError, ResourceGuardError, Value, check_deadline, restart_deadline
 from .ideals import MonomialIdeal, edge_ideal, is_normal_up_to, is_ntf_up_to, normality_gap
 from .packing import HasseNetwork, chain_order, konig_numbers, menger_walk, mfmc_bounded, sweep_levels
 from .polyhedra import integer_rounding_check, integer_rounding_holds, is_integral, q_vertices
@@ -41,15 +40,15 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class Bounds:
-    kmax: int = 3
-    imax: int = 3
-    wmax: int = 3
+class Bounds(Value):
+    kmax: int
+    imax: int
+    wmax: int
 
-    def __post_init__(self):
-        if min(self.kmax, self.imax, self.wmax) < 1:
+    def __init__(self, kmax: int = 3, imax: int = 3, wmax: int = 3):
+        if min(kmax, imax, wmax) < 1:
             raise ValueError("bounds must be >= 1")
+        self._set(kmax, imax, wmax)
 
     def to_json(self) -> dict[str, int]:
         return {"kmax": self.kmax, "imax": self.imax, "wmax": self.wmax}
@@ -201,8 +200,7 @@ _GENERATED = {
 _KINDS = (*_GENERATED, "explicit")
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Value):
     """Instance source for the theorem suite: a generated kind of
     :data:`_GENERATED`, seeded and reproducible, or ``explicit`` instances
     read from the JSON file at ``path``. ``n``/``q``/``maxedges`` act as
@@ -211,22 +209,24 @@ class Corpus:
     does not read is refused, so a report names no unused value."""
 
     kind: str
-    n: int | None = None
-    count: int | None = None
-    seed: int | None = None
-    q: int | None = None
-    maxexp: int | None = None
-    maxedges: int | None = None
-    path: str | None = None
+    n: int | None
+    count: int | None
+    seed: int | None
+    q: int | None
+    maxexp: int | None
+    maxedges: int | None
+    path: str | None
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown corpus kind {self.kind!r}; expected one of {_KINDS}")
-        for f in fields(self):
-            val = getattr(self, f.name)
-            want = str if f.name in ("kind", "path") else int
+    def __init__(self, kind: str, n: int | None = None, count: int | None = None,
+                 seed: int | None = None, q: int | None = None, maxexp: int | None = None,
+                 maxedges: int | None = None, path: str | None = None):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown corpus kind {kind!r}; expected one of {_KINDS}")
+        self._set(kind, n, count, seed, q, maxexp, maxedges, path)
+        for name, val in zip(self._fields, self._values):
+            want = str if name in ("kind", "path") else int
             if val is not None and (isinstance(val, bool) or not isinstance(val, want)):
-                raise ValueError(f"corpus parameter {f.name!r} must be {want.__name__}, got {val!r}")
+                raise ValueError(f"corpus parameter {name!r} must be {want.__name__}, got {val!r}")
         self._refuse_unread(self.to_json())
 
     def _refuse_unread(self, keys) -> None:
@@ -236,11 +236,11 @@ class Corpus:
             raise ValueError(f"corpus kind {self.kind!r} does not read {', '.join(map(repr, unread))}")
 
     def to_json(self) -> dict[str, Any]:
-        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
+        return {name: v for name, v in zip(self._fields, self._values) if v is not None}
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "Corpus":
-        corpus = cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
+        corpus = cls(**{name: doc[name] for name in cls._fields if name in doc})
         corpus._refuse_unread(doc)
         return corpus
 
@@ -519,14 +519,35 @@ def _record(kind: str, values: dict[str, bool], parts: dict[str, Any]) -> dict[s
 # ---------------------------------------------------------------------------
 # Report
 
-@dataclass
-class Report:
+class Report(Value):
+    """The outcome of a theorem-suite run. The one mutable value class:
+    its fields may be reassigned, so it compares by its current fields
+    and is unhashable."""
+
     corpus: dict[str, Any]
     bounds: dict[str, int]
     instances: list[dict[str, Any]]
     skipped: list[dict[str, Any]]
     counterexamples: list[dict[str, Any]]
-    elapsed_s: float = 0.0
+    elapsed_s: float
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, corpus: dict[str, Any], bounds: dict[str, int], instances: list[dict[str, Any]],
+                 skipped: list[dict[str, Any]], counterexamples: list[dict[str, Any]],
+                 elapsed_s: float = 0.0):
+        self.corpus = corpus
+        self.bounds = bounds
+        self.instances = instances
+        self.skipped = skipped
+        self.counterexamples = counterexamples
+        self.elapsed_s = elapsed_s
+
+    @property
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
     @property
     def aggregate(self) -> str:

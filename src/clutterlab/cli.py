@@ -38,7 +38,6 @@ a number >= 0 is malformed input: exit 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -227,7 +226,7 @@ def _certify(_, args) -> Report:
     else:
         corpus = _read(args.input, _as_corpus)
     if args.seed is not None:
-        corpus = dataclasses.replace(corpus, seed=args.seed)
+        corpus = corpus.replace(seed=args.seed)
     return run_theorem_suite(corpus, Bounds(kmax=args.kmax, imax=args.imax, wmax=args.wmax))
 
 

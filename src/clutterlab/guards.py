@@ -33,6 +33,10 @@ Two internal routes that disagree raise :class:`ConsistencyError`, which the
 CLI maps to exit code 4; the certify engine records such a disagreement as
 a failure of its instance, with the error in the witness, instead of
 raising.
+
+This lowest module also holds :class:`Value`, the base of the package's
+value classes (graphs, clutters, matrices, ideals, certificates, bounds,
+corpora and reports).
 """
 
 from __future__ import annotations
@@ -48,6 +52,57 @@ GUARD_ENV_VAR = "CLUTTERLAB_GUARD_MS"
 MAX_GRID_POINTS = 4_000_000
 MAX_DD_RAYS = 200_000
 MAX_COVER_SUBSETS = 1 << 22
+
+
+class Value:
+    """Immutable value: its fields are the names annotated in the class
+    body, in order, after those of its value base classes. Instances
+    compare equal (and hash alike) when they are of the same class with
+    equal fields; the repr is that of a dataclass.
+
+    A constructor validates its arguments and stores the fields once with
+    :meth:`_set`, which also keeps them as the tuple ``_values`` that
+    equality and hashing read; assigning or deleting an attribute raises
+    ``AttributeError``. ``functools.cached_property`` still works, since it
+    writes the instance dict directly. Unlike ``@dataclass``, nothing is
+    generated or compiled when a class is created.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _set(self, *values) -> None:
+        # object.__setattr__, not the instance dict: the attributes stay in
+        # the compact per-class layout, where reading them is fastest
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)
+
+    def replace(self, **changes) -> "Value":
+        """A copy with the given fields changed, built by the constructor,
+        so the changed fields are validated as in any new instance."""
+        return type(self)(**{**dict(zip(self._fields, self._values)), **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ResourceGuardError(RuntimeError):

@@ -41,11 +41,10 @@ the guard raises only when no earlier level already decided the verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any, Callable, Iterable, Sequence
 
-from .guards import ResourceGuardError, check_deadline
+from .guards import ResourceGuardError, Value, check_deadline
 from .packing import _cover_matrix
 from .polyhedra import (
     IncidenceMatrix,
@@ -66,8 +65,7 @@ from .verdicts import NormalityVerdict
 ExponentVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Value):
     """Monomial ideal given by its unique minimal generating set.
 
     The constructor canonicalizes: dominated generators are dropped,
@@ -95,8 +93,7 @@ class MonomialIdeal:
             g for g in gens
             if not any(h != g and dominates(g, h) for h in gens)
         ]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "generators", tuple(sorted(set(minimal))))
+        self._set(n, tuple(sorted(set(minimal))))
 
     @property
     def q(self) -> int:

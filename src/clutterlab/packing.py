@@ -43,11 +43,10 @@ of a failed sweep, and check the ambient deadline
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Any, Iterable, Iterator, Sequence
 
-from .guards import ConsistencyError, check_deadline, check_size, MAX_COVER_SUBSETS
+from .guards import ConsistencyError, Value, check_deadline, check_size, MAX_COVER_SUBSETS
 from .polyhedra import (
     IncidenceMatrix,
     format_rational,
@@ -75,8 +74,7 @@ from .structures import (
 from .verdicts import Certificate
 
 
-@dataclass(frozen=True)
-class KonigCertificate:
+class KonigCertificate(Value):
     """Optimal cover and matching with their sizes; holds iff they agree.
     The cover is a sorted vertex tuple, the matching a tuple of edges."""
 
@@ -84,6 +82,10 @@ class KonigCertificate:
     beta1: int
     cover: tuple[int, ...]
     matching: tuple[tuple[int, ...], ...]
+
+    def __init__(self, alpha0: int, beta1: int, cover: tuple[int, ...],
+                 matching: tuple[tuple[int, ...], ...]):
+        self._set(alpha0, beta1, cover, matching)
 
     @property
     def holds(self) -> bool:
@@ -435,8 +437,7 @@ def gray_steps(n: int, wmax: int) -> Iterator[tuple[int, int]]:
         yield v, d[v]
 
 
-@dataclass(frozen=True)
-class HasseNetwork:
+class HasseNetwork(Value):
     """Hasse diagram of a poset as an s-t network with vertex capacities.
 
     Arcs are the cover pairs x < y with nothing strictly between; the
@@ -460,6 +461,10 @@ class HasseNetwork:
     arcs: tuple[tuple[int, int], ...]
     sources: tuple[int, ...]
     sinks: tuple[int, ...]
+
+    def __init__(self, n: int, arcs: tuple[tuple[int, int], ...], sources: tuple[int, ...],
+                 sinks: tuple[int, ...]):
+        self._set(n, arcs, sources, sinks)
 
     @classmethod
     def of(cls, p: Poset) -> "HasseNetwork":

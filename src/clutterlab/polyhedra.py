@@ -56,12 +56,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .guards import MAX_DD_RAYS, MAX_GRID_POINTS, ConsistencyError, check_deadline, check_size
+from .guards import MAX_DD_RAYS, MAX_GRID_POINTS, ConsistencyError, Value, check_deadline, check_size
 from .structures import _bits, json_int
 from .verdicts import Certificate
 
@@ -79,8 +78,7 @@ def format_rational(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # Matrices and H-polyhedra
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(Value):
     """n x q nonnegative integer matrix, stored column-wise.
 
     For a clutter, column j is the 0/1 characteristic vector of edge j; for
@@ -103,8 +101,7 @@ class IncidenceMatrix:
             cols.append(v)
         if not cols:
             raise ValueError("matrix needs at least one column")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "columns", tuple(cols))
+        self._set(n, tuple(cols))
 
     @property
     def q(self) -> int:
@@ -125,8 +122,7 @@ class IncidenceMatrix:
         return cls(json_int(doc["n"]), [[json_int(x) for x in col] for col in doc["columns"]])
 
 
-@dataclass(frozen=True)
-class RationalPolyhedron:
+class RationalPolyhedron(Value):
     """H-polyhedron {x in R^n : x >= 0, M x >= b} over exact rationals."""
 
     n: int
@@ -140,9 +136,7 @@ class RationalPolyhedron:
             raise ValueError("constraint row has wrong dimension")
         if len(b) != len(rws):
             raise ValueError("rhs length does not match row count")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rws)
-        object.__setattr__(self, "rhs", b)
+        self._set(n, rws, b)
 
     def contains(self, x: Sequence) -> bool:
         xs = [Fraction(v) for v in x]

@@ -18,11 +18,10 @@ choice; size-1 edges are ordinary clutter edges everywhere downstream).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Sequence
 
-from .guards import check_deadline
+from .guards import Value, check_deadline
 
 Weights = tuple[int, ...]
 
@@ -65,8 +64,7 @@ def _check_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Graph
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """Simple undirected graph: no loops, no parallel edges."""
 
     n: int
@@ -84,9 +82,7 @@ class Graph:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge {(i, j)} out of range for n={n}")
             norm.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "labels", _check_labels(n, labels))
+        self._set(n, frozenset(norm), _check_labels(n, labels))
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
@@ -155,8 +151,7 @@ def transitive_closure(n: int, relation: Iterable[Sequence[int]]) -> frozenset[t
     )
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(Value):
     """Strict partial order as an explicit relation.
 
     The constructor validates rather than repairs: it rejects reflexive
@@ -192,9 +187,7 @@ class Poset:
                 raise ValueError(
                     f"relation is not transitively closed: {(a, b)},{(b, d)} without {(a, d)}"
                 )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "relation", frozenset(rel))
-        object.__setattr__(self, "labels", _check_labels(n, labels))
+        self._set(n, frozenset(rel), _check_labels(n, labels))
 
     @cached_property
     def successors(self) -> tuple[int, ...]:
@@ -228,8 +221,7 @@ class Poset:
 # ---------------------------------------------------------------------------
 # Clutter
 
-@dataclass(frozen=True)
-class Clutter:
+class Clutter(Value):
     """Antichain of vertex subsets.
 
     Invariants enforced on construction: edges nonempty, in range,
@@ -259,9 +251,7 @@ class Clutter:
             ea, eb = set(norm[a]), set(norm[b])
             if ea <= eb or eb <= ea:
                 raise ValueError(f"edges {norm[a]} and {norm[b]} violate inclusion-minimality")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "labels", _check_labels(n, labels))
+        self._set(n, tuple(norm), _check_labels(n, labels))
 
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:

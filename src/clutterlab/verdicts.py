@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
+from .guards import Value
 
-@dataclass(frozen=True)
-class Certificate:
+
+class Certificate(Value):
     """Verdict for a bounded property check.
 
     ``verdict`` is a short stable string ("holds", "fails",
@@ -20,9 +20,13 @@ class Certificate:
     prop: str
     verdict: str
     holds: bool
-    bound: int | None = None
-    witness: dict[str, Any] | None = None
-    details: dict[str, Any] = field(default_factory=dict)
+    bound: int | None
+    witness: dict[str, Any] | None
+    details: dict[str, Any]
+
+    def __init__(self, prop: str, verdict: str, holds: bool, bound: int | None = None,
+                 witness: dict[str, Any] | None = None, details: dict[str, Any] | None = None):
+        self._set(prop, verdict, holds, bound, witness, {} if details is None else details)
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {"property": self.prop, "verdict": self.verdict}
@@ -35,8 +39,7 @@ class Certificate:
         return out
 
 
-@dataclass(frozen=True)
-class NormalityVerdict:
+class NormalityVerdict(Value):
     """Outcome of a bounded normality / torsion-freeness check.
 
     kind is one of "normal-up-to", "not-normal", "ntf-up-to", "not-ntf".
@@ -47,19 +50,21 @@ class NormalityVerdict:
 
     kind: str
     bound: int
-    witness: tuple[int, ...] | None = None
-    explanation: dict[str, Any] | None = None
+    witness: tuple[int, ...] | None
+    explanation: dict[str, Any] | None
 
     POSITIVE_KINDS = ("normal-up-to", "ntf-up-to")
 
-    def __post_init__(self):
-        if self.kind not in ("normal-up-to", "not-normal", "ntf-up-to", "not-ntf"):
-            raise ValueError(f"unknown verdict kind {self.kind!r}")
-        negative = self.kind in ("not-normal", "not-ntf")
-        if negative and self.witness is None:
+    def __init__(self, kind: str, bound: int, witness: tuple[int, ...] | None = None,
+                 explanation: dict[str, Any] | None = None):
+        if kind not in ("normal-up-to", "not-normal", "ntf-up-to", "not-ntf"):
+            raise ValueError(f"unknown verdict kind {kind!r}")
+        negative = kind in ("not-normal", "not-ntf")
+        if negative and witness is None:
             raise ValueError("negative verdict requires a witness")
-        if not negative and self.witness is not None:
+        if not negative and witness is not None:
             raise ValueError("positive verdict must not carry a witness")
+        self._set(kind, bound, witness, explanation)
 
     @property
     def holds(self) -> bool:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import sys
 from pathlib import Path
@@ -74,7 +73,7 @@ def broken_hasse_network(monkeypatch):
 
     def broken(cls, p):
         net = honest(cls, p)
-        return dataclasses.replace(net, arcs=net.arcs[1:])
+        return net.replace(arcs=net.arcs[1:])
 
     monkeypatch.setattr(HasseNetwork, "of", classmethod(broken))
 

@@ -6,7 +6,6 @@ the w-sweeps stopped building C^w, so any change in verdicts, witnesses or
 ``checked`` counts shows here.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -239,8 +238,8 @@ def test_a_corpus_refuses_keys_its_kind_does_not_read(doc, unread):
 
 def test_a_seed_override_is_refused_where_the_kind_reads_no_seed():
     with pytest.raises(ValueError, match="^corpus kind 'all-posets' does not read 'seed'$"):
-        dataclasses.replace(Corpus("all-posets", n=2), seed=7)
-    assert dataclasses.replace(CORPORA["random-posets"], seed=7).seed == 7
+        Corpus("all-posets", n=2).replace(seed=7)
+    assert CORPORA["random-posets"].replace(seed=7).seed == 7
 
 
 def test_an_explicit_clutter_with_no_edges_is_refused_with_its_index():
@@ -430,7 +429,6 @@ def test_an_ideal_with_an_unused_variable_builds_its_values_once(monkeypatch, ge
 
 # the broken_hasse_network fixture, for a subprocess
 BROKEN_NETWORK = """
-import dataclasses
 from clutterlab.packing import HasseNetwork
 
 honest = HasseNetwork.of.__func__
@@ -438,7 +436,7 @@ honest = HasseNetwork.of.__func__
 
 def broken(cls, p):
     net = honest(cls, p)
-    return dataclasses.replace(net, arcs=net.arcs[1:])
+    return net.replace(arcs=net.arcs[1:])
 
 
 HasseNetwork.of = classmethod(broken)

@@ -15,6 +15,9 @@ tree.
   its threshold set in ``_level_diffs`` alone, not in a copy of its loop.
 - No module imports numpy, and importing ``clutterlab`` and
   ``clutterlab.cli`` and running a small theorem suite leaves it unloaded.
+- Importing ``clutterlab`` generates no code: neither ``dataclasses`` nor
+  ``inspect`` (which ``dataclasses`` loads) is imported, so no class is
+  built by formatting and compiling methods at every start.
 - Every ``.py`` file of ``src/clutterlab``, ``tests`` and ``tools`` parses
   as Python 3.10, the floor ``pyproject.toml`` declares.
 """
@@ -141,6 +144,15 @@ def test_the_program_runs_without_numpy():
     done = subprocess.run([sys.executable, "-c", NO_NUMPY], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_the_import_generates_no_classes():
+    # -S: no site module, so nothing but the program's own imports is loaded
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = "import sys, clutterlab; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda p: str(p.relative_to(ROOT)))
