@@ -452,7 +452,7 @@ def check_ideal_instance(ideal: MonomialIdeal, bounds: Bounds) -> dict[str, Any]
     """Normality vs integer rounding over w in {0..wmax}^n. A
     box-consistency check, not a cross-check: both verdicts read one
     kernel chain (the threshold sets of the vertex rows of Q(A) and packed
-    k-fold levels, compared by ``polyhedra._level_gap``) over two boxes,
+    k-fold levels, compared by ``polyhedra._level_diffs``) over two boxes,
     so one fault there can flip both alike."""
     normal = normality_gap(ideal, bounds.kmax) is None
     check_deadline()

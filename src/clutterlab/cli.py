@@ -15,17 +15,20 @@ exit code for all of them.
 Exit codes: 0 success / positive verdict, 1 negative verdict, 2 usage
 error or malformed input document (one that cannot be read, or that
 lacks the shape its reader expects), 3 resource guard exceeded, 4 two
-internal routes disagree (a :class:`~clutterlab.guards.ConsistencyError`: ``menger``
-finding a max flow that differs from its min cut, ``mfmc`` finding
-alpha0 / beta1 of its witness C^w by the Koenig search that differ from
-the numbers priced from weights on C, or those numbers, read for the
-witness w alone, agreeing where the packed Koenig levels put w in the
-failing set, or ``normal``, ``ntf``, ``idp`` and ``rounding`` finding a
-k-fold level cell whose value is below the level; ``certify`` records
-such a disagreement as a failed instance in its report instead, so a run
-with one exits 1). ``certify`` exits 3 also
-when it checked no instance (every instance skipped by a guard, or an
-empty corpus); its report then reads ``"aggregate": "inconclusive"``.
+internal routes disagree (a :class:`~clutterlab.guards.ConsistencyError`):
+``menger`` finding a max flow that differs from its min cut; ``mfmc``
+finding alpha0 / beta1 of its witness C^w by the Koenig search that
+differ from the numbers priced from weights on C, or those numbers, read
+for the witness w alone, agreeing where the packed Koenig levels put w
+in the failing set; ``rounding`` finding a w whose lp and ilp disagree
+with its bit of the packed failing set, or lp and ilp at its witness
+that the simplex and the integer search at that w alone do not repeat;
+``normal``, ``ntf``, ``idp`` and ``rounding`` finding a k-fold level
+cell whose value is below the level. ``certify`` records such a
+disagreement as a failed instance in its report instead, so a run with
+one exits 1. ``certify`` exits 3 also when it checked no instance (every
+instance skipped by a guard, or an empty corpus); its report then reads
+``"aggregate": "inconclusive"``.
 
 The environment variable ``CLUTTERLAB_GUARD_MS`` sets a wall-clock budget
 in milliseconds, read once per command and installed for the whole

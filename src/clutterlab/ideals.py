@@ -54,6 +54,7 @@ from .polyhedra import (
     _check_box,
     _kfold_bits,
     _level_gap,
+    _minimal_by_sum,
     _minimal_cells,
     _minimal_rows,
     _threshold_levels,
@@ -68,9 +69,10 @@ ExponentVector = tuple[int, ...]
 class MonomialIdeal(Value):
     """Monomial ideal given by its unique minimal generating set.
 
-    The constructor canonicalizes: dominated generators are dropped,
-    duplicates removed, and the survivors sorted lexicographically. Zero
-    exponent vectors (the unit ideal) are rejected.
+    The constructor canonicalizes: dominated generators are dropped by one
+    scan in order of coordinate sum, duplicates removed, and the survivors
+    sorted lexicographically. Zero exponent vectors (the unit ideal) are
+    rejected.
     """
 
     n: int
@@ -89,11 +91,7 @@ class MonomialIdeal(Value):
             gens.append(v)
         if not gens:
             raise ValueError("ideal needs at least one generator")
-        minimal = [
-            g for g in gens
-            if not any(h != g and dominates(g, h) for h in gens)
-        ]
-        self._set(n, tuple(sorted(set(minimal))))
+        self._set(n, tuple(sorted(p for new in _minimal_by_sum(gens) for p in new)))
 
     @property
     def q(self) -> int:

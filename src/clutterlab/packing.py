@@ -8,13 +8,11 @@ identities give its numbers from weights on C:
 - alpha0(C^w) = min over minimal covers K of C of sum_{i in K} w_i, and
 - beta1(C^w) = max{1.y : Ay <= w, y integer >= 0}
   (Schrijver, Combinatorial Optimization, ch. 79, parallelization), both
-  compared for the whole box at once by :func:`sweep_levels`, which
-  holds the sets {w : alpha0 >= k} (threshold sets of the minimal-cover
-  rows) against {w : beta1 >= k} (k-fold levels of the edges) as packed
-  ints in the level kernel of ``polyhedra``; the OR of their differences
-  is the failing set, every w where Koenig fails on C^w. Every witness is
-  read off that set: the two numbers are read only at the w it or a
-  Menger check names, in one pass over the sets (:func:`konig_numbers`);
+  compared for the whole box at once by :func:`sweep_levels`, the level
+  sweep of ``polyhedra`` at unit 1, whose failing set holds every w where
+  Koenig fails on C^w. Every witness is read off that set: the two
+  numbers are read only at the w it or a Menger check names, in one pass
+  over the sets (:func:`konig_numbers`);
 - for the clique clutter of a comparability graph, both are the max flow
   and min vertex cut of the Hasse diagram with vertex capacities w
   (Menger's theorem with vertex capacities), see :class:`HasseNetwork`.
@@ -55,9 +53,7 @@ from .polyhedra import (
     _at_least,
     _cell,
     _check_box,
-    _kfold_bits,
-    _level_diffs,
-    _value_sets,
+    _level_sweep,
 )
 from .structures import (
     Clutter,
@@ -246,11 +242,6 @@ def _cover_matrix(c: Clutter) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(int(v in cov) for v in range(c.n)) for cov in minimal_vertex_covers(c)))
 
 
-def _edge_rows(c: Clutter) -> list[tuple[int, ...]]:
-    """0/1 rows of the edges of c, in edge order."""
-    return [tuple(int(v in e) for v in range(c.n)) for e in c.edges]
-
-
 def alpha0(c: Clutter) -> int:
     """Size of a minimum vertex cover."""
     return min_cover_size(c.edge_masks)
@@ -277,29 +268,17 @@ def sweep_levels(c: Clutter, wmax: int) -> tuple[dict[int, int], int]:
     Koenig property of C^w fails, decided on packed levels without
     building C^w or listing any per-w number.
 
-    Returns (nu_sets, failing). A set of w is one Python int with bit
-    idx(w), the lexicographic index of w, set for the w it holds.
-    ``nu_sets`` is beta1 as value sets (``polyhedra._value_sets``, the
-    layout of :func:`menger_walk`'s flows), read off level k = 1, 2, ...,
-    the w with beta1(C^w) >= k: the k-fold sums of the edge rows
-    (``polyhedra._kfold_bits``), drawn up to the first empty one.
-    ``failing`` is the OR over k of {w : alpha0(C^w) >= k}, the threshold
-    set of the minimal-cover rows, minus level k
-    (``polyhedra._level_diffs``): since beta1 <= alpha0, a w lies in it
-    iff alpha0(C^w) > beta1(C^w), at k = beta1 + 1, a level that is
-    drawn. The box size is guarded before anything is built.
+    Returns (nu_sets, failing), sets of w each one int with bit idx(w),
+    the lexicographic index of w: ``polyhedra._level_sweep`` of the edge
+    columns against the minimal-cover rows at unit 1. ``nu_sets`` holds
+    beta1(C^w) in the layout of :func:`menger_walk`'s flows, and
+    ``failing`` the w with alpha0(C^w) > beta1(C^w). The box size is
+    guarded before anything is built.
     """
     caps = (wmax,) * c.n
     _check_box(caps, "sweep box size")
-    levels = []
-    for level in _kfold_bits(_edge_rows(c), caps, sum(caps)):
-        levels.append(level)
-        if not level:
-            break
-    failing = 0
-    for _, diff in _level_diffs(levels, caps, _cover_matrix(c), 1):
-        failing |= diff
-    return _value_sets(levels, (1 << (wmax + 1) ** c.n) - 1), failing
+    columns = IncidenceMatrix.from_clutter(c).columns if c.edges else ()
+    return _level_sweep(columns, caps, _cover_matrix(c), 1)
 
 
 def konig_numbers(

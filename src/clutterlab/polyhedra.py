@@ -16,7 +16,7 @@ Each quantity has one formulation: vertices of Q(A) by one integer double
 description per matrix (section "Exact vertex enumeration"), k-fold sums
 on a box by the shift-OR recursion of :func:`_kfold_bits`, the cells
 where some linear forms all reach a threshold by :class:`_ThresholdSets`,
-and the integer packing numbers on a box by :func:`packing_numbers`.
+and the integer packing numbers on a box by :func:`_level_sweep`.
 
 A set of cells of the box prod [0, caps_i] is one Python int with bit
 idx(x) = <x, strides> for cell x, the flat C-order index. The shift-OR
@@ -38,17 +38,18 @@ Koenig sweep of ``packing`` ask one question of the levels: does level k
 equal S_k, the cells where every row reaches k*unit? One kernel,
 :func:`_level_diffs`, answers it on the ints themselves, level by level,
 and it alone reads the cached threshold sets (:func:`_threshold_sets`);
-the verdicts read its first difference (:func:`_level_gap`), the Koenig
-sweep all of them. The threshold sets are built per block of axis 0 from one
-recursion per row, never per cell. The checks of one instance that ask
-for the same rows on the same box share the sets (the kernel keeps the
-latest). A reader that lists, counts or tabulates cells (minimal points,
-the ``checked`` counts, the per-w rounding table) reads the same sets,
-uncached, from :func:`_threshold_levels`, and compares no level.
+normality, NTF and decomposition read its first difference
+(:func:`_level_gap`), integer rounding and Koenig all of them
+(:func:`_level_sweep`). The threshold sets are built per block of axis 0
+from one recursion per row, never per cell, and the checks of one
+instance that ask for the same rows on the same box share them. A reader
+that lists, counts or tabulates cells (minimal points, the ``checked``
+counts, the per-w LP values) reads the same sets, uncached, from
+:func:`_threshold_levels`, and compares no level.
 
-:func:`simplex_max` solves one LP and is kept as a test reference;
-:func:`ilp_max_packing` solves one integer packing, for the tests and the
-single-w ``lp_duality_integer_check``.
+:func:`simplex_max` solves one LP and :func:`ilp_max_packing` one integer
+packing: the single-w routes that re-derive a rounding witness and price
+``lp_duality_integer_check``.
 """
 
 from __future__ import annotations
@@ -520,19 +521,23 @@ def _minimal_cells(caps: Vector, cells: int) -> list[Vector]:
     return [_cell(caps, idx) for idx in _bits(cells & ~above)]
 
 
-def _minimal_rows(pts: Iterable[Vector]) -> list[Vector]:
-    """Componentwise-minimal points of pts, in order of coordinate sum.
-    Points of equal sum never dominate one another, so scanning the sums
-    in ascending order against the kept points is exact; the deadline is
-    checked once per sum."""
+def _minimal_by_sum(pts: Iterable[Vector]) -> Iterator[list[Vector]]:
+    """The componentwise-minimal points of pts, distinct, one list per
+    coordinate sum in ascending order: points of equal sum never dominate
+    one another, so a point is kept iff it dominates none kept before."""
     kept: list[Vector] = []
     for _, level in itertools.groupby(sorted(pts, key=sum), key=sum):
+        new = [p for p in dict.fromkeys(level) if all(any(map(operator.lt, p, m)) for m in kept)]
+        kept += new
+        yield new
+
+
+def _minimal_rows(pts: Iterable[Vector]) -> list[Vector]:
+    """:func:`_minimal_by_sum` in one list, the deadline checked per sum."""
+    kept: list[Vector] = []
+    for new in _minimal_by_sum(pts):
         check_deadline()
-        mins = kept[:]
-        kept += [
-            p for p in dict.fromkeys(level)
-            if not any(all(map(operator.ge, p, m)) for m in mins)
-        ]
+        kept += new
     return kept
 
 
@@ -669,6 +674,28 @@ def _level_gap(
     return None
 
 
+def _level_sweep(
+    columns: Sequence[Vector], caps: Vector, rows: Sequence[Vector], unit: int
+) -> tuple[dict[int, int], int]:
+    """(nu_sets, failing) over the box prod [0, caps_i]: the integer
+    packing number nu(x) = max{<y,1> : sum_j y_j columns_j <= x, y integer
+    >= 0} as value sets (:func:`_value_sets`) of the levels of
+    :func:`_kfold_bits`, drawn up to the first empty one, and the OR of
+    every difference of :func:`_level_diffs` against the rows at
+    ``unit``. Each level lies in its S_k, so x fails iff
+    floor(min_t <rows[t], x> / unit) > nu(x), at k = nu(x) + 1; for both
+    callers that is at most sum(x) + 1."""
+    levels = []
+    for level in _kfold_bits(columns, caps, sum(caps)):
+        levels.append(level)
+        if not level:
+            break
+    failing = 0
+    for _, diff in _level_diffs(levels, caps, rows, unit):
+        failing |= diff
+    return _value_sets(levels, (1 << math.prod(c + 1 for c in caps)) - 1), failing
+
+
 def _value_sets(levels: Iterable[int], full: int) -> dict[int, int]:
     """The cells of each value of a function on a box, as {value: cells}
     over its values in ascending order, each set one int in the layout of
@@ -699,17 +726,6 @@ def _cell_list(sets: dict[int, int], size: int) -> list[int]:
         for idx in _bits(cells):
             values[idx] = value
     return values
-
-
-def packing_numbers(vectors: Sequence[Sequence[int]], caps: Vector) -> list[int]:
-    """max{<y,1> : sum_j y_j v_j <= x, y integer >= 0} for every x of the
-    box prod [0, caps_i], as a list in C (lexicographic) order: the
-    number of the nested levels of :func:`_kfold_bits` holding x, up to
-    the first empty one (:func:`_value_sets`). The vectors are nonzero,
-    so no x packs more than sum(caps). A per-cell route, for the readers
-    that render a table or a witness."""
-    size = math.prod(c + 1 for c in caps)
-    return _cell_list(_value_sets(_kfold_bits(vectors, caps, sum(caps)), (1 << size) - 1), size)
 
 
 def integer_decomposition_check(a: IncidenceMatrix, kmax: int) -> Certificate:
@@ -795,64 +811,67 @@ def integer_rounding_check(a: IncidenceMatrix, wmax: int) -> Certificate:
     equivalent to the integer decomposition property of B(Q). A
     semidecision, since the property quantifies over all w.
 
-    The whole box is priced at once and rendered as one entry per w. The
-    LP value: by LP duality, max{<y,1> : Ay <= w, y >= 0} = min{<w,x> :
-    x in Q(A)}, and since w >= 0 and Q(A) is pointed with recession cone
-    R^n_+, the minimum is attained at a vertex ell_t of Q(A), so D times
-    it is the largest k with w in S_k, the threshold set of the vertex
-    inequalities at unit 1 (:func:`_threshold_levels`), read for every w
-    by the decoder of :func:`packing_numbers`. The integer value is
-    :func:`packing_numbers` of the columns over the box. :func:`integer_rounding_holds` decides the same
-    verdict without rendering it. The box is guarded before anything is
-    built.
+    The verdict is the failing set of :func:`integer_rounding_holds`, the
+    witness its lowest bit, the lex-first failing w; then every w is
+    rendered: D times the LP value, min_t <rows[t], w> over the vertex
+    rows, from their threshold sets at unit 1 (:func:`_threshold_levels`),
+    and the integer value from the sweep's value sets. An entry whose
+    verdict differs from its failing bit raises :class:`ConsistencyError`,
+    as does a witness at which :func:`simplex_max` and
+    :func:`ilp_max_packing`, which share no box kernel, find other values.
     """
-    caps = _rounding_box(a, wmax)
-    rows, den = _vertex_inequalities(a)
+    caps, rows, den, nu_sets, failing = _rounding_sweep(a, wmax)
     size = math.prod(c + 1 for c in caps)
     lp_num = _cell_list(_value_sets(_threshold_levels(caps, rows, 1), (1 << size) - 1), size)
-    ilp = packing_numbers(a.columns, caps)
     weights = itertools.product(range(wmax + 1), repeat=a.n)
     per_w = []
-    first_fail = None
-    for w, num, nu in zip(weights, lp_num, ilp):
-        floor = num // den
+    for idx, (w, num, nu) in enumerate(zip(weights, lp_num, _cell_list(nu_sets, size))):
+        floor, bit = num // den, bool(failing >> idx & 1)
+        if (nu != floor) != bit:
+            raise ConsistencyError(
+                "w is in the packed rounding failing set iff nu != floor(lp) at w",
+                {"w": list(w), "failing": bit}, [nu, floor],
+            )
         lp = format_rational(Fraction(num, den))
-        entry = {"w": list(w), "lp": lp, "floor": floor, "ilp": nu, "holds": nu == floor}
-        per_w.append(entry)
-        if first_fail is None and nu != floor:
-            first_fail = entry
+        per_w.append({"w": list(w), "lp": lp, "floor": floor, "ilp": nu, "holds": nu == floor})
+    witness = None
+    if failing:
+        witness = per_w[(failing & -failing).bit_length() - 1]
+        value, _ = simplex_max([1] * a.q, a.rows(), witness["w"])
+        rederived = [format_rational(value), ilp_max_packing(a, witness["w"])]
+        if rederived != [witness["lp"], witness["ilp"]]:
+            raise ConsistencyError(
+                "lp and ilp at the first failing w = simplex and integer search at that w",
+                [witness["lp"], witness["ilp"]], rederived,
+            )
     return Certificate(
         prop="integer-rounding",
-        verdict="holds-on-corpus" if first_fail is None else "fails",
-        holds=first_fail is None,
-        witness=first_fail,
-        details={"tested": len(per_w), "per_w": per_w},
+        verdict="fails" if failing else "holds-on-corpus",
+        holds=not failing,
+        witness=witness,
+        details={"tested": size, "per_w": per_w},
     )
 
 
 def integer_rounding_holds(a: IncidenceMatrix, wmax: int) -> bool:
-    """The verdict of :func:`integer_rounding_check`, decided on packed
-    levels with nothing rendered: does floor(lp(w) / D) equal the integer
-    packing number nu(w) at every w in {0..wmax}^n?
-
-    Both sides are compared level by level (:func:`_level_gap`). nu(w) >= k
-    iff w dominates a sum of k columns, i.e. w lies in level k of
-    :func:`_kfold_bits`, and floor(lp / D) >= k iff lp >= k*D. The two
-    functions agree at every w iff the two sets agree at every k >= 1.
-    Both sets shrink as k grows, so the scan stops at the first k where
-    they differ or where both are empty; by k = sum(caps) + 1 both are,
-    since the columns are nonzero and so neither side exceeds sum(w).
-    """
-    caps = _rounding_box(a, wmax)
-    rows, den = _vertex_inequalities(a)
-    return _level_gap(_kfold_bits(a.columns, caps, sum(caps)), caps, rows, den) is None
+    """The verdict of :func:`integer_rounding_check` with nothing rendered:
+    no w in the failing set of :func:`_level_sweep` of the columns against
+    the vertex rows of Q(A) at unit D, where floor(min_t <rows[t], w> / D)
+    is the floor of the LP value. When Q(A) is integral (D = 1) its vertex
+    rows are the minimal covers; for a clutter this is then the Koenig
+    sweep ``packing.sweep_levels`` (Gitler–Valencia–Villarreal 2007)."""
+    return not _rounding_sweep(a, wmax)[-1]
 
 
-def _rounding_box(a: IncidenceMatrix, wmax: int) -> Vector:
-    """The caps of the box {0..wmax}^n of the integer rounding checks,
-    guarded."""
+def _rounding_sweep(
+    a: IncidenceMatrix, wmax: int
+) -> tuple[Vector, tuple[Vector, ...], int, dict[int, int], int]:
+    """(caps, rows, D, nu_sets, failing) of the rounding box {0..wmax}^n,
+    guarded before anything is built: the vertex rows of Q(A) over D
+    (:func:`_vertex_inequalities`) and their :func:`_level_sweep`."""
     if wmax < 0:
         raise ValueError("wmax must be >= 0")
     caps = (wmax,) * a.n
     _check_box(caps, "rounding box size")
-    return caps
+    rows, den = _vertex_inequalities(a)
+    return (caps, rows, den, *_level_sweep(a.columns, caps, rows, den))

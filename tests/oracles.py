@@ -2,10 +2,12 @@
 
 These deliberately recompute results by exhaustive enumeration, without
 touching the library's algorithms, so frozen expected values and property
-tests do not share a code path with what they check. The one exception,
-:func:`reference_sweep_numbers`, lists the Koenig numbers of a whole w-box
-from :func:`_cell_values` and the library's ``packing_numbers``, both
-checked against brute force in ``test_polyhedra``.
+tests do not share a code path with what they check. The exceptions are
+:func:`packing_numbers`, the per-cell reading of the library's packed
+k-fold levels, and :func:`reference_sweep_numbers`, which lists the
+Koenig numbers of a whole w-box from :func:`_cell_values` and
+:func:`packing_numbers`; both are checked against brute force in
+``test_polyhedra``.
 """
 
 from __future__ import annotations
@@ -269,6 +271,19 @@ def brute_packing_numbers(vectors, caps) -> dict[tuple[int, ...], int]:
     return best
 
 
+def packing_numbers(vectors, caps) -> list[int]:
+    """max{<y,1> : sum_j y_j v_j <= x, y integer >= 0} for every x of the
+    box prod [0, caps_i], as a list in C (lexicographic) order: the number
+    of the nested levels of ``polyhedra._kfold_bits`` holding x, up to the
+    first empty one (``polyhedra._value_sets``). The vectors are nonzero,
+    so no x packs more than sum(caps)."""
+    from clutterlab import polyhedra
+
+    size = math.prod(c + 1 for c in caps)
+    levels = polyhedra._kfold_bits(vectors, caps, sum(caps))
+    return polyhedra._cell_list(polyhedra._value_sets(levels, (1 << size) - 1), size)
+
+
 def _cell_values(caps, rows) -> list[int]:
     """min_t <rows[t], x> for every cell x of the box prod [0, caps_i], as
     a list in C (lexicographic) order; rows is nonempty. Each row's form
@@ -289,14 +304,12 @@ def reference_sweep_numbers(c, wmax: int) -> tuple[list[int], list[int]]:
     """alpha0(C^w) and beta1(C^w) for every w in {0..wmax}^n, as two lists
     in lexicographic w order: the per-w reference for the packed Koenig
     sweep. alpha0 is :func:`_cell_values` of the 0/1 rows of
-    :func:`brute_minimal_covers`, beta1 ``polyhedra.packing_numbers`` of
-    the edge rows; neither reads the threshold kernel."""
-    from clutterlab import polyhedra
-
+    :func:`brute_minimal_covers`, beta1 :func:`packing_numbers` of the
+    edge rows; neither reads the threshold kernel."""
     caps = (wmax,) * c.n
     covers = [tuple(int(v in cov) for v in range(c.n)) for cov in brute_minimal_covers(c.n, c.edges)]
     edges = [tuple(int(v in e) for v in range(c.n)) for e in c.edges]
-    return _cell_values(caps, covers), polyhedra.packing_numbers(edges, caps)
+    return _cell_values(caps, covers), packing_numbers(edges, caps)
 
 
 def reference_dd_extreme_rays(dim: int, cuts) -> list[tuple[int, ...]]:

@@ -35,11 +35,12 @@ from clutterlab.certify import (
     random_posets,
     run_theorem_suite,
 )
+from clutterlab.cli import main
 from clutterlab.guards import ConsistencyError, Deadline, ResourceGuardError
 from clutterlab.packing import HasseNetwork, _cover_matrix, menger_check
 from clutterlab.structures import Clutter, Graph, Poset, clique_clutter, comparability_graph
 
-from oracles import _cell_values, reference_sweep_numbers
+from oracles import _cell_values, packing_numbers, reference_sweep_numbers
 
 HERE = Path(__file__).parent
 
@@ -163,7 +164,7 @@ def test_an_ideal_instance_unpacks_no_power_level(monkeypatch, two_squares):
     # normality and rounding are decided on packed levels: on the ideals
     # golden no threshold set is listed and no packing number is counted
     calls = []
-    for name in ("_threshold_levels", "packing_numbers"):
+    for name in ("_threshold_levels", "_cell_list"):
         honest = getattr(polyhedra, name)
         monkeypatch.setattr(polyhedra, name,
                             lambda *args, name=name, honest=honest: calls.append(name) or honest(*args))
@@ -175,7 +176,7 @@ def test_an_ideal_instance_unpacks_no_power_level(monkeypatch, two_squares):
     assert calls == []
     # the counters see the routes that render per-cell tables
     polyhedra.integer_rounding_check(two_squares.matrix(), 2)
-    assert sorted(set(calls)) == ["_threshold_levels", "packing_numbers"]
+    assert sorted(set(calls)) == ["_cell_list", "_threshold_levels"]
 
 
 def test_rounding_compares_a_cold_narrow_box_with_a_wider_denominator(monkeypatch):
@@ -187,7 +188,7 @@ def test_rounding_compares_a_cold_narrow_box_with_a_wider_denominator(monkeypatc
     polyhedra._threshold_sets.cache_clear()
     rows, den = polyhedra._vertex_inequalities(ideal.matrix())
     lp = _cell_values((3,), rows)
-    nu = polyhedra.packing_numbers(ideal.matrix().columns, (3,))
+    nu = packing_numbers(ideal.matrix().columns, (3,))
     assert (den, lp, nu) == (200, [0, 1, 2, 3], [0, 0, 0, 0])
     rec = check_ideal_instance(ideal, Bounds())
     assert rec["checks"] == {"normal": True, "rounding": True, "normal_equals_rounding": True}
@@ -676,7 +677,7 @@ def _one_less_packing(monkeypatch):
         levels[top] ^= last
         return iter(levels)
 
-    monkeypatch.setattr(packing, "_kfold_bits", short)
+    monkeypatch.setattr(polyhedra, "_kfold_bits", short)
     return {"konig_failures": None, "menger_mismatches": None}
 
 
@@ -805,7 +806,7 @@ def test_a_failed_poset_check_is_recorded_with_its_witness(monkeypatch, plant, f
         assert set(ex["witness"] or {}) == set(witness)
 
 
-PER_CELL_ROUTES = ("_cell_values", "packing_numbers", "_cell_list")
+PER_CELL_ROUTES = ("_cell_values", "_cell_list")
 
 
 def _count_per_cell_calls(monkeypatch) -> list[str]:
@@ -850,8 +851,7 @@ def test_a_passing_w_planted_in_the_failing_set_is_caught(monkeypatch):
         for k, diff in honest(levels, caps, rows, unit):
             yield k, diff | last if k == 1 else diff
 
-    for module in (polyhedra, packing):
-        monkeypatch.setattr(module, "_level_diffs", planted)
+    monkeypatch.setattr(polyhedra, "_level_diffs", planted)
     last = [FAULT_BOUNDS.wmax] * DIAMOND.n
     cl = clique_clutter(comparability_graph(DIAMOND))
     with pytest.raises(ConsistencyError, match=re.escape(
@@ -864,6 +864,51 @@ def test_a_passing_w_planted_in_the_failing_set_is_caught(monkeypatch):
         invariant = ex["witness"]["invariant"]
         assert invariant["check"] == "w is in the packed Koenig failing set iff alpha0 != beta1 of C^w at w"
         assert invariant["values"][0] == {"w": last, "failing": True}
+
+
+MAXIMAL_IDEAL = {"n": 2, "generators": [[1, 0], [0, 1]]}  # rounding holds: nu(w) = w0 + w1
+
+
+def test_a_dropped_packing_cell_is_caught_by_the_rounding_rederivation(monkeypatch, capsys, tmp_path):
+    # the fault drops w = (3, 3) from the top k-fold level holding it, so
+    # the sweep reads a false rounding failure there alone; the simplex and
+    # the integer search at that w, which share no box kernel, find the
+    # true values. Normality reads ideals' own binding and still holds
+    _one_less_packing(monkeypatch)
+    with pytest.raises(ConsistencyError) as info:
+        polyhedra.integer_rounding_check(MonomialIdeal.from_json(MAXIMAL_IDEAL).matrix(), 3)
+    assert info.value.to_json() == {
+        "check": "lp and ilp at the first failing w = simplex and integer search at that w",
+        "values": [["6", 5], ["6", 6]],
+    }
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"instances": [{"type": "ideal", "data": MAXIMAL_IDEAL}]}))
+    report = run_theorem_suite(Corpus("explicit", path=str(path)), Bounds())
+    assert [rec["checks"] for rec in report.instances] == [{"consistent": False}]
+    assert report.counterexamples[0]["witness"] == {"invariant": info.value.to_json()}
+    assert main(["rounding", "--wmax", "3", json.dumps(MAXIMAL_IDEAL)]) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_a_rounding_failing_bit_without_a_failing_entry_is_caught(monkeypatch, capsys):
+    # the kernel reader adds w = (3, 3) to the first level's difference,
+    # where nu = floor(lp) = 6: the rendered entry and the failing set
+    # disagree. (certify would not render it: the planted reader also
+    # fails normality, so the two verdicts agree)
+    honest = polyhedra._level_diffs
+
+    def planted(levels, caps, rows, unit):
+        last = 1 << math.prod(c + 1 for c in caps) - 1
+        for k, diff in honest(levels, caps, rows, unit):
+            yield k, diff | last if k == 1 else diff
+
+    monkeypatch.setattr(polyhedra, "_level_diffs", planted)
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "w is in the packed rounding failing set iff nu != floor(lp) at w: "
+            "{'w': [3, 3], 'failing': True} vs [6, 6]")):
+        polyhedra.integer_rounding_check(MonomialIdeal.from_json(MAXIMAL_IDEAL).matrix(), 3)
+    assert main(["rounding", "--wmax", "3", json.dumps(MAXIMAL_IDEAL)]) == 4
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("poset, edges, expected", [
@@ -893,7 +938,7 @@ def test_sweep_box_guard_fires_before_the_walk_builds_anything(monkeypatch):
     monkeypatch.setattr(HasseNetwork, "of", classmethod(unreachable))
     monkeypatch.setattr(HasseNetwork, "_graph", property(unreachable))
     monkeypatch.setattr("clutterlab.certify.menger_walk", unreachable)
-    monkeypatch.setattr("clutterlab.packing._kfold_bits", unreachable)
+    monkeypatch.setattr("clutterlab.polyhedra._kfold_bits", unreachable)
     monkeypatch.setattr("clutterlab.polyhedra._ThresholdSets", unreachable)
     with pytest.raises(ResourceGuardError, match="sweep box size = 16777216"):
         comparability_mfmc_check(chain, cl, 3)

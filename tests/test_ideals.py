@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 
@@ -19,7 +20,7 @@ from clutterlab import (
 )
 from clutterlab.certify import Bounds, check_clutter_instance, random_clutters, random_ideals
 from clutterlab.guards import ResourceGuardError
-from clutterlab import polyhedra
+from clutterlab import ideals, polyhedra
 from clutterlab.ideals import _power_grids
 from clutterlab.packing import _cover_matrix
 from clutterlab.polyhedra import (
@@ -34,6 +35,7 @@ from oracles import (
     brute_power_generators,
     brute_symbolic_power,
     brute_symbolic_power_membership,
+    minimalize,
 )
 
 C5 = Clutter(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -44,6 +46,30 @@ TWO_TRIANGLES = Clutter(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 
 def _box(caps):
     return itertools.product(*(range(c + 1) for c in caps))
+
+
+def test_the_constructor_keeps_the_pairwise_minimal_generators():
+    # one scan in order of coordinate sum keeps what the pairwise filter
+    # keeps, on shuffled generators with duplicates and dominated ones
+    rng = random.Random(35)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 12))]
+        gens = [g for g in gens if any(g)] or [(1,) * n]
+        gens += rng.choices(gens, k=3)
+        rng.shuffle(gens)
+        assert list(MonomialIdeal(n, gens).generators) == minimalize(gens)
+
+
+def test_symbolic_power_makes_no_pairwise_domination_test(monkeypatch):
+    # the 175 minimal cells of cauc(3,3)'s third symbolic power are kept
+    # by the sum-ordered scan; a pairwise filter made 30,450 calls here
+    calls = []
+    monkeypatch.setattr(ideals, "dominates", lambda a, b: calls.append(1) or all(map(operator.ge, a, b)))
+    c = complete_admissible_uniform_clutter(3, 3)
+    gens = symbolic_power(c, 3).generators
+    assert calls == [] and len(gens) == 175
+    assert list(gens) == brute_symbolic_power(c.n, brute_minimal_covers(c.n, c.edges), 3)
 
 
 def test_power_matches_brute_force():

@@ -383,6 +383,33 @@ def test_sweep_of_edgeless_clutter_is_zero():
     assert _sweep(Clutter(2, []), 1) == [
         (w, 0, 0) for w in itertools.product(range(2), repeat=2)
     ]
+    assert sweep_levels(Clutter(2, []), 1) == ({0: 0b1111}, 0)
+
+
+Q6 = Clutter(6, [(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)])
+
+
+def test_koenig_on_every_cw_is_integer_rounding_of_an_integral_q(c5):
+    # with D = 1 the vertex rows of Q(A) are the minimal covers, so the
+    # Koenig sweep is the rounding sweep of the clutter's matrix: the same
+    # packing levels against the same rows at the same unit
+    integral = [c for c in random_clutters(5, 6, 8, seed=42)
+                if polyhedra.is_integral(IncidenceMatrix.from_clutter(c))]
+    assert len(integral) >= 3
+    for c in [Q6, complete_admissible_uniform_clutter(2, 3), *integral]:
+        a = IncidenceMatrix.from_clutter(c)
+        rows, den = polyhedra._vertex_inequalities(a)
+        assert den == 1 and rows == packing._cover_matrix(c)
+        for wmax in (1, 2):
+            sweep = sweep_levels(c, wmax)
+            assert sweep == polyhedra._level_sweep(a.columns, (wmax,) * c.n, rows, den)
+            assert polyhedra.integer_rounding_holds(a, wmax) == (not sweep[1])
+    # C5 has D = 2, and the two split: rounding holds at wmax 2, while
+    # Koenig fails first at w = 1, where alpha0 = 3 > beta1 = 2 = floor(5/2)
+    a = IncidenceMatrix.from_clutter(c5)
+    assert polyhedra._vertex_inequalities(a)[1] == 2 and polyhedra.integer_rounding_holds(a, 2)
+    failing = sweep_levels(c5, 2)[1]
+    assert polyhedra._cell((2,) * 5, (failing & -failing).bit_length() - 1) == (1,) * 5
 
 
 # ---------------------------------------------------------------------------

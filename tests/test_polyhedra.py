@@ -37,7 +37,6 @@ from clutterlab.polyhedra import (
     format_rational,
     ilp_max_packing,
     integer_rounding_holds,
-    packing_numbers,
     q_vertices,
 )
 from clutterlab.structures import (
@@ -57,6 +56,7 @@ from oracles import (
     brute_q_vertices,
     brute_vertices,
     minimalize,
+    packing_numbers,
     reference_dd_extreme_rays,
 )
 

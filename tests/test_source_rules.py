@@ -12,7 +12,10 @@ tree.
   and the one listing reader ``polyhedra._threshold_levels``, which
   compares no level (it serves the readers that list or count cells).
   The bounded verdicts and the Koenig sweep compare a k-fold level with
-  its threshold set in ``_level_diffs`` alone, not in a copy of its loop.
+  its threshold set in ``_level_diffs`` alone, not in a copy of its loop,
+  and only ``_level_gap`` (first difference) and ``_level_sweep`` (all of
+  them) read it. ``packing`` holds none of the level names: its Koenig
+  sweep is ``_level_sweep`` at unit 1.
 - No module imports numpy, and importing ``clutterlab`` and
   ``clutterlab.cli`` and running a small theorem suite leaves it unloaded.
 - Importing ``clutterlab`` generates no code: neither ``dataclasses`` nor
@@ -68,6 +71,7 @@ def test_the_rules_see_every_module():
 KERNEL_READERS = {
     "_threshold_sets": ("_level_diffs",),
     "_ThresholdSets": ("_threshold_sets", "_threshold_levels"),
+    "_level_diffs": ("_level_gap", "_level_sweep"),
 }
 
 
@@ -112,6 +116,13 @@ def test_only_the_level_gap_kernel_packs_cells():
     assert _kernel_refs_outside_their_reader(ast.parse(forked)) == [
         ("_threshold_sets", 1), ("_threshold_sets", 5), ("_ThresholdSets", 11),
     ]
+
+
+def test_packing_holds_no_level_name():
+    from clutterlab import packing, polyhedra
+
+    assert not {"_kfold_bits", "_level_diffs", "_value_sets", "_edge_rows"} & vars(packing).keys()
+    assert not hasattr(polyhedra, "packing_numbers")
 
 
 def _imports_numpy(tree: ast.AST) -> bool:
